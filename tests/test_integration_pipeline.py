@@ -2,8 +2,13 @@
 
 These stitch the layers together the way the benchmarks do — testbed ->
 traces -> policies, and testbed -> link table -> protocol -> apps — and
-check the paper's qualitative relationships hold end to end.
+check the paper's qualitative relationships hold end to end.  The
+realization anchor at the bottom pins the exact default-path output of
+the two pinned perf workloads.
 """
+
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from repro.experiments.common import (
     run_protocol_cbr,
     vanlan_protocol,
 )
+from repro.experiments import perf
 from repro.handoff.evaluator import evaluate_policy
 from repro.handoff.policies import AllBsesPolicy, BrrPolicy, StickyPolicy
 from repro.sim.rng import RngRegistry
@@ -123,3 +129,36 @@ class TestDieselNetPipeline:
             for j, b in enumerate(log.bs_ids):
                 if i != j and not covis[i, j]:
                     assert table.loss_rate(a, b, 0.0) == 1.0
+
+
+#: The realization anchor: event count and sha256 signature of each
+#: pinned perf workload (:data:`repro.experiments.perf.WORKLOADS`) on the
+#: stock config.  Any change to the default simulation path that moves
+#: an RNG draw, an event or a delivery breaks it; a change that should
+#: move the realization re-pins it here, with the reason in the commit.
+REALIZATION_ANCHORS = {
+    "vanlan_cbr_120s": (
+        36426,
+        "39206b5904de7fced25c7ec8fe9a6d84694c7c11464e4ca3ac352eb14f56a221",
+    ),
+    "dieselnet_cbr_60s": (
+        18730,
+        "1c6a73c6a9b1363ed22d271eb83280d245f1020024b786418b36484fc2865b3d",
+    ),
+}
+
+
+class TestRealizationAnchor:
+    @pytest.mark.parametrize("workload", perf.WORKLOADS)
+    def test_default_realization_is_pinned(self, workload):
+        sim, duration = perf._BUILDERS[workload]()
+        cbr = run_protocol_cbr(sim, duration)
+        signature = json.dumps({
+            "up": sorted(cbr.up_deliveries.items()),
+            "down": sorted(cbr.down_deliveries.items()),
+            "tx": sorted(sim.medium.tx_count.items()),
+            "delivered": sorted(sim.medium.delivered_count.items()),
+        }, sort_keys=True, default=str)
+        events, digest = REALIZATION_ANCHORS[workload]
+        assert sim.sim.events_processed == events
+        assert hashlib.sha256(signature.encode()).hexdigest() == digest
