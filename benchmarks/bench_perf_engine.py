@@ -12,17 +12,13 @@ the repository root, and asserts:
   committed PR 3 measurements);
 * a process-pool multi-trip sweep merges to outputs identical to the
   serial sweep on any machine, and clears the 3x parallel-speedup
-  target when the host actually has four free cores;
-* the ``LinkStateCache(quantum_s=0)`` path is bit-for-bit equivalent to
-  the uncached link model (identical delivery sequence and event
-  count), so the speed comes from caching, not from changed physics.
+  target when the host actually has four free cores.
 """
 
 import pytest
 
 from conftest import print_table
 
-from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.experiments.perf import (
     TARGET_PARALLEL_SPEEDUP,
     TARGET_SPEEDUP,
@@ -31,26 +27,8 @@ from repro.experiments.perf import (
     run_trip_scaling,
     write_bench_file,
 )
-from repro.testbeds.vanlan import VanLanTestbed
 
 pytestmark = pytest.mark.bench
-
-
-def _delivery_signature(cache_quantum_s, duration_s=60.0):
-    """Delivery sequence + event count of a pinned run."""
-    testbed = VanLanTestbed(seed=0)
-    motion = testbed.vehicle_motion()
-    table = testbed.build_link_table(0, motion,
-                                    cache_quantum_s=cache_quantum_s)
-    from repro.core.protocol import ViFiSimulation
-    from repro.testbeds.vanlan import VEHICLE_ID
-
-    sim = ViFiSimulation(testbed.deployment.bs_ids, table, seed=0,
-                         vehicle_id=VEHICLE_ID)
-    cbr = run_protocol_cbr(sim, duration_s)
-    sequence = (sorted(cbr.up_deliveries.items()),
-                sorted(cbr.down_deliveries.items()))
-    return sequence, sim.sim.events_processed
 
 
 def test_perf_engine(benchmark, save_results):
@@ -84,9 +62,8 @@ def test_perf_engine(benchmark, save_results):
     print(f"host: {host.get('cpu_count')} cpus, "
           f"load {host.get('loadavg_1m')}, "
           f"python {host.get('python')}, numpy {host.get('numpy')}")
-    # The pinned workloads run the stock config, so they exercise the
-    # array estimator bank and report its fold cost (PR 5), and every
-    # record carries the host-state snapshot (PR 6) so committed
+    # The pinned workloads report the estimator bank's fold cost, and
+    # every record carries the host-state snapshot so committed
     # numbers are attributable to a machine condition.  They always
     # run the nominal world — no fault plane — and the record pins
     # that (PR 7) so baselines cannot be confused with faulted runs.
@@ -94,7 +71,6 @@ def test_perf_engine(benchmark, save_results):
     # the store counters are pinned to zero so a warm-cache read can
     # never masquerade as an engine speedup.
     for record in results:
-        assert record["estimator"] == "array"
         assert 0.0 <= record["estimator_fold_s"] < record["wall_s"]
         assert record["host"]["cpu_count"] >= 1
         assert record["host"]["python"]
@@ -143,16 +119,3 @@ def test_perf_engine(benchmark, save_results):
             f"< {TARGET_PARALLEL_SPEEDUP}x on "
             f"{scaling['available_workers']} cores"
         )
-
-
-def test_quantum_zero_is_bitwise_identical(save_results):
-    cached_seq, cached_events = _delivery_signature(cache_quantum_s=0.0)
-    raw_seq, raw_events = _delivery_signature(cache_quantum_s=None)
-    assert cached_events == raw_events
-    assert cached_seq == raw_seq
-    deliveries = len(cached_seq[0]) + len(cached_seq[1])
-    assert deliveries > 100  # the run actually delivered traffic
-    save_results("perf_determinism", {
-        "events": cached_events,
-        "deliveries": deliveries,
-    })

@@ -59,24 +59,24 @@ class BeaconSlotter:
     Fidelity: due times are computed from the nominal chain, never from
     the aligned emission times, so beacon *rates* — the estimator's
     denominators — are exactly those of per-node timers; each emission
-    is merely delayed to the next multiple of ``slot_s`` (at most one
-    slot, default 20 ms against a 100 ms beacon interval).  Setting
-    ``slot_s=0`` in the config restores per-node timers.
+    is merely delayed to the next multiple of :attr:`SLOT_S` (at most
+    one slot, 20 ms against a 100 ms beacon interval).
 
-    With a *medium* attached, a slot's emissions are handed to
-    :meth:`~repro.net.medium.WirelessMedium.send_slot_batch` as one
-    batch: when the medium is idle and every emitter is free, the
-    whole slot claims consecutive airtimes, costs a single heap event,
-    and resolves through one stacked numpy pass (falling back to
-    per-frame sends — bitwise-identical to the no-medium path —
-    whenever those conditions fail).  Without a medium each node emits
-    through its own :meth:`_emit_beacon`, the historical path kept
-    verbatim.
+    A slot's emissions are handed to the *medium* as one batch
+    (:meth:`~repro.net.medium.WirelessMedium.send_slot_batch`; a lone
+    beacon goes through a plain ``send``): when the medium is idle and
+    every emitter is free, the whole slot claims consecutive airtimes
+    and costs a single heap event, falling back to per-frame sends
+    whenever those conditions fail.
     """
 
-    def __init__(self, sim, slot_s, medium=None):
+    #: Slot width (seconds): beacons due inside one slot share one
+    #: heap event at the slot boundary.
+    SLOT_S = 0.02
+
+    def __init__(self, sim, medium):
         self.sim = sim
-        self.slot = float(slot_s)
+        self.slot = self.SLOT_S
         self.medium = medium
         self.faults = None  # set by an installed FaultPlane
         self._heap = []  # (nominal due, seq, node)
@@ -116,30 +116,23 @@ class BeaconSlotter:
         self._next_fire_at = None
         heap = self._heap
         push, pop = heapq.heappush, heapq.heappop
-        medium = self.medium
-        if medium is None:
-            while heap and heap[0][0] <= now:
-                due, _, node = pop(heap)
-                next_due = node._emit_beacon(due)
-                push(heap, (next_due, next(self._seq), node))
-        else:
-            # Build every due beacon first (builds draw no randomness
-            # and read only the emitter's own state, so batch-building
-            # is bit-identical to build-and-send interleaving), then
-            # offer the slot to the medium as one batch.
-            batch = []
-            while heap and heap[0][0] <= now:
-                due, _, node = pop(heap)
-                # Fault-suppressed emitters skip the batch but keep
-                # advancing (and drawing) their nominal due chain.
-                if not node._beacon_blocked():
-                    batch.append((node.node_id, node._build_beacon()))
-                push(heap, (node._next_beacon_due(due),
-                            next(self._seq), node))
-            if len(batch) == 1:
-                medium.send(batch[0][0], batch[0][1])
-            elif batch:
-                medium.send_slot_batch(batch)
+        # Build every due beacon first (builds draw no randomness and
+        # read only the emitter's own state, so batch-building is
+        # bit-identical to build-and-send interleaving), then offer the
+        # slot to the medium as one batch.
+        batch = []
+        while heap and heap[0][0] <= now:
+            due, _, node = pop(heap)
+            # Fault-suppressed emitters skip the batch but keep
+            # advancing (and drawing) their nominal due chain.
+            if not node._beacon_blocked():
+                batch.append((node.node_id, node._build_beacon()))
+            push(heap, (node._next_beacon_due(due), next(self._seq),
+                        node))
+        if len(batch) == 1:
+            self.medium.send(batch[0][0], batch[0][1])
+        elif batch:
+            self.medium.send_slot_batch(batch)
         if heap:
             self._arm(self._slot_after(heap[0][0]))
 
@@ -675,41 +668,23 @@ class _NodeBase:
         self._jitter_i = 0
 
     def start(self):
-        """Arm the beacon and per-second estimator timers.
+        """Register with the beacon slotter and the estimator bank.
 
-        Beacons register with the simulation's :class:`BeaconSlotter`
-        when one is configured (one heap event per occupied slot
-        instead of one per node per beacon); otherwise each node runs
-        its own legacy timer.
-
-        With an :class:`~repro.core.probabilities.EstimatorBank`
-        configured (``estimator="array"``, the default) the node has no
-        per-second timer at all: it registers with the bank, whose
-        single period-aligned event folds every estimator and drives
-        every ``on_second`` hook — one heap event per second instead of
-        one per node, with the first fold window exactly one second
-        long.  The legacy dict path below keeps its historical
-        ``1.0 + phase`` first tick verbatim (digest-anchored), even
-        though that first fold accumulates ``1 + phase`` seconds of
-        beacons yet normalizes by one second's budget — the first-tick
-        bias the bank fixes.
+        Beacons ride the simulation's :class:`BeaconSlotter` (one heap
+        event per occupied slot instead of one per node per beacon).
+        The node has no per-second timer: the
+        :class:`~repro.core.probabilities.EstimatorBank`'s single
+        period-aligned event folds every estimator and drives every
+        ``on_second`` hook — one heap event per second instead of one
+        per node, with the first fold window exactly one second long.
         """
-        slotter = getattr(self.ctx, "beacon_slotter", None)
-        if slotter is not None:
-            slotter.add(self, self.ctx.sim.now + self._phase)
-        else:
-            self.ctx.sim.schedule_fire(self._phase, self._beacon_tick)
-        bank = getattr(self.ctx, "estimator_bank", None)
-        if bank is not None:
-            bank.register(self)
-        else:
-            self.ctx.sim.schedule_fire(1.0 + self._phase,
-                                       self._second_tick)
+        self.ctx.beacon_slotter.add(self, self.ctx.sim.now + self._phase)
+        self.ctx.estimator_bank.register(self)
 
     # -- timers ----------------------------------------------------------
 
     def _next_beacon_due(self, due):
-        """Advance the nominal due chain (same draws as the timers)."""
+        """Advance the nominal beacon due chain by one jittered interval."""
         interval = self.ctx.config.beacon_interval
         i = self._jitter_i
         buf = self._jitter_buf
@@ -733,24 +708,6 @@ class _NodeBase:
             faults is not None and faults.beacons_suppressed
         )
 
-    def _emit_beacon(self, due):
-        """Slotter callback: send one beacon; return the next due."""
-        if not self._beacon_blocked():
-            self._send_beacon()
-        return self._next_beacon_due(due)
-
-    def _beacon_tick(self):
-        if not self._beacon_blocked():
-            self._send_beacon()
-        next_due = self._next_beacon_due(self.ctx.sim.now)
-        self.ctx.sim.schedule_fire(next_due - self.ctx.sim.now,
-                                   self._beacon_tick)
-
-    def _second_tick(self):
-        self.estimator.tick_second(self.ctx.sim.now)
-        self.on_second()
-        self.ctx.sim.schedule_fire(1.0, self._second_tick)
-
     def on_second(self):
         """Per-second hook for subclasses."""
 
@@ -765,9 +722,6 @@ class _NodeBase:
         )
         self.decorate_beacon(beacon)
         return beacon
-
-    def _send_beacon(self):
-        self.ctx.medium.send(self.node_id, self._build_beacon())
 
     def decorate_beacon(self, beacon):
         """Subclass hook to add anchor/auxiliary designations."""

@@ -39,27 +39,22 @@ that, two caches amortize the per-beacon and per-relay-decision costs:
   computation would produce, with validity bounded by the estimator's
   version counter and the earliest staleness expiry consulted.
 
-**Estimator modes.**  Two implementations share one interface:
+**The bank and its oracle.**  A protocol run keeps one
+:class:`EstimatorBank`: node ids map to integer rows, per-second heard
+counts live in one ``(N, N)`` array, and a **single** per-second
+simulator event folds every node's exponential averages in one
+vectorized pass.  Its fold event is period-aligned with its own window
+(the first fold covers exactly one second), and a peer silent past the
+staleness horizon is dropped from every per-node table, so per-peer
+state stays bounded by the live-peer count.  Nodes query it through
+per-node :class:`BankedReceptionEstimator` views.
 
-* :class:`ReceptionEstimator` (``estimator="dict"``) — the historical
-  per-node dict estimator, kept verbatim so legacy-knob runs stay
-  digest-anchored (see ``tests/test_estimator_bank.py``).  It carries
-  two known quirks preserved for bitwise lineage: the owning node
-  schedules its first fold at ``1.0 + phase`` yet the fold normalizes
-  by one second's beacon budget (early incoming estimates bias high,
-  clipped at 1.0), and per-peer dissemination state
-  (``_last_heard`` / ``_reports`` / ``_report_epoch`` / ``_outgoing``)
-  is never pruned, so it grows with every peer ever heard.
-* :class:`EstimatorBank` + its per-node views (``estimator="array"``,
-  the default) — one simulation-wide struct-of-arrays estimator:
-  node ids map to integer rows, per-second heard counts live in one
-  ``(N, N)`` array, and a **single** per-second simulator event folds
-  every node's exponential averages in one vectorized pass (replacing
-  N per-node ``_second_tick`` heap events).  The bank also fixes both
-  quirks above: its fold event is period-aligned with its own window
-  (the first fold covers exactly one second), and a peer silent past
-  the staleness horizon is dropped from every per-node table, so
-  per-peer state stays bounded by the live-peer count.
+:class:`ReceptionEstimator` is the plain per-node dict estimator the
+bank must match: a view and a :class:`ReceptionEstimator` fed the same
+beacons and ticked at the same instants agree bit for bit on every
+query the protocol uses (asserted in
+``tests/test_core_probabilities.py``).  It serves as the reference
+oracle only; unlike the bank it never prunes per-peer state.
 """
 
 import math
@@ -74,6 +69,9 @@ __all__ = ["EstimatorBank", "ReceptionEstimator"]
 
 class ReceptionEstimator:
     """Per-node estimator and dissemination table for ``p(a -> b)``.
+
+    The reference oracle for :class:`EstimatorBank` views (see the
+    module docstring); protocol runs use the bank.
 
     Args:
         node_id: owning node.
@@ -410,25 +408,21 @@ class EstimatorBank:
     :attr:`index`, the per-second heard counts live in one ``(N, N)``
     array, and the exponential averages live in :attr:`incoming`
     (``incoming[i, j]`` is node *i*'s first-hand estimate of
-    ``p(j -> i)``).  The fold — one :meth:`tick_second` — replaces the
-    N per-node ``_second_tick`` heap events of the dict mode with a
-    **single** per-second simulator event: every view's pending beacon
-    batch is flushed, the heard counts are scattered with one
-    ``bincount`` per node, and the averages fold in one vectorized
-    pass whose arithmetic (``alpha * ratio + (1 - alpha) * previous``
-    over ``min(count / beacons_per_second, 1.0)``) is term-for-term
-    the dict fold, so a view and a dict estimator fed the same beacons
-    and ticked at the same instants agree bit for bit.
+    ``p(j -> i)``).  The fold — one :meth:`tick_second` — is a
+    **single** per-second simulator event for every node: each view's
+    pending beacon batch is flushed, the heard counts are scattered
+    with one ``bincount`` per node, and the averages fold in one
+    vectorized pass whose arithmetic (``alpha * ratio + (1 - alpha) *
+    previous`` over ``min(count / beacons_per_second, 1.0)``) is
+    term-for-term the :class:`ReceptionEstimator` fold, so a view and
+    the oracle fed the same beacons and ticked at the same instants
+    agree bit for bit.
 
-    Differences from the dict mode, by design (both are the bugfixes
-    this bank ships; full-trip protocol runs are therefore a
-    different, distributionally equivalent realization):
+    Two properties of the protocol-facing bank:
 
     * **Period-aligned first fold.**  The bank arms its own event one
       second after the first node registers, so the first fold window
-      is exactly one second — the dict path folds at ``1.0 + phase``
-      but still normalizes by one second's beacon budget, biasing
-      early estimates high.
+      is exactly one second long and early estimates are unbiased.
     * **Bounded peer state.**  A peer silent past the staleness
       horizon can no longer affect any query (``probability`` rejects
       its reports, ``beacon_reports`` rebuilds skip it), so each fold
@@ -533,15 +527,15 @@ class EstimatorBank:
             if rows:
                 heard[facade._row] = np.bincount(rows, minlength=n)
                 del facade._heard_rows[:]
-        # Same expressions, same IEEE-754 ops as the dict fold:
+        # Same expressions, same IEEE-754 ops as the oracle's fold:
         # ratio = min(count / bps, 1.0); avg = alpha*ratio +
         # (1-alpha)*previous (addition order is commutative bitwise).
         ratio = np.minimum(heard / float(self.beacons_per_second), 1.0)
         incoming = self.incoming
         incoming *= (1.0 - self.alpha)
         incoming += self.alpha * ratio
-        # Forgetting: the dict mode deletes averages below the
-        # threshold; zero cells answer queries identically.
+        # Forgetting: the oracle deletes averages below the threshold;
+        # zero cells answer queries identically.
         incoming[incoming < self.forget_below] = 0.0
         self.epoch += 1
         for facade in views:
@@ -558,13 +552,13 @@ class BankedReceptionEstimator:
     averages) lives in the bank's shared arrays; dissemination state
     (latest report per sender, outgoing quality, the copy-on-write
     ``learned`` map, the relay-table cache) stays per-node, stored by
-    reference exactly like the dict mode — but pruned at each fold
+    reference exactly like the oracle's — but pruned at each fold
     once a peer falls past the staleness horizon, so it is bounded by
     the live-peer count.
 
     Beacon ingest appends to the per-node pending buffer; queries
     flush first, so observable state is identical to eager ingest.
-    The flush is leaner than the dict mode's: heard counts are one
+    The flush is leaner than the oracle's: heard counts are one
     list append (scattered via ``bincount`` at the fold) and the
     relay-table cache validates against report tuple *identity*
     instead of a per-sender epoch counter, dropping two dict updates
@@ -755,11 +749,11 @@ class BankedReceptionEstimator:
     def relay_table(self, aux_ids, src, dst, now):
         """Cached :class:`~repro.core.relaying.RelayTable` for a decision.
 
-        Same contract as the dict mode's — cached tables are
-        bit-for-bit what a fresh build would produce — with two
-        array-mode twists: cache validity is the *identity* of each
-        participant's report tuple (no per-sender epoch dict), and
-        the build prefetches the src/dst reports once instead of
+        Same contract as the oracle's — cached tables are bit-for-bit
+        what a fresh build would produce — with two twists: cache
+        validity is the *identity* of each participant's report tuple
+        (no per-sender epoch dict), and the build prefetches the
+        src/dst reports once instead of
         re-fetching them for each of the 3K+1 probability lookups,
         accumulating the Eq. 1 sums with exactly the arithmetic, in
         exactly the order, of :class:`RelayTable`'s own constructor.
@@ -921,7 +915,7 @@ class BankedReceptionEstimator:
     def beacon_reports(self, now):
         """Build the (incoming, learned) maps to embed in a beacon.
 
-        Identical semantics to the dict mode (COW-cached maps whose
+        Identical semantics to the oracle (COW-cached maps whose
         contents equal a fresh rebuild); the ``incoming`` snapshot is
         materialized from the bank row once per fold epoch.
         """

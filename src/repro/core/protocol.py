@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.core.node import BasestationNode, BeaconSlotter, VehicleNode
-from repro.core.probabilities import EstimatorBank, ReceptionEstimator
+from repro.core.probabilities import EstimatorBank
 from repro.core.relaying import make_strategy
 from repro.core.retransmit import AdaptiveRetxTimer
 from repro.core.stats import ViFiStats
@@ -44,71 +44,13 @@ class ViFiConfig:
     choices elsewhere.
     """
 
-    # Beaconing and estimation (Section 4.6).
+    # Beaconing and estimation (Section 4.6).  Every node's reception
+    # estimator is a view onto one simulation-wide EstimatorBank, and
+    # beacons are emitted through one slot-aligned BeaconSlotter (see
+    # repro.core.node).
     beacon_interval: float = 0.1
     prob_alpha: float = 0.5
     prob_stale_s: float = 5.0
-    # Estimator backend: "array" runs the simulation-wide
-    # struct-of-arrays EstimatorBank (one per-second heap event folds
-    # every node's averages in one vectorized pass; period-aligned
-    # first fold; per-peer state pruned at the staleness horizon);
-    # "dict" keeps the historical per-node estimator verbatim —
-    # including its first-tick bias and unpruned peer state — for the
-    # digest-anchored equivalence suite.
-    estimator: str = "array"
-    # Slot-aligned beacon batching: all beacons nominally due within
-    # one slot are emitted by a single heap event at the slot boundary
-    # (nominal rates are preserved; emissions shift by at most one
-    # slot).  0 restores one timer event per node per beacon.  Under
-    # the defer-cascade CSMA model wider slots synchronized co-slotted
-    # senders and cost deferred-attempt events (5 ms was the sweet
-    # spot); the backoff-freezing model serializes a slot's batch in
-    # one event per frame, so the default slot widened to 20 ms (see
-    # PERFORMANCE.md for the measurements).
-    beacon_slot_s: float = 0.02
-
-    # Medium fast-path knobs (see repro.net.medium): per-receiver loss
-    # outcomes drawn from one batched block, and single-event merged
-    # transmissions when the medium is uncontended.  0 / False restore
-    # the legacy paths.
-    medium_outcome_batch: int = 256
-    medium_merge_uncontended: bool = True
-
-    # Resolve kernel: "array" runs the struct-of-arrays vectorized
-    # kernel (bitwise-identical outcomes); "scalar" keeps the PR 2
-    # per-row loop for the equivalence suite.
-    medium_kernel: str = "array"
-
-    # CSMA contention model: "freeze" keeps each contender's remaining
-    # backoff across busy periods (no defer events; one heap event per
-    # broadcast frame); "defer" redraws and reschedules on every busy
-    # period (the PR 2 cascade, kept bitwise for the equivalence
-    # suite).  The defer model pairs with the narrow 5 ms beacon slot.
-    medium_csma: str = "freeze"
-
-    # Slot-batch resolve: hand each beacon slot's emissions to the
-    # medium as one batch — when the medium is idle and every emitter
-    # is free, the whole slot costs a single heap event and one
-    # stacked numpy outcome pass (receivers then observe the batch at
-    # its last frame's end, at most one slot late — the bound beacon
-    # slotting already accepts on the emission side).  False restores
-    # per-frame sends bitwise.
-    medium_slot_batch: bool = True
-
-    # Interval-level outcome pre-draw: at a transmitter's first
-    # resolve inside a beacon interval the medium commits every
-    # receiver row's loss thresholds for the rest of the interval
-    # (bucket-centre banks make them pure functions of link and time
-    # bucket) and pre-draws the interval's uniforms in one RNG call;
-    # later resolves in the interval are a bucket lookup plus a
-    # pre-sliced vector compare.  Intervals a loss process cannot
-    # commit to (pending burst flip, trace-second edge, callable
-    # steering target) fall back per frame for that interval only.
-    # False keeps the PR 5 per-frame refresh/draw order verbatim
-    # (digest-anchored); True changes the realization (same per-link
-    # marginals, fresh uniforms per interval) the way the batched-
-    # outcome and bucket-centre knobs did in earlier PRs.
-    medium_interval_predraw: bool = True
 
     # Anchor / auxiliary designation (Section 4.3).
     anchor_hysteresis: float = 0.15
@@ -253,22 +195,16 @@ class _Context:
         self._tx_ids = itertools.count(1)
         self._nodes = {}
         self.gateway = None
-        self.beacon_slotter = None
-        if config.estimator not in ("array", "dict"):
-            raise ValueError(
-                f"unknown estimator mode {config.estimator!r}"
-            )
-        # One bank serves every node in array mode; its row universe is
-        # the full participant set, known here up front.
-        self.estimator_bank = None
-        if config.estimator == "array":
-            self.estimator_bank = EstimatorBank(
-                (vehicle_id,) + self.bs_ids,
-                beacons_per_second=config.beacons_per_second,
-                alpha=config.prob_alpha,
-                stale_s=config.prob_stale_s,
-                sim=sim,
-            )
+        self.beacon_slotter = BeaconSlotter(sim, medium)
+        # One bank serves every node; its row universe is the full
+        # participant set, known here up front.
+        self.estimator_bank = EstimatorBank(
+            (vehicle_id,) + self.bs_ids,
+            beacons_per_second=config.beacons_per_second,
+            alpha=config.prob_alpha,
+            stale_s=config.prob_stale_s,
+            sim=sim,
+        )
 
     def register(self, node):
         self._nodes[node.node_id] = node
@@ -280,14 +216,7 @@ class _Context:
         return next(self._tx_ids)
 
     def make_estimator(self, node_id):
-        if self.estimator_bank is not None:
-            return self.estimator_bank.view(node_id)
-        return ReceptionEstimator(
-            node_id,
-            beacons_per_second=self.config.beacons_per_second,
-            alpha=self.config.prob_alpha,
-            stale_s=self.config.prob_stale_s,
-        )
+        return self.estimator_bank.view(node_id)
 
     def make_retx_timer(self):
         return AdaptiveRetxTimer(
@@ -356,12 +285,6 @@ class ViFiSimulation:
             self.sim, link_table, self.rngs.stream("medium"),
             bitrate_bps=self.config.bitrate_bps,
             outcome_rng=self.rngs.stream("medium-outcomes"),
-            outcome_batch=self.config.medium_outcome_batch,
-            merge_uncontended=self.config.medium_merge_uncontended,
-            kernel=self.config.medium_kernel,
-            csma=self.config.medium_csma,
-            slot_batch=self.config.medium_slot_batch,
-            interval_predraw=self.config.medium_interval_predraw,
             predraw_interval_s=self.config.beacon_interval,
         )
         self.backplane = Backplane(
@@ -392,15 +315,6 @@ class ViFiSimulation:
 
             self.ctx.relay_strategy = _NeverRelay()
 
-        if self.config.beacon_slot_s > 0.0:
-            # Without slot batching the slotter keeps the historical
-            # per-node emission path verbatim (no medium hand-off), so
-            # legacy-knob runs stay bitwise.
-            self.ctx.beacon_slotter = BeaconSlotter(
-                self.sim, self.config.beacon_slot_s,
-                medium=self.medium
-                if self.config.medium_slot_batch else None,
-            )
         self.vehicle = VehicleNode(vehicle_id, self.ctx)
         self.ctx.register(self.vehicle)
         self.medium.attach(self.vehicle)

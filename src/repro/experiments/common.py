@@ -48,23 +48,21 @@ WARMUP_S = 3.0
 
 
 def vanlan_protocol(testbed, trip, config=None, seed=0, bank=None,
-                    sampling="centre", prefill=True, faults=None):
+                    prefill=True, faults=None):
     """A protocol run over one VanLAN trip (deployment-style links).
 
-    With the default bucket-centre ``sampling``, the whole trip's
-    propagation buckets are prefilled at build time (``prefill=True``),
-    so the run itself performs only array reads; a prebuilt *bank*
-    (from :func:`build_shared_banks` / a ``run_trips`` initializer)
-    skips even that build.  *prefill* may also be a float horizon in
-    simulated seconds for runs known to stop early — the horizon never
-    changes bucket values (they are pure functions of the bucket), only
-    how much is precomputed.  ``sampling="first-query"`` restores the
-    historical lazily-refreshed bank bitwise (and ignores *prefill*,
-    which first-query sampling cannot support).
+    By default the whole trip's propagation buckets are prefilled at
+    build time (``prefill=True``), so the run itself performs only
+    array reads; a prebuilt *bank* (from :func:`build_shared_banks` /
+    a ``run_trips`` initializer) skips even that build.  *prefill* may
+    also be a float horizon in simulated seconds for runs known to
+    stop early — the horizon never changes bucket values (they are
+    pure functions of the bucket), only how much is precomputed.
+    ``prefill=False`` fills buckets lazily as the run reaches them.
 
     Returns:
         ``(simulation, trip_duration_s)``.  The simulation exposes the
-        propagation bank (or ``None``) as ``sim.link_bank``.
+        propagation bank as ``sim.link_bank``.
     """
     if not isinstance(testbed, VanLanTestbed):
         raise TypeError("expected a VanLanTestbed")
@@ -72,14 +70,13 @@ def vanlan_protocol(testbed, trip, config=None, seed=0, bank=None,
     if bank is not None:
         table = testbed.build_link_table(trip, motion, bank=bank)
     else:
-        if not prefill or sampling != "centre":
+        if not prefill:
             prefill_s = None
         elif prefill is True:
             prefill_s = motion.route.duration
         else:
             prefill_s = min(float(prefill), motion.route.duration)
-        table = testbed.build_link_table(trip, motion, sampling=sampling,
-                                         prefill_s=prefill_s)
+        table = testbed.build_link_table(trip, motion, prefill_s=prefill_s)
     sim = ViFiSimulation(
         testbed.deployment.bs_ids, table,
         config=config or ViFiConfig(), seed=seed, vehicle_id=VEHICLE_ID,
@@ -328,7 +325,7 @@ def _merge_worker_store_stats(sweep_store, delta):
         sweep_store.degraded = delta["degraded"]
 
 
-def run_trips(worker, tasks, workers=None, chunksize=1,
+def run_trips(worker, tasks, workers=None,
               initializer=None, initargs=(), start_method=None,
               task_timeout_s=None, retries=0, retry_backoff_s=0.5,
               checkpoint=None, store=None):
@@ -355,9 +352,6 @@ def run_trips(worker, tasks, workers=None, chunksize=1,
         workers: process count; ``None`` uses the host's available
             cores, ``0``/``1`` runs serially in-process (no pool, no
             pickling).
-        chunksize: kept for API compatibility; the per-task dispatcher
-            supersedes chunked ``pool.map`` batching (tasks here are
-            whole protocol runs, far heavier than dispatch overhead).
         initializer: optional per-worker setup callable (also invoked
             once in-process for the serial path, so serial and pooled
             runs see identical state).
@@ -697,15 +691,15 @@ def worker_state():
 # Cross-run propagation-bank sharing
 # ----------------------------------------------------------------------
 #
-# Under bucket-centre sampling a prefilled LinkBank is a pure function
-# of (testbed seed, trip, quantum): every protocol seed and policy
-# variant that replays the same trip reads identical bucket values.  A
-# sweep therefore builds each needed bank once in the parent and ships
-# the registry through ``run_trips``'s initializer — under the fork
-# start method the workers inherit the prefilled pages instead of
-# rebuilding the propagation stack per task, and the serial path
-# installs the same registry in-process, so shared and per-task banks
-# are interchangeable bit for bit.
+# A prefilled LinkBank is a pure function of (testbed seed, trip,
+# quantum): every protocol seed and policy variant that replays the
+# same trip reads identical bucket values.  A sweep therefore builds
+# each needed bank once in the parent and ships the registry through
+# ``run_trips``'s initializer — under the fork start method the
+# workers inherit the prefilled pages instead of rebuilding the
+# propagation stack per task, and the serial path installs the same
+# registry in-process, so shared and per-task banks are
+# interchangeable bit for bit.
 
 _shared_banks = {}
 
@@ -831,10 +825,8 @@ def vanlan_cbr_trip(task):
 
     Args:
         task: mapping with keys ``trip`` and optionally
-            ``testbed_seed`` (default 0), ``seed`` (default: trip),
-            ``duration_s`` (default 60), ``estimator`` (``"array"`` /
-            ``"dict"``; default: the stock config — lets sweeps
-            compare the estimator backends like-for-like).
+            ``testbed_seed`` (default 0), ``seed`` (default: trip)
+            and ``duration_s`` (default 60).
 
     Returns:
         dict with the delivery sequences, event count, and per-kind
@@ -848,15 +840,12 @@ def vanlan_cbr_trip(task):
     seed = int(task.get("seed", trip))
     duration = float(task.get("duration_s", 60.0))
     testbed_seed = int(task.get("testbed_seed", 0))
-    config = None
-    if "estimator" in task:
-        config = ViFiConfig(estimator=str(task["estimator"]))
     testbed = VanLanTestbed(seed=testbed_seed)
     bank = shared_bank(testbed_seed, trip)
     # Without a shared bank, prefill only what the task will simulate
     # (the horizon never changes bucket values, only build cost).
     sim, _ = vanlan_protocol(testbed, trip=trip, seed=seed, bank=bank,
-                             config=config, prefill=duration + 1.0)
+                             prefill=duration + 1.0)
     cbr = run_protocol_cbr(sim, duration)
     return {
         "trip": trip,

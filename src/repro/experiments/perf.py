@@ -193,10 +193,8 @@ def run_workload(name):
     the wall spent building the simulation (testbed, link table,
     propagation bank) and ``prefill_s`` the bank-prefill share of it —
     neither is ever charged to the timed region, so the sim-rate
-    reflects run cost alone.  ``estimator`` records the reception-
-    estimator mode the workload ran under and ``estimator_fold_s``
-    the wall spent inside the array bank's per-second vectorized
-    folds (0.0 in dict mode, whose folds run inside per-node events).
+    reflects run cost alone.  ``estimator_fold_s`` is the wall spent
+    inside the estimator bank's per-second vectorized folds.
     ``host`` snapshots the machine condition (:func:`host_context`)
     so a surprising rate is attributable to load, not guessed at.
     ``faults`` is always ``"none"``: perf workloads run the nominal
@@ -226,12 +224,6 @@ def run_workload(name):
     events_per_s = events / wall if wall > 0 else float("inf")
     sim_rate = duration / wall if wall > 0 else float("inf")
     bank = getattr(sim, "link_bank", None)
-    # The estimator mode and its fold cost are tracked per workload:
-    # the array bank accumulates the wall spent in its single
-    # per-second vectorized fold (estimator_fold_s), the block the
-    # PR 5 refactor targets; the dict mode folds inside per-node
-    # events and reports 0.0.
-    estimator_bank = getattr(sim.ctx, "estimator_bank", None)
     record = {
         "workload": name,
         "wall_s": round(wall, 4),
@@ -240,12 +232,9 @@ def run_workload(name):
         "events": int(events),
         "events_per_s": round(events_per_s, 1),
         "sim_s_per_wall_s": round(sim_rate, 2),
-        "estimator": "dict" if estimator_bank is None else "array",
         "faults": "none",
         "store": {"hits": 0, "misses": 0, "verify_failures": 0},
-        "estimator_fold_s": round(
-            getattr(estimator_bank, "fold_wall_s", 0.0), 4
-        ),
+        "estimator_fold_s": round(sim.ctx.estimator_bank.fold_wall_s, 4),
         "git_sha": git_sha(),
         "host": host_context(),
     }
@@ -333,7 +322,7 @@ def run_trip_scaling(n_trips=4, duration_s=40.0, workers=None,
     shared banks inherited across the fork.  ``outputs_identical`` is
     the parallel determinism contract and
     ``shared_bank_identical`` the sharing contract (shared and
-    per-task banks are bit-identical under bucket-centre sampling);
+    per-task banks are bit-identical);
     both must hold on any machine.  The parallel speedup is only
     meaningful when the host actually has free cores, so
     ``available_workers`` is recorded alongside;

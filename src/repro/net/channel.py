@@ -62,11 +62,10 @@ class LossProcess:
     (eps, valid_until)``: the loss probability cannot change before
     ``valid_until`` (the next burst-chain flip, steering-bucket
     boundary, or trace-second boundary, whichever comes first).  The
-    medium's array kernel stores these thresholds in its
-    struct-of-arrays resolve rows and skips the per-frame ``loss_eps``
-    call while the window holds — bitwise-safe because a skipped
-    no-flip state advance consumes no randomness and a pending flip
-    caps the window.
+    medium stores these thresholds in its struct-of-arrays resolve
+    rows and skips the per-frame ``loss_eps`` call while the window
+    holds — bitwise-safe because a skipped no-flip state advance
+    consumes no randomness and a pending flip caps the window.
 
     :meth:`loss_eps_span` extends the window to a whole *interval*
     (the medium's pre-draw plane plans one beacon interval at a time):
@@ -337,28 +336,25 @@ class SteeredGilbertElliott(LossProcess):
         return eps_bad if chain.in_bad_state(t) else eps_good
 
     def loss_eps_window(self, t):
-        """``(eps, valid_until)`` for the array kernel's resolve rows.
+        """``(eps, valid_until)`` for the medium's resolve rows.
 
         The per-packet probability is pinned until whichever comes
         first: the chain's next state flip, or — when the steering
         target is a :class:`LinkStateCache` — the end of the current
-        time-quantum bucket.  The bucket bound holds under both bank
-        sampling conventions: the cached probability is one value per
-        bucket whether it was sampled at the first query
-        (``sampling="first-query"``) or at the bucket centre
-        (``sampling="centre"``, possibly prefilled), so the window
-        never spans a bucket boundary where the target could move.  At
-        an *exact* bucket-edge query the bound may degenerate to the
-        query time itself (float division lands the key either side of
-        the edge); that costs one extra refresh, never a stale
-        threshold — asserted by the boundary tests in
-        ``tests/test_perf_kernel.py``.  A generic callable target can
-        change at any instant, so its window degenerates to the query
-        time (no reuse); ``quantum<=0`` likewise buckets at exact
-        query times only, preserving the bitwise guarantee.  The body
-        flattens :meth:`loss_eps` inline: the kernel calls this once
-        per stale row, so the double dispatch would cost more than the
-        math.
+        time-quantum bucket.  The cached probability is one value per
+        bucket (a bank samples it at the bucket centre, possibly
+        prefilled), so the window never spans a bucket boundary where
+        the target could move.  At an *exact* bucket-edge query the
+        bound may degenerate to the query time itself (float division
+        lands the key either side of the edge); that costs one extra
+        refresh, never a stale threshold — asserted by the boundary
+        tests in ``tests/test_net_channel.py``.  A generic callable
+        target can change at any instant, so its window degenerates to
+        the query time (no reuse); ``quantum<=0`` likewise buckets at
+        exact query times only, preserving the bitwise guarantee.  The
+        body flattens :meth:`loss_eps` inline: the medium calls this
+        once per stale row, so the double dispatch would cost more
+        than the math.
         """
         chain = self._chain
         if self._static_eps is not None:
@@ -427,16 +423,16 @@ class SteeredGilbertElliott(LossProcess):
         ls = self._link_state
         if ls is None:
             return None  # generic callable target: no validity bound
-        quantum = ls.quantum
         bank = ls.bank
-        if quantum <= 0.0 or bank is None:
-            return None
+        if bank is None:
+            return None  # unbanked cache: no read-ahead store
+        quantum = ls.quantum
         t_hi = t1 if t1 <= next_flip else next_flip
         k0 = int(t0 / quantum)
         k1 = int(t_hi / quantum)
         probs = bank.prob_span(ls.bank_index, k0, k1)
         if probs is None:
-            return None  # first-query sampling cannot be read ahead
+            return None  # before time zero: nothing to read ahead
         # Per-bucket split through the same scalar :meth:`_split` the
         # window path uses (bucket counts are single digits here, so a
         # python loop beats numpy dispatch — and the thresholds are

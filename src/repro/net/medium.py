@@ -42,58 +42,46 @@ Fast paths riding on top:
   uniforms drawn from one medium-owned RNG block instead of N private
   buffered streams; the per-link *state* randomness (burst chains,
   traces) keeps its own streams, so runs stay deterministic for a
-  seed, but the realization differs from draw-per-process code the
-  same way PR 1's in-process batching did.  ``outcome_batch=0``
-  restores per-process draws.
+  seed.
 * **Merged transmissions** — when a broadcast send meets an idle
   medium with no contender in backoff, the attempt/transmit/resolve
   triple collapses into a single heap event at the frame's end time:
   the channel is claimed immediately (``busy_until``), so later
   senders defer exactly as if the attempt event had fired.  Only
   genuinely contended frames pay the classic two-event path.
-* **Array resolve kernel** (``kernel="array"``) — per-transmitter
-  resolve rows are kept as struct-of-arrays (numpy vectors of
-  ``loss_eps`` thresholds, per-row validity windows from
-  ``loss_eps_window``, and per-row state codes), cached against the
-  reachability index's expiry.  Resolving a frame is then one
-  vectorized compare of a pre-drawn uniform block against the eps
-  vector plus a short scalar loop over only the hits (deliveries).
-  The kernel consumes the *same* outcome stream in the same order as
-  the scalar loop, so ``kernel="scalar"`` (the PR 2 code path, kept
-  verbatim) and ``kernel="array"`` produce bitwise-identical runs.
-* **Backoff-freezing CSMA** (``csma="freeze"``) — contenders draw one
-  backoff when they start contending, freeze the remainder while the
-  channel is busy, and resume on release, instead of redrawing and
-  rescheduling an attempt event on every busy period (the defer
-  cascade of ``csma="defer"``).  Each busy period costs O(1) counter
-  arithmetic per contender and each broadcast frame costs exactly one
-  heap event (the merged resolve), contended or not, which removes the
-  wide-slot penalty of beacon batching.  ``defer_count`` stays 0 under
-  the freeze model; ``csma="defer"`` keeps the PR 2 cascade bitwise.
-* **Slot-batch resolve** (``slot_batch=True``) — whole co-scheduled
-  broadcast batches (a beacon slot's emissions, handed over by the
+* **Struct-of-arrays resolve** — per-transmitter resolve rows are
+  kept as struct-of-arrays (numpy vectors of ``loss_eps`` thresholds,
+  per-row validity windows from ``loss_eps_window``, and per-row
+  state codes), cached against the reachability index's expiry.
+  Resolving a frame is then one vectorized compare of a uniform
+  block against the eps vector plus a short loop over only the hits
+  (deliveries).
+* **Backoff-freezing CSMA** — contenders draw one backoff when they
+  start contending, freeze the remainder while the channel is busy,
+  and resume on release, instead of redrawing and rescheduling an
+  attempt event on every busy period.  Each busy period costs O(1)
+  counter arithmetic per contender and each broadcast frame costs
+  exactly one heap event (the merged resolve), contended or not.
+* **Slot-batch transmission** — whole co-scheduled broadcast batches
+  (a beacon slot's emissions, handed over by the
   :class:`~repro.core.node.BeaconSlotter`) claim consecutive airtimes
-  up front when the medium is idle and every emitter free: the batch
-  costs a *single* heap event and its loss outcomes resolve in one
-  stacked numpy pass over the frames' concatenated eps thresholds —
-  the (frames x receivers) batch sizes where the vectorized compare
-  decisively beats per-frame python dispatch.  Ineligible batches
-  fall back to per-frame sends bitwise; receivers observe an accepted
-  batch at its last frame's end (at most one slot late, the bound
-  beacon slotting already accepts on the emission side).
-* **Interval-level outcome pre-draw** (``interval_predraw=True``) —
-  bucket-centre propagation banks make loss thresholds pure functions
-  of (link, time bucket), so at a beacon interval's first resolve a
-  transmitter's whole interval of eps vectors is already determined:
-  the medium commits them once per interval per transmitter (via
-  ``loss_eps_span``) and pre-draws the interval's uniforms in one RNG
-  call, turning every later resolve in the interval into a bucket
-  lookup plus a pre-sliced vector compare — no per-frame window
-  refreshes, no per-frame RNG refills.  Intervals a loss process
-  cannot commit to (pending burst flip, trace-second edge inside the
-  window, callable steering target) fall back to the per-frame path
-  for that interval only.  ``interval_predraw=False`` keeps the PR 5
-  per-frame refresh/draw order verbatim (digest-anchored).
+  up front when the medium is idle and every emitter free, so the
+  batch costs a *single* heap event.  Ineligible batches fall back to
+  per-frame sends; receivers observe an accepted batch at its last
+  frame's end (at most one slot late, the bound beacon slotting
+  already accepts on the emission side).
+* **Interval-level outcome pre-draw** — bucket-centre propagation
+  banks make loss thresholds pure functions of (link, time bucket),
+  so at a beacon interval's first resolve a transmitter's whole
+  interval of eps vectors is already determined: the medium commits
+  them once per interval per transmitter (via ``loss_eps_span``) and
+  pre-draws the interval's uniforms in one RNG call, turning every
+  later resolve in the interval into a bucket lookup plus a
+  pre-sliced vector compare — no per-frame window refreshes, no
+  per-frame RNG refills.  Intervals a loss process cannot commit to
+  (pending burst flip, trace-second edge inside the window, callable
+  steering target) fall back to the per-frame path for that interval
+  only.
 """
 
 import math
@@ -274,15 +262,15 @@ class _ResolveRows:
     """Struct-of-arrays resolve rows for one transmitter.
 
     One row per in-range receiver, in sorted receiver-id order (the
-    reproducible delivery order).  The numpy eps column backs the array
-    kernel's vectorized compare; the object columns back the short
-    scalar loop over hits.  A row's per-frame loss probability comes
-    from its ``window_fns`` entry when the process supplies
-    ``loss_eps_window`` (the stored threshold is then reused until
-    ``valid_until``), else from re-evaluating ``eps_fns`` every frame;
-    rows without ``loss_eps`` at all force ``all_eps=False`` and the
-    whole transmitter takes the per-row fallback loop (mixed-order
-    draws cannot be vectorized without changing the stream).
+    reproducible delivery order).  The numpy eps column backs the
+    vectorized compare; the object columns back the short loop over
+    hits.  A row's per-frame loss probability comes from its
+    ``window_fns`` entry when the process supplies ``loss_eps_window``
+    (the stored threshold is then reused until ``valid_until``), else
+    from re-evaluating ``eps_fns`` every frame; rows without
+    ``loss_eps`` at all force ``all_eps=False`` and the whole
+    transmitter takes the per-row fallback loop (mixed-order draws
+    cannot be vectorized without changing the stream).
     """
 
     __slots__ = ("ids", "receive", "eps_fns", "window_fns", "span_fns",
@@ -403,46 +391,20 @@ class WirelessMedium:
         max_cw_slots: exponential-backoff ceiling for unicast mode.
         outcome_rng: stream for the batched per-receiver loss draws;
             defaults to *rng*.
-        outcome_batch: uniforms pre-drawn per block for the batched
-            delivery outcomes; 0 restores per-process draws (and
-            forces the scalar kernel, which owns that path).
-        merge_uncontended: collapse the attempt/transmit/resolve triple
-            of an uncontended broadcast send into one heap event.
-        kernel: ``"array"`` resolves frames through the struct-of-
-            arrays kernel (bitwise-identical outcomes, vectorized
-            mechanics); ``"scalar"`` keeps the PR 2 per-row loop.
-        csma: ``"freeze"`` keeps per-contender remaining backoff across
-            busy periods (no defer events); ``"defer"`` redraws and
-            reschedules on every busy period (the PR 2 cascade).
-        slot_batch: accept whole co-scheduled broadcast batches through
-            :meth:`send_slot_batch` (one heap event and one stacked
-            numpy outcome pass per batch); ``False`` makes
-            :meth:`send_slot_batch` fall back to per-frame sends,
-            preserving the single-frame code paths bitwise.
-        interval_predraw: plan whole beacon intervals ahead of time —
-            at a transmitter's first array resolve inside an interval,
-            commit every receiver row's eps thresholds for the rest of
-            the interval (via ``loss_eps_span``) and pre-draw the
-            interval's uniforms in one RNG call; subsequent resolves
-            in the interval are a dictionary-free vector compare.
-            Intervals a process cannot commit to (pending burst flip,
-            trace-second edge, callable steering target) fall back to
-            the per-frame window path for that interval.  ``False``
-            keeps the per-frame refresh/draw order of the slot-batch
-            code verbatim (the PR 5 realization).  Requires the array
-            kernel and batched outcomes; forced off otherwise.
-        predraw_interval_s: the planning horizon (the beacon interval;
-            plans never cross an interval edge, so steady-state
-            traffic patterns repeat per plan).
+        predraw_interval_s: the planning horizon of the interval
+            pre-draw (the beacon interval; plans never cross an
+            interval edge, so steady-state traffic patterns repeat per
+            plan).
     """
+
+    #: Uniforms drawn per refill of the batched per-frame outcome
+    #: buffer.
+    _OUTCOME_BLOCK = 256
 
     def __init__(self, sim, links, rng, bitrate_bps=1_000_000.0,
                  plcp_overhead_s=192e-6, difs_s=50e-6, slot_time_s=20e-6,
                  backoff_slots=31, mac_retry_limit=4, max_cw_slots=1023,
-                 outcome_rng=None, outcome_batch=256,
-                 merge_uncontended=True, kernel="array", csma="freeze",
-                 slot_batch=True, interval_predraw=True,
-                 predraw_interval_s=0.1):
+                 outcome_rng=None, predraw_interval_s=0.1):
         self.sim = sim
         self.links = links
         self.rng = rng
@@ -453,22 +415,12 @@ class WirelessMedium:
         self.backoff_slots = int(backoff_slots)
         self.mac_retry_limit = int(mac_retry_limit)
         self.max_cw_slots = int(max_cw_slots)
-        if kernel not in ("array", "scalar"):
-            raise ValueError(f"unknown resolve kernel {kernel!r}")
-        if csma not in ("freeze", "defer"):
-            raise ValueError(f"unknown csma model {csma!r}")
-        # The array kernel rides the batched-outcome stream; without it
-        # the per-process draw path (owned by the scalar loop) is the
-        # only correct one.
-        self.kernel = kernel if int(outcome_batch) > 0 else "scalar"
-        self.csma = csma
 
         self._nodes = {}
         self._queues = {}
         self._complete_cb = {}  # node_id -> on_transmit_complete or None
         self._attempt_pending = {}
         self._in_flight = {}  # merged frames claimed off their queue
-        self._attempts_outstanding = 0
         self._cw = {}  # unicast contention window per node
         self._busy_until = 0.0
         # Latest airtime end seen so far; a transmission overlapping a
@@ -480,20 +432,13 @@ class WirelessMedium:
         self.observers = []
         self._backoff_buf = None
         self._backoff_i = 0
-        self.merge_uncontended = bool(merge_uncontended)
         self._outcome_rng = outcome_rng if outcome_rng is not None else rng
-        self._outcome_block = max(int(outcome_batch), 0)
-        self._outcome_buf = ()
-        self._outcome_i = 0
-        # src -> (reachability tuple, [(receiver_id, node, loss_eps,
-        # process), ...]): node handles and eps accessors resolved once
-        # per reachability refresh instead of per frame (scalar kernel).
-        self._entry_cache = {}
-        # src -> (expires, _ResolveRows, links.version): the array
-        # kernel's struct-of-arrays rows, same expiry contract.
+        # src -> (expires, _ResolveRows, links.version, pairs): each
+        # transmitter's struct-of-arrays rows, resolved once per
+        # reachability refresh instead of per frame.
         self._row_cache = {}
-        # Array-kernel outcome buffer: same stream and refill cadence
-        # as the scalar kernel's list buffer, kept as a numpy vector.
+        # Per-frame outcome buffer, refilled _OUTCOME_BLOCK uniforms at
+        # a time.
         self._outcome_vec = np.empty(0, dtype=np.float64)
         self._outcome_vec_i = 0
 
@@ -506,26 +451,18 @@ class WirelessMedium:
         self._cont_seq = 0
         self._freeze_token = 0
         self._armed = None  # (attempt_at, node_id) of the armed winner
-        #: Defer-cascade reschedules (csma="defer" only; the freeze
-        #: model never defers, which the CSMA tests assert).
-        self.defer_count = 0
-        #: Backoff freezes performed by the freeze model.
+        #: Backoff freezes performed.
         self.freeze_count = 0
 
-        # Slot-batch resolve: whole co-scheduled broadcast batches
-        # (typically one beacon slot's emissions) claim consecutive
-        # airtimes up front and resolve through one stacked numpy pass.
-        self.slot_batch = bool(slot_batch)
+        # Slot batches: whole co-scheduled broadcast batches (typically
+        # one beacon slot's emissions) claim consecutive airtimes up
+        # front and cost one heap event.
         #: Batches accepted by :meth:`send_slot_batch` (not fallbacks).
         self.slot_batch_count = 0
         #: Frames carried by accepted batches.
         self.slot_batch_frames = 0
 
-        # Interval-level outcome pre-draw (rides the array kernel's
-        # batched-outcome stream; meaningless without it).
-        self._interval_predraw = (bool(interval_predraw)
-                                  and self.kernel == "array"
-                                  and self._outcome_block > 0)
+        # Interval-level outcome pre-draw.
         if predraw_interval_s <= 0.0:
             raise ValueError("predraw_interval_s must be positive")
         self._predraw_interval = float(predraw_interval_s)
@@ -533,8 +470,8 @@ class WirelessMedium:
         self.predraw_plans = 0
         #: Frames whose outcomes were served from an interval plan.
         self.predraw_planned_frames = 0
-        #: Frames resolved per-frame while predraw was on (no plan
-        #: covered them — establishment refused or frame outlived it).
+        #: Frames resolved per frame (no plan covered them —
+        #: establishment refused, not yet armed, or frame outlived it).
         self.predraw_fallback_frames = 0
         #: Establishment attempts a loss process refused (the rest of
         #: that interval resolves per frame).
@@ -566,7 +503,6 @@ class WirelessMedium:
         self._attempt_pending[node.node_id] = False
         self._in_flight[node.node_id] = 0
         self._cw[node.node_id] = self.backoff_slots
-        self._entry_cache.clear()
         self._row_cache.clear()
 
     def add_observer(self, observer):
@@ -610,7 +546,7 @@ class WirelessMedium:
             self._queues[transmitter_id].appendleft(entry)
         else:
             self._queues[transmitter_id].append(entry)
-        self._schedule_attempt(transmitter_id)
+        self._freeze_contend(transmitter_id)
 
     # ------------------------------------------------------------------
     # Slot-batch transmission path
@@ -624,10 +560,10 @@ class WirelessMedium:
         slot emits — in emission order.  When the batch path is
         eligible (see :meth:`_slot_batch_ready`) the frames claim
         consecutive DIFS+backoff-separated airtimes up front, cost a
-        **single** heap event, and resolve through one stacked numpy
-        outcome pass in :meth:`_slot_batch_resolve`.  Otherwise every
-        entry falls back to a plain :meth:`send`, which is
-        bitwise-identical to never having offered the batch.
+        **single** heap event, and resolve together in
+        :meth:`_slot_batch_resolve`.  Otherwise every entry falls back
+        to a plain :meth:`send`, which is bitwise-identical to never
+        having offered the batch.
 
         Fidelity trade-offs of the batch path (documented in
         PERFORMANCE.md): frames air in emission order rather than
@@ -659,26 +595,18 @@ class WirelessMedium:
     def _slot_batch_ready(self, entries):
         """Whether a batch can claim the channel outright.
 
-        The batch path needs the freeze CSMA model with merged
-        transmissions and the batched outcome stream, an idle
-        uncontended medium, the observer-free indexed fast path, and
-        every transmitter distinct and completely idle (empty queue,
-        nothing in flight, not contending) — otherwise per-node FIFO
-        order would be violated.  The resolve kernel is *not* a
-        condition: both kernels resolve batches over the same stream,
-        so ``kernel`` never changes outcomes (the PR 3 bitwise
-        guarantee extends to batched slots).
+        The batch path needs an idle uncontended medium, the
+        observer-free indexed fast path, and every transmitter
+        distinct and completely idle (empty queue, nothing in flight,
+        not contending) — otherwise per-node FIFO order would be
+        violated.
         """
-        if not (self.slot_batch and self.csma == "freeze"
-                and self.merge_uncontended
-                and self._outcome_block > 0):
-            return False
         links = self.links
         if links.reach_refresh_s <= 0.0 or self.observers \
                 or links._factory is not None:
             return False
         if self.sim.now < self._busy_until or self._contenders \
-                or self._armed is not None or self._attempts_outstanding:
+                or self._armed is not None:
             return False
         seen = set()
         nodes = self._nodes
@@ -695,16 +623,13 @@ class WirelessMedium:
         return True
 
     def _slot_batch_resolve(self, batch):
-        """Single-event tail of a slot batch: stacked outcome resolve.
+        """Single-event tail of a slot batch: per-frame outcomes.
 
-        Transmit accounting runs per frame; the loss outcomes of the
-        whole batch are decided by one uniform slice compared against
-        the frames' concatenated eps thresholds — the batch sizes
-        (frames x receivers) are where the vectorized compare
-        decisively beats per-frame python dispatch.  The uniform
-        stream is consumed in frame order exactly as per-frame
-        resolves would consume it, so batching adds no divergence of
-        its own.
+        Transmit accounting runs per frame; each frame then takes its
+        eps column and uniform slice from its transmitter's interval
+        plan (see :meth:`_plan_slice`), or the per-frame window path
+        when no plan covers it.  The batch pays no window refreshes
+        and no RNG refills at all in the planned steady state.
         """
         end = self.sim.now
         self._air_end = end
@@ -719,106 +644,34 @@ class WirelessMedium:
             tx_by_node[transmitter_id] += 1
         self._tx_total += len(batch)
         delivered_count = self.delivered_count
-        if self.kernel == "scalar":
-            # Scalar-kernel batches resolve frame by frame through the
-            # PR 2 row loop, consuming the shared outcome buffer in
-            # the same per-frame order as the array path's stacked
-            # slice — kernel choice never changes outcomes.
-            buf = self._outcome_buf
-            bi = self._outcome_i
-            for transmitter_id, frame, air_start, air_end in batch:
-                kind = frame.kind_value
-                for receiver_id, node, eps_fn, process in \
-                        self._resolve_entries(transmitter_id, air_start):
-                    if eps_fn is not None:
-                        if bi >= len(buf):
-                            buf = self._outcome_buf = self._outcome_rng \
-                                .random(self._outcome_block).tolist()
-                            bi = 0
-                        u = buf[bi]
-                        bi += 1
-                        if u < eps_fn(air_start):
-                            continue
-                    elif process.is_lost(air_start):
-                        continue
-                    delivered_count[(receiver_id, kind)] += 1
-                    node.on_receive(frame, transmitter_id)
-            self._outcome_i = bi
-            self._slot_batch_finish(batch)
-            return
-        if self._interval_predraw:
-            # Interval pre-draw: each frame takes its eps column and
-            # uniform slice from its transmitter's interval plan (per
-            # plan pool — the stacked single-draw below would
-            # interleave pools).  The per-frame numpy compares stay
-            # small, but the batch pays no window refreshes and no
-            # per-batch RNG refills at all in the planned steady
-            # state.
-            metas = []
-            all_vector = True
-            for transmitter_id, frame, air_start, air_end in batch:
-                rows = self._resolve_rows(transmitter_id, air_start)
-                if not rows.all_eps:
-                    all_vector = False
-                metas.append((transmitter_id, frame, rows, air_start))
-            if all_vector:
-                for transmitter_id, frame, rows, air_start in metas:
-                    n = rows.n
-                    if not n:
-                        continue
-                    planned = self._plan_slice(rows, air_start)
-                    if planned is not None:
-                        eps, u = planned
-                    else:
-                        eps = rows.eps
-                        if air_start >= rows.min_valid:
-                            self._refresh_row_thresholds(rows, air_start)
-                        u = self._draw_outcome_vector(n)
-                    ids = rows.ids
-                    receive = rows.receive
-                    kind = frame.kind_value
-                    for i, hit in enumerate((u >= eps).tolist()):
-                        if hit:
-                            delivered_count[(ids[i], kind)] += 1
-                            receive[i](frame, transmitter_id)
-            else:
-                for transmitter_id, frame, rows, air_start in metas:
-                    self._resolve_rows_outcomes(transmitter_id, frame,
-                                                air_start, rows)
-            self._slot_batch_finish(batch)
-            return
         metas = []
-        total = 0
         all_vector = True
         for transmitter_id, frame, air_start, air_end in batch:
             rows = self._resolve_rows(transmitter_id, air_start)
-            if rows.all_eps:
-                if rows.n and air_start >= rows.min_valid:
-                    self._refresh_row_thresholds(rows, air_start)
-            else:
+            if not rows.all_eps:
                 all_vector = False
             metas.append((transmitter_id, frame, rows, air_start))
-            total += rows.n
-        if all_vector and total:
-            u = self._draw_outcome_vector(total)
-            eps_stack = np.concatenate(
-                [meta[2].eps for meta in metas if meta[2].n]
-            )
-            hits = (u >= eps_stack).tolist()
-            offset = 0
-            for transmitter_id, frame, rows, _ in metas:
+        if all_vector:
+            for transmitter_id, frame, rows, air_start in metas:
                 n = rows.n
                 if not n:
                     continue
+                planned = self._plan_slice(rows, air_start)
+                if planned is not None:
+                    eps, u = planned
+                else:
+                    eps = rows.eps
+                    if air_start >= rows.min_valid:
+                        self._refresh_row_thresholds(rows, air_start)
+                    u = self._draw_outcome_vector(n)
                 ids = rows.ids
                 receive = rows.receive
                 kind = frame.kind_value
-                for i in range(n):
-                    if hits[offset + i]:
+                for i, hit in enumerate((u >= eps).tolist()):
+                    if hit:
                         delivered_count[(ids[i], kind)] += 1
                         receive[i](frame, transmitter_id)
-                offset += n
-        elif not all_vector:
+        else:
             # A duck-typed eps-less process is in play: resolve frame
             # by frame off the shared outcome buffer, preserving the
             # per-frame draw order.
@@ -885,60 +738,8 @@ class WirelessMedium:
             return value
         return int(self.rng.integers(0, window + 1))
 
-    def _schedule_attempt(self, transmitter_id):
-        if self.csma == "freeze":
-            return self._freeze_contend(transmitter_id)
-        if self._attempt_pending[transmitter_id]:
-            return
-        queue = self._queues[transmitter_id]
-        if not queue:
-            return
-        now = self.sim.now
-        if (self.merge_uncontended and self._attempts_outstanding == 0
-                and now >= self._busy_until):
-            # Nothing is in the air and nobody is in backoff: the
-            # attempt's busy check is guaranteed to pass, so transmit
-            # bookkeeping can ride the resolve event.  The channel is
-            # claimed immediately — senders arriving during our DIFS +
-            # backoff defer behind us instead of contending (a timing
-            # ambiguity inside one contention window; collisions were
-            # already impossible between these frames because the
-            # later attempt would have seen the medium busy).
-            frame, unicast_to, attempt = queue[0]
-            if unicast_to is None:
-                window = self._cw[transmitter_id]
-                backoff = self._draw_backoff(window) * self.slot_time
-                self._claim_merged(transmitter_id, now + self.difs
-                                   + backoff)
-                return
-        self._attempt_pending[transmitter_id] = True
-        self._attempts_outstanding += 1
-        idle_at = max(now, self._busy_until)
-        window = self._cw[transmitter_id]
-        backoff = self._draw_backoff(window) * self.slot_time
-        attempt_at = idle_at + self.difs + backoff
-        self.sim.schedule_fire_at(attempt_at, self._attempt,
-                                  transmitter_id)
-
-    def _attempt(self, transmitter_id):
-        self._attempt_pending[transmitter_id] = False
-        self._attempts_outstanding -= 1
-        if not self._queues[transmitter_id]:
-            return
-        now = self.sim.now
-        if now < self._busy_until:
-            # Medium became busy during our backoff; defer again.
-            self.defer_count += 1
-            self._schedule_attempt(transmitter_id)
-            return
-        frame, unicast_to, attempt = \
-            self._queues[transmitter_id].popleft()
-        self._transmit(transmitter_id, frame, unicast_to, attempt)
-        # Next queued frame (if any) contends afresh.
-        self._schedule_attempt(transmitter_id)
-
     # ------------------------------------------------------------------
-    # Backoff-freezing CSMA (csma="freeze")
+    # Backoff-freezing CSMA
     # ------------------------------------------------------------------
 
     def _freeze_contend(self, transmitter_id):
@@ -946,7 +747,15 @@ class WirelessMedium:
 
         One backoff is drawn per contention entry; the remainder
         persists across busy periods (frozen at claim, resumed at
-        release) instead of being redrawn on every defer.
+        release) instead of being redrawn on every busy period.
+
+        A broadcast frame meeting an idle medium with no contender
+        takes the merged single-event path: the channel is claimed
+        immediately, so senders arriving during our DIFS + backoff
+        defer behind us instead of contending (a timing ambiguity
+        inside one contention window; collisions were already
+        impossible between these frames because the later attempt
+        would have seen the medium busy).
         """
         if self._attempt_pending[transmitter_id]:
             return
@@ -958,8 +767,7 @@ class WirelessMedium:
         idle = now >= self._busy_until
         if idle and not contenders:
             frame, unicast_to, attempt = queue[0]
-            if self.merge_uncontended and unicast_to is None:
-                # Same merged single-event path as the defer model.
+            if unicast_to is None:
                 backoff = self._draw_backoff(self._cw[transmitter_id]) \
                     * self.slot_time
                 self._claim_merged(transmitter_id, now + self.difs
@@ -981,8 +789,8 @@ class WirelessMedium:
                 # in-flight resolve completes.  Park and let that
                 # release arbitrate on remaining backoff.
                 return
-            # Truly uncontended but unmergeable (unicast frame, or
-            # merging disabled): arm our own countdown.
+            # Truly uncontended but unmergeable (a unicast frame): arm
+            # our own countdown.
             countdown_start = now + self.difs
             record[2] = countdown_start
             self._arm_winner(transmitter_id, record,
@@ -1062,12 +870,11 @@ class WirelessMedium:
         """A busy period ended: resume frozen countdowns, pick a winner.
 
         The winner is the contender with the least remaining backoff
-        (ties broken by contention entry order, matching the defer
-        model's same-instant seq order).  Broadcast winners ride the
-        merged single-event path: the channel is claimed for them
-        immediately, and the other contenders' remaining backoff drops
-        by the winner's remainder — the idle slots they observed before
-        the claim — in O(1) per contender.
+        (ties broken by contention entry order).  Broadcast winners
+        ride the merged single-event path: the channel is claimed for
+        them immediately, and the other contenders' remaining backoff
+        drops by the winner's remainder — the idle slots they observed
+        before the claim — in O(1) per contender.
         """
         contenders = self._contenders
         if not contenders:
@@ -1088,7 +895,7 @@ class WirelessMedium:
         backoff_left = win[0]
         countdown_start = now + self.difs
         frame, unicast_to, attempt = queue[0]
-        if self.merge_uncontended and unicast_to is None:
+        if unicast_to is None:
             del contenders[win_id]
             self._attempt_pending[win_id] = False
             for record in contenders.values():
@@ -1099,8 +906,8 @@ class WirelessMedium:
                 self.freeze_count += 1
             self._claim_merged(win_id, countdown_start + backoff_left)
             return
-        # Two-event path (unicast frames, or merging disabled): arm the
-        # winner and let every contender count down until the claim.
+        # Two-event path (unicast frames): arm the winner and let every
+        # contender count down until the claim.
         for record in contenders.values():
             record[2] = countdown_start
             record[3] = None
@@ -1122,12 +929,9 @@ class WirelessMedium:
         for obs in self.observers:
             obs.on_transmit(transmitter_id, frame, start, end)
         self._resolve(transmitter_id, frame, start, False)
-        if self.csma == "freeze":
-            if self._contenders:
-                self._release_channel()
-            self._freeze_contend(transmitter_id)
-        else:
-            self._schedule_attempt(transmitter_id)
+        if self._contenders:
+            self._release_channel()
+        self._freeze_contend(transmitter_id)
 
     def _transmit(self, transmitter_id, frame, unicast_to=None,
                   attempt=0):
@@ -1139,7 +943,7 @@ class WirelessMedium:
         if end > self._air_end:
             self._air_end = end
         self._busy_until = max(self._busy_until, end)
-        if self.csma == "freeze" and self._contenders:
+        if self._contenders:
             self._freeze_all(start)
 
         kind = frame.kind_value
@@ -1157,58 +961,27 @@ class WirelessMedium:
             # we corrupt this frame only.  The earlier frame's
             # deliveries were decided at its start.
             pass
-        if self.csma == "freeze":
-            self.sim.schedule_fire_at(end, self._resolve_event,
-                                      transmitter_id, frame, start,
-                                      collided, unicast_to, attempt)
-        else:
-            self.sim.schedule_fire_at(end, self._resolve, transmitter_id,
-                                      frame, start, collided, unicast_to,
-                                      attempt)
+        self.sim.schedule_fire_at(end, self._resolve_event,
+                                  transmitter_id, frame, start,
+                                  collided, unicast_to, attempt)
 
     def _resolve_event(self, transmitter_id, frame, start, collided,
                        unicast_to=None, attempt=0):
-        """Resolve-event wrapper for the freeze model: release after."""
+        """Resolve event of a two-event transmission: release after."""
         self._resolve(transmitter_id, frame, start, collided, unicast_to,
                       attempt)
         if self._contenders:
             self._release_channel()
 
-    def _resolve_entries(self, transmitter_id, t):
-        """Per-transmitter ``(receiver_id, node, loss_eps, process)``
-        rows for the current reachability refresh, resolved once.
+    def _resolve_rows(self, transmitter_id, t):
+        """The transmitter's struct-of-arrays rows for the current
+        reachability refresh.
 
         The rows piggyback on the reachability entry's expiry, so the
         per-frame cost is one dict lookup and a float compare; node
         handles and eps accessors are re-resolved only when the index
-        refreshes.  (Scalar-kernel row cache; the array kernel keeps
-        its struct-of-arrays twin in :meth:`_resolve_rows`.)
-        """
-        links = self.links
-        cached = self._entry_cache.get(transmitter_id)
-        if cached is not None and t < cached[0] \
-                and cached[2] == links.version:
-            return cached[1]
-        expires, _, pairs = links._reach_entry(transmitter_id, t)
-        nodes = self._nodes
-        use_eps = self._outcome_block > 0
-        entries = []
-        for receiver_id, process in pairs:
-            if receiver_id == transmitter_id:
-                continue
-            node = nodes.get(receiver_id)
-            if node is None:
-                continue
-            eps = getattr(process, "loss_eps", None) if use_eps else None
-            entries.append((receiver_id, node, eps, process))
-        self._entry_cache[transmitter_id] = (expires, entries,
-                                             links.version)
-        return entries
-
-    def _resolve_rows(self, transmitter_id, t):
-        """The array kernel's struct-of-arrays rows (same expiry).
-
-        A reachability refresh that leaves the in-range membership
+        refreshes.  A reachability refresh that leaves the in-range
+        membership
         unchanged (the common case between handoffs) keeps the existing
         rows object — its thresholds and validity windows carry over,
         since they are properties of the unchanged processes.
@@ -1326,9 +1099,9 @@ class WirelessMedium:
     def _draw_outcome_vector(self, n):
         """*n* uniforms off the batched outcome stream, as a numpy view.
 
-        Consumes the underlying generator exactly as the scalar
-        kernel's per-draw loop does (same block size, same refill
-        cadence), so the two kernels see identical outcome values.
+        The generator is consumed in blocks of :attr:`_OUTCOME_BLOCK`
+        uniforms; a request that outruns the buffer takes its tail,
+        then as many fresh blocks as it needs.
         """
         buf = self._outcome_vec
         i = self._outcome_vec_i
@@ -1338,7 +1111,7 @@ class WirelessMedium:
             return buf[i:i + n]
         parts = [buf[i:]] if left else []
         need = n - left
-        block = self._outcome_block
+        block = self._OUTCOME_BLOCK
         while need > 0:
             fresh = self._outcome_rng.random(block)
             if need < block:
@@ -1526,7 +1299,7 @@ class WirelessMedium:
 
     def _resolve_array(self, transmitter_id, frame, start, unicast_to,
                        attempt, rows):
-        """Array kernel: vectorized outcome compare over the SoA rows.
+        """Vectorized outcome compare over the SoA rows.
 
         One uniform block slice is compared against the eps vector;
         only rows whose validity window lapsed re-evaluate their
@@ -1535,8 +1308,7 @@ class WirelessMedium:
         unicast_delivered = False
         n = rows.n
         if n:
-            planned = self._plan_slice(rows, start) \
-                if self._interval_predraw else None
+            planned = self._plan_slice(rows, start)
             if planned is not None:
                 eps, u = planned
             else:
@@ -1544,7 +1316,7 @@ class WirelessMedium:
                 if start >= rows.min_valid:
                     # At least one row's validity window lapsed:
                     # refresh those thresholds (the only python-per-row
-                    # work the kernel ever does on the loss side).
+                    # work a resolve ever does on the loss side).
                     self._refresh_row_thresholds(rows, start)
                 u = self._draw_outcome_vector(n)
             ids = rows.ids
@@ -1578,64 +1350,35 @@ class WirelessMedium:
             # visited in sorted id order for reproducible delivery
             # order.  Loss outcomes for eps-capable processes come
             # from one batched medium-owned uniform block; a collided
-            # frame never consumes draws (mirroring the scalar
-            # short-circuit).
+            # frame never consumes draws.
             if collided:
                 return self._finish_resolve(transmitter_id, frame,
                                             unicast_to, attempt, False)
-            if self.kernel == "array":
-                rows = self._resolve_rows(transmitter_id, start)
-                if rows.all_eps:
-                    return self._resolve_array(transmitter_id, frame,
-                                               start, unicast_to,
-                                               attempt, rows)
-                # Mixed rows (some processes lack loss_eps): per-row
-                # loop, but eps draws still come off the kernel's
-                # vector buffer — an array-kernel run consumes the
-                # outcome stream through exactly one buffer, so the
-                # (frame, receiver) -> uniform assignment matches the
-                # scalar kernel's and the bitwise guarantee holds for
-                # mixed tables too.
-                ids = rows.ids
-                receive = rows.receive
-                eps_fns = rows.eps_fns
-                procs = rows.procs
-                for i in range(rows.n):
-                    eps_fn = eps_fns[i]
-                    if eps_fn is not None:
-                        if self._draw_outcome_vector(1)[0] \
-                                < eps_fn(start):
-                            continue
-                    elif procs[i].is_lost(start):
-                        continue
-                    receiver_id = ids[i]
-                    if receiver_id == unicast_to:
-                        unicast_delivered = True
-                    delivered_count[(receiver_id, kind)] += 1
-                    receive[i](frame, transmitter_id)
-                return self._finish_resolve(transmitter_id, frame,
-                                            unicast_to, attempt,
-                                            unicast_delivered)
-            buf = self._outcome_buf
-            bi = self._outcome_i
-            for receiver_id, node, eps_fn, process in \
-                    self._resolve_entries(transmitter_id, start):
+            rows = self._resolve_rows(transmitter_id, start)
+            if rows.all_eps:
+                return self._resolve_array(transmitter_id, frame,
+                                           start, unicast_to, attempt,
+                                           rows)
+            # Mixed rows (some processes lack loss_eps): per-row loop,
+            # with eps draws still taken off the outcome buffer, so
+            # the outcome stream is consumed through exactly one
+            # buffer.
+            ids = rows.ids
+            receive = rows.receive
+            eps_fns = rows.eps_fns
+            procs = rows.procs
+            for i in range(rows.n):
+                eps_fn = eps_fns[i]
                 if eps_fn is not None:
-                    if bi >= len(buf):
-                        buf = self._outcome_buf = self._outcome_rng \
-                            .random(self._outcome_block).tolist()
-                        bi = 0
-                    u = buf[bi]
-                    bi += 1
-                    if u < eps_fn(start):
+                    if self._draw_outcome_vector(1)[0] < eps_fn(start):
                         continue
-                elif process.is_lost(start):
+                elif procs[i].is_lost(start):
                     continue
+                receiver_id = ids[i]
                 if receiver_id == unicast_to:
                     unicast_delivered = True
                 delivered_count[(receiver_id, kind)] += 1
-                node.on_receive(frame, transmitter_id)
-            self._outcome_i = bi
+                receive[i](frame, transmitter_id)
             return self._finish_resolve(transmitter_id, frame,
                                         unicast_to, attempt,
                                         unicast_delivered)
@@ -1694,7 +1437,7 @@ class WirelessMedium:
                 self._queues[transmitter_id].appendleft(
                     (frame, unicast_to, attempt + 1)
                 )
-                self._schedule_attempt(transmitter_id)
+                self._freeze_contend(transmitter_id)
                 return  # completion deferred until MAC gives up
             else:
                 # Retry budget exhausted; reset for the next frame.

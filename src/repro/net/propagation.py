@@ -35,13 +35,11 @@ the same instant (the paper's Figure 5 diversity argument), so the N
 per-link cache misses of one time quantum are really one batched
 computation.  The bank stacks the per-BS spatial-field Fourier
 coefficients, shadowing lattices, and geometry into shared numpy arrays
-and fills every member cache's bucket in a single vectorized pass.
-Under the default *bucket-centre* sampling convention a bucket's value
-is a pure function of (link, bucket): chunks of buckets are computed in
-large vectorized passes, whole trips can be prefilled at build time,
+and fills every member cache's buckets in large vectorized passes.
+Every bucket is sampled at its centre instant, so its value is a pure
+function of (link, bucket): whole trips can be prefilled at build time,
 and one prefilled bank can be shared read-only across every seed and
-policy of a sweep (``sampling="first-query"`` keeps the historical
-query-time convention bitwise).
+policy of a sweep.
 """
 
 import bisect
@@ -399,10 +397,8 @@ class LinkStateCache:
     frame).
 
     A cache may be a member of a :class:`LinkBank` (``bank`` /
-    ``bank_index``): misses are then served from the bank's vectorized
-    pass, which fills every member's bucket at once.  Banking only
-    engages for a positive quantum — with ``quantum_s=0`` the scalar
-    path runs unconditionally, preserving the bitwise guarantee.
+    ``bank_index``): misses are then served from the bank's
+    bucket-centre chunk store, which every member shares.
 
     Args:
         link: the wrapped :class:`LinkModel`.
@@ -421,7 +417,7 @@ class LinkStateCache:
                  bank_index=None):
         self.link = link
         self.quantum = float(quantum_s)
-        self.bank = bank if self.quantum > 0.0 else None
+        self.bank = bank
         self.bank_index = bank_index
         self._rssi_key = None
         self._rssi = 0.0
@@ -440,7 +436,7 @@ class LinkStateCache:
         key = t if self.quantum <= 0.0 else int(t / self.quantum)
         if key != self._rssi_key:
             if self.bank is not None:
-                self._rssi = self.bank.rssi_at(self.bank_index, key, t)
+                self._rssi = self.bank.rssi_at(self.bank_index, key)
             else:
                 self._rssi = self.link.rssi(t)
             self._rssi_key = key
@@ -452,7 +448,7 @@ class LinkStateCache:
         if key != self._prob_key:
             link = self.link
             if self.bank is not None:
-                self._prob = self.bank.prob_at(self.bank_index, key, t)
+                self._prob = self.bank.prob_at(self.bank_index, key)
                 self._prob_key = key
                 return self._prob
             if key != self._rssi_key:
@@ -476,61 +472,29 @@ class LinkBank:
     RSSI / reception probability at the same instant; when any BS
     transmits, the vehicle link needs them moments later inside the
     same time quantum.  Evaluating those N cache misses one by one
-    repeats the same work N times: one position lookup, N scalar
-    path-loss evaluations, N spatial-field cosine sums, N shadowing
-    interpolations.  The bank runs it as one pass:
+    would repeat the same work N times, so the bank evaluates every
+    link together, :attr:`_CHUNK` time buckets per vectorized pass
+    (:meth:`_fill_chunk`): the per-BS spatial-field Fourier
+    coefficients are stacked into ``(N, T)`` numpy matrices behind a
+    position-quantized cell-centre cache, and path loss, shadowing
+    interpolation, the decode logistic and the gray-period overlay run
+    as one numpy pipeline over the chunk's vehicle positions.  The
+    underlying stochastic processes extend themselves lazily but
+    deterministically, so banked and scalar evaluation consume
+    identical RNG streams.
 
-    * the per-BS spatial-field Fourier coefficients are stacked into
-      ``(N, T)`` numpy matrices — every field's value at the vehicle
-      position is one ``cos`` / row-sum pass, behind the same
-      position-quantized cache the scalar fields use (evaluated at the
-      quantized cell centre, so banked and scalar lookups agree to
-      float arithmetic);
-    * path loss, shadowing interpolation, and the decode logistic run
-      as a tight scalar loop over the stacked geometry and lattice
-      references, sharing the position lookup and per-second lattice
-      extension — at bank sizes around a testbed's ~11 BSes this beats
-      elementwise numpy dispatch while mirroring the scalar
-      :class:`LinkModel` expressions term for term;
-    * gray periods stay per-link (a bisection per bucket — cheap, and
-      the Poisson realizations are untouched); links already at or
-      below the gray residual skip the query, which is safe because
-      the processes extend deterministically.
-
-    The bank computes one bucket at a time (simulation time is
-    monotone) and member :class:`LinkStateCache` objects read their row
-    from it, so the N scalar misses of one quantum collapse into a
-    single pass.  The underlying stochastic processes extend
-    themselves lazily but deterministically, so banked and scalar
-    evaluation consume identical RNG streams and agree to float
-    tolerance (the banked spatial row-sum may differ from the scalar
-    field's sum in the last ulp).
-
-    **Sampling conventions.**  ``sampling`` picks where inside a time
-    bucket the bank evaluates the propagation stack:
-
-    * ``"first-query"`` — at the first query time any member makes
-      inside the bucket (the historical behaviour, kept verbatim).
-      The value therefore depends on *when* the bucket was first
-      touched, so buckets cannot be computed ahead of time.
-    * ``"centre"`` (default) — at the bucket's centre instant
-      ``(key + 0.5) * quantum_s``: the value is a **pure function of
-      (link, bucket)**.  Buckets are then computed in chunk-aligned
-      vectorized passes (:attr:`_CHUNK` buckets per pass — one numpy
-      pipeline over the chunk's quantized vehicle positions instead of
-      per-bucket scalar loops), whole trips can be prefilled at build
-      time (:meth:`prefill`), and one prefilled bank can be shared
-      read-only across every seed/policy run of a sweep: the same
-      (testbed, trip, quantum) always reproduces the same bank.
-      Lazy and prefilled fills run the *identical* chunk pipeline over
-      the identical chunk boundaries, so they are bit-for-bit equal
-      and consume the same RNG (the lattice/gray extensions are
-      deterministic).
-
-    Both conventions are one sample from inside the bucket, with the
-    same quantum error bound; they differ in realization, not in
-    distribution.  ``quantum_s=0`` disables banking entirely (members
-    stay bitwise-scalar) under either convention.
+    Every bucket is sampled at its centre instant ``(key + 0.5) *
+    quantum_s``, so its value is a **pure function of (link,
+    bucket)**: whole trips can be prefilled at build time
+    (:meth:`prefill`) or read ahead (:meth:`prob_span`), and one
+    prefilled bank can be shared read-only across every seed/policy
+    run of a sweep — the same (testbed, trip, quantum) always
+    reproduces the same bank.  Lazy and prefilled fills run the
+    *identical* chunk pipeline over the identical chunk boundaries, so
+    they are bit-for-bit equal and consume the same RNG (the
+    lattice/gray extensions are deterministic).  Member
+    :class:`LinkStateCache` objects read their row of the current
+    bucket.
 
     Requirements: every link shares the same :class:`RadioProfile` and
     the same moving-endpoint callable (``position_b``); the static
@@ -539,22 +503,21 @@ class LinkBank:
 
     Args:
         links: :class:`LinkModel` instances satisfying the above.
-        quantum_s: time quantum handed to the member caches.
+        quantum_s: time quantum handed to the member caches (must be
+            positive).
         spatial_cache_size: maximum cached vehicle positions for the
             banked spatial-field pass (LRU eviction).
-        sampling: ``"centre"`` or ``"first-query"`` (see above).
     """
 
-    #: Buckets computed per vectorized fill pass in centre mode.  Lazy
-    #: fills and :meth:`prefill` both compute whole chunk-aligned
-    #: ranges, so the two fill orders produce identical chunks.
+    #: Buckets computed per vectorized fill pass.  Lazy fills and
+    #: :meth:`prefill` both compute whole chunk-aligned ranges, so the
+    #: two fill orders produce identical chunks.
     _CHUNK = 256
 
     def __init__(self, links, quantum_s=LinkStateCache.DEFAULT_QUANTUM_S,
-                 spatial_cache_size=1024, sampling="centre"):
-        if sampling not in ("centre", "first-query"):
-            raise ValueError(f"unknown sampling convention {sampling!r}")
-        self.sampling = sampling
+                 spatial_cache_size=1024):
+        if not quantum_s > 0.0:
+            raise ValueError("a LinkBank needs a positive time quantum")
         links = list(links)
         if not links:
             raise ValueError("LinkBank needs at least one link")
@@ -605,14 +568,13 @@ class LinkBank:
         else:
             self._sp_rows = None
         self._grays = [link.gray for link in links]
-        # One bucket of results at a time; python lists so member reads
-        # never pay numpy scalar boxing.
+        # The current bucket's values, as python lists so member reads
+        # never pay numpy scalar boxing (see _load_bucket).
         self._key = None
-        self._rssi_list = [0.0] * n
-        self._prob_list = [0.0] * n
-        self._indices = range(n)
-        # Centre-mode chunk store: chunk index -> (rssi, prob) float64
-        # matrices of shape (n, _CHUNK).  Append-only and a pure
+        self._rssi_list = None
+        self._prob_list = None
+        # Chunk store: chunk index -> (rssi, prob) float64 matrices of
+        # shape (n, _CHUNK).  Append-only and a pure
         # function of (links, quantum), so a prefilled bank can be
         # shared read-only across runs (fork workers inherit the
         # pages; sequential runs in one process reuse them directly).
@@ -632,103 +594,15 @@ class LinkBank:
             for i, link in enumerate(self.links)
         ]
 
-    # -- banked passes ---------------------------------------------------
-
-    def _spatial_values(self, x, y):
-        """All fields' offsets at ``(x, y)`` as a python list."""
-        quantum = self._sp_quantum
-        if quantum > 0.0:
-            key = (round(x / quantum), round(y / quantum))
-            cache = self._sp_cache
-            values = cache.get(key)
-            if values is None:
-                # Same cell-centre convention as the scalar fields: the
-                # cached vector is a pure function of the key.
-                cx, cy = key[0] * quantum, key[1] * quantum
-                values = (self._sp_amp * np.cos(
-                    self._sp_fx * cx + self._sp_fy * cy + self._sp_ph
-                ).sum(axis=1)).tolist()
-                if len(cache) >= self._sp_cache_size:
-                    del cache[next(iter(cache))]
-                cache[key] = values
-            return values
-        return (self._sp_amp * np.cos(
-            self._sp_fx * x + self._sp_fy * y + self._sp_ph
-        ).sum(axis=1)).tolist()
-
-    def _refresh(self, key, t):
-        """One pass filling every link's bucket at time *t*.
-
-        The (N, T)-term spatial cosine matrix is the only numpy work
-        (amortized by its position cache); the per-link combine runs as
-        a tight scalar loop, which beats elementwise numpy dispatch at
-        bank sizes around a testbed's ~11 BSes and mirrors the scalar
-        :class:`LinkModel` expressions term for term.
-        """
-        profile = self.profile
-        x, y = self._position(t)
-        spatial = self._spatial_values(x, y) if self._sp_rows is not None \
-            else None
-        k = int(t)
-        frac = t - k
-        inv_frac = 1.0 - frac
-        tx_power = profile.tx_power_dbm
-        ref_loss = profile.ref_loss_db
-        pl_exp10 = 10.0 * profile.path_loss_exponent
-        mid = profile.decode_mid_dbm
-        width = profile.decode_width_db
-        max_r = profile.max_reception
-        floor = profile.noise_floor_dbm
-        residual = profile.gray_residual_reception
-        rssi_list = self._rssi_list
-        prob_list = self._prob_list
-        ax, ay = self._ax, self._ay
-        shadowings, grays = self._shadowings, self._grays
-        hypot, log10, exp = math.hypot, math.log10, math.exp
-        for i in self._indices:
-            d = hypot(ax[i] - x, ay[i] - y)
-            if d < 1.0:
-                d = 1.0
-            r = tx_power - (ref_loss + pl_exp10 * log10(d))
-            shadow = shadowings[i]
-            if shadow is not None:
-                values = shadow._values
-                if len(values) <= k + 1:
-                    shadow._extend_to(k)
-                    values = shadow._values
-                r += inv_frac * values[k] + frac * values[k + 1]
-            if spatial is not None:
-                r += spatial[i]
-            rssi_list[i] = r
-            if r <= floor:
-                p = 0.0
-            else:
-                arg = (r - mid) / width
-                if arg > 30:
-                    p = max_r
-                elif arg < -30:
-                    p = 0.0
-                else:
-                    p = max_r / (1.0 + exp(-arg))
-            # Gray periods only matter when they would actually lower
-            # the probability; the processes extend deterministically,
-            # so skipping the query changes nothing downstream.
-            if p > residual:
-                gray = grays[i]
-                if gray is not None and gray.in_gray(t):
-                    p = residual
-            prob_list[i] = p
-        self._key = key
-
-    # -- centre-mode chunk pipeline --------------------------------------
+    # -- chunk pipeline --------------------------------------------------
 
     def _spatial_matrix(self, px, py):
         """All fields' offsets at the chunk positions, shape (N, C).
 
-        Served through the same cell-centre position cache as
-        :meth:`_spatial_values`, with the identical per-cell
-        expression, so chunked, per-bucket, and first-query lookups of
-        one location always agree bit for bit.
+        Served through a cell-centre position cache (the same
+        convention as :class:`SpatialField`'s): the cached vector is a
+        pure function of the cell, so every lookup of one location
+        reads the same offsets regardless of query order.
         """
         quantum = self._sp_quantum
         columns = []
@@ -754,7 +628,7 @@ class LinkBank:
         return np.asarray(columns, dtype=np.float64).T
 
     def _fill_chunk(self, chunk):
-        """Compute centre-sampled buckets ``[chunk*_CHUNK, ...)``.
+        """Compute buckets ``[chunk*_CHUNK, ...)`` at their centres.
 
         One vectorized pipeline per chunk: stacked path loss over the
         chunk's vehicle positions, lattice-interpolated shadowing rows,
@@ -837,11 +711,8 @@ class LinkBank:
         self._chunks[chunk] = data
         return data
 
-    def _load_bucket(self, key, t):
-        """Make bucket *key* current (centre or first-query path)."""
-        if self.sampling == "first-query":
-            self._refresh(key, t)
-            return
+    def _load_bucket(self, key):
+        """Make bucket *key* current."""
         chunk, offset = divmod(key, self._CHUNK)
         data = self._chunks.get(chunk)
         if data is None:
@@ -854,22 +725,13 @@ class LinkBank:
         self._key = key
 
     def prefill(self, until_s):
-        """Precompute every centre-mode bucket up to *until_s* seconds.
+        """Precompute every bucket up to *until_s* seconds.
 
         A whole trip's buckets are filled in ``n_buckets / _CHUNK``
         vectorized passes at build time, so the run itself performs
         only array reads and the prefilled bank can be shared across
-        the seeds/policies of a sweep.  Requires ``sampling="centre"``
-        (first-query values depend on query times and cannot be
-        precomputed).  Returns the bank for chaining.
+        the seeds/policies of a sweep.  Returns the bank for chaining.
         """
-        if self.sampling != "centre":
-            raise ValueError(
-                "prefill requires sampling='centre' (first-query values "
-                "depend on query order)"
-            )
-        if self.quantum <= 0.0:
-            return self
         t0 = time.perf_counter()
         last_chunk = int(float(until_s) / self.quantum) // self._CHUNK
         for chunk in range(last_chunk + 1):
@@ -881,39 +743,38 @@ class LinkBank:
 
     # -- member reads ----------------------------------------------------
 
-    def rssi_at(self, index, key, t):
-        """RSSI (dBm) of link *index* for bucket *key* queried at *t*."""
+    def rssi_at(self, index, key):
+        """RSSI (dBm) of link *index* for bucket *key*."""
         if key != self._key:
-            self._load_bucket(key, t)
+            self._load_bucket(key)
         values = self._rssi_list
         if values is None:
             rssi, offset = self._centre_column
             values = self._rssi_list = rssi[:, offset].tolist()
         return values[index]
 
-    def prob_at(self, index, key, t):
+    def prob_at(self, index, key):
         """Reception probability of link *index* for bucket *key*."""
         if key != self._key:
-            self._load_bucket(key, t)
+            self._load_bucket(key)
         return self._prob_list[index]
 
     def prob_span(self, index, k0, k1):
         """Reception probabilities of link *index*, buckets *k0*..*k1*.
 
-        Centre-sampled buckets are pure functions of ``(links,
-        quantum, bucket)`` — chunks are computed through the same
-        :meth:`_fill_chunk` pipeline whether read lazily, prefilled,
-        or span-read here — so reading a span *ahead of time* yields
-        exactly the values future :meth:`prob_at` calls will see.
-        This is what lets the medium's interval pre-draw plane commit
-        to a whole beacon interval's thresholds up front.
+        Buckets are pure functions of ``(links, quantum, bucket)`` —
+        chunks are computed through the same :meth:`_fill_chunk`
+        pipeline whether read lazily, prefilled, or span-read here —
+        so reading a span *ahead of time* yields exactly the values
+        future :meth:`prob_at` calls will see.  This is what lets the
+        medium's interval pre-draw plane commit to a whole beacon
+        interval's thresholds up front.
 
         Returns a read-only float64 vector of length ``k1 - k0 + 1``
         (possibly a view into the chunk store — do not mutate), or
-        ``None`` under first-query sampling, whose bucket values
-        depend on query times and cannot be read ahead.
+        ``None`` for a span starting before time zero.
         """
-        if self.sampling != "centre" or self.quantum <= 0.0 or k0 < 0:
+        if k0 < 0:
             return None
         size = self._CHUNK
         chunks = self._chunks

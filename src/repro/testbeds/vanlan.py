@@ -289,12 +289,10 @@ class VanLanTestbed:
     # ------------------------------------------------------------------
 
     def build_link_bank(self, trip, vehicle_position, bs_ids=None,
-                        cache_quantum_s=LinkStateCache.DEFAULT_QUANTUM_S,
-                        sampling="centre", prefill_s=None):
+                        prefill_s=None):
         """The banked vehicle-BS propagation stack of one trip.
 
-        The bank is a pure function of ``(testbed seed, trip,
-        cache_quantum_s, sampling)``: under ``sampling="centre"`` every
+        The bank is a pure function of ``(testbed seed, trip)``: every
         bucket value is sampled at its bucket-centre instant, so a bank
         prefilled to the trip duration can be built once and shared
         read-only across every protocol seed / policy variant that
@@ -305,20 +303,14 @@ class VanLanTestbed:
             trip: trip index (fixes shadowing/gray realizations).
             vehicle_position: callable ``t -> (x, y)``.
             bs_ids: participating BSes (default: the full deployment).
-            cache_quantum_s: member-cache time quantum (must be > 0).
-            sampling: bucket sampling convention (see
-                :class:`~repro.net.propagation.LinkBank`).
             prefill_s: when set, prefill the bank's buckets up to this
-                simulated horizon at build time (centre sampling only).
+                simulated horizon at build time.
         """
-        if not cache_quantum_s or cache_quantum_s <= 0.0:
-            raise ValueError("a LinkBank needs a positive cache quantum")
         bs_ids = list(bs_ids if bs_ids is not None
                       else self.deployment.bs_ids)
         links = [self.link_model(trip, bs, vehicle_position)
                  for bs in bs_ids]
-        bank = LinkBank(links, quantum_s=cache_quantum_s,
-                        sampling=sampling)
+        bank = LinkBank(links)
         # Provenance, so adopting the bank elsewhere can verify it
         # really is the (testbed, trip, BS set) it claims to be.
         bank.testbed_seed = self.seed
@@ -329,32 +321,21 @@ class VanLanTestbed:
         return bank
 
     def build_link_table(self, trip, vehicle_position, bs_ids=None,
-                         vehicle_id=VEHICLE_ID,
-                         cache_quantum_s=LinkStateCache.DEFAULT_QUANTUM_S,
-                         sampling="centre", prefill_s=None, bank=None):
+                         vehicle_id=VEHICLE_ID, prefill_s=None, bank=None):
         """Link table for a packet-level protocol run of one trip.
 
         Vehicle-BS links use the full layered radio model with
         independent burst processes per direction; BS-BS links (used
         for ack overhearing) use static distance-based means with
-        burstiness.
+        burstiness.  All vehicle links read one
+        :class:`~repro.net.propagation.LinkBank` (see
+        :meth:`build_link_bank`) through per-link
+        :class:`~repro.net.propagation.LinkStateCache` members, so the
+        N per-link misses of a time quantum collapse into one
+        vectorized pass.
 
         Args:
-            cache_quantum_s: time quantum of the per-link
-                :class:`~repro.net.propagation.LinkStateCache` that
-                memoizes the propagation stack between the two
-                directions of a link.  ``0`` caches at exact query
-                times only (bitwise identical to the uncached model);
-                ``None`` disables the cache entirely.  Positive quanta
-                additionally bank all vehicle links into one
-                :class:`~repro.net.propagation.LinkBank`, so the N
-                per-link misses of a quantum collapse into a single
-                vectorized pass.
-            sampling: bank bucket sampling convention —
-                ``"centre"`` (pure-function buckets, prefillable and
-                shareable) or ``"first-query"`` (the historical
-                convention, kept bitwise).
-            prefill_s: optional prefill horizon (centre sampling only).
+            prefill_s: optional prefill horizon of the built bank.
             bank: a prebuilt (typically shared, prefilled)
                 :class:`~repro.net.propagation.LinkBank` from
                 :meth:`build_link_bank` for this same ``(trip,
@@ -362,8 +343,8 @@ class VanLanTestbed:
                 instead of rebuilding the propagation stack.
 
         The built (or adopted) bank is exposed as ``table.link_bank``
-        (``None`` when no bank is in play) so harnesses can report
-        prefill cost and sharing separately from run cost.
+        so harnesses can report prefill cost and sharing separately
+        from run cost.
         """
         bs_ids = list(bs_ids if bs_ids is not None else self.deployment.bs_ids)
         trip_rngs = self.rngs.spawn("trip", trip)
@@ -382,22 +363,10 @@ class VanLanTestbed:
                 raise ValueError(
                     "shared bank covers a different basestation set"
                 )
-            caches = bank.wrap()
-        elif cache_quantum_s is None:
-            caches = [self.link_model(trip, bs, vehicle_position)
-                      for bs in bs_ids]
-        elif cache_quantum_s > 0.0:
-            bank = self.build_link_bank(
-                trip, vehicle_position, bs_ids=bs_ids,
-                cache_quantum_s=cache_quantum_s, sampling=sampling,
-                prefill_s=prefill_s,
-            )
-            caches = bank.wrap()
         else:
-            caches = [LinkStateCache(self.link_model(trip, bs,
-                                                     vehicle_position),
-                                     quantum_s=cache_quantum_s)
-                      for bs in bs_ids]
+            bank = self.build_link_bank(trip, vehicle_position,
+                                        bs_ids=bs_ids, prefill_s=prefill_s)
+        caches = bank.wrap()
         table.link_bank = bank
         for bs, link in zip(bs_ids, caches):
             table.set_link(vehicle_id, bs, SteeredGilbertElliott(

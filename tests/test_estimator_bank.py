@@ -1,51 +1,25 @@
-"""Equivalence and regression tests for the PR 5 estimator bank.
+"""Tests for the estimator bank against its reference oracle.
 
-Covers the guarantees the array-backed reception estimator
-(``estimator="array"``, the default since PR 5) leans on:
-
-* ``estimator="dict"`` keeps the historical per-node estimator
-  verbatim: a full pinned VanLAN trip under otherwise-default PR 4
-  knobs reproduces the PR 4 committed realization **bitwise**
-  (anchored by a stored digest, so an accidental perturbation of the
-  legacy path cannot slip through);
-* a bank view and a dict estimator fed the same beacons and ticked at
-  the same instants agree **bit for bit** on every query the protocol
-  uses (``probability``, ``relay_table``, ``beacon_reports``,
-  recency) — the fold arithmetic is term-for-term identical, so
-  equivalence holds wherever the fold order is preserved;
-* full protocol runs in array mode are a different, distributionally
-  equivalent realization (identical beacon emission counts — the
-  nominal due chains never touch the estimator — and delivery counts
-  within a few percent), with fewer heap events: the bank's single
-  per-second event replaces N per-node ``_second_tick`` events;
-* the two estimator bugfixes hold in array mode and stay absent from
-  the digest-anchored dict mode: the first fold window is exactly one
-  second (no first-tick bias), and per-peer dissemination state stays
-  bounded by the live-peer count (no unbounded growth over long
-  trace-driven runs).
+* a bank view and a :class:`ReceptionEstimator` fed the same beacons
+  and ticked at the same instants agree **bit for bit** on every query
+  the protocol uses (``probability``, ``relay_table``,
+  ``beacon_reports``, recency) — the fold arithmetic is term-for-term
+  identical, so equivalence holds wherever the fold order is
+  preserved;
+* the bank's first fold window is exactly one second (no first-tick
+  bias), one heap event per second folds every node, and per-peer
+  dissemination state stays bounded by the live-peer count (no
+  unbounded growth over long trace-driven runs).
 """
 
-import hashlib
-import json
 import random
 
 import pytest
 
 from repro.core.probabilities import EstimatorBank, ReceptionEstimator
-from repro.core.protocol import ViFiConfig
 from repro.core.relaying import RelayContext, make_strategy
-from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.packet import Beacon
 from repro.sim.engine import Simulator
-from repro.testbeds.vanlan import VanLanTestbed
-
-#: Digest of the PR 4 committed realization of the pinned 120 s VanLAN
-#: CBR workload (trip 0, every seed 0, stock PR 4 config), captured at
-#: commit f5f7dc2 before the PR 5 changes landed.  ``estimator="dict"``
-#: must keep reproducing it bit for bit.
-PR4_ANCHOR_EVENTS = 37676
-PR4_ANCHOR_DIGEST = \
-    "b9679f93717f5984b7e10e62b8c00bc3cde59f2a16ad4ce1a1592d59e1deb7eb"
 
 
 def beacon(sender, incoming=None, learned=None, t=0.0):
@@ -53,36 +27,15 @@ def beacon(sender, incoming=None, learned=None, t=0.0):
                   incoming=incoming or {}, learned=learned or {})
 
 
-def _signature(config=None, duration_s=30.0, seed=0):
-    testbed = VanLanTestbed(seed=0)
-    sim, _ = vanlan_protocol(testbed, trip=0, seed=seed, config=config)
-    cbr = run_protocol_cbr(sim, duration_s)
-    return sim, {
-        "up": sorted(cbr.up_deliveries.items()),
-        "down": sorted(cbr.down_deliveries.items()),
-        "tx": sorted(sim.medium.tx_count.items()),
-        "delivered": sorted(sim.medium.delivered_count.items()),
-    }
-
-
-def _digest(signature):
-    payload = json.dumps(signature, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _beacon_count(sig):
-    return sum(c for (_, kind), c in sig["tx"] if kind == "beacon")
-
-
 # ----------------------------------------------------------------------
-# Unit equivalence: bank view == dict estimator, bit for bit
+# Unit equivalence: bank view == reference oracle, bit for bit
 # ----------------------------------------------------------------------
 
 class TestUnitEquivalence:
     IDS = (1, 2, 3, 4, 5, 6)
 
     def _drive_pair(self, seed=0, seconds=12, stale_s=5.0):
-        """One bank view and one dict estimator fed identical input.
+        """One bank view and one reference oracle fed identical input.
 
         Beacons are randomized over a six-node universe; both
         estimators tick at every integer second, so the fold windows —
@@ -135,7 +88,7 @@ class TestUnitEquivalence:
         assert dict(b_inc) == dict(l_inc)
         assert dict(b_learned) == dict(l_learned)
         # Recency within the staleness horizon (beyond it the bank has
-        # pruned — and the dict mode answers False anyway through the
+        # pruned — and the oracle answers False anyway through the
         # freshness check in every probability query).
         assert sorted(banked.peers_heard_within(now, 2.0)) == \
             sorted(legacy.peers_heard_within(now, 2.0))
@@ -215,34 +168,18 @@ class TestFirstTickAlignment:
 
         A peer beaconing every 0.2 s has a true per-second reception
         ratio of 0.5 against a 10/s budget.  The bank's period-aligned
-        first fold recovers exactly that; the dict path's first fold
-        at ``1.0 + phase`` counts the extra beacons yet still divides
-        by one second's budget, so its first estimate reads high —
-        the bias it keeps, verbatim, for the digest anchor.
+        first fold covers exactly one second and recovers that ratio.
+        (In the protocol the simulator delivers beacons in time order,
+        so nothing past the fold instant is pending.)
         """
         bank = EstimatorBank((1, 2), beacons_per_second=10, alpha=1.0)
-        banked = bank.view(1)
-        legacy = ReceptionEstimator(1, beacons_per_second=10, alpha=1.0)
-        t = 0.05
-        while t < 1.5:  # a node with phase 0.5 folds first at 1.5
-            banked.on_beacon(beacon(2), t)
-            legacy.on_beacon(beacon(2), t)
-            t += 0.2
-        # The bank folds period-aligned: only the one-second window.
-        # (In the protocol the simulator delivers beacons in time
-        # order, so nothing past the fold instant is pending.)
-        bank_window = EstimatorBank((1, 2), beacons_per_second=10,
-                                    alpha=1.0)
-        est = bank_window.view(1)
+        est = bank.view(1)
         t = 0.05
         while t < 1.0:
             est.on_beacon(beacon(2), t)
             t += 0.2
-        bank_window.tick_second(1.0)
+        bank.tick_second(1.0)
         assert est.incoming_probability(2) == pytest.approx(0.5)
-        # The legacy path folds 1.5 s of beacons over a 1 s budget.
-        legacy.tick_second(1.5)
-        assert legacy.incoming_probability(2) == pytest.approx(0.8)
 
     def test_bank_event_is_period_aligned(self):
         """The protocol bank arms one second after registration."""
@@ -287,37 +224,15 @@ class TestSingleTickEvent:
                          for second in range(1, 6)
                          for name in ("a", "b", "c")]
 
-    def test_protocol_run_sheds_per_node_tick_events(self):
-        sim_array, sig_array = _signature(duration_s=15.0)
-        sim_dict, sig_dict = _signature(ViFiConfig(estimator="dict"),
-                                        duration_s=15.0)
-        # Beacon emission rides the nominal due chains, which the
-        # estimator never touches: emission counts are identical.
-        assert _beacon_count(sig_array) == _beacon_count(sig_dict)
-        # N per-node _second_tick events collapse into one bank event
-        # per second (the realization differs, so the exact delta
-        # carries protocol noise on top of the (N-1)/s tick saving).
-        saved = sim_dict.sim.events_processed \
-            - sim_array.sim.events_processed
-        assert saved > 80
-        # Both realizations deliver comparable traffic.
-        n_array = len(sig_array["up"]) + len(sig_array["down"])
-        n_dict = len(sig_dict["up"]) + len(sig_dict["down"])
-        assert n_array > 100
-        assert abs(n_array - n_dict) <= 0.15 * max(n_array, n_dict)
-        bank = sim_array.ctx.estimator_bank
-        assert bank is not None and bank.fold_count >= 14
-        assert sim_dict.ctx.estimator_bank is None
-
 
 class TestBoundedPeerState:
     def test_forgotten_peers_drop_their_dissemination_state(self):
         """Satellite regression: state is bounded by live peers.
 
-        Fifty peers beacon once each, one per second; the dict mode
-        keeps every peer ever heard in ``_last_heard`` / ``_reports``
-        / ``_report_epoch``, while the bank prunes a peer as soon as
-        it falls past the staleness horizon.
+        Fifty peers beacon once each, one per second; the reference
+        oracle keeps every peer ever heard in ``_last_heard`` /
+        ``_reports`` / ``_report_epoch``, while the bank prunes a peer
+        as soon as it falls past the staleness horizon.
         """
         stale_s = 3.0
         n_peers = 50
@@ -337,13 +252,13 @@ class TestBoundedPeerState:
         # The bank's per-peer state is bounded by the live-peer count.
         assert len(banked._reports) <= live + 1
         assert len(banked._outgoing) <= live + 1
-        # The dict mode grew with every peer ever heard (the unbounded
-        # growth the bank fixes; kept verbatim for the digest anchor).
+        # The oracle grew with every peer ever heard (the unbounded
+        # growth the bank avoids).
         assert len(legacy._last_heard) == n_peers
         assert len(legacy._reports) == n_peers
         assert len(legacy._report_epoch) == n_peers
         assert len(legacy._outgoing) == n_peers
-        # Pruned state is invisible to queries: both modes agree that
+        # Pruned state is invisible to queries: both agree that
         # long-silent peers are gone.
         now = float(n_peers)
         for peer in (1, 10, 25):
@@ -364,40 +279,3 @@ class TestBoundedPeerState:
         _, learned = est.beacon_reports(30.0)
         assert len(learned) <= stale_s + 1
         assert len(est._outgoing) <= stale_s + 1
-
-
-# ----------------------------------------------------------------------
-# Full-trip anchors (slow; run via tools/ci_check.py)
-# ----------------------------------------------------------------------
-
-class TestFullTripEquivalence:
-    @pytest.mark.slow
-    def test_dict_mode_reproduces_pr4_committed_realization(self):
-        """``estimator="dict"`` == the PR 4 run, digest-anchored.
-
-        ``medium_interval_predraw=False`` joined the legacy-knob set
-        in PR 6 (the pre-draw plane reorders outcome-stream draws).
-        """
-        sim, sig = _signature(
-            ViFiConfig(estimator="dict",
-                       medium_interval_predraw=False),
-            duration_s=120.0)
-        assert sim.sim.events_processed == PR4_ANCHOR_EVENTS
-        assert _digest(sig) == PR4_ANCHOR_DIGEST
-
-    @pytest.mark.slow
-    def test_array_vs_dict_distributional(self):
-        """Acceptance: the bank agrees distributionally over a trip."""
-        sim_array, array_sig = _signature(duration_s=120.0)
-        _, dict_sig = _signature(ViFiConfig(estimator="dict"),
-                                 duration_s=120.0)
-        assert _beacon_count(array_sig) == _beacon_count(dict_sig)
-        for key in ("up", "down"):
-            n_array = len(array_sig[key])
-            n_dict = len(dict_sig[key])
-            assert n_array > 400
-            assert abs(n_array - n_dict) \
-                <= 0.05 * max(n_array, n_dict)
-        bank = sim_array.ctx.estimator_bank
-        assert bank.fold_count >= 119
-        assert bank.fold_wall_s < 0.5

@@ -1,5 +1,7 @@
 """Unit tests for the wireless medium and the backplane."""
 
+import copy
+
 import pytest
 
 from repro.net.backplane import Backplane
@@ -200,3 +202,78 @@ class TestBackplane:
         assert bp.total_bytes("relay") == 500
         assert bp.total_bytes("salvage") == 300
         assert bp.total_bytes() == 800
+
+
+# ----------------------------------------------------------------------
+# Scalar resolve oracle
+# ----------------------------------------------------------------------
+
+class _BucketLoss:
+    """Duck-typed loss process: eps is a pure function of a 20 ms
+    bucket, so windows and spans can commit to it ahead of time."""
+
+    QUANTUM = 0.02
+
+    def __init__(self, salt):
+        self.salt = salt
+
+    def loss_eps(self, t):
+        return ((int(t / self.QUANTUM) * 37 + self.salt * 11) % 89) / 100.0
+
+    loss_rate = loss_eps
+
+    def loss_eps_window(self, t):
+        return self.loss_eps(t), (int(t / self.QUANTUM) + 1.0) * self.QUANTUM
+
+    def loss_eps_span(self, t0, t1):
+        k0, k1 = int(t0 / self.QUANTUM), int(t1 / self.QUANTUM)
+        return ([self.loss_eps((k + 0.5) * self.QUANTUM)
+                 for k in range(k0, k1 + 1)], self.QUANTUM, k0, t1)
+
+
+def _scalar_resolve(rows, start, uniforms):
+    """The per-row reference: receiver i decodes iff u_i >= eps_i."""
+    return [receiver_id
+            for (receiver_id, process), u in zip(rows, uniforms)
+            if u >= process.loss_eps(start)]
+
+
+class TestScalarResolveOracle:
+    def test_vectorized_resolves_match_the_per_row_reference(self):
+        """One unplanned and one planned resolve, bit for bit."""
+        sim = Simulator()
+        rngs = RngRegistry(41)
+        table = LinkTable()
+        rows = []
+        for rx in range(1, 13):
+            process = BernoulliLoss(0.07 * rx, rngs.stream("l", rx)) \
+                if rx % 2 else _BucketLoss(salt=rx)
+            table.set_link(0, rx, process)
+            rows.append((rx, process))
+        outcomes = rngs.stream("outcomes")
+        mirror = copy.deepcopy(outcomes)
+        medium = WirelessMedium(sim, table, rngs.stream("m"),
+                                outcome_rng=outcomes, backoff_slots=0)
+        nodes = [Node(i) for i in range(13)]
+        for node in nodes:
+            medium.attach(node)
+        # Zero backoff: each frame airs DIFS after its send.  The first
+        # resolve of the beacon interval draws a per-frame outcome
+        # block; the second establishes the interval plan, whose pool
+        # is one draw of _PLAN_DRAW_FRAMES frames' uniforms.
+        n = len(rows)
+        draws = (medium._OUTCOME_BLOCK, n * medium._PLAN_DRAW_FRAMES)
+        expected = []
+        for pkt_id, (sent, block) in enumerate(zip((0.01, 0.03), draws)):
+            sim.schedule_at(sent, medium.send, 0, _packet(0, 1, pkt_id))
+            start = sent + medium.difs
+            expected.append(_scalar_resolve(rows, start,
+                                            mirror.random(block)[:n]))
+        sim.run(until=0.09)
+        assert medium.predraw_fallback_frames == 1
+        assert medium.predraw_planned_frames == 1
+        for pkt_id, want in enumerate(expected):
+            got = [node.node_id for node in nodes
+                   if any(f.pkt_id == pkt_id for f, _ in node.received)]
+            assert got == want
+        assert 0 < sum(map(len, expected)) < 2 * n

@@ -3,7 +3,7 @@
 Covers the guarantees the perf work leans on:
 
 * ``LinkStateCache(quantum_s=0)`` is bit-for-bit identical to the
-  uncached link model over a full fixed-seed protocol run;
+  uncached link model;
 * cached reception probabilities never leave the range the uncached
   model spans inside the same time quantum (the quantum-induced bound);
 * the gray-period bisection/pruning matches dense scanning;
@@ -15,8 +15,6 @@ Covers the guarantees the perf work leans on:
 
 import pytest
 
-from repro.core.protocol import ViFiSimulation
-from repro.experiments.common import run_protocol_cbr
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
 from repro.net.medium import LinkTable, MediumObserver, WirelessMedium
 from repro.net.packet import DataPacket, Direction
@@ -26,32 +24,10 @@ from repro.net.propagation import (
 )
 from repro.sim.engine import Simulator
 from repro.sim.rng import BufferedUniforms, RngRegistry
-from repro.testbeds.vanlan import VEHICLE_ID, VanLanTestbed
-
-
-def _vanlan_run(cache_quantum_s, duration_s=45.0, trip=0, seed=0):
-    testbed = VanLanTestbed(seed=3)
-    motion = testbed.vehicle_motion()
-    table = testbed.build_link_table(trip, motion,
-                                    cache_quantum_s=cache_quantum_s)
-    sim = ViFiSimulation(testbed.deployment.bs_ids, table, seed=seed,
-                        vehicle_id=VEHICLE_ID)
-    cbr = run_protocol_cbr(sim, duration_s)
-    return sim, cbr
+from repro.testbeds.vanlan import VanLanTestbed
 
 
 class TestLinkStateCacheDeterminism:
-    def test_quantum_zero_identical_protocol_run(self):
-        """The tentpole guarantee: quantum=0 changes nothing at all."""
-        sim_cached, cbr_cached = _vanlan_run(cache_quantum_s=0.0)
-        sim_raw, cbr_raw = _vanlan_run(cache_quantum_s=None)
-        assert sim_cached.sim.events_processed == sim_raw.sim.events_processed
-        assert cbr_cached.up_deliveries == cbr_raw.up_deliveries
-        assert cbr_cached.down_deliveries == cbr_raw.down_deliveries
-        assert dict(sim_cached.medium.tx_count) == dict(sim_raw.medium.tx_count)
-        # The run exercised real traffic (not vacuously identical).
-        assert len(cbr_cached.up_deliveries) > 50
-
     def test_quantum_zero_values_identical(self):
         a = VanLanTestbed(seed=11)
         b = VanLanTestbed(seed=11)

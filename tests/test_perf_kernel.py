@@ -1,23 +1,9 @@
-"""Equivalence tests for the PR 3 fast paths.
+"""Tests for the medium's resolve rows, CSMA and node bookkeeping.
 
-Covers the guarantees the struct-of-arrays resolve kernel, the
-backoff-freezing CSMA model, and the vectorized node bookkeeping lean
-on:
-
-* the array kernel consumes the batched outcome stream exactly as the
-  scalar loop does, so ``kernel="array"`` runs are **bitwise
-  identical** to ``kernel="scalar"`` runs (same deliveries, same event
-  count, same counters) — asserted on short tier-1 runs and a full
-  trip under the ``slow`` marker;
 * ``loss_eps_window`` validity bounds are sound: within a window the
   probability cannot change, so threshold reuse never changes an
   outcome;
-* under a deterministic contention order (zero-width backoff window)
-  the freeze model reproduces the defer-cascade model's medium-access
-  order exactly, and a wide-slot ``BeaconSlotter`` protocol run
-  schedules **no defer events** under the freeze model;
-* freeze-vs-defer full protocol runs agree distributionally (same
-  beacon counts, closely matched delivery rates);
+* the backoff-freezing CSMA model serves each sender FIFO;
 * the ring-buffer receiver state matches the ordered-dict reference,
   the estimator's batched ingest is observationally identical to eager
   ingest, and relay probabilities served through the cached
@@ -25,16 +11,12 @@ on:
   computation bit for bit.
 """
 
-import hashlib
-import json
 import math
 import random
 
-import pytest
-
 from repro.core.node import _ReceiverState
 from repro.core.probabilities import ReceptionEstimator
-from repro.core.protocol import ViFiConfig, ViFiSimulation
+from repro.core.protocol import ViFiConfig
 from repro.core.relaying import RelayContext, RelayTable, make_strategy
 from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.channel import (
@@ -50,79 +32,19 @@ from repro.sim.rng import RngRegistry
 from repro.testbeds.vanlan import VanLanTestbed
 
 
-def _protocol_signature(config, duration_s=30.0, seed=0):
-    """Delivery sequences + engine/medium counters of a pinned run."""
-    testbed = VanLanTestbed(seed=0)
-    sim, _ = vanlan_protocol(testbed, trip=0, seed=seed, config=config)
-    cbr = run_protocol_cbr(sim, duration_s)
-    return {
-        "up": sorted(cbr.up_deliveries.items()),
-        "down": sorted(cbr.down_deliveries.items()),
-        "events": sim.sim.events_processed,
-        "tx": sorted(sim.medium.tx_count.items()),
-        "delivered": sorted(sim.medium.delivered_count.items()),
-        "defers": sim.medium.defer_count,
-    }
-
-
 # ----------------------------------------------------------------------
-# Array kernel vs scalar kernel
+# Resolve rows
 # ----------------------------------------------------------------------
 
-class TestArrayKernelBitwise:
-    # Kernel equality is scoped to ``medium_interval_predraw=False``:
-    # the interval pre-draw plane only exists on the array kernel, so
-    # with it on the two kernels consume the outcome stream in
-    # different orders (deliberately — PERFORMANCE.md "PR 6").
-    def test_short_run_bitwise_identical(self):
-        """kernel="array" == kernel="scalar" on a 30 s protocol run."""
-        scalar = _protocol_signature(
-            ViFiConfig(medium_kernel="scalar",
-                       medium_interval_predraw=False))
-        array = _protocol_signature(
-            ViFiConfig(medium_kernel="array",
-                       medium_interval_predraw=False))
-        assert array == scalar
-        assert len(scalar["up"]) + len(scalar["down"]) > 50
-
-    @pytest.mark.slow
-    def test_full_trip_bitwise_identical(self):
-        """The same equality over the full 120 s pinned workload."""
-        scalar = _protocol_signature(
-            ViFiConfig(medium_kernel="scalar",
-                       medium_interval_predraw=False),
-            duration_s=120.0)
-        array = _protocol_signature(
-            ViFiConfig(medium_kernel="array",
-                       medium_interval_predraw=False),
-            duration_s=120.0)
-        assert array == scalar
-        assert len(scalar["up"]) + len(scalar["down"]) > 400
-
-    @pytest.mark.slow
-    def test_full_trip_bitwise_identical_under_defer_csma(self):
-        """Kernel equality is independent of the CSMA model."""
-        scalar = _protocol_signature(
-            ViFiConfig(medium_kernel="scalar", medium_csma="defer",
-                       medium_interval_predraw=False),
-            duration_s=60.0,
-        )
-        array = _protocol_signature(
-            ViFiConfig(medium_kernel="array", medium_csma="defer",
-                       medium_interval_predraw=False),
-            duration_s=60.0,
-        )
-        assert array == scalar
-
+class TestResolveRows:
     def test_probability_extremes(self):
-        """0/1-loss links behave exactly through the array kernel."""
+        """0/1-loss links behave exactly through the batched outcomes."""
         sim = Simulator()
         rngs = RngRegistry(11)
         table = LinkTable()
         table.set_link(0, 1, BernoulliLoss(0.0, rngs.stream("ok")))
         table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("bad")))
-        medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                kernel="array")
+        medium = WirelessMedium(sim, table, rngs.stream("m"))
 
         class _Node:
             def __init__(self, node_id):
@@ -143,68 +65,8 @@ class TestArrayKernelBitwise:
         assert nodes[1].received == list(range(20))
         assert nodes[2].received == []
 
-    def test_mixed_eps_tables_stay_bitwise_equal(self):
-        """A transmitter with an eps-less link keeps kernel equality.
-
-        Regression: the array kernel's fallback rows must draw their
-        uniforms from the same (single) outcome buffer as the
-        vectorized rows, or the per-(frame, receiver) assignment
-        diverges from the scalar kernel once the buffers refill.
-        """
-
-        class _CoinOnly:
-            """Duck-typed process without loss_eps (private stream)."""
-
-            static_loss_rate = 0.5
-
-            def __init__(self, rng):
-                self.rng = rng
-
-            def is_lost(self, t):
-                return bool(self.rng.random() < 0.5)
-
-            def loss_rate(self, t):
-                return 0.5
-
-        def run(kernel):
-            sim = Simulator()
-            rngs = RngRegistry(23)
-            table = LinkTable()
-            # Transmitter 0: mixed rows (eps-capable + eps-less).
-            table.set_link(0, 1, BernoulliLoss(0.4, rngs.stream("a")))
-            table.set_link(0, 2, _CoinOnly(rngs.stream("c")))
-            # Transmitter 1: pure eps rows (vector path).
-            table.set_link(1, 0, BernoulliLoss(0.3, rngs.stream("b")))
-            table.set_link(1, 2, BernoulliLoss(0.2, rngs.stream("d")))
-            medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                    kernel=kernel, outcome_batch=8,
-                                    interval_predraw=False)
-
-            class _Node:
-                def __init__(self, node_id):
-                    self.node_id = node_id
-                    self.received = []
-
-                def on_receive(self, frame, transmitter_id):
-                    self.received.append((frame.pkt_id, transmitter_id))
-
-            nodes = [_Node(i) for i in range(3)]
-            for node in nodes:
-                medium.attach(node)
-            for pkt_id in range(40):
-                src = pkt_id % 2
-                sim.schedule(0.01 * pkt_id, medium.send, src,
-                             DataPacket(pkt_id=pkt_id, src=src,
-                                        dst=1 - src,
-                                        direction=Direction.UPSTREAM,
-                                        size_bytes=200))
-            sim.run(until=5.0)
-            return {n.node_id: list(n.received) for n in nodes}
-
-        assert run("array") == run("scalar")
-
     def test_rows_fall_back_for_eps_less_processes(self):
-        """A process without loss_eps forces the scalar per-row loop."""
+        """A process without loss_eps forces the per-row loop."""
 
         class _CoinOnly:
             static_loss_rate = 0.0
@@ -219,8 +81,7 @@ class TestArrayKernelBitwise:
         rngs = RngRegistry(3)
         table = LinkTable()
         table.set_link(0, 1, _CoinOnly())
-        medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                kernel="array")
+        medium = WirelessMedium(sim, table, rngs.stream("m"))
 
         class _Node:
             def __init__(self, node_id):
@@ -369,7 +230,7 @@ class _TxOrderObserver(MediumObserver):
 
 
 class TestBackoffFreeze:
-    def _contended_run(self, csma, sends, merge=True):
+    def _contended_run(self, sends):
         """Three nodes, zero backoff window -> deterministic order."""
         sim = Simulator()
         rngs = RngRegistry(7)
@@ -380,8 +241,7 @@ class TestBackoffFreeze:
                     table.set_link(a, b, BernoulliLoss(
                         0.0, rngs.stream("l", a, b)))
         medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                backoff_slots=0, csma=csma,
-                                kernel="scalar", merge_uncontended=merge)
+                                backoff_slots=0)
         observer = _TxOrderObserver()
         medium.add_observer(observer)
 
@@ -403,84 +263,17 @@ class TestBackoffFreeze:
                                     direction=Direction.UPSTREAM,
                                     size_bytes=600))
         sim.run(until=2.0)
-        received = {n.node_id: list(n.received) for n in nodes}
-        return observer.order, received, medium.defer_count
-
-    #: Contention rounds with one outstanding frame per node: bursts
-    #: that contend at the same instant, plus arrivals landing inside
-    #: ongoing busy periods.  (With multi-frame queues the two models
-    #: legitimately differ in one fairness edge — the defer model lets
-    #: a finishing sender's next frame re-contend ahead of an
-    #: already-waiting contender, while the freeze model serves
-    #: waiters FIFO; see PERFORMANCE.md.)
-    SENDS = [
-        (0.0, 0, 0), (0.0, 1, 10), (0.0, 2, 20),
-        (0.1, 2, 21), (0.102, 1, 11),
-        (0.2, 0, 1), (0.2031, 1, 12), (0.2032, 2, 22),
-        (0.5, 1, 13),
-    ]
-
-    @pytest.mark.parametrize("merge", [True, False])
-    def test_matches_defer_medium_access_order(self, merge):
-        """Zero-window contention: freeze == defer access order."""
-        freeze_order, freeze_rx, freeze_defers = self._contended_run(
-            "freeze", self.SENDS, merge=merge)
-        defer_order, defer_rx, defer_defers = self._contended_run(
-            "defer", self.SENDS, merge=merge)
-        assert freeze_order == defer_order
-        assert freeze_rx == defer_rx
-        assert freeze_defers == 0
-        # The defer model really did pay deferred attempts for this
-        # schedule — the cascade the freeze model removes.
-        assert defer_defers > 0
+        return observer.order
 
     def test_fifo_per_sender_under_saturation(self):
         sends = [(0.0, src, src * 100 + k)
                  for k in range(10) for src in range(3)]
-        order, received, defers = self._contended_run("freeze", sends)
-        assert defers == 0
+        order = self._contended_run(sends)
         data_order = [pkt for _, kind, pkt in order if kind == "data"]
         for src in range(3):
             mine = [p for p in data_order if p // 100 == src]
             assert mine == sorted(mine)  # FIFO per sender
         assert len(data_order) == len(sends)
-
-    def test_wide_slot_run_schedules_no_defers(self):
-        """Satellite: wide-slot BeaconSlotter + freeze -> zero defers."""
-        freeze = _protocol_signature(
-            ViFiConfig(medium_csma="freeze", beacon_slot_s=0.05),
-            duration_s=20.0,
-        )
-        assert freeze["defers"] == 0
-        defer = _protocol_signature(
-            ViFiConfig(medium_csma="defer", beacon_slot_s=0.05),
-            duration_s=20.0,
-        )
-        # Wide slots synchronize senders: the defer model pays a
-        # cascade for them, the freeze model pays nothing.
-        assert defer["defers"] > 0
-
-    @pytest.mark.slow
-    def test_freeze_vs_defer_distributional(self):
-        """Full-run freeze vs defer: same workload, equivalent output."""
-        freeze = _protocol_signature(ViFiConfig(medium_csma="freeze"),
-                                     duration_s=120.0)
-        defer = _protocol_signature(ViFiConfig(medium_csma="defer"),
-                                    duration_s=120.0)
-        # Beacon emission counts ride the nominal due chains, which
-        # the CSMA model does not touch.
-        freeze_beacons = sum(c for (_, kind), c in freeze["tx"]
-                             if kind == "beacon")
-        defer_beacons = sum(c for (_, kind), c in defer["tx"]
-                            if kind == "beacon")
-        assert abs(freeze_beacons - defer_beacons) <= 2
-        # Delivered traffic matches closely (different realizations of
-        # the same stochastic protocol).
-        for key in ("up", "down"):
-            n_freeze = len(freeze[key])
-            n_defer = len(defer[key])
-            assert n_freeze > 100
-            assert abs(n_freeze - n_defer) <= 0.1 * max(n_freeze, n_defer)
 
 
 # ----------------------------------------------------------------------
@@ -685,46 +478,8 @@ class TestRelayTable:
 
 
 # ----------------------------------------------------------------------
-# Protocol-level sanity of the new defaults
+# Interval-level outcome pre-draw
 # ----------------------------------------------------------------------
-
-class TestDefaultConfigSanity:
-    def test_default_run_delivers_traffic_without_defers(self):
-        sig = _protocol_signature(ViFiConfig(), duration_s=25.0)
-        assert sig["defers"] == 0
-        assert len(sig["up"]) + len(sig["down"]) > 50
-
-    def test_scalar_defer_config_restores_cascade_model(self):
-        sig = _protocol_signature(
-            ViFiConfig(medium_kernel="scalar", medium_csma="defer",
-                       beacon_slot_s=0.005),
-            duration_s=25.0,
-        )
-        assert sig["defers"] > 0
-        assert len(sig["up"]) + len(sig["down"]) > 50
-
-
-# ----------------------------------------------------------------------
-# Interval-level outcome pre-draw (PR 6)
-# ----------------------------------------------------------------------
-
-#: Digest of the PR 5 committed realization of the pinned 120 s VanLAN
-#: CBR workload (trip 0, every seed 0, stock PR 5 config), captured at
-#: commit 96f789b before the PR 6 changes landed.
-#: ``medium_interval_predraw=False`` must keep reproducing it bit for
-#: bit.
-PR5_ANCHOR_EVENTS = 36354
-PR5_ANCHOR_DIGEST = \
-    "74aae3e14cdcd8f2073a73dc43be4a5b554a8679c203e6c45474def052efcae6"
-
-
-def _anchor_digest(sig):
-    payload = json.dumps(
-        {key: sig[key] for key in ("up", "down", "tx", "delivered")},
-        sort_keys=True, default=str,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
 
 class _PlannedLoss:
     """Duck-typed bucketed loss process with a committable span.
@@ -786,7 +541,7 @@ class _RxSink:
 
 
 class TestIntervalPredraw:
-    """Boundary behaviour of the pre-draw plane (PR 6 tentpole a)."""
+    """Boundary behaviour of the interval pre-draw plane."""
 
     def _medium(self, n_rx=2, quantum=0.02, flip_every=math.inf,
                 n_tx=1, **kwargs):
@@ -800,7 +555,7 @@ class TestIntervalPredraw:
                     salt=tx * 10 + rx))
         medium = WirelessMedium(sim, table, rngs.stream("m"),
                                 outcome_rng=rngs.stream("o"),
-                                kernel="array", backoff_slots=0,
+                                backoff_slots=0,
                                 predraw_interval_s=0.1, **kwargs)
         nodes = [_RxSink(i) for i in range(n_tx + n_rx)]
         for node in nodes:
@@ -887,16 +642,6 @@ class TestIntervalPredraw:
                       n.received}}
         assert delivered == {0, 1}
 
-    def test_knob_off_medium_never_plans(self):
-        sim, medium, _ = self._medium(interval_predraw=False)
-        for k in range(4):
-            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
-                         self._frame(k))
-        sim.run(until=0.099)
-        assert medium.predraw_plans == 0
-        assert medium.predraw_planned_frames == 0
-        assert medium.predraw_fallback_frames == 0
-
     def test_refusing_process_parks_the_interval(self):
         """A process that cannot commit past t0 fails the plan once,
         then the whole interval rides the fallback path."""
@@ -912,7 +657,7 @@ class TestIntervalPredraw:
         table.set_link(0, 2, _PlannedLoss(salt=2))
         medium = WirelessMedium(sim, table, rngs.stream("m"),
                                 outcome_rng=rngs.stream("o"),
-                                kernel="array", backoff_slots=0,
+                                backoff_slots=0,
                                 predraw_interval_s=0.1)
         for node in (_RxSink(0), _RxSink(1), _RxSink(2)):
             medium.attach(node)
@@ -938,42 +683,3 @@ class TestPredrawProtocolRuns:
         assert medium.predraw_planned_frames > 200
         delivered = len(cbr.up_deliveries) + len(cbr.down_deliveries)
         assert delivered > 50
-
-    @pytest.mark.slow
-    def test_knob_off_reproduces_pr5_committed_realization(self):
-        """``medium_interval_predraw=False`` == the PR 5 run."""
-        testbed = VanLanTestbed(seed=0)
-        sim, _ = vanlan_protocol(
-            testbed, trip=0, seed=0,
-            config=ViFiConfig(medium_interval_predraw=False))
-        cbr = run_protocol_cbr(sim, 120.0)
-        sig = {
-            "up": sorted(cbr.up_deliveries.items()),
-            "down": sorted(cbr.down_deliveries.items()),
-            "tx": sorted(sim.medium.tx_count.items()),
-            "delivered": sorted(sim.medium.delivered_count.items()),
-        }
-        assert sim.sim.events_processed == PR5_ANCHOR_EVENTS
-        assert _anchor_digest(sig) == PR5_ANCHOR_DIGEST
-        assert sim.medium.predraw_plans == 0
-
-    @pytest.mark.slow
-    def test_default_predraw_distributional(self):
-        """Acceptance: the pre-drawn realization agrees with the
-        per-slot realization distributionally over a full trip."""
-        on = _protocol_signature(ViFiConfig(), duration_s=120.0)
-        off = _protocol_signature(
-            ViFiConfig(medium_interval_predraw=False),
-            duration_s=120.0)
-        on_beacons = sum(c for (_, kind), c in on["tx"]
-                         if kind == "beacon")
-        off_beacons = sum(c for (_, kind), c in off["tx"]
-                          if kind == "beacon")
-        # Beacon emission rides the nominal due chains, which the
-        # outcome plane never touches.
-        assert abs(on_beacons - off_beacons) <= 2
-        for key in ("up", "down"):
-            n_on = len(on[key])
-            n_off = len(off[key])
-            assert n_on > 400
-            assert abs(n_on - n_off) <= 0.05 * max(n_on, n_off)

@@ -1,35 +1,20 @@
-"""Equivalence tests for the PR 4 fast paths.
+"""Tests for the bucket-centre propagation banks and slot batches.
 
-Covers the guarantees the bucket-centre propagation banks (whole-trip
-prefill, cross-run sharing) and the slot-batch medium resolve lean on:
-
-* ``sampling="first-query"`` with slot batching off (and, since PR 5,
-  ``estimator="dict"``) keeps the PR 3 code paths verbatim: a full
-  pinned VanLAN trip reproduces the PR 3 committed realization
-  **bitwise** (anchored by a stored digest of the PR 3 run, so an
-  accidental perturbation of shared code cannot slip through);
-* under ``sampling="centre"`` a bucket's value is a pure function of
-  (link, bucket): prefilled and lazily filled banks are bit-identical
-  and consume identical RNG streams, banked values match the scalar
+* a bucket's value is a pure function of (link, bucket): prefilled and
+  lazily filled banks are bit-identical and consume identical RNG
+  streams, banked values match the scalar
   :class:`~repro.net.propagation.LinkModel` evaluated at bucket
   centres to float tolerance, and a bank shared across runs equals a
   per-run bank bit for bit (the cross-run sharing contract);
-* centre-sampled runs agree with first-query runs distributionally
-  (identical beacon emission counts, delivery counts within a few
-  percent);
 * the slot-batch resolve consumes the outcome/backoff streams exactly
   as sequential per-frame merged sends would, delivers the same
   outcomes with fewer heap events, shifts receptions by at most the
-  batch airtime, and falls back to plain sends — bitwise — whenever
-  its preconditions fail.
+  batch airtime, and falls back to plain sends whenever its
+  preconditions fail.
 """
-
-import hashlib
-import json
 
 import pytest
 
-from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
     build_shared_banks,
     install_shared_banks,
@@ -45,21 +30,10 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.testbeds.vanlan import VanLanTestbed
 
-#: Digest of the PR 3 committed realization of the pinned 120 s VanLAN
-#: CBR workload (trip 0, every seed 0), captured at commit 3f14822
-#: before the PR 4 changes landed.  The legacy-knob configuration must
-#: keep reproducing it bit for bit.
-PR3_ANCHOR_EVENTS = 43138
-PR3_ANCHOR_DIGEST = \
-    "97324fe603b97dc90ce8fbae41ff299706ebda72f8915fcc326fc0403bb52ead"
 
-
-def _signature(config=None, sampling="centre", prefill=True,
-               duration_s=30.0, seed=0, bank=None):
+def _signature(duration_s=30.0, seed=0, bank=None):
     testbed = VanLanTestbed(seed=0)
-    sim, _ = vanlan_protocol(testbed, trip=0, seed=seed, config=config,
-                             sampling=sampling, prefill=prefill,
-                             bank=bank)
+    sim, _ = vanlan_protocol(testbed, trip=0, seed=seed, bank=bank)
     cbr = run_protocol_cbr(sim, duration_s)
     return sim, {
         "up": sorted(cbr.up_deliveries.items()),
@@ -67,54 +41,6 @@ def _signature(config=None, sampling="centre", prefill=True,
         "tx": sorted(sim.medium.tx_count.items()),
         "delivered": sorted(sim.medium.delivered_count.items()),
     }
-
-
-def _digest(signature):
-    payload = json.dumps(signature, sort_keys=True, default=str)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# Bitwise lineage: the first-query mode is PR 3, verbatim
-# ----------------------------------------------------------------------
-
-class TestFirstQueryLineage:
-    @pytest.mark.slow
-    def test_full_trip_reproduces_pr3_committed_realization(self):
-        """Legacy knobs == the PR 3 run, anchored by a stored digest.
-
-        ``estimator="dict"`` joined the legacy-knob set in PR 5 (the
-        array bank is a different, distributionally-equivalent
-        realization — see ``tests/test_estimator_bank.py``), and
-        ``medium_interval_predraw=False`` joined it in PR 6 (the
-        interval pre-draw plane consumes the outcome stream in a
-        different order).
-        """
-        sim, sig = _signature(
-            ViFiConfig(medium_slot_batch=False, estimator="dict",
-                       medium_interval_predraw=False),
-            sampling="first-query", prefill=False, duration_s=120.0,
-        )
-        assert sim.sim.events_processed == PR3_ANCHOR_EVENTS
-        assert _digest(sig) == PR3_ANCHOR_DIGEST
-
-    def test_quantum_zero_ignores_sampling_convention(self):
-        """quantum=0 never banks, so sampling cannot matter."""
-        testbed = VanLanTestbed(seed=1)
-        motion = testbed.vehicle_motion()
-        tables = [
-            testbed.build_link_table(0, motion, cache_quantum_s=0.0,
-                                     sampling=sampling)
-            for sampling in ("centre", "first-query")
-        ]
-        assert all(table.link_bank is None for table in tables)
-
-    def test_prefill_requires_centre_sampling(self):
-        testbed = VanLanTestbed(seed=1)
-        motion = testbed.vehicle_motion()
-        bank = testbed.build_link_bank(0, motion, sampling="first-query")
-        with pytest.raises(ValueError):
-            bank.prefill(10.0)
 
 
 # ----------------------------------------------------------------------
@@ -143,16 +69,12 @@ class TestBucketCentreBank:
         _, _, filled = _centre_bank(seed=7, prefill_s=duration)
         assert filled.prefill_wall_s > 0.0
         assert filled.prefilled_until == duration
-        quantum = lazy.quantum
         n_links = len(lazy.links)
-        n_buckets = int(duration / quantum)
+        n_buckets = int(duration / lazy.quantum)
         for key in range(n_buckets):
-            # Query at an irregular instant inside the bucket: centre
-            # sampling must make the query offset irrelevant.
-            t = (key + 0.1 + 0.8 * ((key * 7919) % 97) / 97.0) * quantum
             for i in range(n_links):
-                assert filled.prob_at(i, key, t) == lazy.prob_at(i, key, t)
-            assert filled.rssi_at(0, key, t) == lazy.rssi_at(0, key, t)
+                assert filled.prob_at(i, key) == lazy.prob_at(i, key)
+            assert filled.rssi_at(0, key) == lazy.rssi_at(0, key)
         for link_f, link_l in zip(filled.links, lazy.links):
             assert link_f.shadowing.rng.bit_generator.state == \
                 link_l.shadowing.rng.bit_generator.state
@@ -165,13 +87,10 @@ class TestBucketCentreBank:
         """Skipping ahead and returning reads the same bucket values."""
         _, _, bank_a = _centre_bank(seed=3)
         _, _, bank_b = _centre_bank(seed=3)
-        quantum = bank_a.quantum
         keys_a = [5, 6, 7, 2000, 2001]
         keys_b = [2000, 5, 2001, 6, 7]  # different order, same buckets
-        reads_a = {k: bank_a.prob_at(0, k, (k + 0.5) * quantum)
-                   for k in keys_a}
-        reads_b = {k: bank_b.prob_at(0, k, (k + 0.5) * quantum)
-                   for k in keys_b}
+        reads_a = {k: bank_a.prob_at(0, k) for k in keys_a}
+        reads_b = {k: bank_b.prob_at(0, k) for k in keys_b}
         assert reads_a == reads_b
 
     def test_matches_scalar_model_at_bucket_centres(self):
@@ -190,7 +109,7 @@ class TestBucketCentreBank:
             key = 3 * step  # monotone, with gaps
             tc = (key + 0.5) * quantum
             for i, model in enumerate(scalar):
-                banked = bank.prob_at(i, key, tc)
+                banked = bank.prob_at(i, key)
                 assert banked == pytest.approx(model.reception_prob(tc),
                                                abs=1e-9)
 
@@ -223,28 +142,6 @@ class TestBucketCentreBank:
             _, shared_sig = _signature(duration_s=12.0, seed=seed,
                                        bank=bank)
             assert shared_sig == fresh_sig
-
-    @pytest.mark.slow
-    def test_centre_vs_first_query_distributional(self):
-        """Acceptance: centre sampling agrees distributionally."""
-        _, centre = _signature(duration_s=120.0)
-        _, legacy = _signature(
-            ViFiConfig(medium_slot_batch=False, estimator="dict"),
-            sampling="first-query", prefill=False, duration_s=120.0,
-        )
-        centre_beacons = sum(c for (_, kind), c in centre["tx"]
-                             if kind == "beacon")
-        legacy_beacons = sum(c for (_, kind), c in legacy["tx"]
-                             if kind == "beacon")
-        # Beacon emissions ride the nominal due chains, which neither
-        # sampling nor slot batching touches.
-        assert abs(centre_beacons - legacy_beacons) <= 2
-        for key in ("up", "down"):
-            n_centre = len(centre[key])
-            n_legacy = len(legacy[key])
-            assert n_centre > 400
-            assert abs(n_centre - n_legacy) \
-                <= 0.05 * max(n_centre, n_legacy)
 
 
 # ----------------------------------------------------------------------
@@ -288,7 +185,7 @@ class _RxNode:
                               self.sim.now))
 
 
-def _batch_medium(seed, **kwargs):
+def _batch_medium(seed):
     sim = Simulator()
     rngs = RngRegistry(seed)
     table = LinkTable()
@@ -300,7 +197,7 @@ def _batch_medium(seed, **kwargs):
                     0.25 * ((a + b) % 3), rngs.stream("l", a, b)))
     medium = WirelessMedium(sim, table, rngs.stream("m"),
                             outcome_rng=rngs.stream("o"),
-                            backoff_slots=0, **kwargs)
+                            backoff_slots=0)
     nodes = [_RxNode(i, sim) for i in range(3)]
     for node in nodes:
         medium.attach(node)
@@ -349,22 +246,6 @@ class TestSlotBatch:
         assert events_batch < events_seq
         assert medium_b.transmissions() == medium_s.transmissions() == 3
 
-    def test_disabled_batch_falls_back_bitwise(self):
-        """slot_batch=False: send_slot_batch == per-frame sends."""
-        sim_a, medium_a, nodes_a = _batch_medium(seed=5,
-                                                 slot_batch=False)
-        medium_a.send_slot_batch(self._entries())
-        sim_a.run(until=1.0)
-        sim_b, medium_b, nodes_b = _batch_medium(seed=5,
-                                                 slot_batch=False)
-        for transmitter_id, frame in self._entries():
-            medium_b.send(transmitter_id, frame)
-        sim_b.run(until=1.0)
-        assert medium_a.slot_batch_count == 0
-        assert [n.received for n in nodes_a] == \
-            [n.received for n in nodes_b]
-        assert sim_a.events_processed == sim_b.events_processed
-
     def test_busy_transmitter_forces_fallback(self):
         """A transmitter with a queued frame disqualifies the batch."""
         sim, medium, nodes = _batch_medium(seed=9)
@@ -375,28 +256,8 @@ class TestSlotBatch:
         # Everything still airs and resolves through the classic path.
         assert medium.transmissions() == 4
 
-    def test_kernel_choice_does_not_change_batched_outcomes(self):
-        """kernel="scalar" batches resolve bitwise like kernel="array"."""
-        results = {}
-        for kernel in ("array", "scalar"):
-            sim, medium, nodes = _batch_medium(seed=33, kernel=kernel)
-            for round_ in range(10):
-                sim.schedule(0.1 * round_, medium.send_slot_batch,
-                             [(src, _frame(round_ * 10 + src, src))
-                              for src in range(3)])
-            sim.run(until=3.0)
-            assert medium.slot_batch_count == 10
-            results[kernel] = [node.received for node in nodes]
-        assert results["array"] == results["scalar"]
-
     def test_default_protocol_run_batches_slots(self):
         sim, sig = _signature(duration_s=20.0)
         assert sim.medium.slot_batch_count > 50
         assert sim.medium.slot_batch_frames > 100
-        assert sim.medium.defer_count == 0
         assert len(sig["up"]) + len(sig["down"]) > 50
-
-    def test_config_knob_disables_batching(self):
-        sim, _ = _signature(ViFiConfig(medium_slot_batch=False),
-                            duration_s=10.0)
-        assert sim.medium.slot_batch_count == 0

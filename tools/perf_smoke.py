@@ -22,9 +22,9 @@ runs should use ``--repeats 3``** (what ``tools/ci_check.py`` passes)
 so the ±10% container noise does not eat the regression headroom.
 Simulation build cost (testbed, link table, bank prefill) is reported
 as its own ``build_s``/``prefill_s`` fields and never charged to the
-timed region.  Each workload also records the reception-estimator
-mode it ran under (``estimator``) and the wall spent in the array
-bank's single per-second vectorized fold (``estimator_fold_s``).
+timed region.  Each workload also records the wall spent in the
+estimator bank's single per-second vectorized fold
+(``estimator_fold_s``).
 
 The scaling entry records whether the parallel-speedup target was
 enforced; on hosts without four free cores the recorded
@@ -188,12 +188,9 @@ def print_report(results, committed, scaling=None):
             extra += (f"  [build {build:.3f} s"
                       + (f", prefill {prefill:.3f} s" if prefill else "")
                       + "]")
-        estimator = record.get("estimator")
-        if estimator is not None:
-            fold = record.get("estimator_fold_s", 0.0)
-            extra += (f"  [estimator {estimator}"
-                      + (f", fold {fold:.3f} s" if fold else "")
-                      + "]")
+        fold = record.get("estimator_fold_s")
+        if fold:
+            extra += f"  [estimator fold {fold:.3f} s]"
         print(f"{record['workload']:<20s} {record['events']:>7d} events  "
               f"{record['wall_s']:>8.3f} s  "
               f"{record['events_per_s']:>9.0f} ev/s  "
