@@ -1,17 +1,21 @@
 """Focused tests for node-internal mechanisms.
 
 Bitmap acknowledgments, receiver de-duplication state, the adaptive
-ack-wait window, gateway routing, and beacon decoration — behaviours
-that the protocol integration tests exercise only incidentally.
+ack-wait window, gateway routing, beacon decoration and slot-aligned
+beacon batching — behaviours that the protocol integration tests
+exercise only incidentally.
 """
+
+from collections import defaultdict
 
 import pytest
 
-from repro.core.node import _ReceiverState
+from repro.core.node import BeaconSlotter, _ReceiverState
 from repro.core.protocol import ViFiConfig, ViFiSimulation
 from repro.net.channel import BernoulliLoss
 from repro.net.medium import LinkTable
 from repro.net.packet import Ack, Beacon, FrameKind
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 VEHICLE = 0
@@ -208,3 +212,159 @@ class TestRetiredSalvagePool:
         assert len(harvest) == 1
         # A second harvest finds nothing (transfer of ownership).
         assert node.downstream.unacked_within(60.0) == []
+
+
+# ----------------------------------------------------------------------
+# Slot-aligned beacon batching
+# ----------------------------------------------------------------------
+
+class _StubBeaconNode:
+    """Minimal slotter client: replays a jittered nominal due chain."""
+
+    def __init__(self, node_id, phase, interval, rng):
+        self.node_id = node_id
+        self.interval = interval
+        self.rng = rng
+        self.due_chain = [phase]
+
+    def _beacon_blocked(self):
+        return False
+
+    def _build_beacon(self):
+        return ("beacon", self.node_id)
+
+    def _next_beacon_due(self, due):
+        jitter = self.rng.uniform(-0.05, 0.05) * self.interval
+        next_due = due + max(self.interval + jitter, 1e-4)
+        self.due_chain.append(next_due)
+        return next_due
+
+
+class _RecordingMedium:
+    """Fake medium: records when each node's beacons were handed over."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.emissions = defaultdict(list)
+        self.batches = 0
+
+    def send(self, node_id, frame):
+        self.emissions[node_id].append(self.sim.now)
+
+    def send_slot_batch(self, entries):
+        self.batches += 1
+        for node_id, frame in entries:
+            self.send(node_id, frame)
+
+
+class TestBeaconSlotter:
+    SLOT = BeaconSlotter.SLOT_S
+    INTERVAL = 0.1
+    HORIZON = 30.0
+
+    def _run_slotted(self, n_nodes=8, seed=5):
+        sim = Simulator()
+        medium = _RecordingMedium(sim)
+        slotter = BeaconSlotter(sim, medium)
+        rngs = RngRegistry(seed)
+        nodes = [
+            _StubBeaconNode(i, 0.01 + 0.011 * i, self.INTERVAL,
+                            rngs.stream("jitter", i))
+            for i in range(n_nodes)
+        ]
+        for node in nodes:
+            slotter.add(node, node.due_chain[0])
+        sim.run(until=self.HORIZON)
+        return nodes, medium
+
+    def _legacy_dues(self, n_nodes=8, seed=5):
+        """The due chain per-node timers would produce (same draws)."""
+        rngs = RngRegistry(seed)
+        chains = []
+        for i in range(n_nodes):
+            rng = rngs.stream("jitter", i)
+            due = 0.01 + 0.011 * i
+            chain = [due]
+            while due <= self.HORIZON:
+                jitter = rng.uniform(-0.05, 0.05) * self.INTERVAL
+                due = due + max(self.INTERVAL + jitter, 1e-4)
+                chain.append(due)
+            chains.append(chain)
+        return chains
+
+    def test_due_chain_matches_legacy_timers(self):
+        """Nominal dues — the estimator's denominators — are unchanged."""
+        nodes, _ = self._run_slotted()
+        legacy = self._legacy_dues()
+        for node, chain in zip(nodes, legacy):
+            n = min(len(node.due_chain), len(chain))
+            assert node.due_chain[:n] == pytest.approx(chain[:n],
+                                                       abs=0.0)
+
+    def test_emissions_at_most_one_slot_late(self):
+        nodes, medium = self._run_slotted()
+        for node in nodes:
+            for due, emitted in zip(node.due_chain,
+                                    medium.emissions[node.node_id]):
+                assert due - 1e-9 <= emitted <= due + self.SLOT + 1e-9
+                # Slot alignment: emissions land on slot boundaries.
+                slots = emitted / self.SLOT
+                assert abs(slots - round(slots)) < 1e-6
+
+    def test_per_second_counts_preserved(self):
+        """Per-slot beacon counts shift by at most the boundary crossers."""
+        nodes, medium = self._run_slotted()
+        for node in nodes:
+            emitted = [t for t in medium.emissions[node.node_id]
+                       if t < self.HORIZON]
+            dues = [t for t in node.due_chain if t < self.HORIZON]
+            assert len(emitted) in (len(dues), len(dues) - 1)
+            for second in range(int(self.HORIZON)):
+                due_count = sum(1 for t in dues
+                                if second <= t < second + 1)
+                emit_count = sum(1 for t in emitted
+                                 if second <= t < second + 1)
+                assert abs(due_count - emit_count) <= 1
+
+    def test_later_registration_with_earlier_phase_not_delayed(self):
+        """A node registered after the slotter armed still emits its
+        first beacon within one slot of its due time (regression: the
+        first-armed slot used to gate every later registrant)."""
+        sim = Simulator()
+        medium = _RecordingMedium(sim)
+        slotter = BeaconSlotter(sim, medium)
+        rngs = RngRegistry(3)
+        late_phase_first = _StubBeaconNode(1, 0.09, self.INTERVAL,
+                                           rngs.stream("a"))
+        early_phase_second = _StubBeaconNode(2, 0.005, self.INTERVAL,
+                                             rngs.stream("b"))
+        slotter.add(late_phase_first, 0.09)
+        slotter.add(early_phase_second, 0.005)
+        sim.run(until=2.0)
+        assert medium.emissions[2][0] <= 0.005 + self.SLOT + 1e-9
+        for node in (late_phase_first, early_phase_second):
+            for due, emitted in zip(node.due_chain,
+                                    medium.emissions[node.node_id]):
+                assert due - 1e-9 <= emitted <= due + self.SLOT + 1e-9
+
+    def test_batches_share_events(self):
+        """One heap event serves every beacon due in a slot."""
+        sim = Simulator()
+        medium = _RecordingMedium(sim)
+        slotter = BeaconSlotter(sim, medium)
+        rngs = RngRegistry(0)
+        nodes = [
+            _StubBeaconNode(i, 0.001 * (i + 1), self.INTERVAL,
+                            rngs.stream("j", i))
+            for i in range(10)
+        ]
+        for node in nodes:
+            slotter.add(node, node.due_chain[0])
+        sim.run(until=1.0)
+        emitted = sum(len(times) for times in medium.emissions.values())
+        # All ten first beacons were due inside one slot; every batch
+        # of co-slotted beacons costs one event, so far fewer events
+        # than beacons were processed.
+        assert emitted >= 100
+        assert medium.batches >= 1
+        assert sim.events_processed <= emitted / 2

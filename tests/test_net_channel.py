@@ -1,4 +1,5 @@
-"""Unit tests for loss processes."""
+"""Unit tests for loss processes, including the ``loss_eps`` values
+the medium's resolve rows read."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from repro.net.channel import (
     SteeredGilbertElliott,
     TraceDrivenLoss,
 )
+from repro.net.propagation import LinkStateCache
 from repro.sim.rng import RngRegistry
+from repro.testbeds.vanlan import VanLanTestbed
 
 
 def _rng(name="x"):
@@ -144,3 +147,34 @@ class TestTraceDrivenLoss:
         process = TraceDrivenLoss([0.0, 1.0], rng=_rng())
         assert not any(process.is_lost(0.0 + k * 0.001) for k in range(500))
         assert all(process.is_lost(1.0 + k * 0.001) for k in range(500))
+
+
+class TestLossEps:
+    def test_steered_static_mean_preserved(self):
+        rngs = RngRegistry(7)
+        for target in (0.0, 0.05, 0.4, 0.9, 1.0):
+            process = SteeredGilbertElliott(target,
+                                            rng=rngs.stream("s", target))
+            eps_good, eps_bad = process._static_eps
+            pi_b = process._chain.pi_bad
+            mean = pi_b * eps_bad + (1 - pi_b) * eps_good
+            assert mean == pytest.approx(target, abs=1e-12)
+            assert process.loss_eps(0.0) in (eps_good, eps_bad)
+
+    def test_loss_eps_tracks_link_state_cache(self):
+        testbed = VanLanTestbed(seed=6)
+        motion = testbed.vehicle_motion()
+        cache = LinkStateCache(testbed.link_model(0, 1, motion),
+                               quantum_s=0.02)
+        process = SteeredGilbertElliott(cache.loss_prob,
+                                        rng=RngRegistry(1).stream("c"))
+        assert process._link_state is cache
+        for k in range(200):
+            t = k * 0.013
+            eps = process.loss_eps(t)
+            assert 0.0 <= eps <= 1.0
+            # The split preserves the cache's current mean.
+            eps_good, eps_bad = process._last_split
+            pi_b = process._chain.pi_bad
+            mean = pi_b * eps_bad + (1 - pi_b) * eps_good
+            assert mean == pytest.approx(cache.loss_prob(t), abs=1e-12)

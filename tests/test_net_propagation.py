@@ -1,4 +1,5 @@
-"""Unit tests for the propagation model."""
+"""Unit tests for the propagation model and the bucket-centre link
+bank."""
 
 import math
 
@@ -7,12 +8,14 @@ import pytest
 from repro.net.mobility import StationaryPosition
 from repro.net.propagation import (
     GrayPeriodProcess,
+    LinkBank,
     LinkModel,
     RadioProfile,
     Shadowing,
     SpatialField,
 )
 from repro.sim.rng import RngRegistry
+from repro.testbeds.vanlan import VanLanTestbed
 
 
 def _rng(name="p"):
@@ -167,3 +170,107 @@ class TestLinkModel:
         assert math.isclose(
             link.rssi(1.0), profile.mean_rssi(10.0), abs_tol=1e-9
         )
+
+
+def _centre_bank(seed, prefill_s=None):
+    testbed = VanLanTestbed(seed=seed)
+    motion = testbed.vehicle_motion()
+    bank = testbed.build_link_bank(0, motion, prefill_s=prefill_s)
+    return testbed, motion, bank
+
+
+class TestLinkBank:
+    def test_prefilled_equals_lazy_over_full_trip(self):
+        """Satellite: same buckets, same values, same RNG consumption.
+
+        A prefilled bank and a lazily filled twin walk the whole trip;
+        every bucket must agree bit for bit, and afterwards the
+        underlying stochastic processes must have consumed their
+        streams identically (prefill extends them deterministically to
+        the same horizon a full lazy walk reaches).
+        """
+        _, motion, lazy = _centre_bank(seed=7)
+        duration = motion.route.duration
+        _, _, filled = _centre_bank(seed=7, prefill_s=duration)
+        assert filled.prefill_wall_s > 0.0
+        assert filled.prefilled_until == duration
+        n_links = len(lazy.links)
+        n_buckets = int(duration / lazy.quantum)
+        for key in range(n_buckets):
+            for i in range(n_links):
+                assert filled.prob_at(i, key) == lazy.prob_at(i, key)
+            assert filled.rssi_at(0, key) == lazy.rssi_at(0, key)
+        for link_f, link_l in zip(filled.links, lazy.links):
+            assert link_f.shadowing.rng.bit_generator.state == \
+                link_l.shadowing.rng.bit_generator.state
+            assert link_f.gray.rng.bit_generator.state == \
+                link_l.gray.rng.bit_generator.state
+            assert len(link_f.shadowing._values) == \
+                len(link_l.shadowing._values)
+
+    def test_bucket_value_independent_of_query_order(self):
+        """Skipping ahead and returning reads the same bucket values."""
+        _, _, bank_a = _centre_bank(seed=3)
+        _, _, bank_b = _centre_bank(seed=3)
+        keys_a = [5, 6, 7, 2000, 2001]
+        keys_b = [2000, 5, 2001, 6, 7]  # different order, same buckets
+        reads_a = {k: bank_a.prob_at(0, k) for k in keys_a}
+        reads_b = {k: bank_b.prob_at(0, k) for k in keys_b}
+        assert reads_a == reads_b
+
+    def test_matches_scalar_model_at_bucket_centres(self):
+        """Property: centre-bank values == the scalar LinkModel at the
+        bucket-centre instants, to float tolerance (vectorized vs
+        scalar transcendentals), over identical RNG streams."""
+        testbed_a = VanLanTestbed(seed=11)
+        testbed_b = VanLanTestbed(seed=11)
+        motion_a = testbed_a.vehicle_motion()
+        motion_b = testbed_b.vehicle_motion()
+        bank = testbed_a.build_link_bank(0, motion_a)
+        scalar = [testbed_b.link_model(0, bs, motion_b)
+                  for bs in testbed_b.deployment.bs_ids]
+        quantum = bank.quantum
+        for step in range(800):
+            key = 3 * step  # monotone, with gaps
+            tc = (key + 0.5) * quantum
+            for i, model in enumerate(scalar):
+                banked = bank.prob_at(i, key)
+                assert banked == pytest.approx(model.reception_prob(tc),
+                                               abs=1e-9)
+
+    def test_adopting_a_mismatched_bank_is_rejected(self):
+        """A bank built for another (seed, trip, BS set) cannot be
+        silently zipped onto the wrong steering streams."""
+        testbed = VanLanTestbed(seed=2)
+        motion = testbed.vehicle_motion()
+        bank = testbed.build_link_bank(0, motion)
+        with pytest.raises(ValueError):
+            testbed.build_link_table(1, motion, bank=bank)  # wrong trip
+        with pytest.raises(ValueError):
+            testbed.build_link_table(
+                0, motion, bank=bank,
+                bs_ids=testbed.deployment.bs_ids[:5],
+            )
+        with pytest.raises(ValueError):
+            VanLanTestbed(seed=3).build_link_table(0, motion, bank=bank)
+        # The matching table still adopts it.
+        table = testbed.build_link_table(0, motion, bank=bank)
+        assert table.link_bank is bank
+
+    def test_bank_requires_shared_profile(self):
+        testbed = VanLanTestbed(seed=1)
+        motion = testbed.vehicle_motion()
+        links = [testbed.link_model(0, bs, motion)
+                 for bs in testbed.deployment.bs_ids[:2]]
+        links[1].profile = type(links[1].profile)()  # a different object
+        with pytest.raises(ValueError):
+            LinkBank(links)
+
+    @pytest.mark.parametrize("quantum_s", [0.0, -0.02])
+    def test_non_positive_quantum_rejected(self, quantum_s):
+        testbed = VanLanTestbed(seed=2)
+        motion = testbed.vehicle_motion()
+        links = [testbed.link_model(0, bs, motion)
+                 for bs in testbed.deployment.bs_ids]
+        with pytest.raises(ValueError):
+            LinkBank(links, quantum_s=quantum_s)

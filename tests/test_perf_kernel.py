@@ -33,10 +33,10 @@ from repro.testbeds.vanlan import VanLanTestbed
 
 
 # ----------------------------------------------------------------------
-# Resolve rows
+# Array resolve kernel
 # ----------------------------------------------------------------------
 
-class TestResolveRows:
+class TestArrayKernelBitwise:
     def test_probability_extremes(self):
         """0/1-loss links behave exactly through the batched outcomes."""
         sim = Simulator()

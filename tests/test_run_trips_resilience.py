@@ -1,8 +1,12 @@
-"""The resilient sweep runner: crashes, hangs, retry, resume, spawn.
+"""The sweep runner: determinism, resilience and shared banks.
 
-Workers live at module level (pool pickling), and first-attempt-only
-failures are coordinated across processes through marker files in a
-directory handed to each worker inside its task tuple.
+Pool and serial sweeps merge identically in task order; crashes,
+hangs, retries, interrupts, resume and spawn are survived; prefilled
+propagation banks shared across tasks reproduce per-task banks bit for
+bit.  Workers live at module level (pool pickling), and
+first-attempt-only failures are coordinated across processes through
+marker files in a directory handed to each worker inside its task
+tuple.
 """
 
 import multiprocessing
@@ -14,11 +18,16 @@ import pytest
 
 from repro.experiments.common import (
     SweepResult,
+    build_shared_banks,
     install_shared_banks,
+    run_protocol_cbr,
     run_trips,
     shared_bank,
     shared_bank_spec,
+    vanlan_cbr_trip,
+    vanlan_protocol,
 )
+from repro.testbeds.vanlan import VanLanTestbed
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -219,9 +228,12 @@ class TestSpawnCompatibility:
         globals only)."""
         spec = shared_bank_spec(0, trips=(0,), prefill=False)
         tasks = [(0, 0), (0, 0)]
-        serial = run_trips(_bank_probe, tasks, workers=1,
-                           initializer=install_shared_banks,
-                           initargs=(spec,))
+        try:
+            serial = run_trips(_bank_probe, tasks, workers=1,
+                               initializer=install_shared_banks,
+                               initargs=(spec,))
+        finally:
+            install_shared_banks({})  # the serial path installs in-process
         spawned = run_trips(_bank_probe, tasks, workers=2,
                             initializer=install_shared_banks,
                             initargs=(spec,), start_method="spawn")
@@ -251,3 +263,72 @@ class TestSpawnCompatibility:
 
         with pytest.raises(TypeError):
             _spawn_safe_initializer(no_fallback, (lambda: None,))
+
+
+# ----------------------------------------------------------------------
+# Determinism and shared banks
+# ----------------------------------------------------------------------
+
+def _signature(duration_s=30.0, seed=0, bank=None):
+    testbed = VanLanTestbed(seed=0)
+    sim, _ = vanlan_protocol(testbed, trip=0, seed=seed, bank=bank)
+    cbr = run_protocol_cbr(sim, duration_s)
+    return sim, {
+        "up": sorted(cbr.up_deliveries.items()),
+        "down": sorted(cbr.down_deliveries.items()),
+        "tx": sorted(sim.medium.tx_count.items()),
+        "delivered": sorted(sim.medium.delivered_count.items()),
+    }
+
+
+class TestRunTrips:
+    def test_serial_matches_inline(self):
+        tasks = [{"trip": t, "duration_s": 8.0} for t in range(2)]
+        inline = [vanlan_cbr_trip(task) for task in tasks]
+        serial = run_trips(vanlan_cbr_trip, tasks, workers=1)
+        assert serial == inline
+
+    @pytest.mark.slow
+    def test_pool_matches_serial(self):
+        """The determinism contract: worker count never changes results."""
+        tasks = [{"trip": t, "duration_s": 12.0} for t in range(3)]
+        serial = run_trips(vanlan_cbr_trip, tasks, workers=1)
+        pooled = run_trips(vanlan_cbr_trip, tasks, workers=2)
+        assert pooled == serial
+        assert [r["trip"] for r in pooled] == [0, 1, 2]
+        assert all(r["events"] > 1000 for r in pooled)
+
+    def test_worker_results_merge_in_task_order(self):
+        tasks = [3, 1, 2]
+        assert run_trips(_square, tasks, workers=2) == [9, 1, 4]
+
+
+class TestSharedBanks:
+    def test_shared_banks_reproduce_fresh_banks(self):
+        tasks = [{"trip": 0, "seed": s, "duration_s": 8.0}
+                 for s in (0, 1)]
+        fresh = run_trips(vanlan_cbr_trip, tasks, workers=1)
+        banks = build_shared_banks(0, [0])
+        try:
+            shared = run_trips(vanlan_cbr_trip, tasks, workers=1,
+                               initializer=install_shared_banks,
+                               initargs=(banks,))
+        finally:
+            install_shared_banks({})
+        assert all(record["bank_shared"] for record in shared)
+        assert not any(record["bank_shared"] for record in fresh)
+
+        def sans_flag(results):
+            return [{k: v for k, v in r.items() if k != "bank_shared"}
+                    for r in results]
+
+        assert sans_flag(shared) == sans_flag(fresh)
+
+    def test_shared_bank_run_equals_fresh_bank_run(self):
+        """Cross-run sharing contract: one bank, many runs, bitwise."""
+        bank = build_shared_banks(0, [0])[(0, 0)]
+        for seed in (0, 5):
+            _, fresh_sig = _signature(duration_s=12.0, seed=seed)
+            _, shared_sig = _signature(duration_s=12.0, seed=seed,
+                                       bank=bank)
+            assert shared_sig == fresh_sig
