@@ -50,15 +50,15 @@ class BeaconSlotter:
     With a dozen nodes beaconing ten times a second, per-node timers
     are the single largest source of heap events in a protocol run.
     The slotter keeps each node's *nominal* due time (phase, then
-    ``due += interval + jitter``, drawn from the node's own stream
-    exactly as the per-node timers drew it) in one priority queue and
+    ``due += interval + jitter``, drawn from the node's own stream) in
+    one priority queue and
     arms a single fire-and-forget event per occupied slot: when it
     fires, every beacon due up to that slot boundary is emitted in due
     order.
 
     Fidelity: due times are computed from the nominal chain, never from
     the aligned emission times, so beacon *rates* — the estimator's
-    denominators — are exactly those of per-node timers; each emission
+    denominators — are exactly the nominal ones; each emission
     is merely delayed to the next multiple of :attr:`SLOT_S` (at most
     one slot, 20 ms against a 100 ms beacon interval).
 
@@ -76,7 +76,6 @@ class BeaconSlotter:
 
     def __init__(self, sim, medium):
         self.sim = sim
-        self.slot = self.SLOT_S
         self.medium = medium
         self.faults = None  # set by an installed FaultPlane
         self._heap = []  # (nominal due, seq, node)
@@ -91,7 +90,7 @@ class BeaconSlotter:
 
     def _slot_after(self, due):
         """The emission slot for a nominal due time (never earlier)."""
-        slot = self.slot
+        slot = self.SLOT_S
         aligned = math.ceil(due / slot) * slot
         return aligned if aligned >= due else aligned + slot
 
@@ -654,7 +653,7 @@ class _NodeBase:
         self.radio_down = False
         self.faults = None
         config = ctx.config
-        self.estimator = ctx.make_estimator(node_id)
+        self.estimator = ctx.estimator_bank.view(node_id)
         self._note_beacon = self.estimator.on_beacon
         self.retx_timer = ctx.make_retx_timer()
         self._beacon_rng = ctx.rngs.stream("beacon-phase", node_id)

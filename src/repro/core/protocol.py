@@ -215,9 +215,6 @@ class _Context:
     def next_tx_id(self):
         return next(self._tx_ids)
 
-    def make_estimator(self, node_id):
-        return self.estimator_bank.view(node_id)
-
     def make_retx_timer(self):
         return AdaptiveRetxTimer(
             initial_s=self.config.retx_initial,

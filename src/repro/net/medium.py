@@ -981,10 +981,10 @@ class WirelessMedium:
         per-frame cost is one dict lookup and a float compare; node
         handles and eps accessors are re-resolved only when the index
         refreshes.  A reachability refresh that leaves the in-range
-        membership
-        unchanged (the common case between handoffs) keeps the existing
-        rows object — its thresholds and validity windows carry over,
-        since they are properties of the unchanged processes.
+        membership unchanged (the common case between handoffs) keeps
+        the existing rows object — its thresholds and validity windows
+        carry over, since they are properties of the unchanged
+        processes.
         """
         links = self.links
         cached = self._row_cache.get(transmitter_id)

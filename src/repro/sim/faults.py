@@ -19,7 +19,7 @@ nominal stochastic processes:
   bit-for-bit identical;
 * with ``faults=None`` (the default everywhere) nothing is built,
   scheduled, or checked beyond one predictable attribute read, keeping
-  the committed digest anchors bitwise.
+  the committed realization anchor bitwise.
 
 Fault kinds
 -----------

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Single CI entry point: tier-1 tests, slow equivalence tests, perf gate.
+"""Single CI entry point: tier-1, lint, slow tests, smokes, perf gate.
 
 Usage::
 
@@ -14,25 +14,14 @@ Runs, in order:
    (see ``INVARIANTS.md``).  The stage prints per-rule finding counts
    plus baselined/pragma-suppressed totals, so lint drift is visible
    in the gate output even when the gate passes,
-3. the slow correctness tests (``pytest -m slow``): the banked-vs-
-   scalar and batching equivalence properties, the PR 3 array-kernel /
-   backoff-freezing CSMA equivalence suite
-   (``tests/test_perf_kernel.py`` — full-trip array==scalar bitwise
-   equality and freeze-vs-defer protocol equivalence), the PR 4
-   sampling-convention suite (``tests/test_perf_prefill.py`` — the
-   first-query mode's full-trip bitwise anchor and the bucket-centre /
-   slot-batch distributional equivalences), the PR 5 estimator
-   suite (``tests/test_estimator_bank.py`` — the dict mode's full-trip
-   digest anchor to the PR 4 committed realization and the array
-   bank's distributional equivalence), and the PR 6 pre-draw /
-   bookkeeping suites (``tests/test_perf_kernel.py`` — the
-   ``medium_interval_predraw=False`` full-trip digest anchor to the
-   PR 5 committed realization and the pre-drawn plane's
-   distributional equivalence; ``tests/test_packet_bank.py`` — the
-   ring/bitmap relay bookkeeping's long-schedule oracle equality
-   against the dict reference).  The stage fails if the slow marker
-   collects nothing, so a marker typo cannot silently skip the
-   suite,
+3. the slow tests (``pytest -m slow``): the faulted study's
+   delivery-gap trend over fault intensity (``tests/test_faults.py``),
+   the ring/bitmap relay bookkeeping's long-schedule oracle equality
+   against the dict reference (``tests/test_packet_bank.py``), and
+   pool == serial for a multi-trip ``run_trips`` sweep
+   (``tests/test_run_trips_resilience.py``).  The stage fails if the
+   slow marker collects nothing, so a marker typo cannot silently skip
+   the suite,
 4. the fault-matrix smoke (``tools/fault_smoke.py``): one short ViFi
    trip per injected-fault kind (no-fault, BS outage, backplane
    partition, beacon-loss burst) — every cell must complete without
@@ -57,9 +46,9 @@ Runs, in order:
    numbers (best-of-3 so container wall-clock noise does not eat the
    headroom).
 
-``--fast`` is the inner-loop variant: tier-1, the invariant lint, and
-the perf gate, skipping the slow equivalence suite (equivalent to
-``--skip-slow``; run the full check before merging).
+``--fast`` is the inner-loop variant: every stage except the slow
+tests (equivalent to ``--skip-slow``; run the full check before
+merging).
 
 Exits non-zero as soon as a stage fails, and prints a one-line summary
 per stage either way.
@@ -94,10 +83,10 @@ def _run(label, argv, env_src=True):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
-                        help="inner-loop mode: tier-1 + perf gate only "
-                             "(skips the slow equivalence suite)")
+                        help="inner-loop mode: every stage except the "
+                             "slow tests (same as --skip-slow)")
     parser.add_argument("--skip-slow", action="store_true",
-                        help="skip the slow equivalence tests")
+                        help="skip the slow tests")
     parser.add_argument("--skip-bench", action="store_true",
                         help="skip the perf gate")
     args = parser.parse_args(argv)
@@ -110,7 +99,7 @@ def main(argv=None):
     ]
     if not (args.skip_slow or args.fast):
         stages.append((
-            "slow equivalence tests",
+            "slow tests",
             [sys.executable, "-m", "pytest", "-q", "-m", "slow",
              "--override-ini", "addopts="],
         ))
