@@ -10,7 +10,8 @@ registry), so the figure benchmarks farm independent runs out to a
 process pool and merge results deterministically.
 """
 
-import hashlib
+import collections
+import functools
 import logging
 import multiprocessing
 import os
@@ -157,8 +158,6 @@ class SweepResult(list):
             failed permanently.
         retries: total resubmissions performed (crashes, hangs, raised
             exceptions that later succeeded all count).
-        resumed: results loaded from an on-disk checkpoint instead of
-            being recomputed.
         store: result-store accounting for the sweep — a dict with
             ``hits`` / ``misses`` / ``verify_failures`` (plus
             quarantine/write bookkeeping and the degradation reason,
@@ -168,81 +167,11 @@ class SweepResult(list):
     partial = False
     failures = ()
     retries = 0
-    resumed = 0
     store = None
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.store = repro_store.StoreStats().snapshot()
-
-
-def _checkpoint_fingerprint(worker, tasks):
-    """Identity of a sweep, so a checkpoint never feeds a different one.
-
-    ``None`` (unpicklable tasks) disables fingerprint matching — the
-    checkpoint is then keyed by path alone, which the caller opted
-    into by passing ``checkpoint=``.
-    """
-    try:
-        blob = pickle.dumps(
-            (getattr(worker, "__module__", ""),
-             getattr(worker, "__qualname__", repr(worker)), tasks),
-            protocol=4,
-        )
-    except (pickle.PicklingError, TypeError, AttributeError,
-            RecursionError) as exc:
-        log.warning("sweep tasks are unpicklable (%s); checkpoint "
-                    "fingerprint matching is disabled for this run",
-                    exc)
-        return None
-    return hashlib.sha256(blob).hexdigest()
-
-
-#: Record key under which sweep checkpoints are written (the store's
-#: verified record format; see :mod:`repro.store`).
-_CHECKPOINT_KEY = "run-trips-checkpoint"
-
-
-def _checkpoint_load(path, fingerprint):
-    """Completed ``{index: result}`` from *path*, if it matches.
-
-    The checkpoint rides the result store's verified record format, so
-    a truncated or bit-flipped checkpoint is *detected* (payload
-    digest mismatch) and treated as a cold start with a warning —
-    never a traceback into the sweep.
-    """
-    try:
-        state = repro_store.read_record(path,
-                                        expected_key=_CHECKPOINT_KEY)
-    except FileNotFoundError:
-        return {}
-    except (repro_store.StoreCorruption, OSError) as exc:
-        log.warning("sweep checkpoint %s is unreadable (%s); treating "
-                    "the sweep as a cold start", path, exc)
-        return {}
-    if not isinstance(state, dict) or "results" not in state:
-        return {}
-    if state.get("fingerprint") != fingerprint:
-        return {}
-    return dict(state["results"])
-
-
-def _checkpoint_store(path, fingerprint, results):
-    """Durably persist completed results (tmp + fsync + rename).
-
-    A checkpoint that cannot be written (disk full, read-only
-    directory, unpicklable result) costs durability, not the sweep:
-    the failure is logged and the run continues.
-    """
-    try:
-        repro_store.write_record(
-            path, {"fingerprint": fingerprint, "results": results},
-            key=_CHECKPOINT_KEY,
-        )
-    except (OSError, pickle.PicklingError, TypeError,
-            AttributeError) as exc:
-        log.warning("sweep checkpoint %s could not be written (%s); "
-                    "continuing without resume durability", path, exc)
 
 
 def _spawn_safe_initializer(initializer, initargs):
@@ -300,14 +229,15 @@ def _store_task(spec):
     Runs in the worker process (or inline on the serial path), so the
     per-key advisory lock serializes recomputation across every
     process asking for the same missing entry — including concurrent
-    sweeps in other interpreters.  Returns a tagged tuple with the
-    store-counter delta so the parent can account verification
-    failures and writes that happened worker-side.
+    sweeps in other interpreters — and each finished task is durable
+    the moment it returns.  Returns ``(store-counter delta, value)``
+    so the parent can account verification failures and writes that
+    happened worker-side.
     """
     root, read_only, key, worker, task = spec
     store = repro_store.ResultStore(root, read_only=read_only)
     value = store.get_or_compute(key, lambda: worker(task))
-    return "store-task", store.stats.snapshot(), value
+    return store.stats.snapshot(), value
 
 
 def _merge_worker_store_stats(sweep_store, delta):
@@ -328,7 +258,7 @@ def _merge_worker_store_stats(sweep_store, delta):
 def run_trips(worker, tasks, workers=None,
               initializer=None, initargs=(), start_method=None,
               task_timeout_s=None, retries=0, retry_backoff_s=0.5,
-              checkpoint=None, store=None):
+              store=None):
     """Run independent per-trip tasks, optionally on a process pool.
 
     Every stochastic component draws from streams derived from
@@ -361,9 +291,11 @@ def run_trips(worker, tasks, workers=None,
             (children share the already-imported modules).  Under a
             spawning method the initializer must be spawn-safe — see
             :func:`_spawn_safe_initializer`.
-        task_timeout_s: per-task wall-clock budget.  A task that
-            neither returns nor raises within it is presumed lost —
-            the covering failure mode is a crashed or wedged worker
+        task_timeout_s: per-task wall-clock budget for the task's run,
+            not its wait in the pool's queue (a task is only handed
+            out when a worker is free for it).  A task that neither
+            returns nor raises within it is presumed lost — the
+            covering failure mode is a crashed or wedged worker
             process, which ``multiprocessing.Pool`` never reports —
             and is resubmitted (until *retries* is exhausted).  When
             every pool slot is presumed lost the pool itself is torn
@@ -376,14 +308,6 @@ def run_trips(worker, tasks, workers=None,
             exceptions, timeouts, and crashed workers alike).
         retry_backoff_s: initial backoff before a resubmission;
             doubles per attempt (0.5 s, 1 s, 2 s, ...).
-        checkpoint: optional path for an on-disk checkpoint of
-            completed task results (the store's verified record
-            format, written atomically with fsync after every
-            completion).  A rerun with the same worker and task list
-            resumes from it — completed tasks are not recomputed —
-            and the file is removed once every task has succeeded.  A
-            truncated or corrupt checkpoint is detected and treated
-            as a cold start with a warning.
         store: result-store participation.  ``None`` (default) uses
             the ambient store — the one installed via
             :func:`repro.store.set_default_store` or named by the
@@ -393,13 +317,15 @@ def run_trips(worker, tasks, workers=None,
             a path or :class:`repro.store.ResultStore` opts in
             explicitly.  With a store, each task's result is
             content-addressed by (worker, initializer state, task,
-            schema/code version): warm re-runs are pure cache reads,
-            corrupt entries are quarantined and recomputed, and
-            concurrent processes missing on the same key compute it
-            once (single-flight).  A sweep whose identity cannot be
-            canonically tokenized, or a store on failing media, logs
-            one warning and runs uncached — caching never fails a
-            sweep.
+            schema/code version) and written by its worker as soon
+            as it finishes: warm re-runs are pure cache reads, so an
+            interrupted or partly failed sweep resumes by running it
+            again against the same store; corrupt entries are
+            quarantined and recomputed, and concurrent processes
+            missing on the same key compute it once (single-flight).
+            A sweep whose identity cannot be canonically tokenized,
+            or a store on failing media, logs one warning and runs
+            uncached — caching never fails a sweep.
 
     Returns:
         :class:`SweepResult` — a list of results, one per task, in
@@ -416,7 +342,6 @@ def run_trips(worker, tasks, workers=None,
     retries = max(int(retries), 0)
 
     store_obj = repro_store.resolve_store(store)
-    store_keys = None
     if store_obj is not None:
         try:
             context = _sweep_store_context(worker, initializer, initargs)
@@ -429,27 +354,12 @@ def run_trips(worker, tasks, workers=None,
                         "without the result store", exc)
             store_obj = None
     sweep_store = repro_store.StoreStats()
-    store_call = None
-    if store_obj is not None:
-        store_call = (store_obj.root, store_obj.read_only, store_keys)
-
-    fingerprint = None
-    results = {}
-    if checkpoint is not None:
-        fingerprint = _checkpoint_fingerprint(worker, tasks)
-        results = {
-            i: r for i, r in _checkpoint_load(checkpoint,
-                                              fingerprint).items()
-            if isinstance(i, int) and 0 <= i < len(tasks)
-        }
-    resumed = len(results)
 
     # Warm-cache pre-pass: every task already in the store is a pure
     # read in the parent — a fully warm sweep never spins up a pool.
+    results = {}
     if store_obj is not None:
         for i in range(len(tasks)):
-            if i in results:
-                continue
             status, value = store_obj._load(store_keys[i])
             if status == "hit":
                 results[i] = value
@@ -462,134 +372,120 @@ def run_trips(worker, tasks, workers=None,
                 elif status == "error":
                     sweep_store.degraded = store_obj.stats.degraded
 
-    def _finish(partial, failures, retry_count):
-        out = SweepResult(results.get(i) for i in range(len(tasks)))
-        out.partial = bool(partial) or len(results) < len(tasks)
-        out.failures = tuple(failures)
-        out.retries = retry_count
-        out.resumed = resumed
-        out.store = sweep_store.snapshot()
-        if checkpoint is not None:
-            if out.partial:
-                if results:
-                    _checkpoint_store(checkpoint, fingerprint, results)
-            elif os.path.exists(checkpoint):
-                os.remove(checkpoint)
-        return out
-
     pending = [i for i in range(len(tasks)) if i not in results]
-    if not pending:
-        return _finish(False, (), 0)
+    if store_obj is None:
+        calls = {i: (worker, (tasks[i],)) for i in pending}
+    else:
+        calls = {
+            i: (_store_task, ((store_obj.root, store_obj.read_only,
+                               store_keys[i], worker, tasks[i]),))
+            for i in pending
+        }
 
     if workers <= 1:
-        return _run_serial(worker, tasks, pending, results, initializer,
-                           initargs, retries, retry_backoff_s,
-                           checkpoint, fingerprint, _finish,
-                           store_call, sweep_store)
-    return _run_pooled(worker, tasks, pending, results,
-                       min(workers, len(pending)), initializer,
-                       initargs, start_method, task_timeout_s, retries,
-                       retry_backoff_s, checkpoint, fingerprint,
-                       _finish, store_call, sweep_store)
-
-
-def _run_serial(worker, tasks, pending, results, initializer, initargs,
-                retries, retry_backoff_s, checkpoint, fingerprint,
-                finish, store_call=None, sweep_store=None):
-    """In-process sweep: same retry/checkpoint semantics, no pool."""
-    if initializer is not None:
-        initializer(*initargs)
-    failures = []
-    retry_count = 0
-
-    def _call(i):
-        if store_call is None:
-            return worker(tasks[i])
-        root, read_only, keys = store_call
-        _tag, delta, value = _store_task(
-            (root, read_only, keys[i], worker, tasks[i])
+        slots = 1
+        new_pool = functools.partial(_InlinePool, initializer, initargs)
+    else:
+        # fork shares the already-imported modules with the children;
+        # spawn (the only option on some platforms) re-imports them.
+        methods = multiprocessing.get_all_start_methods()
+        if start_method is None:
+            start_method = "fork" if "fork" in methods else "spawn"
+        elif start_method not in methods:
+            raise ValueError(
+                f"start method {start_method!r} not available "
+                f"(have {methods})"
+            )
+        if start_method != "fork" and initializer is not None:
+            initializer, initargs = _spawn_safe_initializer(initializer,
+                                                            initargs)
+        slots = min(workers, len(pending))
+        new_pool = functools.partial(
+            multiprocessing.get_context(start_method).Pool, slots,
+            initializer, tuple(initargs),
         )
-        _merge_worker_store_stats(sweep_store, delta)
-        return value
 
-    try:
-        for i in pending:
-            attempt = 0
-            while True:
-                try:
-                    results[i] = _call(i)
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] task isolation: one bad task becomes a recorded failure/retry, not a dead sweep
-                    attempt += 1
-                    if attempt > retries:
-                        failures.append((i, f"raised {exc!r}"))
-                        break
-                    retry_count += 1
-                    time.sleep(retry_backoff_s * 2.0 ** (attempt - 1))
-                else:
-                    if checkpoint is not None:
-                        _checkpoint_store(checkpoint, fingerprint,
-                                          results)
-                    break
-    except KeyboardInterrupt:
-        return finish(True, failures, retry_count)
-    return finish(False, failures, retry_count)
+    failures, retry_count, interrupted = _dispatch(
+        new_pool, slots, calls, task_timeout_s, retries, retry_backoff_s,
+        results, sweep_store if store_obj is not None else None,
+    )
+    out = SweepResult(results.get(i) for i in range(len(tasks)))
+    out.partial = interrupted or len(results) < len(tasks)
+    out.failures = tuple(failures)
+    out.retries = retry_count
+    out.store = sweep_store.snapshot()
+    return out
 
 
-def _run_pooled(worker, tasks, pending, results, workers, initializer,
-                initargs, start_method, task_timeout_s, retries,
-                retry_backoff_s, checkpoint, fingerprint, finish,
-                store_call=None, sweep_store=None):
-    """Process-pool sweep with crash/hang detection and retry.
+class _InlinePool:
+    """The serial sweep's one-slot stand-in for ``multiprocessing.Pool``.
 
-    Tasks are dispatched individually (``apply_async``) so each has
-    its own deadline; ``multiprocessing.Pool`` respawns a crashed
-    worker but silently abandons its in-flight task, so the deadline
-    is the *only* signal for both crashes and hangs.  A hung worker
-    additionally wedges its pool slot; once every slot is presumed
-    lost, the pool is terminated and rebuilt, and still-pending work
-    resubmitted.
+    Runs the initializer once in-process, and ``apply_async`` runs the
+    task immediately, so :func:`_dispatch` drives serial and pooled
+    sweeps through the same loop.  ``KeyboardInterrupt`` escapes
+    ``apply_async`` to the dispatcher; any other exception is kept for
+    :meth:`_InlineResult.get`.
     """
-    # fork shares the already-imported modules with the children;
-    # spawn (the only option on some platforms) re-imports them.
-    methods = multiprocessing.get_all_start_methods()
-    if start_method is None:
-        start_method = "fork" if "fork" in methods else "spawn"
-    elif start_method not in methods:
-        raise ValueError(
-            f"start method {start_method!r} not available "
-            f"(have {methods})"
-        )
-    if start_method != "fork" and initializer is not None:
-        initializer, initargs = _spawn_safe_initializer(initializer,
-                                                        initargs)
-    ctx = multiprocessing.get_context(start_method)
 
-    failures = []
-    retry_count = 0
-    lost_slots = 0
-    attempts = {i: 0 for i in pending}
+    def __init__(self, initializer, initargs):
+        if initializer is not None:
+            initializer(*initargs)
+
+    def apply_async(self, func, args):
+        return _InlineResult(func, args)
+
+    def terminate(self):
+        """Nothing to tear down: tasks run inside ``apply_async``."""
+
+    join = terminate
+
+
+class _InlineResult:
+    """A finished in-process task, read like an ``AsyncResult``."""
+
+    def __init__(self, func, args):
+        self._error = None
+        try:
+            self._value = func(*args)
+        except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] kept for get(), which re-raises it into the dispatcher's failure/retry bookkeeping
+            self._error = exc
+
+    def ready(self):
+        return True
+
+    def get(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _dispatch(new_pool, slots, calls, task_timeout_s, retries,
+              retry_backoff_s, results, store_stats=None):
+    """The one deadline/retry/rebuild loop behind :func:`run_trips`.
+
+    Runs ``calls`` (task index -> ``(func, args)``) on ``new_pool()``,
+    a ``multiprocessing`` pool or an :class:`_InlinePool`, writing each
+    result to ``results[index]``.  At most one task is in flight per
+    slot not presumed lost, so every in-flight task has a worker to
+    itself and its deadline times its run, never a wait in the pool's
+    queue.  ``multiprocessing.Pool`` respawns a crashed worker but
+    silently abandons its task, so the deadline is the *only* signal
+    for both crashes and hangs; a hung worker also wedges its slot,
+    and once every slot is presumed lost the pool is torn down and
+    rebuilt.  With *store_stats*, each value is a :func:`_store_task`
+    pair whose worker-side counter delta is folded into it.
+
+    Returns:
+        ``(failures, retry_count, interrupted)``.
+    """
+    if not calls:
+        return [], 0, False
+    queue = collections.deque(calls)
+    attempts = dict.fromkeys(calls, 0)
     inflight = {}   # index -> (AsyncResult, deadline | None)
     waiting = {}    # index -> earliest resubmission time (backoff)
-
-    pool = ctx.Pool(processes=workers, initializer=initializer,
-                    initargs=tuple(initargs))
-
-    def submit(i, count_attempt=True):
-        if count_attempt:
-            attempts[i] += 1
-        deadline = (None if task_timeout_s is None
-                    else time.monotonic() + float(task_timeout_s))
-        if store_call is None:
-            handle = pool.apply_async(worker, (tasks[i],))
-        else:
-            root, read_only, keys = store_call
-            handle = pool.apply_async(
-                _store_task,
-                ((root, read_only, keys[i], worker, tasks[i]),),
-            )
-        inflight[i] = (handle, deadline)
+    failures = []
+    retry_count = lost_slots = 0
 
     def fail_or_retry(i, reason):
         nonlocal retry_count
@@ -600,18 +496,22 @@ def _run_pooled(worker, tasks, pending, results, workers, initializer,
         backoff = retry_backoff_s * 2.0 ** (attempts[i] - 1)
         waiting[i] = time.monotonic() + backoff
 
+    pool = new_pool()
     try:
-        for i in pending:
-            submit(i)
-        while inflight or waiting:
-            progressed = False
+        while queue or inflight or waiting:
             now = time.monotonic()
-            for i in [i for i, t in waiting.items() if t <= now]:
+            due = [i for i, t in waiting.items() if t <= now]
+            for i in due:
                 del waiting[i]
-                submit(i)
-                progressed = True
-            for i in list(inflight):
-                handle, deadline = inflight[i]
+            queue.extendleft(due)
+            while queue and len(inflight) + lost_slots < slots:
+                i = queue.popleft()
+                attempts[i] += 1
+                deadline = (None if task_timeout_s is None
+                            else time.monotonic() + float(task_timeout_s))
+                inflight[i] = (pool.apply_async(*calls[i]), deadline)
+            progressed = False
+            for i, (handle, deadline) in list(inflight.items()):
                 if handle.ready():
                     del inflight[i]
                     progressed = True
@@ -619,15 +519,11 @@ def _run_pooled(worker, tasks, pending, results, workers, initializer,
                         value = handle.get()
                     except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] task isolation: a worker exception becomes a recorded failure/retry, not a dead sweep
                         fail_or_retry(i, f"raised {exc!r}")
-                    else:
-                        if store_call is not None:
-                            _tag, delta, value = value
-                            _merge_worker_store_stats(sweep_store,
-                                                      delta)
-                        results[i] = value
-                        if checkpoint is not None:
-                            _checkpoint_store(checkpoint, fingerprint,
-                                              results)
+                        continue
+                    if store_stats is not None:
+                        delta, value = value
+                        _merge_worker_store_stats(store_stats, delta)
+                    results[i] = value
                 elif deadline is not None and now >= deadline:
                     # Crashed worker (task abandoned) or hung worker
                     # (slot wedged until the pool dies) — either way
@@ -638,34 +534,25 @@ def _run_pooled(worker, tasks, pending, results, workers, initializer,
                     fail_or_retry(
                         i, f"timed out after {task_timeout_s} s"
                     )
-            if lost_slots >= workers and (inflight or waiting):
-                # Every slot presumed wedged: only a fresh pool can
-                # make progress.  In-flight tasks did not fail — they
-                # were on the doomed pool — so resubmission does not
-                # charge their retry budget.
-                resubmit = list(inflight)
-                inflight.clear()
+            if lost_slots == slots and (queue or waiting):
+                # Every slot presumed wedged, so nothing is in flight:
+                # only a fresh pool can make progress.
                 pool.terminate()
                 pool.join()
-                pool = ctx.Pool(processes=workers,
-                                initializer=initializer,
-                                initargs=tuple(initargs))
+                pool = new_pool()
                 lost_slots = 0
-                for i in resubmit:
-                    submit(i, count_attempt=False)
                 progressed = True
             if not progressed:
                 time.sleep(0.005)
     except KeyboardInterrupt:
+        return failures, retry_count, True
+    finally:
+        # terminate (not close): a wedged worker from a timed-out task
+        # would make close+join wait forever; every result is already
+        # in hand.
         pool.terminate()
         pool.join()
-        return finish(True, failures, retry_count)
-    # terminate (not close): a wedged worker from a timed-out task
-    # would make close+join wait forever; every result is already in
-    # hand, matching the historical ``with Pool(...)`` exit behaviour.
-    pool.terminate()
-    pool.join()
-    return finish(False, failures, retry_count)
+    return failures, retry_count, False
 
 
 #: Heavyweight per-worker state (testbeds, variant maps) shipped once

@@ -117,17 +117,16 @@ def _faulted_task(task):
 
 def fault_intensity_sweep(intensities=(0.0, 1.0, 2.0), trip=0,
                           seeds=(0,), duration_s=60.0, base=BASE_FAULTS,
-                          workers=None, checkpoint=None,
-                          task_timeout_s=None, retries=0, store=None):
+                          workers=None, store=None):
     """ViFi vs BRR as fault intensity rises (figure-style summary).
 
     Args:
         intensities: multipliers applied to *base* via
             :meth:`FaultConfig.scaled`; 0 is the nominal world.
         seeds: protocol/fault seeds averaged per point.
-        checkpoint / task_timeout_s / retries: passed straight to
-            :func:`run_trips` — an interrupted sweep resumes from its
-            checkpoint instead of restarting.
+        store: passed straight to :func:`run_trips` — rerunning an
+            interrupted sweep against the same result store resumes
+            it: finished points are cache hits, not recomputed.
 
     Returns:
         dict intensity -> protocol -> ``{"delivery", "mos",
@@ -142,8 +141,7 @@ def fault_intensity_sweep(intensities=(0.0, 1.0, 2.0), trip=0,
         for seed in seeds
     ]
     results = run_trips(_faulted_task, points, workers=workers,
-                        checkpoint=checkpoint, store=store,
-                        task_timeout_s=task_timeout_s, retries=retries)
+                        store=store)
     merged = {}
     for point, result in zip(points, results):
         if result is None:

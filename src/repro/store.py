@@ -26,10 +26,6 @@ ever serving a wrong byte.  This module is that foundation:
 * **Graceful degradation.**  A read-only store, a full disk, or an
   unavailable root never fails an experiment: the store logs once,
   marks itself degraded, and every request falls through to compute.
-
-The same record format backs :func:`repro.experiments.common.run_trips`
-checkpoints, so sweep resume shares one durability code path with the
-result cache.
 """
 
 import errno
@@ -195,7 +191,7 @@ def result_key(kind, *parts, schema_version=SCHEMA_VERSION,
 
 
 # ----------------------------------------------------------------------
-# Record format (shared by store entries and sweep checkpoints)
+# Record format
 # ----------------------------------------------------------------------
 
 def write_record(path, payload, key=""):

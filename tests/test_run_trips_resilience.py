@@ -11,7 +11,6 @@ tuple.
 
 import multiprocessing
 import os
-import pickle
 import time
 
 import pytest
@@ -27,6 +26,7 @@ from repro.experiments.common import (
     vanlan_cbr_trip,
     vanlan_protocol,
 )
+from repro.store import ResultStore
 from repro.testbeds.vanlan import VanLanTestbed
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -82,6 +82,22 @@ def _interrupt_on(task):
     if value == trigger:
         raise KeyboardInterrupt
     return value * value
+
+
+def _interrupt_once(task):
+    """Interrupts the sweep on the first attempt at value 3."""
+    value, markdir = task
+    if value == 3:
+        marker = _marker(markdir, "interrupted")
+        if not os.path.exists(marker):
+            open(marker, "w").close()
+            raise KeyboardInterrupt
+    return value * value
+
+
+def _slow_echo(task):
+    time.sleep(0.7)
+    return task
 
 
 def _bank_probe(task):
@@ -152,6 +168,16 @@ class TestRetry:
         assert not result.partial and result.retries >= 1
         assert wall < 60.0  # nowhere near the 600 s hang
 
+    @pytest.mark.skipif(not HAS_FORK, reason="fork start method only")
+    def test_deadline_excludes_queue_wait(self):
+        """Four 0.7 s tasks on two workers finish in about 1.4 s; the
+        1 s deadline times each task's run, so the two that start
+        after the first pair are not timed out for waiting."""
+        result = run_trips(_slow_echo, range(4), workers=2,
+                           task_timeout_s=1.0, retries=0)
+        assert list(result) == [0, 1, 2, 3]
+        assert result.failures == () and result.retries == 0
+
 
 class TestKeyboardInterrupt:
     def test_serial_interrupt_returns_partial_prefix(self):
@@ -177,48 +203,32 @@ class TestKeyboardInterrupt:
         assert result[1] is None
 
 
-class TestCheckpoint:
-    def test_resume_skips_completed_tasks(self, tmp_path):
-        checkpoint = str(tmp_path / "sweep.ckpt")
+class TestStoreResume:
+    """A rerun against the sweep's result store resumes it: tasks that
+    finished are hits, only the rest are recomputed."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rerun_recomputes_only_the_failed_task(self, tmp_path,
+                                                   workers):
+        store = ResultStore(tmp_path / "store")
         tasks = [(v, str(tmp_path)) for v in (1, 2, 3)]
-        # First pass: task at value 2 fails permanently -> partial,
-        # checkpoint keeps the two completed results.
-        first = run_trips(_flaky_raise, tasks, workers=1, retries=0,
-                          checkpoint=checkpoint)
-        assert first.partial and os.path.exists(checkpoint)
-        assert list(first) == [1, None, 9]
-        # Second pass resumes: the marker file now exists, so the
-        # previously failing task succeeds; completed tasks are not
-        # recomputed.
-        second = run_trips(_flaky_raise, tasks, workers=1, retries=0,
-                           checkpoint=checkpoint)
-        assert list(second) == [1, 4, 9]
-        assert second.resumed == 2 and not second.partial
-        assert not os.path.exists(checkpoint)  # removed on success
+        first = run_trips(_flaky_raise, tasks, workers=workers,
+                          retries=0, store=store)
+        assert list(first) == [1, None, 9] and first.partial
+        second = run_trips(_flaky_raise, tasks, workers=workers,
+                           retries=0, store=store)
+        assert list(second) == [1, 4, 9] and not second.partial
+        assert second.store["hits"] == 2 and second.store["misses"] == 1
 
-    def test_checkpoint_ignored_for_different_sweep(self, tmp_path):
-        checkpoint = str(tmp_path / "sweep.ckpt")
-        with open(checkpoint, "wb") as fh:
-            pickle.dump({"fingerprint": "bogus",
-                         "results": {0: 999}}, fh)
-        result = run_trips(_square, [5], workers=1,
-                           checkpoint=checkpoint)
-        assert list(result) == [25]
-
-    def test_corrupt_checkpoint_ignored(self, tmp_path):
-        checkpoint = str(tmp_path / "sweep.ckpt")
-        with open(checkpoint, "wb") as fh:
-            fh.write(b"not a pickle")
-        result = run_trips(_square, [3, 4], workers=1,
-                           checkpoint=checkpoint)
-        assert list(result) == [9, 16]
-
-    def test_pooled_checkpoint_roundtrip(self, tmp_path):
-        checkpoint = str(tmp_path / "sweep.ckpt")
-        result = run_trips(_square, [1, 2, 3, 4], workers=2,
-                           checkpoint=checkpoint)
-        assert list(result) == [1, 4, 9, 16]
-        assert not os.path.exists(checkpoint)
+    def test_interrupted_serial_sweep_resumes(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        tasks = [(v, str(tmp_path)) for v in (1, 2, 3, 4)]
+        first = run_trips(_interrupt_once, tasks, workers=1, store=store)
+        assert list(first) == [1, 4, None, None] and first.partial
+        second = run_trips(_interrupt_once, tasks, workers=1,
+                           store=store)
+        assert list(second) == [1, 4, 9, 16] and not second.partial
+        assert second.store["hits"] == 2 and second.store["misses"] == 2
 
 
 class TestSpawnCompatibility:

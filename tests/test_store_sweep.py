@@ -5,13 +5,10 @@ integration properties the store satellites pin down: a warm re-run is
 a pure cache read with identical results at any worker count, a
 corrupted store heals to results bitwise-equal to a cold run, sweep
 identity that cannot be tokenized degrades to uncached execution, and
-the PR 7 checkpoint path shares the verified record format (truncated
-or legacy checkpoints mean a cold start with a warning, never a
-traceback).
+memoized banks and beacon logs heal the same way.
 """
 
 import multiprocessing
-import pickle
 
 import numpy as np
 import pytest
@@ -23,7 +20,7 @@ from repro.experiments.common import (
     run_trips,
     vanlan_cbr_trip,
 )
-from repro.store import ResultStore, read_record, result_key
+from repro.store import ResultStore
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -176,46 +173,6 @@ class TestSelfHealing:
         assert sweep.store["hits"] == sweep.store["misses"] == 0
         assert store.entry_count() == 0
         assert any("not cacheable" in r.message for r in caplog.records)
-
-
-class TestCheckpointDurability:
-    def test_checkpoint_uses_verified_record_format(self, tmp_path):
-        """The sweep checkpoint is a store record: magic + digest."""
-        ckpt = tmp_path / "sweep.ckpt"
-        result = run_trips(_square, [1, 2], workers=1,
-                           checkpoint=str(ckpt), retries=0)
-        assert list(result) == [1, 4]
-        assert not ckpt.exists()  # complete sweeps remove it
-
-    def test_truncated_checkpoint_cold_start_no_traceback(self, tmp_path,
-                                                          caplog):
-        ckpt = tmp_path / "sweep.ckpt"
-        # Write a valid record, then truncate it mid-payload.
-        from repro.store import write_record
-        write_record(ckpt, {"fingerprint": "x", "results": {0: 1}},
-                     key="run-trips-checkpoint")
-        ckpt.write_bytes(ckpt.read_bytes()[:-7])
-        with caplog.at_level("WARNING"):
-            result = run_trips(_square, [3, 4], workers=1,
-                               checkpoint=str(ckpt))
-        assert list(result) == [9, 16]
-        assert result.resumed == 0
-
-    def test_legacy_pickle_checkpoint_cold_start(self, tmp_path):
-        """A PR 7 plain-pickle checkpoint reads as corrupt, not fatal."""
-        ckpt = tmp_path / "sweep.ckpt"
-        with open(ckpt, "wb") as fh:
-            pickle.dump({"fingerprint": "old", "results": {0: 99}}, fh)
-        result = run_trips(_square, [5], workers=1, checkpoint=str(ckpt))
-        assert list(result) == [25]
-        assert result.resumed == 0
-
-    def test_garbage_checkpoint_cold_start(self, tmp_path):
-        ckpt = tmp_path / "sweep.ckpt"
-        ckpt.write_bytes(b"\x00\xffgarbage" * 10)
-        result = run_trips(_square, [6], workers=1, checkpoint=str(ckpt))
-        assert list(result) == [36]
-        assert result.resumed == 0
 
 
 class TestMemoizedBuilders:
