@@ -348,7 +348,7 @@ class SteeredGilbertElliott(LossProcess):
         bound may degenerate to the query time itself (float division
         lands the key either side of the edge); that costs one extra
         refresh, never a stale threshold — asserted by the boundary
-        tests in ``tests/test_perf_kernel.py``.  A generic callable
+        tests in ``tests/test_net_channel.py``.  A generic callable
         target can change at any instant, so its window degenerates to
         the query time (no reuse); ``quantum<=0`` likewise buckets at
         exact query times only, preserving the bitwise guarantee.  The

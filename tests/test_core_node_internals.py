@@ -1,12 +1,14 @@
 """Focused tests for node-internal mechanisms.
 
-Bitmap acknowledgments, receiver de-duplication state, the adaptive
-ack-wait window, gateway routing, beacon decoration and slot-aligned
-beacon batching — behaviours that the protocol integration tests
-exercise only incidentally.
+Bitmap acknowledgments, receiver de-duplication state (checked
+against an ordered-dict oracle), the adaptive ack-wait window, gateway
+routing, beacon decoration and slot-aligned beacon batching —
+behaviours that the protocol integration tests exercise only
+incidentally.
 """
 
-from collections import defaultdict
+import random
+from collections import OrderedDict, defaultdict
 
 import pytest
 
@@ -368,3 +370,64 @@ class TestBeaconSlotter:
         assert emitted >= 100
         assert medium.batches >= 1
         assert sim.events_processed <= emitted / 2
+
+
+class _OrderedDictReceiverReference:
+    """The ordered-dict receiver state the ring replaced, as an oracle."""
+
+    def __init__(self, memory=512):
+        self.memory = memory
+        self._received = OrderedDict()
+
+    def record(self, pkt_id):
+        fresh = pkt_id not in self._received
+        self._received[pkt_id] = True
+        self._received.move_to_end(pkt_id)
+        while len(self._received) > self.memory:
+            self._received.popitem(last=False)
+        return fresh
+
+    def missing_bitmap(self, pkt_id):
+        bitmap = 0
+        for k in range(8):
+            candidate = pkt_id - 1 - k
+            if candidate >= 0 and candidate not in self._received:
+                bitmap |= 1 << k
+        return bitmap
+
+
+class TestReceiverStateRing:
+    def test_matches_reference_on_protocol_like_sequences(self):
+        """Ring+set == ordered-dict oracle over realistic id streams.
+
+        Ids mostly increase with local reordering and duplicates —
+        the pattern retransmissions and relays produce.  (The two
+        structures only diverge when a duplicate arrives more than the
+        memory depth late, which cannot happen within the 8-slot
+        bitmap / retransmission horizons.)
+        """
+        rng = random.Random(42)
+        state = _ReceiverState()
+        reference = _OrderedDictReceiverReference()
+        next_id = 0
+        window = []
+        for _ in range(5000):
+            if window and rng.random() < 0.3:
+                pkt_id = rng.choice(window)  # duplicate / reordered
+            else:
+                pkt_id = next_id
+                next_id += 1
+                window.append(pkt_id)
+                if len(window) > 32:
+                    window.pop(0)
+            assert state.record(pkt_id) == reference.record(pkt_id)
+            probe = max(pkt_id, 8)
+            assert state.missing_bitmap(probe) == \
+                reference.missing_bitmap(probe)
+
+    def test_memory_bounded(self):
+        state = _ReceiverState()
+        for pkt_id in range(3000):
+            state.record(pkt_id)
+        assert state.record(0)  # ancient id forgotten
+        assert not state.record(2999)

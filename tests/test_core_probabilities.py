@@ -8,7 +8,8 @@ behaviour of the two is identical wherever the fold instants match
 one-view scenario is exactly the oracle's fold).  The bank-only tests
 below check bit-for-bit agreement with the oracle over random beacon
 schedules, the period-aligned single fold event, and bounded per-peer
-state.
+state.  Last, the oracle's batched beacon ingest and cached beacon
+reports are checked to be observationally eager.
 """
 
 import random
@@ -416,3 +417,60 @@ class TestBoundedPeerState:
         _, learned = est.beacon_reports(30.0)
         assert len(learned) <= stale_s + 1
         assert len(est._outgoing) <= stale_s + 1
+
+
+class TestEstimatorBatchedIngest:
+    def test_lazy_flush_is_observationally_eager(self):
+        """Query-per-beacon and query-at-end see identical state."""
+        eager = ReceptionEstimator(1)
+        lazy = ReceptionEstimator(1)
+        rng = random.Random(7)
+        beacons = []
+        for k in range(200):
+            sender = rng.choice([2, 3, 4])
+            beacons.append((beacon(
+                sender,
+                incoming={1: rng.random(), 5: rng.random()},
+                learned={6: rng.random()},
+            ), 0.01 * k))
+        for frame, now in beacons:
+            eager.on_beacon(frame, now)
+            # Force an immediate fold on the eager instance.
+            assert eager.probability(frame.sender, 1, now) >= 0.0
+            lazy.on_beacon(frame, now)
+        final = beacons[-1][1]
+        for a in (2, 3, 4, 5, 6):
+            for b in (1, 2, 3, 4, 5, 6):
+                assert lazy.probability(a, b, final) == \
+                    eager.probability(a, b, final)
+        assert sorted(lazy.peers_heard_within(final, 10.0)) == \
+            sorted(eager.peers_heard_within(final, 10.0))
+        lazy.tick_second(2.0)
+        eager.tick_second(2.0)
+        assert lazy.incoming_estimates() == eager.incoming_estimates()
+
+    def test_beacon_reports_shared_maps_are_frozen(self):
+        """A sent beacon's maps never change after the fact (COW)."""
+        est = ReceptionEstimator(1)
+        est.on_beacon(beacon(2, incoming={1: 0.5}), now=0.0)
+        incoming_1, learned_1 = est.beacon_reports(now=0.1)
+        snapshot = dict(learned_1)
+        # A later peer report about node 1 must not mutate the maps
+        # already embedded in transmitted beacons.
+        est.on_beacon(beacon(3, incoming={1: 0.9}), now=0.2)
+        _, learned_2 = est.beacon_reports(now=0.3)
+        assert dict(learned_1) == snapshot
+        assert learned_2[3] == 0.9
+
+    def test_beacon_reports_match_fresh_build(self):
+        """Cached reports equal an uncached rebuild at every instant."""
+        est = ReceptionEstimator(1, stale_s=1.0)
+        est.on_beacon(beacon(2, incoming={1: 0.5}), now=0.0)
+        est.on_beacon(beacon(3, incoming={1: 0.7}), now=0.4)
+        for now in (0.5, 0.9, 1.05, 1.2, 1.45, 2.0):
+            _, learned = est.beacon_reports(now=now)
+            expected = {
+                peer: prob for peer, (prob, ts) in est._outgoing.items()
+                if now - ts <= est.stale_s
+            }
+            assert dict(learned) == expected

@@ -1,5 +1,8 @@
 """Unit tests for loss processes, including the ``loss_eps`` values
-the medium's resolve rows read."""
+the medium's resolve rows read and the ``loss_eps_window`` bounds that
+let it reuse one threshold across a window."""
+
+import math
 
 import numpy as np
 import pytest
@@ -178,3 +181,117 @@ class TestLossEps:
             pi_b = process._chain.pi_bad
             mean = pi_b * eps_bad + (1 - pi_b) * eps_good
             assert mean == pytest.approx(cache.loss_prob(t), abs=1e-12)
+
+
+class TestLossEpsWindows:
+    """``loss_eps_window`` bounds are sound: eps is constant inside."""
+
+    def _check_windows(self, process, step, n):
+        """Walk monotone times; probe strictly inside each window."""
+        t = 0.0
+        for _ in range(n):
+            eps, until = process.loss_eps_window(t)
+            assert 0.0 <= eps <= 1.0
+            assert until >= t
+            # A monotone probe strictly inside the window must see the
+            # same probability (that is the reuse guarantee the array
+            # kernel leans on).
+            if math.isfinite(until):
+                inside = min(0.25 * (until - t), 0.5 * step)
+            else:
+                inside = 0.5 * step
+            if inside > 0.0:
+                t = t + inside
+                assert process.loss_eps(t) == eps
+            t = t + step
+
+    def test_bernoulli(self):
+        process = BernoulliLoss(0.3, RngRegistry(1).stream("b"))
+        self._check_windows(process, 0.1, 50)
+
+    def test_gilbert_elliott(self):
+        process = GilbertElliottLoss(0.05, 0.8, 0.9, 0.12,
+                                     RngRegistry(2).stream("g"))
+        self._check_windows(process, 0.05, 200)
+
+    def test_trace_driven(self):
+        process = TraceDrivenLoss([0.1, 0.9, 0.4], RngRegistry(3).stream("t"))
+        self._check_windows(process, 0.13, 40)
+
+    def test_steered_static(self):
+        process = SteeredGilbertElliott(0.35, RngRegistry(4).stream("s"))
+        self._check_windows(process, 0.03, 300)
+
+    def test_trace_second_boundary_instants(self):
+        """Exactly on a trace-second boundary the new second governs."""
+        rates = [0.1, 0.9, 0.4]
+        process = TraceDrivenLoss(rates, RngRegistry(5).stream("t"))
+        for second, rate in enumerate(rates):
+            eps, until = process.loss_eps_window(float(second))
+            assert eps == rate
+            assert until == float(second + 1)
+            # The window is sound right up to (and excluding) its end.
+            assert process.loss_eps(second + 0.999) == rate
+        # Past the trace: the out-of-range rate holds forever.
+        eps, until = process.loss_eps_window(float(len(rates)))
+        assert eps == 1.0
+        assert until == math.inf
+
+    def test_steering_bucket_edge_instants(self):
+        """Window bounds at exact bucket edges never go stale.
+
+        Querying exactly on a LinkStateCache bucket edge may land the
+        float-divided key on either side of the edge; the returned
+        bound must still satisfy the soundness contract (eps constant
+        strictly inside [t, bound)), even when it degenerates to the
+        query time itself.
+        """
+        testbed = VanLanTestbed(seed=8)
+        motion = testbed.vehicle_motion()
+        cache = LinkStateCache(testbed.link_model(0, 3, motion),
+                               quantum_s=0.02)
+        process = SteeredGilbertElliott(cache.loss_prob,
+                                        rng=RngRegistry(8).stream("s"))
+        for k in range(1, 400):
+            t = k * 0.02  # exact bucket edges, monotone
+            eps, until = process.loss_eps_window(t)
+            assert until >= t
+            assert process.loss_eps(t) == eps
+            if until > t:
+                probe = t + min(0.25 * (until - t), 1e-4)
+                assert process.loss_eps(probe) == eps
+
+    def test_pending_flip_caps_window(self):
+        """A pending chain flip bounds the window; at the flip instant
+        the flipped state governs and the bound moves past it."""
+        process = GilbertElliottLoss(0.05, 0.8, 0.9, 0.12,
+                                     RngRegistry(6).stream("g"))
+        eps_by_state = {False: 0.05, True: 0.8}
+        t = 0.0
+        for _ in range(50):
+            eps, flip_at = process.loss_eps_window(t)
+            assert eps == eps_by_state[process._in_bad]
+            assert flip_at == process._next_flip
+            # Querying exactly at the flip instant advances the chain:
+            # the opposite state's eps, and a strictly later bound.
+            before = process._in_bad
+            eps_at_flip, next_bound = process.loss_eps_window(flip_at)
+            assert process._in_bad != before
+            assert eps_at_flip == eps_by_state[process._in_bad]
+            assert next_bound > flip_at
+            t = flip_at
+
+    def test_steered_matches_loss_eps(self):
+        """window() returns the same eps value loss_eps would.
+
+        Twin processes on identically seeded *independent* streams
+        advance their chains through the same realization, so the
+        windowed and plain accessors must agree at every instant.
+        """
+        a = SteeredGilbertElliott(0.35, RngRegistry(9).stream("x"))
+        b = SteeredGilbertElliott(0.35, RngRegistry(9).fresh("x"))
+        assert a.rng is not b.rng
+        for k in range(200):
+            t = 0.017 * k
+            eps_w, _ = a.loss_eps_window(t)
+            assert eps_w == b.loss_eps(t)

@@ -1,18 +1,22 @@
 """Unit tests for the wireless medium and the backplane.
 
 Besides the basic send/receive/account behaviour, these cover
-merged and slot-batched transmissions, and check the vectorized
-resolve bit for bit against a per-row scalar reference.
+merged and slot-batched transmissions, check the vectorized resolve
+bit for bit against a per-row scalar reference, and pin the
+backoff-freezing CSMA's per-sender FIFO, the interval pre-draw plane's
+boundaries, and the reachability index that culls unreachable links.
 """
 
 import copy
+import math
 
 import pytest
 
+from repro.core.protocol import ViFiConfig
 from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.backplane import Backplane
-from repro.net.channel import BernoulliLoss
-from repro.net.medium import LinkTable, WirelessMedium
+from repro.net.channel import BernoulliLoss, TraceDrivenLoss
+from repro.net.medium import LinkTable, MediumObserver, WirelessMedium
 from repro.net.packet import Ack, DataPacket, Direction
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -409,3 +413,450 @@ class TestScalarResolveOracle:
                    if any(f.pkt_id == pkt_id for f, _ in node.received)]
             assert got == want
         assert 0 < sum(map(len, expected)) < 2 * n
+
+
+# ----------------------------------------------------------------------
+# Array resolve kernel
+# ----------------------------------------------------------------------
+
+class TestArrayKernelBitwise:
+    def test_probability_extremes(self):
+        """0/1-loss links behave exactly through the batched outcomes."""
+        sim = Simulator()
+        rngs = RngRegistry(11)
+        table = LinkTable()
+        table.set_link(0, 1, BernoulliLoss(0.0, rngs.stream("ok")))
+        table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("bad")))
+        medium = WirelessMedium(sim, table, rngs.stream("m"))
+
+        class _Node:
+            def __init__(self, node_id):
+                self.node_id = node_id
+                self.received = []
+
+            def on_receive(self, frame, transmitter_id):
+                self.received.append(frame.pkt_id)
+
+        nodes = [_Node(i) for i in range(3)]
+        for node in nodes:
+            medium.attach(node)
+        for pkt_id in range(20):
+            medium.send(0, DataPacket(pkt_id=pkt_id, src=0, dst=1,
+                                      direction=Direction.UPSTREAM,
+                                      size_bytes=100))
+        sim.run(until=5.0)
+        assert nodes[1].received == list(range(20))
+        assert nodes[2].received == []
+
+    def test_rows_fall_back_for_eps_less_processes(self):
+        """A process without loss_eps forces the per-row loop."""
+
+        class _CoinOnly:
+            static_loss_rate = 0.0
+
+            def is_lost(self, t):
+                return False
+
+            def loss_rate(self, t):
+                return 0.0
+
+        sim = Simulator()
+        rngs = RngRegistry(3)
+        table = LinkTable()
+        table.set_link(0, 1, _CoinOnly())
+        medium = WirelessMedium(sim, table, rngs.stream("m"))
+
+        class _Node:
+            def __init__(self, node_id):
+                self.node_id = node_id
+                self.received = []
+
+            def on_receive(self, frame, transmitter_id):
+                self.received.append(frame.pkt_id)
+
+        for node_id in (0, 1):
+            medium.attach(_Node(node_id))
+        medium._nodes[1].received = []
+        medium.send(0, DataPacket(pkt_id=7, src=0, dst=1,
+                                  direction=Direction.UPSTREAM,
+                                  size_bytes=100))
+        sim.run(until=1.0)
+        assert medium._nodes[1].received == [7]
+
+
+# ----------------------------------------------------------------------
+# Backoff-freezing CSMA
+# ----------------------------------------------------------------------
+
+class _TxOrderObserver(MediumObserver):
+    def __init__(self):
+        self.order = []
+
+    def on_transmit(self, transmitter_id, frame, start_time, end_time):
+        self.order.append((transmitter_id, frame.kind_value,
+                           getattr(frame, "pkt_id", None)))
+
+
+class TestBackoffFreeze:
+    def _contended_run(self, sends):
+        """Three nodes, zero backoff window -> deterministic order."""
+        sim = Simulator()
+        rngs = RngRegistry(7)
+        table = LinkTable()
+        for a in range(3):
+            for b in range(3):
+                if a != b:
+                    table.set_link(a, b, BernoulliLoss(
+                        0.0, rngs.stream("l", a, b)))
+        medium = WirelessMedium(sim, table, rngs.stream("m"),
+                                backoff_slots=0)
+        observer = _TxOrderObserver()
+        medium.add_observer(observer)
+
+        class _Node:
+            def __init__(self, node_id):
+                self.node_id = node_id
+                self.received = []
+
+            def on_receive(self, frame, transmitter_id):
+                self.received.append((frame.pkt_id, transmitter_id))
+
+        nodes = [_Node(i) for i in range(3)]
+        for node in nodes:
+            medium.attach(node)
+        for at, src, pkt_id in sends:
+            sim.schedule(at, medium.send, src,
+                         DataPacket(pkt_id=pkt_id, src=src,
+                                    dst=(src + 1) % 3,
+                                    direction=Direction.UPSTREAM,
+                                    size_bytes=600))
+        sim.run(until=2.0)
+        return observer.order
+
+    def test_fifo_per_sender_under_saturation(self):
+        sends = [(0.0, src, src * 100 + k)
+                 for k in range(10) for src in range(3)]
+        order = self._contended_run(sends)
+        data_order = [pkt for _, kind, pkt in order if kind == "data"]
+        for src in range(3):
+            mine = [p for p in data_order if p // 100 == src]
+            assert mine == sorted(mine)  # FIFO per sender
+        assert len(data_order) == len(sends)
+
+
+# ----------------------------------------------------------------------
+# Interval-level outcome pre-draw
+# ----------------------------------------------------------------------
+
+class _PlannedLoss:
+    """Duck-typed bucketed loss process with a committable span.
+
+    eps is a pure function of the bucket index (so reuse can never
+    change an outcome), and the process "flips" at fixed multiples of
+    ``flip_every``: windows and spans commit only up to the next flip,
+    mimicking :class:`SteeredGilbertElliott`'s horizon cap.
+    """
+
+    def __init__(self, quantum=0.02, flip_every=math.inf, salt=0):
+        self.quantum = quantum
+        self.flip_every = flip_every
+        self.salt = salt
+
+    def _eps(self, key):
+        return ((key * 37 + self.salt * 11) % 89) / 100.0
+
+    def _next_flip(self, t):
+        if self.flip_every is math.inf:
+            return math.inf
+        return (math.floor(t / self.flip_every) + 1.0) * self.flip_every
+
+    def loss_rate(self, t):
+        return self._eps(int(t / self.quantum))
+
+    def is_lost(self, t):
+        return False  # scalar path unused by these tests
+
+    def loss_eps(self, t):
+        return self._eps(int(t / self.quantum))
+
+    def loss_eps_window(self, t):
+        key = int(t / self.quantum)
+        bound = (key + 1.0) * self.quantum
+        flip = self._next_flip(t)
+        return self._eps(key), (bound if bound < flip else flip)
+
+    def loss_eps_span(self, t0, t1):
+        hi = self._next_flip(t0)
+        if t1 < hi:
+            hi = t1
+        if hi <= t0:
+            return None
+        quantum = self.quantum
+        k0 = int(t0 / quantum)
+        k1 = int(hi / quantum)
+        eps = [self._eps(k) for k in range(k0, k1 + 1)]
+        return eps, quantum, k0, hi
+
+
+class _RxSink:
+    def __init__(self, node_id):
+        self.node_id = node_id
+        self.received = []
+
+    def on_receive(self, frame, transmitter_id):
+        self.received.append((frame.pkt_id, transmitter_id))
+
+
+class TestIntervalPredraw:
+    """Boundary behaviour of the interval pre-draw plane."""
+
+    def _medium(self, n_rx=2, quantum=0.02, flip_every=math.inf,
+                n_tx=1, **kwargs):
+        sim = Simulator()
+        rngs = RngRegistry(5)
+        table = LinkTable()
+        for tx in range(n_tx):
+            for rx in range(n_tx, n_tx + n_rx):
+                table.set_link(tx, rx, _PlannedLoss(
+                    quantum=quantum, flip_every=flip_every,
+                    salt=tx * 10 + rx))
+        medium = WirelessMedium(sim, table, rngs.stream("m"),
+                                outcome_rng=rngs.stream("o"),
+                                backoff_slots=0,
+                                predraw_interval_s=0.1, **kwargs)
+        nodes = [_RxSink(i) for i in range(n_tx + n_rx)]
+        for node in nodes:
+            medium.attach(node)
+        return sim, medium, nodes
+
+    @staticmethod
+    def _frame(pkt_id, src=0):
+        return DataPacket(pkt_id=pkt_id, src=src, dst=1,
+                          direction=Direction.UPSTREAM, size_bytes=50)
+
+    def test_plans_arm_on_the_second_resolve_of_an_interval(self):
+        """Frame 1 falls back and arms; frame 2 establishes a plan."""
+        sim, medium, _ = self._medium()
+        for k in range(4):
+            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
+                         self._frame(k))
+        sim.run(until=0.099)
+        assert medium.predraw_plans == 1
+        assert medium.predraw_fallback_frames == 1
+        assert medium.predraw_planned_frames == 3
+        assert medium.predraw_failed_plans == 0
+
+    def test_single_frame_intervals_never_plan(self):
+        """One resolve per interval stays on the per-slot fallback —
+        pre-drawing 5 frames of uniforms for it would be waste."""
+        sim, medium, _ = self._medium()
+        for k in range(5):
+            sim.schedule(0.01 + 0.1 * k, medium.send, 0, self._frame(k))
+        sim.run(until=0.6)
+        assert medium.predraw_plans == 0
+        assert medium.predraw_planned_frames == 0
+        assert medium.predraw_fallback_frames == 5
+
+    def test_flip_inside_interval_splits_the_plan(self):
+        """A commitment horizon shorter than the interval forces
+        re-establishment mid-interval, never a stale threshold."""
+        sim, medium, nodes = self._medium(flip_every=0.03)
+        for k in range(5):
+            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
+                         self._frame(k))
+        sim.run(until=0.12)
+        # Frame 0 arms; frame 1 plans up to the 0.06 flip; frame 3
+        # (t=0.07) re-plans up to 0.09; frame 4 (t=0.09) re-plans to
+        # the interval edge.
+        assert medium.predraw_plans == 3
+        assert medium.predraw_fallback_frames == 1
+        assert medium.predraw_planned_frames == 4
+        # Flip-capped horizons are commitments, not failures.
+        assert medium.predraw_failed_plans == 0
+
+    def test_partial_interval_at_run_end(self):
+        """A plan reaching past the end of the run is harmless."""
+        sim, medium, nodes = self._medium()
+        for k in range(3):
+            sim.schedule(0.01 + 0.015 * k, medium.send, 0,
+                         self._frame(k))
+        sim.run(until=0.05)  # stop mid-interval, plan alive to 0.1
+        assert medium.predraw_plans == 1
+        assert medium.predraw_planned_frames == 2
+        total = sum(len(n.received) for n in nodes)
+        assert total == sum(
+            count for (_, kind), count in medium.delivered_count.items()
+        )
+
+    def test_mid_interval_contention_keeps_accounting_total(self):
+        """Contending transmitters resolve through their own plans;
+        every resolved frame is either planned or fallback."""
+        sim, medium, nodes = self._medium(n_tx=2, n_rx=2)
+        for k in range(6):
+            at = 0.01 + 0.012 * k
+            sim.schedule(at, medium.send, 0, self._frame(100 + k, 0))
+            sim.schedule(at, medium.send, 1, self._frame(200 + k, 1))
+        sim.run(until=0.3)
+        resolved = medium.predraw_planned_frames \
+            + medium.predraw_fallback_frames
+        sent = sum(medium.tx_count.values())
+        assert sent == 12
+        assert resolved == sent
+        assert medium.predraw_plans >= 1
+        # Both contenders delivered traffic through the plane.
+        delivered = {src for (_, src) in
+                     {(pkt, tx) for n in nodes for (pkt, tx) in
+                      n.received}}
+        assert delivered == {0, 1}
+
+    def test_refusing_process_parks_the_interval(self):
+        """A process that cannot commit past t0 fails the plan once,
+        then the whole interval rides the fallback path."""
+
+        class _NoSpan(_PlannedLoss):
+            def loss_eps_span(self, t0, t1):
+                return None
+
+        sim = Simulator()
+        rngs = RngRegistry(5)
+        table = LinkTable()
+        table.set_link(0, 1, _NoSpan(salt=1))
+        table.set_link(0, 2, _PlannedLoss(salt=2))
+        medium = WirelessMedium(sim, table, rngs.stream("m"),
+                                outcome_rng=rngs.stream("o"),
+                                backoff_slots=0,
+                                predraw_interval_s=0.1)
+        for node in (_RxSink(0), _RxSink(1), _RxSink(2)):
+            medium.attach(node)
+        for k in range(4):
+            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
+                         self._frame(k))
+        sim.run(until=0.099)
+        assert medium.predraw_failed_plans == 1
+        assert medium.predraw_plans == 0
+        assert medium.predraw_planned_frames == 0
+        assert medium.predraw_fallback_frames == 4
+
+
+class TestPredrawProtocolRuns:
+    def test_default_run_exercises_the_plane(self):
+        """The stock protocol run plans most slot-batch frames."""
+        testbed = VanLanTestbed(seed=0)
+        sim, _ = vanlan_protocol(testbed, trip=0, seed=0,
+                                 config=ViFiConfig())
+        cbr = run_protocol_cbr(sim, 20.0)
+        medium = sim.medium
+        assert medium.predraw_plans > 50
+        assert medium.predraw_planned_frames > 200
+        delivered = len(cbr.up_deliveries) + len(cbr.down_deliveries)
+        assert delivered > 50
+
+
+# ----------------------------------------------------------------------
+# Reachability index and culling
+# ----------------------------------------------------------------------
+
+class TestReachabilityIndex:
+    def _table(self, refresh=0.25):
+        rngs = RngRegistry(2)
+        table = LinkTable(reach_refresh_s=refresh)
+        table.set_link(0, 1, BernoulliLoss(0.3, rngs.stream("a")))
+        table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("b")))
+        return table, rngs
+
+    def test_culls_total_loss_links(self):
+        table, _ = self._table()
+        assert table.reachable_from(0, 0.0) == {1}
+
+    def test_disabled_index_returns_none(self):
+        table, _ = self._table(refresh=0.0)
+        assert table.reachable_from(0, 0.0) is None
+        assert table.reachable_links(0, 0.0) is None
+
+    def test_registration_invalidates_cache(self):
+        table, rngs = self._table()
+        assert table.reachable_from(0, 0.0) == {1}
+        table.set_link(0, 3, BernoulliLoss(0.0, rngs.stream("c")))
+        assert table.reachable_from(0, 0.0) == {1, 3}
+
+    def test_dynamic_link_reacquired_after_refresh(self):
+        rngs = RngRegistry(4)
+        table = LinkTable(reach_refresh_s=0.25)
+        # Loss 1.0 during the first second, perfect afterwards.
+        process = TraceDrivenLoss([1.0, 0.0, 0.0], rngs.stream("t"),
+                                  out_of_range_rate=0.0)
+        table.set_link(0, 1, process)
+        assert table.reachable_from(0, 0.0) == frozenset()
+        # Within the refresh window the verdict is cached ...
+        assert table.reachable_from(0, 0.2) == frozenset()
+        # ... and re-evaluated once it expires.
+        assert table.reachable_from(0, 1.1) == {1}
+
+    def test_reachable_links_sorted_pairs(self):
+        table, rngs = self._table()
+        table.set_link(0, 5, BernoulliLoss(0.1, rngs.stream("e")))
+        pairs = table.reachable_links(0, 0.0)
+        assert [dst for dst, _ in pairs] == [1, 5]
+
+    def test_pairs_is_live_iterator(self):
+        table, _ = self._table()
+        assert sorted(table.pairs()) == [(0, 1), (0, 2)]
+
+
+class _CountingObserver(MediumObserver):
+    def __init__(self):
+        self.losses = []
+        self.deliveries = []
+
+    def on_loss(self, transmitter_id, receiver_id, frame, time, collided):
+        self.losses.append((transmitter_id, receiver_id))
+
+    def on_deliver(self, transmitter_id, receiver_id, frame, time):
+        self.deliveries.append((transmitter_id, receiver_id))
+
+
+def _culling_medium(observer=None):
+    """Node 0 reaches node 1 always and node 2 never."""
+    sim = Simulator()
+    rngs = RngRegistry(6)
+    table = LinkTable()
+    table.set_link(0, 1, BernoulliLoss(0.0, rngs.stream("ok")))
+    table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("cull")))
+    medium = WirelessMedium(sim, table, rngs.stream("m"))
+    nodes = [Node(i) for i in range(3)]
+    for node in nodes:
+        medium.attach(node)
+    if observer is not None:
+        medium.add_observer(observer)
+    return sim, medium, nodes
+
+
+class TestMediumFastPath:
+    def test_culled_receiver_never_delivers(self):
+        sim, medium, nodes = _culling_medium()
+        medium.send(0, _packet(0, 1, size=200))
+        sim.run(until=1.0)
+        assert len(nodes[1].received) == 1
+        assert nodes[2].received == []
+
+    def test_observer_still_sees_culled_losses(self):
+        observer = _CountingObserver()
+        sim, medium, nodes = _culling_medium(observer)
+        medium.send(0, _packet(0, 1, size=200))
+        sim.run(until=1.0)
+        # The culled (always-lost) link still reports a loss event.
+        assert (0, 2) in observer.losses
+        assert (0, 1) in observer.deliveries
+
+    def test_counter_accounting(self):
+        sim, medium, nodes = _culling_medium()
+        for i in range(3):
+            medium.send(0, _packet(0, 1, pkt_id=i, size=200))
+        medium.send(1, _packet(0, 1, pkt_id=9, size=200))
+        sim.run(until=1.0)
+        assert medium.transmissions() == 4
+        assert medium.transmissions(node_id=0) == 3
+        assert medium.transmissions(kind="data") == 4
+        assert medium.transmissions(kind="ack") == 0
+        assert medium.transmissions(kind="data", node_id=1) == 1
+        assert medium.delivered_count[(1, "data")] == 3

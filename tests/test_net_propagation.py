@@ -1,5 +1,5 @@
-"""Unit tests for the propagation model and the bucket-centre link
-bank."""
+"""Unit tests for the propagation model, the bucket-centre link bank,
+the quantized ``LinkStateCache`` and the gray-period bisection."""
 
 import math
 
@@ -10,6 +10,7 @@ from repro.net.propagation import (
     GrayPeriodProcess,
     LinkBank,
     LinkModel,
+    LinkStateCache,
     RadioProfile,
     Shadowing,
     SpatialField,
@@ -274,3 +275,62 @@ class TestLinkBank:
                  for bs in testbed.deployment.bs_ids]
         with pytest.raises(ValueError):
             LinkBank(links, quantum_s=quantum_s)
+
+
+class TestLinkStateCacheDeterminism:
+    def test_quantum_zero_values_identical(self):
+        a = VanLanTestbed(seed=11)
+        b = VanLanTestbed(seed=11)
+        link = a.link_model(0, 1, a.vehicle_motion())
+        cached = LinkStateCache(b.link_model(0, 1, b.vehicle_motion()),
+                                quantum_s=0.0)
+        for k in range(400):
+            t = k * 0.037
+            assert cached.reception_prob(t) == link.reception_prob(t)
+            assert cached.rssi(t) == link.rssi(t)
+
+    def test_cached_prob_within_quantum_bound(self):
+        """Cached values must lie in the uncached range of their bucket."""
+        quantum = 0.02
+        a = VanLanTestbed(seed=7)
+        b = VanLanTestbed(seed=7)
+        raw = a.link_model(0, 4, a.vehicle_motion())
+        cached = LinkStateCache(b.link_model(0, 4, b.vehicle_motion()),
+                                quantum_s=quantum)
+        steps_per_bucket = 8
+        dt = quantum / steps_per_bucket
+        n_buckets = 600
+        for bucket in range(n_buckets):
+            t0 = bucket * quantum
+            raw_values = [raw.reception_prob(t0 + i * dt)
+                          for i in range(steps_per_bucket)]
+            cached_values = {cached.reception_prob(t0 + i * dt)
+                             for i in range(steps_per_bucket)}
+            # One evaluation per bucket, taken from inside the bucket.
+            assert len(cached_values) == 1
+            value = cached_values.pop()
+            lo, hi = min(raw_values), max(raw_values)
+            assert lo - 1e-12 <= value <= hi + 1e-12
+
+
+class TestGrayPeriodFastPath:
+    def test_bisect_matches_dense_scan(self):
+        rngs = RngRegistry(5)
+        coarse = GrayPeriodProcess(1.0 / 15.0, 3.0, rngs.fresh("g"))
+        dense = GrayPeriodProcess(1.0 / 15.0, 3.0, rngs.fresh("g"))
+        dense_flags = {}
+        for k in range(40000):
+            t = k * 0.05
+            dense_flags[t] = dense.in_gray(t)
+        for k in range(0, 40000, 7):
+            t = k * 0.05
+            assert coarse.in_gray(t) == dense_flags[t]
+
+    def test_pruning_bounds_interval_storage(self):
+        gray = GrayPeriodProcess(2.0, 0.5, RngRegistry(9).fresh("p"),
+                                 horizon_hint_s=100.0)
+        for k in range(200000):
+            gray.in_gray(k * 0.05)
+        # ~20k expected onsets over 10 ks; pruning must keep only the
+        # recent tail rather than the whole history.
+        assert len(gray._starts) < 2000

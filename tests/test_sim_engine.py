@@ -1,4 +1,5 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine, including its live-event
+counter and tombstone compaction."""
 
 import pytest
 
@@ -149,3 +150,58 @@ def test_run_returns_processed_count():
         sim.schedule(float(i), lambda: None)
     assert sim.run() == 7
     assert sim.events_processed == 7
+
+
+class TestEngineFastPath:
+    def test_pending_is_live_count(self):
+        sim = Simulator()
+        handles = [sim.schedule(1.0 + i, lambda: None) for i in range(10)]
+        assert sim.pending == 10
+        for handle in handles[:4]:
+            handle.cancel()
+        assert sim.pending == 6
+        sim.run()
+        assert sim.pending == 0
+        assert sim.events_processed == 6
+
+    def test_double_cancel_counts_once(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert sim.pending == 1
+
+    def test_tombstone_compaction_shrinks_queue(self):
+        sim = Simulator()
+        keep = [sim.schedule(10.0 + i, lambda: None) for i in range(50)]
+        doomed = [sim.schedule(1.0 + i * 1e-3, lambda: None)
+                  for i in range(400)]
+        assert len(sim._queue) == 450
+        for handle in doomed:
+            handle.cancel()
+        # Tombstones exceeded half the queue: it must have compacted.
+        assert len(sim._queue) < 120
+        assert sim.pending == 50
+        fired = sim.run()
+        assert fired == 50
+        assert all(not h.active for h in keep)
+
+    def test_cancel_heavy_run_stays_correct(self):
+        sim = Simulator()
+        fired = []
+        for i in range(500):
+            handle = sim.schedule(1.0 + i * 0.01, fired.append, i)
+            if i % 2:
+                handle.cancel()
+        sim.run()
+        assert fired == [i for i in range(500) if not i % 2]
+
+    def test_cancel_after_fire_is_noop(self):
+        sim = Simulator()
+        handle = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run()
+        assert sim.pending == 0
+        handle.cancel()  # must not drive the live count negative
+        assert sim.pending == 0

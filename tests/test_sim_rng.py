@@ -1,6 +1,9 @@
-"""Unit tests for named RNG streams."""
+"""Unit tests for named RNG streams and buffered uniform draws."""
 
-from repro.sim.rng import RngRegistry, derive_seed
+import pytest
+
+from repro.net.channel import BernoulliLoss
+from repro.sim.rng import BufferedUniforms, RngRegistry, derive_seed
 
 
 def test_same_name_same_stream_object():
@@ -45,3 +48,19 @@ def test_derive_seed_stable_and_distinct():
     assert derive_seed(5, "abc") == derive_seed(5, "abc")
     assert derive_seed(5, "abc") != derive_seed(5, "abd")
     assert derive_seed(5, "abc") != derive_seed(6, "abc")
+
+
+class TestBufferedUniforms:
+    def test_matches_scalar_draw_sequence(self):
+        scalar = RngRegistry(8).fresh("u")
+        buffered = BufferedUniforms(RngRegistry(8).fresh("u"), block=32)
+        expected = [scalar.random() for _ in range(100)]
+        got = [buffered.next() for _ in range(100)]
+        assert got == pytest.approx(expected, abs=0.0)
+
+    def test_bernoulli_extremes_unchanged(self):
+        rngs = RngRegistry(12)
+        always = BernoulliLoss(1.0, rngs.stream("x"))
+        never = BernoulliLoss(0.0, rngs.stream("y"))
+        assert all(always.is_lost(t * 0.1) for t in range(50))
+        assert not any(never.is_lost(t * 0.1) for t in range(50))
