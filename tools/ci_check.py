@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Single CI entry point: tier-1, lint, slow tests, smokes, perf gate.
+"""Single CI entry point: tier-1, lint, slow and bench tests, smokes, gate.
 
 Usage::
 
@@ -22,17 +22,23 @@ Runs, in order:
    (``tests/test_run_trips_resilience.py``).  The stage fails if the
    slow marker collects nothing, so a marker typo cannot silently skip
    the suite,
-4. the fault-matrix smoke (``tools/fault_smoke.py``): one short ViFi
+4. the benchmark's own tests (``pytest -q bench/test_bench.py``).
+   The benchmark reaches into ``src/`` by name — ``bench/tracer.py``
+   patches ``run_trips`` and the layers' class entry points, and
+   ``bench/workloads.py`` reads medium and estimator counters as
+   plain attributes — so a rename under ``src/`` that breaks every
+   benchmark run fails here,
+5. the fault-matrix smoke (``tools/fault_smoke.py``): one short ViFi
    trip per injected-fault kind (no-fault, BS outage, backplane
    partition, beacon-loss burst) — every cell must complete without
    error and keep delivery above zero while the vehicle is reachable
    (the PR 7 graceful-degradation contract),
-5. the result-store smoke (``tools/store_smoke.py``): a pinned sweep
+6. the result-store smoke (``tools/store_smoke.py``): a pinned sweep
    run cold, warm, with every stored byte-flipped entry quarantined
    and recomputed, and against an unusable store root — the PR 8
    self-healing contract (corruption and dead media cost
    recomputation, never a crash or a wrong result),
-6. the gateway chaos smoke (``tools/gateway_smoke.py``): the PR 9
+7. the gateway chaos smoke (``tools/gateway_smoke.py``): the
    wire-transport contract — a ``kill -9`` mid-sweep, restart, and
    idempotent resubmission must end bit-identical with warm store
    hits; malformed/slow/oversized requests must map to structured
@@ -40,15 +46,15 @@ Runs, in order:
    complete; SIGTERM must drain gracefully.  Zero server tracebacks
    throughout.  Skips itself (exit 0, with the reason) when loopback
    sockets are unavailable,
-7. the perf gate (``python -m repro bench --repeats 3`` via
+8. the perf gate (``python -m repro bench --repeats 3`` via
    ``tools/perf_smoke.py``), which rewrites ``BENCH_perf.json`` and
    fails on a >20% tracked-rate regression against the committed
    numbers (best-of-3 so container wall-clock noise does not eat the
    headroom).
 
 ``--fast`` is the inner-loop variant: every stage except the slow
-tests (equivalent to ``--skip-slow``; run the full check before
-merging).
+tests and the benchmark's tests (equivalent to ``--skip-slow``; run
+the full check before merging).
 
 Exits non-zero as soon as a stage fails, and prints a one-line summary
 per stage either way.
@@ -84,9 +90,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
                         help="inner-loop mode: every stage except the "
-                             "slow tests (same as --skip-slow)")
+                             "slow tests and the benchmark's tests (same "
+                             "as --skip-slow)")
     parser.add_argument("--skip-slow", action="store_true",
-                        help="skip the slow tests")
+                        help="skip the slow tests and the benchmark's "
+                             "tests")
     parser.add_argument("--skip-bench", action="store_true",
                         help="skip the perf gate")
     args = parser.parse_args(argv)
@@ -102,6 +110,10 @@ def main(argv=None):
             "slow tests",
             [sys.executable, "-m", "pytest", "-q", "-m", "slow",
              "--override-ini", "addopts="],
+        ))
+        stages.append((
+            "benchmark tests (bench/test_bench.py)",
+            [sys.executable, "-m", "pytest", "-q", "bench/test_bench.py"],
         ))
     stages.append((
         "fault-matrix smoke",
