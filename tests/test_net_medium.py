@@ -344,27 +344,54 @@ class TestSlotBatch:
 # Scalar resolve oracle
 # ----------------------------------------------------------------------
 
-class _BucketLoss:
-    """Duck-typed loss process: eps is a pure function of a 20 ms
-    bucket, so windows and spans can commit to it ahead of time."""
+class _PlannedLoss:
+    """Duck-typed bucketed loss process with a committable span.
 
-    QUANTUM = 0.02
+    eps is a pure function of the bucket index (so reuse can never
+    change an outcome), and the process "flips" at fixed multiples of
+    ``flip_every``: windows and spans commit only up to the next flip,
+    mimicking :class:`SteeredGilbertElliott`'s horizon cap.
+    """
 
-    def __init__(self, salt):
+    def __init__(self, quantum=0.02, flip_every=math.inf, salt=0):
+        self.quantum = quantum
+        self.flip_every = flip_every
         self.salt = salt
 
-    def loss_eps(self, t):
-        return ((int(t / self.QUANTUM) * 37 + self.salt * 11) % 89) / 100.0
+    def _eps(self, key):
+        return ((key * 37 + self.salt * 11) % 89) / 100.0
 
-    loss_rate = loss_eps
+    def _next_flip(self, t):
+        if self.flip_every is math.inf:
+            return math.inf
+        return (math.floor(t / self.flip_every) + 1.0) * self.flip_every
+
+    def loss_rate(self, t):
+        return self._eps(int(t / self.quantum))
+
+    def is_lost(self, t):
+        return False  # scalar path unused by these tests
+
+    def loss_eps(self, t):
+        return self._eps(int(t / self.quantum))
 
     def loss_eps_window(self, t):
-        return self.loss_eps(t), (int(t / self.QUANTUM) + 1.0) * self.QUANTUM
+        key = int(t / self.quantum)
+        bound = (key + 1.0) * self.quantum
+        flip = self._next_flip(t)
+        return self._eps(key), (bound if bound < flip else flip)
 
     def loss_eps_span(self, t0, t1):
-        k0, k1 = int(t0 / self.QUANTUM), int(t1 / self.QUANTUM)
-        return ([self.loss_eps((k + 0.5) * self.QUANTUM)
-                 for k in range(k0, k1 + 1)], self.QUANTUM, k0, t1)
+        hi = self._next_flip(t0)
+        if t1 < hi:
+            hi = t1
+        if hi <= t0:
+            return None
+        quantum = self.quantum
+        k0 = int(t0 / quantum)
+        k1 = int(hi / quantum)
+        eps = [self._eps(k) for k in range(k0, k1 + 1)]
+        return eps, quantum, k0, hi
 
 
 def _scalar_resolve(rows, start, uniforms):
@@ -383,7 +410,7 @@ class TestScalarResolveOracle:
         rows = []
         for rx in range(1, 13):
             process = BernoulliLoss(0.07 * rx, rngs.stream("l", rx)) \
-                if rx % 2 else _BucketLoss(salt=rx)
+                if rx % 2 else _PlannedLoss(salt=rx)
             table.set_link(0, rx, process)
             rows.append((rx, process))
         outcomes = rngs.stream("outcomes")
@@ -547,56 +574,6 @@ class TestBackoffFreeze:
 # ----------------------------------------------------------------------
 # Interval-level outcome pre-draw
 # ----------------------------------------------------------------------
-
-class _PlannedLoss:
-    """Duck-typed bucketed loss process with a committable span.
-
-    eps is a pure function of the bucket index (so reuse can never
-    change an outcome), and the process "flips" at fixed multiples of
-    ``flip_every``: windows and spans commit only up to the next flip,
-    mimicking :class:`SteeredGilbertElliott`'s horizon cap.
-    """
-
-    def __init__(self, quantum=0.02, flip_every=math.inf, salt=0):
-        self.quantum = quantum
-        self.flip_every = flip_every
-        self.salt = salt
-
-    def _eps(self, key):
-        return ((key * 37 + self.salt * 11) % 89) / 100.0
-
-    def _next_flip(self, t):
-        if self.flip_every is math.inf:
-            return math.inf
-        return (math.floor(t / self.flip_every) + 1.0) * self.flip_every
-
-    def loss_rate(self, t):
-        return self._eps(int(t / self.quantum))
-
-    def is_lost(self, t):
-        return False  # scalar path unused by these tests
-
-    def loss_eps(self, t):
-        return self._eps(int(t / self.quantum))
-
-    def loss_eps_window(self, t):
-        key = int(t / self.quantum)
-        bound = (key + 1.0) * self.quantum
-        flip = self._next_flip(t)
-        return self._eps(key), (bound if bound < flip else flip)
-
-    def loss_eps_span(self, t0, t1):
-        hi = self._next_flip(t0)
-        if t1 < hi:
-            hi = t1
-        if hi <= t0:
-            return None
-        quantum = self.quantum
-        k0 = int(t0 / quantum)
-        k1 = int(hi / quantum)
-        eps = [self._eps(k) for k in range(k0, k1 + 1)]
-        return eps, quantum, k0, hi
-
 
 class _RxSink:
     def __init__(self, node_id):
