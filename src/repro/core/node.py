@@ -956,7 +956,6 @@ class BasestationNode(_NodeBase):
         self.last_vehicle_beacon = self.ctx.sim.now
         if beacon.anchor_id == self.node_id and not self.is_anchor:
             self.is_anchor = True
-            self.ctx.on_bs_became_anchor(self.node_id)
             if (self.ctx.config.salvage_enabled
                     and beacon.prev_anchor_id is not None
                     and beacon.prev_anchor_id != self.node_id):

@@ -236,9 +236,6 @@ class _Context:
         if self.gateway is not None:
             self.gateway.on_anchor_change(new_anchor)
 
-    def on_bs_became_anchor(self, bs_id):
-        """Hook kept for observers; no protocol action needed."""
-
     def gateway_deliver_upstream(self, packet):
         if self.gateway is not None:
             self.gateway.deliver_upstream(packet)

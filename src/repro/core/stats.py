@@ -1,8 +1,8 @@
 """Packet-level logs and coordination statistics (Table 1).
 
 Every source transmission, overhearing event, relay decision and
-delivery is recorded here by the protocol engines and the medium
-observer.  From these logs we derive:
+delivery is recorded here by the protocol engines.  From these logs we
+derive:
 
 * Table 1's per-direction coordination statistics (rows A1-C4);
 * the medium-usage efficiency of Figure 12 (application packets
@@ -73,7 +73,7 @@ class ViFiStats:
         self.anchor_changes = 0
 
     # ------------------------------------------------------------------
-    # Event ingestion (called by nodes and the medium observer)
+    # Event ingestion (called by nodes)
     # ------------------------------------------------------------------
 
     def packet_record(self, pkt_key, direction, created_at, size_bytes=0):

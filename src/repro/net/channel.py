@@ -47,25 +47,22 @@ class LossProcess:
     :class:`~repro.net.medium.LinkTable` classifies such links once
     instead of re-evaluating them on every refresh.
 
-    Subclasses that can separate *state advance* from the per-packet
-    coin flip additionally implement ``loss_eps(t)``: advance any
-    internal state to *t* and return the instantaneous per-packet loss
-    probability, without consuming a uniform draw.  The medium's
-    batched-outcome fast path then supplies the uniforms itself from
-    one RNG block per frame (see
-    :class:`~repro.net.medium.WirelessMedium`); processes lacking
-    ``loss_eps`` fall back to :meth:`is_lost` and keep their private
-    draw streams.
-
-    Processes that can additionally *bound* how long the returned
-    probability stays valid implement ``loss_eps_window(t) ->
-    (eps, valid_until)``: the loss probability cannot change before
-    ``valid_until`` (the next burst-chain flip, steering-bucket
-    boundary, or trace-second boundary, whichever comes first).  The
-    medium stores these thresholds in its struct-of-arrays resolve
-    rows and skips the per-frame ``loss_eps`` call while the window
-    holds — bitwise-safe because a skipped no-flip state advance
-    consumes no randomness and a pending flip caps the window.
+    The processes separate *state advance* from the per-packet coin
+    flip: ``loss_eps(t)`` advances any internal state to *t* and
+    returns the instantaneous per-packet loss probability, without
+    consuming a uniform draw, and ``loss_eps_window(t) ->
+    (eps, valid_until)`` also bounds how long it stays valid: the loss
+    probability cannot change before ``valid_until`` (the next
+    burst-chain flip, steering-bucket boundary, or trace-second
+    boundary, whichever comes first).  Every process on a medium link
+    supplies ``loss_eps_window``.  The medium
+    (:class:`~repro.net.medium.WirelessMedium`) stores these
+    thresholds in its struct-of-arrays resolve rows, reuses each while
+    its window holds — bitwise-safe because a skipped no-flip state
+    advance consumes no randomness and a pending flip caps the window
+    — and supplies the uniforms itself from one RNG block per frame.
+    :meth:`is_lost` flips the coin from the process's own stream, for
+    callers outside the medium (probe traces, the handoff study).
 
     :meth:`loss_eps_span` extends the window to a whole *interval*
     (the medium's pre-draw plane plans one beacon interval at a time):

@@ -14,8 +14,9 @@ Section 2.1).  The medium implements:
   which disables 802.11's exponential backoff; "to reduce collisions,
   our implementation relies on carrier sense" (Section 4.8).  We model
   a single collision domain: a sender defers until the medium is idle,
-  waits DIFS plus a uniform backoff, and transmits.  Frames whose
-  airtimes overlap collide and are lost at every receiver.
+  waits DIFS plus a uniform backoff, and transmits.  A frame airs only
+  through a claim on an idle channel, so airtimes never overlap and no
+  frame is lost to a collision.
 * **Single pending frame per node**: the implementation "ensures that
   there is no more than one packet pending at the interface"
   (Section 4.8); additional frames queue in FIFO order.
@@ -24,25 +25,23 @@ The medium also keeps transmission counters per node and frame kind so
 the efficiency analysis (Figure 12) can count every transmission on the
 vehicle-BS channel.
 
-**Fast path.**  Delivery resolution used to evaluate the loss process
-of *every* attached node for every frame, even for pairs far out of
-radio range.  The :class:`LinkTable` now maintains a per-transmitter
+**Fast path.**  The :class:`LinkTable` maintains a per-transmitter
 reachability index (links whose expected loss rate is strictly below
-1.0), refreshed lazily on a coarse timer, so :meth:`WirelessMedium`
-only runs the stochastic channel for receivers that could possibly
-decode; known-unreachable receivers are recorded as losses without
-touching their loss process.  Transmission and delivery accounting use
-:class:`collections.Counter` with O(1) aggregate views instead of
+1.0), refreshed lazily on a coarse timer, and it is the only way the
+medium finds a frame's receivers: the stochastic channel runs only for
+receivers that could possibly decode, and known-unreachable receivers
+never touch their loss process.  Transmission and delivery accounting
+use :class:`collections.Counter` with O(1) aggregate views instead of
 rescanning all keys.
 
 Fast paths riding on top:
 
-* **Batched outcomes** — processes exposing ``loss_eps(t)`` (state
-  advance separated from the coin flip) have their per-receiver
-  uniforms drawn from one medium-owned RNG block instead of N private
-  buffered streams; the per-link *state* randomness (burst chains,
-  traces) keeps its own streams, so runs stay deterministic for a
-  seed.
+* **Batched outcomes** — every process on a medium link supplies
+  ``loss_eps_window(t)`` (state advance separated from the coin flip),
+  so per-receiver uniforms come from one medium-owned RNG block
+  instead of N private buffered streams; the per-link *state*
+  randomness (burst chains, traces) keeps its own streams, so runs
+  stay deterministic for a seed.
 * **Merged transmissions** — when a broadcast send meets an idle
   medium with no contender in backoff, the attempt/transmit/resolve
   triple collapses into a single heap event at the frame's end time:
@@ -50,12 +49,11 @@ Fast paths riding on top:
   senders defer exactly as if the attempt event had fired.  Only
   genuinely contended frames pay the classic two-event path.
 * **Struct-of-arrays resolve** — per-transmitter resolve rows are
-  kept as struct-of-arrays (numpy vectors of ``loss_eps`` thresholds,
-  per-row validity windows from ``loss_eps_window``, and per-row
-  state codes), cached against the reachability index's expiry.
-  Resolving a frame is then one vectorized compare of a uniform
-  block against the eps vector plus a short loop over only the hits
-  (deliveries).
+  kept as struct-of-arrays (a numpy vector of loss thresholds and
+  per-row validity windows from ``loss_eps_window``), cached against
+  the reachability index's expiry.  Resolving a frame is then one
+  vectorized compare of a uniform block against the eps vector plus a
+  short loop over only the hits (deliveries).
 * **Backoff-freezing CSMA** — contenders draw one backoff when they
   start contending, freeze the remainder while the channel is busy,
   and resume on release, instead of redrawing and rescheduling an
@@ -89,7 +87,7 @@ from collections import Counter, deque
 
 import numpy as np
 
-__all__ = ["LinkTable", "MediumObserver", "WirelessMedium"]
+__all__ = ["LinkTable", "WirelessMedium"]
 
 _EMPTY = {}
 
@@ -97,20 +95,8 @@ _EMPTY = {}
 class LinkTable:
     """Loss processes for ordered node pairs.
 
-    Links may be registered explicitly with :meth:`set_link` or created
-    on demand by a factory ``(src, dst) -> LossProcess | None``.  A
-    ``None`` process means the pair is out of range: frames are never
-    delivered.
-
-    Args:
-        factory: optional on-demand link factory.
-        reach_refresh_s: how long a transmitter's cached reachable-
-            neighbor set stays valid (seconds).  A link whose expected
-            loss rate is exactly 1.0 at refresh time is treated as
-            unreachable until the next refresh, so a link coming back
-            into range is noticed at most this much late.  Set to 0 to
-            disable the reachability index (every frame then evaluates
-            every registered link, as the pre-fast-path medium did).
+    Links are registered with :meth:`set_link`; a pair that was never
+    registered is out of range, and frames are never delivered on it.
     """
 
     #: The propagation :class:`~repro.net.propagation.LinkBank` behind
@@ -119,14 +105,19 @@ class LinkTable:
     #: benchmark harnesses can report prefill/build cost separately.
     link_bank = None
 
-    def __init__(self, factory=None, reach_refresh_s=0.25):
-        self._links = {}
-        self._factory = factory
+    #: How long a transmitter's cached reachable-neighbor set stays
+    #: valid (seconds).  A link whose expected loss rate is exactly 1.0
+    #: at refresh time is treated as unreachable until the next
+    #: refresh, so a link coming back into range is noticed at most
+    #: this much late.
+    REACH_REFRESH_S = 0.25
+
+    def __init__(self):
+        # src -> {dst: process}
         self._by_src = {}
         #: Bumped on every registration so callers caching derived
         #: state (the medium's resolve-entry rows) notice new links.
         self.version = 0
-        self.reach_refresh_s = float(reach_refresh_s)
         # src -> (expires_at, frozenset(reachable ids),
         #         ((dst, process), ...) sorted by dst)
         self._reach = {}
@@ -136,9 +127,7 @@ class LinkTable:
         self._reach_split = {}
 
     def _register(self, src, dst, process):
-        self._links[(src, dst)] = process
-        if process is not None:
-            self._by_src.setdefault(src, {})[dst] = process
+        self._by_src.setdefault(src, {})[dst] = process
         # The transmitter's neighborhood changed; recompute on next use.
         self._reach.pop(src, None)
         self._reach_split.pop(src, None)
@@ -149,20 +138,18 @@ class LinkTable:
 
         With ``symmetric=True`` the same process object also serves
         ``dst -> src``, mirroring the paper's symmetric trace
-        methodology (Section 5.1).
+        methodology (Section 5.1).  *process* must not be ``None``: a
+        pair out of range is one that is never registered.
         """
+        if process is None:
+            raise ValueError(f"link {src} -> {dst}: process is None")
         self._register(src, dst, process)
         if symmetric:
             self._register(dst, src, process)
 
     def get(self, src, dst):
         """Return the loss process for ``src -> dst`` or ``None``."""
-        key = (src, dst)
-        if key not in self._links:
-            if self._factory is None:
-                return None
-            self._register(src, dst, self._factory(src, dst))
-        return self._links[key]
+        return self._by_src.get(src, _EMPTY).get(dst)
 
     def loss_rate(self, src, dst, t):
         """Expected loss probability on ``src -> dst`` at time *t*.
@@ -173,18 +160,6 @@ class LinkTable:
         if process is None:
             return 1.0
         return process.loss_rate(t)
-
-    def pairs(self):
-        """Iterate over registered ``(src, dst)`` pairs.
-
-        Returns a live view of the keys (no copy); do not register new
-        links while iterating.
-        """
-        return iter(self._links.keys())
-
-    def known_receivers(self, src):
-        """Mapping ``dst -> process`` of registered links out of *src*."""
-        return self._by_src.get(src, _EMPTY)
 
     def _reach_entry(self, src, t):
         entry = self._reach.get(src)
@@ -209,7 +184,7 @@ class LinkTable:
                     in_range.append(pair)
             in_range.sort()
             entry = (
-                t + self.reach_refresh_s,
+                t + self.REACH_REFRESH_S,
                 frozenset(dst for dst, _ in in_range),
                 tuple(in_range),
             )
@@ -220,42 +195,18 @@ class LinkTable:
         """The set of receivers of *src* currently in radio range.
 
         A receiver is *reachable* when its link's expected loss rate is
-        strictly below 1.0; the set is cached for ``reach_refresh_s``
-        seconds (queries must be monotone in *t*, as simulation time
-        is).  Returns ``None`` when the index is disabled.
+        strictly below 1.0; the set is cached for
+        :attr:`REACH_REFRESH_S` seconds (queries must be monotone in
+        *t*, as simulation time is).
         """
-        if self.reach_refresh_s <= 0.0:
-            return None
         return self._reach_entry(src, t)[1]
 
     def reachable_links(self, src, t):
         """``((dst, process), ...)`` pairs in range, sorted by dst.
 
-        ``None`` when the index is disabled; same caching/monotonicity
-        contract as :meth:`reachable_from`.
+        Same caching/monotonicity contract as :meth:`reachable_from`.
         """
-        if self.reach_refresh_s <= 0.0:
-            return None
         return self._reach_entry(src, t)[2]
-
-
-class MediumObserver:
-    """Optional hook interface for logging medium activity.
-
-    Subclass and override any subset; the default methods ignore the
-    events.  Observers power the PerfectRelay estimation (Section 5.4)
-    and the Table 1 coordination statistics, both of which are derived
-    from packet-level logs of the live protocol.
-    """
-
-    def on_transmit(self, transmitter_id, frame, start_time, end_time):
-        """Called when a frame's airtime begins."""
-
-    def on_deliver(self, transmitter_id, receiver_id, frame, time):
-        """Called when a receiver correctly decodes a frame."""
-
-    def on_loss(self, transmitter_id, receiver_id, frame, time, collided):
-        """Called when a reachable receiver fails to decode a frame."""
 
 
 class _ResolveRows:
@@ -265,40 +216,29 @@ class _ResolveRows:
     reproducible delivery order).  The numpy eps column backs the
     vectorized compare; the object columns back the short loop over
     hits.  A row's per-frame loss probability comes from its
-    ``window_fns`` entry when the process supplies ``loss_eps_window``
-    (the stored threshold is then reused until ``valid_until``), else
-    from re-evaluating ``eps_fns`` every frame; rows without
-    ``loss_eps`` at all force ``all_eps=False`` and the whole
-    transmitter takes the per-row fallback loop (mixed-order draws
-    cannot be vectorized without changing the stream).
+    process's ``loss_eps_window``, which every process on a medium link
+    supplies; the stored threshold is reused until ``valid_until``.
     """
 
-    __slots__ = ("ids", "receive", "eps_fns", "window_fns", "span_fns",
+    __slots__ = ("ids", "receive", "window_fns", "span_fns",
                  "procs", "eps", "valid_until", "min_valid", "n",
-                 "all_eps", "finite_rows", "row_vec", "row_q",
+                 "finite_rows", "row_vec", "row_q",
                  "row_k0", "row_hi", "plan_until", "plan_q",
                  "plan_k0", "plan_cols", "plan_u", "plan_u_i",
                  "plan_fail_until", "plan_arm_until")
 
     def __init__(self, pairs, transmitter_id, nodes_by_id):
-        ids, receive, eps_fns, window_fns, span_fns, procs = \
-            [], [], [], [], [], []
+        ids, receive, window_fns, span_fns, procs = [], [], [], [], []
         row_vec, row_q, row_k0, row_hi = [], [], [], []
-        all_eps = True
         for receiver_id, process in pairs:
             if receiver_id == transmitter_id:
                 continue
             node = nodes_by_id.get(receiver_id)
             if node is None:
                 continue
-            eps_fn = getattr(process, "loss_eps", None)
-            window_fn = getattr(process, "loss_eps_window", None)
-            if eps_fn is None:
-                all_eps = False
             ids.append(receiver_id)
             receive.append(node.on_receive)
-            eps_fns.append(eps_fn)
-            window_fns.append(window_fn)
+            window_fns.append(process.loss_eps_window)
             span_fns.append(getattr(process, "loss_eps_span", None))
             procs.append(process)
             # Re-adopt the process's stashed span read-ahead (pure
@@ -317,12 +257,10 @@ class _ResolveRows:
                 row_hi.append(cache[3])
         self.ids = ids
         self.receive = receive
-        self.eps_fns = eps_fns
         self.window_fns = window_fns
         self.span_fns = span_fns
         self.procs = procs
         self.n = len(ids)
-        self.all_eps = all_eps
         self.eps = np.zeros(self.n, dtype=np.float64)
         # Validity bounds stay a python list (the refresh loop is
         # scalar anyway); ``min_valid`` gates the whole scan with one
@@ -423,13 +361,6 @@ class WirelessMedium:
         self._in_flight = {}  # merged frames claimed off their queue
         self._cw = {}  # unicast contention window per node
         self._busy_until = 0.0
-        # Latest airtime end seen so far; a transmission overlapping a
-        # prior frame's airtime (start before that end) collides.  A
-        # scalar suffices: the claim/attempt discipline never lets two
-        # frames air at once, so the full in-air list always reduced to
-        # its maximum.
-        self._air_end = 0.0
-        self.observers = []
         self._backoff_buf = None
         self._backoff_i = 0
         self._outcome_rng = outcome_rng if outcome_rng is not None else rng
@@ -505,13 +436,6 @@ class WirelessMedium:
         self._cw[node.node_id] = self.backoff_slots
         self._row_cache.clear()
 
-    def add_observer(self, observer):
-        self.observers.append(observer)
-
-    @property
-    def node_ids(self):
-        return list(self._nodes.keys())
-
     # ------------------------------------------------------------------
     # Transmission path
     # ------------------------------------------------------------------
@@ -583,10 +507,9 @@ class WirelessMedium:
             backoff = self._draw_backoff(self._cw[transmitter_id]) \
                 * self.slot_time
             air_start = start + self.difs + backoff
-            air_end = air_start + self.airtime(frame.size_bytes)
             self._in_flight[transmitter_id] += 1
-            batch.append((transmitter_id, frame, air_start, air_end))
-            start = air_end
+            batch.append((transmitter_id, frame, air_start))
+            start = air_start + self.airtime(frame.size_bytes)
         self._busy_until = start
         self.slot_batch_count += 1
         self.slot_batch_frames += len(batch)
@@ -595,16 +518,11 @@ class WirelessMedium:
     def _slot_batch_ready(self, entries):
         """Whether a batch can claim the channel outright.
 
-        The batch path needs an idle uncontended medium, the
-        observer-free indexed fast path, and every transmitter
-        distinct and completely idle (empty queue, nothing in flight,
-        not contending) — otherwise per-node FIFO order would be
-        violated.
+        The batch path needs an idle uncontended medium and every
+        transmitter distinct and completely idle (empty queue, nothing
+        in flight, not contending) — otherwise per-node FIFO order
+        would be violated.
         """
-        links = self.links
-        if links.reach_refresh_s <= 0.0 or self.observers \
-                or links._factory is not None:
-            return False
         if self.sim.now < self._busy_until or self._contenders \
                 or self._armed is not None:
             return False
@@ -625,89 +543,30 @@ class WirelessMedium:
     def _slot_batch_resolve(self, batch):
         """Single-event tail of a slot batch: per-frame outcomes.
 
-        Transmit accounting runs per frame; each frame then takes its
-        eps column and uniform slice from its transmitter's interval
-        plan (see :meth:`_plan_slice`), or the per-frame window path
-        when no plan covers it.  The batch pays no window refreshes
-        and no RNG refills at all in the planned steady state.
+        Transmit accounting runs per frame, every frame's rows are
+        looked up before any frame resolves (a lookup can refresh the
+        reachability index, which queries loss processes; this is the
+        order the realization is pinned with), and then each frame's
+        outcomes are decided by :meth:`_resolve_outcomes`.  The batch
+        pays no window refreshes and no RNG refills at all in the
+        planned steady state.
         """
-        end = self.sim.now
-        self._air_end = end
-        tx_count = self.tx_count
-        tx_by_kind = self._tx_by_kind
-        tx_by_node = self._tx_by_node
-        for transmitter_id, frame, air_start, air_end in batch:
+        for transmitter_id, frame, _ in batch:
             self._in_flight[transmitter_id] -= 1
-            kind = frame.kind_value
-            tx_count[(transmitter_id, kind)] += 1
-            tx_by_kind[kind] += 1
-            tx_by_node[transmitter_id] += 1
-        self._tx_total += len(batch)
-        delivered_count = self.delivered_count
-        metas = []
-        all_vector = True
-        for transmitter_id, frame, air_start, air_end in batch:
-            rows = self._resolve_rows(transmitter_id, air_start)
-            if not rows.all_eps:
-                all_vector = False
-            metas.append((transmitter_id, frame, rows, air_start))
-        if all_vector:
-            for transmitter_id, frame, rows, air_start in metas:
-                n = rows.n
-                if not n:
-                    continue
-                planned = self._plan_slice(rows, air_start)
-                if planned is not None:
-                    eps, u = planned
-                else:
-                    eps = rows.eps
-                    if air_start >= rows.min_valid:
-                        self._refresh_row_thresholds(rows, air_start)
-                    u = self._draw_outcome_vector(n)
-                ids = rows.ids
-                receive = rows.receive
-                kind = frame.kind_value
-                for i, hit in enumerate((u >= eps).tolist()):
-                    if hit:
-                        delivered_count[(ids[i], kind)] += 1
-                        receive[i](frame, transmitter_id)
-        else:
-            # A duck-typed eps-less process is in play: resolve frame
-            # by frame off the shared outcome buffer, preserving the
-            # per-frame draw order.
-            for transmitter_id, frame, rows, air_start in metas:
-                self._resolve_rows_outcomes(transmitter_id, frame,
-                                            air_start, rows)
-        self._slot_batch_finish(batch)
-
-    def _slot_batch_finish(self, batch):
-        """Completion callbacks and channel release after a batch."""
-        for transmitter_id, frame, air_start, air_end in batch:
+            self._count_tx(transmitter_id, frame)
+        batch_rows = [self._resolve_rows(transmitter_id, air_start)
+                      for transmitter_id, _, air_start in batch]
+        for (transmitter_id, frame, air_start), rows in zip(batch,
+                                                            batch_rows):
+            self._resolve_outcomes(transmitter_id, frame, air_start, rows)
+        for transmitter_id, frame, _ in batch:
             callback = self._complete_cb.get(transmitter_id)
             if callback is not None:
                 callback(frame)
         if self._contenders:
             self._release_channel()
-        for transmitter_id, frame, air_start, air_end in batch:
+        for transmitter_id, _, _ in batch:
             self._freeze_contend(transmitter_id)
-
-    def _resolve_rows_outcomes(self, transmitter_id, frame, start, rows):
-        """Per-frame outcome pass over mixed (eps and eps-less) rows."""
-        delivered_count = self.delivered_count
-        kind = frame.kind_value
-        ids = rows.ids
-        receive = rows.receive
-        eps_fns = rows.eps_fns
-        procs = rows.procs
-        for i in range(rows.n):
-            eps_fn = eps_fns[i]
-            if eps_fn is not None:
-                if self._draw_outcome_vector(1)[0] < eps_fn(start):
-                    continue
-            elif procs[i].is_lost(start):
-                continue
-            delivered_count[(ids[i], kind)] += 1
-            receive[i](frame, transmitter_id)
 
     def queue_length(self, transmitter_id):
         """Frames waiting, in backoff, or in the air at the given node.
@@ -916,60 +775,32 @@ class WirelessMedium:
     def _merged_resolve(self, transmitter_id, frame, start):
         """Single-event tail of a merged (claim-at-schedule) transmission."""
         self._in_flight[transmitter_id] -= 1
-        end = self.sim.now
-        # Claim invariants: the medium was idle when the claim was
-        # made, and ``busy_until`` blocked every later sender, so no
-        # frame can overlap ours.
-        self._air_end = end
-        kind = frame.kind_value
-        self.tx_count[(transmitter_id, kind)] += 1
-        self._tx_by_kind[kind] += 1
-        self._tx_by_node[transmitter_id] += 1
-        self._tx_total += 1
-        for obs in self.observers:
-            obs.on_transmit(transmitter_id, frame, start, end)
-        self._resolve(transmitter_id, frame, start, False)
+        self._count_tx(transmitter_id, frame)
+        self._resolve(transmitter_id, frame, start)
         if self._contenders:
             self._release_channel()
         self._freeze_contend(transmitter_id)
 
-    def _transmit(self, transmitter_id, frame, unicast_to=None,
-                  attempt=0):
+    def _transmit(self, transmitter_id, frame, unicast_to, attempt):
+        """Air an armed winner's frame now (the two-event path).
+
+        Only :meth:`_freeze_fire` calls this, after checking that the
+        channel is idle, so the frame's airtime overlaps no other.
+        """
         start = self.sim.now
         end = start + self.airtime(frame.size_bytes)
-        # Collision bookkeeping: any concurrently airing frame (an end
-        # time past our start) overlaps.
-        collided = self._air_end > start
-        if end > self._air_end:
-            self._air_end = end
-        self._busy_until = max(self._busy_until, end)
+        self._busy_until = end
         if self._contenders:
             self._freeze_all(start)
-
-        kind = frame.kind_value
-        self.tx_count[(transmitter_id, kind)] += 1
-        self._tx_by_kind[kind] += 1
-        self._tx_by_node[transmitter_id] += 1
-        self._tx_total += 1
-        for obs in self.observers:
-            obs.on_transmit(transmitter_id, frame, start, end)
-
-        if collided:
-            # The earlier overlapping frames are retroactively corrupted
-            # at receivers whose delivery has not resolved yet; for
-            # simplicity (and because carrier sense makes overlap rare)
-            # we corrupt this frame only.  The earlier frame's
-            # deliveries were decided at its start.
-            pass
+        self._count_tx(transmitter_id, frame)
         self.sim.schedule_fire_at(end, self._resolve_event,
                                   transmitter_id, frame, start,
-                                  collided, unicast_to, attempt)
+                                  unicast_to, attempt)
 
-    def _resolve_event(self, transmitter_id, frame, start, collided,
-                       unicast_to=None, attempt=0):
+    def _resolve_event(self, transmitter_id, frame, start, unicast_to,
+                       attempt):
         """Resolve event of a two-event transmission: release after."""
-        self._resolve(transmitter_id, frame, start, collided, unicast_to,
-                      attempt)
+        self._resolve(transmitter_id, frame, start, unicast_to, attempt)
         if self._contenders:
             self._release_channel()
 
@@ -1022,7 +853,6 @@ class WirelessMedium:
         every horizon — so the layering never changes a realization.
         """
         valid_until = rows.valid_until
-        eps_fns = rows.eps_fns
         window_fns = rows.window_fns
         span_fns = rows.span_fns
         row_vec = rows.row_vec
@@ -1076,12 +906,7 @@ class WirelessMedium:
                         else:
                             bound = hi
                     else:
-                        window_fn = window_fns[i]
-                        if window_fn is not None:
-                            value, bound = window_fn(start)
-                        else:
-                            # Valid at exactly this instant only.
-                            value, bound = eps_fns[i](start), start
+                        value, bound = window_fns[i](start)
                     eps[i] = value
                     valid_until[i] = bound
             if bound < min_valid:
@@ -1155,7 +980,7 @@ class WirelessMedium:
         neighborhood in the common no-flip case.  Plans never cross
         an interval edge, so each interval re-plans at least once.
 
-        A refusal (callable steering target, no window support) or a
+        A refusal (callable steering target, no ``loss_eps_span``) or a
         horizon too close to *start* aborts: establishment parks until
         the horizon (a new attempt past the flip can commit again) and
         the sliver's frames resolve per frame.  Rows whose spans did
@@ -1297,136 +1122,54 @@ class WirelessMedium:
         self.predraw_planned_frames += 1
         return col, u[i:i + n]
 
-    def _resolve_array(self, transmitter_id, frame, start, unicast_to,
-                       attempt, rows):
-        """Vectorized outcome compare over the SoA rows.
+    def _resolve_outcomes(self, transmitter_id, frame, start, rows,
+                          unicast_to=None):
+        """Decide *frame*'s fate at each in-range receiver.
 
-        One uniform block slice is compared against the eps vector;
-        only rows whose validity window lapsed re-evaluate their
-        ``loss_eps``, and only the hits (deliveries) run python code.
+        The one outcome decision for merged, two-event and slot-batch
+        frames: one uniform slice (from the transmitter's interval plan
+        when one covers *start*, else off the per-frame outcome buffer)
+        is compared against the eps vector, and only the hits
+        (deliveries) run python code.  Returns whether *unicast_to*
+        decoded the frame.
         """
-        unicast_delivered = False
         n = rows.n
-        if n:
-            planned = self._plan_slice(rows, start)
-            if planned is not None:
-                eps, u = planned
-            else:
-                eps = rows.eps
-                if start >= rows.min_valid:
-                    # At least one row's validity window lapsed:
-                    # refresh those thresholds (the only python-per-row
-                    # work a resolve ever does on the loss side).
-                    self._refresh_row_thresholds(rows, start)
-                u = self._draw_outcome_vector(n)
-            ids = rows.ids
-            receive = rows.receive
-            delivered_count = self.delivered_count
-            kind = frame.kind_value
-            for i, hit in enumerate((u >= eps).tolist()):
-                if not hit:
-                    continue
-                receiver_id = ids[i]
-                if receiver_id == unicast_to:
-                    unicast_delivered = True
-                delivered_count[(receiver_id, kind)] += 1
-                receive[i](frame, transmitter_id)
-        return self._finish_resolve(transmitter_id, frame, unicast_to,
-                                    attempt, unicast_delivered)
-
-    def _resolve(self, transmitter_id, frame, start, collided,
-                 unicast_to=None, attempt=0):
-        unicast_delivered = False
-        links = self.links
-        observers = self.observers
+        if not n:
+            return False
+        planned = self._plan_slice(rows, start)
+        if planned is not None:
+            eps, u = planned
+        else:
+            eps = rows.eps
+            if start >= rows.min_valid:
+                # At least one row's validity window lapsed: refresh
+                # those thresholds (the only python-per-row work a
+                # resolve ever does on the loss side).
+                self._refresh_row_thresholds(rows, start)
+            u = self._draw_outcome_vector(n)
+        ids = rows.ids
+        receive = rows.receive
         delivered_count = self.delivered_count
         kind = frame.kind_value
-        now = self.sim.now
-        if links.reach_refresh_s > 0.0 and not observers \
-                and links._factory is None:
-            # Fast path: no observers to notify about losses and no
-            # factory that could supply unindexed links, so only the
-            # in-range receivers need any work at all.  Receivers are
-            # visited in sorted id order for reproducible delivery
-            # order.  Loss outcomes for eps-capable processes come
-            # from one batched medium-owned uniform block; a collided
-            # frame never consumes draws.
-            if collided:
-                return self._finish_resolve(transmitter_id, frame,
-                                            unicast_to, attempt, False)
-            rows = self._resolve_rows(transmitter_id, start)
-            if rows.all_eps:
-                return self._resolve_array(transmitter_id, frame,
-                                           start, unicast_to, attempt,
-                                           rows)
-            # Mixed rows (some processes lack loss_eps): per-row loop,
-            # with eps draws still taken off the outcome buffer, so
-            # the outcome stream is consumed through exactly one
-            # buffer.
-            ids = rows.ids
-            receive = rows.receive
-            eps_fns = rows.eps_fns
-            procs = rows.procs
-            for i in range(rows.n):
-                eps_fn = eps_fns[i]
-                if eps_fn is not None:
-                    if self._draw_outcome_vector(1)[0] < eps_fn(start):
-                        continue
-                elif procs[i].is_lost(start):
-                    continue
-                receiver_id = ids[i]
-                if receiver_id == unicast_to:
-                    unicast_delivered = True
-                delivered_count[(receiver_id, kind)] += 1
-                receive[i](frame, transmitter_id)
-            return self._finish_resolve(transmitter_id, frame,
-                                        unicast_to, attempt,
-                                        unicast_delivered)
-        reachable = links.reachable_from(transmitter_id, start)
-        known = links.known_receivers(transmitter_id) \
-            if reachable is not None else None
-        for receiver_id, node in self._nodes.items():
-            if receiver_id == transmitter_id:
+        unicast_delivered = False
+        for i, hit in enumerate((u >= eps).tolist()):
+            if not hit:
                 continue
-            if reachable is not None:
-                if receiver_id in reachable:
-                    process = known[receiver_id]
-                    lost = collided or process.is_lost(start)
-                elif receiver_id in known:
-                    # Registered link, but out of range at the last
-                    # reachability refresh: lost without running the
-                    # stochastic channel.
-                    lost = True
-                else:
-                    # Not in the index; a factory may still supply it.
-                    process = links.get(transmitter_id, receiver_id)
-                    if process is None:
-                        continue
-                    lost = collided or process.is_lost(start)
-            else:
-                process = links.get(transmitter_id, receiver_id)
-                if process is None:
-                    continue
-                lost = collided or process.is_lost(start)
-            if lost:
-                for obs in observers:
-                    obs.on_loss(transmitter_id, receiver_id, frame,
-                                now, collided)
-                continue
+            receiver_id = ids[i]
             if receiver_id == unicast_to:
                 unicast_delivered = True
             delivered_count[(receiver_id, kind)] += 1
-            for obs in observers:
-                obs.on_deliver(transmitter_id, receiver_id, frame, now)
-            node.on_receive(frame, transmitter_id)
-        self._finish_resolve(transmitter_id, frame, unicast_to, attempt,
-                             unicast_delivered)
+            receive[i](frame, transmitter_id)
+        return unicast_delivered
 
-    def _finish_resolve(self, transmitter_id, frame, unicast_to, attempt,
-                        unicast_delivered):
-        """Unicast retry bookkeeping and sender completion callback."""
+    def _resolve(self, transmitter_id, frame, start, unicast_to=None,
+                 attempt=0):
+        """Outcomes, unicast retry bookkeeping and sender completion."""
+        rows = self._resolve_rows(transmitter_id, start)
+        delivered = self._resolve_outcomes(transmitter_id, frame, start,
+                                           rows, unicast_to)
         if unicast_to is not None:
-            if unicast_delivered:
+            if delivered:
                 self._cw[transmitter_id] = self.backoff_slots
             elif attempt < self.mac_retry_limit:
                 # MAC retry: double the contention window and put the
@@ -1449,6 +1192,13 @@ class WirelessMedium:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
+
+    def _count_tx(self, transmitter_id, frame):
+        kind = frame.kind_value
+        self.tx_count[(transmitter_id, kind)] += 1
+        self._tx_by_kind[kind] += 1
+        self._tx_by_node[transmitter_id] += 1
+        self._tx_total += 1
 
     def transmissions(self, kind=None, node_id=None):
         """Total transmissions, optionally filtered by kind / node.

@@ -59,7 +59,10 @@ class GatewayThread:
         self.loop.call_soon_threadsafe(self.gateway.begin_drain)
 
     def shutdown(self):
-        self.begin_drain()
+        # A test may have drained the gateway already; its loop is then
+        # closed and must not be handed callbacks.
+        if self._thread.is_alive():
+            self.begin_drain()
         self._thread.join(timeout=10.0)
         assert not self._thread.is_alive(), "gateway failed to drain"
 
@@ -278,7 +281,11 @@ class TestFailureMapping:
         assert status == 503
         assert any(k.lower() == "retry-after" for k in headers)
         gate.set()
-        assert client.wait(job_id)["state"] == "done"
+        # The drained gateway stops serving once the released job
+        # finishes, so the result is read from the service itself.
+        gw._thread.join(timeout=10.0)
+        assert not gw._thread.is_alive(), "gateway failed to drain"
+        assert gw.service.wait(job_id, timeout=10.0).state == "done"
 
 
 class TestEventStream:

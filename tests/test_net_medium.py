@@ -16,7 +16,7 @@ from repro.core.protocol import ViFiConfig
 from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.backplane import Backplane
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
-from repro.net.medium import LinkTable, MediumObserver, WirelessMedium
+from repro.net.medium import LinkTable, WirelessMedium
 from repro.net.packet import Ack, DataPacket, Direction
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -154,21 +154,20 @@ class TestLinkTable:
         assert table.get(1, 2) is process
         assert table.get(2, 1) is process
 
-    def test_factory_creates_on_demand(self):
-        calls = []
-
-        def factory(src, dst):
-            calls.append((src, dst))
-            return BernoulliLoss(0.0, RngRegistry(1).stream("f", src, dst))
-
-        table = LinkTable(factory=factory)
-        assert table.get(3, 4) is not None
-        assert table.get(3, 4) is not None  # cached
-        assert calls == [(3, 4)]
-
     def test_loss_rate_for_missing_link_is_one(self):
         table = LinkTable()
         assert table.loss_rate(1, 2, 0.0) == 1.0
+
+    def test_none_process_rejected(self):
+        """Out of range means unregistered: a ``None`` link is refused
+        and the registered process keeps serving the pair."""
+        table = LinkTable()
+        process = BernoulliLoss(0.0, RngRegistry(1).stream("x"))
+        table.set_link(0, 1, process)
+        with pytest.raises(ValueError):
+            table.set_link(0, 1, None)
+        assert table.get(0, 1) is process
+        assert table.reachable_from(0, 0.0) == {1}
 
 
 class TestBackplane:
@@ -475,58 +474,19 @@ class TestArrayKernelBitwise:
         assert nodes[1].received == list(range(20))
         assert nodes[2].received == []
 
-    def test_rows_fall_back_for_eps_less_processes(self):
-        """A process without loss_eps forces the per-row loop."""
-
-        class _CoinOnly:
-            static_loss_rate = 0.0
-
-            def is_lost(self, t):
-                return False
-
-            def loss_rate(self, t):
-                return 0.0
-
-        sim = Simulator()
-        rngs = RngRegistry(3)
-        table = LinkTable()
-        table.set_link(0, 1, _CoinOnly())
-        medium = WirelessMedium(sim, table, rngs.stream("m"))
-
-        class _Node:
-            def __init__(self, node_id):
-                self.node_id = node_id
-                self.received = []
-
-            def on_receive(self, frame, transmitter_id):
-                self.received.append(frame.pkt_id)
-
-        for node_id in (0, 1):
-            medium.attach(_Node(node_id))
-        medium._nodes[1].received = []
-        medium.send(0, DataPacket(pkt_id=7, src=0, dst=1,
-                                  direction=Direction.UPSTREAM,
-                                  size_bytes=100))
-        sim.run(until=1.0)
-        assert medium._nodes[1].received == [7]
-
 
 # ----------------------------------------------------------------------
 # Backoff-freezing CSMA
 # ----------------------------------------------------------------------
 
-class _TxOrderObserver(MediumObserver):
-    def __init__(self):
-        self.order = []
-
-    def on_transmit(self, transmitter_id, frame, start_time, end_time):
-        self.order.append((transmitter_id, frame.kind_value,
-                           getattr(frame, "pkt_id", None)))
-
-
 class TestBackoffFreeze:
     def _contended_run(self, sends):
-        """Three nodes, zero backoff window -> deterministic order."""
+        """Three nodes, zero backoff window -> deterministic order.
+
+        Returns ``(transmitter, kind, pkt_id)`` per frame in the order
+        the frames finished airing (airtimes never overlap, so that is
+        the order they aired in).
+        """
         sim = Simulator()
         rngs = RngRegistry(7)
         table = LinkTable()
@@ -537,8 +497,7 @@ class TestBackoffFreeze:
                         0.0, rngs.stream("l", a, b)))
         medium = WirelessMedium(sim, table, rngs.stream("m"),
                                 backoff_slots=0)
-        observer = _TxOrderObserver()
-        medium.add_observer(observer)
+        order = []
 
         class _Node:
             def __init__(self, node_id):
@@ -547,6 +506,10 @@ class TestBackoffFreeze:
 
             def on_receive(self, frame, transmitter_id):
                 self.received.append((frame.pkt_id, transmitter_id))
+
+            def on_transmit_complete(self, frame):
+                order.append((self.node_id, frame.kind_value,
+                              getattr(frame, "pkt_id", None)))
 
         nodes = [_Node(i) for i in range(3)]
         for node in nodes:
@@ -558,7 +521,7 @@ class TestBackoffFreeze:
                                     direction=Direction.UPSTREAM,
                                     size_bytes=600))
         sim.run(until=2.0)
-        return observer.order
+        return order
 
     def test_fifo_per_sender_under_saturation(self):
         sends = [(0.0, src, src * 100 + k)
@@ -734,9 +697,9 @@ class TestPredrawProtocolRuns:
 # ----------------------------------------------------------------------
 
 class TestReachabilityIndex:
-    def _table(self, refresh=0.25):
+    def _table(self):
         rngs = RngRegistry(2)
-        table = LinkTable(reach_refresh_s=refresh)
+        table = LinkTable()
         table.set_link(0, 1, BernoulliLoss(0.3, rngs.stream("a")))
         table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("b")))
         return table, rngs
@@ -744,11 +707,6 @@ class TestReachabilityIndex:
     def test_culls_total_loss_links(self):
         table, _ = self._table()
         assert table.reachable_from(0, 0.0) == {1}
-
-    def test_disabled_index_returns_none(self):
-        table, _ = self._table(refresh=0.0)
-        assert table.reachable_from(0, 0.0) is None
-        assert table.reachable_links(0, 0.0) is None
 
     def test_registration_invalidates_cache(self):
         table, rngs = self._table()
@@ -758,7 +716,7 @@ class TestReachabilityIndex:
 
     def test_dynamic_link_reacquired_after_refresh(self):
         rngs = RngRegistry(4)
-        table = LinkTable(reach_refresh_s=0.25)
+        table = LinkTable()
         # Loss 1.0 during the first second, perfect afterwards.
         process = TraceDrivenLoss([1.0, 0.0, 0.0], rngs.stream("t"),
                                   out_of_range_rate=0.0)
@@ -775,24 +733,8 @@ class TestReachabilityIndex:
         pairs = table.reachable_links(0, 0.0)
         assert [dst for dst, _ in pairs] == [1, 5]
 
-    def test_pairs_is_live_iterator(self):
-        table, _ = self._table()
-        assert sorted(table.pairs()) == [(0, 1), (0, 2)]
 
-
-class _CountingObserver(MediumObserver):
-    def __init__(self):
-        self.losses = []
-        self.deliveries = []
-
-    def on_loss(self, transmitter_id, receiver_id, frame, time, collided):
-        self.losses.append((transmitter_id, receiver_id))
-
-    def on_deliver(self, transmitter_id, receiver_id, frame, time):
-        self.deliveries.append((transmitter_id, receiver_id))
-
-
-def _culling_medium(observer=None):
+def _culling_medium():
     """Node 0 reaches node 1 always and node 2 never."""
     sim = Simulator()
     rngs = RngRegistry(6)
@@ -803,8 +745,6 @@ def _culling_medium(observer=None):
     nodes = [Node(i) for i in range(3)]
     for node in nodes:
         medium.attach(node)
-    if observer is not None:
-        medium.add_observer(observer)
     return sim, medium, nodes
 
 
@@ -815,15 +755,6 @@ class TestMediumFastPath:
         sim.run(until=1.0)
         assert len(nodes[1].received) == 1
         assert nodes[2].received == []
-
-    def test_observer_still_sees_culled_losses(self):
-        observer = _CountingObserver()
-        sim, medium, nodes = _culling_medium(observer)
-        medium.send(0, _packet(0, 1, size=200))
-        sim.run(until=1.0)
-        # The culled (always-lost) link still reports a loss event.
-        assert (0, 2) in observer.losses
-        assert (0, 1) in observer.deliveries
 
     def test_counter_accounting(self):
         sim, medium, nodes = _culling_medium()
