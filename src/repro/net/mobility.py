@@ -5,11 +5,14 @@ within a speed limit of about 40 km/h" (Section 2.1).  We model a
 vehicle as a point following a piecewise-linear waypoint route at a
 per-segment speed, optionally looping, with brief stops at designated
 waypoints (bus stops).  Positions are exact at any float time; a 1 Hz
-sampler mirrors the testbeds' GPS units.
+sampler mirrors the testbeds' GPS units.  ``positions_at`` is the
+array form, float for float the scalar position.
 """
 
 import bisect
 import math
+
+import numpy as np
 
 __all__ = ["Route", "StationaryPosition", "VehicleMotion", "gps_samples"]
 
@@ -100,6 +103,32 @@ class Route:
         frac = min(max((t - t0) / (t1 - t0), 0.0), 1.0)
         return (x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))
 
+    def positions_at(self, t):
+        """:meth:`position_at` over the array *t*, as ``(x, y)`` arrays.
+
+        Same segment lookup, clamp and arithmetic order, so each
+        element is bitwise the scalar call's float.
+        """
+        t = np.asarray(t, dtype=np.float64)
+        if np.any(t < 0):
+            raise ValueError("route queried before departure")
+        if self.loop:
+            t = np.fmod(t, self.duration)
+        # Segment arrays are built per call (a route has a few dozen
+        # segments), so routes unpickled from a result store still work.
+        segments = self._segments
+        idx = np.searchsorted(self._starts, t, side="right") - 1
+        t0 = np.array([seg[0] for seg in segments])[idx]
+        span = np.array([seg[1] - seg[0] for seg in segments])[idx]
+        p0 = np.array([seg[2] for seg in segments])[idx]
+        p1 = np.array([seg[3] for seg in segments])[idx]
+        moving = span > 0.0
+        frac = np.clip((t - t0) / np.where(moving, span, 1.0), 0.0, 1.0)
+        pos = np.where(moving[:, None], p0 + frac[:, None] * (p1 - p0), p0)
+        if not self.loop:
+            pos[t >= self.duration] = self.waypoints[-1]
+        return pos[:, 0], pos[:, 1]
+
 
 class VehicleMotion:
     """A vehicle following a :class:`Route`, usable as a position callable.
@@ -128,6 +157,15 @@ class VehicleMotion:
         self._memo_t = t
         self._memo_pos = pos
         return pos
+
+    def positions_at(self, t):
+        """:meth:`__call__` over the array *t*, bitwise, as ``(x, y)``."""
+        t = np.asarray(t, dtype=np.float64)
+        moving = t > self.depart_at
+        x, y = self.route.positions_at(
+            np.where(moving, t - self.depart_at, 0.0))
+        x0, y0 = self.route.waypoints[0]
+        return np.where(moving, x, x0), np.where(moving, y, y0)
 
     def speed_at(self, t):
         """Instantaneous speed (m/s), estimated over a 0.2 s window."""

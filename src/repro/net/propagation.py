@@ -35,11 +35,11 @@ the same instant (the paper's Figure 5 diversity argument), so the N
 per-link cache misses of one time quantum are really one batched
 computation.  The bank stacks the per-BS spatial-field Fourier
 coefficients, shadowing lattices, and geometry into shared numpy arrays
-and fills every member cache's buckets in large vectorized passes.
-Every bucket is sampled at its centre instant, so its value is a pure
-function of (link, bucket): whole trips can be prefilled at build time,
-and one prefilled bank can be shared read-only across every seed and
-policy of a sweep.
+and fills every member cache's buckets in array passes over 256-bucket
+chunks, with no per-bucket Python.  Every bucket is sampled at its
+centre instant, so its value is a pure function of (link, bucket):
+whole trips can be prefilled at build time, and one prefilled bank can
+be shared read-only across every seed and policy of a sweep.
 """
 
 import bisect
@@ -473,13 +473,13 @@ class LinkBank:
     transmits, the vehicle link needs them moments later inside the
     same time quantum.  Evaluating those N cache misses one by one
     would repeat the same work N times, so the bank evaluates every
-    link together, :attr:`_CHUNK` time buckets per vectorized pass
-    (:meth:`_fill_chunk`): the per-BS spatial-field Fourier
-    coefficients are stacked into ``(N, T)`` numpy matrices behind a
-    position-quantized cell-centre cache, and path loss, shadowing
-    interpolation, the decode logistic and the gray-period overlay run
-    as one numpy pipeline over the chunk's vehicle positions.  The
-    underlying stochastic processes extend themselves lazily but
+    link together, :attr:`_CHUNK` time buckets per array pass
+    (:meth:`_fill_chunk`): one ``positions_at`` call places the
+    vehicle, the per-BS spatial-field Fourier coefficients are stacked
+    into ``(N, T)`` matrices evaluated once per distinct spatial cell,
+    and path loss, shadowing interpolation, the decode logistic and
+    the gray-period overlay run as one numpy pipeline over the chunk.
+    The underlying stochastic processes extend themselves lazily but
     deterministically, so banked and scalar evaluation consume
     identical RNG streams.
 
@@ -497,16 +497,15 @@ class LinkBank:
     bucket.
 
     Requirements: every link shares the same :class:`RadioProfile` and
-    the same moving-endpoint callable (``position_b``); the static
-    endpoints (``position_a``) must not move; spatial fields, when
-    present, must share term count and cache quantum.
+    the same moving endpoint (``position_b``) with an array form
+    ``positions_at`` (a :class:`~repro.net.mobility.VehicleMotion`);
+    the static endpoints (``position_a``) must not move; spatial
+    fields, when present, must share term count and cache quantum.
 
     Args:
         links: :class:`LinkModel` instances satisfying the above.
         quantum_s: time quantum handed to the member caches (must be
             positive).
-        spatial_cache_size: maximum cached vehicle positions for the
-            banked spatial-field pass (LRU eviction).
     """
 
     #: Buckets computed per vectorized fill pass.  Lazy fills and
@@ -514,8 +513,7 @@ class LinkBank:
     #: two fill orders produce identical chunks.
     _CHUNK = 256
 
-    def __init__(self, links, quantum_s=LinkStateCache.DEFAULT_QUANTUM_S,
-                 spatial_cache_size=1024):
+    def __init__(self, links, quantum_s=LinkStateCache.DEFAULT_QUANTUM_S):
         if not quantum_s > 0.0:
             raise ValueError("a LinkBank needs a positive time quantum")
         links = list(links)
@@ -530,6 +528,11 @@ class LinkBank:
                 raise ValueError(
                     "banked links must share the moving endpoint"
                 )
+        if not callable(getattr(position, "positions_at", None)):
+            raise ValueError(
+                "the banked moving endpoint needs positions_at "
+                "(e.g. a VehicleMotion)"
+            )
         self.links = links
         self.profile = profile
         self.quantum = float(quantum_s)
@@ -559,8 +562,6 @@ class LinkBank:
             self._sp_ph = np.stack([f._phases for _, f in fields])
             self._sp_amp = np.asarray([f._amp for _, f in fields])
             self._sp_quantum = fields[0][1].cache_quantum
-            self._sp_cache = {}
-            self._sp_cache_size = int(spatial_cache_size)
             if len(fields) != n:
                 raise ValueError(
                     "banked links must all have a spatial field or none"
@@ -599,59 +600,43 @@ class LinkBank:
     def _spatial_matrix(self, px, py):
         """All fields' offsets at the chunk positions, shape (N, C).
 
-        Served through a cell-centre position cache (the same
-        convention as :class:`SpatialField`'s): the cached vector is a
-        pure function of the cell, so every lookup of one location
-        reads the same offsets regardless of query order.
+        A position reads its cell centre (:class:`SpatialField`'s
+        cache convention; ``np.rint`` rounds half to even like
+        ``round``), so offsets are a pure function of the cell.  One
+        batched cosine pass evaluates each distinct cell once.
         """
         quantum = self._sp_quantum
-        columns = []
         if quantum > 0.0:
-            cache = self._sp_cache
-            for x, y in zip(px, py):
-                key = (round(x / quantum), round(y / quantum))
-                values = cache.get(key)
-                if values is None:
-                    cx, cy = key[0] * quantum, key[1] * quantum
-                    values = (self._sp_amp * np.cos(
-                        self._sp_fx * cx + self._sp_fy * cy + self._sp_ph
-                    ).sum(axis=1)).tolist()
-                    if len(cache) >= self._sp_cache_size:
-                        del cache[next(iter(cache))]
-                    cache[key] = values
-                columns.append(values)
-        else:
-            for x, y in zip(px, py):
-                columns.append((self._sp_amp * np.cos(
-                    self._sp_fx * x + self._sp_fy * y + self._sp_ph
-                ).sum(axis=1)).tolist())
-        return np.asarray(columns, dtype=np.float64).T
+            px = np.rint(px / quantum) * quantum
+            py = np.rint(py / quantum) * quantum
+        cells, inverse = np.unique(np.stack((px, py), axis=1), axis=0,
+                                   return_inverse=True)
+        # (N, cells, T), built in place to keep the chunk's peak small.
+        arg = self._sp_fx[:, None, :] * cells[:, 0][None, :, None]
+        arg += self._sp_fy[:, None, :] * cells[:, 1][None, :, None]
+        arg += self._sp_ph[:, None, :]
+        values = self._sp_amp[:, None] * np.cos(arg, out=arg).sum(axis=2)
+        return values[:, inverse.reshape(-1)]
 
     def _fill_chunk(self, chunk):
         """Compute buckets ``[chunk*_CHUNK, ...)`` at their centres.
 
-        One vectorized pipeline per chunk: stacked path loss over the
-        chunk's vehicle positions, lattice-interpolated shadowing rows,
-        the banked spatial matrix, the decode logistic, and a
-        searchsorted gray-period overlay.  Every value is evaluated at
-        its bucket-centre instant, so the result depends only on
-        (links, quantum, chunk) — never on query order.
+        One vectorized pipeline per chunk (so temporaries stay
+        chunk-sized): ``positions_at``, stacked path loss,
+        lattice-interpolated shadowing rows, the banked spatial matrix,
+        the decode logistic, and a searchsorted gray-period overlay.
+        Every value is evaluated at its bucket-centre instant, so the
+        result depends only on (links, quantum, chunk).
         """
         profile = self.profile
         quantum = self.quantum
         size = self._CHUNK
         k0 = chunk * size
         tc = (np.arange(k0, k0 + size, dtype=np.float64) + 0.5) * quantum
-        position = self._position
-        px = [0.0] * size
-        py = [0.0] * size
-        for j in range(size):
-            px[j], py[j] = position(tc[j])
-        pxa = np.asarray(px)
-        pya = np.asarray(py)
+        px, py = self._position.positions_at(tc)
         ax = np.asarray(self._ax)[:, None]
         ay = np.asarray(self._ay)[:, None]
-        d = np.hypot(ax - pxa[None, :], ay - pya[None, :])
+        d = np.hypot(ax - px[None, :], ay - py[None, :])
         np.maximum(d, 1.0, out=d)
         rssi = profile.tx_power_dbm - (
             profile.ref_loss_db

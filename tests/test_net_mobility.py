@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.net.mobility import (
@@ -10,6 +11,14 @@ from repro.net.mobility import (
     VehicleMotion,
     gps_samples,
 )
+from repro.testbeds.vanlan import VanLanTestbed
+
+
+def _assert_bitwise_scalar(position, batched, times):
+    """Every ``positions_at`` element is the scalar call's exact float."""
+    xs, ys = batched(np.asarray(times, dtype=np.float64))
+    for t, x, y in zip(times, xs.tolist(), ys.tolist()):
+        assert position(float(t)) == (x, y)
 
 
 class TestRoute:
@@ -71,6 +80,50 @@ class TestVehicleMotion:
     def test_speed_zero_when_parked(self):
         motion = VehicleMotion(Route([(0, 0), (100, 0)], 10.0))
         assert motion.speed_at(500.0) == pytest.approx(0.0, abs=1e-6)
+
+
+class TestPositionsAt:
+    """``positions_at`` is the scalar position, bit for bit, as arrays."""
+
+    def test_vanlan_route_with_dwell(self):
+        # VanLAN's route dwells 5 s at waypoint 0 before it moves.
+        route = VanLanTestbed(seed=0).make_route()
+        assert route._segments[0][2] == route._segments[0][3]
+        times = np.concatenate([
+            (np.arange(0, 12000) + 0.5) * 0.02,  # bucket centres
+            [0.0, 2.5, 5.0, route.duration, route.duration + 40.0],
+        ])
+        _assert_bitwise_scalar(route.position_at, route.positions_at,
+                               times)
+
+    def test_departure_delay_before_and_past_the_route(self):
+        route = VanLanTestbed(seed=0).make_route()
+        motion = VehicleMotion(route, depart_at=7.3)
+        end = 7.3 + route.duration
+        times = np.concatenate([
+            np.linspace(0.0, 7.3, 50),  # parked before departure
+            [7.3, np.nextafter(7.3, 8.0), 12.3],
+            np.linspace(7.3, end + 30.0, 4001),  # through and past the end
+            [end, np.nextafter(end, 0.0)],
+        ])
+        _assert_bitwise_scalar(motion, motion.positions_at, times)
+        xs, ys = motion.positions_at(np.array([0.0, 7.3, end + 1.0]))
+        assert (xs[0], ys[0]) == route.waypoints[0]
+        assert (xs[1], ys[1]) == route.waypoints[0]
+        assert (xs[2], ys[2]) == route.waypoints[-1]
+
+    def test_looping_route(self):
+        route = Route([(0, 0), (100, 0), (100, 50), (100, 50)],
+                      speed_mps=7.3, stop_durations={1: 2.0, 3: 1.5},
+                      loop=True)
+        times = np.linspace(0.0, 5.0 * route.duration, 9001)
+        _assert_bitwise_scalar(route.position_at, route.positions_at,
+                               times)
+
+    def test_negative_time_rejected(self):
+        route = Route([(0, 0), (1, 1)])
+        with pytest.raises(ValueError):
+            route.positions_at(np.array([0.0, -0.1]))
 
 
 class TestGps:

@@ -1,8 +1,10 @@
 """Unit tests for the propagation model, the bucket-centre link bank,
 the quantized ``LinkStateCache`` and the gray-period bisection."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from repro.net.mobility import StationaryPosition
@@ -257,6 +259,39 @@ class TestLinkBank:
         # The matching table still adopts it.
         table = testbed.build_link_table(0, motion, bank=bank)
         assert table.link_bank is bank
+
+    def test_prefilled_trip_bytes_are_pinned(self):
+        """Every prefilled chunk of VanLAN trip 0 hashes to the value
+        recorded before the chunk fill became whole-chunk array passes
+        (per-bucket positions, a per-cell spatial cache): the fill
+        changes speed, never a bucket's bits."""
+        testbed = VanLanTestbed(seed=0)
+        motion = testbed.vehicle_motion()
+        bank = testbed.build_link_bank(0, motion,
+                                       prefill_s=motion.route.duration)
+        digest = hashlib.sha256()
+        for chunk in sorted(bank._chunks):
+            rssi, prob = bank._chunks[chunk]
+            digest.update(np.ascontiguousarray(rssi).tobytes())
+            digest.update(np.ascontiguousarray(prob).tobytes())
+        assert len(bank._chunks) == 38
+        assert digest.hexdigest() == (
+            "eb642b977f39c4ef5ade8b7821e5aea4"
+            "daa152662a3e392bbc5a112675c35ab8")
+
+    def test_bank_requires_positions_at(self):
+        """The fill places the vehicle for a whole chunk at once, so a
+        moving endpoint without the array form is refused."""
+        testbed = VanLanTestbed(seed=1)
+        motion = testbed.vehicle_motion()
+
+        def position(t):
+            return motion(t)
+
+        links = [testbed.link_model(0, bs, position)
+                 for bs in testbed.deployment.bs_ids[:2]]
+        with pytest.raises(ValueError, match="positions_at"):
+            LinkBank(links)
 
     def test_bank_requires_shared_profile(self):
         testbed = VanLanTestbed(seed=1)
