@@ -76,6 +76,10 @@ class LossProcess:
 
     static_loss_rate = None
 
+    #: False when :meth:`loss_eps_span` can only refuse (the medium
+    #: then never calls it).
+    commits_spans = True
+
     def is_lost(self, t):
         """Return True if a packet sent at time *t* is lost."""
         raise NotImplementedError
@@ -388,6 +392,13 @@ class SteeredGilbertElliott(LossProcess):
         if next_flip < bound:
             bound = next_flip
         return (eps_bad if in_bad else eps_good), bound
+
+    @property
+    def commits_spans(self):
+        """False for a plain callable target: no bank to read ahead."""
+        ls = self._link_state
+        return self._static_eps is not None or (
+            ls is not None and ls.bank is not None)
 
     def loss_eps_span(self, t0, t1):
         """Per-bucket thresholds up to the next flip, or ``None``.

@@ -239,7 +239,11 @@ class _ResolveRows:
             ids.append(receiver_id)
             receive.append(node.on_receive)
             window_fns.append(process.loss_eps_window)
-            span_fns.append(getattr(process, "loss_eps_span", None))
+            # A process whose spans can only refuse gets none: its
+            # rows refresh by window and plans fail without the call.
+            span_fns.append(getattr(process, "loss_eps_span", None)
+                            if getattr(process, "commits_spans", True)
+                            else None)
             procs.append(process)
             # Re-adopt the process's stashed span read-ahead (pure
             # per-bucket data), so a reachability-driven rows rebuild

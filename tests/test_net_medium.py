@@ -15,7 +15,11 @@ import pytest
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.backplane import Backplane
-from repro.net.channel import BernoulliLoss, TraceDrivenLoss
+from repro.net.channel import (
+    BernoulliLoss,
+    SteeredGilbertElliott,
+    TraceDrivenLoss,
+)
 from repro.net.medium import LinkTable, WirelessMedium
 from repro.net.packet import Ack, DataPacket, Direction
 from repro.sim.engine import Simulator
@@ -676,6 +680,52 @@ class TestIntervalPredraw:
         assert medium.predraw_plans == 0
         assert medium.predraw_planned_frames == 0
         assert medium.predraw_fallback_frames == 4
+
+
+class TestCallableTargetRows:
+    def test_resolving_makes_no_span_call(self):
+        """A plain callable steering target (DieselNet's per-second
+        trace closures) can never commit a span, so its rows never ask:
+        lapsed rows refresh through the window alone and each plan
+        attempt fails without the call."""
+        sim = Simulator()
+        rngs = RngRegistry(5)
+        table = LinkTable()
+        calls = {"span": 0, "window": 0}
+        for rx in (1, 2):
+            process = SteeredGilbertElliott(
+                lambda t: 0.2 if int(t * 10) % 2 else 0.4,
+                rng=rngs.stream("l", rx))
+
+            def span(t0, t1, _span=process.loss_eps_span):
+                calls["span"] += 1
+                return _span(t0, t1)
+
+            def window(t, _window=process.loss_eps_window):
+                calls["window"] += 1
+                return _window(t)
+
+            process.loss_eps_span = span
+            process.loss_eps_window = window
+            table.set_link(0, rx, process)
+        medium = WirelessMedium(sim, table, rngs.stream("m"),
+                                outcome_rng=rngs.stream("o"),
+                                backoff_slots=0,
+                                predraw_interval_s=0.1)
+        nodes = [_RxSink(i) for i in range(3)]
+        for node in nodes:
+            medium.attach(node)
+        for k in range(10):
+            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
+                         TestIntervalPredraw._frame(k))
+        sim.run(until=0.3)
+        assert calls["span"] == 0
+        # Every frame refreshed both rows through the window.
+        assert calls["window"] >= 2 * 10
+        assert medium.predraw_fallback_frames == 10
+        assert medium.predraw_plans == 0
+        assert medium.predraw_failed_plans > 0
+        assert sum(len(node.received) for node in nodes) > 0
 
 
 class TestPredrawProtocolRuns:
