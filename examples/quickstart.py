@@ -44,9 +44,10 @@ def main(seconds=None):
               f"{median:>13.0f} s {sim.stats.anchor_changes:>15d}")
     print(
         "\nViFi masks disruptions by letting auxiliary basestations\n"
-        "relay packets the anchor missed; see DESIGN.md for the map\n"
-        "from the paper's figures to the benchmarks that regenerate\n"
-        "them (pytest benchmarks/ --benchmark-only)."
+        "relay packets the anchor missed.  `python -m repro list` names\n"
+        "the paper artifacts the CLI regenerates; each figure also has\n"
+        "a benchmark that regenerates and checks it, for example\n"
+        "`pytest benchmarks/bench_fig07_vifi_link.py`."
     )
 
 

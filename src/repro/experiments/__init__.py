@@ -1,53 +1,11 @@
-"""Experiment orchestration: one entry point per paper artifact.
+"""Experiment orchestration: one module per group of paper artifacts.
 
-Each function regenerates the data behind a table or figure of the
-paper's evaluation; the benchmark suite and the examples are thin
-wrappers around this package.  See DESIGN.md section 4 for the full
-experiment index.
+:mod:`~repro.experiments.study` (Figures 2-6), ``linklayer`` (7, 8),
+``tcpbench`` (9, 10), ``voipbench`` (11), ``efficiency`` (12),
+``coordination`` (Tables 1, 2) and ``validation`` (Section 5.1)
+regenerate the data behind their artifacts; ``common`` holds the
+shared builders and the ``run_trips`` sweep runner.  The benchmarks
+(``benchmarks/bench_<artifact>.py``), the examples and the
+``python -m repro`` CLI are thin wrappers around them.  Nothing is
+re-exported here, so importing one module loads only what it needs.
 """
-
-from repro.experiments.common import (
-    dieselnet_protocol,
-    run_protocol_cbr,
-    vanlan_protocol,
-)
-from repro.experiments.coordination import (
-    coordination_table,
-    formulation_comparison,
-    relay_count_spread,
-)
-from repro.experiments.efficiency import efficiency_comparison
-from repro.experiments.linklayer import (
-    link_layer_sessions,
-    policy_session_medians,
-)
-from repro.experiments.study import (
-    aggregate_by_density,
-    burst_loss_experiment,
-    diversity_cdfs,
-    two_bs_experiment,
-)
-from repro.experiments.tcpbench import tcp_dieselnet, tcp_vanlan
-from repro.experiments.validation import validate_trace_methodology
-from repro.experiments.voipbench import voip_dieselnet, voip_vanlan
-
-__all__ = [
-    "aggregate_by_density",
-    "burst_loss_experiment",
-    "coordination_table",
-    "dieselnet_protocol",
-    "diversity_cdfs",
-    "efficiency_comparison",
-    "formulation_comparison",
-    "link_layer_sessions",
-    "policy_session_medians",
-    "relay_count_spread",
-    "run_protocol_cbr",
-    "tcp_dieselnet",
-    "tcp_vanlan",
-    "two_bs_experiment",
-    "validate_trace_methodology",
-    "vanlan_protocol",
-    "voip_dieselnet",
-    "voip_vanlan",
-]

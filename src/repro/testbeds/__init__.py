@@ -15,8 +15,10 @@ pipeline consumes:
   DieselNet methodology: a vehicle logs beacons heard from every
   basestation, reduced to per-second reception counts.
 
-See DESIGN.md section 2 for why this substitution preserves the
-behaviours the paper measures.
+The substitution keeps the Section 3.4 properties the analysis rests
+on — losses bursty within a link, roughly independent across
+basestations, several basestations in range — which
+``tests/test_testbeds_environments.py`` checks.
 """
 
 from repro.testbeds.dieselnet import DieselNetTestbed

@@ -6,6 +6,10 @@ assertions).
 """
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +28,28 @@ from repro.experiments.study import (
 from repro.sim.rng import RngRegistry
 from repro.testbeds.dieselnet import DieselNetTestbed
 from repro.testbeds.vanlan import VanLanTestbed
+
+
+class TestColdImport:
+    def test_sweep_runner_import_stays_lean(self):
+        """``repro.experiments`` re-exports nothing, so importing the
+        sweep runner in a fresh interpreter loads neither the other
+        experiment modules nor the handoff and analysis layers."""
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = str(src) if not existing \
+            else str(src) + os.pathsep + existing
+        avoided = ("repro.experiments.study",
+                   "repro.experiments.coordination",
+                   "repro.handoff", "repro.analysis")
+        code = ("import sys, repro.experiments.common; "
+                f"print([m for m in {avoided!r} if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code],
+                                capture_output=True, text=True,
+                                timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 @pytest.fixture(scope="module")
