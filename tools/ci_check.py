@@ -46,11 +46,14 @@ Runs, in order:
    complete; SIGTERM must drain gracefully.  Zero server tracebacks
    throughout.  Skips itself (exit 0, with the reason) when loopback
    sockets are unavailable,
-8. the perf gate (``python -m repro bench --repeats 3`` via
-   ``tools/perf_smoke.py``), which rewrites ``BENCH_perf.json`` and
-   fails on a >20% tracked-rate regression against the committed
-   numbers (best-of-3 so container wall-clock noise does not eat the
-   headroom).
+8. the perf gate (``python -m repro bench --repeats 3 --no-write`` via
+   ``tools/perf_smoke.py``), which fails on a >20% tracked-rate
+   regression against the committed ``BENCH_perf.json`` (best-of-3 so
+   container wall-clock noise does not eat the headroom).  The stage
+   never rewrites that file: a passing run up to 20% slower would
+   otherwise become the next baseline, and repeated passes would
+   ratchet the gate down.  Refreshing the baseline stays an explicit
+   ``python -m repro bench``.
 
 ``--fast`` is the inner-loop variant: every stage except the slow
 tests and the benchmark's tests (equivalent to ``--skip-slow``; run
@@ -96,7 +99,9 @@ def main(argv=None):
                         help="skip the slow tests and the benchmark's "
                              "tests")
     parser.add_argument("--skip-bench", action="store_true",
-                        help="skip the perf gate")
+                        help="skip the perf gate (python -m repro bench "
+                             "--repeats 3 --no-write; it checks against "
+                             "BENCH_perf.json and never rewrites it)")
     args = parser.parse_args(argv)
 
     stages = [
@@ -129,8 +134,9 @@ def main(argv=None):
     ))
     if not args.skip_bench:
         stages.append((
-            "perf gate (python -m repro bench --repeats 3)",
-            [sys.executable, "-m", "repro", "bench", "--repeats", "3"],
+            "perf gate (python -m repro bench --repeats 3 --no-write)",
+            [sys.executable, "-m", "repro", "bench", "--repeats", "3",
+             "--no-write"],
         ))
 
     for label, cmd in stages:
