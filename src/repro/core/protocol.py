@@ -279,7 +279,6 @@ class ViFiSimulation:
             self.sim, link_table, self.rngs.stream("medium"),
             bitrate_bps=self.config.bitrate_bps,
             outcome_rng=self.rngs.stream("medium-outcomes"),
-            predraw_interval_s=self.config.beacon_interval,
         )
         self.backplane = Backplane(
             self.sim,

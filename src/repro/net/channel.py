@@ -25,8 +25,6 @@ Three processes are provided:
 
 import math
 
-import numpy as np
-
 from repro.net.propagation import LinkStateCache
 from repro.sim.rng import BufferedUniforms
 
@@ -60,66 +58,17 @@ class LossProcess:
     thresholds in its struct-of-arrays resolve rows, reuses each while
     its window holds — bitwise-safe because a skipped no-flip state
     advance consumes no randomness and a pending flip caps the window
-    — and supplies the uniforms itself from one RNG block per frame.
+    — and draws every frame's uniforms itself, off one batched
+    outcome stream.
     :meth:`is_lost` flips the coin from the process's own stream, for
     callers outside the medium (probe traces, the handoff study).
-
-    :meth:`loss_eps_span` extends the window to a whole *interval*
-    (the medium's pre-draw plane plans one beacon interval at a time):
-    it commits up front to every threshold the process will report
-    over as much of ``[t0, t1)`` as it can bound — the whole span
-    when nothing moves inside it, a shorter prefix when a burst flip
-    or trace-second edge caps the commitment — or refuses with
-    ``None`` when it cannot commit past the instant ``t0`` at all
-    (an unbucketed callable target, no window support).
     """
 
     static_loss_rate = None
 
-    #: False when :meth:`loss_eps_span` can only refuse (the medium
-    #: then never calls it).
-    commits_spans = True
-
     def is_lost(self, t):
         """Return True if a packet sent at time *t* is lost."""
         raise NotImplementedError
-
-    def loss_eps_span(self, t0, t1):
-        """Commit thresholds for a prefix of ``[t0, t1)``, or ``None``.
-
-        Returns ``(eps, quantum, key0, valid_until)`` with
-        ``valid_until > t0`` — the commitment horizon.  The process
-        guarantees its thresholds over ``[t0, min(t1, valid_until))``;
-        a horizon short of *t1* (a pending burst flip, a trace-second
-        edge) simply caps how far the caller may plan, and a horizon
-        beyond *t1* tells the caller the value outlives the request
-        (cacheable, exactly as a :meth:`loss_eps_window` bound).
-
-        * ``quantum == 0.0`` — *eps* is a plain float, constant over
-          ``[t0, valid_until)``;
-        * ``quantum > 0.0`` — *eps* is a sequence of per-bucket
-          thresholds for time buckets ``key0 ..`` (bucket of time *t*
-          is ``int(t / quantum)``), covering every bucket touched by
-          ``[t0, min(t1, valid_until))``.
-
-        ``None`` means the process cannot commit past the instant
-        *t0* at all (no window support, an unbucketed callable
-        steering target) and the caller must stay on the per-query
-        :meth:`loss_eps_window` path, which remains authoritative.
-        State advances (chain time) behave exactly as a
-        ``loss_eps_window(t0)`` call, so a refused or unused span
-        never perturbs the draw stream.
-
-        The default composes from :meth:`loss_eps_window`: the window
-        value over its own bound is a constant span prefix.
-        """
-        window = getattr(self, "loss_eps_window", None)
-        if window is None:
-            return None
-        eps, bound = window(t0)
-        if bound <= t0:
-            return None
-        return eps, 0.0, 0, bound
 
     def loss_rate(self, t):
         """Return the expected loss probability around time *t*."""
@@ -392,63 +341,6 @@ class SteeredGilbertElliott(LossProcess):
         if next_flip < bound:
             bound = next_flip
         return (eps_bad if in_bad else eps_good), bound
-
-    @property
-    def commits_spans(self):
-        """False for a plain callable target: no bank to read ahead."""
-        ls = self._link_state
-        return self._static_eps is not None or (
-            ls is not None and ls.bank is not None)
-
-    def loss_eps_span(self, t0, t1):
-        """Per-bucket thresholds up to the next flip, or ``None``.
-
-        The commitment horizon is the chain's next burst flip (a flip
-        moves the good/bad selection, which only the per-query path
-        tracks); a flip beyond *t1* commits the whole request.  The
-        steering target must be either static or a bucket-centre
-        :class:`LinkStateCache` bank, whose buckets are pure functions
-        of (link, bucket) and can therefore be read ahead via
-        :meth:`~repro.net.propagation.LinkBank.prob_span`.  Each
-        bucket's threshold comes from the same scalar :meth:`_split`
-        the window path uses, so a committed threshold is bitwise what
-        ``loss_eps_window`` would have returned at any instant inside
-        the horizon.  The chain advance to *t0* is the same advance a
-        window query performs, so planning consumes no randomness
-        beyond it.
-        """
-        chain = self._chain
-        if chain._time <= t0 < chain._next_flip:
-            chain._time = t0
-            in_bad = chain._in_bad
-        else:
-            in_bad = chain.in_bad_state(t0)
-        next_flip = chain._next_flip
-        if self._static_eps is not None:
-            eps_good, eps_bad = self._static_eps
-            return ((eps_bad if in_bad else eps_good), 0.0, 0,
-                    next_flip)
-        ls = self._link_state
-        if ls is None:
-            return None  # generic callable target: no validity bound
-        bank = ls.bank
-        if bank is None:
-            return None  # unbanked cache: no read-ahead store
-        quantum = ls.quantum
-        t_hi = t1 if t1 <= next_flip else next_flip
-        k0 = int(t0 / quantum)
-        k1 = int(t_hi / quantum)
-        probs = bank.prob_span(ls.bank_index, k0, k1)
-        if probs is None:
-            return None  # before time zero: nothing to read ahead
-        # Per-bucket split through the same scalar :meth:`_split` the
-        # window path uses (bucket counts are single digits here, so a
-        # python loop beats numpy dispatch — and the thresholds are
-        # bitwise the window path's by construction).
-        split = self._split
-        state = 1 if in_bad else 0
-        eps = [split(1.0 - p)[state] for p in probs.tolist()]
-        return eps, quantum, k0, t_hi
 
     def is_lost(self, t):
         eps = self.loss_eps(t)

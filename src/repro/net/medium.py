@@ -68,18 +68,6 @@ Fast paths riding on top:
   per-frame sends; receivers observe an accepted batch at its last
   frame's end (at most one slot late, the bound beacon slotting
   already accepts on the emission side).
-* **Interval-level outcome pre-draw** — bucket-centre propagation
-  banks make loss thresholds pure functions of (link, time bucket),
-  so at a beacon interval's first resolve a transmitter's whole
-  interval of eps vectors is already determined: the medium commits
-  them once per interval per transmitter (via ``loss_eps_span``) and
-  pre-draws the interval's uniforms in one RNG call, turning every
-  later resolve in the interval into a bucket lookup plus a
-  pre-sliced vector compare — no per-frame window refreshes, no
-  per-frame RNG refills.  Intervals a loss process cannot commit to
-  (pending burst flip, trace-second edge inside the window, callable
-  steering target) fall back to the per-frame path for that interval
-  only.
 """
 
 import math
@@ -220,16 +208,11 @@ class _ResolveRows:
     supplies; the stored threshold is reused until ``valid_until``.
     """
 
-    __slots__ = ("ids", "receive", "window_fns", "span_fns",
-                 "procs", "eps", "valid_until", "min_valid", "n",
-                 "finite_rows", "row_vec", "row_q",
-                 "row_k0", "row_hi", "plan_until", "plan_q",
-                 "plan_k0", "plan_cols", "plan_u", "plan_u_i",
-                 "plan_fail_until", "plan_arm_until")
+    __slots__ = ("ids", "receive", "window_fns", "eps", "valid_until",
+                 "min_valid", "n", "finite_rows")
 
     def __init__(self, pairs, transmitter_id, nodes_by_id):
-        ids, receive, window_fns, span_fns, procs = [], [], [], [], []
-        row_vec, row_q, row_k0, row_hi = [], [], [], []
+        ids, receive, window_fns = [], [], []
         for receiver_id, process in pairs:
             if receiver_id == transmitter_id:
                 continue
@@ -239,31 +222,9 @@ class _ResolveRows:
             ids.append(receiver_id)
             receive.append(node.on_receive)
             window_fns.append(process.loss_eps_window)
-            # A process whose spans can only refuse gets none: its
-            # rows refresh by window and plans fail without the call.
-            span_fns.append(getattr(process, "loss_eps_span", None)
-                            if getattr(process, "commits_spans", True)
-                            else None)
-            procs.append(process)
-            # Re-adopt the process's stashed span read-ahead (pure
-            # per-bucket data), so a reachability-driven rows rebuild
-            # does not throw warm caches away.
-            cache = getattr(process, "_span_readahead", None)
-            if cache is None:
-                row_vec.append(None)
-                row_q.append(0.0)
-                row_k0.append(0)
-                row_hi.append(0.0)
-            else:
-                row_vec.append(cache[0])
-                row_q.append(cache[1])
-                row_k0.append(cache[2])
-                row_hi.append(cache[3])
         self.ids = ids
         self.receive = receive
         self.window_fns = window_fns
-        self.span_fns = span_fns
-        self.procs = procs
         self.n = len(ids)
         self.eps = np.zeros(self.n, dtype=np.float64)
         # Validity bounds stay a python list (the refresh loop is
@@ -279,39 +240,6 @@ class _ResolveRows:
         # that is one dynamic vehicle row instead of the whole
         # static BS-BS neighborhood.
         self.finite_rows = None
-        # Per-row span read-ahead: when a bucketed row lapses, one
-        # ``loss_eps_span`` call caches its next stretch of per-bucket
-        # thresholds (``row_vec`` over buckets ``row_k0 ..`` of width
-        # ``row_q``, good until ``row_hi`` — the row's own next burst
-        # flip or the read-ahead horizon).  Later lapses inside the
-        # stretch are a list lookup instead of a window call.  The
-        # cached values are bitwise the window path's (same bank
-        # buckets, same scalar split), so this layer never changes a
-        # realization.
-        self.row_vec = row_vec
-        self.row_q = row_q
-        self.row_k0 = row_k0
-        self.row_hi = row_hi
-        # Interval pre-draw plane (see WirelessMedium._establish_plan):
-        # while ``start < plan_until`` a resolve takes its whole eps
-        # vector from ``plan_cols`` (one per time bucket of width
-        # ``plan_q`` from bucket ``plan_k0``; a single column when the
-        # interval is constant) and its uniforms from the pre-drawn
-        # ``plan_u`` pool — no per-frame window refreshes, no per-frame
-        # RNG calls.  ``plan_fail_until`` parks establishment attempts
-        # until a horizon a process refused to commit past, and
-        # ``plan_arm_until`` defers establishment to a transmitter's
-        # *second* resolve inside an interval, so transmitters that
-        # resolve once per interval (an idle BS's beacon) never pay
-        # establishment for a single frame.
-        self.plan_until = -math.inf
-        self.plan_q = 0.0
-        self.plan_k0 = 0
-        self.plan_cols = None
-        self.plan_u = None
-        self.plan_u_i = 0
-        self.plan_fail_until = -math.inf
-        self.plan_arm_until = -math.inf
 
 
 class WirelessMedium:
@@ -333,20 +261,19 @@ class WirelessMedium:
         max_cw_slots: exponential-backoff ceiling for unicast mode.
         outcome_rng: stream for the batched per-receiver loss draws;
             defaults to *rng*.
-        predraw_interval_s: the planning horizon of the interval
-            pre-draw (the beacon interval; plans never cross an
-            interval edge, so steady-state traffic patterns repeat per
-            plan).
     """
 
     #: Uniforms drawn per refill of the batched per-frame outcome
     #: buffer.
     _OUTCOME_BLOCK = 256
 
+    # Always zero (no frame is pre-drawn); bench/workloads.py reads them.
+    predraw_planned_frames = predraw_fallback_frames = 0
+
     def __init__(self, sim, links, rng, bitrate_bps=1_000_000.0,
                  plcp_overhead_s=192e-6, difs_s=50e-6, slot_time_s=20e-6,
                  backoff_slots=31, mac_retry_limit=4, max_cw_slots=1023,
-                 outcome_rng=None, predraw_interval_s=0.1):
+                 outcome_rng=None):
         self.sim = sim
         self.links = links
         self.rng = rng
@@ -396,21 +323,6 @@ class WirelessMedium:
         self.slot_batch_count = 0
         #: Frames carried by accepted batches.
         self.slot_batch_frames = 0
-
-        # Interval-level outcome pre-draw.
-        if predraw_interval_s <= 0.0:
-            raise ValueError("predraw_interval_s must be positive")
-        self._predraw_interval = float(predraw_interval_s)
-        #: Interval plans established (one per transmitter-interval).
-        self.predraw_plans = 0
-        #: Frames whose outcomes were served from an interval plan.
-        self.predraw_planned_frames = 0
-        #: Frames resolved per frame (no plan covered them —
-        #: establishment refused, not yet armed, or frame outlived it).
-        self.predraw_fallback_frames = 0
-        #: Establishment attempts a loss process refused (the rest of
-        #: that interval resolves per frame).
-        self.predraw_failed_plans = 0
 
         # Counters: transmissions on the vehicle-BS channel, per node
         # and frame kind, for the Figure 12 efficiency accounting.
@@ -551,9 +463,7 @@ class WirelessMedium:
         looked up before any frame resolves (a lookup can refresh the
         reachability index, which queries loss processes; this is the
         order the realization is pinned with), and then each frame's
-        outcomes are decided by :meth:`_resolve_outcomes`.  The batch
-        pays no window refreshes and no RNG refills at all in the
-        planned steady state.
+        outcomes are decided by :meth:`_resolve_outcomes`.
         """
         for transmitter_id, frame, _ in batch:
             self._in_flight[transmitter_id] -= 1
@@ -836,83 +746,27 @@ class WirelessMedium:
                                            pairs)
         return rows
 
-    # How far a lapsed row reads ahead through ``loss_eps_span``: a
-    # couple of beacon intervals' worth of buckets per call.  Longer
-    # stretches amortize better but waste work when the reachability
-    # set churns (handoffs rebuild the rows).
-    _ROW_READAHEAD_S = 0.2
-
     def _refresh_row_thresholds(self, rows, start):
         """Re-evaluate eps for rows whose validity window lapsed.
 
         Rows inside their ``loss_eps_window`` bound keep their stored
-        threshold.  A lapsed row is served from its cached span
-        read-ahead when one covers *start* (a list lookup); otherwise
-        one ``loss_eps_span`` call refreshes it *and* caches the
-        row's next stretch of per-bucket thresholds, falling back to
-        the per-query ``loss_eps_window`` for processes that cannot
-        commit ahead.  All three produce bitwise-identical thresholds
-        (same bank buckets, same scalar split), a skipped no-flip
-        state advance consumes no randomness, and a pending flip caps
-        every horizon — so the layering never changes a realization.
+        threshold; lapsed rows re-query the process at *start* (one
+        call per stale row — bitwise-safe because a skipped no-flip
+        state advance consumes no randomness and a pending flip caps
+        the window).
         """
         valid_until = rows.valid_until
         window_fns = rows.window_fns
-        span_fns = rows.span_fns
-        row_vec = rows.row_vec
-        row_q = rows.row_q
-        row_k0 = rows.row_k0
-        row_hi = rows.row_hi
         eps = rows.eps
         finite = rows.finite_rows
         indices = range(rows.n) if finite is None else finite
         rebuilt = [] if finite is None else None
-        readahead = self._ROW_READAHEAD_S
         min_valid = math.inf
         for i in indices:
             bound = valid_until[i]
             if bound <= start:
-                served = False
-                vec = row_vec[i]
-                if vec is not None:
-                    hi = row_hi[i]
-                    q = row_q[i]
-                    key = int(start / q)
-                    b = key - row_k0[i]
-                    if start < hi and 0 <= b < len(vec):
-                        # Same bucket-edge arithmetic as the window
-                        # path; the horizon cap is conservative (an
-                        # extra refresh, never a stale threshold).
-                        bound = (key + 1.0) * q
-                        if hi < bound:
-                            bound = hi
-                        eps[i] = vec[b]
-                        valid_until[i] = bound
-                        served = True
-                    else:
-                        row_vec[i] = None
-                if not served:
-                    span_fn = span_fns[i]
-                    span = None if span_fn is None \
-                        else span_fn(start, start + readahead)
-                    if span is not None:
-                        value, q, k, hi = span
-                        if q > 0.0:
-                            row_vec[i] = value
-                            row_q[i] = q
-                            row_k0[i] = k
-                            row_hi[i] = hi
-                            rows.procs[i]._span_readahead = span
-                            bound = (k + 1.0) * q
-                            if hi < bound:
-                                bound = hi
-                            value = value[0]
-                        else:
-                            bound = hi
-                    else:
-                        value, bound = window_fns[i](start)
-                    eps[i] = value
-                    valid_until[i] = bound
+                eps[i], bound = window_fns[i](start)
+                valid_until[i] = bound
             if bound < min_valid:
                 min_valid = bound
             if rebuilt is not None and bound != math.inf:
@@ -955,184 +809,13 @@ class WirelessMedium:
                 need -= block
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-    # Uniforms pre-drawn per plan pool: about one frame per 20 ms slot
-    # of a 100 ms beacon interval, per receiver row.  Pools top up in
-    # same-sized blocks when an interval carries more frames (data
-    # bursts, retransmissions); leftovers are discarded at the next
-    # plan, so every interval starts from fresh randomness.
-    _PLAN_DRAW_FRAMES = 5
-    # Plans shorter than this fraction of the interval are not worth
-    # their establishment cost (span calls, column build, RNG call);
-    # the few frames inside such a sliver resolve per frame and the
-    # next frame past it re-plans.
-    _PLAN_MIN_SPAN_FRAC = 0.05
-
-    def _establish_plan(self, rows, start):
-        """Commit *rows* as far into the current interval as possible.
-
-        Bucket-centre banks make eps thresholds pure functions of
-        (link, time bucket), so at a resolve every later threshold is
-        already known up to the earliest instant some process cannot
-        see past (its next burst flip or trace edge): ask each row's
-        process for a ``loss_eps_span`` over ``[start, t1)`` (t1 = the
-        next interval edge), cap the plan at the earliest per-row
-        commitment horizon, assemble per-bucket eps column vectors,
-        and pre-draw the horizon's uniforms in one RNG call.  Rows
-        whose stored ``loss_eps_window`` bound already covers the
-        interval are constant by contract and skip the span query
-        entirely — on a BS transmitter that is the whole static BS-BS
-        neighborhood in the common no-flip case.  Plans never cross
-        an interval edge, so each interval re-plans at least once.
-
-        A refusal (callable steering target, no ``loss_eps_span``) or a
-        horizon too close to *start* aborts: establishment parks until
-        the horizon (a new attempt past the flip can commit again) and
-        the sliver's frames resolve per frame.  Rows whose spans did
-        resolve keep their refreshed thresholds — identical to what a
-        window refresh at *start* would have stored — so the fallback
-        path continues from a coherent state.  Returns True when a
-        plan is in place.
-        """
-        interval = self._predraw_interval
-        t1 = (math.floor(start / interval) + 1.0) * interval
-        n = rows.n
-        eps = rows.eps
-        valid_until = rows.valid_until
-        span_fns = rows.span_fns
-        row_vec = rows.row_vec
-        row_q = rows.row_q
-        row_k0 = rows.row_k0
-        row_hi = rows.row_hi
-        readahead = self._ROW_READAHEAD_S
-        quantum = 0.0
-        plan_until = t1
-        bucketed = None  # row index -> per-bucket list (row cache)
-        for i in range(n):
-            if valid_until[i] >= t1:
-                continue  # stored threshold outlives the interval
-            vec = row_vec[i]
-            if vec is None or not start < row_hi[i]:
-                # Cold row: one read-ahead span call, cached in the
-                # same per-row slots the refresh path serves from.
-                span_fn = span_fns[i]
-                span = None if span_fn is None \
-                    else span_fn(start, start + readahead)
-                if span is None:
-                    rows.plan_fail_until = t1
-                    self.predraw_failed_plans += 1
-                    return False
-                value, q, k, hi = span
-                if q == 0.0:
-                    eps[i] = value
-                    valid_until[i] = hi
-                    if hi < plan_until:
-                        plan_until = hi
-                    continue
-                row_vec[i] = vec = value
-                row_q[i] = q
-                row_k0[i] = k
-                row_hi[i] = hi
-                rows.procs[i]._span_readahead = span
-            else:
-                q = row_q[i]
-                hi = row_hi[i]
-            if hi < plan_until:
-                plan_until = hi
-            if quantum == 0.0:
-                quantum = q
-            elif q != quantum:
-                # Mixed bucket geometry in one row set: give up
-                # rather than resample anything.
-                rows.plan_fail_until = t1
-                self.predraw_failed_plans += 1
-                return False
-            if bucketed is None:
-                bucketed = {}
-            bucketed[i] = vec
-        if plan_until - start < interval * self._PLAN_MIN_SPAN_FRAC:
-            rows.plan_fail_until = plan_until
-            self.predraw_failed_plans += 1
-            return False
-        if bucketed is None:
-            # Every row constant across the horizon: one column.
-            cols = [np.array(eps, dtype=np.float64)]
-            k0 = 0
-            quantum = 0.0
-        else:
-            k0 = int(start / quantum)
-            nb = int(plan_until / quantum) - k0 + 1
-            stack = np.empty((nb, n), dtype=np.float64)
-            stack[:] = eps  # broadcast constants down the buckets
-            for i, vec in bucketed.items():
-                lo = k0 - row_k0[i]
-                stack[:, i] = vec[lo:lo + nb]
-            cols = list(stack)
-        rows.plan_q = quantum
-        rows.plan_k0 = k0
-        rows.plan_cols = cols
-        rows.plan_until = plan_until
-        rows.plan_u = self._outcome_rng.random(n * self._PLAN_DRAW_FRAMES)
-        rows.plan_u_i = 0
-        self.predraw_plans += 1
-        return True
-
-    def _plan_slice(self, rows, start):
-        """``(eps_vector, uniforms)`` for a planned frame, or ``None``.
-
-        Establishment is *armed* by a transmitter's first resolve in
-        an interval and performed at its second — a transmitter that
-        resolves once per interval never plans, one that bursts
-        (vehicle data, anchor acks) plans from its second frame and
-        serves the rest of the burst from the plan.  ``None`` sends
-        the caller down the per-frame window path (plans never touch
-        ``rows.eps`` other than through window-identical refreshes,
-        so the fallback resumes soundly mid-interval).
-        """
-        if start >= rows.plan_until:
-            if start < rows.plan_fail_until:
-                self.predraw_fallback_frames += 1
-                return None
-            if start >= rows.plan_arm_until:
-                interval = self._predraw_interval
-                rows.plan_arm_until = \
-                    (math.floor(start / interval) + 1.0) * interval
-                self.predraw_fallback_frames += 1
-                return None
-            if not self._establish_plan(rows, start):
-                self.predraw_fallback_frames += 1
-                return None
-        cols = rows.plan_cols
-        q = rows.plan_q
-        if q > 0.0:
-            b = int(start / q) - rows.plan_k0
-            if not 0 <= b < len(cols):
-                # Defensive: a resolve outside the planned buckets
-                # (cannot happen while start < plan_until, since the
-                # bucket index is the same floor-division the span
-                # used) falls back rather than misreads a column.
-                self.predraw_fallback_frames += 1
-                return None
-            col = cols[b]
-        else:
-            col = cols[0]
-        n = rows.n
-        u = rows.plan_u
-        i = rows.plan_u_i
-        if i + n > u.shape[0]:
-            u = rows.plan_u = self._outcome_rng.random(
-                n * self._PLAN_DRAW_FRAMES)
-            i = 0
-        rows.plan_u_i = i + n
-        self.predraw_planned_frames += 1
-        return col, u[i:i + n]
-
     def _resolve_outcomes(self, transmitter_id, frame, start, rows,
                           unicast_to=None):
         """Decide *frame*'s fate at each in-range receiver.
 
         The one outcome decision for merged, two-event and slot-batch
-        frames: one uniform slice (from the transmitter's interval plan
-        when one covers *start*, else off the per-frame outcome buffer)
+        frames: rows whose validity window lapsed refresh their
+        thresholds, one uniform slice off the per-frame outcome buffer
         is compared against the eps vector, and only the hits
         (deliveries) run python code.  Returns whether *unicast_to*
         decoded the frame.
@@ -1140,23 +823,18 @@ class WirelessMedium:
         n = rows.n
         if not n:
             return False
-        planned = self._plan_slice(rows, start)
-        if planned is not None:
-            eps, u = planned
-        else:
-            eps = rows.eps
-            if start >= rows.min_valid:
-                # At least one row's validity window lapsed: refresh
-                # those thresholds (the only python-per-row work a
-                # resolve ever does on the loss side).
-                self._refresh_row_thresholds(rows, start)
-            u = self._draw_outcome_vector(n)
+        if start >= rows.min_valid:
+            # At least one row's validity window lapsed: refresh those
+            # thresholds (the only python-per-row work a resolve ever
+            # does on the loss side).
+            self._refresh_row_thresholds(rows, start)
+        u = self._draw_outcome_vector(n)
         ids = rows.ids
         receive = rows.receive
         delivered_count = self.delivered_count
         kind = frame.kind_value
         unicast_delivered = False
-        for i, hit in enumerate((u >= eps).tolist()):
+        for i, hit in enumerate((u >= rows.eps).tolist()):
             if not hit:
                 continue
             receiver_id = ids[i]

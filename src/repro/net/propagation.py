@@ -486,10 +486,9 @@ class LinkBank:
     Every bucket is sampled at its centre instant ``(key + 0.5) *
     quantum_s``, so its value is a **pure function of (link,
     bucket)**: whole trips can be prefilled at build time
-    (:meth:`prefill`) or read ahead (:meth:`prob_span`), and one
-    prefilled bank can be shared read-only across every seed/policy
-    run of a sweep — the same (testbed, trip, quantum) always
-    reproduces the same bank.  Lazy and prefilled fills run the
+    (:meth:`prefill`), and one prefilled bank can be shared read-only
+    across every seed/policy run of a sweep — the same (testbed, trip,
+    quantum) always reproduces the same bank.  Lazy and prefilled fills run the
     *identical* chunk pipeline over the identical chunk boundaries, so
     they are bit-for-bit equal and consume the same RNG (the
     lattice/gray extensions are deterministic).  Member
@@ -743,40 +742,3 @@ class LinkBank:
         if key != self._key:
             self._load_bucket(key)
         return self._prob_list[index]
-
-    def prob_span(self, index, k0, k1):
-        """Reception probabilities of link *index*, buckets *k0*..*k1*.
-
-        Buckets are pure functions of ``(links, quantum, bucket)`` —
-        chunks are computed through the same :meth:`_fill_chunk`
-        pipeline whether read lazily, prefilled, or span-read here —
-        so reading a span *ahead of time* yields exactly the values
-        future :meth:`prob_at` calls will see.  This is what lets the
-        medium's interval pre-draw plane commit to a whole beacon
-        interval's thresholds up front.
-
-        Returns a read-only float64 vector of length ``k1 - k0 + 1``
-        (possibly a view into the chunk store — do not mutate), or
-        ``None`` for a span starting before time zero.
-        """
-        if k0 < 0:
-            return None
-        size = self._CHUNK
-        chunks = self._chunks
-        c0 = k0 // size
-        c1 = k1 // size
-        if c0 == c1:
-            data = chunks.get(c0)
-            if data is None:
-                data = self._fill_chunk(c0)
-            base = c0 * size
-            return data[1][index, k0 - base:k1 - base + 1]
-        parts = []
-        for chunk in range(c0, c1 + 1):
-            data = chunks.get(chunk)
-            if data is None:
-                data = self._fill_chunk(chunk)
-            lo = k0 - chunk * size if chunk == c0 else 0
-            hi = k1 - chunk * size + 1 if chunk == c1 else size
-            parts.append(data[1][index, lo:hi])
-        return np.concatenate(parts)

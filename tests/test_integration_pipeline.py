@@ -136,14 +136,17 @@ class TestDieselNetPipeline:
 #: stock config.  Any change to the default simulation path that moves
 #: an RNG draw, an event or a delivery breaks it; a change that should
 #: move the realization re-pins it here, with the reason in the commit.
+#: Both pin the per-frame resolve: every frame takes its thresholds
+#: from ``loss_eps_window`` and its uniforms from the medium's outcome
+#: buffer.
 REALIZATION_ANCHORS = {
     "vanlan_cbr_120s": (
-        36426,
-        "39206b5904de7fced25c7ec8fe9a6d84694c7c11464e4ca3ac352eb14f56a221",
+        36354,
+        "74aae3e14cdcd8f2073a73dc43be4a5b554a8679c203e6c45474def052efcae6",
     ),
     "dieselnet_cbr_60s": (
-        18730,
-        "1c6a73c6a9b1363ed22d271eb83280d245f1020024b786418b36484fc2865b3d",
+        18478,
+        "55467f3d37ba91fc286b3322bcea14b26729b3dd1a7d0ae4386a7a5978394dfd",
     ),
 }
 

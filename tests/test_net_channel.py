@@ -296,39 +296,3 @@ class TestLossEpsWindows:
             eps_w, _ = a.loss_eps_window(t)
             assert eps_w == b.loss_eps(t)
 
-
-class TestCommitsSpans:
-    """``commits_spans`` is False exactly when every span would refuse."""
-
-    def test_steering_targets(self):
-        testbed = VanLanTestbed(seed=4)
-        unbanked = LinkStateCache(
-            testbed.link_model(0, 1, testbed.vehicle_motion()),
-            quantum_s=0.02)
-        banked = testbed.build_link_bank(0, testbed.vehicle_motion())
-        cases = {
-            "callable": (lambda t: 0.3 if int(t) % 2 else 0.6, False),
-            "unbanked cache": (unbanked.loss_prob, False),
-            "static": (0.25, True),
-            "banked cache": (banked.wrap()[0].loss_prob, True),
-        }
-        rngs = RngRegistry(10)
-        for name, (target, commits) in cases.items():
-            process = SteeredGilbertElliott(target,
-                                            rng=rngs.stream("s", name))
-            assert process.commits_spans is commits, name
-            spans = [process.loss_eps_span(0.013 * k, 0.013 * k + 0.2)
-                     for k in range(1, 200)]
-            if commits:
-                assert all(span is not None for span in spans), name
-            else:
-                assert spans == [None] * len(spans), name
-
-    def test_other_processes_commit(self):
-        rngs = RngRegistry(11)
-        for process in (
-            BernoulliLoss(0.3, rngs.stream("b")),
-            GilbertElliottLoss(0.05, 0.8, 0.9, 0.12, rngs.stream("g")),
-            TraceDrivenLoss([0.1, 0.9, 0.4], rngs.stream("t")),
-        ):
-            assert process.commits_spans

@@ -3,8 +3,8 @@
 Besides the basic send/receive/account behaviour, these cover
 merged and slot-batched transmissions, check the vectorized resolve
 bit for bit against a per-row scalar reference, and pin the
-backoff-freezing CSMA's per-sender FIFO, the interval pre-draw plane's
-boundaries, and the reachability index that culls unreachable links.
+backoff-freezing CSMA's per-sender FIFO and the reachability index
+that culls unreachable links.
 """
 
 import copy
@@ -12,14 +12,9 @@ import math
 
 import pytest
 
-from repro.core.protocol import ViFiConfig
 from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.backplane import Backplane
-from repro.net.channel import (
-    BernoulliLoss,
-    SteeredGilbertElliott,
-    TraceDrivenLoss,
-)
+from repro.net.channel import BernoulliLoss, TraceDrivenLoss
 from repro.net.medium import LinkTable, WirelessMedium
 from repro.net.packet import Ack, DataPacket, Direction
 from repro.sim.engine import Simulator
@@ -347,13 +342,13 @@ class TestSlotBatch:
 # Scalar resolve oracle
 # ----------------------------------------------------------------------
 
-class _PlannedLoss:
-    """Duck-typed bucketed loss process with a committable span.
+class _BucketLoss:
+    """Duck-typed bucketed loss process.
 
     eps is a pure function of the bucket index (so reuse can never
     change an outcome), and the process "flips" at fixed multiples of
-    ``flip_every``: windows and spans commit only up to the next flip,
-    mimicking :class:`SteeredGilbertElliott`'s horizon cap.
+    ``flip_every``: a window ends at the bucket edge or the next flip,
+    whichever comes first, like :class:`SteeredGilbertElliott`'s.
     """
 
     def __init__(self, quantum=0.02, flip_every=math.inf, salt=0):
@@ -384,18 +379,6 @@ class _PlannedLoss:
         flip = self._next_flip(t)
         return self._eps(key), (bound if bound < flip else flip)
 
-    def loss_eps_span(self, t0, t1):
-        hi = self._next_flip(t0)
-        if t1 < hi:
-            hi = t1
-        if hi <= t0:
-            return None
-        quantum = self.quantum
-        k0 = int(t0 / quantum)
-        k1 = int(hi / quantum)
-        eps = [self._eps(k) for k in range(k0, k1 + 1)]
-        return eps, quantum, k0, hi
-
 
 def _scalar_resolve(rows, start, uniforms):
     """The per-row reference: receiver i decodes iff u_i >= eps_i."""
@@ -406,14 +389,23 @@ def _scalar_resolve(rows, start, uniforms):
 
 class TestScalarResolveOracle:
     def test_vectorized_resolves_match_the_per_row_reference(self):
-        """One unplanned and one planned resolve, bit for bit."""
+        """Thirty frames over twelve rows, each frame bit for bit.
+
+        The bucketed rows lapse between frames (20 ms buckets, some
+        windows cut short by a flip every 50 ms), and 30 x 12 uniforms
+        outrun one outcome block, so one frame's slice joins the tail
+        of a block to the head of the next.
+        """
         sim = Simulator()
         rngs = RngRegistry(41)
         table = LinkTable()
         rows = []
         for rx in range(1, 13):
-            process = BernoulliLoss(0.07 * rx, rngs.stream("l", rx)) \
-                if rx % 2 else _PlannedLoss(salt=rx)
+            if rx % 2:
+                process = BernoulliLoss(0.07 * rx, rngs.stream("l", rx))
+            else:
+                process = _BucketLoss(
+                    flip_every=0.05 if rx % 4 else math.inf, salt=rx)
             table.set_link(0, rx, process)
             rows.append((rx, process))
         outcomes = rngs.stream("outcomes")
@@ -423,26 +415,28 @@ class TestScalarResolveOracle:
         nodes = [Node(i) for i in range(13)]
         for node in nodes:
             medium.attach(node)
-        # Zero backoff: each frame airs DIFS after its send.  The first
-        # resolve of the beacon interval draws a per-frame outcome
-        # block; the second establishes the interval plan, whose pool
-        # is one draw of _PLAN_DRAW_FRAMES frames' uniforms.
-        n = len(rows)
-        draws = (medium._OUTCOME_BLOCK, n * medium._PLAN_DRAW_FRAMES)
-        expected = []
-        for pkt_id, (sent, block) in enumerate(zip((0.01, 0.03), draws)):
+        n, frames, block = len(rows), 30, medium._OUTCOME_BLOCK
+        assert n * frames > block and block % n  # a frame straddles
+        stream = []
+        while len(stream) < n * frames:
+            stream.extend(mirror.random(block).tolist())
+        # Zero backoff: each frame airs DIFS after its send.
+        starts = []
+        for pkt_id in range(frames):
+            sent = 0.01 + 0.013 * pkt_id
             sim.schedule_at(sent, medium.send, 0, _packet(0, 1, pkt_id))
-            start = sent + medium.difs
-            expected.append(_scalar_resolve(rows, start,
-                                            mirror.random(block)[:n]))
-        sim.run(until=0.09)
-        assert medium.predraw_fallback_frames == 1
-        assert medium.predraw_planned_frames == 1
-        for pkt_id, want in enumerate(expected):
+            starts.append(sent + medium.difs)
+        assert len({int(start / 0.02) for start in starts}) > frames / 2
+        sim.run(until=0.5)
+        delivered = 0
+        for pkt_id, start in enumerate(starts):
+            uniforms = stream[pkt_id * n:(pkt_id + 1) * n]
+            want = _scalar_resolve(rows, start, uniforms)
             got = [node.node_id for node in nodes
                    if any(f.pkt_id == pkt_id for f, _ in node.received)]
-            assert got == want
-        assert 0 < sum(map(len, expected)) < 2 * n
+            assert got == want, pkt_id
+            delivered += len(want)
+        assert 0 < delivered < frames * n
 
 
 # ----------------------------------------------------------------------
@@ -536,210 +530,6 @@ class TestBackoffFreeze:
             mine = [p for p in data_order if p // 100 == src]
             assert mine == sorted(mine)  # FIFO per sender
         assert len(data_order) == len(sends)
-
-
-# ----------------------------------------------------------------------
-# Interval-level outcome pre-draw
-# ----------------------------------------------------------------------
-
-class _RxSink:
-    def __init__(self, node_id):
-        self.node_id = node_id
-        self.received = []
-
-    def on_receive(self, frame, transmitter_id):
-        self.received.append((frame.pkt_id, transmitter_id))
-
-
-class TestIntervalPredraw:
-    """Boundary behaviour of the interval pre-draw plane."""
-
-    def _medium(self, n_rx=2, quantum=0.02, flip_every=math.inf,
-                n_tx=1, **kwargs):
-        sim = Simulator()
-        rngs = RngRegistry(5)
-        table = LinkTable()
-        for tx in range(n_tx):
-            for rx in range(n_tx, n_tx + n_rx):
-                table.set_link(tx, rx, _PlannedLoss(
-                    quantum=quantum, flip_every=flip_every,
-                    salt=tx * 10 + rx))
-        medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                outcome_rng=rngs.stream("o"),
-                                backoff_slots=0,
-                                predraw_interval_s=0.1, **kwargs)
-        nodes = [_RxSink(i) for i in range(n_tx + n_rx)]
-        for node in nodes:
-            medium.attach(node)
-        return sim, medium, nodes
-
-    @staticmethod
-    def _frame(pkt_id, src=0):
-        return DataPacket(pkt_id=pkt_id, src=src, dst=1,
-                          direction=Direction.UPSTREAM, size_bytes=50)
-
-    def test_plans_arm_on_the_second_resolve_of_an_interval(self):
-        """Frame 1 falls back and arms; frame 2 establishes a plan."""
-        sim, medium, _ = self._medium()
-        for k in range(4):
-            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
-                         self._frame(k))
-        sim.run(until=0.099)
-        assert medium.predraw_plans == 1
-        assert medium.predraw_fallback_frames == 1
-        assert medium.predraw_planned_frames == 3
-        assert medium.predraw_failed_plans == 0
-
-    def test_single_frame_intervals_never_plan(self):
-        """One resolve per interval stays on the per-slot fallback —
-        pre-drawing 5 frames of uniforms for it would be waste."""
-        sim, medium, _ = self._medium()
-        for k in range(5):
-            sim.schedule(0.01 + 0.1 * k, medium.send, 0, self._frame(k))
-        sim.run(until=0.6)
-        assert medium.predraw_plans == 0
-        assert medium.predraw_planned_frames == 0
-        assert medium.predraw_fallback_frames == 5
-
-    def test_flip_inside_interval_splits_the_plan(self):
-        """A commitment horizon shorter than the interval forces
-        re-establishment mid-interval, never a stale threshold."""
-        sim, medium, nodes = self._medium(flip_every=0.03)
-        for k in range(5):
-            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
-                         self._frame(k))
-        sim.run(until=0.12)
-        # Frame 0 arms; frame 1 plans up to the 0.06 flip; frame 3
-        # (t=0.07) re-plans up to 0.09; frame 4 (t=0.09) re-plans to
-        # the interval edge.
-        assert medium.predraw_plans == 3
-        assert medium.predraw_fallback_frames == 1
-        assert medium.predraw_planned_frames == 4
-        # Flip-capped horizons are commitments, not failures.
-        assert medium.predraw_failed_plans == 0
-
-    def test_partial_interval_at_run_end(self):
-        """A plan reaching past the end of the run is harmless."""
-        sim, medium, nodes = self._medium()
-        for k in range(3):
-            sim.schedule(0.01 + 0.015 * k, medium.send, 0,
-                         self._frame(k))
-        sim.run(until=0.05)  # stop mid-interval, plan alive to 0.1
-        assert medium.predraw_plans == 1
-        assert medium.predraw_planned_frames == 2
-        total = sum(len(n.received) for n in nodes)
-        assert total == sum(
-            count for (_, kind), count in medium.delivered_count.items()
-        )
-
-    def test_mid_interval_contention_keeps_accounting_total(self):
-        """Contending transmitters resolve through their own plans;
-        every resolved frame is either planned or fallback."""
-        sim, medium, nodes = self._medium(n_tx=2, n_rx=2)
-        for k in range(6):
-            at = 0.01 + 0.012 * k
-            sim.schedule(at, medium.send, 0, self._frame(100 + k, 0))
-            sim.schedule(at, medium.send, 1, self._frame(200 + k, 1))
-        sim.run(until=0.3)
-        resolved = medium.predraw_planned_frames \
-            + medium.predraw_fallback_frames
-        sent = sum(medium.tx_count.values())
-        assert sent == 12
-        assert resolved == sent
-        assert medium.predraw_plans >= 1
-        # Both contenders delivered traffic through the plane.
-        delivered = {src for (_, src) in
-                     {(pkt, tx) for n in nodes for (pkt, tx) in
-                      n.received}}
-        assert delivered == {0, 1}
-
-    def test_refusing_process_parks_the_interval(self):
-        """A process that cannot commit past t0 fails the plan once,
-        then the whole interval rides the fallback path."""
-
-        class _NoSpan(_PlannedLoss):
-            def loss_eps_span(self, t0, t1):
-                return None
-
-        sim = Simulator()
-        rngs = RngRegistry(5)
-        table = LinkTable()
-        table.set_link(0, 1, _NoSpan(salt=1))
-        table.set_link(0, 2, _PlannedLoss(salt=2))
-        medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                outcome_rng=rngs.stream("o"),
-                                backoff_slots=0,
-                                predraw_interval_s=0.1)
-        for node in (_RxSink(0), _RxSink(1), _RxSink(2)):
-            medium.attach(node)
-        for k in range(4):
-            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
-                         self._frame(k))
-        sim.run(until=0.099)
-        assert medium.predraw_failed_plans == 1
-        assert medium.predraw_plans == 0
-        assert medium.predraw_planned_frames == 0
-        assert medium.predraw_fallback_frames == 4
-
-
-class TestCallableTargetRows:
-    def test_resolving_makes_no_span_call(self):
-        """A plain callable steering target (DieselNet's per-second
-        trace closures) can never commit a span, so its rows never ask:
-        lapsed rows refresh through the window alone and each plan
-        attempt fails without the call."""
-        sim = Simulator()
-        rngs = RngRegistry(5)
-        table = LinkTable()
-        calls = {"span": 0, "window": 0}
-        for rx in (1, 2):
-            process = SteeredGilbertElliott(
-                lambda t: 0.2 if int(t * 10) % 2 else 0.4,
-                rng=rngs.stream("l", rx))
-
-            def span(t0, t1, _span=process.loss_eps_span):
-                calls["span"] += 1
-                return _span(t0, t1)
-
-            def window(t, _window=process.loss_eps_window):
-                calls["window"] += 1
-                return _window(t)
-
-            process.loss_eps_span = span
-            process.loss_eps_window = window
-            table.set_link(0, rx, process)
-        medium = WirelessMedium(sim, table, rngs.stream("m"),
-                                outcome_rng=rngs.stream("o"),
-                                backoff_slots=0,
-                                predraw_interval_s=0.1)
-        nodes = [_RxSink(i) for i in range(3)]
-        for node in nodes:
-            medium.attach(node)
-        for k in range(10):
-            sim.schedule(0.01 + 0.02 * k, medium.send, 0,
-                         TestIntervalPredraw._frame(k))
-        sim.run(until=0.3)
-        assert calls["span"] == 0
-        # Every frame refreshed both rows through the window.
-        assert calls["window"] >= 2 * 10
-        assert medium.predraw_fallback_frames == 10
-        assert medium.predraw_plans == 0
-        assert medium.predraw_failed_plans > 0
-        assert sum(len(node.received) for node in nodes) > 0
-
-
-class TestPredrawProtocolRuns:
-    def test_default_run_exercises_the_plane(self):
-        """The stock protocol run plans most slot-batch frames."""
-        testbed = VanLanTestbed(seed=0)
-        sim, _ = vanlan_protocol(testbed, trip=0, seed=0,
-                                 config=ViFiConfig())
-        cbr = run_protocol_cbr(sim, 20.0)
-        medium = sim.medium
-        assert medium.predraw_plans > 50
-        assert medium.predraw_planned_frames > 200
-        delivered = len(cbr.up_deliveries) + len(cbr.down_deliveries)
-        assert delivered > 50
 
 
 # ----------------------------------------------------------------------
