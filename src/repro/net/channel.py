@@ -81,16 +81,15 @@ class BernoulliLoss(LossProcess):
     Uniform draws are served from pre-drawn numpy blocks (see
     :class:`~repro.sim.rng.BufferedUniforms`), which is bit-for-bit
     identical to scalar draws as long as *rng* has no other consumers.
-    Pass ``batch=1`` to disable buffering for a shared stream.
     """
 
-    def __init__(self, p, rng, batch=64):
+    def __init__(self, p, rng):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"loss probability {p} outside [0, 1]")
         self.p = float(p)
         self.static_loss_rate = self.p
         self.rng = rng
-        self._draw = BufferedUniforms(rng, block=batch).next
+        self._draw = BufferedUniforms(rng).next
 
     def is_lost(self, t):
         return self._draw() < self.p
@@ -200,15 +199,18 @@ class SteeredGilbertElliott(LossProcess):
     never changes (e.g. static BS-BS links): the per-state split is then
     computed once instead of per query.
 
-    Per-packet uniform draws are batched (``batch`` draws per numpy
-    call) to amortize generator dispatch overhead.  Because the chain's
-    holding-time draws interleave on the same stream, batching yields a
-    different — statistically equivalent — realization than unbatched
-    scalar draws; pass ``batch=1`` for the legacy draw-by-draw stream.
+    Per-packet uniform draws are batched (:attr:`_DRAW_BLOCK` draws
+    per numpy call) to amortize generator dispatch overhead.  Because
+    the chain's holding-time draws interleave on the same stream,
+    batching yields a different — statistically equivalent —
+    realization than unbatched scalar draws.
     """
 
+    #: Uniforms drawn per refill of the :meth:`is_lost` buffer.
+    _DRAW_BLOCK = 64
+
     def __init__(self, mean_loss, rng, good_duration=0.9, bad_duration=0.12,
-                 rho=0.08, start_time=0.0, batch=64):
+                 rho=0.08, start_time=0.0):
         self.rho = float(rho)
         self._chain = GilbertElliottLoss(
             eps_good=0.0,
@@ -219,7 +221,6 @@ class SteeredGilbertElliott(LossProcess):
             start_time=start_time,
         )
         self.rng = rng
-        self._block = max(int(batch), 1)
         self._buf = ()
         self._buf_i = 0
         # The split depends only on the target mean (pi_bad is fixed),
@@ -348,7 +349,7 @@ class SteeredGilbertElliott(LossProcess):
         i = self._buf_i
         buf = self._buf
         if i >= len(buf):
-            buf = self._buf = self.rng.random(self._block).tolist()
+            buf = self._buf = self.rng.random(self._DRAW_BLOCK).tolist()
             i = 0
         self._buf_i = i + 1
         return buf[i] < eps
@@ -376,8 +377,7 @@ class TraceDrivenLoss(LossProcess):
         out_of_range_rate: loss rate applied outside the trace span.
     """
 
-    def __init__(self, rates, rng, t0=0.0, out_of_range_rate=1.0,
-                 batch=64):
+    def __init__(self, rates, rng, t0=0.0, out_of_range_rate=1.0):
         self.rates = [float(r) for r in rates]
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
@@ -385,7 +385,7 @@ class TraceDrivenLoss(LossProcess):
         self.rng = rng
         self.t0 = float(t0)
         self.out_of_range_rate = float(out_of_range_rate)
-        self._draw = BufferedUniforms(rng, block=batch).next
+        self._draw = BufferedUniforms(rng).next
 
     def loss_rate(self, t):
         idx = int(math.floor(t - self.t0))
