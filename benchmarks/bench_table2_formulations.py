@@ -4,11 +4,11 @@ Paper shape (DieselNet Ch. 1, downstream): false negatives are roughly
 similar across formulations while false positives separate them — the
 expected-delivery formulation (NotG3) over-relays dramatically (157%
 in the paper), and ignoring destination connectivity (NotG2) wastes
-relays relative to ViFi.  One honest divergence from the paper is
-documented in EXPERIMENTS.md: with our sparser synthetic DieselNet
-links, NotG1 (ignore other auxiliaries) under-relays — trading a low
-false-positive rate for by far the worst false negatives — whereas in
-the paper's denser environment it over-relayed.
+relays relative to ViFi.  One honest divergence from the paper: with
+our sparser synthetic DieselNet links, NotG1 (ignore other
+auxiliaries) under-relays — trading a low false-positive rate for by
+far the worst false negatives — whereas in the paper's denser
+environment it over-relayed.
 """
 
 from conftest import print_table

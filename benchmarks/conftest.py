@@ -4,7 +4,8 @@ Every benchmark regenerates one table or figure of the paper at a
 reduced-but-faithful scale, prints the same rows/series the paper
 reports, and saves a JSON payload under ``results/``.  Shape assertions
 are deliberately loose: the goal is who-wins-by-roughly-what-factor,
-not absolute numbers (see EXPERIMENTS.md).
+not absolute numbers, since the testbeds are synthetic models of the
+paper's environments rather than its traces.
 """
 
 import json

@@ -101,7 +101,7 @@ def dieselnet_protocol(beacon_log, rngs, config=None, seed=0,
     mechanism macrodiversity exploits, so erasing sub-second structure
     (losses i.i.d. within each second — the paper's literal stated
     assumption, available as ``bursty=False``) suppresses exactly the
-    effect under study.  EXPERIMENTS.md discusses the difference.
+    effect under study.
 
     Returns:
         ``(simulation, log_duration_s)``.

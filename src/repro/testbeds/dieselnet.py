@@ -119,7 +119,8 @@ class DieselNetTestbed:
         self.deployment = dieselnet_deployment(channel)
         # Calibrated so the Table 2 coordination statistics land in the
         # paper's regime (auxiliary overhearing A2 ~ 2.5-3.5, ViFi
-        # false negatives ~ 15%); see EXPERIMENTS.md.
+        # false negatives ~ 15%); benchmarks/bench_table2_formulations.py
+        # asserts the resulting shape.
         self.profile = profile or RadioProfile(
             path_loss_exponent=2.9,
             decode_mid_dbm=-90.0,

@@ -102,7 +102,8 @@ class VanLanTestbed:
         # shadowing and gray-period parameters are calibrated so the
         # Section 3 phenomenology holds: sharp unpredictable drops even
         # near BSes, bursty losses, and hard-handoff disruptions that
-        # macrodiversity can mask (see EXPERIMENTS.md for the checks).
+        # macrodiversity can mask (tests/test_testbeds_environments.py
+        # checks the burstiness and multi-BS coverage).
         self.profile = profile or RadioProfile(
             path_loss_exponent=3.0,
             decode_mid_dbm=-89.0,
