@@ -21,6 +21,9 @@ Three processes are provided:
 * :class:`TraceDrivenLoss` — per-second loss probabilities applied
   i.i.d. within the second; the literal reading of the paper's
   methodology, kept for validation runs.
+
+Both trace-driven uses read the per-second series through
+:class:`RateSeries`.
 """
 
 import math
@@ -32,6 +35,7 @@ __all__ = [
     "BernoulliLoss",
     "GilbertElliottLoss",
     "LossProcess",
+    "RateSeries",
     "SteeredGilbertElliott",
     "TraceDrivenLoss",
 ]
@@ -199,6 +203,20 @@ class SteeredGilbertElliott(LossProcess):
     never changes (e.g. static BS-BS links): the per-state split is then
     computed once instead of per query.
 
+    The target's kind, recognized at construction, decides how far
+    :meth:`loss_eps_window` reaches past the query time:
+
+    * a float: to the chain's next state flip;
+    * a :class:`~repro.net.propagation.LinkStateCache`'s ``loss_prob``:
+      to the end of the cache's time bucket or the flip, whichever
+      comes first;
+    * a callable with a ``rate_window(t) -> (rate, valid_until)``
+      method, such as the :class:`RateSeries` of a per-second trace
+      that :func:`~repro.testbeds.lossmap.build_link_table_from_log`
+      passes: to the next change of the target (the next trace
+      second) or the flip;
+    * any other callable: nowhere, the window ends at the query time.
+
     Per-packet uniform draws are batched (:attr:`_DRAW_BLOCK` draws
     per numpy call) to amortize generator dispatch overhead.  Because
     the chain's holding-time draws interleave on the same stream,
@@ -237,12 +255,16 @@ class SteeredGilbertElliott(LossProcess):
             owner = getattr(mean_loss, "__self__", None)
             self._link_state = owner \
                 if isinstance(owner, LinkStateCache) else None
+            # A target that reports when its value next changes bounds
+            # the window by that change instead of by the query time.
+            self._rate_window = getattr(mean_loss, "rate_window", None)
         else:
             rate = min(max(float(mean_loss), 0.0), 1.0)
             self.mean_loss = lambda t, rate=rate: rate
             self._static_eps = self._split(rate)
             self.static_loss_rate = rate
             self._link_state = None
+            self._rate_window = None
 
     def _split(self, m):
         """Split target mean *m* into (eps_good, eps_bad)."""
@@ -290,22 +312,26 @@ class SteeredGilbertElliott(LossProcess):
         """``(eps, valid_until)`` for the medium's resolve rows.
 
         The per-packet probability is pinned until whichever comes
-        first: the chain's next state flip, or — when the steering
-        target is a :class:`LinkStateCache` — the end of the current
-        time-quantum bucket.  The cached probability is one value per
+        first: the chain's next state flip, or the next instant the
+        target can move.  A float target never moves.  For a
+        :class:`LinkStateCache` target that is the end of the current
+        time-quantum bucket: the cached probability is one value per
         bucket (a bank samples it at the bucket centre, possibly
-        prefilled), so the window never spans a bucket boundary where
-        the target could move.  At an *exact* bucket-edge query the
-        bound may degenerate to the query time itself (float division
-        lands the key either side of the edge); that costs one extra
-        refresh, never a stale threshold — asserted by the boundary
-        tests in ``tests/test_net_channel.py``.  A generic callable
-        target can change at any instant, so its window degenerates to
-        the query time (no reuse); ``quantum<=0`` likewise buckets at
-        exact query times only, preserving the bitwise guarantee.  The
-        body flattens :meth:`loss_eps` inline: the medium calls this
-        once per stale row, so the double dispatch would cost more
-        than the math.
+        prefilled), so the window never spans a bucket boundary.  At an
+        *exact* bucket-edge query the bound may degenerate to the query
+        time itself (float division lands the key either side of the
+        edge); that costs one extra refresh, never a stale threshold.
+        A target with ``rate_window`` reports the bound itself: for a
+        per-second trace series, the next trace second, and never past
+        the trace end, where the out-of-range rate holds and only flips
+        bound the window.  The boundary tests in
+        ``tests/test_net_channel.py`` assert these bounds.  Any other
+        callable target can change at any instant, so its window
+        degenerates to the query time (no reuse); ``quantum<=0``
+        likewise buckets at exact query times only, preserving the
+        bitwise guarantee.  The body flattens :meth:`loss_eps` inline:
+        the medium calls this once per stale row, so the double
+        dispatch would cost more than the math.
         """
         chain = self._chain
         if self._static_eps is not None:
@@ -325,6 +351,8 @@ class SteeredGilbertElliott(LossProcess):
                     m = 1.0 - ls._prob
                 else:
                     m = 1.0 - ls.reception_prob(t)
+            elif self._rate_window is not None:
+                m, bound = self._rate_window(t)
             else:
                 m = self.mean_loss(t)
                 bound = t
@@ -360,6 +388,40 @@ class SteeredGilbertElliott(LossProcess):
         return min(max(float(self.mean_loss(t)), 0.0), 1.0)
 
 
+class RateSeries:
+    """A per-second loss-rate series, read at simulated time *t*.
+
+    Second ``k`` of the series covers ``[t0 + k, t0 + k + 1)``, and
+    ``out_of_range_rate`` holds outside the series.  Calling it gives
+    the rate at *t*; :meth:`rate_window` also says when that rate next
+    changes.  As the target of a :class:`SteeredGilbertElliott` that
+    lets the chain keep one loss threshold until the next trace second
+    instead of re-reading it on every frame.
+
+    The rates are read in place, so a float64 array stays one: python
+    floats would take four times its memory.
+    """
+
+    __slots__ = ("rates", "t0", "out_of_range_rate")
+
+    def __init__(self, rates, t0=0.0, out_of_range_rate=1.0):
+        self.rates = rates
+        self.t0 = t0
+        self.out_of_range_rate = out_of_range_rate
+
+    def __call__(self, t):
+        return self.rate_window(t)[0]
+
+    def rate_window(self, t):
+        """``(rate, valid_until)``: the rate cannot change before then."""
+        idx = math.floor(t - self.t0)
+        if 0 <= idx < len(self.rates):
+            return float(self.rates[idx]), self.t0 + idx + 1.0
+        if idx < 0:
+            return self.out_of_range_rate, self.t0
+        return self.out_of_range_rate, math.inf
+
+
 class TraceDrivenLoss(LossProcess):
     """Loss process driven by a per-second loss-rate series.
 
@@ -383,27 +445,19 @@ class TraceDrivenLoss(LossProcess):
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"trace loss rate {r} outside [0, 1]")
         self.rng = rng
-        self.t0 = float(t0)
-        self.out_of_range_rate = float(out_of_range_rate)
+        self._series = RateSeries(self.rates, float(t0),
+                                  float(out_of_range_rate))
         self._draw = BufferedUniforms(rng).next
 
     def loss_rate(self, t):
-        idx = int(math.floor(t - self.t0))
-        if 0 <= idx < len(self.rates):
-            return self.rates[idx]
-        return self.out_of_range_rate
+        return self._series(t)
 
     def loss_eps(self, t):
-        return self.loss_rate(t)
+        return self._series(t)
 
     def loss_eps_window(self, t):
         """``(eps, valid_until)``: rates hold within a trace second."""
-        idx = int(math.floor(t - self.t0))
-        if 0 <= idx < len(self.rates):
-            return self.rates[idx], self.t0 + idx + 1.0
-        if idx < 0:
-            return self.out_of_range_rate, self.t0
-        return self.out_of_range_rate, math.inf
+        return self._series.rate_window(t)
 
     def is_lost(self, t):
-        return self._draw() < self.loss_rate(t)
+        return self._draw() < self._series(t)

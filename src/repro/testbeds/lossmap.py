@@ -19,6 +19,7 @@ the paper acknowledges.
 
 from repro.net.channel import (
     BernoulliLoss,
+    RateSeries,
     SteeredGilbertElliott,
     TraceDrivenLoss,
 )
@@ -71,6 +72,11 @@ def build_link_table_from_log(log, rngs, vehicle_id=0, bursty=False,
         bursty: when False (default, the paper's literal methodology)
             vehicle links are i.i.d. within each second; when True the
             per-second series steers a Gilbert-Elliott chain instead.
+            The series is passed as a
+            :class:`~repro.net.channel.RateSeries`, which reports when
+            its rate next changes, so the chain's ``loss_eps_window``
+            reaches to the next trace second (or state flip) rather
+            than ending at the query time.
         out_of_range_rate: loss applied outside the trace span.
 
     Returns:
@@ -81,18 +87,15 @@ def build_link_table_from_log(log, rngs, vehicle_id=0, bursty=False,
     table = LinkTable()
     for bs in log.bs_ids:
         rates = loss_rate_series(log, bs)
+        if bursty:
+            # A contiguous copy: the column view would keep the whole
+            # loss-ratio matrix alive.  Both directions share it.
+            series = RateSeries(rates.copy(),
+                                out_of_range_rate=out_of_range_rate)
         for direction, name in ((vehicle_id, "up"), (bs, "down")):
             rng = rngs.stream("trace-link", bs, name)
             if bursty:
-                series = rates.copy()
-
-                def mean_loss(t, series=series):
-                    idx = int(t)
-                    if 0 <= idx < len(series):
-                        return float(series[idx])
-                    return out_of_range_rate
-
-                process = SteeredGilbertElliott(mean_loss, rng=rng)
+                process = SteeredGilbertElliott(series, rng=rng)
             else:
                 process = TraceDrivenLoss(
                     rates, rng=rng, out_of_range_rate=out_of_range_rate

@@ -10,6 +10,7 @@ import pytest
 from repro.net.channel import (
     BernoulliLoss,
     GilbertElliottLoss,
+    RateSeries,
     SteeredGilbertElliott,
     TraceDrivenLoss,
 )
@@ -222,6 +223,12 @@ class TestLossEpsWindows:
         process = SteeredGilbertElliott(0.35, RngRegistry(4).stream("s"))
         self._check_windows(process, 0.03, 300)
 
+    def test_steered_by_trace_series(self):
+        series = RateSeries(np.array([0.1, 0.9, 0.4, 0.0, 0.7]))
+        process = SteeredGilbertElliott(series, RngRegistry(4).stream("r"))
+        # 0.13 s steps run about 3 s past the trace end.
+        self._check_windows(process, 0.13, 60)
+
     def test_trace_second_boundary_instants(self):
         """Exactly on a trace-second boundary the new second governs."""
         rates = [0.1, 0.9, 0.4]
@@ -236,6 +243,37 @@ class TestLossEpsWindows:
         eps, until = process.loss_eps_window(float(len(rates)))
         assert eps == 1.0
         assert until == math.inf
+
+    def test_trace_steered_second_boundary_instants(self):
+        """A trace-steered chain switches rate exactly at each second.
+
+        At ``t = k.0`` second *k*'s rate governs and the window ends at
+        ``min(k + 1, next flip)``; past the trace the out-of-range rate
+        holds and only chain flips bound the window.
+        """
+        rates = np.array([0.1, 0.9, 0.4, 0.0, 0.7, 0.2] * 4)
+        process = SteeredGilbertElliott(RateSeries(rates),
+                                        RngRegistry(10).stream("s"))
+        chain = process._chain
+        ended_at_second = set()
+        for second, rate in enumerate(rates):
+            t = float(second)
+            eps, until = process.loss_eps_window(t)
+            eps_good, eps_bad = process._split(rate)
+            assert eps == (eps_bad if chain._in_bad else eps_good)
+            assert until == min(t + 1.0, chain._next_flip)
+            ended_at_second.add(until == t + 1.0)
+            # The window is sound right up to (and excluding) its end.
+            assert process.loss_eps(t + 0.999 * (until - t)) == eps
+        # Both bounds occur: some seconds end first, some flips do.
+        assert ended_at_second == {True, False}
+        eps_good, eps_bad = process._split(1.0)
+        t = float(len(rates))
+        for _ in range(20):
+            eps, until = process.loss_eps_window(t)
+            assert eps == (eps_bad if chain._in_bad else eps_good)
+            assert until == chain._next_flip
+            t = until
 
     def test_steering_bucket_edge_instants(self):
         """Window bounds at exact bucket edges never go stale.

@@ -143,3 +143,8 @@ class TestLossMap:
         # The steered process must follow the per-second series.
         assert table.get(0, 1).loss_rate(0.5) == pytest.approx(0.0)
         assert table.get(0, 1).loss_rate(1.5) == pytest.approx(0.2)
+        # Its window reaches to the next trace second (or an earlier
+        # chain flip), so the medium keeps one threshold across frames
+        # instead of re-reading the series on every frame.
+        _, until = table.get(0, 1).loss_eps_window(1.5)
+        assert 1.5 < until <= 2.0
