@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 from repro.core.relaying import RelayContext
 from repro.net.packet import Ack, Beacon, DataPacket, Direction, FrameKind
+from repro.sim.rng import BufferedUniforms
 
 __all__ = ["BasestationNode", "BeaconSlotter", "LinkSender", "VehicleNode"]
 
@@ -660,11 +661,7 @@ class _NodeBase:
         self._phase = float(
             self._beacon_rng.uniform(0.0, config.beacon_interval)
         )
-        # Jitter draws batched per node (vectorized uniform consumes
-        # the generator exactly as repeated scalar draws, so the due
-        # chain is bit-for-bit the scalar chain).
-        self._jitter_buf = ()
-        self._jitter_i = 0
+        self._beacon_u = BufferedUniforms(self._beacon_rng).next
 
     def start(self):
         """Register with the beacon slotter and the estimator bank.
@@ -685,15 +682,9 @@ class _NodeBase:
     def _next_beacon_due(self, due):
         """Advance the nominal beacon due chain by one jittered interval."""
         interval = self.ctx.config.beacon_interval
-        i = self._jitter_i
-        buf = self._jitter_buf
-        if i >= len(buf):
-            buf = self._jitter_buf = self._beacon_rng.uniform(
-                -0.05, 0.05, size=64
-            ).tolist()
-            i = 0
-        self._jitter_i = i + 1
-        jitter = buf[i] * interval
+        # Generator.uniform(low, high) evaluates low + (high - low) * u.
+        low, high = -0.05, 0.05
+        jitter = (low + (high - low) * self._beacon_u()) * interval
         return due + max(interval + jitter, 1e-4)
 
     def _beacon_blocked(self):
@@ -916,7 +907,10 @@ class BasestationNode(_NodeBase):
         # lives in one ring-structured bank (see _PacketBank); bounded
         # by construction, so no pruning timer is needed.
         self._packets = _PacketBank()
+        # Relay-timer jitter and relay decisions are this stream's only
+        # draws, so serving them from blocks keeps every draw in place.
         self._relay_rng = ctx.rngs.stream("relay-coin", node_id)
+        self._relay_u = BufferedUniforms(self._relay_rng).next
         # The "small window" of protocol step 3 is adaptive: the BS
         # tracks the gap between overhearing a data packet and
         # overhearing its ack, and waits out the bulk of that
@@ -1068,9 +1062,8 @@ class BasestationNode(_NodeBase):
             ring.pkt[row] = packet
             return
         config = self.ctx.config
-        delay = self._ack_window() + float(
-            self._relay_rng.uniform(0.0, config.relay_timer_interval)
-        )
+        delay = self._ack_window() \
+            + config.relay_timer_interval * self._relay_u()
         ring.flags[row] = flags | _STORED
         ring.pkt[row] = packet
         ring.stored_at[row] = now
@@ -1170,7 +1163,7 @@ class BasestationNode(_NodeBase):
             p=self.estimator.probability_lookup(now),
             table=table,
         ))
-        relayed = bool(self._relay_rng.random() < probability)
+        relayed = bool(self._relay_u() < probability)
         ctx.stats.on_relay_decision(
             key, self.node_id, probability, relayed,
             trigger_tx_id=packet.tx_id,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.protocol import ViFiConfig
 from repro.net.channel import BernoulliLoss
 from repro.sim.rng import BufferedUniforms, RngRegistry, derive_seed
 
@@ -64,3 +65,29 @@ class TestBufferedUniforms:
         never = BernoulliLoss(0.0, rngs.stream("y"))
         assert all(always.is_lost(t * 0.1) for t in range(50))
         assert not any(never.is_lost(t * 0.1) for t in range(50))
+
+    @pytest.mark.parametrize("low, high", [(0.0, 0.01), (-0.05, 0.05)])
+    def test_affine_draw_matches_uniform(self, low, high):
+        """``low + (high - low) * u`` is the value ``uniform`` returns.
+
+        Nodes draw beacon jitter that way from buffered blocks; checked
+        over several 64-draw refills against a mirrored stream.
+        """
+        buffered = BufferedUniforms(RngRegistry(13).fresh("u"))
+        mirror = RngRegistry(13).fresh("u")
+        for _ in range(200):
+            u = buffered.next()
+            assert low + (high - low) * u == mirror.uniform(low, high)
+
+    def test_relay_coin_draws_match_scalar_calls(self):
+        """Relay-timer jitter ``x * u`` and decisions ``u < p``, drawn
+        interleaved from one buffered stream, equal the scalar
+        ``uniform(0.0, x)`` and ``random() < p`` calls they replace."""
+        interval = ViFiConfig().relay_timer_interval
+        buffered = BufferedUniforms(RngRegistry(14).fresh("c"))
+        mirror = RngRegistry(14).fresh("c")
+        for k in range(200):
+            assert interval * buffered.next() \
+                == mirror.uniform(0.0, interval)
+            p = (k % 11) / 10.0
+            assert (buffered.next() < p) == (mirror.random() < p)
