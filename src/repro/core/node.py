@@ -716,22 +716,7 @@ class _NodeBase:
     def decorate_beacon(self, beacon):
         """Subclass hook to add anchor/auxiliary designations."""
 
-    # -- reception dispatch ----------------------------------------------
-
-    def on_receive(self, frame, transmitter_id):
-        if self.radio_down:
-            return
-        kind = frame.kind
-        if kind is _BEACON:
-            self._note_beacon(frame, self._sim.now)
-            self.on_beacon(frame)
-        elif kind is _DATA:
-            self.on_data(frame)
-        elif kind is _ACK:
-            self.on_ack_frame(frame)
-
-    def on_beacon(self, beacon):
-        """Subclass hook (estimator ingestion already done)."""
+    # -- reception -------------------------------------------------------
 
     def on_data(self, packet):
         raise NotImplementedError
@@ -1146,22 +1131,14 @@ class BasestationNode(_NodeBase):
         if not self.is_designated_aux():
             return
         ctx = self.ctx
-        strategy = ctx.relay_strategy
         aux_ids = tuple(a for a in self.known_aux
                         if a not in (packet.src, packet.dst))
-        # Strategies that read aggregate sums get the estimator's
-        # cached array-indexed table; decisions between estimator
-        # state changes then skip the 3K+1 probability lookups.
-        table = self.estimator.relay_table(
-            aux_ids, packet.src, packet.dst, now,
-        ) if strategy.uses_table else None
-        probability = strategy.relay_probability(RelayContext(
+        probability = ctx.relay_strategy.relay_probability(RelayContext(
             self_id=self.node_id,
             aux_ids=aux_ids,
             src=packet.src,
             dst=packet.dst,
             p=self.estimator.probability_lookup(now),
-            table=table,
         ))
         relayed = bool(self._relay_u() < probability)
         ctx.stats.on_relay_decision(

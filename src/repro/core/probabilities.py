@@ -22,22 +22,16 @@ path) and folded into the estimator's tables the next time any query
 runs — queries are an order of magnitude rarer than receptions, and the
 fold runs with locals bound once per batch.  All read paths flush
 first, so observable state is identical to eager ingest.  On top of
-that, two caches amortize the per-beacon and per-relay-decision costs:
+that, :meth:`BankedReceptionEstimator.beacon_reports` caches the two
+maps a beacon embeds: the ``incoming`` map only changes at a fold and
+the ``learned`` map only when a peer reports fresh outgoing knowledge
+or an entry crosses the staleness horizon, so both are cached with
+exact invalidation bounds instead of being rebuilt for every one of
+the ~10 beacons a node sends per second.
 
-* :meth:`beacon_reports` — the embedded ``incoming`` map only changes
-  at :meth:`tick_second` and the ``learned`` map only when a peer
-  reports fresh outgoing knowledge or an entry crosses the staleness
-  horizon, so both are cached with exact invalidation bounds instead
-  of being rebuilt for every one of the ~10 beacons a node sends per
-  second.
-* :meth:`relay_table` — relay decisions for the same ``(aux set, src,
-  dst)`` between state changes reuse one array-indexed
-  :class:`~repro.core.relaying.RelayTable` (per-aux contention and
-  delivery columns plus the precomputed Eq. 1 denominator), built with
-  the same arithmetic, in the same accumulation order, as the scalar
-  strategy loops — cached values are bit-for-bit what the uncached
-  computation would produce, with validity bounded by the estimator's
-  version counter and the earliest staleness expiry consulted.
+Relay decisions read the estimator only through
+:meth:`~BankedReceptionEstimator.probability_lookup`; the Eq. 1-3
+arithmetic lives in :mod:`repro.core.relaying` alone.
 
 **The bank and its oracle.**  A protocol run keeps one
 :class:`EstimatorBank`: node ids map to integer rows, per-second heard
@@ -50,19 +44,18 @@ state stays bounded by the live-peer count.  Nodes query it through
 per-node :class:`BankedReceptionEstimator` views.
 
 :class:`ReceptionEstimator` is the plain per-node dict estimator the
-bank must match: a view and a :class:`ReceptionEstimator` fed the same
-beacons and ticked at the same instants agree bit for bit on every
-query the protocol uses (asserted in
-``tests/test_core_probabilities.py``).  It serves as the reference
-oracle only; unlike the bank it never prunes per-peer state.
+bank must match, with none of the bank's batching or caches.  A view
+and a :class:`ReceptionEstimator` fed the same beacons and ticked at
+the same instants agree bit for bit on every query the protocol uses,
+so ``tests/test_core_probabilities.py`` checks the bank's batching and
+caches against uncached answers.  The oracle serves as that reference
+only; unlike the bank it never prunes per-peer state.
 """
 
 import math
 import time
 
 import numpy as np
-
-from repro.core.relaying import RelayTable
 
 __all__ = ["EstimatorBank", "ReceptionEstimator"]
 
@@ -71,7 +64,9 @@ class ReceptionEstimator:
     """Per-node estimator and dissemination table for ``p(a -> b)``.
 
     The reference oracle for :class:`EstimatorBank` views (see the
-    module docstring); protocol runs use the bank.
+    module docstring); protocol runs use the bank.  It keeps the rule
+    and none of the bank's caches: each beacon is ingested as it
+    arrives, and both beacon maps are rebuilt on every call.
 
     Args:
         node_id: owning node.
@@ -82,10 +77,6 @@ class ReceptionEstimator:
         forget_below: incoming averages below this are dropped, so BSes
             left behind stop being considered.
     """
-
-    #: Relay-table cache entries kept before the cache is reset (aux
-    #: sets churn as the vehicle moves; old keys never come back).
-    _RELAY_CACHE_MAX = 64
 
     def __init__(self, node_id, beacons_per_second=10, alpha=0.5,
                  stale_s=5.0, forget_below=0.01):
@@ -99,94 +90,32 @@ class ReceptionEstimator:
         self._last_heard = {}
         # Dissemination state is the latest report maps of each sender,
         # stored by reference: ``sender -> (arrived_at, incoming,
-        # learned)``.  Ingesting a beacon is then O(1) instead of
-        # merging every embedded entry into a tuple-keyed table (the
-        # old scheme burned ~6% of a protocol run hashing pair keys),
-        # and memory stays bounded by the node count.  Queries combine
-        # the two possible sources for ``p(a -> b)`` — b's first-hand
-        # ``incoming[a]`` and a's second-hand ``learned[b]`` — newest
-        # fresh report winning, which matches the merged-table
-        # behaviour except that an entry a sender stopped reporting
-        # expires with that sender's next beacon rather than lingering
-        # until ``stale_s`` (such entries had already decayed to ~0).
+        # learned)``.  Queries combine the two possible sources for
+        # ``p(a -> b)`` — b's first-hand ``incoming[a]`` and a's
+        # second-hand ``learned[b]`` — newest fresh report winning.
         self._reports = {}
         # This node's outgoing quality p(self -> peer) as last reported
         # by each peer, for beacon construction.
         self._outgoing = {}
-        # Beacons received but not yet folded in (see module docstring).
-        self._pending = []
-        # Change epochs for exact cache invalidation: one per report
-        # sender (bumped when that sender's report is replaced) and one
-        # for the first-hand averages (bumped per second tick).  The
-        # relay-table cache validates against exactly the epochs of the
-        # participants it consulted, so unrelated beacon traffic does
-        # not evict it.
-        self._report_epoch = {}
-        self._incoming_epoch = 0
-        self._incoming_snapshot = None
-        # Incrementally maintained beacon ``learned`` map: flush keeps
-        # it current; a full rebuild only runs when the earliest
-        # staleness expiry passes (see beacon_reports).  Once handed to
-        # a beacon the map is *shared* — receivers keep it by
-        # reference — so the next mutation copies first (copy-on-write)
-        # and sent beacons stay frozen.
-        self._learned_live = {}
-        self._learned_shared = False
-        self._learned_expiry = math.inf
-        self._relay_tables = {}
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
 
     def on_beacon(self, beacon, now):
-        """Record one received beacon; folded in at the next query."""
-        self._pending.append((beacon, now))
-
-    def _flush(self):
-        """Fold the pending beacon batch into the tables, in order."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
+        """Record one received beacon."""
+        sender = beacon.sender
         heard = self._heard_this_second
-        last_heard = self._last_heard
-        reports = self._reports
-        report_epoch = self._report_epoch
-        outgoing = self._outgoing
-        learned_live = self._learned_live
-        node_id = self.node_id
-        stale_s = self.stale_s
-        learned_expiry = self._learned_expiry
-        for beacon, now in pending:
-            sender = beacon.sender
-            try:
-                heard[sender] += 1
-            except KeyError:
-                heard[sender] = 1
-            last_heard[sender] = now
-            incoming = beacon.incoming
-            reports[sender] = (now, incoming, beacon.learned)
-            try:
-                report_epoch[sender] += 1
-            except KeyError:
-                report_epoch[sender] = 1
-            # Reports about this node itself are kept too: the sender's
-            # ``incoming[self]`` is p(self -> sender), i.e. this node's
-            # own *outgoing* quality, which it cannot measure
-            # first-hand and which the relay computation needs
-            # (p(Bx -> dst)).
-            mine = incoming.get(node_id)
-            if mine is not None:
-                outgoing[sender] = (mine, now)
-                if self._learned_shared:
-                    learned_live = self._learned_live = dict(learned_live)
-                    self._learned_shared = False
-                learned_live[sender] = mine
-                expires = now + stale_s
-                if expires < learned_expiry:
-                    learned_expiry = expires
-        self._learned_expiry = learned_expiry
+        heard[sender] = heard.get(sender, 0) + 1
+        self._last_heard[sender] = now
+        self._reports[sender] = (now, beacon.incoming, beacon.learned)
+        # Reports about this node itself are kept too: the sender's
+        # ``incoming[self]`` is p(self -> sender), i.e. this node's own
+        # *outgoing* quality, which it cannot measure first-hand and
+        # which the relay computation needs (p(Bx -> dst)).
+        mine = beacon.incoming.get(self.node_id)
+        if mine is not None:
+            self._outgoing[sender] = (mine, now)
 
     def tick_second(self, now):
         """Fold the elapsed second into the exponential averages.
@@ -195,8 +124,6 @@ class ReceptionEstimator:
         ratio this second, zero if silent.  Peers whose average decays
         below ``forget_below`` are forgotten.
         """
-        if self._pending:
-            self._flush()
         peers = set(self._incoming) | set(self._heard_this_second)
         for peer in peers:
             ratio = min(
@@ -212,8 +139,6 @@ class ReceptionEstimator:
         for peer in [p for p, v in self._incoming.items()
                      if v < self.forget_below]:
             del self._incoming[peer]
-        self._incoming_snapshot = None
-        self._incoming_epoch += 1
 
     # ------------------------------------------------------------------
     # Queries
@@ -229,15 +154,11 @@ class ReceptionEstimator:
 
     def heard_recently(self, peer, now, within_s):
         """Was a beacon from *peer* heard within the last *within_s*?"""
-        if self._pending:
-            self._flush()
         last = self._last_heard.get(peer)
         return last is not None and (now - last) <= within_s
 
     def peers_heard_within(self, now, within_s):
         """All peers whose beacons were heard within *within_s*."""
-        if self._pending:
-            self._flush()
         return [
             peer for peer, last in self._last_heard.items()
             if (now - last) <= within_s
@@ -249,8 +170,6 @@ class ReceptionEstimator:
         First-hand knowledge (``b`` is this node) wins; otherwise the
         dissemination table is consulted, subject to freshness.
         """
-        if self._pending:
-            self._flush()
         if a == b:
             return 1.0
         if b == self.node_id:
@@ -272,88 +191,6 @@ class ReceptionEstimator:
                 best = prob
         return best
 
-    def _probability_ts(self, a, b, now):
-        """``(probability, change_bound)`` for the relay-table cache.
-
-        Same value as :meth:`probability` (the caller has flushed);
-        ``change_bound`` is the earliest future instant at which this
-        answer could change *without* a version bump — the staleness
-        expiry of any accepted report.  A report that is already stale
-        stays stale (time is monotone), and absent/first-hand entries
-        only change with the version, so their bound is infinite.
-        """
-        if a == b:
-            return 1.0, math.inf
-        if b == self.node_id:
-            return self._incoming.get(a, 0.0), math.inf
-        stale_s = self.stale_s
-        reports = self._reports
-        best = 0.0
-        best_ts = None
-        bound = math.inf
-        from_b = reports.get(b)
-        if from_b is not None and now - from_b[0] <= stale_s:
-            expires = from_b[0] + stale_s
-            if expires < bound:
-                bound = expires
-            prob = from_b[1].get(a)
-            if prob is not None:
-                best = prob
-                best_ts = from_b[0]
-        from_a = reports.get(a)
-        if from_a is not None and now - from_a[0] <= stale_s:
-            expires = from_a[0] + stale_s
-            if expires < bound:
-                bound = expires
-            prob = from_a[2].get(b)
-            if prob is not None and (best_ts is None or from_a[0] > best_ts):
-                best = prob
-        return best, bound
-
-    def relay_table(self, aux_ids, src, dst, now):
-        """Cached :class:`~repro.core.relaying.RelayTable` for a decision.
-
-        Every probability the table holds depends only on the reports
-        of the participants (``src``, ``dst`` and the auxiliaries),
-        the first-hand averages, and staleness at *now*; the cache
-        entry therefore stores those participants' report epochs plus
-        the earliest staleness expiry consulted, and stays valid —
-        bit-for-bit what a fresh build would produce — until one of
-        them changes.  Unrelated beacon traffic never evicts it.
-        """
-        if self._pending:
-            self._flush()
-        key = (aux_ids, src, dst)
-        cached = self._relay_tables.get(key)
-        if cached is not None and now <= cached[1] \
-                and cached[3] == self._incoming_epoch:
-            report_epoch = self._report_epoch
-            for participant, epoch in cached[0]:
-                if report_epoch.get(participant, 0) != epoch:
-                    break
-            else:
-                return cached[2]
-        if len(self._relay_tables) > self._RELAY_CACHE_MAX:
-            self._relay_tables.clear()
-        bound = math.inf
-
-        def lookup(a, b):
-            nonlocal bound
-            value, expires = self._probability_ts(a, b, now)
-            if expires < bound:
-                bound = expires
-            return value
-
-        table = RelayTable(aux_ids, src, dst, lookup)
-        report_epoch = self._report_epoch
-        participants = tuple(
-            (participant, report_epoch.get(participant, 0))
-            for participant in (src, dst) + aux_ids
-        )
-        self._relay_tables[key] = (participants, bound, table,
-                                   self._incoming_epoch)
-        return table
-
     def probability_lookup(self, now):
         """A ``(a, b) -> p`` callable bound to the current time."""
         def lookup(a, b):
@@ -369,36 +206,15 @@ class ReceptionEstimator:
 
         ``incoming`` carries this node's first-hand estimates
         ``p(peer -> self)``; ``learned`` carries its second-hand
-        knowledge of its own outgoing quality ``p(self -> peer)``.
-
-        Both maps are cached between state changes (see the module
-        docstring); successive beacons within one estimator epoch share
-        the same dict objects, whose contents equal a fresh rebuild.
-        Callers treat the maps as immutable.
+        knowledge of its own outgoing quality ``p(self -> peer)``,
+        restricted to fresh reports.
         """
-        if self._pending:
-            self._flush()
-        incoming = self._incoming_snapshot
-        if incoming is None:
-            incoming = self._incoming_snapshot = dict(self._incoming)
-        if now > self._learned_expiry:
-            # The earliest staleness expiry passed: prune by rebuilding
-            # from the timestamps.  (Expiry is a lower bound — an entry
-            # refreshed since may extend it — so rebuilds can only run
-            # early, never late: the live map never serves stale rows.)
-            stale_s = self.stale_s
-            expiry = math.inf
-            learned = {}
-            for peer, (prob, ts) in self._outgoing.items():
-                if now - ts <= stale_s:
-                    learned[peer] = prob
-                    expires = ts + stale_s
-                    if expires < expiry:
-                        expiry = expires
-            self._learned_live = learned
-            self._learned_expiry = expiry
-        self._learned_shared = True
-        return incoming, self._learned_live
+        stale_s = self.stale_s
+        learned = {
+            peer: prob for peer, (prob, ts) in self._outgoing.items()
+            if now - ts <= stale_s
+        }
+        return dict(self._incoming), learned
 
 
 class EstimatorBank:
@@ -466,9 +282,6 @@ class EstimatorBank:
         # Per-second heard counts, scattered from the views' row
         # buffers at fold time (float64 so the fold needs no cast).
         self._heard = np.zeros((n, n), dtype=np.float64)
-        #: Fold epoch; bumped once per tick (every view's snapshot and
-        #: relay-table validity is keyed to it).
-        self.epoch = 0
         #: Folds run and wall seconds spent folding — reported by the
         #: perf bench as ``estimator_fold_s``.
         self.fold_count = 0
@@ -537,7 +350,6 @@ class EstimatorBank:
         # Forgetting: the oracle deletes averages below the threshold;
         # zero cells answer queries identically.
         incoming[incoming < self.forget_below] = 0.0
-        self.epoch += 1
         for facade in views:
             facade._on_fold(now)
         self.fold_count += 1
@@ -551,29 +363,23 @@ class BankedReceptionEstimator:
     protocol uses.  First-hand state (heard counts, exponential
     averages) lives in the bank's shared arrays; dissemination state
     (latest report per sender, outgoing quality, the copy-on-write
-    ``learned`` map, the relay-table cache) stays per-node, stored by
-    reference exactly like the oracle's — but pruned at each fold
-    once a peer falls past the staleness horizon, so it is bounded by
-    the live-peer count.
+    ``learned`` map) stays per-node, stored by reference exactly like
+    the oracle's — but pruned at each fold once a peer falls past the
+    staleness horizon, so it is bounded by the live-peer count.
 
     Beacon ingest appends to the per-node pending buffer; queries
     flush first, so observable state is identical to eager ingest.
-    The flush is leaner than the oracle's: heard counts are one
-    list append (scattered via ``bincount`` at the fold) and the
-    relay-table cache validates against report tuple *identity*
-    instead of a per-sender epoch counter, dropping two dict updates
-    from the per-beacon path.  ``_last_heard`` is gone entirely —
+    Heard counts are one list append per beacon (scattered via
+    ``bincount`` at the fold), and there is no ``_last_heard`` map:
     recency queries read the report timestamps, which flush writes
     anyway.
     """
-
-    _RELAY_CACHE_MAX = ReceptionEstimator._RELAY_CACHE_MAX
 
     __slots__ = (
         "bank", "node_id", "_row", "_row_view", "_row_floats", "_index",
         "stale_s", "_pending", "_heard_rows", "_reports", "_outgoing",
         "_incoming_snapshot", "_learned_live", "_learned_shared",
-        "_learned_expiry", "_relay_tables",
+        "_learned_expiry",
     )
 
     def __init__(self, bank, node_id):
@@ -582,7 +388,7 @@ class BankedReceptionEstimator:
         self._row = bank.index[node_id]
         # A view into the bank's matrix: the fold mutates in place, so
         # the row view is always current.  The python-float copy of it
-        # is rebuilt lazily once per fold epoch — averages only change
+        # is rebuilt lazily once per fold — averages only change
         # at folds — so scalar reads skip per-call numpy extraction.
         self._row_view = bank.incoming[self._row]
         self._row_floats = None
@@ -595,10 +401,15 @@ class BankedReceptionEstimator:
         self._reports = {}
         self._outgoing = {}
         self._incoming_snapshot = None
+        # Incrementally maintained beacon ``learned`` map: flush keeps
+        # it current; a full rebuild only runs when the earliest
+        # staleness expiry passes (see beacon_reports).  Once handed to
+        # a beacon the map is *shared* — receivers keep it by
+        # reference — so the next mutation copies first (copy-on-write)
+        # and sent beacons stay frozen.
         self._learned_live = {}
         self._learned_shared = False
         self._learned_expiry = math.inf
-        self._relay_tables = {}
 
     # ------------------------------------------------------------------
     # Ingest
@@ -640,7 +451,7 @@ class BankedReceptionEstimator:
         self._learned_expiry = learned_expiry
 
     def _row_list(self):
-        """This node's averages as python floats (epoch-cached)."""
+        """This node's averages as python floats (cached per fold)."""
         row = self._row_floats
         if row is None:
             row = self._row_floats = self._row_view.tolist()
@@ -746,168 +557,6 @@ class BankedReceptionEstimator:
             return self.probability(a, b, now)
         return lookup
 
-    def relay_table(self, aux_ids, src, dst, now):
-        """Cached :class:`~repro.core.relaying.RelayTable` for a decision.
-
-        Same contract as the oracle's — cached tables are bit-for-bit
-        what a fresh build would produce — with two twists: cache
-        validity is the *identity* of each participant's report tuple
-        (no per-sender epoch dict), and the build prefetches the
-        src/dst reports once instead of
-        re-fetching them for each of the 3K+1 probability lookups,
-        accumulating the Eq. 1 sums with exactly the arithmetic, in
-        exactly the order, of :class:`RelayTable`'s own constructor.
-        """
-        if self._pending:
-            self._flush()
-        key = (aux_ids, src, dst)
-        cached = self._relay_tables.get(key)
-        if cached is not None and now <= cached[1] \
-                and cached[3] == self.bank.epoch:
-            reports = self._reports
-            for participant, report in cached[0]:
-                if reports.get(participant) is not report:
-                    break
-            else:
-                return cached[2]
-        if len(self._relay_tables) > self._RELAY_CACHE_MAX:
-            self._relay_tables.clear()
-        stale_s = self.stale_s
-        reports = self._reports
-        node_id = self.node_id
-        row = self._row_list()
-        index = self._index
-        bound = math.inf
-        # Prefetch the src/dst reports once (the generic path fetched
-        # them for every one of the 3K+1 lookups); consulting a fresh
-        # report narrows the validity bound to its staleness expiry,
-        # exactly as _probability_ts does.  The per-aux probability
-        # logic below is probability() inlined over the prefetched
-        # reports — the build is the hottest estimator query path, and
-        # the closure frames were a measurable share of it.
-        from_src = reports.get(src)
-        if from_src is not None:
-            if now - from_src[0] > stale_s:
-                from_src = None
-            else:
-                bound = from_src[0] + stale_s
-        from_dst = reports.get(dst)
-        if from_dst is not None:
-            if now - from_dst[0] > stale_s:
-                from_dst = None
-            else:
-                expires = from_dst[0] + stale_s
-                if expires < bound:
-                    bound = expires
-        # p(src -> dst): dst is never this node — nor equal to src —
-        # in a relay decision, but the general cases cost one extra
-        # comparison each.
-        if src == dst:
-            p_src_dst = 1.0
-        elif dst == node_id:
-            j = index.get(src)
-            p_src_dst = row[j] if j is not None else 0.0
-        else:
-            p_src_dst = 0.0
-            best_ts = None
-            if from_dst is not None:
-                prob = from_dst[1].get(src)
-                if prob is not None:
-                    p_src_dst = prob
-                    best_ts = from_dst[0]
-            if from_src is not None:
-                prob = from_src[2].get(dst)
-                if prob is not None \
-                        and (best_ts is None or from_src[0] > best_ts):
-                    p_src_dst = prob
-        k = len(aux_ids)
-        contention = np.empty(k, dtype=np.float64)
-        p_to_dst = np.empty(k, dtype=np.float64)
-        denominator = 0.0
-        total_contention = 0.0
-        for i, aux in enumerate(aux_ids):
-            from_aux = reports.get(aux)
-            if from_aux is not None:
-                if now - from_aux[0] > stale_s:
-                    from_aux = None
-                else:
-                    expires = from_aux[0] + stale_s
-                    if expires < bound:
-                        bound = expires
-            aux_is_self = aux == node_id
-            # p(src -> aux)
-            if src == aux:
-                p_s_a = 1.0
-            elif aux_is_self:
-                j = index.get(src)
-                p_s_a = row[j] if j is not None else 0.0
-            else:
-                p_s_a = 0.0
-                best_ts = None
-                if from_aux is not None:
-                    prob = from_aux[1].get(src)
-                    if prob is not None:
-                        p_s_a = prob
-                        best_ts = from_aux[0]
-                if from_src is not None:
-                    prob = from_src[2].get(aux)
-                    if prob is not None \
-                            and (best_ts is None or from_src[0] > best_ts):
-                        p_s_a = prob
-            # p(dst -> aux)
-            if dst == aux:
-                p_d_a = 1.0
-            elif aux_is_self:
-                j = index.get(dst)
-                p_d_a = row[j] if j is not None else 0.0
-            else:
-                p_d_a = 0.0
-                best_ts = None
-                if from_aux is not None:
-                    prob = from_aux[1].get(dst)
-                    if prob is not None:
-                        p_d_a = prob
-                        best_ts = from_aux[0]
-                if from_dst is not None:
-                    prob = from_dst[2].get(aux)
-                    if prob is not None \
-                            and (best_ts is None or from_dst[0] > best_ts):
-                        p_d_a = prob
-            # p(aux -> dst)
-            if aux == dst:
-                p_a_d = 1.0
-            elif dst == node_id:
-                j = index.get(aux)
-                p_a_d = row[j] if j is not None else 0.0
-            else:
-                p_a_d = 0.0
-                best_ts = None
-                if from_dst is not None:
-                    prob = from_dst[1].get(aux)
-                    if prob is not None:
-                        p_a_d = prob
-                        best_ts = from_dst[0]
-                if from_aux is not None:
-                    prob = from_aux[2].get(dst)
-                    if prob is not None \
-                            and (best_ts is None or from_aux[0] > best_ts):
-                        p_a_d = prob
-            c_i = p_s_a * (1.0 - p_src_dst * p_d_a)
-            contention[i] = c_i
-            p_to_dst[i] = p_a_d
-            denominator += c_i * p_a_d
-            total_contention += c_i
-        table = RelayTable.from_columns(
-            aux_ids, contention, p_to_dst, denominator, total_contention
-        )
-        participants = tuple(
-            (participant, reports.get(participant))
-            for participant in (src, dst) + aux_ids
-        )
-        self._relay_tables[key] = (participants, bound, table,
-                                   self.bank.epoch)
-        return table
-
     # ------------------------------------------------------------------
     # Beacon payload construction
     # ------------------------------------------------------------------
@@ -915,9 +564,11 @@ class BankedReceptionEstimator:
     def beacon_reports(self, now):
         """Build the (incoming, learned) maps to embed in a beacon.
 
-        Identical semantics to the oracle (COW-cached maps whose
-        contents equal a fresh rebuild); the ``incoming`` snapshot is
-        materialized from the bank row once per fold epoch.
+        The oracle's maps, served from caches (see the module
+        docstring): the ``incoming`` snapshot is materialized from the
+        bank row once per fold, and successive beacons between changes
+        share the same dict objects, whose contents equal a fresh
+        rebuild.  Callers treat the maps as immutable.
         """
         if self._pending:
             self._flush()
@@ -930,6 +581,10 @@ class BankedReceptionEstimator:
                 if value
             }
         if now > self._learned_expiry:
+            # The earliest staleness expiry passed: prune by rebuilding
+            # from the timestamps.  (Expiry is a lower bound — an entry
+            # refreshed since may extend it — so rebuilds can only run
+            # early, never late: the live map never serves stale rows.)
             stale_s = self.stale_s
             expiry = math.inf
             learned = {}

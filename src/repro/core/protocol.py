@@ -301,7 +301,6 @@ class ViFiSimulation:
             # "do not relay"; designations and beacons stay identical.
             class _NeverRelay:
                 name = "never"
-                uses_table = False
 
                 def relay_probability(self, ctx):
                     return 0.0

@@ -36,15 +36,12 @@ compared in Table 2:
 
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ExpectedDeliveryStrategy",
     "IgnoreDestConnectivityStrategy",
     "IgnoreOthersStrategy",
     "RelayContext",
     "RelayStrategy",
-    "RelayTable",
     "ViFiRelayStrategy",
     "contention_probability",
     "make_strategy",
@@ -62,79 +59,13 @@ def contention_probability(p, src, dst, aux):
     return p(src, aux) * (1.0 - p(src, dst) * p(dst, aux))
 
 
-class RelayTable:
-    """Array-indexed relay rows for one ``(src, dst, aux set)``.
-
-    One row per auxiliary, in ``aux_ids`` order: the Eq. 3 contention
-    probability ``c_i`` and the delivery probability ``p(Bi -> d)``
-    live in numpy columns, and the two aggregate sums the strategies
-    need — the Eq. 1 denominator ``sum_i c_i * p(Bi, d)`` and the
-    total contention ``sum_i c_i`` — are accumulated at build time
-    with exactly the arithmetic (same expressions, same order) the
-    scalar strategy loops use, so a decision served from a cached
-    table is bit-for-bit identical to an uncached one.  Tables are
-    built and memoized by
-    :meth:`~repro.core.probabilities.ReceptionEstimator.relay_table`;
-    one table serves every relay decision between estimator state
-    changes instead of 3K+1 probability lookups per decision.
-    """
-
-    __slots__ = ("aux_ids", "index", "contention", "p_to_dst",
-                 "denominator", "total_contention")
-
-    def __init__(self, aux_ids, src, dst, p):
-        n = len(aux_ids)
-        contention = np.empty(n, dtype=np.float64)
-        p_to_dst = np.empty(n, dtype=np.float64)
-        p_src_dst = p(src, dst)  # loop-invariant factor of Eq. 3
-        denominator = 0.0
-        total_contention = 0.0
-        for i, aux in enumerate(aux_ids):
-            c_i = p(src, aux) * (1.0 - p_src_dst * p(dst, aux))
-            p_i = p(aux, dst)
-            contention[i] = c_i
-            p_to_dst[i] = p_i
-            denominator += c_i * p_i
-            total_contention += c_i
-        self.aux_ids = tuple(aux_ids)
-        self.index = {aux: i for i, aux in enumerate(self.aux_ids)}
-        self.contention = contention
-        self.p_to_dst = p_to_dst
-        self.denominator = denominator
-        self.total_contention = total_contention
-
-    @classmethod
-    def from_columns(cls, aux_ids, contention, p_to_dst, denominator,
-                     total_contention):
-        """Adopt prebuilt columns and sums without re-running lookups.
-
-        Used by the array-backed estimator, whose relay-table build
-        prefetches each participant's report once and accumulates the
-        two sums with exactly the arithmetic, in exactly the order, of
-        :meth:`__init__` — callers are responsible for that contract,
-        which keeps adopted tables bit-for-bit interchangeable with
-        constructor-built ones.
-        """
-        table = cls.__new__(cls)
-        table.aux_ids = tuple(aux_ids)
-        table.index = {aux: i for i, aux in enumerate(table.aux_ids)}
-        table.contention = contention
-        table.p_to_dst = p_to_dst
-        table.denominator = denominator
-        table.total_contention = total_contention
-        return table
-
-    def own_delivery(self, self_id):
-        """``p(self -> dst)`` as a python float, or ``None`` if absent."""
-        i = self.index.get(self_id)
-        if i is None:
-            return None
-        return float(self.p_to_dst[i])
-
-
 @dataclass
 class RelayContext:
     """Inputs to a relay decision.
+
+    A strategy reads every reception probability it needs through *p*:
+    the deciding auxiliary's own estimates, learned from beacons
+    (Section 4.6).
 
     Attributes:
         self_id: the deciding auxiliary.
@@ -144,10 +75,6 @@ class RelayContext:
         dst: packet destination.
         p: callable ``(a, b) -> float`` returning the estimated
             reception probability from *a* to *b* (0 when unknown).
-        table: optional :class:`RelayTable` built for the same
-            ``(aux_ids, src, dst)``; strategies that declare
-            ``uses_table`` read their sums from it instead of calling
-            *p* per auxiliary.
     """
 
     self_id: int
@@ -155,16 +82,12 @@ class RelayContext:
     src: int
     dst: int
     p: object
-    table: object = None
 
 
 class RelayStrategy:
     """Interface: map a :class:`RelayContext` to a relay probability."""
 
     name = "base"
-    #: Strategies that read :class:`RelayTable` aggregates set this, so
-    #: callers only pay the table build when it will be used.
-    uses_table = False
 
     def relay_probability(self, ctx):
         raise NotImplementedError
@@ -174,7 +97,6 @@ class ViFiRelayStrategy(RelayStrategy):
     """The ViFi formulation: Eqs. 1-3, honoring G1, G2 and G3."""
 
     name = "vifi"
-    uses_table = True
 
     def relay_probability(self, ctx):
         """Solve ``sum_i c_i * (r * p_i_d) = 1`` and return own r_x.
@@ -185,23 +107,16 @@ class ViFiRelayStrategy(RelayStrategy):
         false positive instead of certainly losing the packet — the
         sensible default when a lone BS has no peer information.
         """
-        table = ctx.table
-        if table is not None and table.aux_ids == ctx.aux_ids:
-            denominator = table.denominator
-            own = table.own_delivery(ctx.self_id)
-        else:
-            p = ctx.p
-            src, dst = ctx.src, ctx.dst
-            p_src_dst = p(src, dst)  # loop-invariant factor of Eq. 3
-            denominator = 0.0
-            for aux in ctx.aux_ids:
-                c_i = p(src, aux) * (1.0 - p_src_dst * p(dst, aux))
-                denominator += c_i * p(aux, dst)
-            own = None
+        p = ctx.p
+        src, dst = ctx.src, ctx.dst
+        p_src_dst = p(src, dst)  # loop-invariant factor of Eq. 3
+        denominator = 0.0
+        for aux in ctx.aux_ids:
+            c_i = p(src, aux) * (1.0 - p_src_dst * p(dst, aux))
+            denominator += c_i * p(aux, dst)
         if denominator <= 0.0:
             return 1.0
-        if own is None:
-            own = ctx.p(ctx.self_id, ctx.dst)
+        own = p(ctx.self_id, dst)
         if own <= 0.0:
             # No known path to the destination; Eq. 2 assigns zero
             # weight (and guards inf * 0 when the denominator is
@@ -221,16 +136,8 @@ class IgnoreOthersStrategy(RelayStrategy):
     """
 
     name = "not-g1"
-    # uses_table stays False: the whole computation is one p(self, dst)
-    # lookup, cheaper than building/validating a table for it.  (A
-    # table handed in anyway is still honored below.)
 
     def relay_probability(self, ctx):
-        table = ctx.table
-        if table is not None:
-            own = table.own_delivery(ctx.self_id)
-            if own is not None:
-                return min(max(own, 0.0), 1.0)
         return min(max(ctx.p(ctx.self_id, ctx.dst), 0.0), 1.0)
 
 
@@ -244,18 +151,13 @@ class IgnoreDestConnectivityStrategy(RelayStrategy):
     """
 
     name = "not-g2"
-    uses_table = True
 
     def relay_probability(self, ctx):
-        table = ctx.table
-        if table is not None and table.aux_ids == ctx.aux_ids:
-            total_contention = table.total_contention
-        else:
-            total_contention = 0.0
-            for aux in ctx.aux_ids:
-                total_contention += contention_probability(
-                    ctx.p, ctx.src, ctx.dst, aux
-                )
+        total_contention = 0.0
+        for aux in ctx.aux_ids:
+            total_contention += contention_probability(
+                ctx.p, ctx.src, ctx.dst, aux
+            )
         if total_contention <= 0.0:
             return 1.0
         return min(1.0 / total_contention, 1.0)

@@ -8,7 +8,7 @@ behaviour of the two is identical wherever the fold instants match
 one-view scenario is exactly the oracle's fold).  The bank-only tests
 below check bit-for-bit agreement with the oracle over random beacon
 schedules, the period-aligned single fold event, and bounded per-peer
-state.  Last, the oracle's batched beacon ingest and cached beacon
+state.  Last, the bank views' batched beacon ingest and cached beacon
 reports are checked to be observationally eager.
 """
 
@@ -246,58 +246,36 @@ class TestUnitEquivalence:
         assert checked > 50
 
     def test_relay_tables_are_bitwise_equal(self):
-        src, dst = 2, 1
-        aux_ids = (3, 4, 5)
-        strategies = [make_strategy(n) for n in ("vifi", "not-g2")]
-        builds = 0
-        for banked, legacy, now in self._drive_pair(seed=11):
-            table_b = banked.relay_table(aux_ids, src, dst, now)
-            table_l = legacy.relay_table(aux_ids, src, dst, now)
-            assert table_b.contention.tolist() == \
-                table_l.contention.tolist()
-            assert table_b.p_to_dst.tolist() == table_l.p_to_dst.tolist()
-            assert table_b.denominator == table_l.denominator
-            assert table_b.total_contention == table_l.total_contention
-            assert table_b.own_delivery(3) == table_l.own_delivery(3)
-            for strategy in strategies:
-                assert strategy.relay_probability(RelayContext(
-                    self_id=3, aux_ids=aux_ids, src=src, dst=dst,
-                    p=banked.probability_lookup(now), table=table_b,
-                )) == strategy.relay_probability(RelayContext(
-                    self_id=3, aux_ids=aux_ids, src=src, dst=dst,
-                    p=legacy.probability_lookup(now), table=table_l,
-                ))
-            builds += 1
-        assert builds > 50
+        """Every formulation decides alike over a view and the oracle.
 
-    def test_relay_table_cache_hits_stay_exact(self):
-        """A cached bank table equals a fresh build, and participants'
-        reports invalidate it while unrelated traffic does not."""
-        bank = EstimatorBank(self.IDS)
-        est = bank.view(3)
-        est.on_beacon(beacon(1, incoming={2: 0.8, 3: 0.6}), 1.0)
-        est.on_beacon(beacon(2, incoming={1: 0.7, 3: 0.4},
-                             learned={1: 0.75}), 1.1)
-        est.on_beacon(beacon(4, incoming={1: 0.3, 2: 0.2}), 1.2)
-        table_1 = est.relay_table((3, 4), 1, 2, 1.5)
-        # Unrelated sender: same table object served from the cache.
-        est.on_beacon(beacon(6, incoming={5: 0.9}), 1.6)
-        assert est.relay_table((3, 4), 1, 2, 1.7) is table_1
-        # A participant's fresh report invalidates it.
-        est.on_beacon(beacon(4, incoming={1: 0.9, 2: 0.5}), 1.8)
-        table_2 = est.relay_table((3, 4), 1, 2, 1.9)
-        assert table_2 is not table_1
-        fresh = ReceptionEstimator(3)
-        for frame, t in ((beacon(1, incoming={2: 0.8, 3: 0.6}), 1.0),
-                         (beacon(2, incoming={1: 0.7, 3: 0.4},
-                                 learned={1: 0.75}), 1.1),
-                         (beacon(4, incoming={1: 0.3, 2: 0.2}), 1.2),
-                         (beacon(6, incoming={5: 0.9}), 1.6),
-                         (beacon(4, incoming={1: 0.9, 2: 0.5}), 1.8)):
-            fresh.on_beacon(frame, t)
-        expected = fresh.relay_table((3, 4), 1, 2, 1.9)
-        assert table_2.contention.tolist() == expected.contention.tolist()
-        assert table_2.denominator == expected.denominator
+        Along the randomized schedule, each strategy's relay
+        probability over the bank view's lookup equals the one over
+        the oracle's, bit for bit, with each auxiliary as the decider
+        and the estimator's node as destination, source or bystander.
+        The short horizon lets reports go stale between beacons.
+        """
+        aux_ids = (3, 4, 5)
+        strategies = [make_strategy(name)
+                      for name in ("vifi", "not-g1", "not-g2", "not-g3")]
+        seen = set()
+        for stale_s in (5.0, 0.5):
+            for banked, legacy, now in self._drive_pair(seed=11,
+                                                        stale_s=stale_s):
+                p_banked = banked.probability_lookup(now)
+                p_legacy = legacy.probability_lookup(now)
+                for src, dst in ((2, 1), (1, 2), (6, 2)):
+                    for strategy in strategies:
+                        for self_id in aux_ids:
+                            ctx_b = RelayContext(self_id, aux_ids, src,
+                                                 dst, p_banked)
+                            ctx_l = RelayContext(self_id, aux_ids, src,
+                                                 dst, p_legacy)
+                            r_banked = strategy.relay_probability(ctx_b)
+                            assert r_banked == \
+                                strategy.relay_probability(ctx_l)
+                            seen.add(r_banked)
+        # The schedule reaches far past the degenerate 0/1 answers.
+        assert len(seen) > 50
 
 
 class TestFirstTickAlignment:
@@ -369,8 +347,8 @@ class TestBoundedPeerState:
 
         Fifty peers beacon once each, one per second; the reference
         oracle keeps every peer ever heard in ``_last_heard`` /
-        ``_reports`` / ``_report_epoch``, while the bank prunes a peer
-        as soon as it falls past the staleness horizon.
+        ``_reports``, while the bank prunes a peer as soon as it falls
+        past the staleness horizon.
         """
         stale_s = 3.0
         n_peers = 50
@@ -394,7 +372,6 @@ class TestBoundedPeerState:
         # growth the bank avoids).
         assert len(legacy._last_heard) == n_peers
         assert len(legacy._reports) == n_peers
-        assert len(legacy._report_epoch) == n_peers
         assert len(legacy._outgoing) == n_peers
         # Pruned state is invisible to queries: both agree that
         # long-silent peers are gone.
@@ -420,10 +397,14 @@ class TestBoundedPeerState:
 
 
 class TestEstimatorBatchedIngest:
+    """Bank views batch beacon ingest and cache beacon reports."""
+
+    IDS = (1, 2, 3, 4, 5, 6)
+
     def test_lazy_flush_is_observationally_eager(self):
         """Query-per-beacon and query-at-end see identical state."""
-        eager = ReceptionEstimator(1)
-        lazy = ReceptionEstimator(1)
+        eager = EstimatorBank(self.IDS).view(1)
+        lazy = EstimatorBank(self.IDS).view(1)
         rng = random.Random(7)
         beacons = []
         for k in range(200):
@@ -451,7 +432,7 @@ class TestEstimatorBatchedIngest:
 
     def test_beacon_reports_shared_maps_are_frozen(self):
         """A sent beacon's maps never change after the fact (COW)."""
-        est = ReceptionEstimator(1)
+        est = EstimatorBank(self.IDS).view(1)
         est.on_beacon(beacon(2, incoming={1: 0.5}), now=0.0)
         incoming_1, learned_1 = est.beacon_reports(now=0.1)
         snapshot = dict(learned_1)
@@ -463,14 +444,16 @@ class TestEstimatorBatchedIngest:
         assert learned_2[3] == 0.9
 
     def test_beacon_reports_match_fresh_build(self):
-        """Cached reports equal an uncached rebuild at every instant."""
-        est = ReceptionEstimator(1, stale_s=1.0)
-        est.on_beacon(beacon(2, incoming={1: 0.5}), now=0.0)
-        est.on_beacon(beacon(3, incoming={1: 0.7}), now=0.4)
+        """Cached reports equal the oracle's rebuild at every instant."""
+        est = EstimatorBank(self.IDS, stale_s=1.0).view(1)
+        oracle = ReceptionEstimator(1, stale_s=1.0)
+        for frame, t in ((beacon(2, incoming={1: 0.5}), 0.0),
+                         (beacon(3, incoming={1: 0.7}), 0.4)):
+            est.on_beacon(frame, t)
+            oracle.on_beacon(frame, t)
         for now in (0.5, 0.9, 1.05, 1.2, 1.45, 2.0):
-            _, learned = est.beacon_reports(now=now)
-            expected = {
-                peer: prob for peer, (prob, ts) in est._outgoing.items()
-                if now - ts <= est.stale_s
-            }
-            assert dict(learned) == expected
+            incoming, learned = est.beacon_reports(now=now)
+            expected_incoming, expected_learned = \
+                oracle.beacon_reports(now=now)
+            assert dict(incoming) == expected_incoming
+            assert dict(learned) == expected_learned

@@ -1,22 +1,18 @@
-"""Unit tests for relay-probability strategies (Section 4.4, 5.5.1) and
-the cached :class:`~repro.core.relaying.RelayTable` they read."""
+"""Unit tests for relay-probability strategies (Section 4.4, 5.5.1)."""
 
 import math
 
 import pytest
 
-from repro.core.probabilities import ReceptionEstimator
 from repro.core.relaying import (
     ExpectedDeliveryStrategy,
     IgnoreDestConnectivityStrategy,
     IgnoreOthersStrategy,
     RelayContext,
-    RelayTable,
     ViFiRelayStrategy,
     contention_probability,
     make_strategy,
 )
-from repro.net.packet import Beacon
 
 
 def lookup(table):
@@ -208,80 +204,3 @@ class TestFactory:
                     assert 0.0 <= r <= 1.0
                     assert math.isfinite(r)
 
-
-def _beacon(sender, incoming=None, learned=None):
-    return Beacon(sender=sender, incoming=incoming or {},
-                  learned=learned or {})
-
-
-class TestRelayTable:
-    def _estimator_with_state(self):
-        est = ReceptionEstimator(3, stale_s=5.0)
-        est.on_beacon(_beacon(0, incoming={1: 0.8, 3: 0.6, 4: 0.3},
-                              learned={3: 0.55}), now=1.0)
-        est.on_beacon(_beacon(1, incoming={0: 0.7, 3: 0.45, 4: 0.2},
-                              learned={0: 0.75}), now=1.1)
-        est.on_beacon(_beacon(4, incoming={0: 0.35, 1: 0.25},
-                              learned={1: 0.3}), now=1.2)
-        for k in range(9):
-            est.on_beacon(_beacon(3, incoming={}), now=1.3 + 0.01 * k)
-        return est
-
-    def test_table_matches_scalar_probabilities(self):
-        est = self._estimator_with_state()
-        now = 2.0
-        aux_ids = (3, 4)
-        src, dst = 0, 1
-        table = est.relay_table(aux_ids, src, dst, now)
-        p = est.probability_lookup(now)
-        p_src_dst = p(src, dst)
-        denominator = 0.0
-        for i, aux in enumerate(aux_ids):
-            c_i = p(src, aux) * (1.0 - p_src_dst * p(dst, aux))
-            assert float(table.contention[i]) == c_i
-            assert float(table.p_to_dst[i]) == p(aux, dst)
-            denominator += c_i * p(aux, dst)
-        assert table.denominator == denominator
-        assert table.own_delivery(3) == p(3, dst)
-
-    def test_cached_table_stays_exact_across_unrelated_traffic(self):
-        est = self._estimator_with_state()
-        now = 2.0
-        table_1 = est.relay_table((3, 4), 0, 1, now)
-        # A beacon from a non-participant must not invalidate the
-        # entry; participants' reports do.
-        est.on_beacon(_beacon(9, incoming={}), now=2.05)
-        table_2 = est.relay_table((3, 4), 0, 1, 2.1)
-        assert table_2 is table_1
-        est.on_beacon(_beacon(0, incoming={1: 0.9, 3: 0.7, 4: 0.4}),
-                      now=2.2)
-        table_3 = est.relay_table((3, 4), 0, 1, 2.3)
-        assert table_3 is not table_1
-        p = est.probability_lookup(2.3)
-        assert table_3.own_delivery(3) == p(3, 1)
-
-    def test_strategies_agree_with_and_without_table(self):
-        est = self._estimator_with_state()
-        now = 2.0
-        aux_ids = (3, 4)
-        table = est.relay_table(aux_ids, 0, 1, now)
-        p = est.probability_lookup(now)
-        for name in ("vifi", "not-g1", "not-g2"):
-            strategy = make_strategy(name)
-            with_table = strategy.relay_probability(RelayContext(
-                self_id=3, aux_ids=aux_ids, src=0, dst=1, p=p,
-                table=table,
-            ))
-            without = strategy.relay_probability(RelayContext(
-                self_id=3, aux_ids=aux_ids, src=0, dst=1, p=p,
-            ))
-            assert with_table == without
-
-    def test_degenerate_denominator_falls_back_to_relay(self):
-        table = RelayTable((7,), 0, 1, lambda a, b: 0.0)
-        strategy = make_strategy("vifi")
-        probability = strategy.relay_probability(RelayContext(
-            self_id=7, aux_ids=(7,), src=0, dst=1,
-            p=lambda a, b: 0.0, table=table,
-        ))
-        assert probability == 1.0
