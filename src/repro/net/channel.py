@@ -217,15 +217,13 @@ class SteeredGilbertElliott(LossProcess):
       second) or the flip;
     * any other callable: nowhere, the window ends at the query time.
 
-    Per-packet uniform draws are batched (:attr:`_DRAW_BLOCK` draws
-    per numpy call) to amortize generator dispatch overhead.  Because
-    the chain's holding-time draws interleave on the same stream,
-    batching yields a different — statistically equivalent —
-    realization than unbatched scalar draws.
+    Per-packet uniform draws come from a
+    :class:`~repro.sim.rng.BufferedUniforms` block over *rng* to
+    amortize generator dispatch overhead.  Because the chain's
+    holding-time draws interleave on the same stream, batching yields a
+    different — statistically equivalent — realization than unbatched
+    scalar draws.
     """
-
-    #: Uniforms drawn per refill of the :meth:`is_lost` buffer.
-    _DRAW_BLOCK = 64
 
     def __init__(self, mean_loss, rng, good_duration=0.9, bad_duration=0.12,
                  rho=0.08, start_time=0.0):
@@ -239,8 +237,7 @@ class SteeredGilbertElliott(LossProcess):
             start_time=start_time,
         )
         self.rng = rng
-        self._buf = ()
-        self._buf_i = 0
+        self._draw = BufferedUniforms(rng).next
         # The split depends only on the target mean (pi_bad is fixed),
         # and the target is piecewise-constant in practice (cached link
         # state, per-second traces), so memoize the last split.
@@ -281,32 +278,7 @@ class SteeredGilbertElliott(LossProcess):
 
     def loss_eps(self, t):
         """Advance the chain to *t*; return the per-packet loss prob."""
-        if self._static_eps is not None:
-            eps_good, eps_bad = self._static_eps
-        else:
-            ls = self._link_state
-            if ls is not None:
-                # Inline LinkStateCache hit: same bucket arithmetic as
-                # reception_prob, without the call frames.
-                quantum = ls.quantum
-                key = t if quantum <= 0.0 else int(t / quantum)
-                if key == ls._prob_key:
-                    m = 1.0 - ls._prob
-                else:
-                    m = 1.0 - ls.reception_prob(t)
-            else:
-                m = self.mean_loss(t)
-            if m != self._last_m:
-                self._last_m = m
-                self._last_split = self._split(m)
-            eps_good, eps_bad = self._last_split
-        # Inline the no-flip fast path of the chain advance; the full
-        # method only runs when a state flip is actually due.
-        chain = self._chain
-        if chain._time <= t < chain._next_flip:
-            chain._time = t
-            return eps_bad if chain._in_bad else eps_good
-        return eps_bad if chain.in_bad_state(t) else eps_good
+        return self.loss_eps_window(t)[0]
 
     def loss_eps_window(self, t):
         """``(eps, valid_until)`` for the medium's resolve rows.
@@ -329,9 +301,9 @@ class SteeredGilbertElliott(LossProcess):
         callable target can change at any instant, so its window
         degenerates to the query time (no reuse); ``quantum<=0``
         likewise buckets at exact query times only, preserving the
-        bitwise guarantee.  The body flattens :meth:`loss_eps` inline:
-        the medium calls this once per stale row, so the double
-        dispatch would cost more than the math.
+        bitwise guarantee.  :meth:`loss_eps` reads the same value; the
+        medium calls this once per stale row, so the target lookups and
+        the chain advance run inline.
         """
         chain = self._chain
         if self._static_eps is not None:
@@ -360,7 +332,8 @@ class SteeredGilbertElliott(LossProcess):
                 self._last_m = m
                 self._last_split = self._split(m)
             eps_good, eps_bad = self._last_split
-        # Inline no-flip chain advance (see loss_eps).
+        # Inline the no-flip fast path of the chain advance; the full
+        # method only runs when a state flip is actually due.
         if chain._time <= t < chain._next_flip:
             chain._time = t
             in_bad = chain._in_bad
@@ -372,15 +345,10 @@ class SteeredGilbertElliott(LossProcess):
         return (eps_bad if in_bad else eps_good), bound
 
     def is_lost(self, t):
+        # Advance the chain before the coin: its flips draw from the
+        # same stream.
         eps = self.loss_eps(t)
-        # Inline buffered uniform draw (see BufferedUniforms).
-        i = self._buf_i
-        buf = self._buf
-        if i >= len(buf):
-            buf = self._buf = self.rng.random(self._DRAW_BLOCK).tolist()
-            i = 0
-        self._buf_i = i + 1
-        return buf[i] < eps
+        return self._draw() < eps
 
     def loss_rate(self, t):
         if self.static_loss_rate is not None:
