@@ -16,18 +16,18 @@ knowledge of its outgoing quality).  An auxiliary therefore learns every
 probability the relay computation needs purely by listening, with no
 extra coordination traffic.
 
-**Fast path.**  Beacon ingest is batched per beacon round: a received
-beacon is appended to a pending list (one list append on the per-frame
-path) and folded into the estimator's tables the next time any query
-runs — queries are an order of magnitude rarer than receptions, and the
-fold runs with locals bound once per batch.  All read paths flush
-first, so observable state is identical to eager ingest.  On top of
-that, :meth:`BankedReceptionEstimator.beacon_reports` caches the two
-maps a beacon embeds: the ``incoming`` map only changes at a fold and
-the ``learned`` map only when a peer reports fresh outgoing knowledge
-or an entry crosses the staleness horizon, so both are cached with
-exact invalidation bounds instead of being rebuilt for every one of
-the ~10 beacons a node sends per second.
+**Fast path.**  A bank view batches beacon ingest per beacon round: a
+received beacon is appended to a pending list (one list append on the
+per-frame path) and folded into the view's tables the next time any
+query runs — queries are an order of magnitude rarer than receptions,
+and the fold runs with locals bound once per batch.  All read paths
+flush first, so observable state is identical to eager ingest.  On
+top of that, :meth:`BankedReceptionEstimator.beacon_reports` caches
+the two maps a beacon embeds: the ``incoming`` map only changes at a
+fold and the ``learned`` map only when a peer reports fresh outgoing
+knowledge or an entry crosses the staleness horizon, so both are
+cached with exact invalidation bounds instead of being rebuilt for
+every one of the ~10 beacons a node sends per second.
 
 Relay decisions read the estimator only through
 :meth:`~BankedReceptionEstimator.probability_lookup`; the Eq. 1-3

@@ -12,6 +12,7 @@ state.  Last, the bank views' batched beacon ingest and cached beacon
 reports are checked to be observationally eager.
 """
 
+import itertools
 import random
 
 import pytest
@@ -263,17 +264,13 @@ class TestUnitEquivalence:
                                                         stale_s=stale_s):
                 p_banked = banked.probability_lookup(now)
                 p_legacy = legacy.probability_lookup(now)
-                for src, dst in ((2, 1), (1, 2), (6, 2)):
-                    for strategy in strategies:
-                        for self_id in aux_ids:
-                            ctx_b = RelayContext(self_id, aux_ids, src,
-                                                 dst, p_banked)
-                            ctx_l = RelayContext(self_id, aux_ids, src,
-                                                 dst, p_legacy)
-                            r_banked = strategy.relay_probability(ctx_b)
-                            assert r_banked == \
-                                strategy.relay_probability(ctx_l)
-                            seen.add(r_banked)
+                for (src, dst), strategy, self_id in itertools.product(
+                        ((2, 1), (1, 2), (6, 2)), strategies, aux_ids):
+                    r_banked = strategy.relay_probability(RelayContext(
+                        self_id, aux_ids, src, dst, p_banked))
+                    assert r_banked == strategy.relay_probability(
+                        RelayContext(self_id, aux_ids, src, dst, p_legacy))
+                    seen.add(r_banked)
         # The schedule reaches far past the degenerate 0/1 answers.
         assert len(seen) > 50
 
