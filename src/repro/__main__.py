@@ -5,7 +5,6 @@ Usage::
     python -m repro list
     python -m repro fig07 [--seed N]
     python -m repro table1
-    python -m repro bench
     python -m repro lint [--json]
     python -m repro store stats
     python -m repro serve --list
@@ -13,12 +12,8 @@ Usage::
 Each experiment prints the same rows/series as the corresponding paper
 artifact at a reduced scale.  For the full benchmark harness (with
 shape assertions and JSON outputs) use
-``pytest benchmarks/ --benchmark-only``.
-
-``bench`` runs the pinned performance workloads, rewrites the tracked
-``BENCH_perf.json``, and exits non-zero on a >20% sim-rate regression
-against the committed numbers (see ``tools/perf_smoke.py`` for the
-flags, including ``--profile`` for a cProfile top-N per workload).
+``pytest benchmarks/ --benchmark-only``.  Performance is measured by
+``python bench/run.py`` (see ``bench/README.md``).
 
 ``store`` inspects/maintains the content-addressed result store
 (:mod:`repro.store`); ``serve`` runs experiment jobs from stdin JSON
@@ -125,17 +120,15 @@ def main(argv=None):
     )
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS)
-                        + ["bench", "lint", "list", "store", "serve"],
-                        help="experiment id, 'bench' for the perf "
-                             "smoke, 'lint' for the invariant lint, "
-                             "'store'/'serve' for the result "
+                        + ["lint", "list", "store", "serve"],
+                        help="experiment id, 'lint' for the invariant "
+                             "lint, 'store'/'serve' for the result "
                              "store and service, or 'list' to "
                              "enumerate")
     parser.add_argument("--seed", type=int, default=7,
                         help="root seed (default 7)")
     args, extra = parser.parse_known_args(argv)
-    if extra and args.experiment not in ("bench", "lint", "store",
-                                         "serve"):
+    if extra and args.experiment not in ("lint", "store", "serve"):
         parser.error(f"unrecognized arguments: {' '.join(extra)}")
 
     if args.experiment == "lint":
@@ -150,21 +143,10 @@ def main(argv=None):
         from repro.service import main_serve
         return main_serve(extra)
 
-    if args.experiment == "bench":
-        import importlib.util
-        import pathlib
-        smoke = (pathlib.Path(__file__).resolve().parents[2]
-                 / "tools" / "perf_smoke.py")
-        spec = importlib.util.spec_from_file_location("perf_smoke", smoke)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module.main(extra)
-
     if args.experiment == "list":
         for name, (_, description) in sorted(EXPERIMENTS.items()):
             print(f"{name:<10s} {description}")
         for name, description in (
-            ("bench", "pinned perf workloads -> BENCH_perf.json"),
             ("lint", "AST invariant lint (see INVARIANTS.md)"),
             ("store", "inspect/verify/clear the result store"),
             ("serve", "run experiment jobs from stdin JSON lines"),

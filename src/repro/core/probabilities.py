@@ -282,8 +282,8 @@ class EstimatorBank:
         # Per-second heard counts, scattered from the views' row
         # buffers at fold time (float64 so the fold needs no cast).
         self._heard = np.zeros((n, n), dtype=np.float64)
-        #: Folds run and wall seconds spent folding — reported by the
-        #: perf bench as ``estimator_fold_s``.
+        #: Folds run and wall seconds spent folding — reported by
+        #: ``bench/`` as ``core.probabilities.fold_s``.
         self.fold_count = 0
         self.fold_wall_s = 0.0
         self._views = {}

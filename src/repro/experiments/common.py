@@ -7,7 +7,9 @@ beacons before the first anchor exists), and the parallel multi-trip
 runner: trips and seeds are embarrassingly parallel (every stochastic
 process is keyed by ``(testbed seed, trip)`` through the named-stream
 registry), so the figure benchmarks farm independent runs out to a
-process pool and merge results deterministically.
+process pool and merge results deterministically.  Every VanLAN run
+builds its own propagation bank; read-only state such as testbeds
+ships once per worker through :func:`init_worker_state`.
 """
 
 import collections
@@ -15,7 +17,6 @@ import functools
 import logging
 import multiprocessing
 import os
-import pickle
 import time
 
 from repro import store as repro_store
@@ -28,15 +29,11 @@ __all__ = [
     "WARMUP_S",
     "SweepResult",
     "available_workers",
-    "build_shared_banks",
     "dieselnet_protocol",
     "init_worker_state",
-    "install_shared_banks",
     "memoized_beacon_log",
     "run_protocol_cbr",
     "run_trips",
-    "shared_bank",
-    "shared_bank_spec",
     "vanlan_cbr_trip",
     "vanlan_protocol",
     "worker_state",
@@ -48,18 +45,17 @@ log = logging.getLogger("repro.experiments")
 WARMUP_S = 3.0
 
 
-def vanlan_protocol(testbed, trip, config=None, seed=0, bank=None,
-                    prefill=True, faults=None):
+def vanlan_protocol(testbed, trip, config=None, seed=0, prefill=True,
+                    faults=None):
     """A protocol run over one VanLAN trip (deployment-style links).
 
     By default the whole trip's propagation buckets are prefilled at
     build time (``prefill=True``), so the run itself performs only
-    array reads; a prebuilt *bank* (from :func:`build_shared_banks` /
-    a ``run_trips`` initializer) skips even that build.  *prefill* may
-    also be a float horizon in simulated seconds for runs known to
-    stop early — the horizon never changes bucket values (they are
-    pure functions of the bucket), only how much is precomputed.
-    ``prefill=False`` fills buckets lazily as the run reaches them.
+    array reads.  *prefill* may also be a float horizon in simulated
+    seconds for runs known to stop early — the horizon never changes
+    bucket values (they are pure functions of the bucket), only how
+    much is precomputed.  ``prefill=False`` fills buckets lazily as
+    the run reaches them.
 
     Returns:
         ``(simulation, trip_duration_s)``.  The simulation exposes the
@@ -68,16 +64,13 @@ def vanlan_protocol(testbed, trip, config=None, seed=0, bank=None,
     if not isinstance(testbed, VanLanTestbed):
         raise TypeError("expected a VanLanTestbed")
     motion = testbed.vehicle_motion()
-    if bank is not None:
-        table = testbed.build_link_table(trip, motion, bank=bank)
+    if not prefill:
+        prefill_s = None
+    elif prefill is True:
+        prefill_s = motion.route.duration
     else:
-        if not prefill:
-            prefill_s = None
-        elif prefill is True:
-            prefill_s = motion.route.duration
-        else:
-            prefill_s = min(float(prefill), motion.route.duration)
-        table = testbed.build_link_table(trip, motion, prefill_s=prefill_s)
+        prefill_s = min(float(prefill), motion.route.duration)
+    table = testbed.build_link_table(trip, motion, prefill_s=prefill_s)
     sim = ViFiSimulation(
         testbed.deployment.bs_ids, table,
         config=config or ViFiConfig(), seed=seed, vehicle_id=VEHICLE_ID,
@@ -174,50 +167,19 @@ class SweepResult(list):
         self.store = repro_store.StoreStats().snapshot()
 
 
-def _spawn_safe_initializer(initializer, initargs):
-    """Make ``(initializer, initargs)`` survive a spawn context.
-
-    Under ``fork`` the initializer and its arguments ride process
-    inheritance; ``spawn`` pickles them instead, so heavyweight or
-    unpicklable worker state (prefilled propagation banks hold live
-    generator objects and megabytes of pages) must either be rebuilt
-    in-worker or skipped.  An initializer may publish a
-    ``spawn_fallback`` attribute — a zero-argument callable used when
-    its real arguments cannot be pickled (see
-    :func:`install_shared_banks`, which degrades to per-task bank
-    builds: slower, bit-identical).
-    """
-    try:
-        pickle.dumps((initializer, tuple(initargs)), protocol=4)
-        return initializer, tuple(initargs)
-    except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] pickling arbitrary initargs can raise anything (user __reduce__); the failure routes to spawn_fallback or a chained TypeError, never vanishes
-        fallback = getattr(initializer, "spawn_fallback", None)
-        if fallback is not None:
-            return fallback, ()
-        raise TypeError(
-            "initializer/initargs are not picklable under the spawn "
-            "start method and the initializer declares no "
-            "spawn_fallback"
-        ) from exc
-
-
 def _sweep_store_context(worker, initializer, initargs):
     """Canonical identity of a sweep for result-store key derivation.
 
-    Covers the worker function and any initializer state that can
-    change results (configs, seeds, testbeds).  Initializers that are
-    result-neutral by contract — e.g. :func:`install_shared_banks`,
-    whose shared banks are bit-identical to per-task builds — declare
-    ``store_neutral = True`` and stay out of the digest, so warm-cache
-    hits survive bank-sharing choices and worker counts alike.
+    Covers the worker function and the initializer with its arguments
+    (configs, seeds, testbeds).  The worker count is not part of it,
+    so warm-cache hits survive any pool size.
 
     Raises:
         repro_store.Uncacheable: some initializer argument has no
             canonical token; the caller degrades to an uncached sweep.
     """
     parts = [("worker", repro_store.canonical_token(worker))]
-    if initializer is not None and not getattr(initializer,
-                                               "store_neutral", False):
+    if initializer is not None:
         parts.append(("init", repro_store.canonical_token(initializer),
                       repro_store.canonical_token(tuple(initargs))))
     return parts
@@ -289,8 +251,9 @@ def run_trips(worker, tasks, workers=None,
         start_method: multiprocessing start method (``"fork"`` /
             ``"spawn"`` / ``"forkserver"``); ``None`` prefers fork
             (children share the already-imported modules).  Under a
-            spawning method the initializer must be spawn-safe — see
-            :func:`_spawn_safe_initializer`.
+            spawning method the initializer and *initargs* must
+            pickle; if they do not, the pool raises in the parent
+            before any task runs.
         task_timeout_s: per-task wall-clock budget for the task's run,
             not its wait in the pool's queue (a task is only handed
             out when a worker is free for it).  A task that neither
@@ -396,9 +359,6 @@ def run_trips(worker, tasks, workers=None,
                 f"start method {start_method!r} not available "
                 f"(have {methods})"
             )
-        if start_method != "fork" and initializer is not None:
-            initializer, initargs = _spawn_safe_initializer(initializer,
-                                                            initargs)
         slots = min(workers, len(pending))
         new_pool = functools.partial(
             multiprocessing.get_context(start_method).Pool, slots,
@@ -574,113 +534,6 @@ def worker_state():
     return _worker_state
 
 
-# ----------------------------------------------------------------------
-# Cross-run propagation-bank sharing
-# ----------------------------------------------------------------------
-#
-# A prefilled LinkBank is a pure function of (testbed seed, trip,
-# quantum): every protocol seed and policy variant that replays the
-# same trip reads identical bucket values.  A sweep therefore builds
-# each needed bank once in the parent and ships the registry through
-# ``run_trips``'s initializer — under the fork start method the
-# workers inherit the prefilled pages instead of rebuilding the
-# propagation stack per task, and the serial path installs the same
-# registry in-process, so shared and per-task banks are
-# interchangeable bit for bit.
-
-_shared_banks = {}
-
-
-def install_shared_banks(banks):
-    """``run_trips`` initializer: install the shared-bank registry.
-
-    *banks* maps ``(testbed_seed, trip)`` to a prefilled
-    :class:`~repro.net.propagation.LinkBank`.  Pass ``{}`` to clear.
-
-    Spawn compatibility: under a spawning start method the registry
-    cannot ride fork inheritance, so *banks* may instead be the small
-    picklable spec from :func:`shared_bank_spec` — the worker then
-    rebuilds the banks in-process (bucket values are pure functions of
-    ``(testbed seed, trip)``, so rebuilt and inherited banks are
-    bit-identical).  If a sweep ships real bank objects that fail to
-    pickle, :func:`run_trips` degrades to this initializer's
-    ``spawn_fallback`` — an empty registry, i.e. per-task bank builds:
-    slower, same bits.
-    """
-    global _shared_banks
-    if isinstance(banks, tuple) and banks and banks[0] == "rebuild-banks":
-        _, testbed_seed, trips, prefill = banks
-        banks = build_shared_banks(testbed_seed, trips, prefill=prefill)
-    _shared_banks = dict(banks)
-
-
-def _no_shared_banks():
-    """Spawn fallback: run the sweep without the shared registry."""
-    install_shared_banks({})
-
-
-install_shared_banks.spawn_fallback = _no_shared_banks
-#: Shared banks are bit-identical to per-task builds (the standing
-#: perf-gate contract), so the registry never enters result-store key
-#: derivation: warm hits survive any bank-sharing choice.
-install_shared_banks.store_neutral = True
-
-
-def shared_bank_spec(testbed_seed, trips, prefill=True):
-    """A picklable rebuild-in-worker spec for :func:`install_shared_banks`.
-
-    Use as the ``initargs`` payload when a sweep must run under the
-    spawn start method: instead of pickling megabytes of prefilled
-    bank pages per worker, each worker rebuilds them once.
-    """
-    return ("rebuild-banks", int(testbed_seed),
-            tuple(int(t) for t in trips), bool(prefill))
-
-
-def shared_bank(testbed_seed, trip):
-    """The installed shared bank for ``(testbed_seed, trip)``, if any."""
-    return _shared_banks.get((int(testbed_seed), int(trip)))
-
-
-def build_shared_banks(testbed_seed, trips, prefill=True, store=None):
-    """Build one prefilled bank per trip for a ``run_trips`` sweep.
-
-    With a result store (explicit, installed, or named by
-    ``REPRO_RESULT_STORE``), each prefilled bank is memoized on disk
-    under (testbed identity, trip, prefill horizon): warm sweeps load
-    the bucket pages instead of recomputing the propagation stack,
-    with the store's verify-on-read discipline — a corrupt bank entry
-    is quarantined and rebuilt (bucket values are pure functions of
-    the key, so a rebuild is bit-identical).
-
-    Returns:
-        Mapping ``(testbed_seed, trip) -> LinkBank`` for
-        :func:`install_shared_banks`, each prefilled to the trip's
-        route duration when *prefill* is set.
-    """
-    store_obj = repro_store.resolve_store(store)
-    testbed = VanLanTestbed(seed=int(testbed_seed))
-    banks = {}
-    for trip in trips:
-        motion = testbed.vehicle_motion()
-        prefill_s = motion.route.duration if prefill else None
-
-        def _build(trip=trip, motion=motion, prefill_s=prefill_s):
-            return testbed.build_link_bank(trip, motion,
-                                           prefill_s=prefill_s)
-
-        if store_obj is None:
-            bank = _build()
-        else:
-            key = repro_store.result_key(
-                "vanlan-link-bank", testbed.cache_token(), int(trip),
-                prefill_s,
-            )
-            bank = store_obj.get_or_compute(key, _build)
-        banks[(int(testbed_seed), int(trip))] = bank
-    return banks
-
-
 def memoized_beacon_log(testbed, day, n_tours=1, store=None):
     """A DieselNet beacon log, memoized through the result store.
 
@@ -717,21 +570,17 @@ def vanlan_cbr_trip(task):
 
     Returns:
         dict with the delivery sequences, event count, and per-kind
-        transmission counters of the run — everything the scaling
-        benchmark needs to check parallel-vs-serial equality — plus
-        ``bank_shared``: whether the propagation bank came from the
-        installed shared registry (shared and freshly built banks are
-        bit-identical; the flag only reports the reuse).
+        transmission counters of the run — enough to check that pooled
+        and serial sweeps agree.
     """
     trip = int(task["trip"])
     seed = int(task.get("seed", trip))
     duration = float(task.get("duration_s", 60.0))
     testbed_seed = int(task.get("testbed_seed", 0))
     testbed = VanLanTestbed(seed=testbed_seed)
-    bank = shared_bank(testbed_seed, trip)
-    # Without a shared bank, prefill only what the task will simulate
-    # (the horizon never changes bucket values, only build cost).
-    sim, _ = vanlan_protocol(testbed, trip=trip, seed=seed, bank=bank,
+    # Prefill only what the task will simulate (the horizon never
+    # changes bucket values, only build cost).
+    sim, _ = vanlan_protocol(testbed, trip=trip, seed=seed,
                              prefill=duration + 1.0)
     cbr = run_protocol_cbr(sim, duration)
     return {
@@ -741,5 +590,4 @@ def vanlan_cbr_trip(task):
         "up_deliveries": sorted(cbr.up_deliveries.items()),
         "down_deliveries": sorted(cbr.down_deliveries.items()),
         "tx_count": sorted(sim.medium.tx_count.items()),
-        "bank_shared": bank is not None,
     }

@@ -38,8 +38,8 @@ coefficients, shadowing lattices, and geometry into shared numpy arrays
 and fills every member cache's buckets in array passes over 256-bucket
 chunks, with no per-bucket Python.  Every bucket is sampled at its
 centre instant, so its value is a pure function of (link, bucket):
-whole trips can be prefilled at build time, and one prefilled bank can
-be shared read-only across every seed and policy of a sweep.
+whole trips can be prefilled at build time, bit for bit equal to the
+lazy fill.
 """
 
 import bisect
@@ -486,9 +486,8 @@ class LinkBank:
     Every bucket is sampled at its centre instant ``(key + 0.5) *
     quantum_s``, so its value is a **pure function of (link,
     bucket)**: whole trips can be prefilled at build time
-    (:meth:`prefill`), and one prefilled bank can be shared read-only
-    across every seed/policy run of a sweep — the same (testbed, trip,
-    quantum) always reproduces the same bank.  Lazy and prefilled fills run the
+    (:meth:`prefill`), and the same (testbed, trip, quantum) always
+    reproduces the same bank.  Lazy and prefilled fills run the
     *identical* chunk pipeline over the identical chunk boundaries, so
     they are bit-for-bit equal and consume the same RNG (the
     lattice/gray extensions are deterministic).  Member
@@ -574,10 +573,8 @@ class LinkBank:
         self._rssi_list = None
         self._prob_list = None
         # Chunk store: chunk index -> (rssi, prob) float64 matrices of
-        # shape (n, _CHUNK).  Append-only and a pure
-        # function of (links, quantum), so a prefilled bank can be
-        # shared read-only across runs (fork workers inherit the
-        # pages; sequential runs in one process reuse them directly).
+        # shape (n, _CHUNK).  Append-only and a pure function of
+        # (links, quantum, chunk), whichever fill order produced it.
         self._chunks = {}
         self._centre_column = None
         #: Simulated horizon (seconds) covered by :meth:`prefill`.
@@ -713,8 +710,8 @@ class LinkBank:
 
         A whole trip's buckets are filled in ``n_buckets / _CHUNK``
         vectorized passes at build time, so the run itself performs
-        only array reads and the prefilled bank can be shared across
-        the seeds/policies of a sweep.  Returns the bank for chaining.
+        only array reads; the values equal a lazy fill's bit for bit.
+        Returns the bank for chaining.
         """
         t0 = time.perf_counter()
         last_chunk = int(float(until_s) / self.quantum) // self._CHUNK

@@ -70,7 +70,7 @@ SCHEMA_VERSION = 1
 #: Result-semantics tag folded into every key.  Bump when a change
 #: makes previously stored results stale (new default knob, changed
 #: summary fields) without a schema change.
-CODE_VERSION = "2026.10-per-frame-outcomes"
+CODE_VERSION = "2026.10-per-task-banks"
 
 #: Leading bytes of every record file.
 MAGIC = b"REPRO-STORE\n"
@@ -173,7 +173,7 @@ def result_key(kind, *parts, schema_version=SCHEMA_VERSION,
 
     Args:
         kind: short string naming the result family (``"run-trips"``,
-            ``"vanlan-link-bank"``, ...).
+            ``"dieselnet-beacon-log"``, ...).
         *parts: everything the result depends on — configs, seeds,
             task arguments.  Tokenized via :func:`canonical_token`.
         schema_version / code_version: folded into the digest so a

@@ -294,11 +294,8 @@ class VanLanTestbed:
         """The banked vehicle-BS propagation stack of one trip.
 
         The bank is a pure function of ``(testbed seed, trip)``: every
-        bucket value is sampled at its bucket-centre instant, so a bank
-        prefilled to the trip duration can be built once and shared
-        read-only across every protocol seed / policy variant that
-        replays the same trip (see
-        :func:`repro.experiments.common.build_shared_banks`).
+        bucket value is sampled at its bucket-centre instant, so
+        prefilled and lazily filled banks agree bit for bit.
 
         Args:
             trip: trip index (fixes shadowing/gray realizations).
@@ -312,17 +309,12 @@ class VanLanTestbed:
         links = [self.link_model(trip, bs, vehicle_position)
                  for bs in bs_ids]
         bank = LinkBank(links)
-        # Provenance, so adopting the bank elsewhere can verify it
-        # really is the (testbed, trip, BS set) it claims to be.
-        bank.testbed_seed = self.seed
-        bank.trip = int(trip)
-        bank.bs_ids = tuple(bs_ids)
         if prefill_s is not None:
             bank.prefill(prefill_s)
         return bank
 
     def build_link_table(self, trip, vehicle_position, bs_ids=None,
-                         vehicle_id=VEHICLE_ID, prefill_s=None, bank=None):
+                         vehicle_id=VEHICLE_ID, prefill_s=None):
         """Link table for a packet-level protocol run of one trip.
 
         Vehicle-BS links use the full layered radio model with
@@ -337,36 +329,15 @@ class VanLanTestbed:
 
         Args:
             prefill_s: optional prefill horizon of the built bank.
-            bank: a prebuilt (typically shared, prefilled)
-                :class:`~repro.net.propagation.LinkBank` from
-                :meth:`build_link_bank` for this same ``(trip,
-                bs_ids)``; the vehicle links then wrap the shared bank
-                instead of rebuilding the propagation stack.
 
-        The built (or adopted) bank is exposed as ``table.link_bank``
-        so harnesses can report prefill cost and sharing separately
-        from run cost.
+        The built bank is exposed as ``table.link_bank`` so harnesses
+        can report prefill cost separately from run cost.
         """
         bs_ids = list(bs_ids if bs_ids is not None else self.deployment.bs_ids)
         trip_rngs = self.rngs.spawn("trip", trip)
         table = LinkTable()
-        if bank is not None:
-            provenance = (getattr(bank, "testbed_seed", self.seed),
-                          getattr(bank, "trip", trip),
-                          tuple(getattr(bank, "bs_ids", bs_ids)))
-            if provenance != (self.seed, int(trip), tuple(bs_ids)):
-                raise ValueError(
-                    f"shared bank was built for (testbed_seed, trip, "
-                    f"bs_ids) = {provenance}, not "
-                    f"({self.seed}, {int(trip)}, {tuple(bs_ids)})"
-                )
-            if len(bank.links) != len(bs_ids):
-                raise ValueError(
-                    "shared bank covers a different basestation set"
-                )
-        else:
-            bank = self.build_link_bank(trip, vehicle_position,
-                                        bs_ids=bs_ids, prefill_s=prefill_s)
+        bank = self.build_link_bank(trip, vehicle_position, bs_ids=bs_ids,
+                                    prefill_s=prefill_s)
         caches = bank.wrap()
         table.link_bank = bank
         for bs, link in zip(bs_ids, caches):

@@ -2,7 +2,7 @@
 
 The examples are the repository's front door; they import the public
 builders directly, so any drift between them and evolving defaults
-(builder signatures, bank sharing, config fields) would otherwise
+(builder signatures, prefill options, config fields) would otherwise
 surface only when a human runs them.  Each example accepts
 ``--seconds`` to cap its simulated duration, which keeps these runs
 inside the tier-1 budget while still exercising the full build-and-run

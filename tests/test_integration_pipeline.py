@@ -4,7 +4,7 @@ These stitch the layers together the way the benchmarks do — testbed ->
 traces -> policies, and testbed -> link table -> protocol -> apps — and
 check the paper's qualitative relationships hold end to end.  The
 realization anchor at the bottom pins the exact default-path output of
-the two pinned perf workloads.
+two anchored runs: 120 s of VanLAN trip 0 and 60 s of DieselNet day 0.
 """
 
 import hashlib
@@ -21,7 +21,6 @@ from repro.experiments.common import (
     run_protocol_cbr,
     vanlan_protocol,
 )
-from repro.experiments import perf
 from repro.handoff.evaluator import evaluate_policy
 from repro.handoff.policies import AllBsesPolicy, BrrPolicy, StickyPolicy
 from repro.sim.rng import RngRegistry
@@ -132,12 +131,12 @@ class TestDieselNetPipeline:
 
 
 #: The realization anchor: event count and sha256 signature of each
-#: pinned perf workload (:data:`repro.experiments.perf.WORKLOADS`) on the
-#: stock config.  Any change to the default simulation path that moves
-#: an RNG draw, an event or a delivery breaks it; a change that should
-#: move the realization re-pins it here, with the reason in the commit.
-#: Both pin the per-frame resolve: every frame takes its thresholds
-#: from ``loss_eps_window`` and its uniforms from the medium's outcome
+#: anchored run (:data:`_ANCHOR_BUILDERS`) on the stock config.  Any
+#: change to the default simulation path that moves an RNG draw, an
+#: event or a delivery breaks it; a change that should move the
+#: realization re-pins it here, with the reason in the commit.  Both
+#: pin the per-frame resolve: every frame takes its thresholds from
+#: ``loss_eps_window`` and its uniforms from the medium's outcome
 #: buffer.
 REALIZATION_ANCHORS = {
     "vanlan_cbr_120s": (
@@ -151,10 +150,30 @@ REALIZATION_ANCHORS = {
 }
 
 
+def _build_vanlan_anchor():
+    sim, _ = vanlan_protocol(VanLanTestbed(seed=0), trip=0, seed=0)
+    return sim, 120.0
+
+
+def _build_dieselnet_anchor():
+    log = DieselNetTestbed(channel=1, seed=0).generate_beacon_log(0)
+    sim, duration = dieselnet_protocol(
+        log, RngRegistry(0).spawn("perf"), seed=0, bursty=True
+    )
+    return sim, min(duration, 60.0)
+
+
+#: Anchored run -> builder returning ``(simulation, duration_s)``.
+_ANCHOR_BUILDERS = {
+    "vanlan_cbr_120s": _build_vanlan_anchor,
+    "dieselnet_cbr_60s": _build_dieselnet_anchor,
+}
+
+
 class TestRealizationAnchor:
-    @pytest.mark.parametrize("workload", perf.WORKLOADS)
+    @pytest.mark.parametrize("workload", list(_ANCHOR_BUILDERS))
     def test_default_realization_is_pinned(self, workload):
-        sim, duration = perf._BUILDERS[workload]()
+        sim, duration = _ANCHOR_BUILDERS[workload]()
         cbr = run_protocol_cbr(sim, duration)
         signature = json.dumps({
             "up": sorted(cbr.up_deliveries.items()),

@@ -241,25 +241,6 @@ class TestLinkBank:
                 assert banked == pytest.approx(model.reception_prob(tc),
                                                abs=1e-9)
 
-    def test_adopting_a_mismatched_bank_is_rejected(self):
-        """A bank built for another (seed, trip, BS set) cannot be
-        silently zipped onto the wrong steering streams."""
-        testbed = VanLanTestbed(seed=2)
-        motion = testbed.vehicle_motion()
-        bank = testbed.build_link_bank(0, motion)
-        with pytest.raises(ValueError):
-            testbed.build_link_table(1, motion, bank=bank)  # wrong trip
-        with pytest.raises(ValueError):
-            testbed.build_link_table(
-                0, motion, bank=bank,
-                bs_ids=testbed.deployment.bs_ids[:5],
-            )
-        with pytest.raises(ValueError):
-            VanLanTestbed(seed=3).build_link_table(0, motion, bank=bank)
-        # The matching table still adopts it.
-        table = testbed.build_link_table(0, motion, bank=bank)
-        assert table.link_bank is bank
-
     def test_prefilled_trip_bytes_are_pinned(self):
         """Every prefilled chunk of VanLAN trip 0 hashes to the value
         recorded before the chunk fill became whole-chunk array passes

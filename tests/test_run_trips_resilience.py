@@ -1,33 +1,27 @@
-"""The sweep runner: determinism, resilience and shared banks.
+"""The sweep runner: determinism and resilience.
 
 Pool and serial sweeps merge identically in task order; crashes,
-hangs, retries, interrupts, resume and spawn are survived; prefilled
-propagation banks shared across tasks reproduce per-task banks bit for
-bit.  Workers live at module level (pool pickling), and
-first-attempt-only failures are coordinated across processes through
-marker files in a directory handed to each worker inside its task
-tuple.
+hangs, retries, interrupts, resume and spawn are survived.  Workers
+live at module level (pool pickling), and first-attempt-only failures
+are coordinated across processes through marker files in a directory
+handed to each worker inside its task tuple.
 """
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
 
 from repro.experiments.common import (
     SweepResult,
-    build_shared_banks,
-    install_shared_banks,
-    run_protocol_cbr,
+    init_worker_state,
     run_trips,
-    shared_bank,
-    shared_bank_spec,
     vanlan_cbr_trip,
-    vanlan_protocol,
+    worker_state,
 )
 from repro.store import ResultStore
-from repro.testbeds.vanlan import VanLanTestbed
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -100,10 +94,10 @@ def _slow_echo(task):
     return task
 
 
-def _bank_probe(task):
-    """Reports whether the shared-bank registry served this task."""
-    testbed_seed, trip = task
-    return shared_bank(testbed_seed, trip) is not None
+def _add_shipped_offset(task):
+    """Adds the offset the sweep's initializer shipped to this worker."""
+    (offset,) = worker_state()
+    return task + offset
 
 
 class TestBaseline:
@@ -233,63 +227,36 @@ class TestStoreResume:
 
 class TestSpawnCompatibility:
     def test_spawn_with_rebuild_spec_matches_serial(self):
-        """The shared-bank registry survives a spawn pool via the
-        rebuild spec (regression: it used to ride fork-inherited
-        globals only)."""
-        spec = shared_bank_spec(0, trips=(0,), prefill=False)
-        tasks = [(0, 0), (0, 0)]
-        try:
-            serial = run_trips(_bank_probe, tasks, workers=1,
-                               initializer=install_shared_banks,
-                               initargs=(spec,))
-        finally:
-            install_shared_banks({})  # the serial path installs in-process
-        spawned = run_trips(_bank_probe, tasks, workers=2,
-                            initializer=install_shared_banks,
-                            initargs=(spec,), start_method="spawn")
-        assert list(serial) == list(spawned) == [True, True]
+        """Spawned workers rebuild their state from the pickled
+        initargs of init_worker_state, the initializer of the TCP,
+        VoIP and coordination sweeps, and return what the serial
+        sweep returns."""
+        tasks = [1, 2, 3]
+        serial = run_trips(_add_shipped_offset, tasks, workers=1,
+                           initializer=init_worker_state, initargs=(10,))
+        spawned = run_trips(_add_shipped_offset, tasks, workers=2,
+                            initializer=init_worker_state, initargs=(10,),
+                            start_method="spawn")
+        assert list(serial) == list(spawned) == [11, 12, 13]
 
     def test_unpicklable_initargs_fall_back_gracefully(self):
-        """Real bank objects that cannot pickle degrade to the
-        initializer's spawn_fallback (empty registry) instead of
-        crashing the pool."""
-        unpicklable = {(0, 0): lambda: None}
-        result = run_trips(_bank_probe, [(0, 0), (0, 0)], workers=2,
-                           initializer=install_shared_banks,
-                           initargs=(unpicklable,),
-                           start_method="spawn")
-        assert list(result) == [False, False]
+        """Initargs that cannot pickle make a spawn sweep raise in the
+        parent before any task runs."""
+        with pytest.raises((pickle.PicklingError, AttributeError,
+                            TypeError)):
+            run_trips(_square, [1, 2], workers=2,
+                      initializer=init_worker_state,
+                      initargs=(lambda: None,), start_method="spawn")
 
     def test_unknown_start_method_rejected(self):
         with pytest.raises(ValueError):
             run_trips(_square, [1, 2], workers=2,
                       start_method="teleport")
 
-    def test_spawn_safe_initializer_requires_fallback(self):
-        from repro.experiments.common import _spawn_safe_initializer
-
-        def no_fallback(arg):
-            pass
-
-        with pytest.raises(TypeError):
-            _spawn_safe_initializer(no_fallback, (lambda: None,))
-
 
 # ----------------------------------------------------------------------
-# Determinism and shared banks
+# Determinism
 # ----------------------------------------------------------------------
-
-def _signature(duration_s=30.0, seed=0, bank=None):
-    testbed = VanLanTestbed(seed=0)
-    sim, _ = vanlan_protocol(testbed, trip=0, seed=seed, bank=bank)
-    cbr = run_protocol_cbr(sim, duration_s)
-    return sim, {
-        "up": sorted(cbr.up_deliveries.items()),
-        "down": sorted(cbr.down_deliveries.items()),
-        "tx": sorted(sim.medium.tx_count.items()),
-        "delivered": sorted(sim.medium.delivered_count.items()),
-    }
-
 
 class TestRunTrips:
     def test_serial_matches_inline(self):
@@ -311,34 +278,3 @@ class TestRunTrips:
     def test_worker_results_merge_in_task_order(self):
         tasks = [3, 1, 2]
         assert run_trips(_square, tasks, workers=2) == [9, 1, 4]
-
-
-class TestSharedBanks:
-    def test_shared_banks_reproduce_fresh_banks(self):
-        tasks = [{"trip": 0, "seed": s, "duration_s": 8.0}
-                 for s in (0, 1)]
-        fresh = run_trips(vanlan_cbr_trip, tasks, workers=1)
-        banks = build_shared_banks(0, [0])
-        try:
-            shared = run_trips(vanlan_cbr_trip, tasks, workers=1,
-                               initializer=install_shared_banks,
-                               initargs=(banks,))
-        finally:
-            install_shared_banks({})
-        assert all(record["bank_shared"] for record in shared)
-        assert not any(record["bank_shared"] for record in fresh)
-
-        def sans_flag(results):
-            return [{k: v for k, v in r.items() if k != "bank_shared"}
-                    for r in results]
-
-        assert sans_flag(shared) == sans_flag(fresh)
-
-    def test_shared_bank_run_equals_fresh_bank_run(self):
-        """Cross-run sharing contract: one bank, many runs, bitwise."""
-        bank = build_shared_banks(0, [0])[(0, 0)]
-        for seed in (0, 5):
-            _, fresh_sig = _signature(duration_s=12.0, seed=seed)
-            _, shared_sig = _signature(duration_s=12.0, seed=seed,
-                                       bank=bank)
-            assert shared_sig == fresh_sig

@@ -5,7 +5,7 @@ integration properties the store satellites pin down: a warm re-run is
 a pure cache read with identical results at any worker count, a
 corrupted store heals to results bitwise-equal to a cold run, sweep
 identity that cannot be tokenized degrades to uncached execution, and
-memoized banks and beacon logs heal the same way.
+memoized beacon logs heal the same way.
 """
 
 import multiprocessing
@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import (
-    build_shared_banks,
-    install_shared_banks,
     memoized_beacon_log,
     run_trips,
     vanlan_cbr_trip,
@@ -34,7 +32,7 @@ def _affine(task):
 
 
 def _offset_init(offset, *_ignored):
-    """A result-affecting initializer (NOT store-neutral)."""
+    """A result-affecting initializer."""
     global _OFFSET
     _OFFSET = offset
 
@@ -111,22 +109,6 @@ class TestWarmSweeps:
                           initializer=_offset_init, initargs=(2,))
         assert list(plus1) == [11] and list(plus2) == [12]
         assert plus2.store["hits"] == 0  # different initargs, new entry
-
-    def test_store_neutral_initializer_shares_entries(self, tmp_path):
-        """Shared banks are result-neutral: same key with or without."""
-        store = ResultStore(tmp_path)
-        tasks = _tiny_tasks(n=2)
-        bare = run_trips(vanlan_cbr_trip, tasks, workers=1, store=store)
-        banks = build_shared_banks(0, range(len(tasks)))
-        try:
-            banked = run_trips(vanlan_cbr_trip, tasks, workers=1,
-                               store=store,
-                               initializer=install_shared_banks,
-                               initargs=(banks,))
-        finally:
-            install_shared_banks({})
-        assert banked.store["hits"] == len(tasks)
-        assert list(banked) == list(bare)
 
 
 class TestSelfHealing:
@@ -206,52 +188,19 @@ class TestMemoizedBuilders:
         assert np.array_equal(log.heard, fresh.heard)
 
     def test_corrupt_memoized_artifacts_regenerate(self, tmp_path):
-        """Bank/trace entries share the quarantine-and-recompute path."""
+        """A corrupt beacon-log entry is quarantined and regenerated."""
         from repro.testbeds.dieselnet import DieselNetTestbed
 
         store = ResultStore(tmp_path)
         testbed = DieselNetTestbed(channel=1, seed=4)
         fresh = memoized_beacon_log(testbed, 0, store=store)
-        build_shared_banks(0, [0], store=store)
-        assert store.entry_count() == 2
+        assert store.entry_count() == 1
         for _key, path in list(store.iter_entries()):
             data = bytearray(open(path, "rb").read())
             data[len(data) // 2] ^= 0xAA
             open(path, "wb").write(bytes(data))
         healed_log = memoized_beacon_log(
             DieselNetTestbed(channel=1, seed=4), 0, store=store)
-        healed_banks = build_shared_banks(0, [0], store=store)
         assert np.array_equal(healed_log.heard, fresh.heard)
-        assert store.stats.quarantined == 2
-        assert store.quarantine_count() == 2
-        # And the regenerated bank still drives a correct sweep.
-        try:
-            install_shared_banks(healed_banks)
-            sweep = run_trips(vanlan_cbr_trip, _tiny_tasks(n=1),
-                              workers=1)
-        finally:
-            install_shared_banks({})
-        plain = run_trips(vanlan_cbr_trip, _tiny_tasks(n=1), workers=1)
-
-        def sans_flag(results):
-            return [{k: v for k, v in r.items() if k != "bank_shared"}
-                    for r in results]
-
-        assert sans_flag(sweep) == sans_flag(plain)
-
-    def test_shared_banks_memoized_and_equivalent(self, tmp_path):
-        store = ResultStore(tmp_path)
-        cold_banks = build_shared_banks(0, [0], store=store)
-        warm_banks = build_shared_banks(0, [0], store=store)
-        assert store.stats.misses == 1 and store.stats.hits == 1
-        # The loaded bank drives a sweep to the same results as the
-        # freshly built one.
-        task = _tiny_tasks(n=1)
-        try:
-            install_shared_banks(cold_banks)
-            with_cold = run_trips(vanlan_cbr_trip, task, workers=1)
-            install_shared_banks(warm_banks)
-            with_warm = run_trips(vanlan_cbr_trip, task, workers=1)
-        finally:
-            install_shared_banks({})
-        assert list(with_cold) == list(with_warm)
+        assert store.stats.quarantined == 1
+        assert store.quarantine_count() == 1

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Single CI entry point: tier-1, lint, slow and bench tests, smokes, gate.
+"""Single CI entry point: tier-1, lint, slow and bench tests, smokes.
 
 Usage::
 
-    python tools/ci_check.py [--fast] [--skip-bench] [--skip-slow]
+    python tools/ci_check.py [--fast]
 
 Runs, in order:
 
 1. the tier-1 test suite (``pytest -x -q`` — fast tests only; the
-   ``slow`` and ``bench`` markers are excluded by ``pytest.ini``),
+   ``slow`` marker is excluded by ``pytest.ini``),
 2. the invariant lint (``python -m repro lint``): the PR 10 static
    rules over the determinism, store-key, and concurrency contracts
    (see ``INVARIANTS.md``).  The stage prints per-rule finding counts
@@ -45,19 +45,14 @@ Runs, in order:
    4xx/5xx; an overload burst must surface 429/503 and still
    complete; SIGTERM must drain gracefully.  Zero server tracebacks
    throughout.  Skips itself (exit 0, with the reason) when loopback
-   sockets are unavailable,
-8. the perf gate (``python -m repro bench --repeats 3 --no-write`` via
-   ``tools/perf_smoke.py``), which fails on a >20% tracked-rate
-   regression against the committed ``BENCH_perf.json`` (best-of-3 so
-   container wall-clock noise does not eat the headroom).  The stage
-   never rewrites that file: a passing run up to 20% slower would
-   otherwise become the next baseline, and repeated passes would
-   ratchet the gate down.  Refreshing the baseline stays an explicit
-   ``python -m repro bench``.
+   sockets are unavailable.
+
+Performance is not a stage: ``python bench/run.py`` measures it, and a
+change is judged by running that benchmark on the change and on its
+parent (see ``bench/README.md``).
 
 ``--fast`` is the inner-loop variant: every stage except the slow
-tests and the benchmark's tests (equivalent to ``--skip-slow``; run
-the full check before merging).
+tests and the benchmark's tests (run the full check before merging).
 
 Exits non-zero as soon as a stage fails, and prints a one-line summary
 per stage either way.
@@ -93,15 +88,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true",
                         help="inner-loop mode: every stage except the "
-                             "slow tests and the benchmark's tests (same "
-                             "as --skip-slow)")
-    parser.add_argument("--skip-slow", action="store_true",
-                        help="skip the slow tests and the benchmark's "
-                             "tests")
-    parser.add_argument("--skip-bench", action="store_true",
-                        help="skip the perf gate (python -m repro bench "
-                             "--repeats 3 --no-write; it checks against "
-                             "BENCH_perf.json and never rewrites it)")
+                             "slow tests and the benchmark's tests")
     args = parser.parse_args(argv)
 
     stages = [
@@ -110,7 +97,7 @@ def main(argv=None):
         ("invariant lint (python -m repro lint)",
          [sys.executable, "-m", "repro", "lint"]),
     ]
-    if not (args.skip_slow or args.fast):
+    if not args.fast:
         stages.append((
             "slow tests",
             [sys.executable, "-m", "pytest", "-q", "-m", "slow",
@@ -132,12 +119,6 @@ def main(argv=None):
         "gateway chaos smoke",
         [sys.executable, str(REPO_ROOT / "tools" / "gateway_smoke.py")],
     ))
-    if not args.skip_bench:
-        stages.append((
-            "perf gate (python -m repro bench --repeats 3 --no-write)",
-            [sys.executable, "-m", "repro", "bench", "--repeats", "3",
-             "--no-write"],
-        ))
 
     for label, cmd in stages:
         code = _run(label, cmd)
