@@ -288,7 +288,7 @@ class EstimatorBank:
         self.fold_wall_s = 0.0
         self._views = {}
         self._nodes = []
-        self._armed = False
+        self._tick_scheduled = False
 
     def view(self, node_id):
         """The per-node facade for *node_id* (created on first use)."""
@@ -310,13 +310,13 @@ class EstimatorBank:
         ``on_second`` hook in registration order.
         """
         self._nodes.append(node)
-        if not self._armed:
+        if not self._tick_scheduled:
             if self.sim is None:
                 raise ValueError(
                     "EstimatorBank.register needs a simulator; "
                     "standalone banks drive tick_second directly"
                 )
-            self._armed = True
+            self._tick_scheduled = True
             self.sim.schedule_fire(1.0, self._tick)
 
     def _tick(self):

@@ -42,12 +42,13 @@ Fast paths riding on top:
   instead of N private buffered streams; the per-link *state*
   randomness (burst chains, traces) keeps its own streams, so runs
   stay deterministic for a seed.
-* **Merged transmissions** — when a broadcast send meets an idle
-  medium with no contender in backoff, the attempt/transmit/resolve
-  triple collapses into a single heap event at the frame's end time:
-  the channel is claimed immediately (``busy_until``), so later
-  senders defer exactly as if the attempt event had fired.  Only
-  genuinely contended frames pay the classic two-event path.
+* **Merged transmissions** — every frame, broadcast or unicast, airs
+  through a claim: the attempt/transmit/resolve triple collapses into
+  a single heap event at the frame's end time, and the channel is
+  claimed (``busy_until``) as soon as the frame's DIFS + backoff start
+  is known, so later senders park behind the claim.  An uncontended
+  frame claims when it is sent, a contended one when the busy period
+  before it ends.
 * **Struct-of-arrays resolve** — per-transmitter resolve rows are
   kept as struct-of-arrays (a numpy vector of loss thresholds and
   per-row validity windows from ``loss_eps_window``), cached against
@@ -58,8 +59,9 @@ Fast paths riding on top:
   start contending, freeze the remainder while the channel is busy,
   and resume on release, instead of redrawing and rescheduling an
   attempt event on every busy period.  Each busy period costs O(1)
-  counter arithmetic per contender and each broadcast frame costs
-  exactly one heap event (the merged resolve), contended or not.
+  counter arithmetic per contender and every frame costs exactly one
+  heap event (the merged resolve), contended or not; a unicast MAC
+  retry is a new frame in this sense.
 * **Slot-batch transmission** — whole co-scheduled broadcast batches
   (a beacon slot's emissions, handed over by the
   :class:`~repro.core.node.BeaconSlotter`) claim consecutive airtimes
@@ -288,7 +290,6 @@ class WirelessMedium:
         self._nodes = {}
         self._queues = {}
         self._complete_cb = {}  # node_id -> on_transmit_complete or None
-        self._attempt_pending = {}
         self._in_flight = {}  # merged frames claimed off their queue
         self._cw = {}  # unicast contention window per node
         self._busy_until = 0.0
@@ -304,15 +305,12 @@ class WirelessMedium:
         self._outcome_vec = np.empty(0, dtype=np.float64)
         self._outcome_vec_i = 0
 
-        # Backoff-freezing CSMA state.  A contender record is
-        # ``[backoff_left_s, seq, countdown_start, armed_token]``:
-        # ``countdown_start`` is the absolute time its countdown
-        # (re)started (None while frozen), ``armed_token`` matches the
-        # fire-and-forget attempt event armed for it (None when none).
+        # Backoff-freezing CSMA state: node_id -> ``[backoff_left_s,
+        # seq]`` for every node parked behind a claimed channel.
+        # ``backoff_left_s`` is its frozen remaining backoff, ``seq``
+        # its contention entry order (the tie-break at release).
         self._contenders = {}
         self._cont_seq = 0
-        self._freeze_token = 0
-        self._armed = None  # (attempt_at, node_id) of the armed winner
         #: Backoff freezes performed.
         self.freeze_count = 0
 
@@ -347,7 +345,6 @@ class WirelessMedium:
         self._complete_cb[node.node_id] = getattr(
             node, "on_transmit_complete", None
         )
-        self._attempt_pending[node.node_id] = False
         self._in_flight[node.node_id] = 0
         self._cw[node.node_id] = self.backoff_slots
         self._row_cache.clear()
@@ -439,20 +436,17 @@ class WirelessMedium:
         in flight, not contending) — otherwise per-node FIFO order
         would be violated.
         """
-        if self.sim.now < self._busy_until or self._contenders \
-                or self._armed is not None:
+        if self.sim.now < self._busy_until or self._contenders:
             return False
         seen = set()
         nodes = self._nodes
         queues = self._queues
         in_flight = self._in_flight
-        pending = self._attempt_pending
         for transmitter_id, frame in entries:
             if transmitter_id not in nodes or transmitter_id in seen:
                 return False
             seen.add(transmitter_id)
-            if queues[transmitter_id] or in_flight[transmitter_id] \
-                    or pending[transmitter_id]:
+            if queues[transmitter_id] or in_flight[transmitter_id]:
                 return False
         return True
 
@@ -518,205 +512,80 @@ class WirelessMedium:
     def _freeze_contend(self, transmitter_id):
         """Enter contention for the node's head-of-queue frame.
 
-        One backoff is drawn per contention entry; the remainder
-        persists across busy periods (frozen at claim, resumed at
-        release) instead of being redrawn on every busy period.
-
-        A broadcast frame meeting an idle medium with no contender
-        takes the merged single-event path: the channel is claimed
-        immediately, so senders arriving during our DIFS + backoff
-        defer behind us instead of contending (a timing ambiguity
-        inside one contention window; collisions were already
-        impossible between these frames because the later attempt
-        would have seen the medium busy).
+        One backoff is drawn per contention entry.  A frame meeting an
+        idle medium with no contender claims the channel at once for
+        its DIFS + backoff start, so senders arriving during that
+        window park behind the claim instead of racing it (a timing
+        ambiguity inside one contention window; the later attempt
+        would have seen the medium busy, so the two could never have
+        collided).  Otherwise the node parks with its backoff frozen
+        until :meth:`_release_channel` resumes it; the medium is idle
+        with contenders parked only inside a resolve, whose release
+        runs next.  A failed unicast attempt re-enters here from
+        :meth:`_resolve` like a new frame.
         """
-        if self._attempt_pending[transmitter_id]:
-            return
-        queue = self._queues[transmitter_id]
-        if not queue:
-            return
-        now = self.sim.now
         contenders = self._contenders
-        idle = now >= self._busy_until
-        if idle and not contenders:
-            frame, unicast_to, attempt = queue[0]
-            if unicast_to is None:
-                backoff = self._draw_backoff(self._cw[transmitter_id]) \
-                    * self.slot_time
-                self._claim_merged(transmitter_id, now + self.difs
-                                   + backoff)
-                return
+        if transmitter_id in contenders or not self._queues[transmitter_id]:
+            return
         backoff = self._draw_backoff(self._cw[transmitter_id]) \
             * self.slot_time
-        self._cont_seq += 1
-        record = [backoff, self._cont_seq, None, None]
-        contenders[transmitter_id] = record
-        self._attempt_pending[transmitter_id] = True
-        if not idle:
-            return  # parked: the release at busy-period end resumes us
-        armed = self._armed
-        if armed is None:
-            if len(contenders) > 1:
-                # Idle instant inside a resolve: frozen contenders are
-                # waiting for the release that runs right after the
-                # in-flight resolve completes.  Park and let that
-                # release arbitrate on remaining backoff.
-                return
-            # Truly uncontended but unmergeable (a unicast frame): arm
-            # our own countdown.
-            countdown_start = now + self.difs
-            record[2] = countdown_start
-            self._arm_winner(transmitter_id, record,
-                             countdown_start + backoff)
+        now = self.sim.now
+        if now >= self._busy_until and not contenders:
+            self._claim_merged(transmitter_id, now + self.difs + backoff)
             return
-        # Idle with a winner armed: start counting down now; preempt
-        # the armed winner only if our countdown finishes first (the
-        # superseded winner keeps counting and freezes at our claim).
-        countdown_start = now + self.difs
-        record[2] = countdown_start
-        attempt_at = countdown_start + backoff
-        if attempt_at < armed[0]:
-            old = contenders.get(armed[1])
-            if old is not None:
-                old[3] = None  # stale its armed event
-            self._arm_winner(transmitter_id, record, attempt_at)
+        self._cont_seq += 1
+        contenders[transmitter_id] = [backoff, self._cont_seq]
 
     def _claim_merged(self, transmitter_id, start):
         """Claim the channel for the node's head frame airing at *start*.
 
-        The single-event tail of the merged path: the frame leaves the
-        queue now (still counted by :meth:`queue_length` via
+        The single transmit path for queued frames: the frame leaves
+        the queue now (still counted by :meth:`queue_length` via
         ``_in_flight``), the channel is claimed through its end time,
-        and one fire-and-forget resolve event covers transmit +
-        delivery bookkeeping.
+        and one fire-and-forget resolve event covers transmit,
+        delivery and unicast retry bookkeeping.
         """
-        frame, _, _ = self._queues[transmitter_id].popleft()
+        frame, unicast_to, attempt = self._queues[transmitter_id].popleft()
         self._in_flight[transmitter_id] += 1
         end = start + self.airtime(frame.size_bytes)
         self._busy_until = end
         self.sim.schedule_fire_at(end, self._merged_resolve,
-                                  transmitter_id, frame, start)
-
-    def _arm_winner(self, transmitter_id, record, attempt_at):
-        self._freeze_token += 1
-        record[3] = self._freeze_token
-        self._armed = (attempt_at, transmitter_id)
-        self.sim.schedule_fire_at(attempt_at, self._freeze_fire,
-                                  transmitter_id, self._freeze_token)
-
-    def _freeze_fire(self, transmitter_id, token):
-        """Armed countdown completed: transmit the head-of-queue frame."""
-        record = self._contenders.get(transmitter_id)
-        if record is None or record[3] != token:
-            return  # superseded or frozen since arming
-        if self.sim.now < self._busy_until:
-            # Claimed since arming (tokens are cleared at claim; this
-            # is belt-and-braces).
-            record[3] = None
-            return
-        del self._contenders[transmitter_id]
-        self._attempt_pending[transmitter_id] = False
-        self._armed = None
-        queue = self._queues[transmitter_id]
-        if not queue:
-            self._release_channel()
-            return
-        frame, unicast_to, attempt = queue.popleft()
-        self._transmit(transmitter_id, frame, unicast_to, attempt)
-        self._freeze_contend(transmitter_id)
-
-    def _freeze_all(self, claim_time):
-        """The channel was claimed: freeze every contender's countdown."""
-        for record in self._contenders.values():
-            countdown_start = record[2]
-            if countdown_start is not None:
-                elapsed = claim_time - countdown_start
-                if elapsed > 0.0:
-                    left = record[0] - elapsed
-                    record[0] = left if left > 0.0 else 0.0
-                record[2] = None
-                self.freeze_count += 1
-            record[3] = None
-        self._armed = None
+                                  transmitter_id, frame, start,
+                                  unicast_to, attempt)
 
     def _release_channel(self):
         """A busy period ended: resume frozen countdowns, pick a winner.
 
         The winner is the contender with the least remaining backoff
-        (ties broken by contention entry order).  Broadcast winners
-        ride the merged single-event path: the channel is claimed for
-        them immediately, and the other contenders' remaining backoff
-        drops by the winner's remainder — the idle slots they observed
-        before the claim — in O(1) per contender.
+        (ties broken by contention entry order).  The channel is
+        claimed for its head frame immediately, and the other
+        contenders' remaining backoff drops by the winner's remainder
+        — the idle slots they observed before the claim — in O(1) per
+        contender.
         """
         contenders = self._contenders
         if not contenders:
             return
         now = self.sim.now
-        if now < self._busy_until or self._armed is not None:
-            return  # reclaimed already, or a winner is armed
-        win_id = None
-        win = None
-        for node_id, record in contenders.items():
-            if win is None or (record[0], record[1]) < (win[0], win[1]):
-                win_id, win = node_id, record
-        queue = self._queues[win_id]
-        if not queue:  # defensive: contenders always have a frame
-            del contenders[win_id]
-            self._attempt_pending[win_id] = False
-            return self._release_channel()
-        backoff_left = win[0]
-        countdown_start = now + self.difs
-        frame, unicast_to, attempt = queue[0]
-        if unicast_to is None:
-            del contenders[win_id]
-            self._attempt_pending[win_id] = False
-            for record in contenders.values():
-                left = record[0] - backoff_left
-                record[0] = left if left > 0.0 else 0.0
-                record[2] = None
-                record[3] = None
-                self.freeze_count += 1
-            self._claim_merged(win_id, countdown_start + backoff_left)
-            return
-        # Two-event path (unicast frames): arm the winner and let every
-        # contender count down until the claim.
+        if now < self._busy_until:
+            return  # reclaimed already
+        win_id = min(contenders, key=contenders.__getitem__)
+        backoff_left = contenders.pop(win_id)[0]
         for record in contenders.values():
-            record[2] = countdown_start
-            record[3] = None
-        self._arm_winner(win_id, win, countdown_start + backoff_left)
+            left = record[0] - backoff_left
+            record[0] = left if left > 0.0 else 0.0
+            self.freeze_count += 1
+        self._claim_merged(win_id, now + self.difs + backoff_left)
 
-    def _merged_resolve(self, transmitter_id, frame, start):
-        """Single-event tail of a merged (claim-at-schedule) transmission."""
+    def _merged_resolve(self, transmitter_id, frame, start, unicast_to,
+                        attempt):
+        """Single-event tail of a claimed transmission."""
         self._in_flight[transmitter_id] -= 1
         self._count_tx(transmitter_id, frame)
-        self._resolve(transmitter_id, frame, start)
-        if self._contenders:
-            self._release_channel()
-        self._freeze_contend(transmitter_id)
-
-    def _transmit(self, transmitter_id, frame, unicast_to, attempt):
-        """Air an armed winner's frame now (the two-event path).
-
-        Only :meth:`_freeze_fire` calls this, after checking that the
-        channel is idle, so the frame's airtime overlaps no other.
-        """
-        start = self.sim.now
-        end = start + self.airtime(frame.size_bytes)
-        self._busy_until = end
-        if self._contenders:
-            self._freeze_all(start)
-        self._count_tx(transmitter_id, frame)
-        self.sim.schedule_fire_at(end, self._resolve_event,
-                                  transmitter_id, frame, start,
-                                  unicast_to, attempt)
-
-    def _resolve_event(self, transmitter_id, frame, start, unicast_to,
-                       attempt):
-        """Resolve event of a two-event transmission: release after."""
         self._resolve(transmitter_id, frame, start, unicast_to, attempt)
         if self._contenders:
             self._release_channel()
+        self._freeze_contend(transmitter_id)
 
     def _resolve_rows(self, transmitter_id, t):
         """The transmitter's struct-of-arrays rows for the current
@@ -813,12 +682,11 @@ class WirelessMedium:
                           unicast_to=None):
         """Decide *frame*'s fate at each in-range receiver.
 
-        The one outcome decision for merged, two-event and slot-batch
-        frames: rows whose validity window lapsed refresh their
-        thresholds, one uniform slice off the per-frame outcome buffer
-        is compared against the eps vector, and only the hits
-        (deliveries) run python code.  Returns whether *unicast_to*
-        decoded the frame.
+        The one outcome decision for merged and slot-batch frames:
+        rows whose validity window lapsed refresh their thresholds, one
+        uniform slice off the per-frame outcome buffer is compared
+        against the eps vector, and only the hits (deliveries) run
+        python code.  Returns whether *unicast_to* decoded the frame.
         """
         n = rows.n
         if not n:
@@ -844,8 +712,7 @@ class WirelessMedium:
             receive[i](frame, transmitter_id)
         return unicast_delivered
 
-    def _resolve(self, transmitter_id, frame, start, unicast_to=None,
-                 attempt=0):
+    def _resolve(self, transmitter_id, frame, start, unicast_to, attempt):
         """Outcomes, unicast retry bookkeeping and sender completion."""
         rows = self._resolve_rows(transmitter_id, start)
         delivered = self._resolve_outcomes(transmitter_id, frame, start,

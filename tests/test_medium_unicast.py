@@ -68,6 +68,8 @@ def test_unicast_retries_until_delivered():
     assert medium.transmissions(kind="data") == 3
     # Completion fires exactly once, at final resolution.
     assert len(nodes[0].completed) == 1
+    # One heap event (the claimed resolve) per attempt.
+    assert sim.events_processed == 3
 
 
 def test_unicast_gives_up_after_retry_limit():
@@ -80,6 +82,7 @@ def test_unicast_gives_up_after_retry_limit():
     assert nodes[1].received == []
     assert medium.transmissions(kind="data") == 4  # 1 + 3 retries
     assert len(nodes[0].completed) == 1
+    assert sim.events_processed == 4
 
 
 def test_unicast_backoff_window_grows_and_resets():
