@@ -354,10 +354,8 @@ class TcpWorkload:
         self._direction_index = 0
         self.results = []
         self._stopped_at = None
-        self._started_at = None
 
     def start(self, at_time):
-        self._started_at = float(at_time)
         self.protocol.sim.schedule_at(at_time, self._launch_next)
 
     def stop(self, at_time):
@@ -419,12 +417,3 @@ class TcpWorkload:
         if not sessions:
             return 0.0
         return math.fsum(sessions) / len(sessions)
-
-    def transfers_per_second(self):
-        """Completed transfers per elapsed second (Figure 10)."""
-        if self._started_at is None or self._stopped_at is None:
-            return 0.0
-        elapsed = self._stopped_at - self._started_at
-        if elapsed <= 0:
-            return 0.0
-        return len(self.completed) / elapsed

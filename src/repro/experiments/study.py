@@ -13,7 +13,6 @@ from repro.analysis.burstiness import (
     overall_loss_probability,
 )
 from repro.analysis.conditional import two_bs_conditionals
-from repro.handoff.evaluator import evaluate_policy
 from repro.handoff.policies import (
     AllBsesPolicy,
     BestBsPolicy,
@@ -21,10 +20,6 @@ from repro.handoff.policies import (
     HistoryPolicy,
     RssiPolicy,
     StickyPolicy,
-)
-from repro.handoff.sessions import (
-    session_lengths,
-    time_weighted_median_session,
 )
 from repro.net.channel import SteeredGilbertElliott
 from repro.sim.rng import RngRegistry
@@ -75,69 +70,6 @@ def aggregate_by_density(testbed, day=0, n_trips=4, subset_sizes=(2, 5, 8, 11),
             training_traces=training if name == "History" else None,
         )
     return results
-
-
-#: Per-worker shared state for the session fan-out: the testbed and
-#: training traces ship once per worker (pool initializer) instead of
-#: once per task.
-_session_state = None
-
-
-def _init_session_worker(testbed, training, interval_s, min_ratio):
-    global _session_state
-    _session_state = (testbed, training, interval_s, min_ratio)
-
-
-def _session_trip_worker(trip):
-    """One trip of the Figures 3/4 session experiment (picklable)."""
-    testbed, training, interval_s, min_ratio = _session_state
-    trace = testbed.generate_probe_trace(trip)
-    lengths = {}
-    for name, factory in policy_factories().items():
-        policy = factory(training if name == "History" else None)
-        outcome = evaluate_policy(trace, policy)
-        adequate = outcome.adequate_windows(interval_s, min_ratio)
-        lengths[name] = session_lengths(adequate, window_s=interval_s)
-    return lengths
-
-
-def policy_session_stats(testbed, trips, interval_s=1.0, min_ratio=0.5,
-                         n_training=4, workers=1, store=None):
-    """Figures 3/4 inputs: session lengths per policy over given trips.
-
-    Trips are independent (trace randomness is keyed by the trip
-    index), so they fan out over :func:`~repro.experiments.common.
-    run_trips`; pooled results are identical for any worker count.
-
-    Args:
-        workers: process count for the per-trip fan-out (1 = serial,
-            ``None`` = all available cores).
-
-    Returns:
-        dict policy_name -> list of session lengths (s), pooled over
-        trips, plus a dict of time-weighted medians.
-    """
-    from repro.experiments.common import run_trips
-
-    training = [testbed.generate_probe_trace(8000 + i)
-                for i in range(n_training)]
-    per_trip = run_trips(
-        _session_trip_worker,
-        list(trips),
-        workers=workers,
-        store=store,
-        initializer=_init_session_worker,
-        initargs=(testbed, training, interval_s, min_ratio),
-    )
-    pooled = {}
-    for lengths in per_trip:
-        for name, values in lengths.items():
-            pooled.setdefault(name, []).extend(values)
-    medians = {
-        name: time_weighted_median_session(lengths)
-        for name, lengths in pooled.items()
-    }
-    return pooled, medians
 
 
 def diversity_cdfs(beacon_logs, min_ratio=None):

@@ -270,12 +270,6 @@ def parse_source(relpath, text, display=None):
                        exc.lineno or 1, f"file does not parse: {exc.msg}")
 
 
-def _baseline_key(finding, line_content):
-    return (finding.path_for_baseline
-            if hasattr(finding, "path_for_baseline") else finding.path,
-            finding.rule, line_content)
-
-
 def _finding_line_content(finding, files_by_display):
     lf = files_by_display.get(finding.path)
     if lf is None or not (1 <= finding.line <= len(lf.lines)):

@@ -335,19 +335,6 @@ class StoreStats:
             "degraded": self.degraded,
         }
 
-    def merge(self, other):
-        """Fold another snapshot/StoreStats into these counters."""
-        if isinstance(other, StoreStats):
-            other = other.snapshot()
-        self.hits += int(other.get("hits", 0))
-        self.misses += int(other.get("misses", 0))
-        self.verify_failures += int(other.get("verify_failures", 0))
-        self.quarantined += int(other.get("quarantined", 0))
-        self.writes += int(other.get("writes", 0))
-        self.write_skips += int(other.get("write_skips", 0))
-        if self.degraded is None and other.get("degraded"):
-            self.degraded = other["degraded"]
-
 
 class ResultStore:
     """Content-addressed on-disk result store.
