@@ -8,40 +8,16 @@ positives and false negatives.  Breaking the symmetry calms the spread.
 
 from conftest import print_table
 
-from repro.experiments.coordination import relay_count_spread
 
-
-def run_experiment():
-    out = {}
-    # Growing auxiliary population, symmetric links.
-    for n_aux in (3, 8, 16):
-        out[f"symmetric n={n_aux}"] = relay_count_spread(
-            n_aux, p_hear_src=0.7, p_to_dst=0.6, p_src_dst=0.5,
-            n_packets=4000, seed=n_aux,
-        )
-    # Same population, strongly asymmetric links: two well-placed
-    # auxiliaries dominate, concentrating the relay responsibility.
-    asymmetric = [0.95, 0.9] + [0.08] * 14
-    out["asymmetric n=16"] = relay_count_spread(
-        16, p_hear_src=0.7, p_to_dst=asymmetric, p_src_dst=0.5,
-        n_packets=4000, seed=99,
-    )
-    return out
-
-
-def test_ablation_relay_spread(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_relay_spread(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = [
         (name, mean, var)
         for name, (mean, var, _) in results.items()
     ]
     print_table("Section 5.5.2: relays per packet", rows,
                 headers=["mean", "variance"])
-    save_results("ablation_limits", {
-        name: {"mean": mean, "variance": var,
-               "histogram": [int(h) for h in hist]}
-        for name, (mean, var, hist) in results.items()
-    })
+    save_results("ablation_limits", figure.payload(results))
 
     # Variance grows with the auxiliary population under symmetry.
     assert results["symmetric n=16"][1] > results["symmetric n=3"][1]

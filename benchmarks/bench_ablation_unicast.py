@@ -11,60 +11,18 @@ observation) and exponential backoff (which throttles the sender for
 losses that are not collisions).
 """
 
-import statistics
-
 from conftest import print_table
 
-from repro.apps.voip import VoipStream
-from repro.apps.workload import FlowRouter
-from repro.core.protocol import ViFiConfig
-from repro.experiments.common import WARMUP_S, vanlan_protocol
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=5)
-    base = ViFiConfig()
-    variants = {
-        "BRR broadcast": base.brr_variant(),
-        "BRR unicast": base.brr_unicast_variant(),
-    }
-    out = {}
-    for name, config in variants.items():
-        sessions = []
-        mos = []
-        tx = 0
-        for trip in TRIPS:
-            sim, duration = vanlan_protocol(testbed, trip, config=config,
-                                            seed=13 + trip)
-            router = FlowRouter(sim)
-            stream = VoipStream(sim, router)
-            stream.start(WARMUP_S)
-            stream.stop(duration - 2.0)
-            sim.run(until=duration)
-            sessions.extend(stream.session_lengths())
-            mos.extend(m for m, _, _ in stream.window_quality())
-            tx += sim.medium.transmissions(kind="data")
-        out[name] = {
-            "median_session_s": (statistics.median(sessions)
-                                 if sessions else 0.0),
-            "mean_mos": sum(mos) / len(mos) if mos else 1.0,
-            "data_tx": tx,
-        }
-    return out
-
-
-def test_ablation_unicast_backoff(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_ablation_unicast_backoff(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = [
         (name, r["median_session_s"], r["mean_mos"], float(r["data_tx"]))
         for name, r in results.items()
     ]
     print_table("Section 5.1 aside: BRR broadcast vs unicast (VoIP)",
                 rows, headers=["median (s)", "mean MoS", "data tx"])
-    save_results("ablation_unicast", results)
+    save_results("ablation_unicast", figure.payload(results))
 
     broadcast = results["BRR broadcast"]
     unicast = results["BRR unicast"]

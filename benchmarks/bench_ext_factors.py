@@ -8,22 +8,10 @@ advantage does not collapse at low density or high speed.
 
 from conftest import print_table
 
-from repro.experiments.factors import density_sweep, speed_sweep
 
-SIZES = (3, 6, 11)
-SPEEDS = (20.0, 40.0, 60.0)
-
-
-def run_experiment():
-    return (
-        density_sweep(seed=5, subset_sizes=SIZES),
-        speed_sweep(seed=5, speeds_kmh=SPEEDS),
-    )
-
-
-def test_ext_environmental_factors(benchmark, save_results):
-    by_density, by_speed = benchmark.pedantic(run_experiment, rounds=1,
-                                              iterations=1)
+def test_ext_environmental_factors(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
+    by_density, by_speed = results["density"], results["speed"]
     print_table(
         "Extension: delivery vs BS density",
         [(f"{size} BSes", r["ViFi"], r["BRR"])
@@ -36,10 +24,7 @@ def test_ext_environmental_factors(benchmark, save_results):
          for speed, r in by_speed.items()],
         headers=["ViFi", "BRR"],
     )
-    save_results("ext_factors", {
-        "density": {str(k): v for k, v in by_density.items()},
-        "speed": {str(k): v for k, v in by_speed.items()},
-    })
+    save_results("ext_factors", figure.payload(results))
 
     for rates in list(by_density.values()) + list(by_speed.values()):
         assert rates["ViFi"] >= rates["BRR"] - 0.02

@@ -7,32 +7,17 @@ density and does not flatten.
 
 from conftest import print_table
 
-from repro.experiments.study import aggregate_by_density
-from repro.testbeds.vanlan import VanLanTestbed
 
-SUBSET_SIZES = (4, 8, 11)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=42)
-    return aggregate_by_density(
-        testbed, day=0, n_trips=2, subset_sizes=SUBSET_SIZES,
-        trials_per_size=3, seed=7,
-    )
-
-
-def test_fig02_aggregate_performance(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig02_aggregate_performance(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
+    subset_sizes = list(results["AllBSes"])
 
     rows = []
     for policy, by_size in results.items():
-        rows.append((policy, *(by_size[s][0] for s in SUBSET_SIZES)))
+        rows.append((policy, *(by_size[s][0] for s in subset_sizes)))
     print_table("Figure 2: packets/day (VanLAN)", rows,
-                headers=[f"{s} BSes" for s in SUBSET_SIZES])
-    save_results("fig02_aggregate", {
-        policy: {str(s): list(ci) for s, ci in by_size.items()}
-        for policy, by_size in results.items()
-    })
+                headers=[f"{s} BSes" for s in subset_sizes])
+    save_results("fig02_aggregate", figure.payload(results))
 
     full = {policy: by_size[11][0] for policy, by_size in results.items()}
     # Ordering at full density.
@@ -40,7 +25,7 @@ def test_fig02_aggregate_performance(benchmark, save_results):
     assert full["BestBS"] >= full["BRR"] * 0.99
     assert full["BRR"] > full["Sticky"]
     # Density monotonicity for the oracle.
-    series = [results["AllBSes"][s][0] for s in SUBSET_SIZES]
+    series = [results["AllBSes"][s][0] for s in subset_sizes]
     assert series == sorted(series)
     # Practical single-BS policies stay in AllBSes' ballpark.
     assert full["BRR"] > 0.6 * full["AllBSes"]

@@ -8,57 +8,18 @@ we report as numbers instead of a map.
 
 from conftest import print_table
 
-from repro.experiments.study import policy_factories
-from repro.handoff.evaluator import evaluate_policy
-from repro.handoff.sessions import (
-    adequacy_runs,
-    session_lengths,
-    time_in_sessions_cdf,
-    time_weighted_median_session,
-)
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1, 2)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=3)
-    training = [testbed.generate_probe_trace(8000 + i) for i in range(4)]
-    pooled = {}
-    interruptions = {}
-    for trip in TRIPS:
-        trace = testbed.generate_probe_trace(trip)
-        for name, factory in policy_factories().items():
-            policy = factory(training if name == "History" else None)
-            outcome = evaluate_policy(trace, policy)
-            adequate = outcome.adequate_windows(1.0, 0.5)
-            pooled.setdefault(name, []).extend(session_lengths(adequate))
-            runs = adequacy_runs(adequate)
-            gaps = max(len(runs) - 1, 0)
-            interruptions[name] = interruptions.get(name, 0) + gaps
-    return pooled, interruptions
-
-
-def test_fig03_session_distribution(benchmark, save_results):
-    pooled, interruptions = benchmark.pedantic(run_experiment, rounds=1,
-                                               iterations=1)
-    medians = {name: time_weighted_median_session(lengths)
-               for name, lengths in pooled.items()}
+def test_fig03_session_distribution(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
+    medians = results["medians"]
+    interruptions = results["interruptions"]
     rows = [
         (name, medians[name], float(interruptions[name]))
         for name in ("Sticky", "BRR", "BestBS", "AllBSes")
     ]
     print_table("Figure 3(d): sessions over three trips", rows,
                 headers=["median (s)", "interrupts"])
-    save_results("fig03_sessions", {
-        "medians": medians,
-        "interruptions": interruptions,
-        "cdf": {
-            name: [list(map(float, axis))
-                   for axis in time_in_sessions_cdf(lengths)]
-            for name, lengths in pooled.items()
-        },
-    })
+    save_results("fig03_sessions", figure.payload(results))
 
     # The paper's headline ratios (loosened for the reduced scale):
     # AllBSes well above BestBS, and several times BRR, on the

@@ -8,71 +8,24 @@ settings are degenerate for everyone.
 
 from conftest import print_table
 
-from repro.experiments.study import policy_factories
-from repro.handoff.evaluator import evaluate_policy
-from repro.handoff.sessions import (
-    session_lengths,
-    time_weighted_median_session,
-)
-from repro.testbeds.vanlan import VanLanTestbed
 
-POLICIES = ("BRR", "BestBS", "AllBSes")
-INTERVALS = (1.0, 2.0, 4.0, 8.0)
-RATIOS = (0.1, 0.3, 0.5, 0.7, 0.9)
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=42)
-    factories = policy_factories()
-    outcomes = {name: [] for name in POLICIES}
-    for trip in TRIPS:
-        trace = testbed.generate_probe_trace(trip)
-        for name in POLICIES:
-            outcomes[name].append(
-                evaluate_policy(trace, factories[name](None))
-            )
-
-    def median_for(name, interval, ratio):
-        lengths = []
-        for outcome in outcomes[name]:
-            adequate = outcome.adequate_windows(interval, ratio)
-            lengths.extend(session_lengths(adequate, window_s=interval))
-        return time_weighted_median_session(lengths)
-
-    by_interval = {
-        name: [median_for(name, w, 0.5) for w in INTERVALS]
-        for name in POLICIES
-    }
-    by_ratio = {
-        name: [median_for(name, 1.0, r) for r in RATIOS]
-        for name in POLICIES
-    }
-    return by_interval, by_ratio
-
-
-def test_fig04_definition_sweep(benchmark, save_results):
-    by_interval, by_ratio = benchmark.pedantic(run_experiment, rounds=1,
-                                               iterations=1)
+def test_fig04_definition_sweep(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
+    by_interval, by_ratio = results["by_interval"], results["by_ratio"]
     print_table(
         "Figure 4(a): median session vs interval (ratio=50%)",
-        [(n, *by_interval[n]) for n in POLICIES],
-        headers=[f"{w:.0f}s" for w in INTERVALS],
+        [(n, *by_interval[n]) for n in by_interval],
+        headers=[f"{w:.0f}s" for w in results["intervals"]],
     )
     print_table(
         "Figure 4(b): median session vs reception ratio (interval=1s)",
-        [(n, *by_ratio[n]) for n in POLICIES],
-        headers=[f"{int(r * 100)}%" for r in RATIOS],
+        [(n, *by_ratio[n]) for n in by_ratio],
+        headers=[f"{int(r * 100)}%" for r in results["ratios"]],
     )
-    save_results("fig04_definitions", {
-        "intervals": list(INTERVALS),
-        "ratios": list(RATIOS),
-        "by_interval": by_interval,
-        "by_ratio": by_ratio,
-    })
+    save_results("fig04_definitions", figure.payload(results))
 
     # Laxer interval definitions help every policy.
-    for name in POLICIES:
+    for name in by_interval:
         assert by_interval[name][-1] >= by_interval[name][0]
     # The multi-BS advantage grows as the ratio requirement tightens
     # (compare the AllBSes/BRR gap at 10% vs 70%).

@@ -6,54 +6,19 @@ DieselNet dominates Channel 1; the >=50%-of-beacons notion (Fig. 5b)
 shifts every curve left.
 """
 
-import numpy as np
 from conftest import print_table
 
-from repro.experiments.study import diversity_cdfs
-from repro.testbeds.dieselnet import DieselNetTestbed
-from repro.testbeds.vanlan import VanLanTestbed
+from repro.analysis.diversity import visible_bs_stats as _stats
 
 
-def run_experiment():
-    vanlan = VanLanTestbed(seed=42)
-    logs = {
-        "VanLAN": [vanlan.beacon_log_from_trace(
-            vanlan.generate_probe_trace(trip)) for trip in (0, 1)],
-        "DieselNet Ch1": [DieselNetTestbed(1, seed=9).generate_beacon_log(0)],
-        "DieselNet Ch6": [DieselNetTestbed(6, seed=9).generate_beacon_log(0)],
-    }
-    out = {}
-    for name, env_logs in logs.items():
-        for notion, min_ratio in (("any", None), ("half", 0.5)):
-            xs, ys, hist = diversity_cdfs(env_logs, min_ratio=min_ratio)
-            out[(name, notion)] = hist
-    return out
+def test_fig05_visible_bs_cdf(benchmark, save_results, figure):
+    hists = benchmark.pedantic(figure.run, rounds=1, iterations=1)
 
-
-def _stats(hist):
-    counts = np.repeat(np.arange(len(hist)), hist)
-    return (
-        float((counts == 0).mean()),
-        float(np.median(counts)),
-        float((counts >= 2).mean()),
-    )
-
-
-def test_fig05_visible_bs_cdf(benchmark, save_results):
-    hists = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
-
-    rows = []
-    summary = {}
-    for (env, notion), hist in hists.items():
-        p0, med, p2 = _stats(hist)
-        rows.append((f"{env} ({notion} beacon)", p0, med, p2))
-        summary[f"{env}/{notion}"] = {
-            "p_zero": p0, "median": med, "p_two_plus": p2,
-            "histogram": [int(h) for h in hist],
-        }
+    rows = [(f"{env} ({notion} beacon)", *_stats(hist))
+            for (env, notion), hist in hists.items()]
     print_table("Figure 5: visible BSes per second", rows,
                 headers=["P(0)", "median", "P(>=2)"])
-    save_results("fig05_diversity", summary)
+    save_results("fig05_diversity", figure.payload(hists))
 
     # Diversity premise: >=2 BSes most of the time under the any-beacon
     # notion, in every environment.

@@ -9,25 +9,11 @@
 
 from conftest import print_table
 
-from repro.experiments.study import burst_loss_experiment, two_bs_experiment
-from repro.testbeds.vanlan import VanLanTestbed
 
-LAGS = (1, 2, 5, 10, 50, 100, 500, 1000, 2000)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=42)
-    curve, overall = burst_loss_experiment(
-        testbed, bs_id=5, trip=0, lags=LAGS, duration_s=120.0,
-    )
-    conditionals = two_bs_experiment(testbed, bs_a=5, bs_b=6, trip=0,
-                                     duration_s=150.0)
-    return curve, overall, conditionals
-
-
-def test_fig06_loss_structure(benchmark, save_results):
-    curve, overall, cond = benchmark.pedantic(run_experiment, rounds=1,
-                                              iterations=1)
+def test_fig06_loss_structure(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
+    curve, overall, cond = (results["burst_curve"], results["overall_loss"],
+                            results["two_bs"])
 
     print_table(
         "Figure 6(a): P(loss i+k | loss i), 10 ms probes",
@@ -38,11 +24,7 @@ def test_fig06_loss_structure(benchmark, save_results):
         "Figure 6(b): two-BS reception probabilities, 20 ms packets",
         [(k, v) for k, v in cond.items()],
     )
-    save_results("fig06_losses", {
-        "burst_curve": {str(k): v for k, v in curve.items()},
-        "overall_loss": overall,
-        "two_bs": cond,
-    })
+    save_results("fig06_losses", figure.payload(results))
 
     # (a) Losses are bursty and the excess decays with lag.
     assert curve[1] > 1.3 * overall

@@ -7,31 +7,16 @@ BRR trails far behind.  Link-layer retransmissions are disabled.
 
 from conftest import print_table
 
-from repro.experiments.linklayer import (
-    link_layer_sessions,
-    policy_session_medians,
-)
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=3)
-    _, live = link_layer_sessions(testbed, TRIPS, seed=11)
-    _, oracle = policy_session_medians(testbed, TRIPS)
-    return {**live, **oracle}
-
-
-def test_fig07_link_layer_sessions(benchmark, save_results):
-    medians = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig07_link_layer_sessions(benchmark, save_results, figure):
+    medians = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     order = ("BRR", "BestBS", "ViFi", "AllBSes")
     print_table(
         "Figure 7: median session length (interval=1s, ratio=50%)",
         [(name, medians[name]) for name in order],
         headers=["median (s)"],
     )
-    save_results("fig07_vifi_link", medians)
+    save_results("fig07_vifi_link", figure.payload(medians))
 
     # ViFi beats the ideal hard handoff and sits below the oracle.
     assert medians["ViFi"] > medians["BestBS"]

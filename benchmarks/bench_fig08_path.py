@@ -6,45 +6,18 @@ example).  We report interruption counts and connected fractions for
 the same trip under both protocols.
 """
 
-import numpy as np
 from conftest import print_table
 
-from repro.core.protocol import ViFiConfig
-from repro.experiments.common import run_protocol_cbr, vanlan_protocol
-from repro.handoff.sessions import adequacy_runs
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIP = 0
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=3)
-    base = ViFiConfig(max_retx=0)
-    out = {}
-    for name, config in (("BRR", base.brr_variant()), ("ViFi", base)):
-        sim, duration = vanlan_protocol(testbed, TRIP, config=config,
-                                        seed=17)
-        cbr = run_protocol_cbr(sim, duration, deadline_s=0.1)
-        ratios = cbr.window_reception_ratio(1.0, deadline_s=0.1)
-        adequate = ratios >= 0.5
-        runs = adequacy_runs(adequate)
-        out[name] = {
-            "interruptions": max(len(runs) - 1, 0),
-            "connected_fraction": float(np.mean(adequate)),
-            "n_windows": int(len(adequate)),
-        }
-    return out
-
-
-def test_fig08_path_behaviour(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig08_path_behaviour(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = [
         (name, float(r["interruptions"]), r["connected_fraction"])
         for name, r in results.items()
     ]
     print_table("Figure 8: one trip, adequate-connectivity runs", rows,
                 headers=["interrupts", "connected"])
-    save_results("fig08_path", results)
+    save_results("fig08_path", figure.payload(results))
 
     assert results["ViFi"]["interruptions"] < \
         results["BRR"]["interruptions"]

@@ -10,20 +10,9 @@ BRR and ViFi is environment-sensitive, so it is printed, not asserted.
 
 from conftest import print_table
 
-from repro.experiments.tcpbench import standard_tcp_variants, tcp_vanlan
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=5)
-    return tcp_vanlan(testbed, TRIPS, variants=standard_tcp_variants(),
-                      seed=7)
-
-
-def test_fig09_tcp_vanlan(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig09_tcp_vanlan(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = [
         (name, r["median_s"], r["per_session"], float(r["completed"]),
          float(r["aborted"]))
@@ -32,7 +21,7 @@ def test_fig09_tcp_vanlan(benchmark, save_results):
     print_table("Figure 9: TCP on VanLAN", rows,
                 headers=["median (s)", "per-sess", "completed",
                          "aborted"])
-    save_results("fig09_tcp_vanlan", results)
+    save_results("fig09_tcp_vanlan", figure.payload(results))
 
     vifi, brr = results["ViFi"], results["BRR"]
     diversity = results["OnlyDiversity"]

@@ -6,20 +6,9 @@ BRR on both profiled channels.
 
 from conftest import print_table
 
-from repro.experiments.tcpbench import tcp_dieselnet
-from repro.testbeds.dieselnet import DieselNetTestbed
 
-
-def run_experiment():
-    out = {}
-    for channel in (1, 6):
-        testbed = DieselNetTestbed(channel=channel, seed=2)
-        out[channel] = tcp_dieselnet(testbed, days=(0,), seed=channel)
-    return out
-
-
-def test_fig10_tcp_dieselnet(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig10_tcp_dieselnet(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = []
     for channel, by_proto in results.items():
         for proto, r in by_proto.items():
@@ -27,9 +16,7 @@ def test_fig10_tcp_dieselnet(benchmark, save_results):
                          float(r["completed"]), float(r["aborted"])))
     print_table("Figure 10: TCP on DieselNet", rows,
                 headers=["xfer/s", "completed", "aborted"])
-    save_results("fig10_tcp_dieselnet", {
-        str(ch): by_proto for ch, by_proto in results.items()
-    })
+    save_results("fig10_tcp_dieselnet", figure.payload(results))
 
     for channel in (1, 6):
         assert results[channel]["ViFi"]["per_second"] > \

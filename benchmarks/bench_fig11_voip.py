@@ -8,23 +8,9 @@ DieselNet channels 1 / 6 — and the mean 3-second MoS is higher too
 
 from conftest import print_table
 
-from repro.experiments.voipbench import voip_dieselnet, voip_vanlan
-from repro.testbeds.dieselnet import DieselNetTestbed
-from repro.testbeds.vanlan import VanLanTestbed
 
-
-def run_experiment():
-    out = {"VanLAN": voip_vanlan(VanLanTestbed(seed=5), trips=(0, 1, 2),
-                                 seed=7)}
-    for channel in (1, 6):
-        testbed = DieselNetTestbed(channel=channel, seed=2)
-        out[f"DieselNet Ch{channel}"] = voip_dieselnet(
-            testbed, days=(0,), seed=channel)
-    return out
-
-
-def test_fig11_voip_sessions(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig11_voip_sessions(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = []
     for env, by_proto in results.items():
         for proto, r in by_proto.items():
@@ -32,7 +18,7 @@ def test_fig11_voip_sessions(benchmark, save_results):
                          r["mean_mos"]))
     print_table("Figure 11: VoIP sessions", rows,
                 headers=["median (s)", "mean MoS"])
-    save_results("fig11_voip", results)
+    save_results("fig11_voip", figure.payload(results))
 
     for env in results:
         vifi = results[env]["ViFi"]

@@ -9,19 +9,9 @@ ViFi's relayed copies air on the vehicle-BS channel.
 
 from conftest import print_table
 
-from repro.experiments.efficiency import efficiency_comparison
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=5)
-    return efficiency_comparison(testbed, TRIPS, seed=7)
-
-
-def test_fig12_efficiency(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_fig12_efficiency(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = []
     for direction in ("upstream", "downstream"):
         for proto in ("BRR", "ViFi", "PerfectRelay"):
@@ -29,7 +19,7 @@ def test_fig12_efficiency(benchmark, save_results):
                          results[direction][proto]))
     print_table("Figure 12: packets delivered per data transmission",
                 rows, headers=["efficiency"])
-    save_results("fig12_efficiency", results)
+    save_results("fig12_efficiency", figure.payload(results))
 
     up, down = results["upstream"], results["downstream"]
     # Upstream: ViFi > BRR, and PerfectRelay bounds ViFi from above.

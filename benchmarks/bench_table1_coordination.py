@@ -11,19 +11,9 @@ transmissions are moderate; relayed upstream packets always arrive
 
 from conftest import print_table
 
-from repro.experiments.coordination import coordination_table
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=5)
-    return coordination_table(testbed, TRIPS, seed=7)
-
-
-def test_table1_coordination(benchmark, save_results):
-    reports = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_table1_coordination(benchmark, save_results, figure):
+    reports = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     up = reports["upstream"]
     down = reports["downstream"]
     rows = [
@@ -33,10 +23,7 @@ def test_table1_coordination(benchmark, save_results):
     ]
     print_table("Table 1: ViFi coordination statistics (VanLAN TCP)",
                 rows, headers=["upstream", "downstream"])
-    save_results("table1_coordination", {
-        "upstream": dict(up.rows()),
-        "downstream": dict(down.rows()),
-    })
+    save_results("table1_coordination", figure.payload(reports))
 
     # Designated auxiliaries present in both directions (A1).
     assert up.median_aux >= 2 and down.median_aux >= 2

@@ -13,24 +13,16 @@ environment it over-relayed.
 
 from conftest import print_table
 
-from repro.experiments.coordination import formulation_comparison
-from repro.testbeds.dieselnet import DieselNetTestbed
 
-
-def run_experiment():
-    testbed = DieselNetTestbed(channel=1, seed=2)
-    return formulation_comparison(testbed, days=(0,), seed=1)
-
-
-def test_table2_formulations(benchmark, save_results):
-    results = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_table2_formulations(benchmark, save_results, figure):
+    results = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     rows = [
         (name, r["false_positives"], r["false_negatives"])
         for name, r in results.items()
     ]
     print_table("Table 2: downstream coordination, DieselNet Ch. 1",
                 rows, headers=["false pos", "false neg"])
-    save_results("table2_formulations", results)
+    save_results("table2_formulations", figure.payload(results))
 
     vifi = results["vifi"]
     # NotG3 over-relays worst of all (the paper's 157%).

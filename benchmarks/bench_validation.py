@@ -10,26 +10,16 @@ lengths themselves.
 
 from conftest import print_table
 
-from repro.experiments.validation import validate_trace_methodology
-from repro.testbeds.vanlan import VanLanTestbed
 
-TRIPS = (0, 1)
-
-
-def run_experiment():
-    testbed = VanLanTestbed(seed=5)
-    return validate_trace_methodology(testbed, TRIPS, seed=7)
-
-
-def test_validation_trace_vs_deployment(benchmark, save_results):
-    rows = benchmark.pedantic(run_experiment, rounds=1, iterations=1)
+def test_validation_trace_vs_deployment(benchmark, save_results, figure):
+    rows = benchmark.pedantic(figure.run, rounds=1, iterations=1)
     print_table(
         "Section 5.1 validation: VoIP session medians",
         [(f"trip {r['trip']}", r["deployment_s"], r["trace_s"],
           r["gap_s"]) for r in rows],
         headers=["deployment", "trace-driven", "gap"],
     )
-    save_results("validation", rows)
+    save_results("validation", figure.payload(rows))
 
     for r in rows:
         scale = max(r["deployment_s"], r["trace_s"], 6.0)

@@ -1,17 +1,20 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark regenerates one table or figure of the paper at a
-reduced-but-faithful scale, prints the same rows/series the paper
-reports, and saves a JSON payload under ``results/``.  Shape assertions
-are deliberately loose: the goal is who-wins-by-roughly-what-factor,
-not absolute numbers, since the testbeds are synthetic models of the
-paper's environments rather than its traces.
+reduced-but-faithful scale through its :data:`repro.figures.FIGURES`
+entry (``bench_<name>.py`` runs entry ``<name>``), prints the same
+rows/series the paper reports, and saves the entry's JSON payload under
+``results/``.  Shape assertions are deliberately loose: the goal is
+who-wins-by-roughly-what-factor, not absolute numbers, since the
+testbeds are synthetic models of the paper's environments rather than
+its traces.
 """
 
-import json
 import pathlib
 
 import pytest
+
+from repro.figures import FIGURES, payload_text
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
@@ -23,13 +26,18 @@ def results_dir():
 
 
 @pytest.fixture()
+def figure(request):
+    """The registry entry of the requesting ``bench_<name>.py``."""
+    return FIGURES[request.path.stem[len("bench_"):]]
+
+
+@pytest.fixture()
 def save_results(results_dir):
     """Persist a benchmark's payload as results/<name>.json."""
 
     def _save(name, payload):
         path = results_dir / f"{name}.json"
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, default=float)
+        path.write_text(payload_text(payload))
         return path
 
     return _save

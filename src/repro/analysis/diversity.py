@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.analysis.cdf import empirical_cdf
 
-__all__ = ["visible_bs_cdf", "visible_bs_histogram"]
+__all__ = ["visible_bs_cdf", "visible_bs_histogram", "visible_bs_stats"]
 
 
 def visible_bs_histogram(beacon_log, min_ratio=None, max_count=None):
@@ -38,3 +38,19 @@ def visible_bs_cdf(beacon_log, min_ratio=None):
         ``(xs, ys)`` — BS counts and cumulative fraction of seconds.
     """
     return empirical_cdf(beacon_log.visible_counts(min_ratio))
+
+
+def visible_bs_stats(histogram):
+    """Summary of a visible-BS histogram, one second per count.
+
+    Returns:
+        ``(p_zero, median, p_two_plus)``: the fraction of seconds with
+        no BS visible, the median count and the fraction with two or
+        more.
+    """
+    counts = np.repeat(np.arange(len(histogram)), histogram)
+    return (
+        float((counts == 0).mean()),
+        float(np.median(counts)),
+        float((counts >= 2).mean()),
+    )

@@ -32,6 +32,7 @@ __all__ = [
     "dieselnet_protocol",
     "init_worker_state",
     "memoized_beacon_log",
+    "run_protocol_app",
     "run_protocol_cbr",
     "run_trips",
     "vanlan_cbr_trip",
@@ -123,6 +124,25 @@ def run_protocol_cbr(sim, duration_s, interval_s=0.1, size_bytes=500,
     cbr.stop(duration_s - 1.0)
     sim.run(until=duration_s + (0.0 if deadline_s is None else deadline_s))
     return cbr
+
+
+def run_protocol_app(sim, duration_s, app):
+    """Drive a session application over a protocol run to completion.
+
+    *app* is an application class built as ``app(sim, router)``, such
+    as :class:`~repro.apps.tcp.TcpWorkload` or
+    :class:`~repro.apps.voip.VoipStream`.  It runs from
+    :data:`WARMUP_S` until two seconds before *duration_s*, and the
+    run continues to *duration_s* so the last packets can land.
+
+    Returns:
+        The finished application.
+    """
+    workload = app(sim, FlowRouter(sim))
+    workload.start(WARMUP_S)
+    workload.stop(duration_s - 2.0)
+    sim.run(until=duration_s)
+    return workload
 
 
 # ----------------------------------------------------------------------

@@ -11,13 +11,12 @@ inflate the *variance* of the number of relays per packet.
 import numpy as np
 
 from repro.apps.tcp import TcpWorkload
-from repro.apps.workload import FlowRouter
 from repro.core.protocol import ViFiConfig
 from repro.core.relaying import RelayContext, make_strategy
 from repro.experiments.common import (
-    WARMUP_S,
     dieselnet_protocol,
     init_worker_state,
+    run_protocol_app,
     run_trips,
     vanlan_protocol,
     worker_state,
@@ -37,11 +36,7 @@ def _coordination_trip(trip):
     testbed, config, seed = worker_state()
     sim, duration = vanlan_protocol(testbed, trip, config=config,
                                     seed=seed + trip)
-    router = FlowRouter(sim)
-    workload = TcpWorkload(sim, router)
-    workload.start(WARMUP_S)
-    workload.stop(duration - 2.0)
-    sim.run(until=duration)
+    run_protocol_app(sim, duration, TcpWorkload)
     return (
         sim.stats.coordination_report(Direction.UPSTREAM),
         sim.stats.coordination_report(Direction.DOWNSTREAM),
@@ -108,11 +103,7 @@ def _formulation_task(task):
     rngs = RngRegistry(seed).spawn("table2", strategy, day)
     sim, duration = dieselnet_protocol(log, rngs, config=config,
                                        seed=seed + day)
-    router = FlowRouter(sim)
-    workload = TcpWorkload(sim, router)
-    workload.start(WARMUP_S)
-    workload.stop(duration - 2.0)
-    sim.run(until=duration)
+    run_protocol_app(sim, duration, TcpWorkload)
     report = sim.stats.coordination_report(Direction.DOWNSTREAM)
     return (report.false_positive_rate, report.false_negative_rate,
             report.n_source_tx)

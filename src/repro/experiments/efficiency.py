@@ -4,16 +4,56 @@
 per transmission, in the channel between the vehicle and the BSes."
 BRR and ViFi are measured directly; PerfectRelay is estimated from the
 ViFi run's packet-level logs (Section 5.4).
+
+The ``(variant, trip)`` runs fan out over
+:func:`~repro.experiments.common.run_trips`; results are identical for
+any worker count.
 """
 
+from collections import Counter
+
 from repro.apps.tcp import TcpWorkload
-from repro.apps.workload import FlowRouter
 from repro.core.perfect import perfect_relay_efficiency
 from repro.core.protocol import ViFiConfig
-from repro.experiments.common import WARMUP_S, vanlan_protocol
+from repro.experiments.common import (
+    init_worker_state,
+    run_protocol_app,
+    run_trips,
+    vanlan_protocol,
+    worker_state,
+)
 from repro.net.packet import Direction
 
 __all__ = ["efficiency_comparison"]
+
+_DIRECTIONS = (("upstream", Direction.UPSTREAM),
+               ("downstream", Direction.DOWNSTREAM))
+
+
+def _efficiency_task(task):
+    """One (variant, trip) TCP run: (protocol, direction) -> tally.
+
+    A tally is ``(packets delivered, data transmissions)``; the ViFi
+    run also yields PerfectRelay's tallies from its logs.
+    """
+    name, trip = task
+    testbed, variants, seed = worker_state()
+    sim, duration = vanlan_protocol(testbed, trip, config=variants[name],
+                                    seed=seed + trip)
+    run_protocol_app(sim, duration, TcpWorkload)
+    tallies = {}
+    for key, direction in _DIRECTIONS:
+        delivered = sum(
+            1 for p in sim.stats.packet_records.values()
+            if p.direction == direction and p.delivered
+        )
+        tallies[(name, key)] = (delivered, sim.wireless_data_tx(direction))
+        if name == "ViFi":
+            _, pr_delivered, pr_tx = perfect_relay_efficiency(
+                sim.stats, direction
+            )
+            tallies[("PerfectRelay", key)] = (pr_delivered, pr_tx)
+    return tallies
 
 
 def efficiency_comparison(testbed, trips, seed=0):
@@ -27,43 +67,18 @@ def efficiency_comparison(testbed, trips, seed=0):
         efficiency.
     """
     base = ViFiConfig()
-    out = {
-        "upstream": {},
-        "downstream": {},
+    variants = {"BRR": base.brr_variant(), "ViFi": base}
+    tasks = [(name, trip) for name in variants for trip in trips]
+    delivered, tx = Counter(), Counter()
+    for tallies in run_trips(_efficiency_task, tasks,
+                             initializer=init_worker_state,
+                             initargs=(testbed, variants, seed)):
+        for cell, (cell_delivered, cell_tx) in tallies.items():
+            delivered[cell] += cell_delivered
+            tx[cell] += cell_tx
+    return {
+        key: {name: delivered[(name, key)] / tx[(name, key)]
+              if tx[(name, key)] else 0.0
+              for name in ("BRR", "ViFi", "PerfectRelay")}
+        for key, _ in _DIRECTIONS
     }
-    tallies = {
-        ("BRR", Direction.UPSTREAM): [0, 0],
-        ("BRR", Direction.DOWNSTREAM): [0, 0],
-        ("ViFi", Direction.UPSTREAM): [0, 0],
-        ("ViFi", Direction.DOWNSTREAM): [0, 0],
-        ("PerfectRelay", Direction.UPSTREAM): [0, 0],
-        ("PerfectRelay", Direction.DOWNSTREAM): [0, 0],
-    }
-    for trip in trips:
-        for name, config in (("BRR", base.brr_variant()), ("ViFi", base)):
-            sim, duration = vanlan_protocol(testbed, trip, config=config,
-                                            seed=seed + trip)
-            router = FlowRouter(sim)
-            workload = TcpWorkload(sim, router)
-            workload.start(WARMUP_S)
-            workload.stop(duration - 2.0)
-            sim.run(until=duration)
-            for direction in (Direction.UPSTREAM, Direction.DOWNSTREAM):
-                delivered = sum(
-                    1 for p in sim.stats.packet_records.values()
-                    if p.direction == direction and p.delivered
-                )
-                tx = sim.wireless_data_tx(direction)
-                tallies[(name, direction)][0] += delivered
-                tallies[(name, direction)][1] += tx
-                if name == "ViFi":
-                    _, pr_delivered, pr_tx = perfect_relay_efficiency(
-                        sim.stats, direction
-                    )
-                    tallies[("PerfectRelay", direction)][0] += pr_delivered
-                    tallies[("PerfectRelay", direction)][1] += pr_tx
-    for (name, direction), (delivered, tx) in tallies.items():
-        key = ("upstream" if direction is Direction.UPSTREAM
-               else "downstream")
-        out[key][name] = delivered / tx if tx else 0.0
-    return out

@@ -9,13 +9,13 @@ identical to the old serial loops for any worker count.
 """
 
 from repro.apps.tcp import TcpWorkload
-from repro.apps.workload import FlowRouter
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
     WARMUP_S,
     dieselnet_protocol,
     init_worker_state,
     memoized_beacon_log,
+    run_protocol_app,
     run_trips,
     vanlan_protocol,
     worker_state,
@@ -35,13 +35,9 @@ def standard_tcp_variants():
     }
 
 
-def _run_tcp(sim, duration, seed_unused=None):
-    router = FlowRouter(sim)
-    workload = TcpWorkload(sim, router)
-    workload.start(WARMUP_S)
-    workload.stop(duration - 2.0)
-    sim.run(until=duration)
-    return workload
+def _run_tcp(sim, duration):
+    """One TCP run; ``bench/workloads.py`` wraps it by name."""
+    return run_protocol_app(sim, duration, TcpWorkload)
 
 
 def _tcp_vanlan_task(task):

@@ -9,54 +9,62 @@ prototype."
 
 Here: run a VanLAN trip twice — once over the live radio model (the
 "deployment") and once trace-driven from the beacon log of the same
-trip — and compare VoIP session medians.
+trip — and compare VoIP session medians.  The ``(mode, trip)`` runs
+fan out over :func:`~repro.experiments.common.run_trips`; results are
+identical for any worker count.
 """
 
 import statistics
 
 from repro.apps.voip import VoipStream
-from repro.apps.workload import FlowRouter
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
-    WARMUP_S,
     dieselnet_protocol,
+    init_worker_state,
+    run_protocol_app,
+    run_trips,
     vanlan_protocol,
+    worker_state,
 )
 from repro.sim.rng import RngRegistry
 
 __all__ = ["validate_trace_methodology"]
 
 
-def _voip_median(sim, duration):
-    router = FlowRouter(sim)
-    stream = VoipStream(sim, router)
-    stream.start(WARMUP_S)
-    stream.stop(duration - 2.0)
-    sim.run(until=duration)
-    sessions = stream.session_lengths()
+def _validation_task(task):
+    """One (mode, trip) ViFi VoIP run: its median session (s)."""
+    mode, trip = task
+    testbed, seed = worker_state()
+    config = ViFiConfig()
+    if mode == "deployment":
+        sim, duration = vanlan_protocol(testbed, trip, config=config,
+                                        seed=seed + trip)
+    else:
+        log = testbed.beacon_log_from_trace(
+            testbed.generate_probe_trace(trip))
+        rngs = RngRegistry(seed).spawn("validation", trip)
+        sim, duration = dieselnet_protocol(log, rngs, config=config,
+                                           seed=seed + trip)
+    sessions = run_protocol_app(sim, duration, VoipStream).session_lengths()
     return statistics.median(sessions) if sessions else 0.0
 
 
-def validate_trace_methodology(testbed, trips, config=None, seed=0):
+def validate_trace_methodology(testbed, trips, seed=0):
     """Deployment vs trace-driven VoIP session medians per trip.
 
     Returns:
         List of dicts with ``trip``, ``deployment_s``, ``trace_s`` and
         ``gap_s`` entries.
     """
-    config = config or ViFiConfig()
+    trips = list(trips)
+    medians = iter(run_trips(
+        _validation_task, [(mode, trip) for trip in trips
+                           for mode in ("deployment", "trace")],
+        initializer=init_worker_state, initargs=(testbed, seed),
+    ))
     rows = []
     for trip in trips:
-        sim, duration = vanlan_protocol(testbed, trip, config=config,
-                                        seed=seed + trip)
-        deployment_median = _voip_median(sim, duration)
-
-        trace = testbed.generate_probe_trace(trip)
-        log = testbed.beacon_log_from_trace(trace)
-        rngs = RngRegistry(seed).spawn("validation", trip)
-        sim2, duration2 = dieselnet_protocol(log, rngs, config=config,
-                                             seed=seed + trip)
-        trace_median = _voip_median(sim2, duration2)
+        deployment_median, trace_median = next(medians), next(medians)
         rows.append({
             "trip": trip,
             "deployment_s": deployment_median,

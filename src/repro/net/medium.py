@@ -31,8 +31,7 @@ reachability index (links whose expected loss rate is strictly below
 medium finds a frame's receivers: the stochastic channel runs only for
 receivers that could possibly decode, and known-unreachable receivers
 never touch their loss process.  Transmission and delivery accounting
-use :class:`collections.Counter` with O(1) aggregate views instead of
-rescanning all keys.
+is one :class:`collections.Counter` each, keyed by (node, frame kind).
 
 Fast paths riding on top:
 
@@ -311,8 +310,6 @@ class WirelessMedium:
         # its contention entry order (the tie-break at release).
         self._contenders = {}
         self._cont_seq = 0
-        #: Backoff freezes performed.
-        self.freeze_count = 0
 
         # Slot batches: whole co-scheduled broadcast batches (typically
         # one beacon slot's emissions) claim consecutive airtimes up
@@ -324,13 +321,8 @@ class WirelessMedium:
 
         # Counters: transmissions on the vehicle-BS channel, per node
         # and frame kind, for the Figure 12 efficiency accounting.
-        # Aggregate views are maintained alongside so
-        # :meth:`transmissions` never rescans the per-pair keys.
         self.tx_count = Counter()
         self.delivered_count = Counter()
-        self._tx_by_kind = Counter()
-        self._tx_by_node = Counter()
-        self._tx_total = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -574,7 +566,6 @@ class WirelessMedium:
         for record in contenders.values():
             left = record[0] - backoff_left
             record[0] = left if left > 0.0 else 0.0
-            self.freeze_count += 1
         self._claim_merged(win_id, now + self.difs + backoff_left)
 
     def _merged_resolve(self, transmitter_id, frame, start, unicast_to,
@@ -743,21 +734,14 @@ class WirelessMedium:
     # ------------------------------------------------------------------
 
     def _count_tx(self, transmitter_id, frame):
-        kind = frame.kind_value
-        self.tx_count[(transmitter_id, kind)] += 1
-        self._tx_by_kind[kind] += 1
-        self._tx_by_node[transmitter_id] += 1
-        self._tx_total += 1
+        self.tx_count[(transmitter_id, frame.kind_value)] += 1
 
     def transmissions(self, kind=None, node_id=None):
         """Total transmissions, optionally filtered by kind / node.
 
-        O(1): served from the Counter-backed aggregate views.
+        Sums the matching :attr:`tx_count` entries, one per (node,
+        frame kind) pair seen.
         """
-        if kind is None and node_id is None:
-            return self._tx_total
-        if node_id is None:
-            return self._tx_by_kind[kind]
-        if kind is None:
-            return self._tx_by_node[node_id]
-        return self.tx_count[(node_id, kind)]
+        return sum(n for (node, frame_kind), n in self.tx_count.items()
+                   if (kind is None or frame_kind == kind)
+                   and (node_id is None or node == node_id))

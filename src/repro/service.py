@@ -90,12 +90,6 @@ class JobContext:
         """True once the job is cancelled or past its deadline."""
         return self._job.stop_event.is_set() or self._job.past_deadline()
 
-    def deadline_remaining(self):
-        """Seconds until the deadline, or ``None`` if unbounded."""
-        if self._job.deadline is None:
-            return None
-        return max(0.0, self._job.deadline - time.monotonic())
-
     def progress(self, **fields):
         """Record a progress event on the job.
 
