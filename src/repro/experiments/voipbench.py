@@ -109,7 +109,7 @@ def voip_dieselnet(testbed, days=(0,), variants=None, seed=0, n_tours=1,
     return {name: _summarize(c) for name, c in cells.items()}
 
 
-def unicast_ablation(testbed, trips, seed=0, workers=None, store=None):
+def unicast_ablation(testbed, trips, seed=0):
     """Section 5.1 aside: BRR's VoIP over broadcast vs 802.11 unicast.
 
     Runs :func:`voip_vanlan`'s ``(variant, trip)`` task for BRR with
@@ -125,7 +125,7 @@ def unicast_ablation(testbed, trips, seed=0, workers=None, store=None):
     variants = {"BRR broadcast": base.brr_variant(),
                 "BRR unicast": base.brr_unicast_variant()}
     cells = _sweep(_voip_vanlan_task, variants, trips,
-                   (testbed, variants, seed), workers, store)
+                   (testbed, variants, seed), workers=None, store=None)
     out = {}
     for name, variant_cells in cells.items():
         summary = _summarize(variant_cells)

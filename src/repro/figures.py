@@ -26,6 +26,7 @@ class Figure(NamedTuple):
 
     @property
     def description(self):
+        """The first docstring line of :attr:`run`, as ``list`` shows it."""
         return self.run.__doc__.splitlines()[0]
 
 
