@@ -68,6 +68,7 @@ def efficiency_comparison(testbed, trips, seed=0):
     """
     base = ViFiConfig()
     variants = {"BRR": base.brr_variant(), "ViFi": base}
+    trips = list(trips)
     tasks = [(name, trip) for name in variants for trip in trips]
     delivered, tx = Counter(), Counter()
     for tallies in run_trips(_efficiency_task, tasks,

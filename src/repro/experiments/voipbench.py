@@ -75,11 +75,6 @@ def _summarize(cells):
     }
 
 
-def _brr_and_vifi():
-    base = ViFiConfig()
-    return {"BRR": base.brr_variant(), "ViFi": base}
-
-
 def voip_vanlan(testbed, trips, variants=None, seed=0, workers=None,
                 store=None):
     """Figure 11(a): median uninterrupted VoIP session on VanLAN.
@@ -93,7 +88,8 @@ def voip_vanlan(testbed, trips, variants=None, seed=0, workers=None,
         dict name -> {"median_session_s", "sessions", "mean_mos"}.
     """
     if variants is None:
-        variants = _brr_and_vifi()
+        base = ViFiConfig()
+        variants = {"BRR": base.brr_variant(), "ViFi": base}
     cells = _sweep(_voip_vanlan_task, variants, trips,
                    (testbed, variants, seed), workers, store)
     return {name: _summarize(c) for name, c in cells.items()}
@@ -103,7 +99,8 @@ def voip_dieselnet(testbed, days=(0,), variants=None, seed=0, n_tours=1,
                    workers=None, store=None):
     """Figure 11(b,c): VoIP sessions on DieselNet (trace-driven)."""
     if variants is None:
-        variants = _brr_and_vifi()
+        base = ViFiConfig()
+        variants = {"BRR": base.brr_variant(), "ViFi": base}
     cells = _sweep(_voip_dieselnet_task, variants, days,
                    (testbed, variants, seed, n_tours), workers, store)
     return {name: _summarize(c) for name, c in cells.items()}
