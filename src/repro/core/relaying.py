@@ -34,7 +34,9 @@ compared in Table 2:
   the paper derives.
 """
 
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "ExpectedDeliveryStrategy",
@@ -46,6 +48,8 @@ __all__ = [
     "contention_probability",
     "make_strategy",
 ]
+
+_NORMAL_MIN = sys.float_info.min  # smallest positive normal float
 
 
 def contention_probability(p, src, dst, aux):
@@ -106,6 +110,11 @@ class ViFiRelayStrategy(RelayStrategy):
         back to relaying outright (probability 1), which errs toward a
         false positive instead of certainly losing the packet — the
         sensible default when a lone BS has no peer information.
+
+        A subnormal denominator is solved exactly: there the products
+        ``c_i * p(Bi,d)`` keep only a few significant bits and
+        ``1 / denominator`` overflows to infinity, which would make
+        every contender relay and break G3.
         """
         p = ctx.p
         src, dst = ctx.src, ctx.dst
@@ -119,9 +128,14 @@ class ViFiRelayStrategy(RelayStrategy):
         own = p(ctx.self_id, dst)
         if own <= 0.0:
             # No known path to the destination; Eq. 2 assigns zero
-            # weight (and guards inf * 0 when the denominator is
-            # subnormal).
+            # weight.
             return 0.0
+        if denominator < _NORMAL_MIN:
+            exact = sum(
+                Fraction(p(src, aux) * (1.0 - p_src_dst * p(dst, aux)))
+                * Fraction(p(aux, dst))
+                for aux in ctx.aux_ids)
+            return float(min(Fraction(own) / exact, 1))
         r = 1.0 / denominator
         return min(r * own, 1.0)
 

@@ -92,6 +92,16 @@ class TestViFiStrategy:
         r = ViFiRelayStrategy().relay_probability(ctx)
         assert r <= 1.0
 
+    def test_subnormal_denominator_keeps_one_expected_relay(self):
+        """G3 holds when ``1 / denominator`` would overflow: two
+        contenders with the smallest subnormal path to the destination
+        split one expected relay instead of both relaying."""
+        tiny = 5e-324
+        ctx = symmetric_context(2, p_hear=1.0, p_dst=tiny, p_src_dst=0.0)
+        c = contention_probability(ctx.p, ctx.src, ctx.dst, 1)
+        r = ViFiRelayStrategy().relay_probability(ctx)
+        assert 2 * c * r == pytest.approx(1.0, rel=1e-9)
+
 
 class TestNotG1:
     def test_relays_at_own_delivery_ratio(self):
