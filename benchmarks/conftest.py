@@ -8,12 +8,18 @@ rows/series the paper reports, and saves the entry's JSON payload under
 who-wins-by-roughly-what-factor, not absolute numbers, since the
 testbeds are synthetic models of the paper's environments rather than
 its traces.
+
+Benchmarks share one result store per session, the directory
+``REPRO_RESULT_STORE`` names or else a temporary one, so protocol runs
+that several figures read are computed once per session.
 """
 
+import os
 import pathlib
 
 import pytest
 
+from repro import store as repro_store
 from repro.figures import FIGURES, payload_text
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -25,10 +31,22 @@ def results_dir():
     return RESULTS_DIR
 
 
+@pytest.fixture(scope="session")
+def session_store(tmp_path_factory):
+    return repro_store.ResultStore(os.environ.get(repro_store.STORE_ENV_VAR)
+                                   or tmp_path_factory.mktemp("store"))
+
+
 @pytest.fixture()
-def figure(request):
-    """The registry entry of the requesting ``bench_<name>.py``."""
-    return FIGURES[request.path.stem[len("bench_"):]]
+def figure(request, session_store):
+    """The registry entry of the requesting ``bench_<name>.py``.
+
+    The session's store is installed only while the benchmark runs, so
+    tests collected alongside see no ambient store.
+    """
+    repro_store.set_default_store(session_store)
+    yield FIGURES[request.path.stem[len("bench_"):]]
+    repro_store.set_default_store(None)
 
 
 @pytest.fixture()

@@ -29,6 +29,7 @@ __all__ = [
     "WARMUP_S",
     "SweepResult",
     "available_workers",
+    "brr_vifi_variants",
     "dieselnet_protocol",
     "init_worker_state",
     "memoized_beacon_log",
@@ -44,6 +45,12 @@ log = logging.getLogger("repro.experiments")
 
 #: Seconds of beaconing before applications start.
 WARMUP_S = 3.0
+
+
+def brr_vifi_variants():
+    """The BRR and stock-ViFi variants of Figures 10 and 11."""
+    base = ViFiConfig()
+    return {"BRR": base.brr_variant(), "ViFi": base}
 
 
 def vanlan_protocol(testbed, trip, config=None, seed=0, prefill=True,
@@ -554,29 +561,28 @@ def worker_state():
     return _worker_state
 
 
-def memoized_beacon_log(testbed, day, n_tours=1, store=None):
+def memoized_beacon_log(testbed, day, store=None):
     """A DieselNet beacon log, memoized through the result store.
 
-    Trace generation is a pure function of (testbed identity, day,
-    tours), so with a store every worker and every re-run after the
-    first loads the log instead of regenerating it — verified on
-    read, quarantined and regenerated when corrupt.  Without a store
-    (the default) this is exactly ``testbed.generate_beacon_log``.
+    Trace generation is a pure function of (testbed identity, day), so
+    with a store every worker and every re-run after the first loads
+    the log instead of regenerating it — verified on read, quarantined
+    and regenerated when corrupt.  Without a store (the default) this
+    is exactly ``testbed.generate_beacon_log``.
     """
     store_obj = repro_store.resolve_store(store)
     if store_obj is None:
-        return testbed.generate_beacon_log(day, n_tours=n_tours)
+        return testbed.generate_beacon_log(day)
     try:
         key = repro_store.result_key(
             "dieselnet-beacon-log", testbed.cache_token(), int(day),
-            int(n_tours),
         )
     except (repro_store.Uncacheable, AttributeError) as exc:
         log.warning("beacon log for %r is not cacheable (%s); "
                     "generating fresh", testbed, exc)
-        return testbed.generate_beacon_log(day, n_tours=n_tours)
+        return testbed.generate_beacon_log(day)
     return store_obj.get_or_compute(
-        key, lambda: testbed.generate_beacon_log(day, n_tours=n_tours)
+        key, lambda: testbed.generate_beacon_log(day)
     )
 
 

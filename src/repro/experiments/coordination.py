@@ -1,9 +1,10 @@
 """Coordination-effectiveness experiments: Tables 1 and 2, Section 5.5.2.
 
 Table 1 reports detailed per-direction statistics of ViFi's behaviour
-under the VanLAN TCP workload.  Table 2 compares ViFi's relaying
-formulation against the three ablations (each violating one guideline)
-on DieselNet Channel 1, downstream.  Section 5.5.2 probes the
+under the VanLAN TCP workload, read from Figure 9's ViFi runs.  Table
+2 compares ViFi's relaying formulation against the three ablations
+(each violating one guideline) on DieselNet Channel 1, downstream, over
+the beacon log Figures 10 and 11 memoize.  Section 5.5.2 probes the
 formulation's limits: many auxiliaries, or symmetric auxiliaries,
 inflate the *variance* of the number of relays per packet.
 """
@@ -16,11 +17,12 @@ from repro.core.relaying import RelayContext, make_strategy
 from repro.experiments.common import (
     dieselnet_protocol,
     init_worker_state,
+    memoized_beacon_log,
     run_protocol_app,
     run_trips,
-    vanlan_protocol,
     worker_state,
 )
+from repro.experiments.tcpbench import _tcp_vanlan_task, standard_tcp_variants
 from repro.net.packet import Direction
 from repro.sim.rng import RngRegistry
 
@@ -31,43 +33,23 @@ __all__ = [
 ]
 
 
-def _coordination_trip(trip):
-    """One trip of Table 1: the two per-direction reports (picklable)."""
-    testbed, config, seed = worker_state()
-    sim, duration = vanlan_protocol(testbed, trip, config=config,
-                                    seed=seed + trip)
-    run_protocol_app(sim, duration, TcpWorkload)
-    return (
-        sim.stats.coordination_report(Direction.UPSTREAM),
-        sim.stats.coordination_report(Direction.DOWNSTREAM),
-    )
-
-
-def coordination_table(testbed, trips, seed=0, config=None, workers=None,
-                       store=None):
+def coordination_table(testbed, trips, seed=0):
     """Table 1: coordination statistics from the VanLAN TCP workload.
-
-    Trips fan out over :func:`~repro.experiments.common.run_trips`
-    (*workers* processes; ``None`` uses the available cores); the
-    task-order merge makes the pooled reports identical to a serial
-    loop for any worker count.
 
     Returns:
         dict direction name -> :class:`~repro.core.stats.CoordinationReport`
-        computed over the pooled logs of all trips (reports are
-        per-trip averaged on counts by pooling the stats objects).
+        averaged over the trips' reports, weighted by their source
+        transmissions.
     """
-    config = config or ViFiConfig()
-    per_trip = run_trips(
-        _coordination_trip, list(trips), workers=workers, store=store,
-        initializer=init_worker_state, initargs=(testbed, config, seed),
+    cells = run_trips(
+        _tcp_vanlan_task, [("ViFi", trip) for trip in trips],
+        initializer=init_worker_state,
+        initargs=(testbed, standard_tcp_variants(), seed),
     )
-    reports = {
-        "upstream": [up for up, _ in per_trip],
-        "downstream": [down for _, down in per_trip],
-    }
     return {
-        direction: _average_reports(rs) for direction, rs in reports.items()
+        direction: _average_reports(
+            [cell["coordination"][direction] for cell in cells])
+        for direction in ("upstream", "downstream")
     }
 
 
@@ -97,9 +79,9 @@ def _average_reports(reports):
 def _formulation_task(task):
     """One (strategy, day) cell of Table 2 (picklable summary)."""
     strategy, day = task
-    testbed, seed, n_tours = worker_state()
+    testbed, seed = worker_state()
     config = ViFiConfig(relay_strategy=strategy)
-    log = testbed.generate_beacon_log(day, n_tours=n_tours)
+    log = memoized_beacon_log(testbed, day)
     rngs = RngRegistry(seed).spawn("table2", strategy, day)
     sim, duration = dieselnet_protocol(log, rngs, config=config,
                                        seed=seed + day)
@@ -109,13 +91,12 @@ def _formulation_task(task):
             report.n_source_tx)
 
 
-def formulation_comparison(testbed, days=(0,), seed=0, n_tours=1,
-                           workers=None, store=None):
+def formulation_comparison(testbed, days=(0,), seed=0, store=None):
     """Table 2: ViFi vs NotG1/NotG2/NotG3 on DieselNet Ch. 1 downstream.
 
     The (strategy, day) grid fans out over
-    :func:`~repro.experiments.common.run_trips`; results are identical
-    for any *workers* count.
+    :func:`~repro.experiments.common.run_trips`, whose *store* option
+    this passes on.
 
     Returns:
         dict strategy name -> {"false_positives", "false_negatives"}.
@@ -124,8 +105,8 @@ def formulation_comparison(testbed, days=(0,), seed=0, n_tours=1,
     days = list(days)
     tasks = [(strategy, day) for strategy in strategies for day in days]
     per_task = iter(run_trips(
-        _formulation_task, tasks, workers=workers, store=store,
-        initializer=init_worker_state, initargs=(testbed, seed, n_tours),
+        _formulation_task, tasks, store=store,
+        initializer=init_worker_state, initargs=(testbed, seed),
     ))
     results = {}
     for strategy in strategies:

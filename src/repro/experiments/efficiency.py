@@ -5,55 +5,16 @@ per transmission, in the channel between the vehicle and the BSes."
 BRR and ViFi are measured directly; PerfectRelay is estimated from the
 ViFi run's packet-level logs (Section 5.4).
 
-The ``(variant, trip)`` runs fan out over
-:func:`~repro.experiments.common.run_trips`; results are identical for
-any worker count.
+The runs are Figure 9's BRR and ViFi runs, read from the cells of
+:func:`~repro.experiments.tcpbench._tcp_vanlan_task`.
 """
 
 from collections import Counter
 
-from repro.apps.tcp import TcpWorkload
-from repro.core.perfect import perfect_relay_efficiency
-from repro.core.protocol import ViFiConfig
-from repro.experiments.common import (
-    init_worker_state,
-    run_protocol_app,
-    run_trips,
-    vanlan_protocol,
-    worker_state,
-)
-from repro.net.packet import Direction
+from repro.experiments.common import init_worker_state, run_trips
+from repro.experiments.tcpbench import _tcp_vanlan_task, standard_tcp_variants
 
 __all__ = ["efficiency_comparison"]
-
-_DIRECTIONS = (("upstream", Direction.UPSTREAM),
-               ("downstream", Direction.DOWNSTREAM))
-
-
-def _efficiency_task(task):
-    """One (variant, trip) TCP run: (protocol, direction) -> tally.
-
-    A tally is ``(packets delivered, data transmissions)``; the ViFi
-    run also yields PerfectRelay's tallies from its logs.
-    """
-    name, trip = task
-    testbed, variants, seed = worker_state()
-    sim, duration = vanlan_protocol(testbed, trip, config=variants[name],
-                                    seed=seed + trip)
-    run_protocol_app(sim, duration, TcpWorkload)
-    tallies = {}
-    for key, direction in _DIRECTIONS:
-        delivered = sum(
-            1 for p in sim.stats.packet_records.values()
-            if p.direction == direction and p.delivered
-        )
-        tallies[(name, key)] = (delivered, sim.wireless_data_tx(direction))
-        if name == "ViFi":
-            _, pr_delivered, pr_tx = perfect_relay_efficiency(
-                sim.stats, direction
-            )
-            tallies[("PerfectRelay", key)] = (pr_delivered, pr_tx)
-    return tallies
 
 
 def efficiency_comparison(testbed, trips, seed=0):
@@ -66,20 +27,19 @@ def efficiency_comparison(testbed, trips, seed=0):
         dict direction ("upstream"/"downstream") -> dict protocol ->
         efficiency.
     """
-    base = ViFiConfig()
-    variants = {"BRR": base.brr_variant(), "ViFi": base}
     trips = list(trips)
-    tasks = [(name, trip) for name in variants for trip in trips]
+    tasks = [(name, trip) for name in ("BRR", "ViFi") for trip in trips]
     delivered, tx = Counter(), Counter()
-    for tallies in run_trips(_efficiency_task, tasks,
-                             initializer=init_worker_state,
-                             initargs=(testbed, variants, seed)):
-        for cell, (cell_delivered, cell_tx) in tallies.items():
-            delivered[cell] += cell_delivered
-            tx[cell] += cell_tx
+    for cell in run_trips(_tcp_vanlan_task, tasks,
+                          initializer=init_worker_state,
+                          initargs=(testbed, standard_tcp_variants(), seed)):
+        for direction, tallies in cell["efficiency"].items():
+            for name, (cell_delivered, cell_tx) in tallies.items():
+                delivered[direction, name] += cell_delivered
+                tx[direction, name] += cell_tx
     return {
-        key: {name: delivered[(name, key)] / tx[(name, key)]
-              if tx[(name, key)] else 0.0
-              for name in ("BRR", "ViFi", "PerfectRelay")}
-        for key, _ in _DIRECTIONS
+        direction: {name: delivered[direction, name] / tx[direction, name]
+                    if tx[direction, name] else 0.0
+                    for name in ("BRR", "ViFi", "PerfectRelay")}
+        for direction in ("upstream", "downstream")
     }

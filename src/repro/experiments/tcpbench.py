@@ -6,12 +6,18 @@ registry), so both figures fan their ``(variant, trip)`` grids over
 :func:`~repro.experiments.common.run_trips`: multi-core hosts sweep
 them in parallel, and the task-order merge makes pooled results
 identical to the old serial loops for any worker count.
+
+Figure 12 and Table 1 read Figure 9's VanLAN TCP runs (Sections 5.4
+and 5.5), so :func:`_tcp_vanlan_task` reports what all three read and
+a result store computes each run once for them.
 """
 
 from repro.apps.tcp import TcpWorkload
+from repro.core.perfect import perfect_relay_efficiency
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
     WARMUP_S,
+    brr_vifi_variants,
     dieselnet_protocol,
     init_worker_state,
     memoized_beacon_log,
@@ -20,9 +26,13 @@ from repro.experiments.common import (
     vanlan_protocol,
     worker_state,
 )
+from repro.net.packet import Direction
 from repro.sim.rng import RngRegistry
 
 __all__ = ["tcp_dieselnet", "tcp_vanlan", "standard_tcp_variants"]
+
+_DIRECTIONS = (("upstream", Direction.UPSTREAM),
+               ("downstream", Direction.DOWNSTREAM))
 
 
 def standard_tcp_variants():
@@ -41,26 +51,45 @@ def _run_tcp(sim, duration):
 
 
 def _tcp_vanlan_task(task):
-    """One (variant, trip) cell of Figure 9, summarized picklably."""
+    """One (variant, trip) TCP run on VanLAN, summarized picklably.
+
+    Besides Figure 9's transfer statistics, the cell holds Figure 12's
+    ``(packets delivered, data transmissions)`` tally per direction
+    under ``"efficiency"``.  The ``ViFi`` cell adds PerfectRelay's
+    tallies, estimated from its logs (Section 5.4), and Table 1's two
+    coordination reports under ``"coordination"``.
+    """
     name, trip = task
     testbed, variants, seed = worker_state()
     sim, duration = vanlan_protocol(testbed, trip, config=variants[name],
                                     seed=seed + trip)
     workload = _run_tcp(sim, duration)
-    return {
+    cell = {
         "durations": [r.duration for r in workload.completed],
         "per_session": workload.transfers_per_session(),
         "completed": len(workload.completed),
         "aborted": len(workload.aborted),
         "elapsed": duration - 2.0 - WARMUP_S,
+        "efficiency": {},
     }
+    for key, direction in _DIRECTIONS:
+        delivered = sum(1 for p in sim.stats.packet_records.values()
+                        if p.direction == direction and p.delivered)
+        tallies = {name: (delivered, sim.wireless_data_tx(direction))}
+        if name == "ViFi":
+            tallies["PerfectRelay"] = perfect_relay_efficiency(
+                sim.stats, direction)[1:]
+            cell.setdefault("coordination", {})[key] = (
+                sim.stats.coordination_report(direction))
+        cell["efficiency"][key] = tallies
+    return cell
 
 
 def _tcp_dieselnet_task(task):
     """One (variant, day) cell of Figure 10, summarized picklably."""
     name, day = task
-    testbed, variants, seed, n_tours = worker_state()
-    log = memoized_beacon_log(testbed, day, n_tours=n_tours)
+    testbed, variants, seed = worker_state()
+    log = memoized_beacon_log(testbed, day)
     rngs = RngRegistry(seed).spawn("tcp-dn", name, day)
     sim, duration = dieselnet_protocol(log, rngs, config=variants[name],
                                        seed=seed + day)
@@ -119,27 +148,22 @@ def tcp_vanlan(testbed, trips, variants=None, seed=0, workers=None,
     return results
 
 
-def tcp_dieselnet(testbed, days=(0,), variants=None, seed=0,
-                  n_tours=1, workers=None, store=None):
+def tcp_dieselnet(testbed, days=(0,), seed=0):
     """Figure 10: TCP transfers/second on DieselNet (trace-driven).
 
-    Args:
-        workers: process count for the (variant, day) fan-out; same
-            contract as :func:`tcp_vanlan`.
+    The ``(variant, day)`` grid of BRR and ViFi fans out over
+    :func:`~repro.experiments.common.run_trips`.
 
     Returns:
         dict name -> {"per_second", "completed", "aborted",
         "median_s"} pooled over profiling days.
     """
-    if variants is None:
-        base = ViFiConfig()
-        variants = {"BRR": base.brr_variant(), "ViFi": base}
+    variants = brr_vifi_variants()
     days = list(days)
     tasks = [(name, day) for name in variants for day in days]
     per_task = iter(run_trips(
-        _tcp_dieselnet_task, tasks, workers=workers, store=store,
-        initializer=init_worker_state,
-        initargs=(testbed, variants, seed, n_tours),
+        _tcp_dieselnet_task, tasks,
+        initializer=init_worker_state, initargs=(testbed, variants, seed),
     ))
     results = {}
     for name in variants:

@@ -7,11 +7,10 @@ For instance, the VoIP session lengths in the simulations are within
 five seconds of the session lengths observed for the deployed
 prototype."
 
-Here: run a VanLAN trip twice — once over the live radio model (the
-"deployment") and once trace-driven from the beacon log of the same
-trip — and compare VoIP session medians.  The ``(mode, trip)`` runs
-fan out over :func:`~repro.experiments.common.run_trips`; results are
-identical for any worker count.
+Here: compare, per VanLAN trip, ViFi's median VoIP session over the
+live radio model (the "deployment") with one trace-driven from the
+beacon log of the same trip.  The deployment runs are Figure 11's
+VanLAN ViFi runs, so a result store computes them once for both.
 """
 
 import statistics
@@ -19,34 +18,32 @@ import statistics
 from repro.apps.voip import VoipStream
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
+    brr_vifi_variants,
     dieselnet_protocol,
     init_worker_state,
     run_protocol_app,
     run_trips,
-    vanlan_protocol,
     worker_state,
 )
+from repro.experiments.voipbench import _voip_vanlan_task
 from repro.sim.rng import RngRegistry
 
 __all__ = ["validate_trace_methodology"]
 
 
-def _validation_task(task):
-    """One (mode, trip) ViFi VoIP run: its median session (s)."""
-    mode, trip = task
-    testbed, seed = worker_state()
-    config = ViFiConfig()
-    if mode == "deployment":
-        sim, duration = vanlan_protocol(testbed, trip, config=config,
-                                        seed=seed + trip)
-    else:
-        log = testbed.beacon_log_from_trace(
-            testbed.generate_probe_trace(trip))
-        rngs = RngRegistry(seed).spawn("validation", trip)
-        sim, duration = dieselnet_protocol(log, rngs, config=config,
-                                           seed=seed + trip)
-    sessions = run_protocol_app(sim, duration, VoipStream).session_lengths()
+def _median(sessions):
     return statistics.median(sessions) if sessions else 0.0
+
+
+def _validation_task(trip):
+    """One trace-driven ViFi VoIP run of a trip: its median session (s)."""
+    testbed, seed = worker_state()
+    log = testbed.beacon_log_from_trace(testbed.generate_probe_trace(trip))
+    rngs = RngRegistry(seed).spawn("validation", trip)
+    sim, duration = dieselnet_protocol(log, rngs, config=ViFiConfig(),
+                                       seed=seed + trip)
+    stream = run_protocol_app(sim, duration, VoipStream)
+    return _median(stream.session_lengths())
 
 
 def validate_trace_methodology(testbed, trips, seed=0):
@@ -57,14 +54,16 @@ def validate_trace_methodology(testbed, trips, seed=0):
         ``gap_s`` entries.
     """
     trips = list(trips)
-    medians = iter(run_trips(
-        _validation_task, [(mode, trip) for trip in trips
-                           for mode in ("deployment", "trace")],
-        initializer=init_worker_state, initargs=(testbed, seed),
-    ))
+    deployment = run_trips(
+        _voip_vanlan_task, [("ViFi", trip) for trip in trips],
+        initializer=init_worker_state,
+        initargs=(testbed, brr_vifi_variants(), seed),
+    )
+    trace = run_trips(_validation_task, trips,
+                      initializer=init_worker_state, initargs=(testbed, seed))
     rows = []
-    for trip in trips:
-        deployment_median, trace_median = next(medians), next(medians)
+    for trip, cell, trace_median in zip(trips, deployment, trace):
+        deployment_median = _median(cell["sessions"])
         rows.append({
             "trip": trip,
             "deployment_s": deployment_median,

@@ -4,7 +4,8 @@
 Like the TCP figures, the ``(variant, trip)`` / ``(variant, day)``
 grids fan out over :func:`~repro.experiments.common.run_trips`; the
 task-order merge keeps pooled results identical to the serial loops
-for any worker count.
+for any worker count.  The Section 5.1 validation reads Figure 11's
+VanLAN ViFi cells as its deployment runs.
 """
 
 import statistics
@@ -12,6 +13,7 @@ import statistics
 from repro.apps.voip import VoipStream
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
+    brr_vifi_variants,
     dieselnet_protocol,
     init_worker_state,
     memoized_beacon_log,
@@ -44,15 +46,15 @@ def _voip_vanlan_task(task):
 
 def _voip_dieselnet_task(task):
     name, day = task
-    testbed, variants, seed, n_tours = worker_state()
-    log = memoized_beacon_log(testbed, day, n_tours=n_tours)
+    testbed, variants, seed = worker_state()
+    log = memoized_beacon_log(testbed, day)
     rngs = RngRegistry(seed).spawn("voip-dn", name, day)
     sim, duration = dieselnet_protocol(log, rngs, config=variants[name],
                                        seed=seed + day)
     return _voip_cell(sim, duration)
 
 
-def _sweep(task, variants, units, initargs, workers, store):
+def _sweep(task, variants, units, initargs, workers=None, store=None):
     """Run the ``(variant, unit)`` grid; variant -> its cells in order."""
     units = list(units)
     per_task = iter(run_trips(
@@ -88,21 +90,17 @@ def voip_vanlan(testbed, trips, variants=None, seed=0, workers=None,
         dict name -> {"median_session_s", "sessions", "mean_mos"}.
     """
     if variants is None:
-        base = ViFiConfig()
-        variants = {"BRR": base.brr_variant(), "ViFi": base}
+        variants = brr_vifi_variants()
     cells = _sweep(_voip_vanlan_task, variants, trips,
                    (testbed, variants, seed), workers, store)
     return {name: _summarize(c) for name, c in cells.items()}
 
 
-def voip_dieselnet(testbed, days=(0,), variants=None, seed=0, n_tours=1,
-                   workers=None, store=None):
+def voip_dieselnet(testbed, days=(0,), seed=0):
     """Figure 11(b,c): VoIP sessions on DieselNet (trace-driven)."""
-    if variants is None:
-        base = ViFiConfig()
-        variants = {"BRR": base.brr_variant(), "ViFi": base}
+    variants = brr_vifi_variants()
     cells = _sweep(_voip_dieselnet_task, variants, days,
-                   (testbed, variants, seed, n_tours), workers, store)
+                   (testbed, variants, seed))
     return {name: _summarize(c) for name, c in cells.items()}
 
 
@@ -122,7 +120,7 @@ def unicast_ablation(testbed, trips, seed=0):
     variants = {"BRR broadcast": base.brr_variant(),
                 "BRR unicast": base.brr_unicast_variant()}
     cells = _sweep(_voip_vanlan_task, variants, trips,
-                   (testbed, variants, seed), workers=None, store=None)
+                   (testbed, variants, seed))
     out = {}
     for name, variant_cells in cells.items():
         summary = _summarize(variant_cells)

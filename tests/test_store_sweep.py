@@ -4,8 +4,9 @@ Workers live at module level (pool pickling).  These are the
 integration properties the store satellites pin down: a warm re-run is
 a pure cache read with identical results at any worker count, a
 corrupted store heals to results bitwise-equal to a cold run, sweep
-identity that cannot be tokenized degrades to uncached execution, and
-memoized beacon logs heal the same way.
+identity that cannot be tokenized degrades to uncached execution,
+memoized beacon logs heal the same way, and figures that read the same
+protocol runs ask the store for the same keys.
 """
 
 import multiprocessing
@@ -13,12 +14,21 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.experiments import (
+    common,
+    coordination,
+    efficiency,
+    tcpbench,
+    validation,
+    voipbench,
+)
 from repro.experiments.common import (
     memoized_beacon_log,
     run_trips,
     vanlan_cbr_trip,
 )
-from repro.store import ResultStore
+from repro.figures import FIGURES
+from repro.store import ResultStore, result_key
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -204,3 +214,50 @@ class TestMemoizedBuilders:
         assert np.array_equal(healed_log.heard, fresh.heard)
         assert store.stats.quarantined == 1
         assert store.quarantine_count() == 1
+
+
+class _SweepRecorded(Exception):
+    """Raised by the recording ``run_trips`` to stop a registry entry."""
+
+
+class TestSharedRuns:
+    """Figure 12 and Table 1 read Figure 9's VanLAN TCP runs, and the
+    Section 5.1 validation reads Figure 11's VanLAN ViFi runs, so each
+    asks the store for keys its source figure already holds."""
+
+    @staticmethod
+    def first_sweep_keys(monkeypatch, name):
+        """Store keys of the first sweep registry entry *name* runs.
+
+        ``run_trips`` is replaced in each experiment module by a recorder
+        that stops the entry, so nothing is simulated.
+        """
+        calls = []
+
+        def record(worker, tasks, initializer=None, initargs=(), **_):
+            calls.append((worker, initializer, initargs, list(tasks)))
+            raise _SweepRecorded
+
+        for module in (tcpbench, efficiency, coordination, voipbench,
+                       validation):
+            monkeypatch.setattr(module, "run_trips", record)
+        with pytest.raises(_SweepRecorded):
+            FIGURES[name].run()
+        (worker, initializer, initargs, tasks), = calls
+        context = common._sweep_store_context(worker, initializer,
+                                              initargs)
+        return {result_key("run-trips", context, task) for task in tasks}
+
+    def test_figure12_and_table1_reuse_figure9_runs(self, monkeypatch):
+        fig09 = self.first_sweep_keys(monkeypatch, "fig09_tcp_vanlan")
+        fig12 = self.first_sweep_keys(monkeypatch, "fig12_efficiency")
+        table1 = self.first_sweep_keys(monkeypatch, "table1_coordination")
+        assert (len(fig09), len(fig12), len(table1)) == (6, 4, 2)
+        assert fig12 <= fig09
+        assert table1 <= fig09
+
+    def test_validation_reuses_figure11_vanlan_runs(self, monkeypatch):
+        fig11 = self.first_sweep_keys(monkeypatch, "fig11_voip")
+        deployment = self.first_sweep_keys(monkeypatch, "validation")
+        assert (len(fig11), len(deployment)) == (6, 2)
+        assert deployment <= fig11

@@ -126,6 +126,26 @@ def _raw_exchange(port, payload, read_timeout=5.0, expect_reply=True):
         return data.split(b"\r\n", 1)[0].decode("latin-1") if data else ""
 
 
+def _gateway_stats(conn):
+    """The ``gateway`` counters of ``GET /stats`` on keep-alive *conn*."""
+    conn.request("GET", "/stats")
+    return json.loads(conn.getresponse().read())["gateway"]
+
+
+def _await_connections(conn, count, timeout_s=4.0):
+    """Read /stats on *conn* until the server counts *count* active
+    connections; returns those gateway counters."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        stats = _gateway_stats(conn)
+        if stats["active_connections"] == count:
+            return stats
+        assert time.monotonic() < deadline, (
+            f"server counts {stats['active_connections']} active "
+            f"connections, expected {count}")
+        time.sleep(0.02)
+
+
 def _post_job(port, body, timeout=15.0):
     conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
     try:
@@ -340,19 +360,31 @@ def overload_pass():
                                headers.items()}.get("retry-after")
                 assert retry_after is not None, "429 without Retry-After"
 
-        # Connection flood: hold sockets open past --max-connections;
-        # the next connection must get an immediate 503.
+        # Connection flood, checked against the server's own count:
+        # a keep-alive connection reads /stats until it is the only
+        # one left, five held sockets fill --max-connections, and the
+        # next connection must get an immediate 503, counted as
+        # exactly one rejection.
+        stats_conn = http.client.HTTPConnection("127.0.0.1", port,
+                                                timeout=5.0)
         held = []
         try:
-            for _ in range(6):
+            _await_connections(stats_conn, 1)
+            for _ in range(5):
                 held.append(socket.create_connection(
                     ("127.0.0.1", port), timeout=5.0))
+            rejected = _await_connections(stats_conn, 6)[
+                "connections_rejected"]
             flood = _raw_exchange(port, b"GET /healthz HTTP/1.1\r\n\r\n")
             assert flood is not None and " 503 " in flood + " ", (
                 f"connection flood answer: {flood!r}")
+            after = _gateway_stats(stats_conn)["connections_rejected"]
+            assert after == rejected + 1, (
+                f"flood probe rejections: {rejected} -> {after}")
         finally:
             for sock in held:
                 sock.close()
+            stats_conn.close()
 
         # Eventual completion: the retrying clients ride out the
         # backpressure and every spec completes.
