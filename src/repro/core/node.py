@@ -201,6 +201,13 @@ _HEARD = 1       # an overheard data copy's time is in `heard`
 _SUPPRESSED = 2  # an overheard ack retired this packet from relaying
 _STORED = 4      # a relay decision is pending; candidate copy in `pkt`
 
+#: For each 1-byte ack bitmap, the offsets ``1 + k`` of the prior ids
+#: it reports received (bit k clear), ascending.
+_RECEIVED_OFFSETS = tuple(
+    tuple(k + 1 for k in range(8) if not bitmap & (1 << k))
+    for bitmap in range(256)
+)
+
 
 class _SourceRing:
     """One source's packet rows inside a :class:`_PacketBank`."""
@@ -238,6 +245,35 @@ class _SourceRing:
         """Row index for *pkt_id* if it currently owns its slot."""
         i = pkt_id & _BANK_MASK
         return i if self.ids[i] == pkt_id else -1
+
+    def retire_received(self, pkt_id, bitmap):
+        """Suppress the prior ids an ack's bitmap reports received.
+
+        Each id in the 8-id window before *pkt_id* whose bitmap bit is
+        clear is claimed under :meth:`claim`'s rules (ids below 0 and
+        slots owned by a newer id are skipped; an older occupant is
+        recycled) and retired from relaying: its pending decision and
+        candidate copy go, its overhear time stays, since a direct ack
+        for the older packet may still want a gap sample.
+        """
+        ids = self.ids
+        flags = self.flags
+        pkt = self.pkt
+        for offset in _RECEIVED_OFFSETS[bitmap]:
+            candidate = pkt_id - offset
+            if candidate < 0:
+                break
+            i = candidate & _BANK_MASK
+            cur = ids[i]
+            if cur == candidate:
+                flags[i] = (flags[i] | _SUPPRESSED) & ~_STORED
+            elif cur < candidate:
+                ids[i] = candidate
+                flags[i] = _SUPPRESSED
+                self.considered[i] = None
+            else:
+                continue
+            pkt[i] = None
 
 
 class _PacketBank:
@@ -662,6 +698,7 @@ class _NodeBase:
             self._beacon_rng.uniform(0.0, config.beacon_interval)
         )
         self._beacon_u = BufferedUniforms(self._beacon_rng).next
+        self._receiver_states = {}  # src -> _ReceiverState
 
     def start(self):
         """Register with the beacon slotter and the estimator bank.
@@ -735,6 +772,13 @@ class _NodeBase:
     def current_aux_snapshot(self):
         raise NotImplementedError
 
+    def _receiver_state(self, src):
+        """The reception memory for *src*, built on its first reception."""
+        state = self._receiver_states.get(src)
+        if state is None:
+            state = self._receiver_states[src] = _ReceiverState()
+        return state
+
     def _send_ack(self, packet, receiver_state):
         if self.radio_down:
             # A wired delivery can still reach a radio-dead destination
@@ -769,7 +813,6 @@ class VehicleNode(_NodeBase):
         self.upstream = LinkSender(
             self, Direction.UPSTREAM, dst_provider=lambda: self.anchor_id
         )
-        self._receiver_states = {}
         self.delivered_downstream = []
         self.downstream_sink = None
 
@@ -848,8 +891,7 @@ class VehicleNode(_NodeBase):
     def on_data(self, packet):
         if packet.dst != self.node_id:
             return  # the vehicle never relays
-        state = self._receiver_states.setdefault(packet.src,
-                                                 _ReceiverState())
+        state = self._receiver_state(packet.src)
         fresh = state.record(packet.pkt_id)
         self.ctx.stats.on_dst_receive(
             packet.tx_id, (packet.src, packet.pkt_id), self.ctx.sim.now,
@@ -887,11 +929,14 @@ class BasestationNode(_NodeBase):
         self.downstream = LinkSender(
             self, Direction.DOWNSTREAM, dst_provider=lambda: self.vehicle_id
         )
-        self._receiver_states = {}
         # All overhear / suppression / pending-relay-decision state
         # lives in one ring-structured bank (see _PacketBank); bounded
         # by construction, so no pruning timer is needed.
         self._packets = _PacketBank()
+        # BRR switches the auxiliary functionality off: overhears and
+        # overheard acks are still recorded, but no relay candidate is
+        # stored and no decision is scheduled.
+        self._relaying = ctx.config.relay_enabled
         # Relay-timer jitter and relay decisions are this stream's only
         # draws, so serving them from blocks keeps every draw in place.
         self._relay_rng = ctx.rngs.stream("relay-coin", node_id)
@@ -986,8 +1031,7 @@ class BasestationNode(_NodeBase):
         self._receive_as_destination(packet)
 
     def _receive_as_destination(self, packet):
-        state = self._receiver_states.setdefault(packet.src,
-                                                 _ReceiverState())
+        state = self._receiver_state(packet.src)
         fresh = state.record(packet.pkt_id)
         self.ctx.stats.on_dst_receive(
             packet.tx_id, (packet.src, packet.pkt_id), self.ctx.sim.now,
@@ -1020,7 +1064,7 @@ class BasestationNode(_NodeBase):
             return  # never relay a relay
         if self.node_id in self.known_aux:
             self.ctx.stats.on_aux_overhear(packet.tx_id, self.node_id)
-        if not self.is_designated_aux():
+        if not self._relaying or not self.is_designated_aux():
             return
         vehicle, anchor = self.vehicle_id, self.known_anchor
         if anchor is None or vehicle is None:
@@ -1085,20 +1129,7 @@ class BasestationNode(_NodeBase):
         if heard or self.node_id in self.known_aux:
             self.ctx.stats.on_aux_heard_ack((ack.for_src, pkt_id),
                                             self.node_id)
-        bitmap = ack.missing_bitmap
-        flags_col = ring.flags
-        pkt_col = ring.pkt
-        for k in range(8):
-            candidate = pkt_id - 1 - k
-            if candidate >= 0 and not bitmap & (1 << k):
-                crow = ring.claim(candidate)
-                if crow >= 0:
-                    # Bitmap suppression retires the relay candidate
-                    # but keeps the overhear time: a direct ack for
-                    # the older packet may still want a gap sample.
-                    flags_col[crow] = (flags_col[crow] | _SUPPRESSED) \
-                        & ~_STORED
-                    pkt_col[crow] = None
+        ring.retire_received(pkt_id, ack.missing_bitmap)
 
     def _relay_decision(self, key):
         """Timer fired: decide once whether to relay the stored packet."""

@@ -527,34 +527,46 @@ class BankedReceptionEstimator:
 
     def probability(self, a, b, now):
         """Best known estimate of ``p(a -> b)``; 0 when unknown/stale."""
-        if self._pending:
-            self._flush()
-        if a == b:
-            return 1.0
-        if b == self.node_id:
-            j = self._index.get(a)
-            return self._row_list()[j] if j is not None else 0.0
-        stale_s = self.stale_s
-        reports = self._reports
-        best = 0.0
-        best_ts = None
-        from_b = reports.get(b)
-        if from_b is not None and now - from_b[0] <= stale_s:
-            prob = from_b[1].get(a)
-            if prob is not None:
-                best = prob
-                best_ts = from_b[0]
-        from_a = reports.get(a)
-        if from_a is not None and now - from_a[0] <= stale_s:
-            prob = from_a[2].get(b)
-            if prob is not None and (best_ts is None or from_a[0] > best_ts):
-                best = prob
-        return best
+        return self.probability_lookup(now)(a, b)
 
     def probability_lookup(self, now):
-        """A ``(a, b) -> p`` callable bound to the current time."""
+        """A ``(a, b) -> p`` callable bound to the current time.
+
+        Pending beacons are flushed once, here, and the callable holds
+        the estimation rule with this node's tables bound, so a relay
+        decision's dozen or so lookups each cost one call.  It answers
+        for the estimates as they stand now: use it before the next
+        beacon is ingested or the next fold runs.
+        """
+        if self._pending:
+            self._flush()
+        node_id = self.node_id
+        index = self._index
+        row = self._row_list()
+        reports = self._reports
+        stale_s = self.stale_s
+
         def lookup(a, b):
-            return self.probability(a, b, now)
+            if a == b:
+                return 1.0
+            if b == node_id:
+                j = index.get(a)
+                return row[j] if j is not None else 0.0
+            best = 0.0
+            best_ts = None
+            from_b = reports.get(b)
+            if from_b is not None and now - from_b[0] <= stale_s:
+                prob = from_b[1].get(a)
+                if prob is not None:
+                    best = prob
+                    best_ts = from_b[0]
+            from_a = reports.get(a)
+            if from_a is not None and now - from_a[0] <= stale_s:
+                prob = from_a[2].get(b)
+                if prob is not None and (best_ts is None
+                                         or from_a[0] > best_ts):
+                    best = prob
+            return best
         return lookup
 
     # ------------------------------------------------------------------

@@ -11,7 +11,11 @@ The same machinery runs all protocol variants:
 * **ViFi** — the default configuration;
 * **BRR** — the paper's hard-handoff comparator, "implemented within
   the same framework as ViFi but with the auxiliary BS functionality
-  switched off" (``relay_enabled=False, salvage_enabled=False``);
+  switched off" (``relay_enabled=False, salvage_enabled=False``).  A
+  basestation still records what it overhears and the acks it hears,
+  so BRR's packet and transmission records are kept exactly as ViFi's
+  are, but it stores no relay candidate and schedules no relay
+  decision;
 * **diversity-only ViFi** — salvaging disabled (the middle bar of
   Figure 9a);
 * the **ablation formulations** of Section 5.5.1 via
@@ -295,18 +299,6 @@ class ViFiSimulation:
             bs_ids=bs_ids,
             vehicle_id=vehicle_id,
         )
-        if not self.config.relay_enabled:
-            # Hard-handoff comparator: auxiliaries never relay.  The
-            # cleanest switch-off point is a strategy that always says
-            # "do not relay"; designations and beacons stay identical.
-            class _NeverRelay:
-                name = "never"
-
-                def relay_probability(self, ctx):
-                    return 0.0
-
-            self.ctx.relay_strategy = _NeverRelay()
-
         self.vehicle = VehicleNode(vehicle_id, self.ctx)
         self.ctx.register(self.vehicle)
         self.medium.attach(self.vehicle)

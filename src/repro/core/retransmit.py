@@ -20,8 +20,10 @@ class AdaptiveRetxTimer:
     """Tracks ack delays; yields the 99th-percentile retransmit timeout.
 
     A bounded window of the most recent delay samples is kept in sorted
-    order (insertion via bisect), so percentile queries are O(1) and
-    sample ingestion is O(window).
+    order (insertion via bisect), so sample ingestion is O(window).
+    Each sample also recomputes the percentile, which is then stored:
+    the timeout is read on every transmission, more often than samples
+    arrive, and changes only when one does.
 
     Args:
         initial_s: timeout before any sample has been observed.
@@ -43,18 +45,22 @@ class AdaptiveRetxTimer:
         self.window = int(window)
         self._sorted = []
         self._fifo = deque()
+        self._timeout = max(self.initial, self.floor)
 
     def add_sample(self, delay_s):
         """Record one observed transmission-to-ack delay."""
         if delay_s < 0:
             raise ValueError("ack delay cannot be negative")
         delay_s = float(delay_s)
+        ordered = self._sorted
         self._fifo.append(delay_s)
-        bisect.insort(self._sorted, delay_s)
+        bisect.insort(ordered, delay_s)
         if len(self._fifo) > self.window:
             oldest = self._fifo.popleft()
-            index = bisect.bisect_left(self._sorted, oldest)
-            self._sorted.pop(index)
+            ordered.pop(bisect.bisect_left(ordered, oldest))
+        rank = min(int(len(ordered) * self.percentile / 100.0),
+                   len(ordered) - 1)
+        self._timeout = max(ordered[rank], self.floor)
 
     @property
     def sample_count(self):
@@ -62,8 +68,4 @@ class AdaptiveRetxTimer:
 
     def timeout(self):
         """Current retransmission timeout (seconds)."""
-        if not self._sorted:
-            return max(self.initial, self.floor)
-        rank = int(len(self._sorted) * self.percentile / 100.0)
-        rank = min(rank, len(self._sorted) - 1)
-        return max(self._sorted[rank], self.floor)
+        return self._timeout

@@ -215,7 +215,8 @@ def _sweep_store_context(worker, initializer, initargs):
 def _store_task(spec):
     """Worker-side wrapper: single-flight memoized task execution.
 
-    Runs in the worker process (or inline on the serial path), so the
+    The sweep's store is the default store while the task runs.  Runs
+    in the worker process (or inline on the serial path), so the
     per-key advisory lock serializes recomputation across every
     process asking for the same missing entry — including concurrent
     sweeps in other interpreters — and each finished task is durable
@@ -225,8 +226,18 @@ def _store_task(spec):
     """
     root, read_only, key, worker, task = spec
     store = repro_store.ResultStore(root, read_only=read_only)
-    value = store.get_or_compute(key, lambda: worker(task))
+    with repro_store.installed_store(store):
+        value = store.get_or_compute(key, lambda: worker(task))
     return store.stats.snapshot(), value
+
+
+def _storeless_task(spec):
+    """Worker-side wrapper of an uncached sweep's task: no default
+    store is in effect while it runs, so memoization inside the task
+    (such as :func:`memoized_beacon_log`) stays off as well."""
+    worker, task = spec
+    with repro_store.installed_store(None):
+        return worker(task)
 
 
 def _merge_worker_store_stats(sweep_store, delta):
@@ -315,7 +326,11 @@ def run_trips(worker, tasks, workers=None,
             missing on the same key compute it once (single-flight).
             A sweep whose identity cannot be canonically tokenized,
             or a store on failing media, logs one warning and runs
-            uncached — caching never fails a sweep.
+            uncached — caching never fails a sweep.  The choice holds
+            inside each task too: memoization a task does itself
+            (such as :func:`memoized_beacon_log`) uses the sweep's
+            store while the task runs, and none when the sweep runs
+            uncached.
 
     Returns:
         :class:`SweepResult` — a list of results, one per task, in
@@ -364,7 +379,8 @@ def run_trips(worker, tasks, workers=None,
 
     pending = [i for i in range(len(tasks)) if i not in results]
     if store_obj is None:
-        calls = {i: (worker, (tasks[i],)) for i in pending}
+        calls = {i: (_storeless_task, ((worker, tasks[i]),))
+                 for i in pending}
     else:
         calls = {
             i: (_store_task, ((store_obj.root, store_obj.read_only,

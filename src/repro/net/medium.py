@@ -49,11 +49,13 @@ Fast paths riding on top:
   frame claims when it is sent, a contended one when the busy period
   before it ends.
 * **Struct-of-arrays resolve** — per-transmitter resolve rows are
-  kept as struct-of-arrays (a numpy vector of loss thresholds and
+  kept as struct-of-arrays (a python-float list of loss thresholds and
   per-row validity windows from ``loss_eps_window``), cached against
   the reachability index's expiry.  Resolving a frame is then one
-  vectorized compare of a uniform block against the eps vector plus a
-  short loop over only the hits (deliveries).
+  python-float compare per in-range receiver, of a uniform served from
+  the medium's 256-uniform outcome blocks against its threshold, and
+  only the hits (deliveries) run further code.  With 5-12 receivers a
+  frame, a numpy compare costs more in dispatch than it saves.
 * **Backoff-freezing CSMA** — contenders draw one backoff when they
   start contending, freeze the remainder while the channel is busy,
   and resume on release, instead of redrawing and rescheduling an
@@ -73,8 +75,6 @@ Fast paths riding on top:
 
 import math
 from collections import Counter, deque
-
-import numpy as np
 
 __all__ = ["LinkTable", "WirelessMedium"]
 
@@ -202,11 +202,12 @@ class _ResolveRows:
     """Struct-of-arrays resolve rows for one transmitter.
 
     One row per in-range receiver, in sorted receiver-id order (the
-    reproducible delivery order).  The numpy eps column backs the
-    vectorized compare; the object columns back the short loop over
-    hits.  A row's per-frame loss probability comes from its
-    process's ``loss_eps_window``, which every process on a medium link
-    supplies; the stored threshold is reused until ``valid_until``.
+    reproducible delivery order).  The eps column holds each row's
+    loss threshold as a python float; the object columns back the
+    short loop over hits.  A row's per-frame loss probability comes
+    from its process's ``loss_eps_window``, which every process on a
+    medium link supplies; the stored threshold is reused until
+    ``valid_until``.
     """
 
     __slots__ = ("ids", "receive", "window_fns", "eps", "valid_until",
@@ -227,7 +228,7 @@ class _ResolveRows:
         self.receive = receive
         self.window_fns = window_fns
         self.n = len(ids)
-        self.eps = np.zeros(self.n, dtype=np.float64)
+        self.eps = [0.0] * self.n
         # Validity bounds stay a python list (the refresh loop is
         # scalar anyway); ``min_valid`` gates the whole scan with one
         # float compare.  -inf forces a refresh on first use
@@ -300,9 +301,9 @@ class WirelessMedium:
         # reachability refresh instead of per frame.
         self._row_cache = {}
         # Per-frame outcome buffer, refilled _OUTCOME_BLOCK uniforms at
-        # a time.
-        self._outcome_vec = np.empty(0, dtype=np.float64)
-        self._outcome_vec_i = 0
+        # a time and held as python floats.
+        self._outcome_buf = []
+        self._outcome_i = 0
 
         # Backoff-freezing CSMA state: node_id -> ``[backoff_left_s,
         # seq]`` for every node parked behind a claimed channel.
@@ -639,35 +640,31 @@ class WirelessMedium:
             rows.finite_rows = []
         rows.min_valid = min_valid
 
-    def _draw_outcome_vector(self, n):
-        """*n* uniforms off the batched outcome stream, as a numpy view.
+    def _draw_outcomes(self, n):
+        """*n* uniforms off the batched outcome stream, as python floats.
 
         The generator is consumed in blocks of :attr:`_OUTCOME_BLOCK`
         uniforms; a request that outruns the buffer takes its tail,
         then as many fresh blocks as it needs.
         """
-        buf = self._outcome_vec
-        i = self._outcome_vec_i
-        left = buf.shape[0] - i
-        if n <= left:
-            self._outcome_vec_i = i + n
-            return buf[i:i + n]
-        parts = [buf[i:]] if left else []
-        need = n - left
+        buf = self._outcome_buf
+        i = self._outcome_i
+        end = i + n
+        if end <= len(buf):
+            self._outcome_i = end
+            return buf[i:end]
+        out = buf[i:]
+        need = end - len(buf)
         block = self._OUTCOME_BLOCK
-        while need > 0:
-            fresh = self._outcome_rng.random(block)
-            if need < block:
-                self._outcome_vec = fresh
-                self._outcome_vec_i = need
-                parts.append(fresh[:need])
-                need = 0
-            else:
-                self._outcome_vec = fresh
-                self._outcome_vec_i = block
-                parts.append(fresh)
-                need -= block
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        while True:
+            fresh = self._outcome_rng.random(block).tolist()
+            if need <= block:
+                self._outcome_buf = fresh
+                self._outcome_i = need
+                out += fresh[:need]
+                return out
+            out += fresh
+            need -= block
 
     def _resolve_outcomes(self, transmitter_id, frame, start, rows,
                           unicast_to=None):
@@ -675,26 +672,28 @@ class WirelessMedium:
 
         The one outcome decision for merged and slot-batch frames:
         rows whose validity window lapsed refresh their thresholds, one
-        uniform slice off the per-frame outcome buffer is compared
-        against the eps vector, and only the hits (deliveries) run
-        python code.  Returns whether *unicast_to* decoded the frame.
+        uniform per row off the per-frame outcome buffer is compared
+        against the row's threshold, and only the hits (deliveries)
+        run further code.  Returns whether *unicast_to* decoded the
+        frame.
         """
         n = rows.n
         if not n:
             return False
         if start >= rows.min_valid:
             # At least one row's validity window lapsed: refresh those
-            # thresholds (the only python-per-row work a resolve ever
-            # does on the loss side).
+            # thresholds (the only per-row call a resolve ever makes on
+            # the loss side).
             self._refresh_row_thresholds(rows, start)
-        u = self._draw_outcome_vector(n)
+        u = self._draw_outcomes(n)
+        eps = rows.eps
         ids = rows.ids
         receive = rows.receive
         delivered_count = self.delivered_count
         kind = frame.kind_value
         unicast_delivered = False
-        for i, hit in enumerate((u >= rows.eps).tolist()):
-            if not hit:
+        for i in range(n):
+            if not u[i] >= eps[i]:
                 continue
             receiver_id = ids[i]
             if receiver_id == unicast_to:

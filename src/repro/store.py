@@ -630,6 +630,23 @@ def set_default_store(store):
     return _installed_store
 
 
+@contextmanager
+def installed_store(store):
+    """Make *store* the process-wide default inside the block.
+
+    ``None`` turns the default off (the :data:`STORE_ENV_VAR`
+    environment variable is not consulted); the previous default
+    returns when the block exits.
+    """
+    global _installed_store, _installed
+    saved = _installed_store, _installed
+    _installed_store, _installed = store, True
+    try:
+        yield store
+    finally:
+        _installed_store, _installed = saved
+
+
 def default_store():
     """The ambient store: installed one, else the env-var one, else
     ``None`` (memoization off — the historical behaviour)."""

@@ -219,10 +219,12 @@ class TestUnitEquivalence:
             yield banked, legacy, t
 
     def _assert_queries_equal(self, banked, legacy, now):
+        lookup = banked.probability_lookup(now)
         for a in self.IDS:
             for b in self.IDS:
-                assert banked.probability(a, b, now) == \
-                    legacy.probability(a, b, now)
+                want = legacy.probability(a, b, now)
+                assert banked.probability(a, b, now) == want
+                assert lookup(a, b) == want
             assert banked.incoming_probability(a) == \
                 legacy.incoming_probability(a)
         assert banked.incoming_estimates() == legacy.incoming_estimates()

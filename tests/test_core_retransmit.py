@@ -47,6 +47,26 @@ def test_window_evicts_old_samples():
     assert timer.sample_count == 10
 
 
+def test_stored_timeout_tracks_recomputed_percentile():
+    """The timeout stored at each sample equals the percentile
+    recomputed from the retained window, evictions included."""
+    import random
+
+    rng = random.Random(5)
+    for percentile, window in ((99.0, 40), (50.0, 7), (100.0, 1)):
+        timer = AdaptiveRetxTimer(initial_s=0.08, floor_s=0.004,
+                                  percentile=percentile, window=window)
+        samples = []
+        for _ in range(3 * window + 25):
+            delay = rng.choice((0.0, 0.002, rng.random() * 0.1))
+            timer.add_sample(delay)
+            samples.append(delay)
+            kept = sorted(samples[-window:])
+            rank = min(int(len(kept) * percentile / 100.0), len(kept) - 1)
+            assert timer.timeout() == max(kept[rank], 0.004)
+        assert timer.sample_count == window
+
+
 def test_floor_applies_with_samples():
     timer = AdaptiveRetxTimer(floor_s=0.05)
     timer.add_sample(0.001)

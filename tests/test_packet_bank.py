@@ -81,7 +81,8 @@ class _DictAux:
 
 class _RingAux:
     """The same state machine over ``_PacketBank`` — the literal
-    claim/flag sequences ``BasestationNode`` executes."""
+    claim/flag sequences ``BasestationNode`` executes, with the ack's
+    bitmap range retired by the ring method it calls."""
 
     def __init__(self):
         self._bank = _PacketBank()
@@ -121,14 +122,7 @@ class _RingAux:
                 gap = now - ring.heard[row]
             ring.flags[row] = (flags | _SUPPRESSED) & ~(_HEARD | _STORED)
             ring.pkt[row] = None
-        for k in range(8):
-            candidate = pkt_id - 1 - k
-            if candidate >= 0 and not bitmap & (1 << k):
-                crow = ring.claim(candidate)
-                if crow >= 0:
-                    ring.flags[crow] = (ring.flags[crow] | _SUPPRESSED) \
-                        & ~_STORED
-                    ring.pkt[crow] = None
+        ring.retire_received(pkt_id, bitmap)
         return gap
 
     def fire(self, src, pkt_id):
@@ -179,6 +173,47 @@ class TestSourceRing:
         ring = _SourceRing()
         ring.claim(5 + _BANK_CAPACITY)
         assert ring.claim(5) == -1
+
+    def test_retire_received_skips_ids_below_zero(self):
+        """An ack for id 2 reports at most ids 1 and 0; the window's
+        negative ids claim nothing, even in slots that wrap."""
+        ring = _SourceRing()
+        ring.retire_received(2, 0)
+        assert ring.flags[1] == ring.flags[0] == _SUPPRESSED
+        assert ring.ids[1] == 1 and ring.ids[0] == 0
+        for slot in range(_BANK_CAPACITY - 6, _BANK_CAPACITY):
+            assert ring.ids[slot] == -1
+            assert ring.flags[slot] == 0
+
+    def test_retire_received_leaves_newer_owner_alone(self):
+        """A slot owned by a newer id keeps that row untouched."""
+        ring = _SourceRing()
+        newer = 5 + _BANK_CAPACITY
+        row = ring.claim(newer)
+        ring.flags[row] = _HEARD | _STORED
+        ring.pkt[row] = "live"
+        ring.considered[row] = [9]
+        ring.retire_received(6, 0)  # window 5..0; id 5 shares the slot
+        assert ring.ids[row] == newer
+        assert ring.flags[row] == _HEARD | _STORED
+        assert ring.pkt[row] == "live"
+        assert ring.considered[row] == [9]
+        assert ring.probe(5) == -1
+
+    def test_retire_received_recycles_older_occupant(self):
+        """An older occupant is recycled: the row ends suppressed, with
+        its candidate copy and considered tx_ids cleared."""
+        ring = _SourceRing()
+        row = ring.claim(3)
+        ring.flags[row] = _HEARD | _STORED
+        ring.pkt[row] = "old"
+        ring.considered[row] = [1]
+        newer = 3 + _BANK_CAPACITY
+        ring.retire_received(newer + 1, 0)
+        assert ring.probe(newer) == row
+        assert ring.flags[row] == _SUPPRESSED
+        assert ring.pkt[row] is None
+        assert ring.considered[row] is None
 
     def test_bank_ring_cache(self):
         bank = _PacketBank()

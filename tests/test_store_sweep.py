@@ -197,6 +197,45 @@ class TestMemoizedBuilders:
             .generate_beacon_log(0)
         assert np.array_equal(log.heard, fresh.heard)
 
+    def test_table2_beacon_log_follows_the_sweep_store(self, monkeypatch,
+                                                      tmp_path):
+        """``formulation_comparison(store=...)`` decides where Table 2's
+        beacon log is memoized, whatever ``REPRO_RESULT_STORE`` names.
+
+        The log and the protocol runs are patched out, so nothing is
+        simulated; only the store traffic is real.
+        """
+        from repro.core.stats import CoordinationReport
+        from repro.store import STORE_ENV_VAR
+        from repro.testbeds.dieselnet import DieselNetTestbed
+
+        class _Stats:
+            def coordination_report(self, direction):
+                return CoordinationReport(direction=direction)
+
+        class _Sim:
+            stats = _Stats()
+
+        monkeypatch.setattr(DieselNetTestbed, "generate_beacon_log",
+                            lambda self, day: ("beacon-log", day))
+        monkeypatch.setattr(coordination, "dieselnet_protocol",
+                            lambda *args, **kwargs: (_Sim(), 1.0))
+        monkeypatch.setattr(coordination, "run_protocol_app",
+                            lambda *args: None)
+        monkeypatch.setattr(common, "available_workers", lambda: 1)
+        ambient = tmp_path / "ambient"
+        monkeypatch.setenv(STORE_ENV_VAR, str(ambient))
+        testbed = DieselNetTestbed(channel=1, seed=2)
+
+        coordination.formulation_comparison(testbed, seed=1, store=False)
+        assert ResultStore(ambient).entry_count() == 0
+        chosen = tmp_path / "chosen"
+        coordination.formulation_comparison(testbed, seed=1,
+                                            store=str(chosen))
+        assert ResultStore(ambient).entry_count() == 0
+        # Four (strategy, day) cells and the one day's beacon log.
+        assert ResultStore(chosen).entry_count() == 5
+
     def test_corrupt_memoized_artifacts_regenerate(self, tmp_path):
         """A corrupt beacon-log entry is quarantined and regenerated."""
         from repro.testbeds.dieselnet import DieselNetTestbed

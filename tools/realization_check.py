@@ -1,0 +1,86 @@
+#!/usr/bin/env python
+"""Print the realization checks that the benchmark's digests cannot see.
+
+Usage::
+
+    python tools/realization_check.py
+
+Run it in two trees (for instance a clone of the parent commit and the
+change) and ``diff`` the outputs.  The first line is Table 2's
+``formulation_comparison`` over DieselNet channel 1, day 0, as JSON:
+the benchmark exercises only the ``vifi`` strategy and BRR, so a
+change to the relay formulations or the reception estimator can move
+Table 2 unseen.  Then come six lines of the Section 5.1 unicast
+ablation, one per protocol seed 13-18: data frames, deliveries, mean
+MoS, median session (s) and events of BRR-unicast VoIP over
+``VanLanTestbed(seed=5)`` trips 0-1, trip k at seed ``seed + k`` (the
+registry's ``ablation_unicast`` entry runs seed 13).  The benchmark
+sends only broadcast frames, so these lines are what covers the
+medium's unicast contention path.
+
+The run takes about 95 s on a 2-vCPU host and uses no result store.
+"""
+
+import argparse
+import json
+import pathlib
+import statistics
+import sys
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.apps.voip import VoipStream  # noqa: E402
+from repro.apps.workload import FlowRouter  # noqa: E402
+from repro.core.protocol import ViFiConfig  # noqa: E402
+from repro.experiments.common import WARMUP_S, vanlan_protocol  # noqa: E402
+from repro.experiments.coordination import formulation_comparison  # noqa: E402
+from repro.testbeds.dieselnet import DieselNetTestbed  # noqa: E402
+from repro.testbeds.vanlan import VanLanTestbed  # noqa: E402
+
+#: Protocol seeds of the unicast ablation lines.
+UNICAST_SEEDS = range(13, 19)
+
+
+def table2_line():
+    """Table 2's formulation comparison as one sorted JSON line."""
+    table = formulation_comparison(DieselNetTestbed(channel=1, seed=2),
+                                   days=(0,), seed=1, store=False)
+    return json.dumps(table, sort_keys=True)
+
+
+def unicast_line(seed):
+    """One seed of BRR-unicast VoIP over VanLAN trips 0-1."""
+    testbed = VanLanTestbed(seed=5)
+    frames = deliveries = events = 0
+    mos, sessions = [], []
+    for trip in (0, 1):
+        sim, duration = vanlan_protocol(
+            testbed, trip, config=ViFiConfig().brr_unicast_variant(),
+            seed=seed + trip)
+        stream = VoipStream(sim, FlowRouter(sim))
+        stream.start(WARMUP_S)
+        stream.stop(duration - 2.0)
+        sim.run(until=duration)
+        frames += sim.medium.transmissions(kind="data")
+        deliveries += len(stream.up_deliveries) \
+            + len(stream.down_deliveries)
+        events += sim.sim.events_processed
+        mos += [m for m, _, _ in stream.window_quality()]
+        sessions += stream.session_lengths()
+    return " ".join(str(v) for v in (
+        seed, frames, deliveries, round(sum(mos) / len(mos), 3),
+        statistics.median(sessions), events))
+
+
+def main(argv=None):
+    argparse.ArgumentParser(description=__doc__.splitlines()[0]) \
+        .parse_args(argv)
+    print(table2_line(), flush=True)
+    for seed in UNICAST_SEEDS:
+        print(unicast_line(seed), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
