@@ -1,5 +1,7 @@
 """Unit tests for the adaptive retransmission timer."""
 
+import random
+
 import pytest
 
 from repro.core.retransmit import AdaptiveRetxTimer
@@ -50,8 +52,6 @@ def test_window_evicts_old_samples():
 def test_stored_timeout_tracks_recomputed_percentile():
     """The timeout stored at each sample equals the percentile
     recomputed from the retained window, evictions included."""
-    import random
-
     rng = random.Random(5)
     for percentile, window in ((99.0, 40), (50.0, 7), (100.0, 1)):
         timer = AdaptiveRetxTimer(initial_s=0.08, floor_s=0.004,
