@@ -740,13 +740,12 @@ class _NodeBase:
 
     def _build_beacon(self):
         """Assemble one beacon frame from the node's current state."""
-        incoming, learned = self.estimator.beacon_reports(self.ctx.sim.now)
-        beacon = Beacon(
-            sender=self.node_id,
-            sent_at=self.ctx.sim.now,
-            incoming=incoming,
-            learned=learned,
-        )
+        now = self._sim.now
+        incoming, learned = self.estimator.beacon_reports(now)
+        # Positional: sender, sent_at, anchor_id, aux_ids,
+        # prev_anchor_id, incoming, learned.
+        beacon = Beacon(self.node_id, now, None, (), None, incoming,
+                        learned)
         self.decorate_beacon(beacon)
         return beacon
 
@@ -785,14 +784,12 @@ class _NodeBase:
             # (backplane relay); the ack is what the fault costs, so
             # the source falls back to retransmitting.
             return
-        ack = Ack(
-            pkt_id=packet.pkt_id,
-            acker=self.node_id,
-            for_src=packet.src,
-            missing_bitmap=receiver_state.missing_bitmap(packet.pkt_id),
-            tx_id=packet.tx_id,
-            in_response_to_relay=packet.relayed_by is not None,
-        )
+        pkt_id = packet.pkt_id
+        # Positional: pkt_id, acker, for_src, missing_bitmap, tx_id,
+        # in_response_to_relay.
+        ack = Ack(pkt_id, self.node_id, packet.src,
+                  receiver_state.missing_bitmap(pkt_id), packet.tx_id,
+                  packet.relayed_by is not None)
         self.ctx.medium.send(self.node_id, ack, priority=True)
 
 
@@ -935,7 +932,8 @@ class BasestationNode(_NodeBase):
         self._packets = _PacketBank()
         # BRR switches the auxiliary functionality off: overhears and
         # overheard acks are still recorded, but no relay candidate is
-        # stored and no decision is scheduled.
+        # stored, no decision is scheduled and the ack-gap window that
+        # only decisions read gets no samples.
         self._relaying = ctx.config.relay_enabled
         # Relay-timer jitter and relay decisions are this stream's only
         # draws, so serving them from blocks keeps every draw in place.
@@ -1123,7 +1121,9 @@ class BasestationNode(_NodeBase):
             flags = ring.flags[row]
             if flags & _HEARD:
                 heard = True
-                self._ack_gap.add_sample(now - ring.heard[row])
+                # Only relay decisions read the ack-gap window.
+                if self._relaying:
+                    self._ack_gap.add_sample(now - ring.heard[row])
             ring.flags[row] = (flags | _SUPPRESSED) & ~(_HEARD | _STORED)
             ring.pkt[row] = None
         if heard or self.node_id in self.known_aux:

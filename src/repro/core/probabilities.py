@@ -16,15 +16,15 @@ knowledge of its outgoing quality).  An auxiliary therefore learns every
 probability the relay computation needs purely by listening, with no
 extra coordination traffic.
 
-**Fast path.**  A bank view batches beacon ingest per beacon round: a
-received beacon is appended to a pending list (one list append on the
-per-frame path) and folded into the view's tables the next time any
-query runs — queries are an order of magnitude rarer than receptions,
-and the fold runs with locals bound once per batch.  All read paths
-flush first, so observable state is identical to eager ingest.  On
-top of that, :meth:`BankedReceptionEstimator.beacon_reports` caches
-the two maps a beacon embeds: the ``incoming`` map only changes at a
-fold and the ``learned`` map only when a peer reports fresh outgoing
+**Fast path.**  A bank view folds each received beacon into its
+tables in one pass as it arrives: the sender's row index goes on a
+list that the per-second fold scatters with ``bincount``, its report
+maps are stored by reference, and a report of this node's own
+outgoing quality updates the copy-on-write ``learned`` map and its
+expiry bound in place.  There is no second walk over buffered
+beacons.  :meth:`BankedReceptionEstimator.beacon_reports` caches the
+two maps a beacon embeds: the ``incoming`` map only changes at a fold
+and the ``learned`` map only when a peer reports fresh outgoing
 knowledge or an entry crosses the staleness horizon, so both are
 cached with exact invalidation bounds instead of being rebuilt for
 every one of the ~10 beacons a node sends per second.
@@ -225,9 +225,9 @@ class EstimatorBank:
     array, and the exponential averages live in :attr:`incoming`
     (``incoming[i, j]`` is node *i*'s first-hand estimate of
     ``p(j -> i)``).  The fold — one :meth:`tick_second` — is a
-    **single** per-second simulator event for every node: each view's
-    pending beacon batch is flushed, the heard counts are scattered
-    with one ``bincount`` per node, and the averages fold in one
+    **single** per-second simulator event for every node: the heard
+    counts are scattered with one ``bincount`` per node, and the
+    averages fold in one
     vectorized pass whose arithmetic (``alpha * ratio + (1 - alpha) *
     previous`` over ``min(count / beacons_per_second, 1.0)``) is
     term-for-term the :class:`ReceptionEstimator` fold, so a view and
@@ -334,8 +334,6 @@ class EstimatorBank:
         heard[:] = 0.0
         views = self._views.values()
         for facade in views:
-            if facade._pending:
-                facade._flush()
             rows = facade._heard_rows
             if rows:
                 heard[facade._row] = np.bincount(rows, minlength=n)
@@ -367,17 +365,16 @@ class BankedReceptionEstimator:
     the oracle's — but pruned at each fold once a peer falls past the
     staleness horizon, so it is bounded by the live-peer count.
 
-    Beacon ingest appends to the per-node pending buffer; queries
-    flush first, so observable state is identical to eager ingest.
+    Beacon ingest is one pass per beacon (see the module docstring).
     Heard counts are one list append per beacon (scattered via
     ``bincount`` at the fold), and there is no ``_last_heard`` map:
-    recency queries read the report timestamps, which flush writes
+    recency queries read the report timestamps, which ingest writes
     anyway.
     """
 
     __slots__ = (
         "bank", "node_id", "_row", "_row_view", "_row_floats", "_index",
-        "stale_s", "_pending", "_heard_rows", "_reports", "_outgoing",
+        "stale_s", "_heard_rows", "_reports", "_outgoing",
         "_incoming_snapshot", "_learned_live", "_learned_shared",
         "_learned_expiry",
     )
@@ -394,14 +391,13 @@ class BankedReceptionEstimator:
         self._row_floats = None
         self._index = bank.index
         self.stale_s = bank.stale_s
-        self._pending = []
         self._heard_rows = []
         # sender -> (arrived_at, incoming, learned), by reference —
         # the report maps double as the last-heard clock.
         self._reports = {}
         self._outgoing = {}
         self._incoming_snapshot = None
-        # Incrementally maintained beacon ``learned`` map: flush keeps
+        # Incrementally maintained beacon ``learned`` map: ingest keeps
         # it current; a full rebuild only runs when the earliest
         # staleness expiry passes (see beacon_reports).  Once handed to
         # a beacon the map is *shared* — receivers keep it by
@@ -416,39 +412,22 @@ class BankedReceptionEstimator:
     # ------------------------------------------------------------------
 
     def on_beacon(self, beacon, now):
-        """Record one received beacon; folded in at the next query."""
-        self._pending.append((beacon, now))
-
-    def _flush(self):
-        """Fold the pending beacon batch into the tables, in order."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        rows = self._heard_rows
-        index = self._index
-        reports = self._reports
-        outgoing = self._outgoing
-        learned_live = self._learned_live
-        node_id = self.node_id
-        stale_s = self.stale_s
-        learned_expiry = self._learned_expiry
-        for beacon, now in pending:
-            sender = beacon.sender
-            rows.append(index[sender])
-            incoming = beacon.incoming
-            reports[sender] = (now, incoming, beacon.learned)
-            mine = incoming.get(node_id)
-            if mine is not None:
-                outgoing[sender] = (mine, now)
-                if self._learned_shared:
-                    learned_live = self._learned_live = dict(learned_live)
-                    self._learned_shared = False
-                learned_live[sender] = mine
-                expires = now + stale_s
-                if expires < learned_expiry:
-                    learned_expiry = expires
-        self._learned_expiry = learned_expiry
+        """Record one received beacon."""
+        sender = beacon.sender
+        self._heard_rows.append(self._index[sender])
+        incoming = beacon.incoming
+        self._reports[sender] = (now, incoming, beacon.learned)
+        mine = incoming.get(self.node_id)
+        if mine is not None:
+            self._outgoing[sender] = (mine, now)
+            learned_live = self._learned_live
+            if self._learned_shared:
+                learned_live = self._learned_live = dict(learned_live)
+                self._learned_shared = False
+            learned_live[sender] = mine
+            expires = now + self.stale_s
+            if expires < self._learned_expiry:
+                self._learned_expiry = expires
 
     def _row_list(self):
         """This node's averages as python floats (cached per fold)."""
@@ -511,15 +490,11 @@ class BankedReceptionEstimator:
         Answers from the report clock; peers silent past ``stale_s``
         are pruned, so horizons beyond it saturate at ``False``.
         """
-        if self._pending:
-            self._flush()
         rep = self._reports.get(peer)
         return rep is not None and (now - rep[0]) <= within_s
 
     def peers_heard_within(self, now, within_s):
         """All peers whose beacons were heard within *within_s*."""
-        if self._pending:
-            self._flush()
         return [
             peer for peer, rep in self._reports.items()
             if (now - rep[0]) <= within_s
@@ -532,14 +507,11 @@ class BankedReceptionEstimator:
     def probability_lookup(self, now):
         """A ``(a, b) -> p`` callable bound to the current time.
 
-        Pending beacons are flushed once, here, and the callable holds
-        the estimation rule with this node's tables bound, so a relay
-        decision's dozen or so lookups each cost one call.  It answers
-        for the estimates as they stand now: use it before the next
-        beacon is ingested or the next fold runs.
+        The callable holds the estimation rule with this node's tables
+        bound, so a relay decision's dozen or so lookups each cost one
+        call.  It answers for the estimates as they stand now: use it
+        before the next beacon is ingested or the next fold runs.
         """
-        if self._pending:
-            self._flush()
         node_id = self.node_id
         index = self._index
         row = self._row_list()
@@ -582,8 +554,6 @@ class BankedReceptionEstimator:
         share the same dict objects, whose contents equal a fresh
         rebuild.  Callers treat the maps as immutable.
         """
-        if self._pending:
-            self._flush()
         incoming = self._incoming_snapshot
         if incoming is None:
             ids = self.bank.ids

@@ -40,6 +40,11 @@ __all__ = [
     "TraceDrivenLoss",
 ]
 
+_ATTACHED_IS_LOST = (
+    "is_lost on a loss process that serves a medium row: its holding "
+    "times are block-drawn, so a coin from its stream would move them"
+)
+
 
 class LossProcess:
     """Interface: decide whether a transmission at time *t* is lost.
@@ -65,7 +70,11 @@ class LossProcess:
     — and draws every frame's uniforms itself, off one batched
     outcome stream.
     :meth:`is_lost` flips the coin from the process's own stream, for
-    callers outside the medium (probe traces, the handoff study).
+    callers outside the medium (probe traces, the handoff study).  A
+    burst chain serves one kind of caller only: the medium calls its
+    ``attach_medium`` when it first serves a resolve row, after which
+    the chain draws its holding times in blocks and :meth:`is_lost`
+    raises.
     """
 
     static_loss_rate = None
@@ -120,7 +129,17 @@ class GilbertElliottLoss(LossProcess):
     The stationary loss rate is
     ``pi_bad * eps_bad + (1 - pi_bad) * eps_good`` with
     ``pi_bad = bad_duration / (good_duration + bad_duration)``.
+
+    Holding times are scalar ``rng.exponential(mean)`` draws until
+    :meth:`attach_medium`, and blocks of ``standard_exponential`` scaled
+    by the state's mean after it: the same values bit for bit, as long
+    as the stream has no other consumer.  :meth:`is_lost` draws its
+    coins from the same stream, so it keeps the scalar draws and raises
+    once the process is attached.
     """
+
+    #: Holding times drawn per refill once the medium is attached.
+    _HOLDING_BLOCK = 16
 
     def __init__(self, eps_good, eps_bad, good_duration, bad_duration, rng,
                  start_time=0.0):
@@ -143,21 +162,44 @@ class GilbertElliottLoss(LossProcess):
         self.static_loss_rate = (
             self.pi_bad * self.eps_bad + (1 - self.pi_bad) * self.eps_good
         )
+        # Standard-exponential draws as python floats, served from
+        # _holding_i on; None until attach_medium.
+        self._holding = None
+        self._holding_i = 0
 
     @property
     def pi_bad(self):
         """Stationary probability of the bad state."""
         return self.bad_duration / (self.good_duration + self.bad_duration)
 
+    def attach_medium(self):
+        """Serve a medium row: block-draw holding times from now on.
+
+        Idempotent: attaching again keeps the current block, whose
+        unserved draws are the stream's next values.
+        """
+        if self._holding is None:
+            self._holding = []
+
     def _advance(self, t):
         if t < self._time:
             raise ValueError(
                 f"loss process queried backwards in time: {t} < {self._time}"
             )
+        block = self._holding
         while self._next_flip <= t:
             self._in_bad = not self._in_bad
             mean = self.bad_duration if self._in_bad else self.good_duration
-            self._next_flip += self.rng.exponential(mean)
+            if block is None:
+                self._next_flip += self.rng.exponential(mean)
+            else:
+                i = self._holding_i
+                if i >= len(block):
+                    block = self._holding = self.rng.standard_exponential(
+                        self._HOLDING_BLOCK).tolist()
+                    i = 0
+                self._holding_i = i + 1
+                self._next_flip += mean * block[i]
         self._time = t
 
     def in_bad_state(self, t):
@@ -165,6 +207,8 @@ class GilbertElliottLoss(LossProcess):
         return self._in_bad
 
     def is_lost(self, t):
+        if self._holding is not None:
+            raise RuntimeError(_ATTACHED_IS_LOST)
         self._advance(t)
         eps = self.eps_bad if self._in_bad else self.eps_good
         return bool(self.rng.random() < eps)
@@ -217,12 +261,13 @@ class SteeredGilbertElliott(LossProcess):
       second) or the flip;
     * any other callable: nowhere, the window ends at the query time.
 
-    Per-packet uniform draws come from a
+    :meth:`is_lost` serves its uniform draws from a
     :class:`~repro.sim.rng.BufferedUniforms` block over *rng* to
     amortize generator dispatch overhead.  Because the chain's
     holding-time draws interleave on the same stream, batching yields a
     different — statistically equivalent — realization than unbatched
-    scalar draws.
+    scalar draws.  :meth:`attach_medium` attaches the chain (see
+    :class:`GilbertElliottLoss`), after which :meth:`is_lost` raises.
     """
 
     def __init__(self, mean_loss, rng, good_duration=0.9, bad_duration=0.12,
@@ -236,6 +281,9 @@ class SteeredGilbertElliott(LossProcess):
             rng=rng,
             start_time=start_time,
         )
+        # The split's constant terms (the chain's durations are fixed).
+        self._pi_bad = pi_b = self._chain.pi_bad
+        self._denom = pi_b + self.rho * (1.0 - pi_b)
         self.rng = rng
         self._draw = BufferedUniforms(rng).next
         # The split depends only on the target mean (pi_bad is fixed),
@@ -266,8 +314,8 @@ class SteeredGilbertElliott(LossProcess):
     def _split(self, m):
         """Split target mean *m* into (eps_good, eps_bad)."""
         m = min(max(float(m), 0.0), 1.0)
-        pi_b = self._chain.pi_bad
-        denom = pi_b + self.rho * (1.0 - pi_b)
+        pi_b = self._pi_bad
+        denom = self._denom
         eps_bad = m / denom if denom > 0 else m
         if eps_bad <= 1.0:
             return self.rho * eps_bad, eps_bad
@@ -344,7 +392,14 @@ class SteeredGilbertElliott(LossProcess):
             bound = next_flip
         return (eps_bad if in_bad else eps_good), bound
 
+    def attach_medium(self):
+        """Serve a medium row: the chain block-draws its holding times
+        from now on (idempotent)."""
+        self._chain.attach_medium()
+
     def is_lost(self, t):
+        if self._chain._holding is not None:
+            raise RuntimeError(_ATTACHED_IS_LOST)
         # Advance the chain before the coin: its flips draw from the
         # same stream.
         eps = self.loss_eps(t)

@@ -31,7 +31,11 @@ reachability index (links whose expected loss rate is strictly below
 medium finds a frame's receivers: the stochastic channel runs only for
 receivers that could possibly decode, and known-unreachable receivers
 never touch their loss process.  Transmission and delivery accounting
-is one :class:`collections.Counter` each, keyed by (node, frame kind).
+is one count row per node, a list with one slot per frame kind indexed
+by the frame's ``kind_index``; :attr:`WirelessMedium.tx_count` and
+:attr:`WirelessMedium.delivered_count` build
+:class:`collections.Counter` views keyed by (node, frame kind) from
+those rows when read.
 
 Fast paths riding on top:
 
@@ -40,7 +44,9 @@ Fast paths riding on top:
   so per-receiver uniforms come from one medium-owned RNG block
   instead of N private buffered streams; the per-link *state*
   randomness (burst chains, traces) keeps its own streams, so runs
-  stay deterministic for a seed.
+  stay deterministic for a seed.  A process that supplies
+  ``attach_medium`` is told when it first serves a row, so a burst
+  chain can draw its holding times in blocks from then on.
 * **Merged transmissions** — every frame, broadcast or unicast, airs
   through a claim: the attempt/transmit/resolve triple collapses into
   a single heap event at the frame's end time, and the channel is
@@ -54,7 +60,8 @@ Fast paths riding on top:
   the reachability index's expiry.  Resolving a frame is then one
   python-float compare per in-range receiver, of a uniform served from
   the medium's 256-uniform outcome blocks against its threshold, and
-  only the hits (deliveries) run further code.  With 5-12 receivers a
+  only the hits (deliveries) run further code: a slot increment in the
+  receiver's count row and its ``on_receive``.  With 5-12 receivers a
   frame, a numpy compare costs more in dispatch than it saves.
 * **Backoff-freezing CSMA** — contenders draw one backoff when they
   start contending, freeze the remainder while the channel is busy,
@@ -76,9 +83,22 @@ Fast paths riding on top:
 import math
 from collections import Counter, deque
 
+from repro.net.packet import FRAME_KIND_VALUES
+
 __all__ = ["LinkTable", "WirelessMedium"]
 
 _EMPTY = {}
+
+
+def _count_view(rows):
+    """``(node, frame kind) -> count`` over per-node count rows.
+
+    Kinds a node never counted are absent rather than zero, as in a
+    :class:`~collections.Counter` that was only ever incremented.
+    """
+    return Counter({(node_id, kind): n
+                    for node_id, row in rows.items()
+                    for kind, n in zip(FRAME_KIND_VALUES, row) if n})
 
 
 class LinkTable:
@@ -203,18 +223,24 @@ class _ResolveRows:
 
     One row per in-range receiver, in sorted receiver-id order (the
     reproducible delivery order).  The eps column holds each row's
-    loss threshold as a python float; the object columns back the
-    short loop over hits.  A row's per-frame loss probability comes
-    from its process's ``loss_eps_window``, which every process on a
-    medium link supplies; the stored threshold is reused until
-    ``valid_until``.
+    loss threshold as a python float; the object columns (ids,
+    ``on_receive`` callbacks and the receivers' delivery count rows)
+    back the short loop over hits.  A row's per-frame loss probability
+    comes from its process's ``loss_eps_window``, which every process
+    on a medium link supplies; the stored threshold is reused until
+    ``valid_until``.  Building a row calls the process's
+    ``attach_medium``, if it has one: from then on the medium is the
+    process's only user, which lets a burst chain block-draw its
+    holding times.  Attaching is idempotent, since rows are rebuilt
+    whenever the transmitter's in-range set changes and a symmetric
+    link's process serves two rows.
     """
 
-    __slots__ = ("ids", "receive", "window_fns", "eps", "valid_until",
-                 "min_valid", "n", "finite_rows")
+    __slots__ = ("ids", "receive", "counts", "window_fns", "eps",
+                 "valid_until", "min_valid", "n", "finite_rows")
 
-    def __init__(self, pairs, transmitter_id, nodes_by_id):
-        ids, receive, window_fns = [], [], []
+    def __init__(self, pairs, transmitter_id, nodes_by_id, count_rows):
+        ids, receive, counts, window_fns = [], [], [], []
         for receiver_id, process in pairs:
             if receiver_id == transmitter_id:
                 continue
@@ -223,9 +249,15 @@ class _ResolveRows:
                 continue
             ids.append(receiver_id)
             receive.append(node.on_receive)
+            counts.append(count_rows[receiver_id])
+            # getattr: duck-typed processes need not take part.
+            attach = getattr(process, "attach_medium", None)
+            if attach is not None:
+                attach()
             window_fns.append(process.loss_eps_window)
         self.ids = ids
         self.receive = receive
+        self.counts = counts
         self.window_fns = window_fns
         self.n = len(ids)
         self.eps = [0.0] * self.n
@@ -238,9 +270,12 @@ class _ResolveRows:
         # Row indices whose validity bound is finite (can still lapse).
         # ``None`` until the first full refresh; an infinite bound
         # means the probability never changes again, so later
-        # refreshes scan only the finite rows — on a BS transmitter
-        # that is one dynamic vehicle row instead of the whole
-        # static BS-BS neighborhood.
+        # refreshes scan only the finite rows.  Only rows that can
+        # never change get an infinite bound: Bernoulli rows
+        # (DieselNet's BS-BS links) and i.i.d. traces past their end.
+        # A burst chain's window always ends at its next flip, so on
+        # VanLAN, whose BS-BS links are steered chains, a BS
+        # transmitter's refresh still scans its whole neighborhood.
         self.finite_rows = None
 
 
@@ -320,10 +355,11 @@ class WirelessMedium:
         #: Frames carried by accepted batches.
         self.slot_batch_frames = 0
 
-        # Counters: transmissions on the vehicle-BS channel, per node
-        # and frame kind, for the Figure 12 efficiency accounting.
-        self.tx_count = Counter()
-        self.delivered_count = Counter()
+        # Count rows: node_id -> one slot per frame kind (indexed by
+        # ``kind_index``) of transmissions on the vehicle-BS channel
+        # and of deliveries, for the Figure 12 efficiency accounting.
+        self._tx_rows = {}
+        self._delivered_rows = {}
 
     # ------------------------------------------------------------------
     # Topology
@@ -340,6 +376,8 @@ class WirelessMedium:
         )
         self._in_flight[node.node_id] = 0
         self._cw[node.node_id] = self.backoff_slots
+        self._tx_rows[node.node_id] = [0] * len(FRAME_KIND_VALUES)
+        self._delivered_rows[node.node_id] = [0] * len(FRAME_KIND_VALUES)
         self._row_cache.clear()
 
     # ------------------------------------------------------------------
@@ -484,16 +522,17 @@ class WirelessMedium:
 
         Draws for the standard broadcast window are batched (bit-for-bit
         identical to scalar draws while only the standard window is in
-        use); grown unicast windows fall back to scalar draws.
+        use) and held as python ints; grown unicast windows fall back
+        to scalar draws.
         """
         if window == self.backoff_slots:
             buf = self._backoff_buf
             if buf is None or self._backoff_i >= len(buf):
                 buf = self._backoff_buf = self.rng.integers(
                     0, window + 1, size=64
-                )
+                ).tolist()
                 self._backoff_i = 0
-            value = int(buf[self._backoff_i])
+            value = buf[self._backoff_i]
             self._backoff_i += 1
             return value
         return int(self.rng.integers(0, window + 1))
@@ -602,7 +641,8 @@ class WirelessMedium:
                 and cached[3] == pairs:
             rows = cached[1]
         else:
-            rows = _ResolveRows(pairs, transmitter_id, self._nodes)
+            rows = _ResolveRows(pairs, transmitter_id, self._nodes,
+                                self._delivered_rows)
         self._row_cache[transmitter_id] = (expires, rows, links.version,
                                            pairs)
         return rows
@@ -689,16 +729,15 @@ class WirelessMedium:
         eps = rows.eps
         ids = rows.ids
         receive = rows.receive
-        delivered_count = self.delivered_count
-        kind = frame.kind_value
+        counts = rows.counts
+        kind = frame.kind_index
         unicast_delivered = False
         for i in range(n):
             if not u[i] >= eps[i]:
                 continue
-            receiver_id = ids[i]
-            if receiver_id == unicast_to:
+            if ids[i] == unicast_to:
                 unicast_delivered = True
-            delivered_count[(receiver_id, kind)] += 1
+            counts[i][kind] += 1
             receive[i](frame, transmitter_id)
         return unicast_delivered
 
@@ -733,7 +772,20 @@ class WirelessMedium:
     # ------------------------------------------------------------------
 
     def _count_tx(self, transmitter_id, frame):
-        self.tx_count[(transmitter_id, frame.kind_value)] += 1
+        self._tx_rows[transmitter_id][frame.kind_index] += 1
+
+    @property
+    def tx_count(self):
+        """Transmissions per ``(node, frame kind)``, as a
+        :class:`~collections.Counter` built from the count rows on
+        each read (no zero entries; changing it changes nothing)."""
+        return _count_view(self._tx_rows)
+
+    @property
+    def delivered_count(self):
+        """Deliveries per ``(receiver, frame kind)``, built like
+        :attr:`tx_count`."""
+        return _count_view(self._delivered_rows)
 
     def transmissions(self, kind=None, node_id=None):
         """Total transmissions, optionally filtered by kind / node.

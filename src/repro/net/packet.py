@@ -27,6 +27,7 @@ __all__ = [
     "Beacon",
     "DataPacket",
     "Direction",
+    "FRAME_KIND_VALUES",
     "FrameKind",
     "PacketIdAllocator",
     "ACK_SIZE_BYTES",
@@ -60,6 +61,12 @@ class FrameKind(enum.Enum):
     DATA = "data"
     ACK = "ack"
     BEACON = "beacon"
+
+
+#: Frame-kind values in ``kind_index`` order: each frame class's
+#: ``kind_index`` is its kind's position here, so per-kind counters can
+#: be list slots (the medium's count rows) instead of dict keys.
+FRAME_KIND_VALUES = tuple(kind.value for kind in FrameKind)
 
 
 class PacketIdAllocator:
@@ -120,6 +127,7 @@ class DataPacket:
 
     kind = FrameKind.DATA
     kind_value = "data"  # .value hoisted off the enum descriptor
+    kind_index = 0  # position in FRAME_KIND_VALUES
 
     def relay_copy(self, relayer_id):
         """Return the copy of this packet an auxiliary relays."""
@@ -168,6 +176,7 @@ class Ack:
 
     kind = FrameKind.ACK
     kind_value = "ack"
+    kind_index = 1
 
     def missing_ids(self):
         """Yield packet ids the bitmap marks as missing."""
@@ -208,6 +217,7 @@ class Beacon:
 
     kind = FrameKind.BEACON
     kind_value = "beacon"
+    kind_index = 2
 
     @property
     def size_bytes(self):

@@ -229,6 +229,24 @@ class TestRelaying:
         assert any(tx.heard_by_aux
                    for tx in sim.stats.tx_records.values())
 
+    def test_only_relaying_basestations_sample_the_ack_gap(self):
+        """The ack-gap window sizes relay decisions only: BRR, which
+        makes none, feeds it no sample, while ViFi's auxiliary does."""
+        counts = {}
+        for name, config in (("brr", ViFiConfig().brr_variant()),
+                             ("vifi", ViFiConfig())):
+            sim = make_sim(self._diversity_table(0.4), [1, 2],
+                           config=config, seed=31)
+            sim.run(until=8.0)
+            for seq in range(50):
+                sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
+                sim.send_downstream(("d", seq), 200, flow_id=2, seq=seq)
+            sim.run(until=20.0)
+            counts[name] = [node._ack_gap.sample_count
+                            for node in sim.bs_nodes.values()]
+        assert counts["brr"] == [0, 0]
+        assert sum(counts["vifi"]) > 0
+
     def test_relayed_copies_not_rerelayed(self):
         config = ViFiConfig(max_retx=0, salvage_enabled=False)
         links = {

@@ -5,6 +5,8 @@ traces -> policies, and testbed -> link table -> protocol -> apps — and
 check the paper's qualitative relationships hold end to end.  The
 realization anchor at the bottom pins the exact default-path output of
 two anchored runs: 120 s of VanLAN trip 0 and 60 s of DieselNet day 0.
+A second pin covers the probe traces, whose loss processes flip their
+own coins through ``is_lost`` instead of serving the medium.
 """
 
 import hashlib
@@ -184,3 +186,20 @@ class TestRealizationAnchor:
         events, digest = REALIZATION_ANCHORS[workload]
         assert sim.sim.events_processed == events
         assert hashlib.sha256(signature.encode()).hexdigest() == digest
+
+
+#: sha256 over ``up``, ``down`` and ``rssi`` of
+#: ``VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)``.
+PROBE_TRACE_ANCHOR = \
+    "3d083695c5f669be1f1fabe3966063bc0d4ce4b36b3948cd7e1de5e31e8763b2"
+
+
+class TestProbeTraceAnchor:
+    def test_probe_trace_realization_is_pinned(self):
+        """The ``is_lost`` path: scalar holding-time draws interleaved
+        with the coins on each process's stream."""
+        trace = VanLanTestbed(seed=42).generate_probe_trace(
+            0, max_seconds=60)
+        blob = trace.up.tobytes() + trace.down.tobytes() \
+            + trace.rssi.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == PROBE_TRACE_ANCHOR

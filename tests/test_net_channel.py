@@ -334,3 +334,88 @@ class TestLossEpsWindows:
             eps_w, _ = a.loss_eps_window(t)
             assert eps_w == b.loss_eps(t)
 
+
+
+class TestMediumAttachedChains:
+    """Attached chains block-draw their holding times, unmoved."""
+
+    FLIPS = 200
+
+    @staticmethod
+    def _flips(process, n, reattach_at=None):
+        """The first *n* flip instants, read through loss_eps_window."""
+        flips = []
+        t = 0.0
+        for k in range(n):
+            if k == reattach_at:
+                process.attach_medium()
+            _, t = process.loss_eps_window(t)
+            flips.append(t)
+        return flips
+
+    def _twins(self, make):
+        scalar = make(RngRegistry(44).fresh("chain"))
+        blocked = make(RngRegistry(44).fresh("chain"))
+        blocked.attach_medium()
+        return scalar, blocked
+
+    def test_block_draws_equal_scalar_draws(self):
+        """The flips span several block refills and match bit for bit;
+        a second attach in mid-block keeps the block it is serving."""
+        assert self.FLIPS > 3 * GilbertElliottLoss._HOLDING_BLOCK
+        scalar, blocked = self._twins(
+            lambda rng: GilbertElliottLoss(0.05, 0.8, 0.9, 0.12, rng))
+        expected = self._flips(scalar, self.FLIPS)
+        assert self._flips(blocked, self.FLIPS, reattach_at=37) == expected
+        assert scalar._holding is None
+
+    def test_steered_chain_block_draws_equal_scalar_draws(self):
+        scalar, blocked = self._twins(
+            lambda rng: SteeredGilbertElliott(0.3, rng))
+        assert self._flips(blocked, self.FLIPS, reattach_at=5) == \
+            self._flips(scalar, self.FLIPS)
+
+    def test_is_lost_raises_once_attached(self):
+        for process in (
+                GilbertElliottLoss(0.05, 0.8, 0.9, 0.12, _rng()),
+                SteeredGilbertElliott(0.3, _rng())):
+            assert process.is_lost(0.0) in (True, False)
+            process.attach_medium()
+            with pytest.raises(RuntimeError):
+                process.is_lost(0.1)
+
+    def test_medium_rows_attach_their_processes(self):
+        """Resolving a frame attaches the chains it reads, and a
+        symmetric link's process serves both rows with one block."""
+        from repro.net.medium import LinkTable, WirelessMedium
+        from repro.net.packet import DataPacket, Direction
+        from repro.sim.engine import Simulator
+
+        class _Node:
+            def __init__(self, node_id):
+                self.node_id = node_id
+
+            def on_receive(self, frame, transmitter_id):
+                pass
+
+        rngs = RngRegistry(8)
+        shared = SteeredGilbertElliott(0.2, rngs.stream("ab"))
+        idle = SteeredGilbertElliott(0.2, rngs.stream("ca"))
+        table = LinkTable()
+        table.set_link(0, 1, shared, symmetric=True)
+        table.set_link(2, 0, idle)
+        sim = Simulator()
+        medium = WirelessMedium(sim, table, rngs.stream("m"))
+        for node_id in range(3):
+            medium.attach(_Node(node_id))
+        for src, dst in ((0, 1), (1, 0)):
+            medium.send(src, DataPacket(pkt_id=0, src=src, dst=dst,
+                                        direction=Direction.UPSTREAM,
+                                        size_bytes=300))
+        sim.run(until=1.0)
+        assert shared._chain._holding is not None
+        with pytest.raises(RuntimeError):
+            shared.is_lost(1.0)
+        # Node 2 never transmitted: its link serves no row.
+        assert idle._chain._holding is None
+        assert idle.is_lost(1.0) in (True, False)

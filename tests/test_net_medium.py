@@ -608,3 +608,70 @@ class TestMediumFastPath:
         assert medium.transmissions(kind="ack") == 0
         assert medium.transmissions(kind="data", node_id=1) == 1
         assert medium.delivered_count[(1, "data")] == 3
+
+
+# ----------------------------------------------------------------------
+# Count rows
+# ----------------------------------------------------------------------
+
+class TestCountViews:
+    def test_frame_kind_indices(self):
+        from repro.net.packet import FRAME_KIND_VALUES, Beacon
+
+        for cls in (DataPacket, Ack, Beacon):
+            assert FRAME_KIND_VALUES[cls.kind_index] == cls.kind_value
+
+    def test_views_equal_counters_rebuilt_from_sends_and_receptions(self):
+        """A lossy run of every frame kind, through ``send`` and
+        ``send_slot_batch``: the views equal Counters rebuilt outside
+        the medium, and nodes or kinds with no count are absent."""
+        from collections import Counter
+
+        from repro.net.packet import Beacon
+
+        sim, medium, nodes = _setup(loss=0.3, n_nodes=4)
+        sent = Counter()
+        delivered = Counter()
+
+        def send(transmitter_id, frame, priority=False):
+            sent[(transmitter_id, frame.kind_value)] += 1
+            medium.send(transmitter_id, frame, priority=priority)
+
+        def send_batch(entries):
+            for transmitter_id, frame in entries:
+                sent[(transmitter_id, frame.kind_value)] += 1
+            medium.send_slot_batch(entries)
+
+        for node in nodes:
+            def on_receive(frame, transmitter_id, node=node):
+                delivered[(node.node_id, frame.kind_value)] += 1
+            node.on_receive = on_receive
+        for k in range(30):
+            at = 0.02 * k
+            sim.schedule_at(at, send, 0, _packet(0, 1, pkt_id=k))
+            sim.schedule_at(at, send, 1, Ack(pkt_id=k, acker=1, for_src=0),
+                            True)
+            sim.schedule_at(at + 0.01, send_batch,
+                            [(0, Beacon(sender=0)), (2, Beacon(sender=2))])
+        sim.run(until=5.0)
+        assert sum(medium.queue_length(n.node_id) for n in nodes) == 0
+        assert medium.slot_batch_count > 0
+        assert medium.tx_count == sent
+        assert medium.delivered_count == delivered
+        for view in (medium.tx_count, medium.delivered_count):
+            assert view and all(n > 0 for n in view.values())
+        # Node 3 never transmits, and node 2 sends only beacons.
+        assert not any(node == 3 for node, _ in medium.tx_count)
+        assert (2, "data") not in medium.tx_count
+        assert medium.transmissions(kind="beacon") == 60
+        assert medium.transmissions(node_id=1) == 30
+
+    def test_views_are_read_only_copies(self):
+        sim, medium, nodes = _setup()
+        medium.send(0, _packet(0, 1))
+        sim.run(until=1.0)
+        view = medium.tx_count
+        view[(0, "data")] += 5
+        assert medium.tx_count == {(0, "data"): 1}
+        with pytest.raises(AttributeError):
+            medium.delivered_count = {}
