@@ -14,7 +14,10 @@ from repro.net.channel import (
     SteeredGilbertElliott,
     TraceDrivenLoss,
 )
+from repro.net.medium import LinkTable, WirelessMedium
+from repro.net.packet import DataPacket, Direction
 from repro.net.propagation import LinkStateCache
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.testbeds.vanlan import VanLanTestbed
 
@@ -387,10 +390,6 @@ class TestMediumAttachedChains:
     def test_medium_rows_attach_their_processes(self):
         """Resolving a frame attaches the chains it reads, and a
         symmetric link's process serves both rows with one block."""
-        from repro.net.medium import LinkTable, WirelessMedium
-        from repro.net.packet import DataPacket, Direction
-        from repro.sim.engine import Simulator
-
         class _Node:
             def __init__(self, node_id):
                 self.node_id = node_id

@@ -9,6 +9,7 @@ that culls unreachable links.
 
 import copy
 import math
+from collections import Counter
 
 import pytest
 
@@ -16,7 +17,13 @@ from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.backplane import Backplane
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
 from repro.net.medium import LinkTable, WirelessMedium
-from repro.net.packet import Ack, DataPacket, Direction
+from repro.net.packet import (
+    FRAME_KIND_VALUES,
+    Ack,
+    Beacon,
+    DataPacket,
+    Direction,
+)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.testbeds.vanlan import VanLanTestbed
@@ -616,8 +623,6 @@ class TestMediumFastPath:
 
 class TestCountViews:
     def test_frame_kind_indices(self):
-        from repro.net.packet import FRAME_KIND_VALUES, Beacon
-
         for cls in (DataPacket, Ack, Beacon):
             assert FRAME_KIND_VALUES[cls.kind_index] == cls.kind_value
 
@@ -625,10 +630,6 @@ class TestCountViews:
         """A lossy run of every frame kind, through ``send`` and
         ``send_slot_batch``: the views equal Counters rebuilt outside
         the medium, and nodes or kinds with no count are absent."""
-        from collections import Counter
-
-        from repro.net.packet import Beacon
-
         sim, medium, nodes = _setup(loss=0.3, n_nodes=4)
         sent = Counter()
         delivered = Counter()
