@@ -24,7 +24,7 @@ def test_fig12_efficiency(benchmark, save_results, figure):
     up, down = results["upstream"], results["downstream"]
     # Upstream: ViFi > BRR, and PerfectRelay bounds ViFi from above.
     assert up["ViFi"] > up["BRR"]
-    assert up["PerfectRelay"] >= up["ViFi"] - 0.02
+    assert up["PerfectRelay"] >= up["ViFi"]
     # Downstream: BRR and PerfectRelay sit together; ViFi pays a relay
     # tax on the air.  In the paper that tax is small (BRR only
     # "slightly better"); our reproduction's false-positive relays are

@@ -10,7 +10,7 @@ wireless budget) and the mouth-to-ear delay, via the R-factor model in
 import math
 
 from repro.apps.mos import MosConfig, mos_score, voip_sessions
-from repro.apps.workload import FlowRouter
+from repro.apps.workload import CbrWorkload
 
 __all__ = ["VoipConfig", "VoipStream"]
 
@@ -35,61 +35,30 @@ class VoipConfig:
                 self.packet_size_bytes, self.mos)
 
 
-class VoipStream:
+class VoipStream(CbrWorkload):
     """Bidirectional voice stream with per-window MoS accounting.
+
+    The stream machinery is :class:`~repro.apps.workload.CbrWorkload`'s,
+    run at the codec's packet interval and size with ``voice-`` payload
+    tags.
 
     Args:
         protocol: the ViFiSimulation to ride on.
-        router: the shared :class:`FlowRouter`.
+        router: the shared :class:`~repro.apps.workload.FlowRouter`.
         config: a :class:`VoipConfig`.
         flow_base: uses ``flow_base`` (upstream leg) and
             ``flow_base + 1`` (downstream leg).
     """
 
+    UP_TAG = "voice-up"
+    DOWN_TAG = "voice-down"
+
     def __init__(self, protocol, router, config=None, flow_base=20):
-        self.protocol = protocol
         self.config = config or VoipConfig()
-        self.up_flow = flow_base
-        self.down_flow = flow_base + 1
-        self._seq = 0
-        self.sent_times = {}
-        self.up_deliveries = {}
-        self.down_deliveries = {}
-        self._started_at = None
-        self._stopped_at = None
-        router.register(self.up_flow, FlowRouter.WIRED, self._up_delivered)
-        router.register(self.down_flow, FlowRouter.VEHICLE,
-                        self._down_delivered)
-
-    # -- driving -----------------------------------------------------------
-
-    def start(self, at_time):
-        self._started_at = float(at_time)
-        self.protocol.sim.schedule_at(self._started_at, self._tick)
-
-    def stop(self, at_time):
-        self._stopped_at = float(at_time)
-
-    def _tick(self):
-        now = self.protocol.sim.now
-        if self._stopped_at is not None and now >= self._stopped_at:
-            return
-        seq = self._seq
-        self._seq += 1
-        self.sent_times[seq] = now
-        self.protocol.send_upstream(("voice-up", seq),
-                                    self.config.packet_size_bytes,
-                                    flow_id=self.up_flow, seq=seq)
-        self.protocol.send_downstream(("voice-down", seq),
-                                      self.config.packet_size_bytes,
-                                      flow_id=self.down_flow, seq=seq)
-        self.protocol.sim.schedule(self.config.packet_interval_s, self._tick)
-
-    def _up_delivered(self, packet, delivered_at):
-        self.up_deliveries.setdefault(packet.seq, delivered_at)
-
-    def _down_delivered(self, packet, delivered_at):
-        self.down_deliveries.setdefault(packet.seq, delivered_at)
+        super().__init__(protocol, router,
+                         interval_s=self.config.packet_interval_s,
+                         size_bytes=self.config.packet_size_bytes,
+                         flow_base=flow_base)
 
     # -- quality analysis -------------------------------------------------------
 

@@ -7,7 +7,9 @@ callbacks) by dispatching on ``flow_id``.
 :class:`CbrWorkload` reproduces the link-layer measurement workload of
 Sections 3.1 and 5.2: "the van and a remote computer attached to the
 wired network send a 500-byte packet to each other every 100 ms."  Its
-output feeds the session analysis of Figure 7.
+output feeds the session analysis of Figure 7.  It is also the stream
+machinery of :class:`~repro.apps.voip.VoipStream`, which sends smaller
+packets more often and judges them per window.
 """
 
 import numpy as np
@@ -72,6 +74,11 @@ class CbrWorkload:
             ``flow_base + 1`` (downstream).
     """
 
+    #: Payload tags of the two legs; packet *seq* carries
+    #: ``(tag, seq)``.
+    UP_TAG = "cbr-up"
+    DOWN_TAG = "cbr-down"
+
     def __init__(self, protocol, router, interval_s=0.1, size_bytes=500,
                  flow_base=10):
         self.protocol = protocol
@@ -105,9 +112,9 @@ class CbrWorkload:
         seq = self._seq
         self._seq += 1
         self.sent_times[seq] = now
-        self.protocol.send_upstream(("cbr-up", seq), self.size_bytes,
+        self.protocol.send_upstream((self.UP_TAG, seq), self.size_bytes,
                                     flow_id=self.up_flow, seq=seq)
-        self.protocol.send_downstream(("cbr-down", seq), self.size_bytes,
+        self.protocol.send_downstream((self.DOWN_TAG, seq), self.size_bytes,
                                       flow_id=self.down_flow, seq=seq)
         self.protocol.sim.schedule(self.interval, self._tick)
 

@@ -513,12 +513,9 @@ class LinkSender:
             src=self.node.node_id,
             dst=dst,
             aux_designated=aux,
+            created_at=packet.created_at,
+            salvaged=packet.salvaged,
         )
-        record = self.ctx.stats.packet_record(
-            (self.node.node_id, packet.pkt_id), self.direction,
-            packet.created_at, packet.size_bytes,
-        )
-        record.salvaged = record.salvaged or packet.salvaged
         unicast_to = dst if self.ctx.config.unicast_data else None
         self.ctx.medium.send(self.node.node_id, packet,
                              unicast_to=unicast_to)
@@ -614,11 +611,10 @@ class LinkSender:
             self._complete(idx, pkt_id)
         # Bitmap: ids in the 8-slot window NOT flagged missing were
         # received; retire them without a delay sample.
-        bitmap = ack.missing_bitmap
-        for k in range(8):
-            candidate = pkt_id - 1 - k
-            if candidate < 0 or bitmap & (1 << k):
-                continue
+        for offset in _RECEIVED_OFFSETS[ack.missing_bitmap]:
+            candidate = pkt_id - offset
+            if candidate < 0:
+                break
             cidx = candidate - base
             if 0 <= cidx < n and st[cidx] == _PENDING \
                     and self._txc[cidx] > 0:
@@ -1060,8 +1056,8 @@ class BasestationNode(_NodeBase):
             ring.heard[row] = now
         if packet.relayed_by is not None:
             return  # never relay a relay
-        if self.node_id in self.known_aux:
-            self.ctx.stats.on_aux_overhear(packet.tx_id, self.node_id)
+        self.ctx.stats.on_aux_overhear(packet.tx_id, self.node_id,
+                                       self.node_id in self.known_aux)
         if not self._relaying or not self.is_designated_aux():
             return
         vehicle, anchor = self.vehicle_id, self.known_anchor

@@ -7,9 +7,10 @@ efficiency using packet-level logs of ViFi."
 Per the paper's estimation rules:
 
 * **Upstream**: a packet is considered delivered if at least one BS
-  (anchor or auxiliary) heard any of its source transmissions; relays
-  ride the backplane, so the wireless transmission count is just the
-  source's.
+  heard any of its source transmissions: the destination, or any other
+  BS that overheard it, whether or not it was designated an auxiliary
+  (``TxRecord.overheard``); relays ride the backplane, so the wireless
+  transmission count is just the source's.
 * **Downstream**: when at least one auxiliary relayed the packet in the
   ViFi run, PerfectRelay's single relay is assumed to have the same
   outcome as ViFi's relaying; when no auxiliary relayed (but at least
@@ -52,12 +53,12 @@ def perfect_relay_efficiency(stats, direction):
         source_tx = len(txs)
         wireless_tx += source_tx
         heard_direct = any(t.heard_by_dst for t in txs)
-        heard_by_any_aux = any(t.heard_by_aux for t in txs)
         if direction is Direction.UPSTREAM:
             # Backplane relays are free on the wireless medium.
-            if heard_direct or heard_by_any_aux:
+            if heard_direct or any(t.overheard for t in txs):
                 delivered += 1
             continue
+        heard_by_any_aux = any(t.heard_by_aux for t in txs)
         # Downstream: charge one relay when the oracle needs one.
         if heard_direct:
             delivered += 1

@@ -28,7 +28,15 @@ __all__ = ["CoordinationReport", "PacketRecord", "TxRecord", "ViFiStats"]
 
 @dataclass
 class TxRecord:
-    """One *source* transmission (original or source retransmission)."""
+    """One *source* transmission (original or source retransmission).
+
+    ``heard_by_aux`` holds the auxiliaries that overheard it while
+    designated both in the source's snapshot at transmission time and
+    in their own view (Table 1's rows and the downstream PerfectRelay
+    rule read it); ``overheard`` is set when any BS other than the
+    destination overheard it, designated or not (the upstream
+    PerfectRelay rule reads it).
+    """
 
     tx_id: int
     pkt_key: tuple
@@ -40,6 +48,7 @@ class TxRecord:
     heard_by_dst: bool = False
     heard_by_aux: set = field(default_factory=set)
     relays: list = field(default_factory=list)  # aux ids that relayed
+    overheard: bool = False
 
 
 @dataclass
@@ -49,7 +58,6 @@ class PacketRecord:
     pkt_key: tuple
     direction: Direction
     created_at: float
-    size_bytes: int = 0
     source_tx_count: int = 0
     first_dst_receive: float | None = None
     delivered: bool = False
@@ -76,16 +84,13 @@ class ViFiStats:
     # Event ingestion (called by nodes)
     # ------------------------------------------------------------------
 
-    def packet_record(self, pkt_key, direction, created_at, size_bytes=0):
-        record = self.packet_records.get(pkt_key)
-        if record is None:
-            record = PacketRecord(pkt_key, direction, created_at,
-                                  size_bytes=size_bytes)
-            self.packet_records[pkt_key] = record
-        return record
-
     def on_source_tx(self, tx_id, pkt_key, direction, time, src, dst,
-                     aux_designated):
+                     aux_designated, created_at, salvaged=False):
+        """A source transmission of the packet created at *created_at*.
+
+        *salvaged* marks a packet that reached its sender through
+        salvaging (Section 4.5).
+        """
         self.tx_records[tx_id] = TxRecord(
             tx_id=tx_id,
             pkt_key=pkt_key,
@@ -95,8 +100,13 @@ class ViFiStats:
             dst=dst,
             aux_designated=tuple(aux_designated),
         )
-        record = self.packet_record(pkt_key, direction, time)
+        record = self.packet_records.get(pkt_key)
+        if record is None:
+            record = PacketRecord(pkt_key, direction, created_at)
+            self.packet_records[pkt_key] = record
         record.source_tx_count += 1
+        if salvaged:
+            record.salvaged = True
 
     def on_dst_receive(self, tx_id, pkt_key, time, via_relay):
         record = self.packet_records.get(pkt_key)
@@ -109,10 +119,18 @@ class ViFiStats:
         if not via_relay and tx_id in self.tx_records:
             self.tx_records[tx_id].heard_by_dst = True
 
-    def on_aux_overhear(self, tx_id, aux_id):
+    def on_aux_overhear(self, tx_id, aux_id, designated=True):
+        """BS *aux_id* overheard source transmission *tx_id*.
+
+        *designated* says whether the BS believed itself an auxiliary
+        when it overheard; ``heard_by_aux`` counts it only then, and
+        only if the source's snapshot named it too.
+        """
         tx = self.tx_records.get(tx_id)
-        if tx is not None and aux_id in tx.aux_designated:
-            tx.heard_by_aux.add(aux_id)
+        if tx is not None:
+            tx.overheard = True
+            if designated and aux_id in tx.aux_designated:
+                tx.heard_by_aux.add(aux_id)
 
     def on_aux_heard_ack(self, pkt_key, aux_id):
         record = self.packet_records.get(pkt_key)

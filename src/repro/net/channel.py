@@ -23,12 +23,15 @@ Three processes are provided:
   methodology, kept for validation runs.
 
 Both trace-driven uses read the per-second series through
-:class:`RateSeries`.
+:class:`RateSeries`.  A steering target that knows when it next
+changes says so through ``rate_window(t) -> (rate, valid_until)``: a
+:class:`RateSeries` for beacon traces, a
+:class:`~repro.net.propagation.LinkBank` member for the deployment
+radio model.
 """
 
 import math
 
-from repro.net.propagation import LinkStateCache
 from repro.sim.rng import BufferedUniforms
 
 __all__ = [
@@ -55,14 +58,13 @@ class LossProcess:
     instead of re-evaluating them on every refresh.
 
     The processes separate *state advance* from the per-packet coin
-    flip: ``loss_eps(t)`` advances any internal state to *t* and
-    returns the instantaneous per-packet loss probability, without
-    consuming a uniform draw, and ``loss_eps_window(t) ->
-    (eps, valid_until)`` also bounds how long it stays valid: the loss
-    probability cannot change before ``valid_until`` (the next
-    burst-chain flip, steering-bucket boundary, or trace-second
-    boundary, whichever comes first).  Every process on a medium link
-    supplies ``loss_eps_window``.  The medium
+    flip: ``loss_eps_window(t) -> (eps, valid_until)`` advances any
+    internal state to *t* and returns the instantaneous per-packet loss
+    probability, without consuming a uniform draw, together with how
+    long it stays valid: the loss probability cannot change before
+    ``valid_until`` (the next burst-chain flip, steering-bucket
+    boundary, or trace-second boundary, whichever comes first).  Every
+    process on a medium link supplies ``loss_eps_window``.  The medium
     (:class:`~repro.net.medium.WirelessMedium`) stores these
     thresholds in its struct-of-arrays resolve rows, reuses each while
     its window holds — bitwise-safe because a skipped no-flip state
@@ -106,9 +108,6 @@ class BernoulliLoss(LossProcess):
 
     def is_lost(self, t):
         return self._draw() < self.p
-
-    def loss_eps(self, t):
-        return self.p
 
     def loss_eps_window(self, t):
         return self.p, math.inf
@@ -213,10 +212,6 @@ class GilbertElliottLoss(LossProcess):
         eps = self.eps_bad if self._in_bad else self.eps_good
         return bool(self.rng.random() < eps)
 
-    def loss_eps(self, t):
-        self._advance(t)
-        return self.eps_bad if self._in_bad else self.eps_good
-
     def loss_eps_window(self, t):
         """``(eps, valid_until)``: eps cannot change before the flip."""
         self._advance(t)
@@ -230,11 +225,11 @@ class GilbertElliottLoss(LossProcess):
 class SteeredGilbertElliott(LossProcess):
     """Gilbert-Elliott burstiness steered to a target mean loss rate.
 
-    Given a callable ``mean_loss(t)`` returning the target loss rate at
-    time *t* (from path loss, shadowing, gray periods, or a beacon
-    trace), the per-state loss probabilities are re-derived at every
-    query so the instantaneous expectation matches the target while the
-    good/bad alternation supplies burst structure:
+    Given a target ``mean_loss`` giving the loss rate at time *t* (from
+    path loss, shadowing, gray periods, or a beacon trace), the
+    per-state loss probabilities are re-derived at every query so the
+    instantaneous expectation matches the target while the good/bad
+    alternation supplies burst structure:
 
     * ``eps_bad = min(1, m / (pi_bad + rho * (1 - pi_bad)))``
     * ``eps_good = rho * eps_bad``
@@ -243,23 +238,23 @@ class SteeredGilbertElliott(LossProcess):
     the target is so lossy that ``eps_bad`` clips at 1, the remainder is
     pushed into the good state, preserving the mean exactly.
 
-    ``mean_loss`` may also be a plain float for links whose target rate
-    never changes (e.g. static BS-BS links): the per-state split is then
-    computed once instead of per query.
+    The target is one of three kinds, recognized at construction; the
+    kind decides how far :meth:`loss_eps_window` reaches past the query
+    time:
 
-    The target's kind, recognized at construction, decides how far
-    :meth:`loss_eps_window` reaches past the query time:
-
-    * a float: to the chain's next state flip;
-    * a :class:`~repro.net.propagation.LinkStateCache`'s ``loss_prob``:
-      to the end of the cache's time bucket or the flip, whichever
-      comes first;
-    * a callable with a ``rate_window(t) -> (rate, valid_until)``
-      method, such as the :class:`RateSeries` of a per-second trace
-      that :func:`~repro.testbeds.lossmap.build_link_table_from_log`
-      passes: to the next change of the target (the next trace
-      second) or the flip;
-    * any other callable: nowhere, the window ends at the query time.
+    * a float, for links whose target rate never changes (e.g. static
+      BS-BS links): the per-state split is computed once, and the
+      window reaches the chain's next state flip;
+    * an object with a ``rate_window(t) -> (rate, valid_until)``
+      method: the :class:`RateSeries` of a per-second trace that
+      :func:`~repro.testbeds.lossmap.build_link_table_from_log` passes,
+      or a :meth:`~repro.net.propagation.LinkBank.members` target,
+      whose rate holds for one time bucket.  The window reaches the
+      next change of the target or the flip, whichever comes first;
+    * any other callable ``t -> rate``, such as a
+      :class:`~repro.net.propagation.LinkModel`'s ``loss_prob`` in the
+      probe traces and Figure 6: nowhere, the window ends at the query
+      time.
 
     :meth:`is_lost` serves its uniform draws from a
     :class:`~repro.sim.rng.BufferedUniforms` block over *rng* to
@@ -287,29 +282,17 @@ class SteeredGilbertElliott(LossProcess):
         self.rng = rng
         self._draw = BufferedUniforms(rng).next
         # The split depends only on the target mean (pi_bad is fixed),
-        # and the target is piecewise-constant in practice (cached link
-        # state, per-second traces), so memoize the last split.
+        # and the target is piecewise-constant in practice (bank
+        # buckets, per-second traces), so memoize the last split.
         self._last_m = None
         self._last_split = (0.0, 0.0)
-        if callable(mean_loss):
-            self.mean_loss = mean_loss
-            self._static_eps = None
-            # When the target is a LinkStateCache's loss_prob, read the
-            # cache's current bucket inline: the per-packet hot path
-            # then skips two call frames on every cache hit.
-            owner = getattr(mean_loss, "__self__", None)
-            self._link_state = owner \
-                if isinstance(owner, LinkStateCache) else None
-            # A target that reports when its value next changes bounds
-            # the window by that change instead of by the query time.
-            self._rate_window = getattr(mean_loss, "rate_window", None)
-        else:
+        self.mean_loss = mean_loss
+        self._rate_window = getattr(mean_loss, "rate_window", None)
+        self._static_eps = None
+        if self._rate_window is None and not callable(mean_loss):
             rate = min(max(float(mean_loss), 0.0), 1.0)
-            self.mean_loss = lambda t, rate=rate: rate
             self._static_eps = self._split(rate)
             self.static_loss_rate = rate
-            self._link_state = None
-            self._rate_window = None
 
     def _split(self, m):
         """Split target mean *m* into (eps_good, eps_bad)."""
@@ -324,54 +307,33 @@ class SteeredGilbertElliott(LossProcess):
         eps_good = (m - pi_b) / (1.0 - pi_b)
         return min(eps_good, 1.0), 1.0
 
-    def loss_eps(self, t):
-        """Advance the chain to *t*; return the per-packet loss prob."""
-        return self.loss_eps_window(t)[0]
-
     def loss_eps_window(self, t):
         """``(eps, valid_until)`` for the medium's resolve rows.
 
         The per-packet probability is pinned until whichever comes
         first: the chain's next state flip, or the next instant the
-        target can move.  A float target never moves.  For a
-        :class:`LinkStateCache` target that is the end of the current
-        time-quantum bucket: the cached probability is one value per
-        bucket (a bank samples it at the bucket centre, possibly
-        prefilled), so the window never spans a bucket boundary.  At an
-        *exact* bucket-edge query the bound may degenerate to the query
-        time itself (float division lands the key either side of the
-        edge); that costs one extra refresh, never a stale threshold.
-        A target with ``rate_window`` reports the bound itself: for a
-        per-second trace series, the next trace second, and never past
-        the trace end, where the out-of-range rate holds and only flips
+        target can move.  A float target never moves.  A target with
+        ``rate_window`` reports the bound itself: for a bank member,
+        the end of the current time bucket (the bank samples one value
+        per bucket, at its centre, possibly prefilled), so the window
+        never spans a bucket boundary.  At an *exact* bucket-edge query
+        the bound may degenerate to the query time itself (float
+        division lands the key either side of the edge); that costs one
+        extra refresh, never a stale threshold.  For a per-second trace
+        series the bound is the next trace second, and never past the
+        trace end, where the out-of-range rate holds and only flips
         bound the window.  The boundary tests in
         ``tests/test_net_channel.py`` assert these bounds.  Any other
         callable target can change at any instant, so its window
-        degenerates to the query time (no reuse); ``quantum<=0``
-        likewise buckets at exact query times only, preserving the
-        bitwise guarantee.  :meth:`loss_eps` reads the same value; the
-        medium calls this once per stale row, so the target lookups and
-        the chain advance run inline.
+        degenerates to the query time (no reuse).  The medium calls
+        this once per stale row, so the chain advance runs inline.
         """
         chain = self._chain
         if self._static_eps is not None:
             eps_good, eps_bad = self._static_eps
             bound = math.inf
         else:
-            ls = self._link_state
-            if ls is not None:
-                quantum = ls.quantum
-                if quantum > 0.0:
-                    key = int(t / quantum)
-                    bound = (key + 1.0) * quantum
-                else:
-                    key = t
-                    bound = t
-                if key == ls._prob_key:
-                    m = 1.0 - ls._prob
-                else:
-                    m = 1.0 - ls.reception_prob(t)
-            elif self._rate_window is not None:
+            if self._rate_window is not None:
                 m, bound = self._rate_window(t)
             else:
                 m = self.mean_loss(t)
@@ -402,13 +364,17 @@ class SteeredGilbertElliott(LossProcess):
             raise RuntimeError(_ATTACHED_IS_LOST)
         # Advance the chain before the coin: its flips draw from the
         # same stream.
-        eps = self.loss_eps(t)
+        eps = self.loss_eps_window(t)[0]
         return self._draw() < eps
 
     def loss_rate(self, t):
         if self.static_loss_rate is not None:
             return self.static_loss_rate
-        return min(max(float(self.mean_loss(t)), 0.0), 1.0)
+        if self._rate_window is not None:
+            m = self._rate_window(t)[0]
+        else:
+            m = self.mean_loss(t)
+        return min(max(float(m), 0.0), 1.0)
 
 
 class RateSeries:
@@ -473,9 +439,6 @@ class TraceDrivenLoss(LossProcess):
         self._draw = BufferedUniforms(rng).next
 
     def loss_rate(self, t):
-        return self._series(t)
-
-    def loss_eps(self, t):
         return self._series(t)
 
     def loss_eps_window(self, t):

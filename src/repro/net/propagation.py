@@ -23,23 +23,23 @@ every in-range receiver for its instantaneous loss probability), so this
 module also provides the fast path: :class:`SpatialField` evaluates its
 random-Fourier sum vectorized with numpy behind a position-quantized LRU
 cache, :class:`GrayPeriodProcess` answers queries by bisection over
-merged intervals and prunes expired ones, and :class:`LinkStateCache`
-memoizes a link's RSSI / reception probability per time quantum (safe
-because shadowing interpolates on a 1 s lattice and mobility is smooth;
-``quantum_s=0`` degenerates to exact-time memoization and is bitwise
-identical to the uncached model).
+merged intervals and prunes expired ones, and :class:`LinkModel` keeps
+its latest RSSI and reception probability in a one-entry exact-time
+memo, so the several questions a probe slot asks at one instant (the
+up coin, the down coin, the RSSI report) cost one evaluation.
 
-On top of the per-link cache sits :class:`LinkBank`: in the ViFi
-setting every vehicle transmission is heard by all ~11 basestations at
-the same instant (the paper's Figure 5 diversity argument), so the N
-per-link cache misses of one time quantum are really one batched
+Protocol runs read links through :class:`LinkBank`: in the ViFi setting
+every vehicle transmission is heard by all ~11 basestations at the same
+instant (the paper's Figure 5 diversity argument), so the N per-link
+evaluations of one 20 ms time quantum are really one batched
 computation.  The bank stacks the per-BS spatial-field Fourier
 coefficients, shadowing lattices, and geometry into shared numpy arrays
-and fills every member cache's buckets in array passes over 256-bucket
-chunks, with no per-bucket Python.  Every bucket is sampled at its
-centre instant, so its value is a pure function of (link, bucket):
-whole trips can be prefilled at build time, bit for bit equal to the
-lazy fill.
+and fills every link's reception probability in array passes over
+256-bucket chunks, with no per-bucket Python.  Every bucket is sampled
+at its centre instant, so its value is a pure function of (link,
+bucket): whole trips can be prefilled at build time, bit for bit equal
+to the lazy fill.  Each banked link is handed to its loss processes as
+a ``rate_window`` target (see :meth:`LinkBank.members`).
 """
 
 import bisect
@@ -52,7 +52,6 @@ __all__ = [
     "GrayPeriodProcess",
     "LinkBank",
     "LinkModel",
-    "LinkStateCache",
     "RadioProfile",
     "Shadowing",
     "SpatialField",
@@ -322,6 +321,13 @@ class LinkModel:
     paper's symmetric trace methodology, or create two with independent
     shadowing for asymmetry studies.
 
+    :meth:`rssi` and :meth:`reception_prob` each remember their latest
+    query time and answer: a repeated query at the same instant (both
+    directions' loss processes and the RSSI report of one probe slot)
+    returns the stored value.  That is exact, since every ingredient is
+    a deterministic function of *t* and a repeated gray-period query
+    prunes nothing new.
+
     Args:
         profile: the :class:`RadioProfile`.
         position_a / position_b: callables ``t -> (x, y)``.
@@ -339,6 +345,10 @@ class LinkModel:
         self.shadowing = shadowing
         self.gray = gray
         self.spatial = spatial
+        self._rssi_t = None
+        self._rssi = 0.0
+        self._prob_t = None
+        self._prob = 0.0
 
     def distance(self, t):
         ax, ay = self.position_a(t)
@@ -347,6 +357,8 @@ class LinkModel:
 
     def rssi(self, t):
         """Instantaneous RSSI including shadowing (dBm)."""
+        if t == self._rssi_t:
+            return self._rssi
         ax, ay = self.position_a(t)
         bx, by = self.position_b(t)
         value = self.profile.mean_rssi(math.hypot(ax - bx, ay - by))
@@ -354,112 +366,20 @@ class LinkModel:
             value += self.shadowing.value_db(t)
         if self.spatial is not None:
             value += self.spatial.value_db(bx, by)
+        self._rssi_t = t
+        self._rssi = value
         return value
 
     def reception_prob(self, t):
         """Mean packet reception probability at time *t*."""
+        if t == self._prob_t:
+            return self._prob
         p = self.profile.reception_prob(self.rssi(t))
         if self.gray is not None and self.gray.in_gray(t):
             p = min(p, self.profile.gray_residual_reception)
+        self._prob_t = t
+        self._prob = p
         return p
-
-    def loss_prob(self, t):
-        return 1.0 - self.reception_prob(t)
-
-
-class LinkStateCache:
-    """Memoizes a :class:`LinkModel`'s RSSI / reception per time quantum.
-
-    Every frame on the medium asks the link model for its instantaneous
-    loss probability, but the model's ingredients change slowly:
-    shadowing interpolates on a 1 s lattice, the spatial field varies
-    over tens of metres (several seconds of driving), and gray periods
-    last seconds.  Quantizing the query time to ``quantum_s`` therefore
-    barely changes the answer — the reception-probability error is
-    bounded by the model's time derivative (lattice slope plus field
-    gradient times vehicle speed, a few dB/s) times the quantum — while
-    collapsing the many evaluations a busy medium makes inside one
-    quantum into a single computation.
-
-    Two properties make the cache safe:
-
-    * **Monotone time** — simulation time never goes backwards, so
-      entries never need invalidation; only the latest bucket is kept.
-    * **Deterministic replay** — the underlying stochastic processes
-      (shadowing lattice, gray periods) extend themselves lazily but
-      deterministically, so skipping intermediate queries consumes
-      exactly the same RNG stream as making them.
-
-    With ``quantum_s=0`` the bucket is the exact query time: results
-    are bit-for-bit identical to the uncached model, and the cache only
-    collapses repeated queries at the same instant (e.g. the up- and
-    down-direction loss processes of one link resolving the same
-    frame).
-
-    A cache may be a member of a :class:`LinkBank` (``bank`` /
-    ``bank_index``): misses are then served from the bank's
-    bucket-centre chunk store, which every member shares.
-
-    Args:
-        link: the wrapped :class:`LinkModel`.
-        quantum_s: time quantum in seconds (default 20 ms).
-        bank: owning :class:`LinkBank`, or ``None`` for scalar misses.
-        bank_index: this link's row in the bank's arrays.
-    """
-
-    #: Default time quantum (seconds) used by the testbed fast paths.
-    DEFAULT_QUANTUM_S = 0.02
-
-    __slots__ = ("link", "quantum", "bank", "bank_index", "_rssi_key",
-                 "_rssi", "_prob_key", "_prob")
-
-    def __init__(self, link, quantum_s=DEFAULT_QUANTUM_S, bank=None,
-                 bank_index=None):
-        self.link = link
-        self.quantum = float(quantum_s)
-        self.bank = bank
-        self.bank_index = bank_index
-        self._rssi_key = None
-        self._rssi = 0.0
-        self._prob_key = None
-        self._prob = 0.0
-
-    @property
-    def profile(self):
-        return self.link.profile
-
-    def distance(self, t):
-        return self.link.distance(t)
-
-    def rssi(self, t):
-        """Instantaneous RSSI (dBm), recomputed once per quantum."""
-        key = t if self.quantum <= 0.0 else int(t / self.quantum)
-        if key != self._rssi_key:
-            if self.bank is not None:
-                self._rssi = self.bank.rssi_at(self.bank_index, key)
-            else:
-                self._rssi = self.link.rssi(t)
-            self._rssi_key = key
-        return self._rssi
-
-    def reception_prob(self, t):
-        """Mean reception probability, recomputed once per quantum."""
-        key = t if self.quantum <= 0.0 else int(t / self.quantum)
-        if key != self._prob_key:
-            link = self.link
-            if self.bank is not None:
-                self._prob = self.bank.prob_at(self.bank_index, key)
-                self._prob_key = key
-                return self._prob
-            if key != self._rssi_key:
-                self._rssi = link.rssi(t)
-                self._rssi_key = key
-            p = link.profile.reception_prob(self._rssi)
-            if link.gray is not None and link.gray.in_gray(t):
-                p = min(p, link.profile.gray_residual_reception)
-            self._prob = p
-            self._prob_key = key
-        return self._prob
 
     def loss_prob(self, t):
         return 1.0 - self.reception_prob(t)
@@ -469,10 +389,10 @@ class LinkBank:
     """Vectorized evaluation of many links sharing one moving endpoint.
 
     When the vehicle transmits, every basestation link needs its
-    RSSI / reception probability at the same instant; when any BS
-    transmits, the vehicle link needs them moments later inside the
-    same time quantum.  Evaluating those N cache misses one by one
-    would repeat the same work N times, so the bank evaluates every
+    reception probability at the same instant; when any BS transmits,
+    the vehicle link needs them moments later inside the same time
+    quantum.  Evaluating those N links one by one would repeat the
+    same work N times, so the bank evaluates every
     link together, :attr:`_CHUNK` time buckets per array pass
     (:meth:`_fill_chunk`): one ``positions_at`` call places the
     vehicle, the per-BS spatial-field Fourier coefficients are stacked
@@ -490,9 +410,11 @@ class LinkBank:
     reproduces the same bank.  Lazy and prefilled fills run the
     *identical* chunk pipeline over the identical chunk boundaries, so
     they are bit-for-bit equal and consume the same RNG (the
-    lattice/gray extensions are deterministic).  Member
-    :class:`LinkStateCache` objects read their row of the current
-    bucket.
+    lattice/gray extensions are deterministic).  The bank stores
+    reception probabilities only; the RSSI it computes on the way is
+    dropped with each chunk's temporaries.  :meth:`members` hands each
+    link to its loss processes as a ``rate_window`` target that reads
+    its row of the current bucket.
 
     Requirements: every link shares the same :class:`RadioProfile` and
     the same moving endpoint (``position_b``) with an array form
@@ -502,16 +424,18 @@ class LinkBank:
 
     Args:
         links: :class:`LinkModel` instances satisfying the above.
-        quantum_s: time quantum handed to the member caches (must be
-            positive).
+        quantum_s: bucket width in seconds (must be positive).
     """
+
+    #: Default bucket width (seconds) of the testbed fast paths.
+    DEFAULT_QUANTUM_S = 0.02
 
     #: Buckets computed per vectorized fill pass.  Lazy fills and
     #: :meth:`prefill` both compute whole chunk-aligned ranges, so the
     #: two fill orders produce identical chunks.
     _CHUNK = 256
 
-    def __init__(self, links, quantum_s=LinkStateCache.DEFAULT_QUANTUM_S):
+    def __init__(self, links, quantum_s=DEFAULT_QUANTUM_S):
         if not quantum_s > 0.0:
             raise ValueError("a LinkBank needs a positive time quantum")
         links = list(links)
@@ -570,26 +494,26 @@ class LinkBank:
         # The current bucket's values, as python lists so member reads
         # never pay numpy scalar boxing (see _load_bucket).
         self._key = None
-        self._rssi_list = None
         self._prob_list = None
-        # Chunk store: chunk index -> (rssi, prob) float64 matrices of
-        # shape (n, _CHUNK).  Append-only and a pure function of
-        # (links, quantum, chunk), whichever fill order produced it.
+        # Chunk store: chunk index -> reception-probability float64
+        # matrix of shape (n, _CHUNK).  Append-only and a pure function
+        # of (links, quantum, chunk), whichever fill order produced it.
         self._chunks = {}
-        self._centre_column = None
         #: Simulated horizon (seconds) covered by :meth:`prefill`.
         self.prefilled_until = 0.0
         #: Wall seconds spent in :meth:`prefill` (tracked so benchmark
         #: harnesses can report build cost separately from run cost).
         self.prefill_wall_s = 0.0
 
-    def wrap(self):
-        """Member :class:`LinkStateCache` objects, one per banked link."""
-        return [
-            LinkStateCache(link, quantum_s=self.quantum, bank=self,
-                           bank_index=i)
-            for i, link in enumerate(self.links)
-        ]
+    def members(self):
+        """One ``rate_window`` steering target per banked link, in order.
+
+        A member's ``rate_window(t)`` answers ``(1 - prob_at(i, key),
+        end of bucket key)`` for the bucket *key* holding *t*, behind a
+        one-bucket memo, so a link's up and down chains, sharing the
+        member, read each bucket from the bank once.
+        """
+        return [_BankMember(self, i) for i in range(len(self.links))]
 
     # -- chunk pipeline --------------------------------------------------
 
@@ -688,21 +612,16 @@ class LinkBank:
                 sub = row[mask]
                 sub[in_gray] = residual
                 row[mask] = sub
-        data = (rssi, prob)
-        self._chunks[chunk] = data
-        return data
+        self._chunks[chunk] = prob
+        return prob
 
     def _load_bucket(self, key):
         """Make bucket *key* current."""
         chunk, offset = divmod(key, self._CHUNK)
-        data = self._chunks.get(chunk)
-        if data is None:
-            data = self._fill_chunk(chunk)
-        # The RSSI column is extracted lazily: protocol runs read only
-        # probabilities on the hot path.
-        self._rssi_list = None
-        self._prob_list = data[1][:, offset].tolist()
-        self._centre_column = (data[0], offset)
+        prob = self._chunks.get(chunk)
+        if prob is None:
+            prob = self._fill_chunk(chunk)
+        self._prob_list = prob[:, offset].tolist()
         self._key = key
 
     def prefill(self, until_s):
@@ -724,18 +643,35 @@ class LinkBank:
 
     # -- member reads ----------------------------------------------------
 
-    def rssi_at(self, index, key):
-        """RSSI (dBm) of link *index* for bucket *key*."""
-        if key != self._key:
-            self._load_bucket(key)
-        values = self._rssi_list
-        if values is None:
-            rssi, offset = self._centre_column
-            values = self._rssi_list = rssi[:, offset].tolist()
-        return values[index]
-
     def prob_at(self, index, key):
         """Reception probability of link *index* for bucket *key*."""
         if key != self._key:
             self._load_bucket(key)
         return self._prob_list[index]
+
+
+class _BankMember:
+    """One :class:`LinkBank` link as a ``rate_window`` steering target.
+
+    See :meth:`LinkBank.members`.  The window ends at the bucket's end:
+    at an *exact* bucket-edge query, float division may land the key
+    on the earlier bucket, whose end is then the query time itself.
+    """
+
+    __slots__ = ("bank", "index", "quantum", "_key", "_rate")
+
+    def __init__(self, bank, index):
+        self.bank = bank
+        self.index = index
+        self.quantum = bank.quantum
+        self._key = None
+        self._rate = 1.0
+
+    def rate_window(self, t):
+        """``(loss rate, valid_until)`` of the bucket holding *t*."""
+        quantum = self.quantum
+        key = int(t / quantum)
+        if key != self._key:
+            self._rate = 1.0 - self.bank.prob_at(self.index, key)
+            self._key = key
+        return self._rate, (key + 1.0) * quantum

@@ -70,7 +70,7 @@ SCHEMA_VERSION = 1
 #: Result-semantics tag folded into every key.  Bump when a change
 #: makes previously stored results stale (new default knob, changed
 #: summary fields) without a schema change.
-CODE_VERSION = "2026.10-shared-tcp-cells"
+CODE_VERSION = "2026.10-perfect-relay-overhears"
 
 #: Leading bytes of every record file.
 MAGIC = b"REPRO-STORE\n"

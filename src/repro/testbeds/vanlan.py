@@ -19,6 +19,10 @@ This module rebuilds that environment synthetically:
 Its products are the paper's two artifact types: probe traces
 (Section 3.1 methodology) and beacon logs, plus a live
 :class:`~repro.net.medium.LinkTable` for deployment-style protocol runs.
+Probe traces steer their burst chains with each
+:class:`~repro.net.propagation.LinkModel`'s exact loss probability; the
+live table steers them with the members of one
+:class:`~repro.net.propagation.LinkBank`, one value per 20 ms bucket.
 """
 
 import numpy as np
@@ -30,7 +34,6 @@ from repro.net.propagation import (
     GrayPeriodProcess,
     LinkBank,
     LinkModel,
-    LinkStateCache,
     RadioProfile,
     Shadowing,
     SpatialField,
@@ -129,8 +132,8 @@ class VanLanTestbed:
         # only, so every trip and every day shares them.
         # The 1 m cache quantum is 1/70th of the correlation length:
         # the lookup error (< 0.1 dB) is far below the 4 dB field
-        # sigma, while consecutive 20 ms link-cache queries of the
-        # moving vehicle (~0.2 m apart) mostly coalesce.
+        # sigma, while consecutive 20 ms bucket centres of the moving
+        # vehicle (~0.2 m apart) mostly coalesce.
         self._spatial = {
             bs: SpatialField(
                 sigma_db=4.0,
@@ -238,12 +241,9 @@ class VanLanTestbed:
             positions[t_idx] = motion(t)
 
         for j, bs in enumerate(bs_ids):
-            # quantum 0: exact-time memoization only, so the up and
-            # down draws (and the RSSI report) at one slot share a
-            # single propagation evaluation without changing anything.
-            link = LinkStateCache(
-                self.link_model(trip, bs, motion), quantum_s=0.0
-            )
+            # The model's exact-time memo lets the up and down draws
+            # (and the RSSI report) at one slot share one evaluation.
+            link = self.link_model(trip, bs, motion)
             up_proc = SteeredGilbertElliott(
                 link.loss_prob, rng=trip_rngs.stream("fast-up", bs)
             )
@@ -322,10 +322,9 @@ class VanLanTestbed:
         for ack overhearing) use static distance-based means with
         burstiness.  All vehicle links read one
         :class:`~repro.net.propagation.LinkBank` (see
-        :meth:`build_link_bank`) through per-link
-        :class:`~repro.net.propagation.LinkStateCache` members, so the
-        N per-link misses of a time quantum collapse into one
-        vectorized pass.
+        :meth:`build_link_bank`): each link's up and down chains share
+        one bank member as their ``rate_window`` target, and the N
+        links of a time bucket are filled in one vectorized pass.
 
         Args:
             prefill_s: optional prefill horizon of the built bank.
@@ -338,13 +337,12 @@ class VanLanTestbed:
         table = LinkTable()
         bank = self.build_link_bank(trip, vehicle_position, bs_ids=bs_ids,
                                     prefill_s=prefill_s)
-        caches = bank.wrap()
         table.link_bank = bank
-        for bs, link in zip(bs_ids, caches):
+        for bs, member in zip(bs_ids, bank.members()):
             table.set_link(vehicle_id, bs, SteeredGilbertElliott(
-                link.loss_prob, rng=trip_rngs.stream("live-up", bs)))
+                member, rng=trip_rngs.stream("live-up", bs)))
             table.set_link(bs, vehicle_id, SteeredGilbertElliott(
-                link.loss_prob, rng=trip_rngs.stream("live-down", bs)))
+                member, rng=trip_rngs.stream("live-down", bs)))
         for a in bs_ids:
             for b in bs_ids:
                 if a >= b:

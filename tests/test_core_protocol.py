@@ -114,6 +114,18 @@ class TestDataPath:
         sim.run(until=12.0)
         assert len(sim.vehicle.delivered_downstream) == 20
 
+    def test_packet_record_keeps_creation_time(self):
+        """A packet queued before the vehicle has an anchor records
+        when it was created, not when it first aired."""
+        sim = make_sim(full_mesh([1, 2]), [1, 2])
+        sim.send_upstream(("up", 0), 500, flow_id=1, seq=0)
+        sim.run(until=8.0)
+        record, = sim.stats.packet_records.values()
+        first_tx = min(tx.time for tx in sim.stats.tx_records.values()
+                       if tx.pkt_key == record.pkt_key)
+        assert first_tx > 0.0
+        assert record.created_at == 0.0
+
     def test_no_duplicate_app_delivery(self):
         # A lossy link forces retransmissions; the app must still see
         # each seq exactly once.  Salvaging is off: a salvaged packet
@@ -368,7 +380,7 @@ class TestAccounting:
         vifi_eff = sim.efficiency(Direction.UPSTREAM)
         pr_eff, _, _ = perfect_relay_efficiency(sim.stats,
                                                 Direction.UPSTREAM)
-        assert pr_eff >= vifi_eff - 0.02
+        assert pr_eff >= vifi_eff
 
     def test_coordination_report_structure(self):
         sim = make_sim(full_mesh([1, 2], vehicle_loss=0.3), [1, 2],

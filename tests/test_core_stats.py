@@ -12,7 +12,8 @@ DOWN = Direction.DOWNSTREAM
 
 def record_tx(stats, tx_id, pkt, direction=UP, aux=(2, 3), t=0.0):
     stats.on_source_tx(tx_id=tx_id, pkt_key=(0, pkt), direction=direction,
-                       time=t, src=0, dst=1, aux_designated=aux)
+                       time=t, src=0, dst=1, aux_designated=aux,
+                       created_at=t)
 
 
 class TestTable1Rows:
@@ -111,6 +112,22 @@ class TestPerfectRelay:
         assert delivered == 2
         assert tx == 3  # relays ride the backplane, not the air
         assert eff == pytest.approx(2 / 3)
+
+    def test_upstream_counts_bs_outside_snapshot(self):
+        """A BS the vehicle had not designated when it transmitted (it
+        acts on newer designations) still heard the packet: the
+        oracle delivers it, while Table 1's heard_by_aux stays empty."""
+        stats = ViFiStats()
+        record_tx(stats, tx_id=1, pkt=0, aux=(2,))
+        stats.on_aux_overhear(1, 9)
+        record_tx(stats, tx_id=2, pkt=1, aux=(2,))
+        stats.on_aux_overhear(2, 2, designated=False)
+        eff, delivered, tx = perfect_relay_efficiency(stats, UP)
+        assert delivered == 2
+        assert tx == 2
+        assert not stats.tx_records[1].heard_by_aux
+        assert not stats.tx_records[2].heard_by_aux
+        assert stats.coordination_report(UP).mean_aux_heard == 0.0
 
     def test_downstream_charges_needed_relays(self):
         stats = ViFiStats()

@@ -1,6 +1,6 @@
-"""Unit tests for loss processes, including the ``loss_eps`` values
-the medium's resolve rows read and the ``loss_eps_window`` bounds that
-let it reuse one threshold across a window."""
+"""Unit tests for loss processes, including the ``loss_eps_window``
+values the medium's resolve rows read and the bounds that let it reuse
+one threshold across a window."""
 
 import math
 
@@ -16,7 +16,6 @@ from repro.net.channel import (
 )
 from repro.net.medium import LinkTable, WirelessMedium
 from repro.net.packet import DataPacket, Direction
-from repro.net.propagation import LinkStateCache
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.testbeds.vanlan import VanLanTestbed
@@ -166,25 +165,25 @@ class TestLossEps:
             pi_b = process._chain.pi_bad
             mean = pi_b * eps_bad + (1 - pi_b) * eps_good
             assert mean == pytest.approx(target, abs=1e-12)
-            assert process.loss_eps(0.0) in (eps_good, eps_bad)
+            assert process.loss_eps_window(0.0)[0] in (eps_good, eps_bad)
 
-    def test_loss_eps_tracks_link_state_cache(self):
+    def test_loss_eps_tracks_bank_member(self):
         testbed = VanLanTestbed(seed=6)
         motion = testbed.vehicle_motion()
-        cache = LinkStateCache(testbed.link_model(0, 1, motion),
-                               quantum_s=0.02)
-        process = SteeredGilbertElliott(cache.loss_prob,
+        member = testbed.build_link_bank(0, motion).members()[0]
+        process = SteeredGilbertElliott(member,
                                         rng=RngRegistry(1).stream("c"))
-        assert process._link_state is cache
+        assert process._rate_window == member.rate_window
         for k in range(200):
             t = k * 0.013
-            eps = process.loss_eps(t)
+            eps = process.loss_eps_window(t)[0]
             assert 0.0 <= eps <= 1.0
-            # The split preserves the cache's current mean.
+            # The split preserves the member's current mean.
             eps_good, eps_bad = process._last_split
             pi_b = process._chain.pi_bad
             mean = pi_b * eps_bad + (1 - pi_b) * eps_good
-            assert mean == pytest.approx(cache.loss_prob(t), abs=1e-12)
+            assert mean == pytest.approx(member.rate_window(t)[0],
+                                         abs=1e-12)
 
 
 class TestLossEpsWindows:
@@ -206,7 +205,7 @@ class TestLossEpsWindows:
                 inside = 0.5 * step
             if inside > 0.0:
                 t = t + inside
-                assert process.loss_eps(t) == eps
+                assert process.loss_eps_window(t)[0] == eps
             t = t + step
 
     def test_bernoulli(self):
@@ -241,7 +240,7 @@ class TestLossEpsWindows:
             assert eps == rate
             assert until == float(second + 1)
             # The window is sound right up to (and excluding) its end.
-            assert process.loss_eps(second + 0.999) == rate
+            assert process.loss_eps_window(second + 0.999)[0] == rate
         # Past the trace: the out-of-range rate holds forever.
         eps, until = process.loss_eps_window(float(len(rates)))
         assert eps == 1.0
@@ -267,7 +266,8 @@ class TestLossEpsWindows:
             assert until == min(t + 1.0, chain._next_flip)
             ended_at_second.add(until == t + 1.0)
             # The window is sound right up to (and excluding) its end.
-            assert process.loss_eps(t + 0.999 * (until - t)) == eps
+            assert process.loss_eps_window(t + 0.999 * (until - t))[0] \
+                == eps
         # Both bounds occur: some seconds end first, some flips do.
         assert ended_at_second == {True, False}
         eps_good, eps_bad = process._split(1.0)
@@ -281,7 +281,7 @@ class TestLossEpsWindows:
     def test_steering_bucket_edge_instants(self):
         """Window bounds at exact bucket edges never go stale.
 
-        Querying exactly on a LinkStateCache bucket edge may land the
+        Querying exactly on a bank member's bucket edge may land the
         float-divided key on either side of the edge; the returned
         bound must still satisfy the soundness contract (eps constant
         strictly inside [t, bound)), even when it degenerates to the
@@ -289,18 +289,19 @@ class TestLossEpsWindows:
         """
         testbed = VanLanTestbed(seed=8)
         motion = testbed.vehicle_motion()
-        cache = LinkStateCache(testbed.link_model(0, 3, motion),
-                               quantum_s=0.02)
-        process = SteeredGilbertElliott(cache.loss_prob,
+        members = testbed.build_link_bank(0, motion).members()
+        member = members[testbed.deployment.bs_ids.index(3)]
+        assert member.quantum == 0.02
+        process = SteeredGilbertElliott(member,
                                         rng=RngRegistry(8).stream("s"))
         for k in range(1, 400):
             t = k * 0.02  # exact bucket edges, monotone
             eps, until = process.loss_eps_window(t)
             assert until >= t
-            assert process.loss_eps(t) == eps
+            assert process.loss_eps_window(t)[0] == eps
             if until > t:
                 probe = t + min(0.25 * (until - t), 1e-4)
-                assert process.loss_eps(probe) == eps
+                assert process.loss_eps_window(probe)[0] == eps
 
     def test_pending_flip_caps_window(self):
         """A pending chain flip bounds the window; at the flip instant
@@ -321,21 +322,6 @@ class TestLossEpsWindows:
             assert eps_at_flip == eps_by_state[process._in_bad]
             assert next_bound > flip_at
             t = flip_at
-
-    def test_steered_matches_loss_eps(self):
-        """window() returns the same eps value loss_eps would.
-
-        Twin processes on identically seeded *independent* streams
-        advance their chains through the same realization, so the
-        windowed and plain accessors must agree at every instant.
-        """
-        a = SteeredGilbertElliott(0.35, RngRegistry(9).stream("x"))
-        b = SteeredGilbertElliott(0.35, RngRegistry(9).fresh("x"))
-        assert a.rng is not b.rng
-        for k in range(200):
-            t = 0.017 * k
-            eps_w, _ = a.loss_eps_window(t)
-            assert eps_w == b.loss_eps(t)
 
 
 

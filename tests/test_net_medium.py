@@ -377,9 +377,6 @@ class _BucketLoss:
     def is_lost(self, t):
         return False  # scalar path unused by these tests
 
-    def loss_eps(self, t):
-        return self._eps(int(t / self.quantum))
-
     def loss_eps_window(self, t):
         key = int(t / self.quantum)
         bound = (key + 1.0) * self.quantum
@@ -391,7 +388,7 @@ def _scalar_resolve(rows, start, uniforms):
     """The per-row reference: receiver i decodes iff u_i >= eps_i."""
     return [receiver_id
             for (receiver_id, process), u in zip(rows, uniforms)
-            if u >= process.loss_eps(start)]
+            if u >= process.loss_eps_window(start)[0]]
 
 
 class TestScalarResolveOracle:

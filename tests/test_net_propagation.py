@@ -1,5 +1,5 @@
 """Unit tests for the propagation model, the bucket-centre link bank,
-the quantized ``LinkStateCache`` and the gray-period bisection."""
+the link model's exact-time memo and the gray-period bisection."""
 
 import hashlib
 import math
@@ -12,7 +12,6 @@ from repro.net.propagation import (
     GrayPeriodProcess,
     LinkBank,
     LinkModel,
-    LinkStateCache,
     RadioProfile,
     Shadowing,
     SpatialField,
@@ -202,7 +201,6 @@ class TestLinkBank:
         for key in range(n_buckets):
             for i in range(n_links):
                 assert filled.prob_at(i, key) == lazy.prob_at(i, key)
-            assert filled.rssi_at(0, key) == lazy.rssi_at(0, key)
         for link_f, link_l in zip(filled.links, lazy.links):
             assert link_f.shadowing.rng.bit_generator.state == \
                 link_l.shadowing.rng.bit_generator.state
@@ -242,23 +240,23 @@ class TestLinkBank:
                                                abs=1e-9)
 
     def test_prefilled_trip_bytes_are_pinned(self):
-        """Every prefilled chunk of VanLAN trip 0 hashes to the value
-        recorded before the chunk fill became whole-chunk array passes
-        (per-bucket positions, a per-cell spatial cache): the fill
-        changes speed, never a bucket's bits."""
+        """Every prefilled probability chunk of VanLAN trip 0 hashes to
+        the value recorded while chunks still stored an RSSI half next
+        to it (the same probability bytes, hashed alone): dropping that
+        half, like the earlier move to whole-chunk array passes,
+        changes memory and speed, never a bucket's bits."""
         testbed = VanLanTestbed(seed=0)
         motion = testbed.vehicle_motion()
         bank = testbed.build_link_bank(0, motion,
                                        prefill_s=motion.route.duration)
         digest = hashlib.sha256()
         for chunk in sorted(bank._chunks):
-            rssi, prob = bank._chunks[chunk]
-            digest.update(np.ascontiguousarray(rssi).tobytes())
+            prob = bank._chunks[chunk]
             digest.update(np.ascontiguousarray(prob).tobytes())
         assert len(bank._chunks) == 38
         assert digest.hexdigest() == (
-            "eb642b977f39c4ef5ade8b7821e5aea4"
-            "daa152662a3e392bbc5a112675c35ab8")
+            "17f68f9c734dd8de3cecc0c9bd73dc37"
+            "e5925e9c334135b92d52f12e834c2975")
 
     def test_bank_requires_positions_at(self):
         """The fill places the vehicle for a whole chunk at once, so a
@@ -293,40 +291,28 @@ class TestLinkBank:
             LinkBank(links, quantum_s=quantum_s)
 
 
-class TestLinkStateCacheDeterminism:
-    def test_quantum_zero_values_identical(self):
+class TestLinkModelMemo:
+    def test_memo_matches_fresh_twin(self):
+        """At every probe slot, repeated queries included, a memoized
+        model answers exactly as its twin evaluated from scratch (its
+        memo cleared before every query)."""
         a = VanLanTestbed(seed=11)
         b = VanLanTestbed(seed=11)
         link = a.link_model(0, 1, a.vehicle_motion())
-        cached = LinkStateCache(b.link_model(0, 1, b.vehicle_motion()),
-                                quantum_s=0.0)
-        for k in range(400):
-            t = k * 0.037
-            assert cached.reception_prob(t) == link.reception_prob(t)
-            assert cached.rssi(t) == link.rssi(t)
+        twin = b.link_model(0, 1, b.vehicle_motion())
 
-    def test_cached_prob_within_quantum_bound(self):
-        """Cached values must lie in the uncached range of their bucket."""
-        quantum = 0.02
-        a = VanLanTestbed(seed=7)
-        b = VanLanTestbed(seed=7)
-        raw = a.link_model(0, 4, a.vehicle_motion())
-        cached = LinkStateCache(b.link_model(0, 4, b.vehicle_motion()),
-                                quantum_s=quantum)
-        steps_per_bucket = 8
-        dt = quantum / steps_per_bucket
-        n_buckets = 600
-        for bucket in range(n_buckets):
-            t0 = bucket * quantum
-            raw_values = [raw.reception_prob(t0 + i * dt)
-                          for i in range(steps_per_bucket)]
-            cached_values = {cached.reception_prob(t0 + i * dt)
-                             for i in range(steps_per_bucket)}
-            # One evaluation per bucket, taken from inside the bucket.
-            assert len(cached_values) == 1
-            value = cached_values.pop()
-            lo, hi = min(raw_values), max(raw_values)
-            assert lo - 1e-12 <= value <= hi + 1e-12
+        def fresh(query, t):
+            twin._rssi_t = twin._prob_t = None
+            return query(t)
+
+        for k in range(400):
+            t = k * 0.1
+            # A probe slot's order: up coin, down coin, RSSI report.
+            assert link.loss_prob(t) == fresh(twin.loss_prob, t)
+            assert link.loss_prob(t) == fresh(twin.loss_prob, t)
+            assert link.rssi(t) == fresh(twin.rssi, t)
+            assert link.reception_prob(t) == \
+                fresh(twin.reception_prob, t)
 
 
 class TestGrayPeriodFastPath:
