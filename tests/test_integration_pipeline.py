@@ -5,8 +5,9 @@ traces -> policies, and testbed -> link table -> protocol -> apps — and
 check the paper's qualitative relationships hold end to end.  The
 realization anchor at the bottom pins the exact default-path output of
 two anchored runs: 120 s of VanLAN trip 0 and 60 s of DieselNet day 0.
-A second pin covers the probe traces, whose loss processes flip their
-own coins through ``is_lost`` instead of serving the medium.
+Further pins cover the probe traces, whose loss processes flip their
+own coins through ``is_lost`` instead of serving the medium, and the
+DieselNet beacon log that Table 2 and Figures 10-11 read.
 """
 
 import hashlib
@@ -188,18 +189,49 @@ class TestRealizationAnchor:
         assert hashlib.sha256(signature.encode()).hexdigest() == digest
 
 
-#: sha256 over ``up``, ``down`` and ``rssi`` of
-#: ``VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)``.
+#: sha256 over ``up``, ``down`` and ``positions`` of
+#: ``VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)``:
+#: which probes were decoded, and where.
 PROBE_TRACE_ANCHOR = \
-    "3d083695c5f669be1f1fabe3966063bc0d4ce4b36b3948cd7e1de5e31e8763b2"
+    "150e033c666a49cf8c0425be848c2951eb46c042724d58988ad61e9bd5095bd5"
+
+#: sha256 over the same trace's ``rssi``.  It is pinned apart from the
+#: outcomes because it records the radio model's float values, so a
+#: change to how the model is evaluated can move its last bits without
+#: moving a decoded probe.
+PROBE_TRACE_RSSI_ANCHOR = \
+    "ca970eb3d1579a988aad1a8e474b5e16d0669bc94dfd033780d3ef616248a34c"
+
+#: sha256 over the ``heard`` counts of
+#: ``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the
+#: log Table 2, Figure 10 and Figure 11's channel 1 read.
+BEACON_LOG_ANCHOR = \
+    "853418b1620689c3eff528ca05d1e679a4571f2c767267d5fbac80204dcd927c"
+
+
+@pytest.fixture(scope="module")
+def anchored_trace():
+    return VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)
 
 
 class TestProbeTraceAnchor:
-    def test_probe_trace_realization_is_pinned(self):
+    def test_probe_trace_realization_is_pinned(self, anchored_trace):
         """The ``is_lost`` path: scalar holding-time draws interleaved
         with the coins on each process's stream."""
-        trace = VanLanTestbed(seed=42).generate_probe_trace(
-            0, max_seconds=60)
+        trace = anchored_trace
         blob = trace.up.tobytes() + trace.down.tobytes() \
-            + trace.rssi.tobytes()
+            + trace.positions.tobytes()
         assert hashlib.sha256(blob).hexdigest() == PROBE_TRACE_ANCHOR
+
+    def test_probe_trace_rssi_is_pinned(self, anchored_trace):
+        digest = hashlib.sha256(anchored_trace.rssi.tobytes()).hexdigest()
+        assert digest == PROBE_TRACE_RSSI_ANCHOR
+
+
+class TestBeaconLogAnchor:
+    def test_beacon_log_is_pinned(self):
+        """One binomial draw per second and BS, from the link's
+        reception probability at the second's midpoint."""
+        log = DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)
+        digest = hashlib.sha256(log.heard.tobytes()).hexdigest()
+        assert digest == BEACON_LOG_ANCHOR

@@ -16,12 +16,17 @@ MoS, median session (s) and events of BRR-unicast VoIP over
 ``VanLanTestbed(seed=5)`` trips 0-1, trip k at seed ``seed + k`` (the
 registry's ``ablation_unicast`` entry runs seed 13).  The benchmark
 sends only broadcast frames, so these lines are what covers the
-medium's unicast contention path.  The last line is the sha256 of the
-``up``, ``down`` and ``rssi`` arrays of
+medium's unicast contention path.  Then come two lines on
 ``VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)``:
 probe traces flip each loss process's coins through ``is_lost``, a
 path no protocol run takes, and they feed the trace-driven figures
-and the handoff study.
+and the handoff study.  ``probe-trace-outcomes`` is the sha256 of its
+``up``, ``down`` and ``positions`` arrays, and ``probe-trace-rssi`` of
+its ``rssi`` array, which records the radio model's float values and
+so can move in its last bits while every outcome holds.  The last
+line, ``beacon-log``, is the sha256 of the ``heard`` counts of
+``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the
+log Table 2, Figure 10 and Figure 11's channel 1 read.
 
 The run takes about 95 s on a 2-vCPU host and uses no result store.
 """
@@ -79,11 +84,21 @@ def unicast_line(seed):
         statistics.median(sessions), events))
 
 
-def probe_trace_line():
-    """The sha256 of a 60 s VanLAN probe trace's three arrays."""
+def probe_trace_lines():
+    """The sha256 of a 60 s VanLAN probe trace's outcomes, then of its
+    RSSI."""
     trace = VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)
-    blob = trace.up.tobytes() + trace.down.tobytes() + trace.rssi.tobytes()
-    return "probe-trace " + hashlib.sha256(blob).hexdigest()
+    outcomes = trace.up.tobytes() + trace.down.tobytes() \
+        + trace.positions.tobytes()
+    return ["probe-trace-outcomes " + hashlib.sha256(outcomes).hexdigest(),
+            "probe-trace-rssi "
+            + hashlib.sha256(trace.rssi.tobytes()).hexdigest()]
+
+
+def beacon_log_line():
+    """The sha256 of Table 2's DieselNet beacon log."""
+    log = DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)
+    return "beacon-log " + hashlib.sha256(log.heard.tobytes()).hexdigest()
 
 
 def main(argv=None):
@@ -92,7 +107,9 @@ def main(argv=None):
     print(table2_line(), flush=True)
     for seed in UNICAST_SEEDS:
         print(unicast_line(seed), flush=True)
-    print(probe_trace_line(), flush=True)
+    for line in probe_trace_lines():
+        print(line, flush=True)
+    print(beacon_log_line(), flush=True)
     return 0
 
 
