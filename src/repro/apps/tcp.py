@@ -119,8 +119,6 @@ class _Sender:
             self.sim.now, retransmit or (previous is not None
                                          and previous[1]),
         )
-        if retransmit and previous is not None:
-            self._send_times[offset] = (self.sim.now, True)
         self.send(("data", offset, length),
                   self.config.header_bytes + length)
 

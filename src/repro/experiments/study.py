@@ -2,7 +2,9 @@
 
 These experiments are trace-driven: VanLAN probe traces feed the six
 handoff policies; beacon logs feed the diversity CDFs; dedicated probe
-schedules feed the burstiness analyses.
+schedules feed the burstiness analyses of Figure 6, which evaluate the
+trip's :class:`~repro.net.propagation.LinkBank` at every probe instant
+in one call and steer each burst chain with those loss probabilities.
 """
 
 import numpy as np
@@ -103,18 +105,11 @@ def burst_loss_experiment(testbed, bs_id, trip=0, probe_interval_s=0.01,
         ``(curve, overall)`` — dict lag -> P(loss i+k | loss i) and the
         unconditional loss probability within the coverage window.
     """
-    motion = testbed.vehicle_motion()
-    duration = duration_s or motion.route.duration
-    link = testbed.link_model(trip, bs_id, motion)
+    times, prob = _probe_grid(testbed, (bs_id,), trip, probe_interval_s,
+                              duration_s)
     rng = testbed.rngs.spawn("fig6a", trip).stream("chain", bs_id)
-    process = SteeredGilbertElliott(link.loss_prob, rng=rng)
-    n = int(duration / probe_interval_s)
-    losses = np.zeros(n, dtype=bool)
-    covered = np.zeros(n, dtype=bool)
-    for i in range(n):
-        t = i * probe_interval_s
-        losses[i] = process.is_lost(t)
-        covered[i] = link.reception_prob(t) > coverage_floor
+    losses = _probe_losses(times, prob[0], rng)
+    covered = prob[0] > coverage_floor
     if covered.sum() >= 1000:
         losses = losses[covered]
     return (
@@ -135,23 +130,14 @@ def two_bs_experiment(testbed, bs_a, bs_b, trip=0, probe_interval_s=0.02,
         The six-probability dict of
         :func:`repro.analysis.conditional.two_bs_conditionals`.
     """
-    motion = testbed.vehicle_motion()
-    duration = duration_s or motion.route.duration
-    links = {}
-    processes = {}
-    for bs in (bs_a, bs_b):
-        links[bs] = testbed.link_model(trip, bs, motion)
+    times, prob = _probe_grid(testbed, (bs_a, bs_b), trip,
+                              probe_interval_s, duration_s)
+    recv = {}
+    for row, bs in enumerate((bs_a, bs_b)):
         rng = testbed.rngs.spawn("fig6b", trip).stream("chain", bs)
-        processes[bs] = SteeredGilbertElliott(links[bs].loss_prob, rng=rng)
-    n = int(duration / probe_interval_s)
-    recv = {bs: np.zeros(n, dtype=bool) for bs in (bs_a, bs_b)}
-    good = np.zeros(n, dtype=bool)
-    for i in range(n):
-        t = i * probe_interval_s
-        for bs in (bs_a, bs_b):
-            recv[bs][i] = not processes[bs].is_lost(t)
-        good[i] = (links[bs_a].reception_prob(t) > 0.2
-                   and links[bs_b].reception_prob(t) > 0.2)
+        recv[bs] = ~_probe_losses(times, prob[row], rng)
+    good = (prob > 0.2).all(axis=0)
+    n = len(times)
     if window_s is None:
         mask = good
     else:
@@ -160,3 +146,23 @@ def two_bs_experiment(testbed, bs_a, bs_b, trip=0, probe_interval_s=0.02,
     if mask.sum() < 100:
         mask = np.ones(n, dtype=bool)
     return two_bs_conditionals(recv[bs_a][mask], recv[bs_b][mask])
+
+
+def _probe_grid(testbed, bs_ids, trip, probe_interval_s, duration_s):
+    """The probe instants of one trip and each BS's reception
+    probability at them, one row per BS."""
+    motion = testbed.vehicle_motion()
+    duration = duration_s or motion.route.duration
+    times = np.arange(int(duration / probe_interval_s)) * probe_interval_s
+    bank = testbed.build_link_bank(trip, motion, bs_ids=list(bs_ids))
+    return times, bank.evaluate(times)[1]
+
+
+def _probe_losses(times, prob, rng):
+    """One probe's loss per instant from a burst chain steered to
+    ``1 - prob``."""
+    slots = times.tolist()
+    loss = dict(zip(slots, (1.0 - prob).tolist())).__getitem__
+    process = SteeredGilbertElliott(loss, rng=rng)
+    return np.fromiter((process.is_lost(t) for t in slots), dtype=bool,
+                       count=len(slots))

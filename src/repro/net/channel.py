@@ -20,7 +20,9 @@ Three processes are provided:
   structure.
 * :class:`TraceDrivenLoss` — per-second loss probabilities applied
   i.i.d. within the second; the literal reading of the paper's
-  methodology, kept for validation runs.
+  methodology.  The trace-driven runs steer a burst chain by default,
+  and reach this process only through ``bursty=False`` (see
+  :func:`~repro.experiments.common.dieselnet_protocol`).
 
 Both trace-driven uses read the per-second series through
 :class:`RateSeries`.  A steering target that knows when it next
@@ -251,10 +253,10 @@ class SteeredGilbertElliott(LossProcess):
       or a :meth:`~repro.net.propagation.LinkBank.members` target,
       whose rate holds for one time bucket.  The window reaches the
       next change of the target or the flip, whichever comes first;
-    * any other callable ``t -> rate``, such as a
-      :class:`~repro.net.propagation.LinkModel`'s ``loss_prob`` in the
-      probe traces and Figure 6: nowhere, the window ends at the query
-      time.
+    * any other callable ``t -> rate``, such as the lookup of the loss
+      that :meth:`~repro.net.propagation.LinkBank.evaluate` gives each
+      probe instant, in the probe traces and Figure 6: nowhere, the
+      window ends at the query time.
 
     :meth:`is_lost` serves its uniform draws from a
     :class:`~repro.sim.rng.BufferedUniforms` block over *rng* to

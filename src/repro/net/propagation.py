@@ -18,31 +18,26 @@ Received power maps to packet reception probability through a logistic
 curve calibrated for 500-byte frames at 1 Mbps (the paper's fixed rate,
 Section 5.1).
 
-Link evaluation is the hottest path of a protocol run (every frame asks
-every in-range receiver for its instantaneous loss probability), so this
-module also provides the fast path: :class:`SpatialField` evaluates its
-random-Fourier sum vectorized with numpy behind a position-quantized LRU
-cache, :class:`GrayPeriodProcess` answers queries by bisection over
-merged intervals and prunes expired ones, and :class:`LinkModel` keeps
-its latest RSSI and reception probability in a one-entry exact-time
-memo, so the several questions a probe slot asks at one instant (the
-up coin, the down coin, the RSSI report) cost one evaluation.
-
-Protocol runs read links through :class:`LinkBank`: in the ViFi setting
-every vehicle transmission is heard by all ~11 basestations at the same
-instant (the paper's Figure 5 diversity argument), so the N per-link
-evaluations of one 20 ms time quantum are really one batched
-computation.  The bank stacks the per-BS spatial-field Fourier
-coefficients, shadowing lattices, and geometry into shared numpy arrays
-and fills every link's reception probability in array passes over
-256-bucket chunks, with no per-bucket Python.  Every bucket is sampled
-at its centre instant, so its value is a pure function of (link,
-bucket): whole trips can be prefilled at build time, bit for bit equal
-to the lazy fill.  Each banked link is handed to its loss processes as
-a ``rate_window`` target (see :meth:`LinkBank.members`).
+One evaluator computes the model: :class:`LinkBank`.  In the ViFi
+setting every vehicle transmission is heard by all ~11 basestations at
+the same instant (the paper's Figure 5 diversity argument), so the
+links that share the moving vehicle are one batched computation.  The
+bank stacks the per-BS spatial-field Fourier coefficients, shadowing
+lattices and geometry into shared numpy arrays and evaluates every
+link in array passes over 256-instant chunks, with no per-instant
+Python.  :meth:`LinkBank.evaluate` returns RSSI and reception
+probability over an ascending time grid: probe traces, beacon logs
+and Figure 6 read their whole probe grid in one call.  Protocol runs
+read the bank by 20 ms bucket, each sampled at its centre instant, so
+a bucket's value is a pure function of (link, bucket): whole trips can
+be prefilled at build time, bit for bit equal to the lazy fill.  Each
+banked link is handed to its loss processes as a ``rate_window``
+target (see :meth:`LinkBank.members`).  :class:`Shadowing`,
+:class:`SpatialField` and :class:`GrayPeriodProcess` hold each layer's
+random state and extend it deterministically, and :class:`LinkModel`
+records one link's parts.
 """
 
-import bisect
 import math
 import time
 
@@ -107,22 +102,28 @@ class RadioProfile:
         return ("RadioProfile",) + tuple(sorted(self.__dict__.items()))
 
     def mean_rssi(self, distance_m):
-        """Mean RSSI (dBm) at *distance_m* via log-distance path loss."""
-        d = max(float(distance_m), 1.0)
-        loss = self.ref_loss_db + 10.0 * self.path_loss_exponent * math.log10(d)
-        return self.tx_power_dbm - loss
+        """Mean RSSI (dBm) at *distance_m* via log-distance path loss.
+
+        Elementwise over arrays; distances below the 1 m reference read
+        the reference.
+        """
+        d = np.maximum(distance_m, 1.0)
+        return self.tx_power_dbm - (
+            self.ref_loss_db + 10.0 * self.path_loss_exponent * np.log10(d)
+        )
 
     def reception_prob(self, rssi_dbm):
-        """Frame decode probability at a given RSSI (logistic curve)."""
-        if rssi_dbm <= self.noise_floor_dbm:
-            return 0.0
-        x = (rssi_dbm - self.decode_mid_dbm) / self.decode_width_db
-        # Clamp to avoid overflow in exp for extreme arguments.
-        if x > 30:
-            return self.max_reception
-        if x < -30:
-            return 0.0
-        return self.max_reception / (1.0 + math.exp(-x))
+        """Frame decode probability at *rssi_dbm* (logistic curve).
+
+        Elementwise over arrays.  Arguments beyond 30 logistic widths
+        read the curve's limits (so ``exp`` never overflows), and
+        nothing decodes at or below the noise floor.
+        """
+        arg = (rssi_dbm - self.decode_mid_dbm) / self.decode_width_db
+        prob = self.max_reception / (1.0 + np.exp(-np.clip(arg, -30.0, 30.0)))
+        prob = np.where(arg > 30.0, self.max_reception, prob)
+        return np.where((arg < -30.0) | (rssi_dbm <= self.noise_floor_dbm),
+                        0.0, prob)
 
 
 class Shadowing:
@@ -131,8 +132,8 @@ class Shadowing:
     The process satisfies ``s[k+1] = a * s[k] + sqrt(1-a^2) * sigma * w``
     with ``a = exp(-1/tau)``, giving an exponentially decaying
     autocorrelation with time constant ``tau`` seconds and a stationary
-    standard deviation ``sigma`` dB.  Values between lattice points are
-    linearly interpolated so RSSI varies smoothly.
+    standard deviation ``sigma`` dB.  :class:`LinkBank` interpolates
+    linearly between lattice points, so RSSI varies smoothly.
     """
 
     def __init__(self, sigma_db, tau_s, rng):
@@ -142,21 +143,11 @@ class Shadowing:
         self._values = [self.rng.normal(0.0, self.sigma)]
 
     def _extend_to(self, k):
+        """Draw the lattice through point ``k + 1``."""
         innov = math.sqrt(max(1.0 - self.a * self.a, 0.0)) * self.sigma
         while len(self._values) <= k + 1:
             prev = self._values[-1]
             self._values.append(self.a * prev + self.rng.normal(0.0, innov))
-
-    def value_db(self, t):
-        """Shadowing offset in dB at time *t* (t >= 0)."""
-        if t < 0:
-            raise ValueError("shadowing queried before time zero")
-        k = int(t)
-        values = self._values
-        if len(values) <= k + 1:
-            self._extend_to(k)
-        frac = t - k
-        return (1.0 - frac) * values[k] + frac * values[k + 1]
 
 
 class SpatialField:
@@ -171,15 +162,12 @@ class SpatialField:
     features), which is smooth over the given correlation length and
     deterministic for a given stream.
 
-    The cosine sum is evaluated vectorized (one numpy expression over
-    all terms) behind a small LRU cache keyed on the quantized query
-    position.  With ``cache_quantum_m=0`` (the default) the key is the
-    exact position, so caching is invisible: it only collapses repeated
-    queries at the same point (each transmission queries the field once
-    per direction and once for the RSSI report).  A positive quantum
-    trades accuracy for hit rate; the error is bounded by the field's
-    gradient (of order ``sigma / correlation_m`` dB per metre) times the
-    quantum.
+    :class:`LinkBank` evaluates the cosine sum once per distinct cell of
+    a chunk.  With a positive ``cache_quantum_m`` a position reads the
+    centre of its cell, so the offset is a pure function of the cell;
+    the error is bounded by the field's gradient (of order
+    ``sigma / correlation_m`` dB per metre) times the quantum.  With 0
+    (the default) every exact position is its own cell.
 
     Args:
         sigma_db: stationary standard deviation of the field.
@@ -187,13 +175,11 @@ class SpatialField:
         rng: stream used to draw frequencies/phases (one-shot).
         n_terms: number of cosine terms; more terms make the field
             closer to Gaussian.
-        cache_quantum_m: position quantization of the cache key in
-            metres; 0 keys on exact positions.
-        cache_size: maximum cached positions (LRU eviction).
+        cache_quantum_m: cell size in metres; 0 reads exact positions.
     """
 
     def __init__(self, sigma_db, correlation_m, rng, n_terms=48,
-                 cache_quantum_m=0.0, cache_size=1024):
+                 cache_quantum_m=0.0):
         self.sigma = float(sigma_db)
         scale = 1.0 / max(float(correlation_m), 1e-9)
         self._freqs = rng.normal(0.0, scale, size=(n_terms, 2))
@@ -202,37 +188,6 @@ class SpatialField:
         self._fx = np.ascontiguousarray(self._freqs[:, 0])
         self._fy = np.ascontiguousarray(self._freqs[:, 1])
         self.cache_quantum = float(cache_quantum_m)
-        self._cache = {}
-        self._cache_size = int(cache_size)
-
-    def _evaluate(self, x, y):
-        total = np.cos(self._fx * x + self._fy * y + self._phases).sum()
-        return self._amp * float(total)
-
-    def value_db(self, x, y):
-        """Field value at position ``(x, y)``."""
-        quantum = self.cache_quantum
-        if quantum > 0.0:
-            key = (round(x / quantum), round(y / quantum))
-        else:
-            key = (x, y)
-        cache = self._cache
-        value = cache.get(key)
-        if value is None:
-            if quantum > 0.0:
-                # Evaluate at the cell centre so the cached value is a
-                # pure function of the key: the same location always
-                # reads the same offset regardless of query order or
-                # LRU eviction history.
-                value = self._evaluate(key[0] * quantum, key[1] * quantum)
-            else:
-                value = self._evaluate(x, y)
-            if len(cache) >= self._cache_size:
-                # Evict the oldest entry (dicts preserve insertion
-                # order); approximate LRU is plenty for a smooth field.
-                del cache[next(iter(cache))]
-            cache[key] = value
-        return value
 
 
 class GrayPeriodProcess:
@@ -240,25 +195,22 @@ class GrayPeriodProcess:
 
     Onsets arrive at rate ``rate_per_s``; each lasts an exponential
     duration with the configured mean.  Overlapping periods merge.
-
-    Intervals are stored merged and sorted, queries answered by
-    bisection, and intervals that ended before the latest query time are
-    pruned (simulation time is monotone), so long runs stay O(log n)
-    per query instead of scanning the full history.
+    Onsets are drawn :attr:`_HORIZON_S` seconds at a time, and the
+    periods are stored merged and sorted, so :class:`LinkBank` overlays
+    them by bisection.
     """
 
-    def __init__(self, rate_per_s, mean_duration_s, rng, horizon_hint_s=1200.0):
+    #: Span (seconds) of one batch of drawn onsets.
+    _HORIZON_S = 1200.0
+
+    def __init__(self, rate_per_s, mean_duration_s, rng):
         self.rate = float(rate_per_s)
         self.mean_duration = float(mean_duration_s)
         self.rng = rng
-        # Parallel arrays of merged, disjoint intervals sorted by start.
-        # ``_low`` is the prune head: entries below it ended at or
-        # before the latest query time and are compacted away lazily.
+        # Parallel lists of merged, disjoint intervals sorted by start.
         self._starts = []
         self._ends = []
-        self._low = 0
         self._generated_until = 0.0
-        self._horizon_step = float(horizon_hint_s)
 
     def _append(self, start, end):
         if self._ends and start <= self._ends[-1]:
@@ -272,7 +224,7 @@ class GrayPeriodProcess:
     def _generate_until(self, t):
         while self._generated_until <= t:
             start = self._generated_until
-            end = start + self._horizon_step
+            end = start + self._HORIZON_S
             if self.rate > 0:
                 expected = self.rate * (end - start)
                 count = self.rng.poisson(expected)
@@ -282,51 +234,15 @@ class GrayPeriodProcess:
                     self._append(onset, onset + duration)
             self._generated_until = end
 
-    #: Pruning slack (seconds): intervals are only dropped once they
-    #: ended this far before the latest query, so the slightly
-    #: out-of-order queries the medium makes (frames are resolved in
-    #: end-time order but evaluated at their start times, a few
-    #: milliseconds of reordering) never lose a just-expired period.
-    _PRUNE_SLACK_S = 1.0
-
-    def in_gray(self, t):
-        """True when time *t* falls inside a gray period.
-
-        Queries are expected to be roughly monotone in *t* (reordering
-        within ``_PRUNE_SLACK_S`` is fine); a query drops intervals
-        that ended more than the slack before it, so a query further in
-        the past may miss already-pruned periods.
-        """
-        self._generate_until(t)
-        starts, ends, low = self._starts, self._ends, self._low
-        cutoff = t - self._PRUNE_SLACK_S
-        while low < len(ends) and ends[low] <= cutoff:
-            low += 1
-        if low > 256:
-            del starts[:low]
-            del ends[:low]
-            low = 0
-        self._low = low
-        idx = bisect.bisect_right(starts, t, lo=low) - 1
-        return idx >= low and ends[idx] > t
-
 
 class LinkModel:
-    """A directed radio link: mean reception probability over time.
+    """One directed radio link's parts, as a :class:`LinkBank` reads them.
 
-    Combines path loss between the two endpoints' (possibly moving)
-    positions, shadowing, and gray periods.  The model is *directional*
-    in use but built symmetrically: callers typically create one model
-    per unordered pair and share it for both directions, matching the
+    Path loss between the two endpoints' positions, shadowing, gray
+    periods and a spatial field.  Callers typically create one model per
+    unordered pair and share it for both directions, matching the
     paper's symmetric trace methodology, or create two with independent
     shadowing for asymmetry studies.
-
-    :meth:`rssi` and :meth:`reception_prob` each remember their latest
-    query time and answer: a repeated query at the same instant (both
-    directions' loss processes and the RSSI report of one probe slot)
-    returns the stored value.  That is exact, since every ingredient is
-    a deterministic function of *t* and a repeated gray-period query
-    prunes nothing new.
 
     Args:
         profile: the :class:`RadioProfile`.
@@ -345,44 +261,6 @@ class LinkModel:
         self.shadowing = shadowing
         self.gray = gray
         self.spatial = spatial
-        self._rssi_t = None
-        self._rssi = 0.0
-        self._prob_t = None
-        self._prob = 0.0
-
-    def distance(self, t):
-        ax, ay = self.position_a(t)
-        bx, by = self.position_b(t)
-        return math.hypot(ax - bx, ay - by)
-
-    def rssi(self, t):
-        """Instantaneous RSSI including shadowing (dBm)."""
-        if t == self._rssi_t:
-            return self._rssi
-        ax, ay = self.position_a(t)
-        bx, by = self.position_b(t)
-        value = self.profile.mean_rssi(math.hypot(ax - bx, ay - by))
-        if self.shadowing is not None:
-            value += self.shadowing.value_db(t)
-        if self.spatial is not None:
-            value += self.spatial.value_db(bx, by)
-        self._rssi_t = t
-        self._rssi = value
-        return value
-
-    def reception_prob(self, t):
-        """Mean packet reception probability at time *t*."""
-        if t == self._prob_t:
-            return self._prob
-        p = self.profile.reception_prob(self.rssi(t))
-        if self.gray is not None and self.gray.in_gray(t):
-            p = min(p, self.profile.gray_residual_reception)
-        self._prob_t = t
-        self._prob = p
-        return p
-
-    def loss_prob(self, t):
-        return 1.0 - self.reception_prob(t)
 
 
 class LinkBank:
@@ -392,29 +270,28 @@ class LinkBank:
     reception probability at the same instant; when any BS transmits,
     the vehicle link needs them moments later inside the same time
     quantum.  Evaluating those N links one by one would repeat the
-    same work N times, so the bank evaluates every
-    link together, :attr:`_CHUNK` time buckets per array pass
-    (:meth:`_fill_chunk`): one ``positions_at`` call places the
-    vehicle, the per-BS spatial-field Fourier coefficients are stacked
-    into ``(N, T)`` matrices evaluated once per distinct spatial cell,
-    and path loss, shadowing interpolation, the decode logistic and
-    the gray-period overlay run as one numpy pipeline over the chunk.
-    The underlying stochastic processes extend themselves lazily but
-    deterministically, so banked and scalar evaluation consume
-    identical RNG streams.
+    same work N times, so the bank evaluates every link together,
+    :attr:`_CHUNK` instants per array pass (:meth:`_pipeline`): one
+    ``positions_at`` call places the vehicle, the per-BS spatial-field
+    Fourier coefficients are stacked into ``(N, T)`` matrices evaluated
+    once per distinct spatial cell, and path loss, shadowing
+    interpolation, the decode logistic and the gray-period overlay run
+    as one numpy pipeline over the chunk.  The underlying stochastic
+    processes extend themselves lazily but deterministically, so the
+    values do not depend on which instants were evaluated first.
 
-    Every bucket is sampled at its centre instant ``(key + 0.5) *
-    quantum_s``, so its value is a **pure function of (link,
-    bucket)**: whole trips can be prefilled at build time
+    :meth:`evaluate` runs the pipeline over any ascending time grid and
+    returns RSSI and reception probability.  The protocol runs' reads
+    go by time bucket: every bucket is sampled at its centre instant
+    ``(key + 0.5) * quantum_s``, so its value is a **pure function of
+    (link, bucket)**: whole trips can be prefilled at build time
     (:meth:`prefill`), and the same (testbed, trip, quantum) always
     reproduces the same bank.  Lazy and prefilled fills run the
-    *identical* chunk pipeline over the identical chunk boundaries, so
-    they are bit-for-bit equal and consume the same RNG (the
-    lattice/gray extensions are deterministic).  The bank stores
-    reception probabilities only; the RSSI it computes on the way is
-    dropped with each chunk's temporaries.  :meth:`members` hands each
-    link to its loss processes as a ``rate_window`` target that reads
-    its row of the current bucket.
+    pipeline over the identical chunk boundaries, so they are
+    bit-for-bit equal and consume the same RNG.  The bank stores
+    reception probabilities only.  :meth:`members` hands each link to
+    its loss processes as a ``rate_window`` target that reads its row
+    of the current bucket.
 
     Requirements: every link shares the same :class:`RadioProfile` and
     the same moving endpoint (``position_b``) with an array form
@@ -520,10 +397,9 @@ class LinkBank:
     def _spatial_matrix(self, px, py):
         """All fields' offsets at the chunk positions, shape (N, C).
 
-        A position reads its cell centre (:class:`SpatialField`'s
-        cache convention; ``np.rint`` rounds half to even like
-        ``round``), so offsets are a pure function of the cell.  One
-        batched cosine pass evaluates each distinct cell once.
+        A position reads its cell centre (``np.rint`` rounds half to
+        even), so offsets are a pure function of the cell.  One batched
+        cosine pass evaluates each distinct cell once.
         """
         quantum = self._sp_quantum
         if quantum > 0.0:
@@ -538,36 +414,27 @@ class LinkBank:
         values = self._sp_amp[:, None] * np.cos(arg, out=arg).sum(axis=2)
         return values[:, inverse.reshape(-1)]
 
-    def _fill_chunk(self, chunk):
-        """Compute buckets ``[chunk*_CHUNK, ...)`` at their centres.
+    def _pipeline(self, times):
+        """RSSI and reception probability at up to :attr:`_CHUNK`
+        ascending *times*, each an ``(N, len(times))`` array.
 
-        One vectorized pipeline per chunk (so temporaries stay
-        chunk-sized): ``positions_at``, stacked path loss,
-        lattice-interpolated shadowing rows, the banked spatial matrix,
-        the decode logistic, and a searchsorted gray-period overlay.
-        Every value is evaluated at its bucket-centre instant, so the
-        result depends only on (links, quantum, chunk).
+        One vectorized pass (so temporaries stay chunk-sized):
+        ``positions_at``, the profile's path loss, lattice-interpolated
+        shadowing rows, the banked spatial matrix, the profile's decode
+        logistic, and a searchsorted gray-period overlay.  Every value
+        depends only on (link, instant).
         """
         profile = self.profile
-        quantum = self.quantum
-        size = self._CHUNK
-        k0 = chunk * size
-        tc = (np.arange(k0, k0 + size, dtype=np.float64) + 0.5) * quantum
-        px, py = self._position.positions_at(tc)
+        px, py = self._position.positions_at(times)
         ax = np.asarray(self._ax)[:, None]
         ay = np.asarray(self._ay)[:, None]
-        d = np.hypot(ax - px[None, :], ay - py[None, :])
-        np.maximum(d, 1.0, out=d)
-        rssi = profile.tx_power_dbm - (
-            profile.ref_loss_db
-            + 10.0 * profile.path_loss_exponent * np.log10(d)
-        )
+        rssi = profile.mean_rssi(np.hypot(ax - px[None, :], ay - py[None, :]))
         # Shadowing: extend each lattice deterministically to the chunk
         # end, then interpolate the whole chunk in one expression.
-        k_lo = int(tc[0])
-        k_hi = int(tc[-1])
-        kk = tc.astype(np.int64)
-        frac = tc - kk
+        k_lo = int(times[0])
+        k_hi = int(times[-1])
+        kk = times.astype(np.int64)
+        frac = times - kk
         inv_frac = 1.0 - frac
         rel = kk - k_lo
         for i, shadow in enumerate(self._shadowings):
@@ -579,20 +446,13 @@ class LinkBank:
             rssi[i] += inv_frac * vals[rel] + frac * vals[rel + 1]
         if self._sp_rows is not None:
             rssi += self._spatial_matrix(px, py)
-        # Decode logistic with the scalar clamps applied vectorized.
-        arg = (rssi - profile.decode_mid_dbm) / profile.decode_width_db
-        prob = profile.max_reception / (
-            1.0 + np.exp(-np.clip(arg, -30.0, 30.0))
-        )
-        prob[arg > 30.0] = profile.max_reception
-        prob[arg < -30.0] = 0.0
-        prob[rssi <= profile.noise_floor_dbm] = 0.0
+        prob = profile.reception_prob(rssi)
         # Gray periods: generate deterministically to the chunk end and
-        # overlay by bisection over the merged intervals; as in the
-        # scalar pass, links already at or below the residual skip the
-        # query (the processes extend deterministically either way).
+        # overlay by bisection over the merged intervals; links already
+        # at or below the residual skip the query (the processes extend
+        # deterministically either way).
         residual = profile.gray_residual_reception
-        t_end = float(tc[-1])
+        t_end = float(times[-1])
         for i, gray in enumerate(self._grays):
             if gray is None:
                 continue
@@ -605,14 +465,43 @@ class LinkBank:
             if starts.size == 0:
                 continue
             ends = np.asarray(gray._ends, dtype=np.float64)
-            times = tc[mask]
-            idx = np.searchsorted(starts, times, side="right") - 1
-            in_gray = (idx >= 0) & (ends[np.maximum(idx, 0)] > times)
-            if in_gray.any():
+            sub_times = times[mask]
+            idx = np.searchsorted(starts, sub_times, side="right") - 1
+            in_period = (idx >= 0) & (ends[np.maximum(idx, 0)] > sub_times)
+            if in_period.any():
                 sub = row[mask]
-                sub[in_gray] = residual
+                sub[in_period] = residual
                 row[mask] = sub
-        self._chunks[chunk] = prob
+        return rssi, prob
+
+    def evaluate(self, times):
+        """RSSI (dBm) and reception probability of every link at *times*.
+
+        *times* must be non-negative and ascending.  Returns ``(rssi,
+        prob)``, two float64 arrays of shape ``(n_links, len(times))``,
+        computed :attr:`_CHUNK` instants per :meth:`_pipeline` pass.
+        The bucket fill is the same pipeline at bucket centres, so
+        evaluating those instants reproduces the bank's buckets bit for
+        bit.
+        """
+        times = np.asarray(times, dtype=np.float64)
+        if times.size and not (times[0] >= 0.0
+                               and (np.diff(times) >= 0.0).all()):
+            raise ValueError("evaluate needs non-negative, ascending times")
+        shape = (len(self.links), times.size)
+        rssi, prob = np.empty(shape), np.empty(shape)
+        for lo in range(0, times.size, self._CHUNK):
+            hi = lo + self._CHUNK
+            rssi[:, lo:hi], prob[:, lo:hi] = self._pipeline(times[lo:hi])
+        return rssi, prob
+
+    def _fill_chunk(self, chunk):
+        """Store the reception probabilities of buckets
+        ``[chunk*_CHUNK, ...)``, sampled at their centres."""
+        k0 = chunk * self._CHUNK
+        centres = (np.arange(k0, k0 + self._CHUNK, dtype=np.float64)
+                   + 0.5) * self.quantum
+        prob = self._chunks[chunk] = self._pipeline(centres)[1]
         return prob
 
     def _load_bucket(self, key):

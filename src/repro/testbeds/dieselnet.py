@@ -10,10 +10,12 @@ to the town mesh and half to shops.
 We regenerate that artifact: a town-core street grid, BSes split
 between a planned mesh (spread out) and shop clusters (along the main
 street), bus routes crossing the core, and per-second beacon logs
-produced by the same layered radio model as VanLAN.  The output is a
-:class:`~repro.testbeds.traces.BeaconLog` per profiling day, which the
-trace-driven pipeline (:mod:`repro.testbeds.lossmap`) turns into link
-loss rates exactly as Section 5.1 prescribes.
+produced by the same layered radio model as VanLAN, evaluated by one
+:class:`~repro.net.propagation.LinkBank` per day at every second's
+midpoint.  The output is a :class:`~repro.testbeds.traces.BeaconLog`
+per profiling day, which the trace-driven pipeline
+(:mod:`repro.testbeds.lossmap`) turns into link loss rates exactly as
+Section 5.1 prescribes.
 """
 
 import numpy as np
@@ -21,6 +23,7 @@ import numpy as np
 from repro.net.mobility import Route, VehicleMotion
 from repro.net.propagation import (
     GrayPeriodProcess,
+    LinkBank,
     LinkModel,
     RadioProfile,
     Shadowing,
@@ -189,14 +192,13 @@ class DieselNetTestbed:
         motion = self.bus_motion(n_tours)
         n_secs = int(motion.route.duration)
         bs_ids = self.deployment.bs_ids
+        bank = LinkBank([self.link_model(day, bs, motion) for bs in bs_ids])
+        _, prob = bank.evaluate(np.arange(n_secs) + 0.5)
         heard = np.zeros((n_secs, len(bs_ids)), dtype=int)
         day_rngs = self.rngs.spawn("day", day)
         for j, bs in enumerate(bs_ids):
-            link = self.link_model(day, bs, motion)
-            rng = day_rngs.stream("beacons", bs)
-            for sec in range(n_secs):
-                p = link.reception_prob(sec + 0.5)
-                heard[sec, j] = rng.binomial(self.beacons_per_second, p)
+            heard[:, j] = day_rngs.stream("beacons", bs).binomial(
+                self.beacons_per_second, prob[j])
         return BeaconLog(bs_ids, heard, expected=self.beacons_per_second)
 
     def generate_profiling_days(self, n_days=3, n_tours=1):

@@ -19,10 +19,10 @@ This module rebuilds that environment synthetically:
 Its products are the paper's two artifact types: probe traces
 (Section 3.1 methodology) and beacon logs, plus a live
 :class:`~repro.net.medium.LinkTable` for deployment-style protocol runs.
-Probe traces steer their burst chains with each
-:class:`~repro.net.propagation.LinkModel`'s exact loss probability; the
-live table steers them with the members of one
-:class:`~repro.net.propagation.LinkBank`, one value per 20 ms bucket.
+Both read one :class:`~repro.net.propagation.LinkBank` per trip.  Probe
+traces evaluate it at every probe instant in one call and steer their
+burst chains with those exact loss probabilities; the live table
+steers them with the bank's members, one value per 20 ms bucket.
 """
 
 import numpy as np
@@ -205,7 +205,7 @@ class VanLanTestbed:
         """Static mean reception probability between two BSes."""
         distance = self.deployment.distance(bs_a, bs_b)
         profile = self.interbs_profile
-        return profile.reception_prob(profile.mean_rssi(distance))
+        return float(profile.reception_prob(profile.mean_rssi(distance)))
 
     # ------------------------------------------------------------------
     # Trace generation (Section 3.1 methodology)
@@ -234,29 +234,28 @@ class VanLanTestbed:
         up = np.zeros((n_slots, n_bs), dtype=bool)
         down = np.zeros((n_slots, n_bs), dtype=bool)
         rssi = np.full((n_slots, n_bs), np.nan)
-        positions = np.zeros((n_slots, 2))
 
         times = np.arange(n_slots) * slot_dt
-        for t_idx, t in enumerate(times):
-            positions[t_idx] = motion(t)
-
+        positions = np.column_stack(motion.positions_at(times))
+        model_rssi, prob = self.build_link_bank(trip, motion).evaluate(times)
+        slots = times.tolist()
         for j, bs in enumerate(bs_ids):
-            # The model's exact-time memo lets the up and down draws
-            # (and the RSSI report) at one slot share one evaluation.
-            link = self.link_model(trip, bs, motion)
+            # Both directions steer with the evaluated loss at each slot.
+            loss = dict(zip(slots, (1.0 - prob[j]).tolist())).__getitem__
             up_proc = SteeredGilbertElliott(
-                link.loss_prob, rng=trip_rngs.stream("fast-up", bs)
+                loss, rng=trip_rngs.stream("fast-up", bs)
             )
             down_proc = SteeredGilbertElliott(
-                link.loss_prob, rng=trip_rngs.stream("fast-down", bs)
+                loss, rng=trip_rngs.stream("fast-down", bs)
             )
             noise = trip_rngs.stream("rssi-noise", bs)
-            for t_idx, t in enumerate(times):
+            link_rssi = model_rssi[j].tolist()
+            for t_idx, t in enumerate(slots):
                 up[t_idx, j] = not up_proc.is_lost(t)
                 received = not down_proc.is_lost(t)
                 down[t_idx, j] = received
                 if received:
-                    rssi[t_idx, j] = link.rssi(t) + noise.normal(
+                    rssi[t_idx, j] = link_rssi[t_idx] + noise.normal(
                         0.0, rssi_noise_db
                     )
         return ProbeTrace(bs_ids, slot_dt, up, down, rssi, positions)

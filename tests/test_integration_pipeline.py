@@ -200,7 +200,7 @@ PROBE_TRACE_ANCHOR = \
 #: change to how the model is evaluated can move its last bits without
 #: moving a decoded probe.
 PROBE_TRACE_RSSI_ANCHOR = \
-    "ca970eb3d1579a988aad1a8e474b5e16d0669bc94dfd033780d3ef616248a34c"
+    "c3dd67d1a6d6f10ce356c50009fc7f22f90017d0ebfe33527b3ee38090c299af"
 
 #: sha256 over the ``heard`` counts of
 #: ``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the

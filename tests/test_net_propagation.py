@@ -1,8 +1,8 @@
-"""Unit tests for the propagation model, the bucket-centre link bank,
-the link model's exact-time memo and the gray-period bisection."""
+"""Unit tests for the radio profile's formulas and for the link bank,
+the one evaluator of the propagation layers: shadowing, the spatial
+field, gray periods and the bucket-centre fill."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -22,6 +22,53 @@ from repro.testbeds.vanlan import VanLanTestbed
 
 def _rng(name="p"):
     return RngRegistry(7).fresh(name)
+
+
+class _Line:
+    """An endpoint moving from ``(x0, y0)`` at velocity ``(vx, vy)``,
+    with the array form a bank places it by."""
+
+    def __init__(self, x0, y0, vx=0.0, vy=0.0):
+        self.x0, self.y0, self.vx, self.vy = x0, y0, vx, vy
+
+    def __call__(self, t):
+        return (self.x0 + self.vx * t, self.y0 + self.vy * t)
+
+    def positions_at(self, t):
+        return self(np.asarray(t, dtype=np.float64))
+
+
+def _bank(position, profile=None, **layers):
+    """A one-link bank from the origin to the moving *position*."""
+    return LinkBank([LinkModel(profile or RadioProfile(),
+                               StationaryPosition(0, 0), position,
+                               **layers)])
+
+
+def _offsets(bank, times):
+    """The one link's RSSI over its path-loss mean at *times*: the sum
+    of its shadowing and spatial layers."""
+    rssi, _ = bank.evaluate(times)
+    px, py = bank.links[0].position_b.positions_at(times)
+    return rssi[0] - bank.profile.mean_rssi(np.hypot(px, py))
+
+
+def _shadowing_at(shadowing, times):
+    return _offsets(_bank(_Line(10.0, 0.0), shadowing=shadowing),
+                    np.asarray(times, dtype=np.float64))
+
+
+def _field_along(field, line, times):
+    return _offsets(_bank(line, spatial=field),
+                    np.asarray(times, dtype=np.float64))
+
+
+def _gray_flags(gray, times):
+    """Whether each instant lies in a gray period, read off a 10 m link
+    whose reception stays far above the gray residual outside them."""
+    bank = _bank(_Line(10.0, 0.0), gray=gray)
+    _, prob = bank.evaluate(np.asarray(times, dtype=np.float64))
+    return prob[0] == bank.profile.gray_residual_reception
 
 
 class TestRadioProfile:
@@ -60,118 +107,92 @@ class TestRadioProfile:
 class TestShadowing:
     def test_stationary_variance(self):
         shadowing = Shadowing(sigma_db=6.0, tau_s=10.0, rng=_rng("sh"))
-        samples = [shadowing.value_db(float(t)) for t in range(5000)]
-        mean = sum(samples) / len(samples)
-        var = sum((s - mean) ** 2 for s in samples) / len(samples)
-        assert abs(mean) < 1.0
-        assert 0.5 * 36 < var < 1.5 * 36
+        samples = _shadowing_at(shadowing, np.arange(5000.0))
+        assert abs(samples.mean()) < 1.0
+        assert 0.5 * 36 < samples.var() < 1.5 * 36
 
     def test_temporal_correlation_decays(self):
         shadowing = Shadowing(sigma_db=6.0, tau_s=10.0, rng=_rng("sc"))
-        a = shadowing.value_db(100.0)
-        near = shadowing.value_db(100.5)
+        a, near = _shadowing_at(shadowing, [100.0, 100.5])
         assert abs(a - near) < 6.0  # strongly correlated nearby
 
     def test_interpolation_continuous(self):
         shadowing = Shadowing(sigma_db=6.0, tau_s=5.0, rng=_rng("si"))
-        v1 = shadowing.value_db(3.49)
-        v2 = shadowing.value_db(3.51)
+        v1, v2 = _shadowing_at(shadowing, [3.49, 3.51])
         assert abs(v1 - v2) < 1.0
 
     def test_negative_time_rejected(self):
-        shadowing = Shadowing(6.0, 5.0, _rng())
+        """The lattice starts at time zero and is interpolated forward,
+        so the bank refuses earlier or descending instants."""
+        bank = _bank(_Line(10.0, 0.0), shadowing=Shadowing(6.0, 5.0, _rng()))
         with pytest.raises(ValueError):
-            shadowing.value_db(-1.0)
+            bank.evaluate([-1.0])
+        with pytest.raises(ValueError):
+            bank.evaluate([2.0, 1.0])
 
 
 class TestSpatialField:
     def test_deterministic_for_same_stream(self):
         a = SpatialField(4.0, 50.0, _rng("f"))
         b = SpatialField(4.0, 50.0, _rng("f"))
-        assert a.value_db(10, 20) == b.value_db(10, 20)
+        at = _Line(10.0, 20.0)
+        assert _field_along(a, at, [0.0]) == _field_along(b, at, [0.0])
 
     def test_spatial_correlation(self):
         field = SpatialField(4.0, 80.0, _rng("fc"))
-        near = abs(field.value_db(100, 100) - field.value_db(103, 100))
-        assert near < 2.0  # 3 m apart, well inside correlation length
+        # (100, 100) at t=0 and (103, 100) at t=1.
+        here, there = _field_along(field, _Line(100.0, 100.0, vx=3.0),
+                                   [0.0, 1.0])
+        assert abs(here - there) < 2.0  # well inside correlation length
 
     def test_variance_scale(self):
         field = SpatialField(4.0, 30.0, _rng("fv"), n_terms=96)
-        values = [field.value_db(x * 17.3, x * 9.1) for x in range(2000)]
-        mean = sum(values) / len(values)
-        var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert 0.4 * 16 < var < 1.8 * 16
+        values = _field_along(field, _Line(0.0, 0.0, vx=17.3, vy=9.1),
+                              np.arange(2000.0))
+        assert 0.4 * 16 < values.var() < 1.8 * 16
 
 
 class TestGrayPeriods:
     def test_no_events_at_zero_rate(self):
         gray = GrayPeriodProcess(0.0, 2.0, _rng())
-        assert not any(gray.in_gray(t * 10.0) for t in range(100))
+        assert not _gray_flags(gray, np.arange(100) * 10.0).any()
 
     def test_fraction_of_time_matches_rate(self):
         gray = GrayPeriodProcess(1.0 / 20.0, 2.0, _rng("g"))
-        in_gray = sum(gray.in_gray(t * 0.5) for t in range(20000))
-        fraction = in_gray / 20000
+        fraction = _gray_flags(gray, np.arange(20000) * 0.5).mean()
         # Expected duty cycle ~ rate * duration = 0.1.
         assert 0.05 < fraction < 0.2
 
     def test_periods_are_contiguous(self):
         gray = GrayPeriodProcess(1.0 / 10.0, 5.0, _rng("gc"))
-        flags = [gray.in_gray(t * 0.1) for t in range(5000)]
+        flags = _gray_flags(gray, np.arange(5000) * 0.1)
         # Count transitions; with mean duration 5 s there should be far
         # fewer transitions than gray samples.
-        transitions = sum(
-            1 for a, b in zip(flags, flags[1:]) if a != b
-        )
-        assert transitions < sum(flags) / 5
+        transitions = np.count_nonzero(flags[1:] != flags[:-1])
+        assert transitions < flags.sum() / 5
 
 
 class TestLinkModel:
-    def _link(self, distance, **kwargs):
-        profile = RadioProfile()
-        return LinkModel(
-            profile,
-            StationaryPosition(0, 0),
-            StationaryPosition(distance, 0),
-            **kwargs,
-        )
-
-    def test_distance(self):
-        link = self._link(120.0)
-        assert link.distance(0.0) == pytest.approx(120.0)
-
     def test_reception_prob_decreases_with_distance(self):
-        near = self._link(50.0).reception_prob(0.0)
-        far = self._link(300.0).reception_prob(0.0)
-        assert near > far
+        _, near = _bank(_Line(50.0, 0.0)).evaluate([0.0])
+        _, far = _bank(_Line(300.0, 0.0)).evaluate([0.0])
+        assert near[0, 0] > far[0, 0]
 
     def test_gray_period_collapses_reception(self):
-        class AlwaysGray:
-            def in_gray(self, t):
-                return True
-
-        link = self._link(30.0, gray=AlwaysGray())
-        assert link.reception_prob(0.0) <= \
-            link.profile.gray_residual_reception
-
-    def test_loss_prob_complements_reception(self):
-        link = self._link(100.0)
-        assert link.loss_prob(0.0) == pytest.approx(
-            1.0 - link.reception_prob(0.0)
-        )
+        gray = GrayPeriodProcess(0.0, 1.0, _rng())
+        gray._append(0.0, 10.0)
+        bank = _bank(_Line(30.0, 0.0), gray=gray)
+        _, prob = bank.evaluate([0.0, 5.0, 10.0])
+        residual = bank.profile.gray_residual_reception
+        assert (prob[0, :2] <= residual).all()
+        assert prob[0, 2] > residual  # the period ends at 10 s
 
     def test_moving_endpoint_changes_distance(self):
         profile = RadioProfile()
-        link = LinkModel(
-            profile,
-            StationaryPosition(0, 0),
-            lambda t: (t * 10.0, 0.0),
-        )
-        assert link.distance(1.0) == pytest.approx(10.0)
-        assert link.distance(10.0) == pytest.approx(100.0)
-        assert math.isclose(
-            link.rssi(1.0), profile.mean_rssi(10.0), abs_tol=1e-9
-        )
+        bank = _bank(_Line(0.0, 0.0, vx=10.0), profile)
+        rssi, _ = bank.evaluate([1.0, 10.0])
+        assert rssi[0].tolist() == \
+            profile.mean_rssi(np.array([10.0, 100.0])).tolist()
 
 
 def _centre_bank(seed, prefill_s=None):
@@ -219,25 +240,38 @@ class TestLinkBank:
         reads_b = {k: bank_b.prob_at(0, k) for k in keys_b}
         assert reads_a == reads_b
 
-    def test_matches_scalar_model_at_bucket_centres(self):
-        """Property: centre-bank values == the scalar LinkModel at the
-        bucket-centre instants, to float tolerance (vectorized vs
-        scalar transcendentals), over identical RNG streams."""
-        testbed_a = VanLanTestbed(seed=11)
-        testbed_b = VanLanTestbed(seed=11)
-        motion_a = testbed_a.vehicle_motion()
-        motion_b = testbed_b.vehicle_motion()
-        bank = testbed_a.build_link_bank(0, motion_a)
-        scalar = [testbed_b.link_model(0, bs, motion_b)
-                  for bs in testbed_b.deployment.bs_ids]
-        quantum = bank.quantum
-        for step in range(800):
-            key = 3 * step  # monotone, with gaps
-            tc = (key + 0.5) * quantum
-            for i, model in enumerate(scalar):
-                banked = bank.prob_at(i, key)
-                assert banked == pytest.approx(model.reception_prob(tc),
-                                               abs=1e-9)
+    def test_evaluate_at_bucket_centres_equals_filled_buckets(self):
+        """The bucket fill and :meth:`LinkBank.evaluate` are one
+        pipeline: evaluating a trip's bucket centres, all of them or
+        every third, reproduces the filled buckets bit for bit."""
+        testbed = VanLanTestbed(seed=11)
+        motion = testbed.vehicle_motion()
+        filled = testbed.build_link_bank(0, motion,
+                                         prefill_s=motion.route.duration)
+        buckets = np.concatenate(
+            [filled._chunks[c] for c in sorted(filled._chunks)], axis=1)
+        centres = (np.arange(buckets.shape[1], dtype=np.float64) + 0.5) \
+            * filled.quantum
+        _, prob = testbed.build_link_bank(0, motion).evaluate(centres)
+        assert prob.tobytes() == buckets.tobytes()
+        _, every_third = testbed.build_link_bank(0, motion).evaluate(
+            centres[::3])
+        assert every_third.tobytes() == \
+            np.ascontiguousarray(buckets[:, ::3]).tobytes()
+
+    def test_bare_link_equals_profile_formulas(self):
+        """Without shadowing, gray periods or a spatial field, a link
+        reads the profile's path loss and decode curve exactly, from
+        inside the 1 m reference out past the noise floor."""
+        profile = RadioProfile()
+        distances = np.array([0.5, 1.0, 10.0, 50.0, 120.0, 300.0, 2000.0])
+        # The endpoint moves 1 m/s, so the link spans t metres at t.
+        rssi, prob = _bank(_Line(0.0, 0.0, vx=1.0), profile).evaluate(
+            distances)
+        expected = profile.mean_rssi(distances)
+        assert rssi[0].tolist() == expected.tolist()
+        assert prob[0].tolist() == profile.reception_prob(expected).tolist()
+        assert prob[0, -1] == 0.0 and prob[0, 0] > 0.9
 
     def test_prefilled_trip_bytes_are_pinned(self):
         """Every prefilled probability chunk of VanLAN trip 0 hashes to
@@ -291,48 +325,15 @@ class TestLinkBank:
             LinkBank(links, quantum_s=quantum_s)
 
 
-class TestLinkModelMemo:
-    def test_memo_matches_fresh_twin(self):
-        """At every probe slot, repeated queries included, a memoized
-        model answers exactly as its twin evaluated from scratch (its
-        memo cleared before every query)."""
-        a = VanLanTestbed(seed=11)
-        b = VanLanTestbed(seed=11)
-        link = a.link_model(0, 1, a.vehicle_motion())
-        twin = b.link_model(0, 1, b.vehicle_motion())
-
-        def fresh(query, t):
-            twin._rssi_t = twin._prob_t = None
-            return query(t)
-
-        for k in range(400):
-            t = k * 0.1
-            # A probe slot's order: up coin, down coin, RSSI report.
-            assert link.loss_prob(t) == fresh(twin.loss_prob, t)
-            assert link.loss_prob(t) == fresh(twin.loss_prob, t)
-            assert link.rssi(t) == fresh(twin.rssi, t)
-            assert link.reception_prob(t) == \
-                fresh(twin.reception_prob, t)
-
-
 class TestGrayPeriodFastPath:
     def test_bisect_matches_dense_scan(self):
-        rngs = RngRegistry(5)
-        coarse = GrayPeriodProcess(1.0 / 15.0, 3.0, rngs.fresh("g"))
-        dense = GrayPeriodProcess(1.0 / 15.0, 3.0, rngs.fresh("g"))
-        dense_flags = {}
-        for k in range(40000):
-            t = k * 0.05
-            dense_flags[t] = dense.in_gray(t)
-        for k in range(0, 40000, 7):
-            t = k * 0.05
-            assert coarse.in_gray(t) == dense_flags[t]
-
-    def test_pruning_bounds_interval_storage(self):
-        gray = GrayPeriodProcess(2.0, 0.5, RngRegistry(9).fresh("p"),
-                                 horizon_hint_s=100.0)
-        for k in range(200000):
-            gray.in_gray(k * 0.05)
-        # ~20k expected onsets over 10 ks; pruning must keep only the
-        # recent tail rather than the whole history.
-        assert len(gray._starts) < 2000
+        """The bank's bisection overlay flags exactly the instants that
+        a dense scan over every merged interval finds."""
+        gray = GrayPeriodProcess(1.0 / 15.0, 3.0, RngRegistry(5).fresh("g"))
+        times = np.arange(0, 40000, 7) * 0.05
+        flags = _gray_flags(gray, times)
+        starts = np.asarray(gray._starts)[:, None]
+        ends = np.asarray(gray._ends)[:, None]
+        dense = ((starts <= times) & (times < ends)).any(axis=0)
+        assert dense.any()
+        assert flags.tolist() == dense.tolist()
