@@ -154,7 +154,7 @@ def _probe_grid(testbed, bs_ids, trip, probe_interval_s, duration_s):
     motion = testbed.vehicle_motion()
     duration = duration_s or motion.route.duration
     times = np.arange(int(duration / probe_interval_s)) * probe_interval_s
-    bank = testbed.build_link_bank(trip, motion, bs_ids=list(bs_ids))
+    bank = testbed.build_link_bank(trip, motion, bs_ids=bs_ids)
     return times, bank.evaluate(times)[1]
 
 

@@ -54,20 +54,18 @@ def _offsets(bank, times):
 
 
 def _shadowing_at(shadowing, times):
-    return _offsets(_bank(_Line(10.0, 0.0), shadowing=shadowing),
-                    np.asarray(times, dtype=np.float64))
+    return _offsets(_bank(_Line(10.0, 0.0), shadowing=shadowing), times)
 
 
 def _field_along(field, line, times):
-    return _offsets(_bank(line, spatial=field),
-                    np.asarray(times, dtype=np.float64))
+    return _offsets(_bank(line, spatial=field), times)
 
 
 def _gray_flags(gray, times):
     """Whether each instant lies in a gray period, read off a 10 m link
     whose reception stays far above the gray residual outside them."""
     bank = _bank(_Line(10.0, 0.0), gray=gray)
-    _, prob = bank.evaluate(np.asarray(times, dtype=np.float64))
+    _, prob = bank.evaluate(times)
     return prob[0] == bank.profile.gray_residual_reception
 
 
