@@ -242,7 +242,6 @@ class TcpTransfer:
             ack_send = self._send_downstream
             data_side, ack_side = FlowRouter.WIRED, FlowRouter.VEHICLE
 
-        self._data_send = data_send
         self._ack_send = ack_send
         self.receiver = _Receiver(self, ack_send, config)
         self.sender = _Sender(self, data_send, config, protocol.sim)

@@ -183,12 +183,6 @@ class _ReceiverState:
         return bitmap
 
 
-# Sender-side packet row states (see LinkSender).  A row is GONE once
-# acknowledged, given up, or harvested by a salvage request; GONE rows
-# are tombstones until the dead prefix is compacted away.
-_GONE = 0
-_PENDING = 1
-
 #: Ring depth of a :class:`_PacketBank` source — power of two so the
 #: slot map is a mask.  Twice the ``_RECEIVE_MEMORY`` window; the relay
 #: horizons it must span (ack windows, retransmission lifetimes) are
@@ -300,23 +294,21 @@ class _PacketBank:
     implementation under protocol-shaped schedules.
     """
 
-    __slots__ = ("_rings", "_src", "_ring")
+    __slots__ = ("_rings",)
 
     def __init__(self):
         self._rings = {}
-        self._src = None
-        self._ring = None
 
     def ring(self, src):
-        """The per-source ring, with a one-entry lookup cache (a BS
-        overhears essentially one conversation at a time)."""
-        if src == self._src:
-            return self._ring
+        """The per-source ring, built on the first query for *src*.
+
+        A basestation overhears the vehicle's upstream and the
+        anchor's downstream in turn, so queries alternate between
+        sources and a plain dict lookup serves them all.
+        """
         ring = self._rings.get(src)
         if ring is None:
             ring = self._rings[src] = _SourceRing()
-        self._src = src
-        self._ring = ring
         return ring
 
 
@@ -330,15 +322,19 @@ class LinkSender:
 
     Packet state is columnar: pkt_ids are dense and monotone (one
     ``itertools.count`` per sender), so a packet's row is
-    ``pkt_id - _base`` into parallel lists — state code, packet object,
-    timestamps, transmission history, retransmission deadline.  An ack
-    lookup is an index compare plus a state read instead of tuple
-    hashing into a dict of per-packet objects, and the bitmap loop
-    touches eight adjacent rows.  Completed rows become in-place
-    tombstones (``_GONE``); the transmit FIFO drops them lazily instead
-    of ``deque.remove``-ing per completion (O(queue) per delivered
-    packet under backlog), and the dead column prefix is sliced off
-    every few thousand completions so memory tracks the live window.
+    ``pkt_id - _base`` into five parallel lists — packet object,
+    arrival time, per-copy tx ids and times, retransmission deadline.
+    A row is live while its packet is set, and it has aired once its
+    tx-id list exists (the list's length is its transmission count).
+    An ack lookup is an index compare plus a column read instead of
+    tuple hashing into a dict of per-packet objects, and the bitmap
+    loop touches eight adjacent rows.  Completed rows become in-place
+    tombstones (packet and transmission lists cleared); the transmit
+    FIFO drops them lazily instead of ``deque.remove``-ing per
+    completion (O(queue) per delivered packet under backlog), and the
+    dead column prefix is sliced off every few thousand completions so
+    memory tracks the live window.  Packet fates are recorded in
+    :class:`~repro.core.stats.ViFiStats` only.
 
     Args:
         node: owning node (provides ``node_id``, ``ctx``,
@@ -355,28 +351,28 @@ class LinkSender:
         self.dst_provider = dst_provider
         self._pkt_ids = itertools.count()
         self.queue = deque()
-        # Columnar packet rows, indexed by pkt_id - _base: state code,
-        # packet, enqueue/arrival times, per-copy tx ids and times
-        # (parallel small lists, allocated on first transmission),
-        # transmission count and next retransmission deadline.
+        # Columnar packet rows, indexed by pkt_id - _base: packet (None
+        # once the row is dead), arrival time, per-copy tx ids and
+        # times (parallel small lists, allocated on first transmission)
+        # and next retransmission deadline.
         self._base = 0
-        self._st = []
         self._pkt = []
-        self._enq = []
         self._arr = []
         self._txi = []
         self._txt = []
-        self._txc = []
         self._nxt = []
-        self._live = 0
         self._done_since_compact = 0
         # Unacked packets the link layer stopped retransmitting remain
         # eligible for salvaging (Section 4.5 transfers "any
         # unacknowledged packets ... received within a time threshold",
         # whether or not their retransmission budget is spent); their
         # rows are tombstoned and the packet parked here until the next
-        # salvage request drains it.
+        # salvage request drains it.  Salvage requests reach only a
+        # basestation's downstream sender, and only when salvaging is
+        # on, so no other sender parks anything.
         self._retired = {}
+        self._salvageable = (direction is Direction.DOWNSTREAM
+                             and self.ctx.config.salvage_enabled)
         self._retx_event = None
         # Lazily validated min-heap of (next_retx, pkt_id): pushed on
         # every transmission, stale entries (completed packets, or
@@ -385,9 +381,6 @@ class LinkSender:
         # completion — is then O(1) amortized instead of a scan over
         # all pending packets.
         self._retx_heap = []
-        self.enqueued = 0
-        self.delivered_acks = 0
-        self.given_up = 0
 
     # -- queueing ------------------------------------------------------
 
@@ -408,23 +401,14 @@ class LinkSender:
             salvaged=salvaged,
             payload=payload,
         )
-        self._st.append(_PENDING)
         self._pkt.append(packet)
-        self._enq.append(now)
         self._arr.append(now)
         self._txi.append(None)
         self._txt.append(None)
-        self._txc.append(0)
         self._nxt.append(0.0)
-        self._live += 1
         self.queue.append(pkt_id)
-        self.enqueued += 1
         self.pump()
         return pkt_id
-
-    @property
-    def queued_count(self):
-        return self._live
 
     # -- transmission --------------------------------------------------
 
@@ -447,8 +431,8 @@ class LinkSender:
         if self._done_since_compact >= 4096:
             self._done_since_compact = 0
             self._compact()
-        st = self._st
-        txc = self._txc
+        pkt = self._pkt
+        txi = self._txi
         nxt = self._nxt
         base = self._base
         # Reclaim completed head entries; mid-queue tombstones are
@@ -458,21 +442,21 @@ class LinkSender:
         # the head row is live every later index is in range.
         while queue:
             idx = queue[0] - base
-            if idx >= 0 and st[idx] == _PENDING:
+            if idx >= 0 and pkt[idx] is not None:
                 break
             queue.popleft()
         chosen = -1
         max_tx = 1 + config.max_retx
         for pkt_id in queue:
             idx = pkt_id - base
-            if st[idx] != _PENDING:
+            if pkt[idx] is None:
                 continue
-            count = txc[idx]
-            if count == 0:
+            sent = txi[idx]
+            if sent is None:
                 chosen = idx
                 break
             if nxt[idx] <= now:
-                if count >= max_tx:
+                if len(sent) >= max_tx:
                     # Retiring only tombstones the row — no deque
                     # mutation, so iterating on is safe.
                     self._give_up(idx, pkt_id)
@@ -492,15 +476,13 @@ class LinkSender:
         packet = self._pkt[idx]
         packet.dst = dst
         packet.tx_id = tx_id
-        count = self._txc[idx]
-        packet.is_retransmission = count > 0
         txi = self._txi[idx]
+        packet.is_retransmission = txi is not None
         if txi is None:
             txi = self._txi[idx] = []
             self._txt[idx] = []
         txi.append(tx_id)
         self._txt[idx].append(now)
-        self._txc[idx] = count + 1
         wake = now + self.node.retx_timer.timeout()
         self._nxt[idx] = wake
         heapq.heappush(self._retx_heap, (wake, packet.pkt_id))
@@ -521,18 +503,16 @@ class LinkSender:
                              unicast_to=unicast_to)
 
     def _give_up(self, idx, pkt_id):
-        self._retired[pkt_id] = (self._pkt[idx], self._arr[idx])
+        if self._salvageable:
+            self._retired[pkt_id] = (self._pkt[idx], self._arr[idx])
         self._tombstone(idx)
-        self.given_up += 1
         self.ctx.stats.on_give_up((self.node.node_id, pkt_id))
 
     def _tombstone(self, idx):
         """Mark a row dead, dropping its object references."""
-        self._st[idx] = _GONE
         self._pkt[idx] = None
         self._txi[idx] = None
         self._txt[idx] = None
-        self._live -= 1
         # Compaction is deferred to the next pump(): callers cache the
         # column lists and base offset across a batch of completions.
         self._done_since_compact += 1
@@ -545,20 +525,17 @@ class LinkSender:
         tombstones; running it every 4096 completions keeps the scan
         amortized O(1) per packet.
         """
-        st = self._st
-        n = len(st)
+        pkt = self._pkt
+        n = len(pkt)
         k = 0
-        while k < n and st[k] == _GONE:
+        while k < n and pkt[k] is None:
             k += 1
         if k == 0:
             return
-        del st[:k]
-        del self._pkt[:k]
-        del self._enq[:k]
+        del pkt[:k]
         del self._arr[:k]
         del self._txi[:k]
         del self._txt[:k]
-        del self._txc[:k]
         del self._nxt[:k]
         self._base += k
 
@@ -572,13 +549,13 @@ class LinkSender:
         pending packets — the same wake time the old full scan found.
         """
         heap = self._retx_heap
-        st = self._st
+        txi = self._txi
         base = self._base
         while heap:
             wake_at, pkt_id = heap[0]
             idx = pkt_id - base
-            if idx >= 0 and st[idx] == _PENDING \
-                    and self._txc[idx] > 0 and self._nxt[idx] == wake_at:
+            if idx >= 0 and txi[idx] is not None \
+                    and self._nxt[idx] == wake_at:
                 break
             heapq.heappop(heap)
         event = self._retx_event
@@ -598,15 +575,15 @@ class LinkSender:
     def on_ack(self, ack):
         """Process an ack addressed to this sender."""
         now = self.ctx.sim.now
-        st = self._st
+        txi = self._txi
         base = self._base
-        n = len(st)
+        n = len(txi)
         pkt_id = ack.pkt_id
         idx = pkt_id - base
-        if 0 <= idx < n and st[idx] == _PENDING:
-            txi = self._txi[idx]
-            if txi is not None and ack.tx_id in txi:
-                tx_time = self._txt[idx][txi.index(ack.tx_id)]
+        if 0 <= idx < n and self._pkt[idx] is not None:
+            sent = txi[idx]
+            if sent is not None and ack.tx_id in sent:
+                tx_time = self._txt[idx][sent.index(ack.tx_id)]
                 self.node.retx_timer.add_sample(now - tx_time)
             self._complete(idx, pkt_id)
         # Bitmap: ids in the 8-slot window NOT flagged missing were
@@ -616,14 +593,12 @@ class LinkSender:
             if candidate < 0:
                 break
             cidx = candidate - base
-            if 0 <= cidx < n and st[cidx] == _PENDING \
-                    and self._txc[cidx] > 0:
+            if 0 <= cidx < n and txi[cidx] is not None:
                 self._complete(cidx, candidate)
         self.pump()
 
     def _complete(self, idx, pkt_id):
         self._tombstone(idx)
-        self.delivered_acks += 1
         self.ctx.stats.on_src_ack((self.node.node_id, pkt_id))
 
     # -- salvaging support ----------------------------------------------
@@ -640,15 +615,15 @@ class LinkSender:
         """
         now = self.ctx.sim.now
         harvest = []
-        st = self._st
+        pkt = self._pkt
         base = self._base
         kept = deque()
         for pkt_id in self.queue:
             idx = pkt_id - base
-            if idx < 0 or st[idx] != _PENDING:
+            if idx < 0 or pkt[idx] is None:
                 continue  # tombstone: dropped while rebuilding anyway
             if now - self._arr[idx] <= age_s:
-                harvest.append(self._pkt[idx])
+                harvest.append(pkt[idx])
                 self._tombstone(idx)
             else:
                 kept.append(pkt_id)
@@ -806,7 +781,6 @@ class VehicleNode(_NodeBase):
         self.upstream = LinkSender(
             self, Direction.UPSTREAM, dst_provider=lambda: self.anchor_id
         )
-        self.delivered_downstream = []
         self.downstream_sink = None
 
     # -- designations -----------------------------------------------------
@@ -891,12 +865,8 @@ class VehicleNode(_NodeBase):
             via_relay=packet.relayed_by is not None,
         )
         self._send_ack(packet, state)
-        if fresh:
-            self.delivered_downstream.append(
-                (packet.seq, packet.created_at, self.ctx.sim.now)
-            )
-            if self.downstream_sink is not None:
-                self.downstream_sink(packet, self.ctx.sim.now)
+        if fresh and self.downstream_sink is not None:
+            self.downstream_sink(packet, self.ctx.sim.now)
 
     def on_ack_frame(self, ack):
         if ack.for_src == self.node_id:
@@ -916,7 +886,6 @@ class BasestationNode(_NodeBase):
         self.is_anchor = False
         self.known_anchor = None
         self.known_aux = ()
-        self.known_prev_anchor = None
         self.vehicle_id = None
         self.last_vehicle_beacon = None
         self.downstream = LinkSender(
@@ -944,7 +913,6 @@ class BasestationNode(_NodeBase):
         # positives), while a fixed long window would delay relays that
         # interactive traffic needs.
         self._ack_gap = ctx.make_relay_window_timer()
-        self.forwarded_upstream = []
 
     # -- designation tracking (from vehicle beacons) -------------------------
 
@@ -970,7 +938,6 @@ class BasestationNode(_NodeBase):
         self.vehicle_id = beacon.sender
         self.known_anchor = beacon.anchor_id
         self.known_aux = tuple(beacon.aux_ids)
-        self.known_prev_anchor = beacon.prev_anchor_id
         self.last_vehicle_beacon = self.ctx.sim.now
         if beacon.anchor_id == self.node_id and not self.is_anchor:
             self.is_anchor = True
@@ -1033,9 +1000,6 @@ class BasestationNode(_NodeBase):
         )
         self._send_ack(packet, state)
         if fresh:
-            self.forwarded_upstream.append(
-                (packet.seq, packet.created_at, self.ctx.sim.now)
-            )
             self.ctx.gateway_deliver_upstream(packet)
 
     # -- auxiliary relaying (Section 4.3 step 3) ------------------------------

@@ -143,7 +143,6 @@ class InternetGateway:
         self.anchor_belief = None
         self._waiting = []
         self.upstream_sink = None
-        self.delivered_upstream = []
 
     def on_anchor_change(self, new_anchor):
         delay = self.ctx.config.gateway_update_delay_s
@@ -172,11 +171,12 @@ class InternetGateway:
         )
 
     def deliver_upstream(self, packet):
-        """Anchor-forwarded upstream packet reaches the wired host."""
+        """Anchor-forwarded upstream packet reaches the wired host.
+
+        The arrival is one wired-latency event whether or not a sink is
+        set, so a run's event count does not depend on its sinks.
+        """
         def arrive():
-            self.delivered_upstream.append(
-                (packet.seq, packet.created_at, self.ctx.sim.now)
-            )
             if self.upstream_sink is not None:
                 self.upstream_sink(packet, self.ctx.sim.now)
         self.ctx.sim.schedule_fire(self.ctx.config.wired_latency_s, arrive)

@@ -55,9 +55,9 @@ class LossProcess:
     """Interface: decide whether a transmission at time *t* is lost.
 
     ``static_loss_rate`` is the expected loss rate when it never
-    changes over time, else ``None``.  The reachability index of
-    :class:`~repro.net.medium.LinkTable` classifies such links once
-    instead of re-evaluating them on every refresh.
+    changes over time, else ``None``.
+    :meth:`~repro.net.medium.LinkTable.in_range` answers such links
+    from it instead of calling :meth:`loss_rate` on every refresh.
 
     The processes separate *state advance* from the per-packet coin
     flip: ``loss_eps_window(t) -> (eps, valid_until)`` advances any

@@ -25,9 +25,10 @@ The medium also keeps transmission counters per node and frame kind so
 the efficiency analysis (Figure 12) can count every transmission on the
 vehicle-BS channel.
 
-**Fast path.**  The :class:`LinkTable` maintains a per-transmitter
-reachability index (links whose expected loss rate is strictly below
-1.0), refreshed lazily on a coarse timer, and it is the only way the
+**Fast path.**  Each transmitter's resolve rows (see below) hold its
+in-range receivers (links whose expected loss rate is strictly below
+1.0, from :meth:`LinkTable.in_range`), refreshed lazily every
+:attr:`WirelessMedium.REACH_REFRESH_S`; they are the only way the
 medium finds a frame's receivers: the stochastic channel runs only for
 receivers that could possibly decode, and known-unreachable receivers
 never touch their loss process.  Transmission and delivery accounting
@@ -56,8 +57,8 @@ Fast paths riding on top:
   before it ends.
 * **Struct-of-arrays resolve** — per-transmitter resolve rows are
   kept as struct-of-arrays (a python-float list of loss thresholds and
-  per-row validity windows from ``loss_eps_window``), cached against
-  the reachability index's expiry.  Resolving a frame is then one
+  per-row validity windows from ``loss_eps_window``), rebuilt only
+  when a refresh changes the in-range set.  Resolving a frame is then one
   python-float compare per in-range receiver, of a uniform served from
   the medium's 256-uniform outcome blocks against its threshold, and
   only the hits (deliveries) run further code: a slot increment in the
@@ -106,6 +107,8 @@ class LinkTable:
 
     Links are registered with :meth:`set_link`; a pair that was never
     registered is out of range, and frames are never delivered on it.
+    The table caches nothing: the medium keeps each transmitter's
+    in-range receivers in its resolve rows.
     """
 
     #: The propagation :class:`~repro.net.propagation.LinkBank` behind
@@ -114,32 +117,15 @@ class LinkTable:
     #: benchmark harnesses can report prefill/build cost separately.
     link_bank = None
 
-    #: How long a transmitter's cached reachable-neighbor set stays
-    #: valid (seconds).  A link whose expected loss rate is exactly 1.0
-    #: at refresh time is treated as unreachable until the next
-    #: refresh, so a link coming back into range is noticed at most
-    #: this much late.
-    REACH_REFRESH_S = 0.25
-
     def __init__(self):
         # src -> {dst: process}
         self._by_src = {}
         #: Bumped on every registration so callers caching derived
-        #: state (the medium's resolve-entry rows) notice new links.
+        #: state (the medium's resolve rows) notice new links.
         self.version = 0
-        # src -> (expires_at, frozenset(reachable ids),
-        #         ((dst, process), ...) sorted by dst)
-        self._reach = {}
-        # src -> (always-reachable static pairs, dynamic pairs): links
-        # with a constant loss rate are classified once; only dynamic
-        # links are re-evaluated on each refresh.
-        self._reach_split = {}
 
     def _register(self, src, dst, process):
         self._by_src.setdefault(src, {})[dst] = process
-        # The transmitter's neighborhood changed; recompute on next use.
-        self._reach.pop(src, None)
-        self._reach_split.pop(src, None)
         self.version += 1
 
     def set_link(self, src, dst, process, symmetric=False):
@@ -170,59 +156,36 @@ class LinkTable:
             return 1.0
         return process.loss_rate(t)
 
-    def _reach_entry(self, src, t):
-        entry = self._reach.get(src)
-        if entry is None or t >= entry[0]:
-            split = self._reach_split.get(src)
-            if split is None:
-                static, dynamic = [], []
-                for dst, process in self._by_src.get(src, _EMPTY).items():
-                    # getattr: duck-typed processes (tests, ad-hoc
-                    # models) need not declare staticness.
-                    rate = getattr(process, "static_loss_rate", None)
-                    if rate is None:
-                        dynamic.append((dst, process))
-                    elif rate < 1.0:
-                        static.append((dst, process))
-                split = (static, dynamic)
-                self._reach_split[src] = split
-            static, dynamic = split
-            in_range = list(static)
-            for pair in dynamic:
-                if pair[1].loss_rate(t) < 1.0:
-                    in_range.append(pair)
-            in_range.sort()
-            entry = (
-                t + self.REACH_REFRESH_S,
-                frozenset(dst for dst, _ in in_range),
-                tuple(in_range),
-            )
-            self._reach[src] = entry
-        return entry
+    def in_range(self, src, t):
+        """``[(dst, process), ...]`` for the links of *src* in range at
+        *t*, sorted by dst.
 
-    def reachable_from(self, src, t):
-        """The set of receivers of *src* currently in radio range.
-
-        A receiver is *reachable* when its link's expected loss rate is
-        strictly below 1.0; the set is cached for
-        :attr:`REACH_REFRESH_S` seconds (queries must be monotone in
-        *t*, as simulation time is).
+        A link is in range when its expected loss rate is strictly
+        below 1.0.  A process with a ``static_loss_rate`` answers from
+        it; only the others are asked for ``loss_rate(t)``, in
+        registration order.
         """
-        return self._reach_entry(src, t)[1]
-
-    def reachable_links(self, src, t):
-        """``((dst, process), ...)`` pairs in range, sorted by dst.
-
-        Same caching/monotonicity contract as :meth:`reachable_from`.
-        """
-        return self._reach_entry(src, t)[2]
+        pairs = []
+        for dst, process in self._by_src.get(src, _EMPTY).items():
+            # getattr: duck-typed processes (tests, ad-hoc models)
+            # need not declare staticness.
+            rate = getattr(process, "static_loss_rate", None)
+            if rate is None:
+                rate = process.loss_rate(t)
+            if rate < 1.0:
+                pairs.append((dst, process))
+        pairs.sort()
+        return pairs
 
 
 class _ResolveRows:
     """Struct-of-arrays resolve rows for one transmitter.
 
     One row per in-range receiver, in sorted receiver-id order (the
-    reproducible delivery order).  The eps column holds each row's
+    reproducible delivery order).  ``pairs`` is the
+    :meth:`LinkTable.in_range` answer the rows were built from,
+    ``version`` the table version at that time and ``expires`` the next
+    in-range refresh.  The eps column holds each row's
     loss threshold as a python float; the object columns (ids,
     ``on_receive`` callbacks and the receivers' delivery count rows)
     back the short loop over hits.  A row's per-frame loss probability
@@ -236,10 +199,14 @@ class _ResolveRows:
     link's process serves two rows.
     """
 
-    __slots__ = ("ids", "receive", "counts", "window_fns", "eps",
-                 "valid_until", "min_valid", "n", "finite_rows")
+    __slots__ = ("pairs", "version", "expires", "ids", "receive", "counts",
+                 "window_fns", "eps", "valid_until", "min_valid", "n")
 
-    def __init__(self, pairs, transmitter_id, nodes_by_id, count_rows):
+    def __init__(self, pairs, version, transmitter_id, nodes_by_id,
+                 count_rows):
+        self.pairs = pairs
+        self.version = version
+        self.expires = -math.inf
         ids, receive, counts, window_fns = [], [], [], []
         for receiver_id, process in pairs:
             if receiver_id == transmitter_id:
@@ -267,16 +234,6 @@ class _ResolveRows:
         # (validity is t < bound).
         self.valid_until = [-math.inf] * self.n
         self.min_valid = -math.inf
-        # Row indices whose validity bound is finite (can still lapse).
-        # ``None`` until the first full refresh; an infinite bound
-        # means the probability never changes again, so later
-        # refreshes scan only the finite rows.  Only rows that can
-        # never change get an infinite bound: Bernoulli rows
-        # (DieselNet's BS-BS links) and i.i.d. traces past their end.
-        # A burst chain's window always ends at its next flip, so on
-        # VanLAN, whose BS-BS links are steered chains, a BS
-        # transmitter's refresh still scans its whole neighborhood.
-        self.finite_rows = None
 
 
 class WirelessMedium:
@@ -303,6 +260,12 @@ class WirelessMedium:
     #: Uniforms drawn per refill of the batched per-frame outcome
     #: buffer.
     _OUTCOME_BLOCK = 256
+
+    #: How long a transmitter's in-range set stays valid (seconds).  A
+    #: link whose expected loss rate is exactly 1.0 at refresh time is
+    #: treated as unreachable until the next refresh, so a link coming
+    #: back into range is noticed at most this much late.
+    REACH_REFRESH_S = 0.25
 
     # Always zero (no frame is pre-drawn); bench/workloads.py reads them.
     predraw_planned_frames = predraw_fallback_frames = 0
@@ -331,10 +294,10 @@ class WirelessMedium:
         self._backoff_buf = None
         self._backoff_i = 0
         self._outcome_rng = outcome_rng if outcome_rng is not None else rng
-        # src -> (expires, _ResolveRows, links.version, pairs): each
-        # transmitter's struct-of-arrays rows, resolved once per
-        # reachability refresh instead of per frame.
-        self._row_cache = {}
+        # src -> _ResolveRows: each transmitter's struct-of-arrays
+        # rows, checked against the link table once per in-range
+        # refresh instead of per frame.
+        self._rows = {}
         # Per-frame outcome buffer, refilled _OUTCOME_BLOCK uniforms at
         # a time and held as python floats.
         self._outcome_buf = []
@@ -378,7 +341,7 @@ class WirelessMedium:
         self._cw[node.node_id] = self.backoff_slots
         self._tx_rows[node.node_id] = [0] * len(FRAME_KIND_VALUES)
         self._delivered_rows[node.node_id] = [0] * len(FRAME_KIND_VALUES)
-        self._row_cache.clear()
+        self._rows.clear()
 
     # ------------------------------------------------------------------
     # Transmission path
@@ -486,8 +449,8 @@ class WirelessMedium:
 
         Transmit accounting runs per frame, every frame's rows are
         looked up before any frame resolves (a lookup can refresh the
-        reachability index, which queries loss processes; this is the
-        order the realization is pinned with), and then each frame's
+        in-range set, which queries loss processes; this is the order
+        the realization is pinned with), and then each frame's
         outcomes are decided by :meth:`_resolve_outcomes`.
         """
         for transmitter_id, frame, _ in batch:
@@ -619,32 +582,28 @@ class WirelessMedium:
         self._freeze_contend(transmitter_id)
 
     def _resolve_rows(self, transmitter_id, t):
-        """The transmitter's struct-of-arrays rows for the current
-        reachability refresh.
+        """The transmitter's struct-of-arrays rows, valid at *t*.
 
-        The rows piggyback on the reachability entry's expiry, so the
-        per-frame cost is one dict lookup and a float compare; node
-        handles and eps accessors are re-resolved only when the index
-        refreshes.  A reachability refresh that leaves the in-range
-        membership unchanged (the common case between handoffs) keeps
-        the existing rows object — its thresholds and validity windows
-        carry over, since they are properties of the unchanged
-        processes.
+        The rows carry their own expiry, so the per-frame cost is one
+        dict lookup and a float compare; once they expire (or a link
+        was registered since), :meth:`LinkTable.in_range` is asked
+        again (queries must be monotone in *t*, as simulation time is).
+        A refresh that leaves the in-range membership unchanged (the
+        common case between handoffs) keeps the existing rows object —
+        its thresholds and validity windows carry over, since they are
+        properties of the unchanged processes.
         """
-        links = self.links
-        cached = self._row_cache.get(transmitter_id)
-        if cached is not None and t < cached[0] \
-                and cached[2] == links.version:
-            return cached[1]
-        expires, _, pairs = links._reach_entry(transmitter_id, t)
-        if cached is not None and cached[2] == links.version \
-                and cached[3] == pairs:
-            rows = cached[1]
-        else:
-            rows = _ResolveRows(pairs, transmitter_id, self._nodes,
+        rows = self._rows.get(transmitter_id)
+        version = self.links.version
+        if rows is not None and t < rows.expires \
+                and rows.version == version:
+            return rows
+        pairs = self.links.in_range(transmitter_id, t)
+        if rows is None or rows.version != version or rows.pairs != pairs:
+            rows = _ResolveRows(pairs, version, transmitter_id, self._nodes,
                                 self._delivered_rows)
-        self._row_cache[transmitter_id] = (expires, rows, links.version,
-                                           pairs)
+            self._rows[transmitter_id] = rows
+        rows.expires = t + self.REACH_REFRESH_S
         return rows
 
     def _refresh_row_thresholds(self, rows, start):
@@ -659,25 +618,14 @@ class WirelessMedium:
         valid_until = rows.valid_until
         window_fns = rows.window_fns
         eps = rows.eps
-        finite = rows.finite_rows
-        indices = range(rows.n) if finite is None else finite
-        rebuilt = [] if finite is None else None
         min_valid = math.inf
-        for i in indices:
+        for i in range(rows.n):
             bound = valid_until[i]
             if bound <= start:
                 eps[i], bound = window_fns[i](start)
                 valid_until[i] = bound
             if bound < min_valid:
                 min_valid = bound
-            if rebuilt is not None and bound != math.inf:
-                rebuilt.append(i)
-        if rebuilt is not None:
-            rows.finite_rows = rebuilt
-        elif min_valid == math.inf:
-            # Every scanned row crossed into the never-changes regime
-            # (e.g. a trace ran out): nothing can lapse again.
-            rows.finite_rows = []
         rows.min_valid = min_valid
 
     def _draw_outcomes(self, n):

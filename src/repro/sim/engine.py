@@ -60,13 +60,6 @@ class EventHandle:
         """True while the event is neither cancelled nor fired."""
         return not self.cancelled and self.callback is not None
 
-    def __lt__(self, other):
-        # Not used by the event loop (the heap orders raw (time, seq,
-        # handle) tuples); kept so handles sort sensibly for callers.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self):
         state = "cancelled" if self.cancelled else "pending"
         return f"EventHandle(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -88,7 +81,6 @@ class Simulator:
         # in C (seq is unique, so the handle itself is never compared).
         self._queue = []
         self._seq = itertools.count()
-        self._running = False
         self._live = 0
         self.events_processed = 0
 
@@ -186,36 +178,32 @@ class Simulator:
             Number of events processed during this call.
         """
         processed = 0
-        self._running = True
         queue = self._queue  # _compact mutates in place; safe to hoist
         heappop = heapq.heappop
-        try:
-            while queue:
-                if max_events is not None and processed >= max_events:
-                    break
-                item = queue[0]
-                head = item[2]
-                if head is not None and head.cancelled:
-                    heappop(queue)
-                    continue
-                time = item[0]
-                if until is not None and time > until:
-                    break
+        while queue:
+            if max_events is not None and processed >= max_events:
+                break
+            item = queue[0]
+            head = item[2]
+            if head is not None and head.cancelled:
                 heappop(queue)
-                self._live -= 1
-                self.now = time
-                if head is None:
-                    callback = item[3]
-                    args = item[4]
-                else:
-                    callback, args = head.callback, head.args
-                    head.callback = None
-                    head.args = None
-                callback(*args)
-                processed += 1
-                self.events_processed += 1
-        finally:
-            self._running = False
+                continue
+            time = item[0]
+            if until is not None and time > until:
+                break
+            heappop(queue)
+            self._live -= 1
+            self.now = time
+            if head is None:
+                callback = item[3]
+                args = item[4]
+            else:
+                callback, args = head.callback, head.args
+                head.callback = None
+                head.args = None
+            callback(*args)
+            processed += 1
+            self.events_processed += 1
         if until is not None and self.now < until:
             self.now = float(until)
         return processed

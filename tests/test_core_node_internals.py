@@ -16,11 +16,22 @@ from repro.core.node import BeaconSlotter, _ReceiverState
 from repro.core.protocol import ViFiConfig, ViFiSimulation
 from repro.net.channel import BernoulliLoss
 from repro.net.medium import LinkTable
-from repro.net.packet import Ack, Beacon, FrameKind
+from repro.net.packet import Ack, Beacon, Direction, FrameKind
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 VEHICLE = 0
+
+
+def live_rows(sender):
+    """Rows of *sender* that are neither acked nor retired."""
+    return sum(packet is not None for packet in sender._pkt)
+
+
+def acked_at_src(sim, src):
+    """Packet records of *src* whose sender saw them acked."""
+    return [record for record in sim.stats.packet_records.values()
+            if record.pkt_key[0] == src and record.acked_at_src]
 
 
 def two_bs_sim(config=None, seed=3, loss=0.0):
@@ -94,8 +105,8 @@ class TestBitmapRecovery:
             sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
         sim.run(until=12.0)
         # Clean link: everything acked and forgotten.
-        assert sender.queued_count == 0
-        assert sender.delivered_acks == 5
+        assert live_rows(sender) == 0
+        assert len(acked_at_src(sim, VEHICLE)) == 5
 
 
 class TestSenderBacklog:
@@ -113,11 +124,11 @@ class TestSenderBacklog:
         sender = sim.vehicle.upstream
         for seq in range(1000):
             sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
-        assert sender.queued_count == 1000
+        assert live_rows(sender) == 1000
         sim.run(until=40.0)
         # Clean link: the whole backlog delivered and forgotten.
-        assert sender.delivered_acks == 1000
-        assert sender.queued_count == 0
+        assert len(acked_at_src(sim, VEHICLE)) == 1000
+        assert live_rows(sender) == 0
         # The transmit FIFO drained by lazy head-drops, and every
         # completion was counted towards the next periodic compaction
         # (which fires every 4096 — exercised directly below).
@@ -127,7 +138,7 @@ class TestSenderBacklog:
         # prefix off every column in one pass.
         sender._compact()
         assert sender._base == 1000
-        assert len(sender._st) == 0
+        assert len(sender._pkt) == 0
 
 
 class TestAdaptiveWindow:
@@ -199,7 +210,6 @@ class TestBeaconDecoration:
 class TestRetiredSalvagePool:
     def test_given_up_packets_salvageable(self):
         config = ViFiConfig(max_retx=0, relay_enabled=False,
-                            salvage_enabled=False,
                             anchor_belief_timeout=60.0)
         sim = two_bs_sim(config=config, loss=1.0, seed=5)
         # Force BS 1 to act as anchor manually (no beacons get through).
@@ -214,6 +224,28 @@ class TestRetiredSalvagePool:
         assert len(harvest) == 1
         # A second harvest finds nothing (transfer of ownership).
         assert node.downstream.unacked_within(60.0) == []
+
+    def test_senders_no_salvage_reaches_keep_no_given_up_packet(self):
+        """Only a basestation's downstream sender with salvaging on
+        parks given-up packets for a salvage request: the vehicle's
+        upstream sender never receives one, and under BRR (salvaging
+        off) no basestation does either."""
+        for config in (ViFiConfig(max_retx=0),
+                       ViFiConfig(max_retx=0).brr_variant()):
+            sim = two_bs_sim(config=config, loss=0.4, seed=5)
+            sim.run(until=8.0)
+            for seq in range(100):
+                sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
+                sim.send_downstream(("d", seq), 200, flow_id=2, seq=seq)
+            sim.run(until=30.0)
+            given_up = {record.direction
+                        for record in sim.stats.packet_records.values()
+                        if record.given_up}
+            assert given_up == {Direction.UPSTREAM, Direction.DOWNSTREAM}
+            assert sim.vehicle.upstream._retired == {}
+            if not config.salvage_enabled:
+                for node in sim.bs_nodes.values():
+                    assert node.downstream._retired == {}
 
 
 # ----------------------------------------------------------------------

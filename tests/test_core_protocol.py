@@ -49,6 +49,19 @@ def make_sim(links_or_table, bs_ids, config=None, seed=3):
     return sim
 
 
+def delivered_seqs(sim):
+    """Lists the app sinks fill with each delivered packet's seq.
+
+    Returns ``(upstream, downstream)``: wired-side deliveries and
+    vehicle deliveries, in delivery order.
+    """
+    upstream, downstream = [], []
+    sim.set_upstream_sink(lambda packet, at: upstream.append(packet.seq))
+    sim.set_downstream_sink(
+        lambda packet, at: downstream.append(packet.seq))
+    return upstream, downstream
+
+
 class TestAnchorSelection:
     def test_vehicle_anchors_to_best_bs(self):
         links = {
@@ -100,19 +113,21 @@ class TestAnchorSelection:
 class TestDataPath:
     def test_upstream_delivery_on_clean_link(self):
         sim = make_sim(full_mesh([1, 2]), [1, 2])
+        upstream, _ = delivered_seqs(sim)
         sim.run(until=8.0)
         for seq in range(20):
             sim.send_upstream(("up", seq), 500, flow_id=1, seq=seq)
         sim.run(until=12.0)
-        assert len(sim.gateway.delivered_upstream) == 20
+        assert len(upstream) == 20
 
     def test_downstream_delivery_on_clean_link(self):
         sim = make_sim(full_mesh([1, 2]), [1, 2])
+        _, downstream = delivered_seqs(sim)
         sim.run(until=8.0)
         for seq in range(20):
             sim.send_downstream(("down", seq), 500, flow_id=2, seq=seq)
         sim.run(until=12.0)
-        assert len(sim.vehicle.delivered_downstream) == 20
+        assert len(downstream) == 20
 
     def test_packet_record_keeps_creation_time(self):
         """A packet queued before the vehicle has an anchor records
@@ -136,33 +151,34 @@ class TestDataPath:
         sim = make_sim(full_mesh([1, 2], vehicle_loss=0.4), [1, 2],
                        config=ViFiConfig(salvage_enabled=False),
                        seed=11)
+        _, seqs = delivered_seqs(sim)
         sim.run(until=8.0)
         for seq in range(30):
             sim.send_downstream(("d", seq), 200, flow_id=2, seq=seq)
         sim.run(until=20.0)
-        seqs = [s for s, _, _ in sim.vehicle.delivered_downstream]
         assert len(seqs) == len(set(seqs))
 
     def test_retransmission_recovers_losses(self):
         sim = make_sim(full_mesh([1], vehicle_loss=0.5), [1], seed=13)
+        upstream, _ = delivered_seqs(sim)
         sim.run(until=8.0)
         for seq in range(50):
             sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
         sim.run(until=30.0)
         # 0.5 loss with 3 retransmissions: ~94% expected delivery.
-        assert len(sim.gateway.delivered_upstream) >= 40
+        assert len(upstream) >= 40
 
     def test_max_retx_zero_disables_recovery(self):
         config = ViFiConfig(max_retx=0, relay_enabled=False,
                             salvage_enabled=False)
         sim = make_sim(full_mesh([1], vehicle_loss=0.5), [1],
                        config=config, seed=13)
+        upstream, _ = delivered_seqs(sim)
         sim.run(until=8.0)
         for seq in range(100):
             sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
         sim.run(until=30.0)
-        delivered = len(sim.gateway.delivered_upstream)
-        assert 30 <= delivered <= 70  # ~ one-shot delivery rate
+        assert 30 <= len(upstream) <= 70  # ~ one-shot delivery rate
 
 
 class TestRelaying:
@@ -184,21 +200,21 @@ class TestRelaying:
         config = ViFiConfig(max_retx=0, salvage_enabled=False)
         sim = make_sim(self._diversity_table(0.3), [1, 2],
                        config=config, seed=19)
+        vifi_delivered, _ = delivered_seqs(sim)
         sim.run(until=8.0)
         assert sim.vehicle.anchor_id == 1
         for seq in range(100):
             sim.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
         sim.run(until=30.0)
-        vifi_delivered = len(sim.gateway.delivered_upstream)
 
         brr = make_sim(self._diversity_table(0.3), [1, 2],
                        config=config.brr_variant(), seed=19)
+        brr_delivered, _ = delivered_seqs(brr)
         brr.run(until=8.0)
         for seq in range(100):
             brr.send_upstream(("u", seq), 200, flow_id=1, seq=seq)
         brr.run(until=30.0)
-        brr_delivered = len(brr.gateway.delivered_upstream)
-        assert vifi_delivered > brr_delivered
+        assert len(vifi_delivered) > len(brr_delivered)
 
     def test_upstream_relays_ride_backplane(self):
         config = ViFiConfig(max_retx=0, salvage_enabled=False)
@@ -325,28 +341,26 @@ class TestSalvaging:
     def test_salvage_rescues_stranded_packets(self):
         sim = make_sim(self._switch_table(), [1, 2],
                        config=ViFiConfig(relay_enabled=False), seed=43)
+        _, downstream = delivered_seqs(sim)
         self._drive_through_switch(sim)
         assert sim.vehicle.anchor_id == 2
         assert sim.stats.salvage_requests >= 1
         assert sim.stats.salvaged_packets > 0
-        delivered = {s for s, _, _ in sim.vehicle.delivered_downstream}
-        assert len(delivered) >= 30
+        assert len(set(downstream)) >= 30
 
     def test_salvage_disabled_loses_stranded_packets(self):
         config = ViFiConfig(relay_enabled=False, salvage_enabled=False)
         with_salvage = make_sim(self._switch_table(), [1, 2],
                                 config=ViFiConfig(relay_enabled=False),
                                 seed=43)
+        _, got_with = delivered_seqs(with_salvage)
         self._drive_through_switch(with_salvage)
         without = make_sim(self._switch_table(), [1, 2], config=config,
                            seed=43)
+        _, got_without = delivered_seqs(without)
         self._drive_through_switch(without)
         assert without.stats.salvage_requests == 0
-        got_with = {s for s, _, _ in
-                    with_salvage.vehicle.delivered_downstream}
-        got_without = {s for s, _, _ in
-                       without.vehicle.delivered_downstream}
-        assert len(got_with) > len(got_without)
+        assert len(set(got_with)) > len(set(got_without))
 
     def test_salvaged_packets_flagged(self):
         sim = make_sim(self._switch_table(), [1, 2],

@@ -3,8 +3,8 @@
 Besides the basic send/receive/account behaviour, these cover
 merged and slot-batched transmissions, check the vectorized resolve
 bit for bit against a per-row scalar reference, and pin the
-backoff-freezing CSMA's per-sender FIFO and the reachability index
-that culls unreachable links.
+backoff-freezing CSMA's per-sender FIFO and the in-range refresh that
+culls unreachable links.
 """
 
 import copy
@@ -173,7 +173,7 @@ class TestLinkTable:
         with pytest.raises(ValueError):
             table.set_link(0, 1, None)
         assert table.get(0, 1) is process
-        assert table.reachable_from(0, 0.0) == {1}
+        assert table.in_range(0, 0.0) == [(1, process)]
 
 
 class TestBackplane:
@@ -540,7 +540,15 @@ class TestBackoffFreeze:
 # Reachability index and culling
 # ----------------------------------------------------------------------
 
+def _dsts(pairs):
+    return [dst for dst, _ in pairs]
+
+
 class TestReachabilityIndex:
+    """``LinkTable.in_range`` answers afresh on every call; the
+    medium's resolve rows keep its answer for
+    ``WirelessMedium.REACH_REFRESH_S``."""
+
     def _table(self):
         rngs = RngRegistry(2)
         table = LinkTable()
@@ -548,34 +556,47 @@ class TestReachabilityIndex:
         table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("b")))
         return table, rngs
 
+    @staticmethod
+    def _medium(table, n_nodes):
+        medium = WirelessMedium(Simulator(), table,
+                                RngRegistry(3).stream("m"))
+        for i in range(n_nodes):
+            medium.attach(Node(i))
+        return medium
+
     def test_culls_total_loss_links(self):
         table, _ = self._table()
-        assert table.reachable_from(0, 0.0) == {1}
+        assert _dsts(table.in_range(0, 0.0)) == [1]
 
     def test_registration_invalidates_cache(self):
         table, rngs = self._table()
-        assert table.reachable_from(0, 0.0) == {1}
+        medium = self._medium(table, 4)
+        assert medium._resolve_rows(0, 0.0).ids == [1]
         table.set_link(0, 3, BernoulliLoss(0.0, rngs.stream("c")))
-        assert table.reachable_from(0, 0.0) == {1, 3}
+        assert medium._resolve_rows(0, 0.0).ids == [1, 3]
 
     def test_dynamic_link_reacquired_after_refresh(self):
         rngs = RngRegistry(4)
         table = LinkTable()
-        # Loss 1.0 during the first second, perfect afterwards.
+        # Loss 1.0 until t = 0.1, perfect afterwards.
         process = TraceDrivenLoss([1.0, 0.0, 0.0], rngs.stream("t"),
-                                  out_of_range_rate=0.0)
+                                  t0=-0.9, out_of_range_rate=0.0)
         table.set_link(0, 1, process)
-        assert table.reachable_from(0, 0.0) == frozenset()
-        # Within the refresh window the verdict is cached ...
-        assert table.reachable_from(0, 0.2) == frozenset()
-        # ... and re-evaluated once it expires.
-        assert table.reachable_from(0, 1.1) == {1}
+        medium = self._medium(table, 2)
+        assert medium._resolve_rows(0, 0.0).ids == []
+        # Within the refresh window the rows keep their verdict, though
+        # the link is back in range ...
+        assert _dsts(table.in_range(0, 0.2)) == [1]
+        assert medium._resolve_rows(0, 0.2).ids == []
+        # ... and ask the table again once it expires.
+        refresh = WirelessMedium.REACH_REFRESH_S
+        assert medium._resolve_rows(0, refresh).ids == [1]
 
     def test_reachable_links_sorted_pairs(self):
         table, rngs = self._table()
         table.set_link(0, 5, BernoulliLoss(0.1, rngs.stream("e")))
-        pairs = table.reachable_links(0, 0.0)
-        assert [dst for dst, _ in pairs] == [1, 5]
+        table.set_link(0, 4, BernoulliLoss(0.1, rngs.stream("f")))
+        assert _dsts(table.in_range(0, 0.0)) == [1, 4, 5]
 
 
 def _culling_medium():

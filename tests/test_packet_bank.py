@@ -221,7 +221,7 @@ class TestSourceRing:
         b = bank.ring(2)
         assert a is not b
         assert bank.ring(1) is a
-        assert bank.ring(1) is a  # cached hit
+        assert bank.ring(2) is b
 
 
 # ----------------------------------------------------------------------

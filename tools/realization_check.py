@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Print the realization checks that the benchmark's digests cannot see.
+"""Print the realization checks and the bench unit digests, one per line.
 
 Usage::
 
@@ -28,7 +28,13 @@ line, ``beacon-log``, is the sha256 of the ``heard`` counts of
 ``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the
 log Table 2, Figure 10 and Figure 11's channel 1 read.
 
-The run takes about 95 s on a 2-vCPU host and uses no result store.
+After these ten lines comes one ``bench <workload> <unit> <digest>``
+line per unit of the benchmark's workloads (``bench/workloads.py``) at
+protocol seed 0, computed in this process with the Figure 9 sweep run
+serially (its digests do not depend on the pool size).  So one ``diff``
+of this script's output covers every bit-identity check.
+
+The run takes 80-110 s on a 2-vCPU host and uses no result store.
 """
 
 import argparse
@@ -40,6 +46,7 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "bench"))
 
 from repro.apps.voip import VoipStream  # noqa: E402
 from repro.apps.workload import FlowRouter  # noqa: E402
@@ -48,6 +55,7 @@ from repro.experiments.common import WARMUP_S, vanlan_protocol  # noqa: E402
 from repro.experiments.coordination import formulation_comparison  # noqa: E402
 from repro.testbeds.dieselnet import DieselNetTestbed  # noqa: E402
 from repro.testbeds.vanlan import VanLanTestbed  # noqa: E402
+from workloads import WORKLOADS, run_workload  # noqa: E402
 
 #: Protocol seeds of the unicast ablation lines.
 UNICAST_SEEDS = range(13, 19)
@@ -101,6 +109,14 @@ def beacon_log_line():
     return "beacon-log " + hashlib.sha256(log.heard.tobytes()).hexdigest()
 
 
+def bench_lines():
+    """One ``bench <workload> <unit> <digest>`` line per benchmark unit
+    at protocol seed 0."""
+    return [f"bench {name} {unit['unit']} {unit['digest']}"
+            for name in WORKLOADS
+            for unit in run_workload(name, 0, serial=True)["units"]]
+
+
 def main(argv=None):
     argparse.ArgumentParser(description=__doc__.splitlines()[0]) \
         .parse_args(argv)
@@ -110,6 +126,8 @@ def main(argv=None):
     for line in probe_trace_lines():
         print(line, flush=True)
     print(beacon_log_line(), flush=True)
+    for line in bench_lines():
+        print(line, flush=True)
     return 0
 
 
