@@ -1,21 +1,15 @@
-"""Distribution helpers: CDFs, medians, confidence intervals.
+"""Distribution helpers: CDFs and confidence intervals.
 
 "All error bars in the graphs below represent 95% confidence
 intervals" (Section 5.1) — computed here with the normal approximation
-for means and order statistics for medians.
+for means.
 """
 
 import math
 
 import numpy as np
 
-__all__ = [
-    "empirical_cdf",
-    "mean_confidence_interval",
-    "median",
-    "median_confidence_interval",
-    "percentile",
-]
+__all__ = ["empirical_cdf", "mean_confidence_interval"]
 
 #: Two-sided 97.5% normal quantile, for 95% intervals.
 _Z95 = 1.959963984540054
@@ -35,21 +29,6 @@ def empirical_cdf(values):
     return xs, ys
 
 
-def median(values):
-    """Median; 0.0 for an empty sample (a disconnected run)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.median(arr))
-
-
-def percentile(values, q):
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0
-    return float(np.percentile(arr, q))
-
-
 def mean_confidence_interval(values, confidence=0.95):
     """Mean and half-width of its normal-approximation CI.
 
@@ -67,22 +46,3 @@ def mean_confidence_interval(values, confidence=0.95):
     if confidence != 0.95:
         raise ValueError("only 95% intervals are supported")
     return mean, _Z95 * sem
-
-
-def median_confidence_interval(values, confidence=0.95):
-    """Median and a (lo, hi) order-statistic confidence interval.
-
-    Uses the binomial order-statistic bound; degenerates to the sample
-    range for tiny samples.
-    """
-    arr = np.sort(np.asarray(list(values), dtype=float))
-    n = arr.size
-    if n == 0:
-        return 0.0, (0.0, 0.0)
-    med = float(np.median(arr))
-    if n < 3:
-        return med, (float(arr[0]), float(arr[-1]))
-    half = _Z95 * math.sqrt(n) / 2.0
-    lo_idx = max(int(math.floor(n / 2.0 - half)), 0)
-    hi_idx = min(int(math.ceil(n / 2.0 + half)), n - 1)
-    return med, (float(arr[lo_idx]), float(arr[hi_idx]))

@@ -367,9 +367,10 @@ class LinkSender:
         # unacknowledged packets ... received within a time threshold",
         # whether or not their retransmission budget is spent); their
         # rows are tombstoned and the packet parked here until the next
-        # salvage request drains it.  Salvage requests reach only a
-        # basestation's downstream sender, and only when salvaging is
-        # on, so no other sender parks anything.
+        # salvage request drains it, or until it is too old to salvage
+        # (see _give_up).  Salvage requests reach only a basestation's
+        # downstream sender, and only when salvaging is on, so no other
+        # sender parks anything.
         self._retired = {}
         self._salvageable = (direction is Direction.DOWNSTREAM
                              and self.ctx.config.salvage_enabled)
@@ -477,7 +478,6 @@ class LinkSender:
         packet.dst = dst
         packet.tx_id = tx_id
         txi = self._txi[idx]
-        packet.is_retransmission = txi is not None
         if txi is None:
             txi = self._txi[idx] = []
             self._txt[idx] = []
@@ -504,7 +504,16 @@ class LinkSender:
 
     def _give_up(self, idx, pkt_id):
         if self._salvageable:
-            self._retired[pkt_id] = (self._pkt[idx], self._arr[idx])
+            # Park only what a salvage request could still harvest:
+            # unacked_within takes packets that arrived within the
+            # salvage age, and the clock only grows, so an older packet
+            # never leaves the pool that way.
+            now = self.ctx.sim.now
+            age_s = self.ctx.config.salvage_age_s
+            retired = self._retired
+            retired[pkt_id] = (self._pkt[idx], self._arr[idx])
+            self._retired = {key: entry for key, entry in retired.items()
+                             if now - entry[1] <= age_s}
         self._tombstone(idx)
         self.ctx.stats.on_give_up((self.node.node_id, pkt_id))
 
@@ -756,11 +765,9 @@ class _NodeBase:
             # the source falls back to retransmitting.
             return
         pkt_id = packet.pkt_id
-        # Positional: pkt_id, acker, for_src, missing_bitmap, tx_id,
-        # in_response_to_relay.
+        # Positional: pkt_id, acker, for_src, missing_bitmap, tx_id.
         ack = Ack(pkt_id, self.node_id, packet.src,
-                  receiver_state.missing_bitmap(pkt_id), packet.tx_id,
-                  packet.relayed_by is not None)
+                  receiver_state.missing_bitmap(pkt_id), packet.tx_id)
         self.ctx.medium.send(self.node_id, ack, priority=True)
 
 

@@ -75,9 +75,9 @@ def vanlan_protocol(testbed, trip, config=None, seed=0, prefill=True,
     if not prefill:
         prefill_s = None
     elif prefill is True:
-        prefill_s = motion.route.duration
+        prefill_s = motion.duration
     else:
-        prefill_s = min(float(prefill), motion.route.duration)
+        prefill_s = min(float(prefill), motion.duration)
     table = testbed.build_link_table(trip, motion, prefill_s=prefill_s)
     sim = ViFiSimulation(
         testbed.deployment.bs_ids, table,
@@ -85,7 +85,7 @@ def vanlan_protocol(testbed, trip, config=None, seed=0, prefill=True,
         faults=faults,
     )
     sim.link_bank = table.link_bank
-    return sim, motion.route.duration
+    return sim, motion.duration
 
 
 def dieselnet_protocol(beacon_log, rngs, config=None, seed=0,

@@ -30,7 +30,7 @@ def _run_pair(testbed, trip, bs_ids, seed):
         table = testbed.build_link_table(trip, motion, bs_ids=bs_ids)
         sim = ViFiSimulation(bs_ids, table, config=config, seed=seed,
                              vehicle_id=VEHICLE_ID)
-        cbr = run_protocol_cbr(sim, motion.route.duration,
+        cbr = run_protocol_cbr(sim, motion.duration,
                                deadline_s=0.1)
         rates[name] = cbr.delivery_rate()
     return rates

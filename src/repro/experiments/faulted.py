@@ -96,7 +96,7 @@ def _faulted_task(task):
     base = ViFiConfig()
     config = base if protocol == "ViFi" else base.brr_variant()
     motion = testbed.vehicle_motion()
-    duration = motion.route.duration
+    duration = motion.duration
     if task.get("duration_s") is not None:
         duration = min(float(task["duration_s"]), duration)
     schedule = None

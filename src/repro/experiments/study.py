@@ -152,7 +152,7 @@ def _probe_grid(testbed, bs_ids, trip, probe_interval_s, duration_s):
     """The probe instants of one trip and each BS's reception
     probability at them, one row per BS."""
     motion = testbed.vehicle_motion()
-    duration = duration_s or motion.route.duration
+    duration = duration_s or motion.duration
     times = np.arange(int(duration / probe_interval_s)) * probe_interval_s
     bank = testbed.build_link_bank(trip, motion, bs_ids=bs_ids)
     return times, bank.evaluate(times)[1]

@@ -24,7 +24,6 @@ from repro.handoff.policies import (
     HistoryPolicy,
     RssiPolicy,
     StickyPolicy,
-    standard_policies,
 )
 from repro.handoff.sessions import (
     session_lengths,
@@ -44,7 +43,6 @@ __all__ = [
     "StickyPolicy",
     "evaluate_policy",
     "session_lengths",
-    "standard_policies",
     "time_in_sessions_cdf",
     "time_weighted_median_session",
 ]

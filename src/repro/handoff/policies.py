@@ -17,7 +17,6 @@ __all__ = [
     "HistoryPolicy",
     "RssiPolicy",
     "StickyPolicy",
-    "standard_policies",
 ]
 
 
@@ -107,10 +106,6 @@ class BrrPolicy(HandoffPolicy):
         if not self._avg:
             return None
         return max(self._avg.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-
-    def current_average(self, bs):
-        """Expose the averaged BRR (used by ViFi's anchor selection)."""
-        return self._avg.get(bs, 0.0)
 
 
 class StickyPolicy(HandoffPolicy):
@@ -279,22 +274,3 @@ class AllBsesPolicy(HandoffPolicy):
 
     def choose(self):
         return None
-
-
-def standard_policies(history_training=None):
-    """The paper's six policies, ready for evaluation.
-
-    Args:
-        history_training: previous-day traces to train History with;
-            when ``None``, History is omitted (it cannot run untrained).
-
-    Returns:
-        List of policy instances in the paper's presentation order.
-    """
-    policies = [RssiPolicy(), BrrPolicy(), StickyPolicy()]
-    if history_training is not None:
-        history = HistoryPolicy()
-        history.train(history_training)
-        policies.append(history)
-    policies.extend([BestBsPolicy(), AllBsesPolicy()])
-    return policies

@@ -9,8 +9,10 @@ airwaves:
   Gilbert-Elliott bursty channel the measurement study motivates and a
   trace-driven process for the paper's DieselNet methodology.
 * :mod:`repro.net.propagation` — log-distance path loss, lognormal
-  shadowing, gray periods, and RSSI synthesis.
-* :mod:`repro.net.mobility` — waypoint routes and vehicle motion.
+  shadowing, gray periods, and RSSI synthesis, all evaluated by one
+  :class:`~repro.net.propagation.LinkBank` per run.
+* :mod:`repro.net.mobility` — waypoint routes, each a vehicle's
+  motion.
 * :mod:`repro.net.medium` — the shared broadcast wireless medium.
 * :mod:`repro.net.backplane` — the bandwidth-limited inter-BS wired
   plane that upstream relays and salvaging traverse.
@@ -24,9 +26,9 @@ from repro.net.channel import (
     TraceDrivenLoss,
 )
 from repro.net.medium import LinkTable, WirelessMedium
-from repro.net.mobility import Route, StationaryPosition, VehicleMotion
+from repro.net.mobility import Route
 from repro.net.packet import Ack, Beacon, DataPacket, Direction, FrameKind
-from repro.net.propagation import LinkModel, RadioProfile
+from repro.net.propagation import LinkBank, RadioProfile
 
 __all__ = [
     "Ack",
@@ -37,13 +39,11 @@ __all__ = [
     "Direction",
     "FrameKind",
     "GilbertElliottLoss",
-    "LinkModel",
+    "LinkBank",
     "LinkTable",
     "RadioProfile",
     "Route",
-    "StationaryPosition",
     "SteeredGilbertElliott",
     "TraceDrivenLoss",
-    "VehicleMotion",
     "WirelessMedium",
 ]

@@ -19,7 +19,6 @@ payloads plus a size.
 """
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "Direction",
     "FRAME_KIND_VALUES",
     "FrameKind",
-    "PacketIdAllocator",
     "ACK_SIZE_BYTES",
     "BEACON_BASE_SIZE_BYTES",
 ]
@@ -50,12 +48,6 @@ class Direction(enum.Enum):
     UPSTREAM = "up"
     DOWNSTREAM = "down"
 
-    @property
-    def other(self):
-        if self is Direction.UPSTREAM:
-            return Direction.DOWNSTREAM
-        return Direction.UPSTREAM
-
 
 class FrameKind(enum.Enum):
     DATA = "data"
@@ -67,20 +59,6 @@ class FrameKind(enum.Enum):
 #: ``kind_index`` is its kind's position here, so per-kind counters can
 #: be list slots (the medium's count rows) instead of dict keys.
 FRAME_KIND_VALUES = tuple(kind.value for kind in FrameKind)
-
-
-class PacketIdAllocator:
-    """Allocates globally unique packet identifiers.
-
-    ViFi embeds its own sequence numbers in transmitted packets so a
-    retransmission is distinguishable from the original (Section 4.8).
-    """
-
-    def __init__(self, start=0):
-        self._counter = itertools.count(start)
-
-    def next_id(self):
-        return next(self._counter)
 
 
 @dataclass(slots=True)
@@ -105,7 +83,6 @@ class DataPacket:
             so ack-delay samples span the full relay path.
         relayed_by: id of the auxiliary BS that relayed this copy, or
             ``None`` for an original / source-retransmitted copy.
-        is_retransmission: True for copies sent again by the source.
         salvaged: True if the packet reached its current holder through
             the salvaging path (Section 4.5).
         payload: opaque application reference (e.g. a TCP segment).
@@ -121,12 +98,10 @@ class DataPacket:
     created_at: float = 0.0
     tx_id: int = -1
     relayed_by: int | None = None
-    is_retransmission: bool = False
     salvaged: bool = False
     payload: object = None
 
     kind = FrameKind.DATA
-    kind_value = "data"  # .value hoisted off the enum descriptor
     kind_index = 0  # position in FRAME_KIND_VALUES
 
     def relay_copy(self, relayer_id):
@@ -142,7 +117,6 @@ class DataPacket:
             created_at=self.created_at,
             tx_id=self.tx_id,
             relayed_by=relayer_id,
-            is_retransmission=self.is_retransmission,
             salvaged=self.salvaged,
             payload=self.payload,
         )
@@ -162,8 +136,6 @@ class Ack:
         tx_id: transmission id echoed from the (possibly relayed) data
             copy that triggered this ack; the source uses it to compute
             ack-delay samples for the adaptive retransmission timer.
-        in_response_to_relay: True when this ack was triggered by a
-            relayed copy (used only for bookkeeping/statistics).
     """
 
     pkt_id: int
@@ -171,20 +143,10 @@ class Ack:
     for_src: int
     missing_bitmap: int = 0
     tx_id: int = -1
-    in_response_to_relay: bool = False
     size_bytes: int = ACK_SIZE_BYTES
 
     kind = FrameKind.ACK
-    kind_value = "ack"
     kind_index = 1
-
-    def missing_ids(self):
-        """Yield packet ids the bitmap marks as missing."""
-        for k in range(8):
-            if self.missing_bitmap & (1 << k):
-                candidate = self.pkt_id - 1 - k
-                if candidate >= 0:
-                    yield candidate
 
 
 @dataclass(slots=True)
@@ -216,7 +178,6 @@ class Beacon:
     learned: dict = field(default_factory=dict)
 
     kind = FrameKind.BEACON
-    kind_value = "beacon"
     kind_index = 2
 
     @property

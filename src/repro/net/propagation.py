@@ -34,8 +34,7 @@ be prefilled at build time, bit for bit equal to the lazy fill.  Each
 banked link is handed to its loss processes as a ``rate_window``
 target (see :meth:`LinkBank.members`).  :class:`Shadowing`,
 :class:`SpatialField` and :class:`GrayPeriodProcess` hold each layer's
-random state and extend it deterministically, and :class:`LinkModel`
-records one link's parts.
+random state and extend it deterministically.
 """
 
 import math
@@ -46,7 +45,6 @@ import numpy as np
 __all__ = [
     "GrayPeriodProcess",
     "LinkBank",
-    "LinkModel",
     "RadioProfile",
     "Shadowing",
     "SpatialField",
@@ -173,18 +171,19 @@ class SpatialField:
         sigma_db: stationary standard deviation of the field.
         correlation_m: spatial correlation length in metres.
         rng: stream used to draw frequencies/phases (one-shot).
-        n_terms: number of cosine terms; more terms make the field
-            closer to Gaussian.
         cache_quantum_m: cell size in metres; 0 reads exact positions.
     """
 
-    def __init__(self, sigma_db, correlation_m, rng, n_terms=48,
-                 cache_quantum_m=0.0):
+    #: Cosine terms per field; more terms make the field closer to
+    #: Gaussian.
+    N_TERMS = 48
+
+    def __init__(self, sigma_db, correlation_m, rng, cache_quantum_m=0.0):
         self.sigma = float(sigma_db)
         scale = 1.0 / max(float(correlation_m), 1e-9)
-        self._freqs = rng.normal(0.0, scale, size=(n_terms, 2))
-        self._phases = rng.uniform(0.0, 2.0 * math.pi, size=n_terms)
-        self._amp = self.sigma * math.sqrt(2.0 / n_terms)
+        self._freqs = rng.normal(0.0, scale, size=(self.N_TERMS, 2))
+        self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.N_TERMS)
+        self._amp = self.sigma * math.sqrt(2.0 / self.N_TERMS)
         self._fx = np.ascontiguousarray(self._freqs[:, 0])
         self._fy = np.ascontiguousarray(self._freqs[:, 1])
         self.cache_quantum = float(cache_quantum_m)
@@ -235,36 +234,8 @@ class GrayPeriodProcess:
             self._generated_until = end
 
 
-class LinkModel:
-    """One directed radio link's parts, as a :class:`LinkBank` reads them.
-
-    Path loss between the two endpoints' positions, shadowing, gray
-    periods and a spatial field.  Callers typically create one model per
-    unordered pair and share it for both directions, matching the
-    paper's symmetric trace methodology, or create two with independent
-    shadowing for asymmetry studies.
-
-    Args:
-        profile: the :class:`RadioProfile`.
-        position_a / position_b: callables ``t -> (x, y)``.
-        shadowing: a :class:`Shadowing` instance or ``None``.
-        gray: a :class:`GrayPeriodProcess` or ``None``.
-        spatial: a :class:`SpatialField` evaluated at endpoint *b*'s
-            position (conventionally the moving endpoint), or ``None``.
-    """
-
-    def __init__(self, profile, position_a, position_b, shadowing=None,
-                 gray=None, spatial=None):
-        self.profile = profile
-        self.position_a = position_a
-        self.position_b = position_b
-        self.shadowing = shadowing
-        self.gray = gray
-        self.spatial = spatial
-
-
 class LinkBank:
-    """Vectorized evaluation of many links sharing one moving endpoint.
+    """Vectorized evaluation of one vehicle's links to fixed basestations.
 
     When the vehicle transmits, every basestation link needs its
     reception probability at the same instant; when any BS transmits,
@@ -283,98 +254,68 @@ class LinkBank:
     :meth:`evaluate` runs the pipeline over any ascending time grid and
     returns RSSI and reception probability.  The protocol runs' reads
     go by time bucket: every bucket is sampled at its centre instant
-    ``(key + 0.5) * quantum_s``, so its value is a **pure function of
+    ``(key + 0.5) * QUANTUM_S``, so its value is a **pure function of
     (link, bucket)**: whole trips can be prefilled at build time
-    (:meth:`prefill`), and the same (testbed, trip, quantum) always
-    reproduces the same bank.  Lazy and prefilled fills run the
-    pipeline over the identical chunk boundaries, so they are
-    bit-for-bit equal and consume the same RNG.  The bank stores
-    reception probabilities only.  :meth:`members` hands each link to
+    (:meth:`prefill`), and the same (testbed, trip) always reproduces
+    the same bank.  Lazy and prefilled fills run the pipeline over the
+    identical chunk boundaries, so they are bit-for-bit equal and
+    consume the same RNG.  The bank stores reception probabilities
+    only.  :meth:`members` hands each link to
     its loss processes as a ``rate_window`` target that reads its row
     of the current bucket.
 
-    Requirements: every link shares the same :class:`RadioProfile` and
-    the same moving endpoint (``position_b``) with an array form
-    ``positions_at`` (a :class:`~repro.net.mobility.VehicleMotion`);
-    the static endpoints (``position_a``) must not move; spatial
-    fields, when present, must share term count and cache quantum.
-
     Args:
-        links: :class:`LinkModel` instances satisfying the above.
-        quantum_s: bucket width in seconds (must be positive).
+        profile: the :class:`RadioProfile` of every link.
+        motion: the vehicle's :class:`~repro.net.mobility.Route`, the
+            moving endpoint of every link.
+        positions: each basestation's ``(x, y)``, one link per entry.
+        shadowings: each link's :class:`Shadowing`, or ``None``.
+        grays: each link's :class:`GrayPeriodProcess`, or ``None``.
+        spatials: each link's :class:`SpatialField` (read at the
+            vehicle's position), all sharing one cache quantum, or
+            ``None`` for every link.
     """
 
-    #: Default bucket width (seconds) of the testbed fast paths.
-    DEFAULT_QUANTUM_S = 0.02
+    #: Bucket width (seconds) of the protocol runs' reads.
+    QUANTUM_S = 0.02
 
     #: Buckets computed per vectorized fill pass.  Lazy fills and
     #: :meth:`prefill` both compute whole chunk-aligned ranges, so the
     #: two fill orders produce identical chunks.
     _CHUNK = 256
 
-    def __init__(self, links, quantum_s=DEFAULT_QUANTUM_S):
-        if not quantum_s > 0.0:
-            raise ValueError("a LinkBank needs a positive time quantum")
-        links = list(links)
-        if not links:
-            raise ValueError("LinkBank needs at least one link")
-        profile = links[0].profile
-        position = links[0].position_b
-        for link in links:
-            if link.profile is not profile:
-                raise ValueError("banked links must share a RadioProfile")
-            if link.position_b is not position:
-                raise ValueError(
-                    "banked links must share the moving endpoint"
-                )
-        if not callable(getattr(position, "positions_at", None)):
-            raise ValueError(
-                "the banked moving endpoint needs positions_at "
-                "(e.g. a VehicleMotion)"
-            )
-        self.links = links
+    def __init__(self, profile, motion, positions, shadowings, grays,
+                 spatials):
         self.profile = profile
-        self.quantum = float(quantum_s)
-        self._position = position
-        n = len(links)
-        # Static endpoint geometry (sampled once; banked links must
-        # have stationary A endpoints).
-        ax, ay = zip(*(link.position_a(0.0) for link in links))
-        self._ax = [float(v) for v in ax]
-        self._ay = [float(v) for v in ay]
+        self.motion = motion
+        self.n_links = len(positions)
+        # Basestation coordinates as (N, 1) columns.
+        xy = np.asarray(positions, dtype=np.float64)
+        self._ax, self._ay = xy[:, :1], xy[:, 1:]
         # Shadowing lattices; value lists are read directly per pass.
-        self._shadowings = [link.shadowing for link in links]
+        self._shadowings = list(shadowings)
+        self._grays = list(grays)
         # Spatial fields, banked into (N, T) coefficient matrices.
-        fields = [(i, link.spatial) for i, link in enumerate(links)
-                  if link.spatial is not None]
-        if fields:
-            terms = {f._fx.shape[0] for _, f in fields}
-            quanta = {f.cache_quantum for _, f in fields}
-            if len(terms) != 1 or len(quanta) != 1:
+        fields = list(spatials)
+        self._sp_quantum = None
+        if any(f is not None for f in fields):
+            if None in fields or len({f.cache_quantum for f in fields}) != 1:
                 raise ValueError(
-                    "banked spatial fields must share term count and "
-                    "cache quantum"
+                    "banked links need a spatial field each, sharing one "
+                    "cache quantum, or none"
                 )
-            self._sp_rows = np.asarray([i for i, _ in fields])
-            self._sp_fx = np.stack([f._fx for _, f in fields])
-            self._sp_fy = np.stack([f._fy for _, f in fields])
-            self._sp_ph = np.stack([f._phases for _, f in fields])
-            self._sp_amp = np.asarray([f._amp for _, f in fields])
-            self._sp_quantum = fields[0][1].cache_quantum
-            if len(fields) != n:
-                raise ValueError(
-                    "banked links must all have a spatial field or none"
-                )
-        else:
-            self._sp_rows = None
-        self._grays = [link.gray for link in links]
+            self._sp_fx = np.stack([f._fx for f in fields])
+            self._sp_fy = np.stack([f._fy for f in fields])
+            self._sp_ph = np.stack([f._phases for f in fields])
+            self._sp_amp = np.asarray([f._amp for f in fields])
+            self._sp_quantum = fields[0].cache_quantum
         # The current bucket's values, as python lists so member reads
         # never pay numpy scalar boxing (see _load_bucket).
         self._key = None
         self._prob_list = None
         # Chunk store: chunk index -> reception-probability float64
         # matrix of shape (n, _CHUNK).  Append-only and a pure function
-        # of (links, quantum, chunk), whichever fill order produced it.
+        # of (links, chunk), whichever fill order produced it.
         self._chunks = {}
         #: Simulated horizon (seconds) covered by :meth:`prefill`.
         self.prefilled_until = 0.0
@@ -390,7 +331,7 @@ class LinkBank:
         one-bucket memo, so a link's up and down chains, sharing the
         member, read each bucket from the bank once.
         """
-        return [_BankMember(self, i) for i in range(len(self.links))]
+        return [_BankMember(self, i) for i in range(self.n_links)]
 
     # -- chunk pipeline --------------------------------------------------
 
@@ -425,10 +366,9 @@ class LinkBank:
         depends only on (link, instant).
         """
         profile = self.profile
-        px, py = self._position.positions_at(times)
-        ax = np.asarray(self._ax)[:, None]
-        ay = np.asarray(self._ay)[:, None]
-        rssi = profile.mean_rssi(np.hypot(ax - px[None, :], ay - py[None, :]))
+        px, py = self.motion.positions_at(times)
+        rssi = profile.mean_rssi(np.hypot(self._ax - px[None, :],
+                                          self._ay - py[None, :]))
         # Shadowing: extend each lattice deterministically to the chunk
         # end, then interpolate the whole chunk in one expression.
         k_lo = int(times[0])
@@ -444,7 +384,7 @@ class LinkBank:
                 shadow._extend_to(k_hi)
             vals = np.asarray(shadow._values[k_lo:k_hi + 2])
             rssi[i] += inv_frac * vals[rel] + frac * vals[rel + 1]
-        if self._sp_rows is not None:
+        if self._sp_quantum is not None:
             rssi += self._spatial_matrix(px, py)
         prob = profile.reception_prob(rssi)
         # Gray periods: generate deterministically to the chunk end and
@@ -488,7 +428,7 @@ class LinkBank:
         if times.size and not (times[0] >= 0.0
                                and (np.diff(times) >= 0.0).all()):
             raise ValueError("evaluate needs non-negative, ascending times")
-        shape = (len(self.links), times.size)
+        shape = (self.n_links, times.size)
         rssi, prob = np.empty(shape), np.empty(shape)
         for lo in range(0, times.size, self._CHUNK):
             hi = lo + self._CHUNK
@@ -500,7 +440,7 @@ class LinkBank:
         ``[chunk*_CHUNK, ...)``, sampled at their centres."""
         k0 = chunk * self._CHUNK
         centres = (np.arange(k0, k0 + self._CHUNK, dtype=np.float64)
-                   + 0.5) * self.quantum
+                   + 0.5) * self.QUANTUM_S
         prob = self._chunks[chunk] = self._pipeline(centres)[1]
         return prob
 
@@ -522,7 +462,7 @@ class LinkBank:
         Returns the bank for chaining.
         """
         t0 = time.perf_counter()
-        last_chunk = int(float(until_s) / self.quantum) // self._CHUNK
+        last_chunk = int(float(until_s) / self.QUANTUM_S) // self._CHUNK
         for chunk in range(last_chunk + 1):
             if chunk not in self._chunks:
                 self._fill_chunk(chunk)
@@ -552,7 +492,7 @@ class _BankMember:
     def __init__(self, bank, index):
         self.bank = bank
         self.index = index
-        self.quantum = bank.quantum
+        self.quantum = bank.QUANTUM_S
         self._key = None
         self._rate = 1.0
 

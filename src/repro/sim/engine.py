@@ -166,13 +166,12 @@ class Simulator:
                           if e[2] is None or not e[2].cancelled]
         heapq.heapify(self._queue)
 
-    def run(self, until=None, max_events=None):
-        """Run events in order until the queue drains or limits hit.
+    def run(self, until=None):
+        """Run events in order until the queue drains or *until* passes.
 
         Args:
             until: stop once the next event is strictly later than this
                 time; the clock is then advanced to *until*.
-            max_events: optional safety cap on processed events.
 
         Returns:
             Number of events processed during this call.
@@ -181,8 +180,6 @@ class Simulator:
         queue = self._queue  # _compact mutates in place; safe to hoist
         heappop = heapq.heappop
         while queue:
-            if max_events is not None and processed >= max_events:
-                break
             item = queue[0]
             head = item[2]
             if head is not None and head.cancelled:
@@ -208,38 +205,10 @@ class Simulator:
             self.now = float(until)
         return processed
 
-    def step(self):
-        """Process exactly one pending event.  Returns False if idle."""
-        while self._queue:
-            item = heapq.heappop(self._queue)
-            head = item[2]
-            if head is not None and head.cancelled:
-                continue
-            self._live -= 1
-            self.now = item[0]
-            if head is None:
-                callback = item[3]
-                args = item[4]
-            else:
-                callback, args = head.callback, head.args
-                head.callback = None
-                head.args = None
-            callback(*args)
-            self.events_processed += 1
-            return True
-        return False
-
     @property
     def pending(self):
         """Number of queued, non-cancelled events.  O(1)."""
         return self._live
-
-    def peek_time(self):
-        """Time of the next live event, or ``None`` when idle."""
-        queue = self._queue
-        while queue and queue[0][2] is not None and queue[0][2].cancelled:
-            heapq.heappop(queue)
-        return queue[0][0] if queue else None
 
     def __repr__(self):
         return f"Simulator(now={self.now:.6f}, pending={self.pending})"

@@ -20,19 +20,11 @@ Section 5.1 prescribes.
 
 import numpy as np
 
-from repro.net.mobility import Route, VehicleMotion
-from repro.net.propagation import (
-    GrayPeriodProcess,
-    LinkBank,
-    LinkModel,
-    RadioProfile,
-    Shadowing,
-    SpatialField,
-)
+from repro.net.mobility import Route
+from repro.net.propagation import RadioProfile, SpatialField
 from repro.sim.rng import RngRegistry
 from repro.testbeds.layout import Deployment
 from repro.testbeds.traces import BeaconLog
-from repro.testbeds.vanlan import VEHICLE_ID
 
 __all__ = ["DieselNetTestbed", "dieselnet_deployment"]
 
@@ -103,19 +95,24 @@ def dieselnet_deployment(channel):
 class DieselNetTestbed:
     """Synthetic DieselNet: bus tours and per-second beacon logs.
 
+    The radio profile (slightly stronger shadowing than VanLAN: a town
+    with street canyons, not a campus), the bus speed and the beacon
+    rate are fixed; they stay attributes so :meth:`cache_token` names
+    them.
+
     Args:
         channel: 1 or 6 (selects the BS population, as in the paper).
         seed: root seed for all stochastic processes.
-        profile: radio profile; the default uses slightly stronger
-            shadowing than VanLAN (a town with street canyons, not a
-            campus).
-        bus_speed_mps: cruise speed (buses: ~30 km/h with stops).
-        beacons_per_second: nominal AP beacon rate (10/s ~= the 802.11
-            102.4 ms beacon interval).
     """
 
-    def __init__(self, channel=1, seed=0, profile=None, bus_speed_mps=8.3,
-                 beacons_per_second=10):
+    #: Cruise speed (buses: ~30 km/h with stops).
+    bus_speed_mps = 8.3
+
+    #: Nominal AP beacon rate (10/s ~= the 802.11 102.4 ms beacon
+    #: interval).
+    beacons_per_second = 10
+
+    def __init__(self, channel=1, seed=0):
         self.channel = int(channel)
         self.seed = int(seed)
         self.rngs = RngRegistry(seed).spawn("dieselnet", channel)
@@ -124,15 +121,13 @@ class DieselNetTestbed:
         # paper's regime (auxiliary overhearing A2 ~ 2.5-3.5, ViFi
         # false negatives ~ 15%); benchmarks/bench_table2_formulations.py
         # asserts the resulting shape.
-        self.profile = profile or RadioProfile(
+        self.profile = RadioProfile(
             path_loss_exponent=2.9,
             decode_mid_dbm=-90.0,
             shadowing_sigma_db=6.0,
             max_reception=0.9,
             gray_rate_per_s=1.0 / 40.0,
         )
-        self.bus_speed_mps = float(bus_speed_mps)
-        self.beacons_per_second = int(beacons_per_second)
         self._spatial = {
             bs: SpatialField(
                 sigma_db=4.5,
@@ -148,64 +143,29 @@ class DieselNetTestbed:
                 self.bus_speed_mps, self.beacons_per_second,
                 self.profile, self.deployment)
 
-    def make_route(self, n_tours=1):
-        """A bus tour (optionally repeated) with stops on main street."""
-        waypoints = list(_BUS_WAYPOINTS)
-        for _ in range(int(n_tours) - 1):
-            waypoints.extend(_BUS_WAYPOINTS[1:])
-        return Route(waypoints, speed_mps=self.bus_speed_mps,
+    def bus_motion(self):
+        """One bus tour, with stops on main street."""
+        return Route(_BUS_WAYPOINTS, speed_mps=self.bus_speed_mps,
                      stop_durations={1: 8.0, 3: 8.0})
 
-    def bus_motion(self, n_tours=1):
-        return VehicleMotion(self.make_route(n_tours))
-
-    def link_model(self, day, bs_id, vehicle_position):
-        """Layered link model for one profiling day."""
-        day_rngs = self.rngs.spawn("day", day)
-        shadowing = Shadowing(
-            sigma_db=self.profile.shadowing_sigma_db,
-            tau_s=self.profile.shadowing_tau_s,
-            rng=day_rngs.stream("shadow", bs_id),
-        )
-        gray = GrayPeriodProcess(
-            rate_per_s=self.profile.gray_rate_per_s,
-            mean_duration_s=self.profile.gray_duration_s,
-            rng=day_rngs.stream("gray", bs_id),
-        )
-        return LinkModel(
-            profile=self.profile,
-            position_a=self.deployment.position_of(bs_id),
-            position_b=vehicle_position,
-            shadowing=shadowing,
-            gray=gray,
-            spatial=self._spatial[bs_id],
-        )
-
-    def generate_beacon_log(self, day, n_tours=1):
+    def generate_beacon_log(self, day):
         """One profiling day: per-second beacon counts per BS.
 
         The bus logs beacons on a fixed channel ("the profiling channel
         was fixed so that beacons are not lost while scanning",
         Section 2.2); each second's count is binomial in the nominal
         beacon rate with the instantaneous link reception probability.
+        Shadowing and gray periods are drawn per (day, BS).
         """
-        motion = self.bus_motion(n_tours)
-        n_secs = int(motion.route.duration)
+        motion = self.bus_motion()
+        n_secs = int(motion.duration)
         bs_ids = self.deployment.bs_ids
-        bank = LinkBank([self.link_model(day, bs, motion) for bs in bs_ids])
+        day_rngs = self.rngs.spawn("day", day)
+        bank = self.deployment.link_bank(self.profile, motion, day_rngs,
+                                         self._spatial)
         _, prob = bank.evaluate(np.arange(n_secs) + 0.5)
         heard = np.zeros((n_secs, len(bs_ids)), dtype=int)
-        day_rngs = self.rngs.spawn("day", day)
         for j, bs in enumerate(bs_ids):
             heard[:, j] = day_rngs.stream("beacons", bs).binomial(
                 self.beacons_per_second, prob[j])
         return BeaconLog(bs_ids, heard, expected=self.beacons_per_second)
-
-    def generate_profiling_days(self, n_days=3, n_tours=1):
-        """The paper's three profiling days of beacon logs."""
-        return [self.generate_beacon_log(day, n_tours=n_tours)
-                for day in range(n_days)]
-
-    @property
-    def vehicle_id(self):
-        return VEHICLE_ID

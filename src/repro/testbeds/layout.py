@@ -1,8 +1,8 @@
-"""Deployment geometry: basestation placements and bounds."""
+"""Deployment geometry: basestation placements, bounds and radio links."""
 
 import math
 
-from repro.net.mobility import StationaryPosition
+from repro.net.propagation import GrayPeriodProcess, LinkBank, Shadowing
 
 __all__ = ["Deployment"]
 
@@ -35,25 +35,34 @@ class Deployment:
     def n_bs(self):
         return len(self.bs_positions)
 
-    def position_of(self, bs_id):
-        """Return a position callable for the given basestation."""
-        x, y = self.bs_positions[bs_id]
-        return StationaryPosition(x, y)
-
     def distance(self, bs_a, bs_b):
         """Distance between two basestations, metres."""
         xa, ya = self.bs_positions[bs_a]
         xb, yb = self.bs_positions[bs_b]
         return math.hypot(xa - xb, ya - yb)
 
-    def subset(self, bs_ids):
-        """A new deployment restricted to the given basestations."""
-        missing = set(bs_ids) - set(self.bs_positions)
-        if missing:
-            raise KeyError(f"unknown basestations: {sorted(missing)}")
-        positions = {b: self.bs_positions[b] for b in bs_ids}
-        return Deployment(f"{self.name}/subset{len(positions)}", positions,
-                          self.bounds)
+    def link_bank(self, profile, motion, rngs, spatial, bs_ids=None):
+        """The :class:`~repro.net.propagation.LinkBank` of one run.
+
+        One link per basestation in *bs_ids* (default: all of them), in
+        that order, to the vehicle following *motion*.  Each link draws
+        its shadowing from ``rngs.stream("shadow", bs)`` and its gray
+        periods from ``rngs.stream("gray", bs)``, with *profile*'s
+        parameters; *spatial* maps each BS to its static spatial field.
+        A run's *rngs* (a testbed trip's or day's registry) thus fixes
+        the time-varying layers, while the spatial fields persist.
+        """
+        bs_ids = self.bs_ids if bs_ids is None else list(bs_ids)
+        return LinkBank(
+            profile, motion,
+            [self.bs_positions[bs] for bs in bs_ids],
+            [Shadowing(profile.shadowing_sigma_db, profile.shadowing_tau_s,
+                       rngs.stream("shadow", bs)) for bs in bs_ids],
+            [GrayPeriodProcess(profile.gray_rate_per_s,
+                               profile.gray_duration_s,
+                               rngs.stream("gray", bs)) for bs in bs_ids],
+            [spatial[bs] for bs in bs_ids],
+        )
 
     def __repr__(self):
         w, h = self.bounds

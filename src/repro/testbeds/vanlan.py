@@ -19,25 +19,20 @@ This module rebuilds that environment synthetically:
 Its products are the paper's two artifact types: probe traces
 (Section 3.1 methodology) and beacon logs, plus a live
 :class:`~repro.net.medium.LinkTable` for deployment-style protocol runs.
-Both read one :class:`~repro.net.propagation.LinkBank` per trip.  Probe
-traces evaluate it at every probe instant in one call and steer their
-burst chains with those exact loss probabilities; the live table
-steers them with the bank's members, one value per 20 ms bucket.
+Both read one :class:`~repro.net.propagation.LinkBank` per trip, which
+:meth:`~repro.testbeds.layout.Deployment.link_bank` builds from the
+shuttle's :class:`~repro.net.mobility.Route`.  Probe traces evaluate
+it at every probe instant in one call and steer their burst chains
+with those exact loss probabilities; the live table steers them with
+the bank's members, one value per 20 ms bucket.
 """
 
 import numpy as np
 
 from repro.net.channel import SteeredGilbertElliott
 from repro.net.medium import LinkTable
-from repro.net.mobility import Route, VehicleMotion
-from repro.net.propagation import (
-    GrayPeriodProcess,
-    LinkBank,
-    LinkModel,
-    RadioProfile,
-    Shadowing,
-    SpatialField,
-)
+from repro.net.mobility import Route
+from repro.net.propagation import RadioProfile, SpatialField
 from repro.sim.rng import RngRegistry
 from repro.testbeds.layout import Deployment
 from repro.testbeds.traces import BeaconLog, ProbeTrace
@@ -86,19 +81,22 @@ def default_vanlan_deployment():
 class VanLanTestbed:
     """Synthetic VanLAN: geometry, radio environment, trace generation.
 
+    The radio profiles, the 11-BS layout and the 10/s probe rate are
+    fixed; they stay attributes so :meth:`cache_token` names them.
+
     Args:
         seed: root seed; fixes the spatial fields and, combined with a
             trip index, every stochastic process of a trip.
-        profile: a :class:`~repro.net.propagation.RadioProfile`; the
-            default is calibrated so Figure 5/6 statistics land in the
-            paper's regime.
-        deployment: alternative BS layout (default: the 11-BS layout).
         speed_mps: shuttle cruise speed (default 40 km/h).
-        probes_per_second: probe/beacon broadcast rate (paper: 10/s).
     """
 
-    def __init__(self, seed=0, profile=None, interbs_profile=None,
-                 deployment=None, speed_mps=11.1, probes_per_second=10):
+    #: Probe/beacon broadcast rate (paper: 10/s).
+    probes_per_second = 10
+
+    #: Standard deviation (dB) of the RSSI noise on probe traces.
+    RSSI_NOISE_DB = 1.0
+
+    def __init__(self, seed=0, speed_mps=11.1):
         self.seed = int(seed)
         self.rngs = RngRegistry(seed)
         # Vehicle-BS: street-level, obstructed propagation.  The
@@ -107,7 +105,7 @@ class VanLanTestbed:
         # near BSes, bursty losses, and hard-handoff disruptions that
         # macrodiversity can mask (tests/test_testbeds_environments.py
         # checks the burstiness and multi-BS coverage).
-        self.profile = profile or RadioProfile(
+        self.profile = RadioProfile(
             path_loss_exponent=3.0,
             decode_mid_dbm=-89.0,
             shadowing_sigma_db=7.0,
@@ -120,13 +118,12 @@ class VanLanTestbed:
         # BS-BS: rooftop omnis with near line of sight; a friendlier
         # exponent so nearby BSes overhear each other (Section 4.1)
         # while distant pairs remain out of range (Section 2.1).
-        self.interbs_profile = interbs_profile or RadioProfile(
+        self.interbs_profile = RadioProfile(
             path_loss_exponent=2.5,
             decode_mid_dbm=-89.0,
         )
-        self.deployment = deployment or default_vanlan_deployment()
+        self.deployment = default_vanlan_deployment()
         self.speed_mps = float(speed_mps)
-        self.probes_per_second = int(probes_per_second)
         # Static per-BS spatial fields: the persistent part of the
         # environment (buildings, trees).  Keyed by the testbed seed
         # only, so every trip and every day shares them.
@@ -155,51 +152,11 @@ class VanLanTestbed:
                 self.probes_per_second, self.profile,
                 self.interbs_profile, self.deployment)
 
-    # ------------------------------------------------------------------
-    # Geometry
-    # ------------------------------------------------------------------
-
-    def make_route(self, n_loops=1):
-        """The shuttle route: *n_loops* circuits of the campus loop."""
-        waypoints = list(_DEFAULT_ROUTE_WAYPOINTS)
-        for _ in range(int(n_loops) - 1):
-            waypoints.extend(_DEFAULT_ROUTE_WAYPOINTS[1:])
-        return Route(waypoints, speed_mps=self.speed_mps,
+    def vehicle_motion(self):
+        """The shuttle's motion: one circuit of the campus loop, with a
+        5 s stop before it sets off."""
+        return Route(_DEFAULT_ROUTE_WAYPOINTS, speed_mps=self.speed_mps,
                      stop_durations={0: 5.0})
-
-    def vehicle_motion(self, n_loops=1, depart_at=0.0):
-        return VehicleMotion(self.make_route(n_loops), depart_at=depart_at)
-
-    # ------------------------------------------------------------------
-    # Radio links
-    # ------------------------------------------------------------------
-
-    def link_model(self, trip, bs_id, vehicle_position):
-        """The (slow-fading) link model between a BS and the vehicle.
-
-        Shadowing and gray periods are drawn per (trip, BS): a new trip
-        sees a new realization of the time-varying environment, but the
-        same spatial field.
-        """
-        trip_rngs = self.rngs.spawn("trip", trip)
-        shadowing = Shadowing(
-            sigma_db=self.profile.shadowing_sigma_db,
-            tau_s=self.profile.shadowing_tau_s,
-            rng=trip_rngs.stream("shadow", bs_id),
-        )
-        gray = GrayPeriodProcess(
-            rate_per_s=self.profile.gray_rate_per_s,
-            mean_duration_s=self.profile.gray_duration_s,
-            rng=trip_rngs.stream("gray", bs_id),
-        )
-        return LinkModel(
-            profile=self.profile,
-            position_a=self.deployment.position_of(bs_id),
-            position_b=vehicle_position,
-            shadowing=shadowing,
-            gray=gray,
-            spatial=self._spatial[bs_id],
-        )
 
     def interbs_reception(self, bs_a, bs_b):
         """Static mean reception probability between two BSes."""
@@ -211,8 +168,7 @@ class VanLanTestbed:
     # Trace generation (Section 3.1 methodology)
     # ------------------------------------------------------------------
 
-    def generate_probe_trace(self, trip, n_loops=1, rssi_noise_db=1.0,
-                             max_seconds=None):
+    def generate_probe_trace(self, trip, max_seconds=None):
         """Generate the broadcast-probe trace for one trip.
 
         Every node broadcasts a 500-byte probe every 100 ms; the trace
@@ -221,8 +177,8 @@ class VanLanTestbed:
         ``max_seconds`` truncates the trip (smoke tests and quick
         demos); the generated prefix is identical to the full trace's.
         """
-        motion = self.vehicle_motion(n_loops)
-        duration = motion.route.duration
+        motion = self.vehicle_motion()
+        duration = motion.duration
         if max_seconds is not None:
             duration = min(duration, float(max_seconds))
         slot_dt = 1.0 / self.probes_per_second
@@ -256,20 +212,18 @@ class VanLanTestbed:
                 down[t_idx, j] = received
                 if received:
                     rssi[t_idx, j] = link_rssi[t_idx] + noise.normal(
-                        0.0, rssi_noise_db
+                        0.0, self.RSSI_NOISE_DB
                     )
         return ProbeTrace(bs_ids, slot_dt, up, down, rssi, positions)
 
-    def generate_day(self, day, n_trips=10, n_loops=1):
+    def generate_day(self, day, n_trips=10):
         """Generate the probe traces of one day of shuttle service.
 
         Trips are indexed globally as ``day * 1000 + trip`` so distinct
         days never share temporal randomness.
         """
-        return [
-            self.generate_probe_trace(day * 1000 + trip, n_loops=n_loops)
-            for trip in range(n_trips)
-        ]
+        return [self.generate_probe_trace(day * 1000 + trip)
+                for trip in range(n_trips)]
 
     def beacon_log_from_trace(self, trace):
         """Reduce a probe trace to a DieselNet-style beacon log.
@@ -288,32 +242,31 @@ class VanLanTestbed:
     # Live link table (deployment-style protocol runs)
     # ------------------------------------------------------------------
 
-    def build_link_bank(self, trip, vehicle_position, bs_ids=None,
-                        prefill_s=None):
+    def build_link_bank(self, trip, motion, bs_ids=None, prefill_s=None):
         """The banked vehicle-BS propagation stack of one trip.
 
-        The bank is a pure function of ``(testbed seed, trip)``: every
-        bucket value is sampled at its bucket-centre instant, so
-        prefilled and lazily filled banks agree bit for bit.
+        Shadowing and gray periods are drawn per (trip, BS): a new trip
+        sees a new realization of the time-varying environment, but the
+        same spatial field.  The bank is a pure function of ``(testbed
+        seed, trip)``: every bucket value is sampled at its
+        bucket-centre instant, so prefilled and lazily filled banks
+        agree bit for bit.
 
         Args:
             trip: trip index (fixes shadowing/gray realizations).
-            vehicle_position: callable ``t -> (x, y)``.
+            motion: the vehicle's :class:`~repro.net.mobility.Route`.
             bs_ids: participating BSes (default: the full deployment).
             prefill_s: when set, prefill the bank's buckets up to this
                 simulated horizon at build time.
         """
-        bs_ids = list(bs_ids if bs_ids is not None
-                      else self.deployment.bs_ids)
-        links = [self.link_model(trip, bs, vehicle_position)
-                 for bs in bs_ids]
-        bank = LinkBank(links)
+        bank = self.deployment.link_bank(
+            self.profile, motion, self.rngs.spawn("trip", trip),
+            self._spatial, bs_ids=bs_ids)
         if prefill_s is not None:
             bank.prefill(prefill_s)
         return bank
 
-    def build_link_table(self, trip, vehicle_position, bs_ids=None,
-                         vehicle_id=VEHICLE_ID, prefill_s=None):
+    def build_link_table(self, trip, motion, bs_ids=None, prefill_s=None):
         """Link table for a packet-level protocol run of one trip.
 
         Vehicle-BS links use the full layered radio model with
@@ -334,13 +287,13 @@ class VanLanTestbed:
         bs_ids = list(bs_ids if bs_ids is not None else self.deployment.bs_ids)
         trip_rngs = self.rngs.spawn("trip", trip)
         table = LinkTable()
-        bank = self.build_link_bank(trip, vehicle_position, bs_ids=bs_ids,
+        bank = self.build_link_bank(trip, motion, bs_ids=bs_ids,
                                     prefill_s=prefill_s)
         table.link_bank = bank
         for bs, member in zip(bs_ids, bank.members()):
-            table.set_link(vehicle_id, bs, SteeredGilbertElliott(
+            table.set_link(VEHICLE_ID, bs, SteeredGilbertElliott(
                 member, rng=trip_rngs.stream("live-up", bs)))
-            table.set_link(bs, vehicle_id, SteeredGilbertElliott(
+            table.set_link(bs, VEHICLE_ID, SteeredGilbertElliott(
                 member, rng=trip_rngs.stream("live-down", bs)))
         for a in bs_ids:
             for b in bs_ids:

@@ -7,15 +7,9 @@ from repro.analysis.burstiness import (
     conditional_loss_curve,
     overall_loss_probability,
 )
-from repro.analysis.cdf import (
-    empirical_cdf,
-    mean_confidence_interval,
-    median,
-    median_confidence_interval,
-    percentile,
-)
+from repro.analysis.cdf import empirical_cdf, mean_confidence_interval
 from repro.analysis.conditional import two_bs_conditionals
-from repro.analysis.diversity import visible_bs_cdf, visible_bs_histogram
+from repro.experiments.study import diversity_cdfs
 from repro.testbeds.traces import BeaconLog
 
 
@@ -29,13 +23,6 @@ class TestCdfHelpers:
         xs, ys = empirical_cdf([])
         assert len(xs) == 0
 
-    def test_median(self):
-        assert median([5, 1, 3]) == 3.0
-        assert median([]) == 0.0
-
-    def test_percentile(self):
-        assert percentile(range(101), 90) == pytest.approx(90.0)
-
     def test_mean_ci_contains_truth(self):
         rng = np.random.default_rng(0)
         sample = rng.normal(10.0, 2.0, size=400)
@@ -46,10 +33,6 @@ class TestCdfHelpers:
     def test_mean_ci_degenerate(self):
         assert mean_confidence_interval([]) == (0.0, 0.0)
         assert mean_confidence_interval([4.0]) == (4.0, 0.0)
-
-    def test_median_ci_orders(self):
-        med, (lo, hi) = median_confidence_interval(list(range(100)))
-        assert lo <= med <= hi
 
 
 class TestBurstiness:
@@ -114,20 +97,22 @@ class TestTwoBsConditionals:
 
 
 class TestDiversity:
+    """The Figure 5 visible-BS histogram and CDF of one beacon log."""
+
     def _log(self):
         heard = [[10, 3, 0], [0, 0, 0], [5, 5, 5], [1, 0, 0]]
         return BeaconLog([1, 2, 3], heard, expected=10)
 
     def test_histogram(self):
-        hist = visible_bs_histogram(self._log())
+        _, _, hist = diversity_cdfs([self._log()])
         assert list(hist) == [1, 1, 1, 1]
 
     def test_histogram_with_ratio(self):
-        hist = visible_bs_histogram(self._log(), min_ratio=0.5)
+        _, _, hist = diversity_cdfs([self._log()], min_ratio=0.5)
         assert hist[0] == 2  # seconds 1 and 3
         assert hist[3] == 1  # second 2
 
     def test_cdf(self):
-        xs, ys = visible_bs_cdf(self._log())
+        xs, ys, _ = diversity_cdfs([self._log()])
         assert ys[-1] == pytest.approx(1.0)
         assert xs[0] == 0

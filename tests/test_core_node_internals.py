@@ -84,8 +84,16 @@ class TestReceiverState:
 
 class TestAckFrames:
     def test_missing_ids_roundtrip(self):
-        ack = Ack(pkt_id=10, acker=1, for_src=0, missing_bitmap=0b101)
-        assert set(ack.missing_ids()) == {9, 7}
+        # A receiver missing 9 and 7 acks 10 with bits k = 10 - 1 - id.
+        state = _ReceiverState()
+        for pkt_id in (0, 1, 2, 3, 4, 5, 6, 8, 10):
+            state.record(pkt_id)
+        ack = Ack(pkt_id=10, acker=1, for_src=0,
+                  missing_bitmap=state.missing_bitmap(10))
+        assert ack.missing_bitmap == 0b101
+        missing = {10 - 1 - k for k in range(8)
+                   if ack.missing_bitmap & (1 << k)}
+        assert missing == {9, 7}
 
     def test_beacon_size_grows_with_reports(self):
         empty = Beacon(sender=1)
@@ -224,6 +232,40 @@ class TestRetiredSalvagePool:
         assert len(harvest) == 1
         # A second harvest finds nothing (transfer of ownership).
         assert node.downstream.unacked_within(60.0) == []
+
+    def test_salvage_pool_keeps_only_salvageable_packets(self):
+        """A parked packet older than the salvage age can never be
+        harvested, so a give-up drops it: with give-ups and no salvage
+        request, no packet in the pool is older than salvage_age_s at
+        any give-up."""
+        config = ViFiConfig(max_retx=0, relay_enabled=False,
+                            anchor_belief_timeout=60.0)
+        sim = two_bs_sim(config=config, loss=1.0, seed=5)
+        node = sim.bs_nodes[1]
+        node.is_anchor = True
+        node.vehicle_id = VEHICLE
+        node.last_vehicle_beacon = 0.0
+        pool = node.downstream
+        oldest = []
+        on_give_up = sim.stats.on_give_up
+
+        def checked_give_up(pkt_key):
+            now = sim.sim.now
+            oldest.append(max((now - arrival
+                               for _, arrival in pool._retired.values()),
+                              default=0.0))
+            on_give_up(pkt_key)
+
+        sim.stats.on_give_up = checked_give_up
+        sim.run(until=1.0)
+        for seq in range(50):
+            sim.sim.schedule_at(1.0 + 0.1 * seq, node.on_internet_packet,
+                                "p", 300, 1, seq)
+        sim.run(until=8.0)
+        assert sim.stats.salvage_requests == 0
+        assert len(oldest) == 50
+        assert max(oldest) <= config.salvage_age_s
+        assert 0 < len(pool._retired) < 50
 
     def test_senders_no_salvage_reaches_keep_no_given_up_packet(self):
         """Only a basestation's downstream sender with salvaging on

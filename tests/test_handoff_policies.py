@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.experiments.study import policy_factories
 from repro.handoff.base import PerSecondObservation
 from repro.handoff.evaluator import evaluate_policy
 from repro.handoff.policies import (
@@ -12,7 +13,6 @@ from repro.handoff.policies import (
     HistoryPolicy,
     RssiPolicy,
     StickyPolicy,
-    standard_policies,
 )
 from repro.testbeds.traces import ProbeTrace
 
@@ -92,13 +92,6 @@ class TestBrrPolicy:
         for sec in range(1, 3):
             policy.observe(obs(sec, heard={2: 6}))
         assert policy.choose() == 2
-
-    def test_current_average_exposed(self):
-        policy = BrrPolicy(alpha=0.5)
-        policy.reset()
-        policy.observe(obs(0, heard={1: 10}))
-        assert policy.current_average(1) == pytest.approx(0.5)
-        assert policy.current_average(9) == 0.0
 
 
 class TestStickyPolicy:
@@ -213,13 +206,16 @@ class TestEvaluator:
         assert outcome.handoff_count >= 1
 
     def test_standard_policies_composition(self):
-        policies = standard_policies()
-        names = [p.name for p in policies]
-        assert names == ["RSSI", "BRR", "Sticky", "BestBS", "AllBSes"]
-        up = np.zeros((10, 1), dtype=bool)
-        trained = standard_policies(
-            history_training=[make_trace(up, up, bs_ids=[1])]
-        )
-        assert [p.name for p in trained] == [
+        """The figures build the paper's six policies, in its order,
+        from one factory table; only History trains."""
+        factories = policy_factories()
+        assert list(factories) == [
             "RSSI", "BRR", "Sticky", "History", "BestBS", "AllBSes",
         ]
+        up = np.zeros((10, 1), dtype=bool)
+        training = [make_trace(up, up, bs_ids=[1])]
+        for name, factory in factories.items():
+            policy = factory(training if name == "History" else None)
+            assert policy.name == name
+        assert factories["History"](training)._scores
+        assert factories["History"](None)._scores == {}

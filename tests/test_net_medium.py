@@ -510,7 +510,7 @@ class TestBackoffFreeze:
                 self.received.append((frame.pkt_id, transmitter_id))
 
             def on_transmit_complete(self, frame):
-                order.append((self.node_id, frame.kind_value,
+                order.append((self.node_id, frame.kind.value,
                               getattr(frame, "pkt_id", None)))
 
         nodes = [_Node(i) for i in range(3)]
@@ -642,7 +642,7 @@ class TestMediumFastPath:
 class TestCountViews:
     def test_frame_kind_indices(self):
         for cls in (DataPacket, Ack, Beacon):
-            assert FRAME_KIND_VALUES[cls.kind_index] == cls.kind_value
+            assert FRAME_KIND_VALUES[cls.kind_index] == cls.kind.value
 
     def test_views_equal_counters_rebuilt_from_sends_and_receptions(self):
         """A lossy run of every frame kind, through ``send`` and
@@ -653,17 +653,17 @@ class TestCountViews:
         delivered = Counter()
 
         def send(transmitter_id, frame, priority=False):
-            sent[(transmitter_id, frame.kind_value)] += 1
+            sent[(transmitter_id, frame.kind.value)] += 1
             medium.send(transmitter_id, frame, priority=priority)
 
         def send_batch(entries):
             for transmitter_id, frame in entries:
-                sent[(transmitter_id, frame.kind_value)] += 1
+                sent[(transmitter_id, frame.kind.value)] += 1
             medium.send_slot_batch(entries)
 
         for node in nodes:
             def on_receive(frame, transmitter_id, node=node):
-                delivered[(node.node_id, frame.kind_value)] += 1
+                delivered[(node.node_id, frame.kind.value)] += 1
             node.on_receive = on_receive
         for k in range(30):
             at = 0.02 * k

@@ -1,16 +1,10 @@
-"""Unit tests for routes and vehicle motion."""
-
-import math
+"""Unit tests for routes, each a testbed vehicle's motion."""
 
 import numpy as np
 import pytest
 
-from repro.net.mobility import (
-    Route,
-    StationaryPosition,
-    VehicleMotion,
-    gps_samples,
-)
+from repro.net.mobility import Route
+from repro.testbeds.dieselnet import DieselNetTestbed
 from repro.testbeds.vanlan import VanLanTestbed
 
 
@@ -34,9 +28,10 @@ class TestRoute:
         assert route.position_at(999.0) == (100.0, 0.0)
 
     def test_multi_segment_path_length(self):
+        # 50 m then 100 m at 10 m/s: the corner is reached at 5 s.
         route = Route([(0, 0), (30, 40), (30, 140)], speed_mps=10.0)
-        assert route.path_length == pytest.approx(50 + 100)
         assert route.duration == pytest.approx(15.0)
+        assert route.position_at(5.0) == (30.0, 40.0)
 
     def test_dwell_pauses_motion(self):
         route = Route([(0, 0), (100, 0)], speed_mps=10.0,
@@ -44,13 +39,6 @@ class TestRoute:
         assert route.position_at(3.0) == (0.0, 0.0)
         assert route.position_at(10.0) == (50.0, 0.0)
         assert route.duration == pytest.approx(15.0)
-
-    def test_loop_wraps_around(self):
-        route = Route([(0, 0), (100, 0)], speed_mps=10.0, loop=True)
-        # Looping closes the polygon: 0->100->0, 20 s per lap.
-        x0, _ = route.position_at(2.0)
-        x1, _ = route.position_at(2.0 + route.duration)
-        assert x0 == pytest.approx(x1)
 
     def test_too_few_waypoints_rejected(self):
         with pytest.raises(ValueError):
@@ -67,19 +55,29 @@ class TestRoute:
 
 
 class TestVehicleMotion:
+    """The testbeds' vehicles follow their routes from time zero."""
+
     def test_waits_until_departure(self):
-        motion = VehicleMotion(Route([(0, 0), (100, 0)], 10.0),
-                               depart_at=5.0)
-        assert motion(2.0) == (0.0, 0.0)
-        assert motion(10.0) == (50.0, 0.0)
+        # The shuttle stands 5 s at its first stop, then sets off.
+        motion = VanLanTestbed(seed=0).vehicle_motion()
+        start = motion.waypoints[0]
+        assert motion.position_at(0.0) == start
+        assert motion.position_at(4.9) == start
+        assert motion.position_at(5.5) != start
 
     def test_speed_estimate(self):
-        motion = VehicleMotion(Route([(0, 0), (1000, 0)], 10.0))
-        assert motion.speed_at(50.0) == pytest.approx(10.0, rel=0.05)
+        speed = 40.0 / 3.6
+        motion = VanLanTestbed(seed=0, speed_mps=speed).vehicle_motion()
+        (x0, y0), (x1, y1) = motion.position_at(49.9), motion.position_at(50.1)
+        assert np.hypot(x1 - x0, y1 - y0) / 0.2 == pytest.approx(speed)
 
     def test_speed_zero_when_parked(self):
-        motion = VehicleMotion(Route([(0, 0), (100, 0)], 10.0))
-        assert motion.speed_at(500.0) == pytest.approx(0.0, abs=1e-6)
+        # The bus stops 8 s at waypoint 1 of its tour.
+        motion = DieselNetTestbed(channel=1, seed=0).bus_motion()
+        reached = np.hypot(*np.subtract(motion.waypoints[1],
+                                        motion.waypoints[0])) / 8.3
+        assert motion.position_at(reached + 1.0) == motion.waypoints[1]
+        assert motion.position_at(reached + 7.0) == motion.waypoints[1]
 
 
 class TestPositionsAt:
@@ -87,7 +85,7 @@ class TestPositionsAt:
 
     def test_vanlan_route_with_dwell(self):
         # VanLAN's route dwells 5 s at waypoint 0 before it moves.
-        route = VanLanTestbed(seed=0).make_route()
+        route = VanLanTestbed(seed=0).vehicle_motion()
         assert route._segments[0][2] == route._segments[0][3]
         times = np.concatenate([
             (np.arange(0, 12000) + 0.5) * 0.02,  # bucket centres
@@ -97,26 +95,28 @@ class TestPositionsAt:
                                times)
 
     def test_departure_delay_before_and_past_the_route(self):
-        route = VanLanTestbed(seed=0).make_route()
-        motion = VehicleMotion(route, depart_at=7.3)
-        end = 7.3 + route.duration
+        # The shuttle departs after its 5 s stop at waypoint 0.
+        route = VanLanTestbed(seed=0).vehicle_motion()
+        end = route.duration
         times = np.concatenate([
-            np.linspace(0.0, 7.3, 50),  # parked before departure
-            [7.3, np.nextafter(7.3, 8.0), 12.3],
-            np.linspace(7.3, end + 30.0, 4001),  # through and past the end
+            np.linspace(0.0, 5.0, 50),  # standing before departure
+            [5.0, np.nextafter(5.0, 6.0), 12.3],
+            np.linspace(5.0, end + 30.0, 4001),  # through and past the end
             [end, np.nextafter(end, 0.0)],
         ])
-        _assert_bitwise_scalar(motion, motion.positions_at, times)
-        xs, ys = motion.positions_at(np.array([0.0, 7.3, end + 1.0]))
+        _assert_bitwise_scalar(route.position_at, route.positions_at, times)
+        xs, ys = route.positions_at(np.array([0.0, 5.0, end + 1.0]))
         assert (xs[0], ys[0]) == route.waypoints[0]
         assert (xs[1], ys[1]) == route.waypoints[0]
         assert (xs[2], ys[2]) == route.waypoints[-1]
 
     def test_looping_route(self):
-        route = Route([(0, 0), (100, 0), (100, 50), (100, 50)],
-                      speed_mps=7.3, stop_durations={1: 2.0, 3: 1.5},
-                      loop=True)
-        times = np.linspace(0.0, 5.0 * route.duration, 9001)
+        # A circuit back to its start, with a stop mid-way and a final
+        # dwell, read through and past its end.
+        route = Route([(0, 0), (100, 0), (100, 50), (0, 0)],
+                      speed_mps=7.3, stop_durations={1: 2.0, 3: 1.5})
+        assert route.waypoints[-1] == route.waypoints[0]
+        times = np.linspace(0.0, 1.5 * route.duration, 9001)
         _assert_bitwise_scalar(route.position_at, route.positions_at,
                                times)
 
@@ -124,19 +124,3 @@ class TestPositionsAt:
         route = Route([(0, 0), (1, 1)])
         with pytest.raises(ValueError):
             route.positions_at(np.array([0.0, -0.1]))
-
-
-class TestGps:
-    def test_one_hertz_samples(self):
-        motion = VehicleMotion(Route([(0, 0), (100, 0)], 10.0))
-        fixes = list(gps_samples(motion, 0.0, 5.0))
-        assert len(fixes) == 6
-        times = [t for t, _, _ in fixes]
-        assert times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-        assert fixes[3][1] == pytest.approx(30.0)
-
-    def test_stationary_position(self):
-        pos = StationaryPosition(3.0, 4.0)
-        assert pos(0.0) == (3.0, 4.0)
-        assert pos(100.0) == (3.0, 4.0)
-        assert math.hypot(*pos(5.0)) == pytest.approx(5.0)

@@ -7,11 +7,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.net.mobility import StationaryPosition
 from repro.net.propagation import (
     GrayPeriodProcess,
     LinkBank,
-    LinkModel,
     RadioProfile,
     Shadowing,
     SpatialField,
@@ -38,18 +36,18 @@ class _Line:
         return self(np.asarray(t, dtype=np.float64))
 
 
-def _bank(position, profile=None, **layers):
-    """A one-link bank from the origin to the moving *position*."""
-    return LinkBank([LinkModel(profile or RadioProfile(),
-                               StationaryPosition(0, 0), position,
-                               **layers)])
+def _bank(motion, profile=None, shadowing=None, gray=None, spatial=None):
+    """A one-link bank from a basestation at the origin to the moving
+    *motion*; the layers not under test are ``None``."""
+    return LinkBank(profile or RadioProfile(), motion, [(0.0, 0.0)],
+                    [shadowing], [gray], [spatial])
 
 
 def _offsets(bank, times):
     """The one link's RSSI over its path-loss mean at *times*: the sum
     of its shadowing and spatial layers."""
     rssi, _ = bank.evaluate(times)
-    px, py = bank.links[0].position_b.positions_at(times)
+    px, py = bank.motion.positions_at(times)
     return rssi[0] - bank.profile.mean_rssi(np.hypot(px, py))
 
 
@@ -144,7 +142,7 @@ class TestSpatialField:
         assert abs(here - there) < 2.0  # well inside correlation length
 
     def test_variance_scale(self):
-        field = SpatialField(4.0, 30.0, _rng("fv"), n_terms=96)
+        field = SpatialField(4.0, 30.0, _rng("fv"))
         values = _field_along(field, _Line(0.0, 0.0, vx=17.3, vy=9.1),
                               np.arange(2000.0))
         assert 0.4 * 16 < values.var() < 1.8 * 16
@@ -211,22 +209,21 @@ class TestLinkBank:
         the same horizon a full lazy walk reaches).
         """
         _, motion, lazy = _centre_bank(seed=7)
-        duration = motion.route.duration
+        duration = motion.duration
         _, _, filled = _centre_bank(seed=7, prefill_s=duration)
         assert filled.prefill_wall_s > 0.0
         assert filled.prefilled_until == duration
-        n_links = len(lazy.links)
-        n_buckets = int(duration / lazy.quantum)
+        n_buckets = int(duration / LinkBank.QUANTUM_S)
         for key in range(n_buckets):
-            for i in range(n_links):
+            for i in range(lazy.n_links):
                 assert filled.prob_at(i, key) == lazy.prob_at(i, key)
-        for link_f, link_l in zip(filled.links, lazy.links):
-            assert link_f.shadowing.rng.bit_generator.state == \
-                link_l.shadowing.rng.bit_generator.state
-            assert link_f.gray.rng.bit_generator.state == \
-                link_l.gray.rng.bit_generator.state
-            assert len(link_f.shadowing._values) == \
-                len(link_l.shadowing._values)
+        for shadow_f, shadow_l in zip(filled._shadowings, lazy._shadowings):
+            assert shadow_f.rng.bit_generator.state == \
+                shadow_l.rng.bit_generator.state
+            assert len(shadow_f._values) == len(shadow_l._values)
+        for gray_f, gray_l in zip(filled._grays, lazy._grays):
+            assert gray_f.rng.bit_generator.state == \
+                gray_l.rng.bit_generator.state
 
     def test_bucket_value_independent_of_query_order(self):
         """Skipping ahead and returning reads the same bucket values."""
@@ -245,11 +242,11 @@ class TestLinkBank:
         testbed = VanLanTestbed(seed=11)
         motion = testbed.vehicle_motion()
         filled = testbed.build_link_bank(0, motion,
-                                         prefill_s=motion.route.duration)
+                                         prefill_s=motion.duration)
         buckets = np.concatenate(
             [filled._chunks[c] for c in sorted(filled._chunks)], axis=1)
         centres = (np.arange(buckets.shape[1], dtype=np.float64) + 0.5) \
-            * filled.quantum
+            * LinkBank.QUANTUM_S
         _, prob = testbed.build_link_bank(0, motion).evaluate(centres)
         assert prob.tobytes() == buckets.tobytes()
         _, every_third = testbed.build_link_bank(0, motion).evaluate(
@@ -280,7 +277,7 @@ class TestLinkBank:
         testbed = VanLanTestbed(seed=0)
         motion = testbed.vehicle_motion()
         bank = testbed.build_link_bank(0, motion,
-                                       prefill_s=motion.route.duration)
+                                       prefill_s=motion.duration)
         digest = hashlib.sha256()
         for chunk in sorted(bank._chunks):
             prob = bank._chunks[chunk]
@@ -290,37 +287,16 @@ class TestLinkBank:
             "17f68f9c734dd8de3cecc0c9bd73dc37"
             "e5925e9c334135b92d52f12e834c2975")
 
-    def test_bank_requires_positions_at(self):
-        """The fill places the vehicle for a whole chunk at once, so a
-        moving endpoint without the array form is refused."""
-        testbed = VanLanTestbed(seed=1)
-        motion = testbed.vehicle_motion()
-
-        def position(t):
-            return motion(t)
-
-        links = [testbed.link_model(0, bs, position)
-                 for bs in testbed.deployment.bs_ids[:2]]
-        with pytest.raises(ValueError, match="positions_at"):
-            LinkBank(links)
-
-    def test_bank_requires_shared_profile(self):
-        testbed = VanLanTestbed(seed=1)
-        motion = testbed.vehicle_motion()
-        links = [testbed.link_model(0, bs, motion)
-                 for bs in testbed.deployment.bs_ids[:2]]
-        links[1].profile = type(links[1].profile)()  # a different object
-        with pytest.raises(ValueError):
-            LinkBank(links)
-
-    @pytest.mark.parametrize("quantum_s", [0.0, -0.02])
-    def test_non_positive_quantum_rejected(self, quantum_s):
-        testbed = VanLanTestbed(seed=2)
-        motion = testbed.vehicle_motion()
-        links = [testbed.link_model(0, bs, motion)
-                 for bs in testbed.deployment.bs_ids]
-        with pytest.raises(ValueError):
-            LinkBank(links, quantum_s=quantum_s)
+    def test_spatial_fields_all_or_none(self):
+        """The banked field matrices hold one row per link at one cache
+        quantum, so a bank refuses a partial or mixed set."""
+        motion = VanLanTestbed(seed=2).vehicle_motion()
+        fields = [SpatialField(4.0, 70.0, _rng("a")),
+                  SpatialField(4.0, 70.0, _rng("b"), cache_quantum_m=1.0)]
+        for spatials in ([fields[0], None], fields):
+            with pytest.raises(ValueError):
+                LinkBank(RadioProfile(), motion, [(0.0, 0.0), (9.0, 9.0)],
+                         [None, None], [None, None], spatials)
 
 
 class TestGrayPeriodFastPath:

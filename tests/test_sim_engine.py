@@ -106,27 +106,6 @@ def test_schedule_into_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
-def test_step_processes_single_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1.0, fired.append, 1)
-    sim.schedule(2.0, fired.append, 2)
-    assert sim.step()
-    assert fired == [1]
-    assert sim.step()
-    assert fired == [1, 2]
-    assert not sim.step()
-
-
-def test_max_events_caps_processing():
-    sim = Simulator()
-    fired = []
-    for i in range(5):
-        sim.schedule(float(i + 1), fired.append, i)
-    assert sim.run(max_events=2) == 2
-    assert fired == [0, 1]
-
-
 def test_pending_counts_live_events():
     sim = Simulator()
     handle = sim.schedule(1.0, lambda: None)
@@ -134,14 +113,6 @@ def test_pending_counts_live_events():
     assert sim.pending == 2
     handle.cancel()
     assert sim.pending == 1
-
-
-def test_peek_time_skips_cancelled():
-    sim = Simulator()
-    handle = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    handle.cancel()
-    assert sim.peek_time() == 2.0
 
 
 def test_run_returns_processed_count():

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.testbeds.dieselnet import DieselNetTestbed, dieselnet_deployment
-from repro.testbeds.layout import Deployment
 from repro.testbeds.vanlan import (
     VEHICLE_ID,
     VanLanTestbed,
@@ -34,20 +33,24 @@ class TestDeployment:
             dieselnet_deployment(11)
 
     def test_subset(self):
-        deployment = default_vanlan_deployment()
-        sub = deployment.subset([1, 5, 9])
-        assert sub.bs_ids == [1, 5, 9]
+        """A run over some of the BSes banks exactly their links: each
+        BS's layers draw from its own streams, so the subset's rows are
+        the full deployment's, bit for bit."""
+        tb = VanLanTestbed(seed=0)
+        motion = tb.vehicle_motion()
+        times = np.arange(0.0, 60.0, 0.5)
+        _, full = tb.build_link_bank(0, motion).evaluate(times)
+        _, sub = tb.build_link_bank(0, motion,
+                                    bs_ids=[1, 5, 9]).evaluate(times)
+        rows = [tb.deployment.bs_ids.index(bs) for bs in (1, 5, 9)]
+        assert sub.tobytes() == full[rows].tobytes()
         with pytest.raises(KeyError):
-            deployment.subset([1, 99])
+            tb.build_link_bank(0, motion, bs_ids=[1, 99])
 
     def test_distance_symmetry(self):
         deployment = default_vanlan_deployment()
         assert deployment.distance(1, 2) == deployment.distance(2, 1)
         assert deployment.distance(1, 1) == 0.0
-
-    def test_position_callable(self):
-        deployment = Deployment("t", {7: (10.0, 20.0)}, (100, 100))
-        assert deployment.position_of(7)(123.0) == (10.0, 20.0)
 
 
 class TestVanLanTraces:
@@ -187,8 +190,3 @@ class TestDieselNet:
     def test_diversity_present(self, log):
         counts = log.visible_counts()
         assert np.median(counts) >= 2
-
-    def test_profiling_days(self):
-        tb = DieselNetTestbed(channel=1, seed=7)
-        days = tb.generate_profiling_days(n_days=3)
-        assert len(days) == 3
