@@ -1,8 +1,9 @@
 """Application models (Section 5.3): VoIP and short TCP transfers.
 
 * :mod:`repro.apps.mos` — the Cole-Rosenbluth R-factor / Mean Opinion
-  Score model the paper uses to judge VoIP quality, plus interruption
-  detection (MoS < 2 sustained for three seconds).
+  Score model the paper uses to judge VoIP quality, the paper's delay
+  budget, and session lengths between interruptions (MoS < 2 over a
+  three-second window).
 * :mod:`repro.apps.voip` — a G.729 voice stream (20-byte packets every
   20 ms, both directions) driven over a protocol run, with the paper's
   delay budget.
@@ -14,26 +15,16 @@
   workload used for link-layer experiments.
 """
 
-from repro.apps.mos import (
-    MosConfig,
-    interruption_windows,
-    mos_from_r,
-    r_factor,
-    voip_sessions,
-)
-from repro.apps.tcp import TcpConfig, TcpWorkload
-from repro.apps.voip import VoipConfig, VoipStream
+from repro.apps.mos import mos_from_r, r_factor, voip_sessions
+from repro.apps.tcp import TcpWorkload
+from repro.apps.voip import VoipStream
 from repro.apps.workload import CbrWorkload, FlowRouter
 
 __all__ = [
     "CbrWorkload",
     "FlowRouter",
-    "MosConfig",
-    "TcpConfig",
     "TcpWorkload",
-    "VoipConfig",
     "VoipStream",
-    "interruption_windows",
     "mos_from_r",
     "r_factor",
     "voip_sessions",

@@ -21,44 +21,29 @@ below 2 for a three-second period".
 """
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "MosConfig",
-    "interruption_windows",
+    "FIXED_DELAY_MS",
+    "INTERRUPTION_MOS",
+    "WINDOW_S",
+    "WIRELESS_BUDGET_MS",
     "mos_from_r",
     "mos_score",
     "r_factor",
     "voip_sessions",
 ]
 
+# The paper's G.729 delay budget and interruption rule, all stated by
+# the paper: "Aiming for a mouth-to-ear delay of 177 ms ... means that
+# packets that take more than 52 ms in the wireless part should be
+# considered lost."  Delays in ms.
 
-@dataclass
-class MosConfig:
-    """The paper's G.729 delay budget and interruption rule.
-
-    Mouth-to-ear delay = coding (25 ms) + wired segment (40 ms) +
-    jitter buffer (60 ms) + wireless segment.  "Aiming for a
-    mouth-to-ear delay of 177 ms ... means that packets that take more
-    than 52 ms in the wireless part should be considered lost."
-    """
-
-    coding_delay_ms: float = 25.0
-    wired_delay_ms: float = 40.0
-    jitter_buffer_ms: float = 60.0
-    target_mouth_to_ear_ms: float = 177.0
-    window_s: float = 3.0
-    interruption_mos: float = 2.0
-
-    @property
-    def fixed_delay_ms(self):
-        return (self.coding_delay_ms + self.wired_delay_ms
-                + self.jitter_buffer_ms)
-
-    @property
-    def wireless_budget_ms(self):
-        """Wireless delay beyond which a packet counts as lost."""
-        return self.target_mouth_to_ear_ms - self.fixed_delay_ms
+#: Coding (25) + wired segment (40) + jitter buffer (60).
+FIXED_DELAY_MS = 25.0 + 40.0 + 60.0
+WIRELESS_BUDGET_MS = 177.0 - FIXED_DELAY_MS
+#: Quality window (s), interrupted when its MoS is below 2.
+WINDOW_S = 3.0
+INTERRUPTION_MOS = 2.0
 
 
 def r_factor(delay_ms, loss_fraction):
@@ -95,16 +80,12 @@ def mos_score(delay_ms, loss_fraction):
     return mos_from_r(r_factor(delay_ms, loss_fraction))
 
 
-def interruption_windows(window_mos, threshold=2.0):
-    """Boolean interruption flags per window (True = interrupted)."""
-    return [m < threshold for m in window_mos]
-
-
-def voip_sessions(window_mos, window_s=3.0, threshold=2.0):
+def voip_sessions(window_mos):
     """Uninterrupted-session lengths from per-window MoS values.
 
-    A session is a maximal run of consecutive windows at or above the
-    MoS threshold; its length is the run duration in seconds.
+    A session is a maximal run of consecutive :data:`WINDOW_S` windows
+    at or above :data:`INTERRUPTION_MOS`; its length is the run
+    duration in seconds.
 
     Returns:
         List of session lengths (seconds).
@@ -112,11 +93,11 @@ def voip_sessions(window_mos, window_s=3.0, threshold=2.0):
     sessions = []
     run = 0
     for m in window_mos:
-        if m >= threshold:
+        if m >= INTERRUPTION_MOS:
             run += 1
         elif run:
-            sessions.append(run * window_s)
+            sessions.append(run * WINDOW_S)
             run = 0
     if run:
-        sessions.append(run * window_s)
+        sessions.append(run * WINDOW_S)
     return sessions

@@ -18,27 +18,26 @@ the ViFi (or BRR) link layer, which retransmits each frame at most
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.apps.workload import FlowRouter
 
-__all__ = ["TcpConfig", "TcpTransfer", "TcpWorkload", "TransferResult"]
+__all__ = ["TcpTransfer", "TcpWorkload", "TransferResult"]
 
-
-@dataclass
-class TcpConfig:
-    """Transfer and congestion-control parameters."""
-
-    file_size_bytes: int = 10 * 1024
-    mss: int = 1400
-    header_bytes: int = 40
-    request_bytes: int = 60
-    init_cwnd_segments: int = 2
-    init_ssthresh_bytes: int = 65536
-    min_rto_s: float = 1.0
-    max_rto_s: float = 16.0
-    dupack_threshold: int = 3
-    stall_timeout_s: float = 10.0
+# The paper states the workload (10 KB transfers, abandoned after ten
+# seconds without progress) and the one-second minimum RTO that the
+# salvage threshold rests on (Section 4.5).  The other values are
+# standard TCP's, which it does not state (engineering).
+FILE_SIZE_BYTES = 10 * 1024
+STALL_TIMEOUT_S = 10.0
+MIN_RTO_S = 1.0
+MAX_RTO_S = 16.0
+MSS = 1400
+HEADER_BYTES = 40  # per segment and per ack
+REQUEST_BYTES = 60
+INIT_CWND_SEGMENTS = 2
+INIT_SSTHRESH_BYTES = 65536
+DUPACK_THRESHOLD = 3
 
 
 @dataclass
@@ -58,9 +57,7 @@ class TransferResult:
 class _RtoEstimator:
     """RFC 6298 smoothed RTT with Karn's rule and a 1 s floor."""
 
-    def __init__(self, min_rto, max_rto):
-        self.min_rto = min_rto
-        self.max_rto = max_rto
+    def __init__(self):
         self.srtt = None
         self.rttvar = None
         self.backoff = 1.0
@@ -79,36 +76,34 @@ class _RtoEstimator:
 
     def rto(self):
         if self.srtt is None:
-            base = self.min_rto
+            base = MIN_RTO_S
         else:
             base = self.srtt + max(4.0 * self.rttvar, 0.01)
-        return min(max(base * self.backoff, self.min_rto), self.max_rto)
+        return min(max(base * self.backoff, MIN_RTO_S), MAX_RTO_S)
 
 
 class _Sender:
     """Window-managed byte-stream sender half of a transfer."""
 
-    def __init__(self, transfer, send, config, sim):
+    def __init__(self, transfer, send, sim):
         self.transfer = transfer
         self.send = send  # callable(payload, size_bytes)
-        self.config = config
         self.sim = sim
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = config.init_cwnd_segments * config.mss
-        self.ssthresh = config.init_ssthresh_bytes
+        self.cwnd = INIT_CWND_SEGMENTS * MSS
+        self.ssthresh = INIT_SSTHRESH_BYTES
         self.dupacks = 0
-        self.rto = _RtoEstimator(config.min_rto_s, config.max_rto_s)
+        self.rto = _RtoEstimator()
         self._send_times = {}  # offset -> (time, retransmitted)
         self._rto_event = None
         self.done = False
 
     def pump(self):
-        cfg = self.config
         while (not self.done
-               and self.snd_nxt < cfg.file_size_bytes
-               and self.snd_nxt - self.snd_una + cfg.mss <= self.cwnd):
-            length = min(cfg.mss, cfg.file_size_bytes - self.snd_nxt)
+               and self.snd_nxt < FILE_SIZE_BYTES
+               and self.snd_nxt - self.snd_una + MSS <= self.cwnd):
+            length = min(MSS, FILE_SIZE_BYTES - self.snd_nxt)
             self._transmit(self.snd_nxt, length, retransmit=False)
             self.snd_nxt += length
         self._arm_rto()
@@ -119,11 +114,9 @@ class _Sender:
             self.sim.now, retransmit or (previous is not None
                                          and previous[1]),
         )
-        self.send(("data", offset, length),
-                  self.config.header_bytes + length)
+        self.send(("data", offset, length), HEADER_BYTES + length)
 
     def on_ack(self, cum_bytes):
-        cfg = self.config
         if cum_bytes > self.snd_una:
             entry = self._send_times.get(self.snd_una)
             if entry is not None and not entry[1]:
@@ -134,22 +127,22 @@ class _Sender:
             self.snd_una = cum_bytes
             self.dupacks = 0
             if self.cwnd < self.ssthresh:
-                self.cwnd += cfg.mss  # slow start
+                self.cwnd += MSS  # slow start
             else:
-                self.cwnd += max(cfg.mss * cfg.mss // self.cwnd, 1)
+                self.cwnd += max(MSS * MSS // self.cwnd, 1)
             self.transfer.on_progress()
-            if self.snd_una >= cfg.file_size_bytes:
+            if self.snd_una >= FILE_SIZE_BYTES:
                 self.done = True
                 self._cancel_rto()
                 return
             self.pump()
         elif cum_bytes == self.snd_una and self.snd_nxt > self.snd_una:
             self.dupacks += 1
-            if self.dupacks == cfg.dupack_threshold:
+            if self.dupacks == DUPACK_THRESHOLD:
                 flight = self.snd_nxt - self.snd_una
-                self.ssthresh = max(flight // 2, 2 * cfg.mss)
-                self.cwnd = self.ssthresh + cfg.dupack_threshold * cfg.mss
-                length = min(cfg.mss, cfg.file_size_bytes - self.snd_una)
+                self.ssthresh = max(flight // 2, 2 * MSS)
+                self.cwnd = self.ssthresh + DUPACK_THRESHOLD * MSS
+                length = min(MSS, FILE_SIZE_BYTES - self.snd_una)
                 self._transmit(self.snd_una, length, retransmit=True)
                 self._arm_rto()
 
@@ -167,13 +160,12 @@ class _Sender:
     def _on_rto(self):
         if self.done or self.transfer.finished:
             return
-        cfg = self.config
         flight = self.snd_nxt - self.snd_una
-        self.ssthresh = max(flight // 2, 2 * cfg.mss)
-        self.cwnd = cfg.mss
+        self.ssthresh = max(flight // 2, 2 * MSS)
+        self.cwnd = MSS
         self.dupacks = 0
         self.rto.on_timeout()
-        length = min(cfg.mss, cfg.file_size_bytes - self.snd_una)
+        length = min(MSS, FILE_SIZE_BYTES - self.snd_una)
         self._transmit(self.snd_una, length, retransmit=True)
         self._arm_rto()
 
@@ -181,10 +173,9 @@ class _Sender:
 class _Receiver:
     """Reassembling receiver half; acks every arriving segment."""
 
-    def __init__(self, transfer, send_ack, config):
+    def __init__(self, transfer, send_ack):
         self.transfer = transfer
         self.send_ack = send_ack  # callable(payload, size_bytes)
-        self.config = config
         self.rcv_next = 0
         self._out_of_order = {}
         self.done = False
@@ -197,8 +188,8 @@ class _Receiver:
             self.transfer.on_progress()
         elif offset > self.rcv_next:
             self._out_of_order.setdefault(offset, length)
-        self.send_ack(("ack", self.rcv_next), self.config.header_bytes)
-        if self.rcv_next >= self.config.file_size_bytes and not self.done:
+        self.send_ack(("ack", self.rcv_next), HEADER_BYTES)
+        if self.rcv_next >= FILE_SIZE_BYTES and not self.done:
             self.done = True
             self.transfer.on_receiver_complete()
 
@@ -211,19 +202,16 @@ class TcpTransfer:
         router: shared :class:`FlowRouter`.
         flow_id: unique flow id for this attempt.
         direction: ``"download"`` (wired -> vehicle) or ``"upload"``.
-        config: a :class:`TcpConfig`.
         on_done: callable ``(TransferResult) -> None``.
     """
 
-    def __init__(self, protocol, router, flow_id, direction, config,
-                 on_done):
+    def __init__(self, protocol, router, flow_id, direction, on_done):
         if direction not in ("download", "upload"):
             raise ValueError(f"unknown direction {direction!r}")
         self.protocol = protocol
         self.router = router
         self.flow_id = flow_id
         self.direction = direction
-        self.config = config
         self.on_done = on_done
         self.started_at = None
         self.finished = False
@@ -243,8 +231,8 @@ class TcpTransfer:
             data_side, ack_side = FlowRouter.WIRED, FlowRouter.VEHICLE
 
         self._ack_send = ack_send
-        self.receiver = _Receiver(self, ack_send, config)
-        self.sender = _Sender(self, data_send, config, protocol.sim)
+        self.receiver = _Receiver(self, ack_send)
+        self.sender = _Sender(self, data_send, protocol.sim)
         router.register(flow_id, data_side, self._on_data_side)
         router.register(flow_id, ack_side, self._on_ack_side)
         self._data_side, self._ack_side = data_side, ack_side
@@ -289,9 +277,9 @@ class TcpTransfer:
         if self.finished or self.sender.snd_nxt > 0:
             return
         # The request travels opposite to the data.
-        self._ack_send(("req",), self.config.request_bytes)
+        self._ack_send(("req",), REQUEST_BYTES)
         self._request_event = self.protocol.sim.schedule(
-            self.config.min_rto_s, self._send_request
+            MIN_RTO_S, self._send_request
         )
 
     def on_progress(self):
@@ -304,7 +292,7 @@ class TcpTransfer:
         if self.finished:
             return
         now = self.protocol.sim.now
-        if now - self.last_progress >= self.config.stall_timeout_s:
+        if now - self.last_progress >= STALL_TIMEOUT_S:
             self._finish(completed=False)
             return
         self._stall_event = self.protocol.sim.schedule(
@@ -333,21 +321,20 @@ class TcpTransfer:
 class TcpWorkload:
     """Back-to-back transfers with session accounting (Figures 9/10).
 
+    Each attempt takes the next flow id from 1000 on, clear of the
+    CBR and VoIP flows.
+
     Args:
         protocol: the ViFiSimulation.
         router: shared :class:`FlowRouter`.
-        config: :class:`TcpConfig`.
         directions: cycle of transfer directions (paper runs both).
-        flow_base: first flow id; each attempt uses the next id.
     """
 
-    def __init__(self, protocol, router, config=None,
-                 directions=("download", "upload"), flow_base=1000):
+    def __init__(self, protocol, router, directions=("download", "upload")):
         self.protocol = protocol
         self.router = router
-        self.config = config or TcpConfig()
         self.directions = tuple(directions)
-        self._next_flow = flow_base
+        self._next_flow = 1000
         self._direction_index = 0
         self.results = []
         self._stopped_at = None
@@ -368,10 +355,8 @@ class TcpWorkload:
         self._direction_index += 1
         flow_id = self._next_flow
         self._next_flow += 1
-        transfer = TcpTransfer(
-            self.protocol, self.router, flow_id, direction, self.config,
-            on_done=self._on_done,
-        )
+        transfer = TcpTransfer(self.protocol, self.router, flow_id,
+                               direction, on_done=self._on_done)
         transfer.start()
 
     def _on_done(self, result):

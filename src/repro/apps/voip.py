@@ -9,30 +9,21 @@ wireless budget) and the mouth-to-ear delay, via the R-factor model in
 
 import math
 
-from repro.apps.mos import MosConfig, mos_score, voip_sessions
+from repro.apps.mos import (
+    FIXED_DELAY_MS,
+    WINDOW_S,
+    WIRELESS_BUDGET_MS,
+    mos_score,
+    voip_sessions,
+)
 from repro.apps.workload import CbrWorkload
 
-__all__ = ["VoipConfig", "VoipStream"]
+__all__ = ["VoipStream"]
 
-
-class VoipConfig:
-    """Stream parameters (paper defaults)."""
-
-    def __init__(self, packet_interval_s=0.02, packet_size_bytes=20,
-                 mos=None):
-        self.packet_interval_s = float(packet_interval_s)
-        self.packet_size_bytes = int(packet_size_bytes)
-        self.mos = mos or MosConfig()
-
-    def cache_token(self):
-        """Store-key identity: every parameter that shapes a result.
-
-        A plain class tokenizes by this hook (not per-field like a
-        dataclass), so any new ``__init__`` parameter must be added
-        here or the STORE-TOKEN contract is violated silently.
-        """
-        return ("voip-config", self.packet_interval_s,
-                self.packet_size_bytes, self.mos)
+#: The codec's packet spacing (seconds) and size (bytes), as the paper
+#: states them.
+PACKET_INTERVAL_S = 0.02
+PACKET_SIZE_BYTES = 20
 
 
 class VoipStream(CbrWorkload):
@@ -40,25 +31,19 @@ class VoipStream(CbrWorkload):
 
     The stream machinery is :class:`~repro.apps.workload.CbrWorkload`'s,
     run at the codec's packet interval and size with ``voice-`` payload
-    tags.
+    tags on flows 20 (upstream) and 21 (downstream).
 
     Args:
         protocol: the ViFiSimulation to ride on.
         router: the shared :class:`~repro.apps.workload.FlowRouter`.
-        config: a :class:`VoipConfig`.
-        flow_base: uses ``flow_base`` (upstream leg) and
-            ``flow_base + 1`` (downstream leg).
     """
 
     UP_TAG = "voice-up"
     DOWN_TAG = "voice-down"
 
-    def __init__(self, protocol, router, config=None, flow_base=20):
-        self.config = config or VoipConfig()
-        super().__init__(protocol, router,
-                         interval_s=self.config.packet_interval_s,
-                         size_bytes=self.config.packet_size_bytes,
-                         flow_base=flow_base)
+    def __init__(self, protocol, router):
+        super().__init__(protocol, router, interval_s=PACKET_INTERVAL_S,
+                         size_bytes=PACKET_SIZE_BYTES, flow_base=20)
 
     # -- quality analysis -------------------------------------------------------
 
@@ -70,13 +55,10 @@ class VoipStream(CbrWorkload):
         packets contribute their wireless delay to the window's
         mouth-to-ear estimate (fixed components + mean wireless delay).
         """
-        mos_cfg = self.config.mos
         if self._started_at is None or self._seq == 0:
             return []
-        budget_s = mos_cfg.wireless_budget_ms / 1000.0
-        per_window = int(round(
-            mos_cfg.window_s / self.config.packet_interval_s
-        ))
+        budget_s = WIRELESS_BUDGET_MS / 1000.0
+        per_window = int(round(WINDOW_S / self.interval))
         n_windows = self._seq // per_window
         windows = []
         for w in range(n_windows):
@@ -95,9 +77,9 @@ class VoipStream(CbrWorkload):
             loss_fraction = lost / total if total else 1.0
             wireless_ms = (
                 math.fsum(delays) / len(delays) if delays
-                else mos_cfg.wireless_budget_ms
+                else WIRELESS_BUDGET_MS
             )
-            delay_ms = mos_cfg.fixed_delay_ms + wireless_ms
+            delay_ms = FIXED_DELAY_MS + wireless_ms
             windows.append(
                 (mos_score(delay_ms, loss_fraction), loss_fraction, delay_ms)
             )
@@ -105,12 +87,7 @@ class VoipStream(CbrWorkload):
 
     def session_lengths(self):
         """Uninterrupted-session lengths (seconds), per the paper's rule."""
-        mos_values = [m for m, _, _ in self.window_quality()]
-        return voip_sessions(
-            mos_values,
-            window_s=self.config.mos.window_s,
-            threshold=self.config.mos.interruption_mos,
-        )
+        return voip_sessions([m for m, _, _ in self.window_quality()])
 
     def mean_mos(self):
         """Average of the per-window MoS scores."""

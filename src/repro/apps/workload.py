@@ -68,8 +68,8 @@ class CbrWorkload:
     Args:
         protocol: a started (or startable) ViFiSimulation.
         router: the shared :class:`FlowRouter`.
-        interval_s: packet spacing (paper: 0.1 s).
-        size_bytes: packet size (paper: 500).
+        interval_s: packet spacing (default 0.1 s, as the paper states).
+        size_bytes: packet size (default 500, as the paper states).
         flow_base: two flow ids are used: ``flow_base`` (upstream) and
             ``flow_base + 1`` (downstream).
     """

@@ -29,10 +29,41 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.core.relaying import RelayContext
+from repro.core.retransmit import AdaptiveRetxTimer
 from repro.net.packet import Ack, Beacon, DataPacket, Direction, FrameKind
 from repro.sim.rng import BufferedUniforms
 
 __all__ = ["BasestationNode", "BeaconSlotter", "LinkSender", "VehicleNode"]
+
+# Protocol constants.  The paper states the beacon rate (Section 4.6)
+# and the salvage threshold (Section 4.5); the rest are engineering
+# choices.
+
+#: Nominal beacon interval (s); each interval is jittered by up to 5 %.
+BEACON_INTERVAL_S = 0.1
+#: Anchor designation (Section 4.3): a challenger must beat the anchor's
+#: estimate by ANCHOR_HYSTERESIS, no BS below MIN_ANCHOR_QUALITY
+#: anchors, the BSes heard within AUX_RECENT_S are auxiliaries, and a
+#: BS that hears no vehicle beacon for ANCHOR_BELIEF_TIMEOUT_S stops
+#: believing it anchors.
+ANCHOR_HYSTERESIS = 0.15
+MIN_ANCHOR_QUALITY = 0.05
+AUX_RECENT_S = 2.0
+ANCHOR_BELIEF_TIMEOUT_S = 3.0
+#: The auxiliaries' ack-wait window (s): the median data-to-ack gap
+#: (RELAY_INITIAL_WINDOW_S before any sample) times the multiplier,
+#: clamped to [RELAY_MIN_AGE_S, RELAY_MAX_WINDOW_S]; a pending decision
+#: waits at most RELAY_MAX_AGE_S, plus up to RELAY_TIMER_INTERVAL_S of
+#: jitter.
+RELAY_MIN_AGE_S = 0.008
+RELAY_INITIAL_WINDOW_S = 0.012
+RELAY_WINDOW_PERCENTILE = 50.0
+RELAY_WINDOW_MULTIPLIER = 2.0
+RELAY_MAX_WINDOW_S = 0.05
+RELAY_MAX_AGE_S = 0.25
+RELAY_TIMER_INTERVAL_S = 0.010
+#: Salvage threshold (s): the paper ties it to TCP's 1 s minimum RTO.
+SALVAGE_AGE_S = 1.0
 
 #: Number of recently received pkt_ids remembered per peer for
 #: de-duplication and bitmap construction.
@@ -286,7 +317,7 @@ class _PacketBank:
 
     Eviction is by slot reuse: a row lives for ``_BANK_CAPACITY``
     packet ids of its source.  As with ``_ReceiverState``, the relay
-    horizons (``relay_max_age`` 0.25 s, retransmission lifetimes under
+    horizons (``RELAY_MAX_AGE_S`` 0.25 s, retransmission lifetimes under
     a couple of seconds) are orders of magnitude shorter than a
     1024-id window, so recycling diverges from the dict path only for
     copies or acks arriving absurdly late — the slow oracle suite
@@ -509,11 +540,10 @@ class LinkSender:
             # salvage age, and the clock only grows, so an older packet
             # never leaves the pool that way.
             now = self.ctx.sim.now
-            age_s = self.ctx.config.salvage_age_s
             retired = self._retired
             retired[pkt_id] = (self._pkt[idx], self._arr[idx])
             self._retired = {key: entry for key, entry in retired.items()
-                             if now - entry[1] <= age_s}
+                             if now - entry[1] <= SALVAGE_AGE_S}
         self._tombstone(idx)
         self.ctx.stats.on_give_up((self.node.node_id, pkt_id))
 
@@ -669,13 +699,12 @@ class _NodeBase:
         # FaultPlane is installed, so nominal runs are bitwise intact.
         self.radio_down = False
         self.faults = None
-        config = ctx.config
         self.estimator = ctx.estimator_bank.view(node_id)
         self._note_beacon = self.estimator.on_beacon
-        self.retx_timer = ctx.make_retx_timer()
+        self.retx_timer = AdaptiveRetxTimer()  # the source timer, Section 4.7
         self._beacon_rng = ctx.rngs.stream("beacon-phase", node_id)
         self._phase = float(
-            self._beacon_rng.uniform(0.0, config.beacon_interval)
+            self._beacon_rng.uniform(0.0, BEACON_INTERVAL_S)
         )
         self._beacon_u = BufferedUniforms(self._beacon_rng).next
         self._receiver_states = {}  # src -> _ReceiverState
@@ -698,7 +727,7 @@ class _NodeBase:
 
     def _next_beacon_due(self, due):
         """Advance the nominal beacon due chain by one jittered interval."""
-        interval = self.ctx.config.beacon_interval
+        interval = BEACON_INTERVAL_S
         # Generator.uniform(low, high) evaluates low + (high - low) * u.
         low, high = -0.05, 0.05
         jitter = (low + (high - low) * self._beacon_u()) * interval
@@ -796,7 +825,6 @@ class VehicleNode(_NodeBase):
         self._update_designations()
 
     def _update_designations(self):
-        config = self.ctx.config
         now = self.ctx.sim.now
         estimates = {
             bs: p for bs, p in self.estimator.incoming_estimates().items()
@@ -804,7 +832,7 @@ class VehicleNode(_NodeBase):
         }
         recent = [
             bs for bs in self.estimator.peers_heard_within(
-                now, config.aux_recent_s)
+                now, AUX_RECENT_S)
             if bs in self.ctx.bs_ids and bs != self.anchor_id
         ]
         self.aux_ids = tuple(sorted(recent))
@@ -816,11 +844,11 @@ class VehicleNode(_NodeBase):
         current_p = estimates.get(self.anchor_id, 0.0)
         should_switch = (
             self.anchor_id is None
-            or current_p < config.min_anchor_quality
-            or best_p > current_p * (1.0 + config.anchor_hysteresis)
+            or current_p < MIN_ANCHOR_QUALITY
+            or best_p > current_p * (1.0 + ANCHOR_HYSTERESIS)
         )
         if should_switch and best_bs != self.anchor_id \
-                and best_p >= config.min_anchor_quality:
+                and best_p >= MIN_ANCHOR_QUALITY:
             if self.anchor_id is not None:
                 self.prev_anchor_id = self.anchor_id
                 self.ctx.stats.on_anchor_change()
@@ -919,7 +947,10 @@ class BasestationNode(_NodeBase):
         # relay packets whose acks are merely queued (pure false
         # positives), while a fixed long window would delay relays that
         # interactive traffic needs.
-        self._ack_gap = ctx.make_relay_window_timer()
+        self._ack_gap = AdaptiveRetxTimer(
+            initial_s=RELAY_INITIAL_WINDOW_S, floor_s=RELAY_MIN_AGE_S,
+            percentile=RELAY_WINDOW_PERCENTILE, window=200,
+        )
 
     # -- designation tracking (from vehicle beacons) -------------------------
 
@@ -958,10 +989,9 @@ class BasestationNode(_NodeBase):
 
     def on_second(self):
         # Anchor belief decays if the vehicle has gone silent.
-        config = self.ctx.config
         if self.is_anchor and self.last_vehicle_beacon is not None:
             silent = self.ctx.sim.now - self.last_vehicle_beacon
-            if silent > config.anchor_belief_timeout:
+            if silent > ANCHOR_BELIEF_TIMEOUT_S:
                 self.is_anchor = False
 
     def can_send_data(self):
@@ -1055,9 +1085,8 @@ class BasestationNode(_NodeBase):
             # running from the first stored copy.
             ring.pkt[row] = packet
             return
-        config = self.ctx.config
         delay = self._ack_window() \
-            + config.relay_timer_interval * self._relay_u()
+            + RELAY_TIMER_INTERVAL_S * self._relay_u()
         ring.flags[row] = flags | _STORED
         ring.pkt[row] = packet
         ring.stored_at[row] = now
@@ -1067,11 +1096,14 @@ class BasestationNode(_NodeBase):
                                    (packet.src, packet.pkt_id))
 
     def _ack_window(self):
-        """Current ack-wait window: clamped multiple of the median gap."""
-        config = self.ctx.config
-        window = self._ack_gap.timeout() * config.relay_window_multiplier
-        return min(max(window, config.relay_min_age),
-                   config.relay_max_window)
+        """Current ack-wait window: clamped multiple of the median gap.
+
+        Gaps mix direct acks (milliseconds) with acks to later
+        retransmissions (tens of milliseconds), which waiting cannot
+        recover; hence the median, times RELAY_WINDOW_MULTIPLIER.
+        """
+        window = self._ack_gap.timeout() * RELAY_WINDOW_MULTIPLIER
+        return min(max(window, RELAY_MIN_AGE_S), RELAY_MAX_WINDOW_S)
 
     def on_ack_frame(self, ack):
         if ack.for_src == self.node_id:
@@ -1108,15 +1140,14 @@ class BasestationNode(_NodeBase):
         packet = ring.pkt[row]
         heard_at = ring.stored_at[row]
         now = self.ctx.sim.now
-        config = self.ctx.config
         # The adaptive window may have grown since this decision was
         # scheduled (the medium got busier); keep waiting until the
         # packet's age covers it, bounded by the staleness horizon.
         window = self._ack_window()
         age = now - heard_at
-        if age < window and age < config.relay_max_age:
+        if age < window and age < RELAY_MAX_AGE_S:
             self.ctx.sim.schedule_fire(
-                min(window - age, config.relay_max_age - age) + 1e-4,
+                min(window - age, RELAY_MAX_AGE_S - age) + 1e-4,
                 self._relay_decision, key,
             )
             return
@@ -1174,9 +1205,7 @@ class BasestationNode(_NodeBase):
 
     def on_salvage_request(self, request):
         """Previous-anchor side: hand over recent unacked packets."""
-        packets = self.downstream.unacked_within(
-            self.ctx.config.salvage_age_s
-        )
+        packets = self.downstream.unacked_within(SALVAGE_AGE_S)
         self.ctx.stats.on_salvage(len(packets))
         if not packets:
             return

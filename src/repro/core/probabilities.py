@@ -59,6 +59,12 @@ import numpy as np
 
 __all__ = ["EstimatorBank", "ReceptionEstimator"]
 
+#: Estimator defaults: the paper states alpha; the staleness horizon
+#: (s) and the forgetting floor are engineering choices.
+ALPHA = 0.5
+STALE_S = 5.0
+FORGET_BELOW = 0.01
+
 
 class ReceptionEstimator:
     """Per-node estimator and dissemination table for ``p(a -> b)``.
@@ -71,15 +77,16 @@ class ReceptionEstimator:
     Args:
         node_id: owning node.
         beacons_per_second: nominal beacon rate of every node (the
-            "number that must have been sent" per second).
-        alpha: exponential averaging factor (paper: 0.5).
+            "number that must have been sent" per second).  A protocol
+            run derives it from the nodes' beacon interval.
+        alpha: exponential averaging factor.
         stale_s: age after which a table entry is distrusted.
         forget_below: incoming averages below this are dropped, so BSes
             left behind stop being considered.
     """
 
-    def __init__(self, node_id, beacons_per_second=10, alpha=0.5,
-                 stale_s=5.0, forget_below=0.01):
+    def __init__(self, node_id, beacons_per_second=10, alpha=ALPHA,
+                 stale_s=STALE_S, forget_below=FORGET_BELOW):
         self.node_id = node_id
         self.beacons_per_second = int(beacons_per_second)
         self.alpha = float(alpha)
@@ -247,7 +254,7 @@ class EstimatorBank:
       with every peer ever heard.  Consequently recency queries
       (:meth:`BankedReceptionEstimator.heard_recently`) beyond
       ``stale_s`` answer ``False``; the protocol only asks within
-      ``aux_recent_s`` (2 s against a 5 s horizon).
+      ``AUX_RECENT_S`` (2 s against a 5 s horizon).
 
     The node universe is closed at construction: every beacon sender
     must be one of *node_ids* (the protocol registers the vehicle and
@@ -263,8 +270,8 @@ class EstimatorBank:
             directly.
     """
 
-    def __init__(self, node_ids, beacons_per_second=10, alpha=0.5,
-                 stale_s=5.0, forget_below=0.01, sim=None):
+    def __init__(self, node_ids, beacons_per_second=10, alpha=ALPHA,
+                 stale_s=STALE_S, forget_below=FORGET_BELOW, sim=None):
         self.ids = tuple(node_ids)
         self.index = {nid: i for i, nid in enumerate(self.ids)}
         if len(self.index) != len(self.ids):

@@ -19,16 +19,25 @@ The same machinery runs all protocol variants:
 * **diversity-only ViFi** — salvaging disabled (the middle bar of
   Figure 9a);
 * the **ablation formulations** of Section 5.5.1 via
-  ``relay_strategy``.
+  ``relay_strategy``;
+* **no link-layer retransmissions** (``max_retx=0``, Figures 7-8);
+* the Section 5.1 **unicast** aside (``unicast_data``).
+
+Those five switches are :class:`ViFiConfig`'s only fields; every other
+protocol parameter is defined once, next to the code that reads it.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from repro.core.node import BasestationNode, BeaconSlotter, VehicleNode
+from repro.core.node import (
+    BEACON_INTERVAL_S,
+    BasestationNode,
+    BeaconSlotter,
+    VehicleNode,
+)
 from repro.core.probabilities import EstimatorBank
 from repro.core.relaying import make_strategy
-from repro.core.retransmit import AdaptiveRetxTimer
 from repro.core.stats import ViFiStats
 from repro.net.backplane import Backplane
 from repro.net.medium import WirelessMedium
@@ -37,53 +46,25 @@ from repro.sim.rng import RngRegistry
 
 __all__ = ["InternetGateway", "ViFiConfig", "ViFiSimulation"]
 
+#: The gateway's one-way wired latency to a BS and its routing
+#: convergence delay (s): engineering choices.
+WIRED_LATENCY_S = 0.01
+GATEWAY_UPDATE_DELAY_S = 0.15
+
 
 @dataclass
 class ViFiConfig:
-    """All protocol and environment knobs in one place.
+    """The switches that the paper's protocol variants flip; the
+    defaults are stock ViFi."""
 
-    The defaults correspond to the paper's deployed configuration where
-    stated (beacon rate, averaging factor, salvage threshold, 99th
-    percentile retransmission timer) and to sensible engineering
-    choices elsewhere.
-    """
-
-    # Beaconing and estimation (Section 4.6).  Every node's reception
-    # estimator is a view onto one simulation-wide EstimatorBank, and
-    # beacons are emitted through one slot-aligned BeaconSlotter (see
-    # repro.core.node).
-    beacon_interval: float = 0.1
-    prob_alpha: float = 0.5
-    prob_stale_s: float = 5.0
-
-    # Anchor / auxiliary designation (Section 4.3).
-    anchor_hysteresis: float = 0.15
-    min_anchor_quality: float = 0.05
-    aux_recent_s: float = 2.0
-    anchor_belief_timeout: float = 3.0
-
-    # Relaying (Sections 4.3-4.4).  The ack-wait window is adaptive:
-    # observed data-to-ack gaps at each BS form a mixture of direct
-    # acks (milliseconds) and acks to later retransmissions (tens of
-    # milliseconds; waiting cannot recover those, the direct ack was
-    # lost).  The window therefore tracks the *median* gap times a
-    # safety multiplier, clamped to [relay_min_age, relay_max_window].
+    # Relaying (Sections 4.3-4.4): BRR switches it off, and Table 2's
+    # formulations swap the strategy.
     relay_enabled: bool = True
     relay_strategy: str = "vifi"
-    relay_min_age: float = 0.008
-    relay_initial_window: float = 0.012
-    relay_window_percentile: float = 50.0
-    relay_window_multiplier: float = 2.0
-    relay_max_window: float = 0.05
-    relay_max_age: float = 0.25
-    relay_timer_interval: float = 0.010
 
-    # Source behaviour (Section 4.7).
+    # Source retransmissions (Section 4.7); Figures 7-8 run with none
+    # (Section 5.2).
     max_retx: int = 3
-    retx_initial: float = 0.08
-    retx_floor: float = 0.012
-    retx_percentile: float = 99.0
-    retx_window: int = 500
 
     # Section 5.1 ablation: send data frames 802.11-unicast style
     # (MAC retries + exponential backoff) instead of the broadcast
@@ -95,47 +76,29 @@ class ViFiConfig:
 
     # Salvaging (Section 4.5).
     salvage_enabled: bool = True
-    salvage_age_s: float = 1.0
-
-    # Media.
-    bitrate_bps: float = 1_000_000.0
-    backplane_bandwidth_bps: float = 1_000_000.0
-    backplane_latency_s: float = 0.01
-    wired_latency_s: float = 0.01
-    gateway_update_delay_s: float = 0.15
 
     def brr_variant(self):
         """The paper's BRR comparator: auxiliary functionality off."""
-        return self.replace(relay_enabled=False, salvage_enabled=False)
+        return replace(self, relay_enabled=False, salvage_enabled=False)
 
     def brr_unicast_variant(self):
         """BRR over standard 802.11 unicast (the Section 5.1 aside)."""
-        return self.replace(relay_enabled=False, salvage_enabled=False,
-                            unicast_data=True)
+        return replace(self, relay_enabled=False, salvage_enabled=False,
+                       unicast_data=True)
 
     def diversity_only_variant(self):
         """ViFi with salvaging disabled (Figure 9a, middle bar)."""
-        return self.replace(salvage_enabled=False)
-
-    def replace(self, **overrides):
-        """A copy of this config with the given fields replaced."""
-        values = dict(self.__dict__)
-        values.update(overrides)
-        return ViFiConfig(**values)
-
-    @property
-    def beacons_per_second(self):
-        return int(round(1.0 / self.beacon_interval))
+        return replace(self, salvage_enabled=False)
 
 
 class InternetGateway:
     """The wired side: routes downstream packets to the current anchor.
 
     The gateway's belief about the anchor lags reality by
-    ``gateway_update_delay_s`` (routing convergence); packets sent while
-    no anchor is known are buffered and flushed on the first update.
-    Upstream packets forwarded by the anchor arrive at the gateway
-    after the wired latency.
+    :data:`GATEWAY_UPDATE_DELAY_S` (routing convergence); packets sent
+    while no anchor is known are buffered and flushed on the first
+    update.  Upstream packets forwarded by the anchor arrive at the
+    gateway after :data:`WIRED_LATENCY_S`.
     """
 
     def __init__(self, ctx):
@@ -145,10 +108,10 @@ class InternetGateway:
         self.upstream_sink = None
 
     def on_anchor_change(self, new_anchor):
-        delay = self.ctx.config.gateway_update_delay_s
         # Gateway events never cancel; the fire-and-forget variant
         # skips a handle allocation per routing update / packet.
-        self.ctx.sim.schedule_fire(delay, self._update_belief, new_anchor)
+        self.ctx.sim.schedule_fire(GATEWAY_UPDATE_DELAY_S,
+                                   self._update_belief, new_anchor)
 
     def _update_belief(self, new_anchor):
         self.anchor_belief = new_anchor
@@ -166,7 +129,7 @@ class InternetGateway:
         if bs_node is None:
             return
         self.ctx.sim.schedule_fire(
-            self.ctx.config.wired_latency_s,
+            WIRED_LATENCY_S,
             bs_node.on_internet_packet, payload, size_bytes, flow_id, seq,
         )
 
@@ -179,7 +142,7 @@ class InternetGateway:
         def arrive():
             if self.upstream_sink is not None:
                 self.upstream_sink(packet, self.ctx.sim.now)
-        self.ctx.sim.schedule_fire(self.ctx.config.wired_latency_s, arrive)
+        self.ctx.sim.schedule_fire(WIRED_LATENCY_S, arrive)
 
 
 class _Context:
@@ -201,12 +164,11 @@ class _Context:
         self.gateway = None
         self.beacon_slotter = BeaconSlotter(sim, medium)
         # One bank serves every node; its row universe is the full
-        # participant set, known here up front.
+        # participant set, known here up front.  Its per-second
+        # denominator is the rate every node beacons at.
         self.estimator_bank = EstimatorBank(
             (vehicle_id,) + self.bs_ids,
-            beacons_per_second=config.beacons_per_second,
-            alpha=config.prob_alpha,
-            stale_s=config.prob_stale_s,
+            beacons_per_second=round(1.0 / BEACON_INTERVAL_S),
             sim=sim,
         )
 
@@ -218,23 +180,6 @@ class _Context:
 
     def next_tx_id(self):
         return next(self._tx_ids)
-
-    def make_retx_timer(self):
-        return AdaptiveRetxTimer(
-            initial_s=self.config.retx_initial,
-            floor_s=self.config.retx_floor,
-            percentile=self.config.retx_percentile,
-            window=self.config.retx_window,
-        )
-
-    def make_relay_window_timer(self):
-        """The adaptive ack-wait window used by auxiliary BSes."""
-        return AdaptiveRetxTimer(
-            initial_s=self.config.relay_initial_window,
-            floor_s=self.config.relay_min_age,
-            percentile=self.config.relay_window_percentile,
-            window=200,
-        )
 
     def on_anchor_change(self, new_anchor):
         if self.gateway is not None:
@@ -281,14 +226,9 @@ class ViFiSimulation:
         self.stats = ViFiStats()
         self.medium = WirelessMedium(
             self.sim, link_table, self.rngs.stream("medium"),
-            bitrate_bps=self.config.bitrate_bps,
             outcome_rng=self.rngs.stream("medium-outcomes"),
         )
-        self.backplane = Backplane(
-            self.sim,
-            bandwidth_bps=self.config.backplane_bandwidth_bps,
-            latency_s=self.config.backplane_latency_s,
-        )
+        self.backplane = Backplane(self.sim)
         self.ctx = _Context(
             sim=self.sim,
             medium=self.medium,

@@ -25,6 +25,11 @@ class AdaptiveRetxTimer:
     the timeout is read on every transmission, more often than samples
     arrive, and changes only when one does.
 
+    The defaults are the source's timer.  The paper states its 99th
+    percentile; the initial value, the 12 ms floor and the window are
+    engineering choices.  An auxiliary's ack-wait window is the other
+    instance, with values of its own (:mod:`repro.core.node`).
+
     Args:
         initial_s: timeout before any sample has been observed.
         floor_s: lower bound on the timeout regardless of samples (an
@@ -33,7 +38,7 @@ class AdaptiveRetxTimer:
         window: number of recent samples retained.
     """
 
-    def __init__(self, initial_s=0.08, floor_s=0.01, percentile=99.0,
+    def __init__(self, initial_s=0.08, floor_s=0.012, percentile=99.0,
                  window=500):
         if not 0 < percentile <= 100:
             raise ValueError("percentile must be in (0, 100]")

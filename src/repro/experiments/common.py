@@ -43,7 +43,7 @@ __all__ = [
 
 log = logging.getLogger("repro.experiments")
 
-#: Seconds of beaconing before applications start.
+#: Seconds of beaconing before applications start (engineering).
 WARMUP_S = 3.0
 
 
@@ -117,17 +117,18 @@ def dieselnet_protocol(beacon_log, rngs, config=None, seed=0,
     return sim, float(beacon_log.n_secs)
 
 
-def run_protocol_cbr(sim, duration_s, interval_s=0.1, size_bytes=500,
-                     warmup_s=WARMUP_S, deadline_s=None):
-    """Drive a CBR probe workload over a protocol run to completion.
+def run_protocol_cbr(sim, duration_s, deadline_s=None):
+    """Drive the paper's CBR probes over a protocol run to completion.
+
+    The probes run from :data:`WARMUP_S` until a second before
+    *duration_s*; the run continues to *duration_s*, plus *deadline_s*
+    when set, so the last probes can land.
 
     Returns:
         The finished :class:`~repro.apps.workload.CbrWorkload`.
     """
-    router = FlowRouter(sim)
-    cbr = CbrWorkload(sim, router, interval_s=interval_s,
-                      size_bytes=size_bytes)
-    cbr.start(warmup_s)
+    cbr = CbrWorkload(sim, FlowRouter(sim))
+    cbr.start(WARMUP_S)
     cbr.stop(duration_s - 1.0)
     sim.run(until=duration_s + (0.0 if deadline_s is None else deadline_s))
     return cbr

@@ -23,7 +23,7 @@ pure function of ``(config, duration, bs_ids, seed)``, so results are
 identical for any worker count.
 """
 
-from repro.apps.mos import MosConfig, mos_score
+from repro.apps.mos import FIXED_DELAY_MS, mos_score
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
     run_protocol_cbr,
@@ -47,13 +47,18 @@ __all__ = [
 BASE_FAULTS = FaultConfig(bs_outage_rate=1.5, bs_outage_duration_s=8.0)
 
 #: One representative config per fault kind, for the CI fault-matrix
-#: smoke: every cell must complete and deliver where reachable.
+#: smoke: every cell must complete, deliver where reachable and inject
+#: its kind at least once in a 12-15 s run.
 FAULT_MATRIX = {
     "no-fault": FaultConfig(),
     "bs-outage": FaultConfig(bs_outage_rate=4.0, bs_outage_duration_s=5.0),
     "partition": FaultConfig(partition_rate=4.0, partition_duration_s=5.0),
+    "latency-spike": FaultConfig(latency_spike_rate=20.0,
+                                 latency_spike_duration_s=3.0),
     "burst-loss": FaultConfig(beacon_burst_rate=6.0,
                               beacon_burst_duration_s=1.0),
+    "vehicle-reset": FaultConfig(vehicle_reset_rate=20.0,
+                                 vehicle_reset_duration_s=2.0),
 }
 
 
@@ -71,7 +76,7 @@ def _summarize(cbr, sim):
     return {
         "delivery": delivery,
         "mean_delay_ms": mean_delay_ms,
-        "mos": mos_score(MosConfig().fixed_delay_ms + mean_delay_ms,
+        "mos": mos_score(FIXED_DELAY_MS + mean_delay_ms,
                          1.0 - delivery),
         "injected": dict(plane.injected) if plane is not None else {},
         "backplane_dropped": dict(sim.backplane.dropped),

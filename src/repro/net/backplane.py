@@ -14,11 +14,11 @@ arrives after a propagation ``latency_s``.  The backplane is reliable
 report the relaying/salvaging load that Section 5.4 discusses.
 
 Degraded operation (the fault plane, :mod:`repro.sim.faults`): a BS
-may be *partitioned* (temporarily unreachable over the wire) or
-*disconnected* (removed), and the plane-wide latency can spike by a
-multiplier.  Messages to or from an unreachable BS are dropped
-silently and counted in ``dropped`` — the wired plane is best-effort
-under faults, and the protocol's recovery path is end-to-end source
+may be *partitioned* (temporarily unreachable over the wire), and the
+plane-wide latency can spike by a multiplier.  Messages to or from an
+unreachable BS (partitioned, or never connected) are dropped silently
+and counted in ``dropped`` — the wired plane is best-effort under
+faults, and the protocol's recovery path is end-to-end source
 retransmission, never an exception out of the relay/salvage machinery.
 """
 
@@ -31,7 +31,7 @@ class Backplane:
     Args:
         sim: the simulator.
         bandwidth_bps: per-BS uplink capacity (default 1 Mbps — "thin
-            broadband").
+            broadband"; an engineering choice, as is the latency).
         latency_s: one-way propagation + switching latency.
     """
 
@@ -51,18 +51,13 @@ class Backplane:
         self.bytes_sent = {}
         self.messages_sent = {}
         #: Messages dropped per category because an endpoint was
-        #: partitioned or disconnected.
+        #: partitioned or never connected.
         self.dropped = {}
 
     def connect(self, bs_id):
         """Register a basestation on the backplane."""
         self._members.add(bs_id)
         self._uplink_free_at.setdefault(bs_id, 0.0)
-
-    def disconnect(self, bs_id):
-        """Remove a basestation; later messages to/from it are dropped."""
-        self._members.discard(bs_id)
-        self._partitioned.discard(bs_id)
 
     def partition(self, bs_id):
         """Cut *bs_id* off the wired plane without deregistering it."""
@@ -71,12 +66,6 @@ class Backplane:
     def heal(self, bs_id):
         """Undo :meth:`partition`."""
         self._partitioned.discard(bs_id)
-
-    def is_partitioned(self, bs_id):
-        return bs_id in self._partitioned
-
-    def is_connected(self, bs_id):
-        return bs_id in self._members
 
     def reachable(self, src, dst):
         """Whether a message from *src* can currently reach *dst*."""
@@ -99,7 +88,7 @@ class Backplane:
         Returns:
             The simulation time at which delivery will occur, or
             ``None`` when the message was dropped because either
-            endpoint is partitioned or no longer on the backplane
+            endpoint is partitioned or not on the backplane
             (counted in ``dropped``; the caller's recovery path is
             source retransmission, so no exception is raised).
         """

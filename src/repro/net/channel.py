@@ -45,6 +45,13 @@ __all__ = [
     "TraceDrivenLoss",
 ]
 
+#: The steered chain's mean good and bad holding times (s) and its
+#: good/bad loss ratio: engineering choices (the paper shows that
+#: losses are bursty, Figure 6(a), but gives no model).
+STEER_GOOD_S = 0.9
+STEER_BAD_S = 0.12
+STEER_RHO = 0.08
+
 _ATTACHED_IS_LOST = (
     "is_lost on a loss process that serves a medium row: its holding "
     "times are block-drawn, so a coin from its stream would move them"
@@ -142,8 +149,7 @@ class GilbertElliottLoss(LossProcess):
     #: Holding times drawn per refill once the medium is attached.
     _HOLDING_BLOCK = 16
 
-    def __init__(self, eps_good, eps_bad, good_duration, bad_duration, rng,
-                 start_time=0.0):
+    def __init__(self, eps_good, eps_bad, good_duration, bad_duration, rng):
         if good_duration <= 0 or bad_duration <= 0:
             raise ValueError("state durations must be positive")
         for name, value in (("eps_good", eps_good), ("eps_bad", eps_bad)):
@@ -158,8 +164,8 @@ class GilbertElliottLoss(LossProcess):
             rng.random() < bad_duration / (good_duration + bad_duration)
         )
         mean = self.bad_duration if self._in_bad else self.good_duration
-        self._next_flip = start_time + rng.exponential(mean)
-        self._time = start_time
+        self._next_flip = rng.exponential(mean)
+        self._time = 0.0
         self.static_loss_rate = (
             self.pi_bad * self.eps_bad + (1 - self.pi_bad) * self.eps_good
         )
@@ -236,9 +242,11 @@ class SteeredGilbertElliott(LossProcess):
     * ``eps_bad = min(1, m / (pi_bad + rho * (1 - pi_bad)))``
     * ``eps_good = rho * eps_bad``
 
-    where ``rho`` is the good/bad loss ratio (small, e.g. 0.1).  When
+    where ``rho`` is the good/bad loss ratio, :data:`STEER_RHO`.  When
     the target is so lossy that ``eps_bad`` clips at 1, the remainder is
-    pushed into the good state, preserving the mean exactly.
+    pushed into the good state, preserving the mean exactly.  The chain
+    holds each state for exponential times of mean
+    :data:`STEER_GOOD_S` and :data:`STEER_BAD_S`.
 
     The target is one of three kinds, recognized at construction; the
     kind decides how far :meth:`loss_eps_window` reaches past the query
@@ -267,20 +275,17 @@ class SteeredGilbertElliott(LossProcess):
     :class:`GilbertElliottLoss`), after which :meth:`is_lost` raises.
     """
 
-    def __init__(self, mean_loss, rng, good_duration=0.9, bad_duration=0.12,
-                 rho=0.08, start_time=0.0):
-        self.rho = float(rho)
+    def __init__(self, mean_loss, rng):
         self._chain = GilbertElliottLoss(
             eps_good=0.0,
             eps_bad=1.0,
-            good_duration=good_duration,
-            bad_duration=bad_duration,
+            good_duration=STEER_GOOD_S,
+            bad_duration=STEER_BAD_S,
             rng=rng,
-            start_time=start_time,
         )
         # The split's constant terms (the chain's durations are fixed).
         self._pi_bad = pi_b = self._chain.pi_bad
-        self._denom = pi_b + self.rho * (1.0 - pi_b)
+        self._denom = pi_b + STEER_RHO * (1.0 - pi_b)
         self.rng = rng
         self._draw = BufferedUniforms(rng).next
         # The split depends only on the target mean (pi_bad is fixed),
@@ -303,7 +308,7 @@ class SteeredGilbertElliott(LossProcess):
         denom = self._denom
         eps_bad = m / denom if denom > 0 else m
         if eps_bad <= 1.0:
-            return self.rho * eps_bad, eps_bad
+            return STEER_RHO * eps_bad, eps_bad
         # Bad state saturates; spill the excess into the good state so
         # the overall mean is preserved.
         eps_good = (m - pi_b) / (1.0 - pi_b)

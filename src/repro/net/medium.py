@@ -88,6 +88,16 @@ from repro.net.packet import FRAME_KIND_VALUES
 
 __all__ = ["LinkTable", "WirelessMedium"]
 
+#: Channel bitrate (bits/s): 1 Mbps, as the paper states (Section 5.1).
+BITRATE_BPS = 1_000_000.0
+#: 802.11b's long-preamble PLCP overhead, DIFS and backoff slot (s) and
+#: its unicast contention-window ceiling (slots), which the paper does
+#: not state (engineering).  Every frame reads them as module globals.
+PLCP_OVERHEAD_S = 192e-6
+DIFS_S = 50e-6
+SLOT_TIME_S = 20e-6
+MAX_CW_SLOTS = 1023
+
 _EMPTY = {}
 
 
@@ -243,16 +253,12 @@ class WirelessMedium:
         sim: the :class:`~repro.sim.engine.Simulator`.
         links: a :class:`LinkTable`.
         rng: random stream for backoff draws.
-        bitrate_bps: channel bitrate (default 1 Mbps, as in the paper).
-        plcp_overhead_s: preamble+PLCP header airtime (long preamble).
-        difs_s: inter-frame space before backoff.
-        slot_time_s: backoff slot duration.
         backoff_slots: contention window; backoff is uniform in
             ``[0, backoff_slots]`` slots.  Broadcast frames do not use
             exponential backoff (Section 4.8).
         mac_retry_limit: MAC retransmissions for *unicast* sends (the
-            Section 5.1 ablation); broadcast frames never retry.
-        max_cw_slots: exponential-backoff ceiling for unicast mode.
+            Section 5.1 ablation); broadcast frames never retry.  The
+            exponential backoff stops at :data:`MAX_CW_SLOTS`.
         outcome_rng: stream for the batched per-receiver loss draws;
             defaults to *rng*.
     """
@@ -270,20 +276,13 @@ class WirelessMedium:
     # Always zero (no frame is pre-drawn); bench/workloads.py reads them.
     predraw_planned_frames = predraw_fallback_frames = 0
 
-    def __init__(self, sim, links, rng, bitrate_bps=1_000_000.0,
-                 plcp_overhead_s=192e-6, difs_s=50e-6, slot_time_s=20e-6,
-                 backoff_slots=31, mac_retry_limit=4, max_cw_slots=1023,
+    def __init__(self, sim, links, rng, backoff_slots=31, mac_retry_limit=4,
                  outcome_rng=None):
         self.sim = sim
         self.links = links
         self.rng = rng
-        self.bitrate = float(bitrate_bps)
-        self.plcp_overhead = float(plcp_overhead_s)
-        self.difs = float(difs_s)
-        self.slot_time = float(slot_time_s)
         self.backoff_slots = int(backoff_slots)
         self.mac_retry_limit = int(mac_retry_limit)
-        self.max_cw_slots = int(max_cw_slots)
 
         self._nodes = {}
         self._queues = {}
@@ -349,7 +348,7 @@ class WirelessMedium:
 
     def airtime(self, size_bytes):
         """On-air duration of a frame of *size_bytes*."""
-        return self.plcp_overhead + (size_bytes * 8.0) / self.bitrate
+        return PLCP_OVERHEAD_S + (size_bytes * 8.0) / BITRATE_BPS
 
     def send(self, transmitter_id, frame, priority=False,
              unicast_to=None):
@@ -412,8 +411,8 @@ class WirelessMedium:
         batch = []
         for transmitter_id, frame in entries:
             backoff = self._draw_backoff(self._cw[transmitter_id]) \
-                * self.slot_time
-            air_start = start + self.difs + backoff
+                * SLOT_TIME_S
+            air_start = start + DIFS_S + backoff
             self._in_flight[transmitter_id] += 1
             batch.append((transmitter_id, frame, air_start))
             start = air_start + self.airtime(frame.size_bytes)
@@ -523,10 +522,10 @@ class WirelessMedium:
         if transmitter_id in contenders or not self._queues[transmitter_id]:
             return
         backoff = self._draw_backoff(self._cw[transmitter_id]) \
-            * self.slot_time
+            * SLOT_TIME_S
         now = self.sim.now
         if now >= self._busy_until and not contenders:
-            self._claim_merged(transmitter_id, now + self.difs + backoff)
+            self._claim_merged(transmitter_id, now + DIFS_S + backoff)
             return
         self._cont_seq += 1
         contenders[transmitter_id] = [backoff, self._cont_seq]
@@ -569,7 +568,7 @@ class WirelessMedium:
         for record in contenders.values():
             left = record[0] - backoff_left
             record[0] = left if left > 0.0 else 0.0
-        self._claim_merged(win_id, now + self.difs + backoff_left)
+        self._claim_merged(win_id, now + DIFS_S + backoff_left)
 
     def _merged_resolve(self, transmitter_id, frame, start, unicast_to,
                         attempt):
@@ -701,7 +700,7 @@ class WirelessMedium:
                 # MAC retry: double the contention window and put the
                 # frame back at the head of the queue.
                 self._cw[transmitter_id] = min(
-                    2 * self._cw[transmitter_id] + 1, self.max_cw_slots
+                    2 * self._cw[transmitter_id] + 1, MAX_CW_SLOTS
                 )
                 self._queues[transmitter_id].appendleft(
                     (frame, unicast_to, attempt + 1)

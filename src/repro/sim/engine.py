@@ -66,17 +66,18 @@ class EventHandle:
 
 
 class Simulator:
-    """Deterministic event loop with a floating-point clock (seconds)."""
+    """Deterministic event loop with a floating-point clock (seconds)
+    that starts at zero."""
 
     #: Heaps smaller than this are never compacted; below this size the
     #: rebuild costs more than the tombstones it reclaims.
     _COMPACT_MIN = 64
 
-    def __init__(self, start_time=0.0):
+    def __init__(self):
         #: Current simulation time in seconds.  A plain attribute — the
         #: clock is read on every hot-path callback, and the property
         #: descriptor overhead was measurable; treat as read-only.
-        self.now = float(start_time)
+        self.now = 0.0
         # Heap of (time, seq, EventHandle): raw tuples keep heap sifts
         # in C (seq is unique, so the handle itself is never compared).
         self._queue = []

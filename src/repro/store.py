@@ -68,8 +68,10 @@ log = logging.getLogger("repro.store")
 SCHEMA_VERSION = 1
 
 #: Result-semantics tag folded into every key.  Bump when a change
-#: makes previously stored results stale (new default knob, changed
-#: summary fields) without a schema change.
+#: makes previously stored results stale without a schema change: a
+#: changed protocol constant (only the variant switches are
+#: ``ViFiConfig`` fields, so no key sees the constants), a new default
+#: or changed summary fields.
 CODE_VERSION = "2026.10-perfect-relay-overhears"
 
 #: Leading bytes of every record file.

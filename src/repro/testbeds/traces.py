@@ -102,14 +102,6 @@ class ProbeTrace:
         down = self.down[: n_secs * sps].reshape(n_secs, sps, self.n_bs)
         return up.mean(axis=1), down.mean(axis=1)
 
-    def per_second_rssi(self):
-        """Per-second mean RSSI of decoded beacons (nan when none)."""
-        sps = self.slots_per_second
-        n_secs = self.n_slots // sps
-        rssi = self.rssi[: n_secs * sps].reshape(n_secs, sps, self.n_bs)
-        with np.errstate(invalid="ignore"):
-            return np.nanmean(rssi, axis=1)
-
     def save(self, path):
         np.savez_compressed(
             path,

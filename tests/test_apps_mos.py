@@ -3,8 +3,8 @@
 import pytest
 
 from repro.apps.mos import (
-    MosConfig,
-    interruption_windows,
+    FIXED_DELAY_MS,
+    WIRELESS_BUDGET_MS,
     mos_from_r,
     mos_score,
     r_factor,
@@ -60,25 +60,20 @@ class TestMos:
 
 class TestMosConfig:
     def test_paper_delay_budget(self):
-        config = MosConfig()
-        assert config.fixed_delay_ms == pytest.approx(125.0)
-        assert config.wireless_budget_ms == pytest.approx(52.0)
+        assert FIXED_DELAY_MS == pytest.approx(125.0)
+        assert WIRELESS_BUDGET_MS == pytest.approx(52.0)
 
 
 class TestSessions:
-    def test_interruption_flags(self):
-        assert interruption_windows([3.0, 1.5, 2.5]) == \
-            [False, True, False]
-
     def test_session_lengths(self):
         mos = [3, 3, 3, 1, 3, 3, 1, 1, 3]
-        assert voip_sessions(mos, window_s=3.0) == [9.0, 6.0, 3.0]
+        assert voip_sessions(mos) == [9.0, 6.0, 3.0]
 
     def test_all_good_single_session(self):
-        assert voip_sessions([3, 3, 3, 3], window_s=3.0) == [12.0]
+        assert voip_sessions([3, 3, 3, 3]) == [12.0]
 
     def test_all_bad_no_sessions(self):
-        assert voip_sessions([1, 1, 1], window_s=3.0) == []
+        assert voip_sessions([1, 1, 1]) == []
 
     def test_empty(self):
         assert voip_sessions([]) == []

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.apps.tcp import TcpConfig, TcpWorkload
-from repro.apps.voip import VoipConfig, VoipStream
+from repro.apps.tcp import TcpWorkload
+from repro.apps.voip import VoipStream
 from repro.apps.workload import CbrWorkload, FlowRouter
 from repro.core.protocol import ViFiConfig, ViFiSimulation
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
@@ -160,7 +160,7 @@ class TestVoip:
 
     def test_late_packets_count_as_lost(self):
         stream = VoipStream.__new__(VoipStream)
-        stream.config = VoipConfig()
+        stream.interval = 0.02
         stream._started_at = 0.0
         stream._seq = 150  # one 3 s window per direction
         stream.sent_times = {i: i * 0.02 for i in range(150)}

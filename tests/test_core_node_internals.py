@@ -12,7 +12,15 @@ from collections import OrderedDict, defaultdict
 
 import pytest
 
-from repro.core.node import BeaconSlotter, _ReceiverState
+from repro.core import node as node_module
+from repro.core.node import (
+    RELAY_MAX_WINDOW_S,
+    RELAY_MIN_AGE_S,
+    RELAY_WINDOW_MULTIPLIER,
+    SALVAGE_AGE_S,
+    BeaconSlotter,
+    _ReceiverState,
+)
 from repro.core.protocol import ViFiConfig, ViFiSimulation
 from repro.net.channel import BernoulliLoss
 from repro.net.medium import LinkTable
@@ -151,21 +159,19 @@ class TestSenderBacklog:
 
 class TestAdaptiveWindow:
     def test_window_clamped(self):
-        config = ViFiConfig(relay_min_age=0.01, relay_max_window=0.05)
-        sim = two_bs_sim(config=config)
+        sim = two_bs_sim()
         node = sim.bs_nodes[1]
         # No samples yet: initial value times multiplier, clamped.
-        assert config.relay_min_age <= node._ack_window() <= \
-            config.relay_max_window
+        assert RELAY_MIN_AGE_S <= node._ack_window() <= RELAY_MAX_WINDOW_S
         for _ in range(50):
             node._ack_gap.add_sample(1.0)  # absurd gaps
-        assert node._ack_window() == config.relay_max_window
+        assert node._ack_window() == RELAY_MAX_WINDOW_S
         node2 = sim.bs_nodes[2]
         for _ in range(50):
             node2._ack_gap.add_sample(0.0)
-        # The timer floors samples at relay_min_age before the safety
+        # The timer floors samples at RELAY_MIN_AGE_S before the safety
         # multiplier, so the effective minimum is multiplier x floor.
-        expected = config.relay_min_age * config.relay_window_multiplier
+        expected = RELAY_MIN_AGE_S * RELAY_WINDOW_MULTIPLIER
         assert node2._ack_window() == pytest.approx(expected)
 
 
@@ -182,8 +188,7 @@ class TestGateway:
         assert 9 in got  # the buffered packet flushed on first update
 
     def test_belief_lags_anchor_change(self):
-        config = ViFiConfig(gateway_update_delay_s=0.5)
-        sim = two_bs_sim(config=config)
+        sim = two_bs_sim()
         sim.run(until=8.0)
         assert sim.gateway.anchor_belief == sim.vehicle.anchor_id
 
@@ -215,10 +220,16 @@ class TestBeaconDecoration:
         assert sim.bs_nodes[other].is_designated_aux()
 
 
+def _hold_anchor_belief(monkeypatch):
+    """A BS made the anchor by hand hears no vehicle beacon over a dead
+    link, so its anchor belief must outlast the run."""
+    monkeypatch.setattr(node_module, "ANCHOR_BELIEF_TIMEOUT_S", 60.0)
+
+
 class TestRetiredSalvagePool:
-    def test_given_up_packets_salvageable(self):
-        config = ViFiConfig(max_retx=0, relay_enabled=False,
-                            anchor_belief_timeout=60.0)
+    def test_given_up_packets_salvageable(self, monkeypatch):
+        _hold_anchor_belief(monkeypatch)
+        config = ViFiConfig(max_retx=0, relay_enabled=False)
         sim = two_bs_sim(config=config, loss=1.0, seed=5)
         # Force BS 1 to act as anchor manually (no beacons get through).
         node = sim.bs_nodes[1]
@@ -233,13 +244,13 @@ class TestRetiredSalvagePool:
         # A second harvest finds nothing (transfer of ownership).
         assert node.downstream.unacked_within(60.0) == []
 
-    def test_salvage_pool_keeps_only_salvageable_packets(self):
+    def test_salvage_pool_keeps_only_salvageable_packets(self, monkeypatch):
         """A parked packet older than the salvage age can never be
         harvested, so a give-up drops it: with give-ups and no salvage
-        request, no packet in the pool is older than salvage_age_s at
+        request, no packet in the pool is older than SALVAGE_AGE_S at
         any give-up."""
-        config = ViFiConfig(max_retx=0, relay_enabled=False,
-                            anchor_belief_timeout=60.0)
+        _hold_anchor_belief(monkeypatch)
+        config = ViFiConfig(max_retx=0, relay_enabled=False)
         sim = two_bs_sim(config=config, loss=1.0, seed=5)
         node = sim.bs_nodes[1]
         node.is_anchor = True
@@ -264,7 +275,7 @@ class TestRetiredSalvagePool:
         sim.run(until=8.0)
         assert sim.stats.salvage_requests == 0
         assert len(oldest) == 50
-        assert max(oldest) <= config.salvage_age_s
+        assert max(oldest) <= SALVAGE_AGE_S
         assert 0 < len(pool._retired) < 50
 
     def test_senders_no_salvage_reaches_keep_no_given_up_packet(self):

@@ -421,10 +421,12 @@ class TestConfig:
         div = base.diversity_only_variant()
         assert div.relay_enabled and not div.salvage_enabled
 
-    def test_replace_rejects_unknown(self):
-        with pytest.raises(TypeError):
-            ViFiConfig().replace(definitely_not_a_field=1)
-
     def test_beacons_per_second(self):
-        assert ViFiConfig(beacon_interval=0.1).beacons_per_second == 10
-        assert ViFiConfig(beacon_interval=0.2).beacons_per_second == 5
+        """The estimator bank divides each second's heard beacons by
+        the rate the nodes actually beacon at."""
+        sim = make_sim(full_mesh([1, 2]), [1, 2])
+        sim.run(until=60.0)
+        rate = sim.ctx.estimator_bank.beacons_per_second
+        for node_id in (VEHICLE, 1, 2):
+            sent = sim.medium.tx_count[(node_id, "beacon")]
+            assert sent / 60.0 == pytest.approx(rate, abs=0.5)

@@ -224,6 +224,15 @@ class TestFaultedSweeps:
             assert summary["delivery"] > 0.0, name
         assert results["no-fault"]["injected"] == {}
         assert results["bs-outage"]["injected"].get("bs-outage", 0) > 0
+        # Every faulted cell injects, and together they run every kind
+        # the fault plane handles.
+        injected = set()
+        for name, summary in results.items():
+            if name != "no-fault":
+                assert summary["injected"], name
+                injected.update(summary["injected"])
+        assert injected == {"bs-outage", "partition", "latency-spike",
+                            "beacon-burst", "vehicle-reset"}
 
 
 @pytest.mark.slow

@@ -26,27 +26,13 @@ class TestReachability:
         assert plane.dropped == {"relay": 2}
         assert plane.total_bytes() == 0
 
-    def test_send_to_removed_bs_drops_gracefully(self):
-        sim, plane = _plane()
-        plane.disconnect(2)
-        delivered = []
-        assert not plane.is_connected(2)
-        assert plane.send(1, 2, "x", 100, delivered.append,
-                          category="salvage") is None
-        sim.run(until=10.0)
-        assert delivered == []
-        assert plane.dropped == {"salvage": 1}
-
     def test_partition_and_heal(self):
         sim, plane = _plane()
         plane.partition(2)
-        assert plane.is_partitioned(2)
-        assert plane.is_connected(2)  # partitioned, not deregistered
         delivered = []
         assert plane.send(1, 2, "a", 100, delivered.append) is None
         assert plane.send(2, 3, "b", 100, delivered.append) is None
         plane.heal(2)
-        assert not plane.is_partitioned(2)
         arrival = plane.send(1, 2, "c", 100, delivered.append)
         assert arrival is not None
         sim.run(until=10.0)

@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.net.backplane import Backplane
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
-from repro.net.medium import LinkTable, WirelessMedium
+from repro.net.medium import DIFS_S, LinkTable, WirelessMedium
 from repro.net.packet import (
     FRAME_KIND_VALUES,
     Ack,
@@ -429,7 +429,7 @@ class TestScalarResolveOracle:
         for pkt_id in range(frames):
             sent = 0.01 + 0.013 * pkt_id
             sim.schedule_at(sent, medium.send, 0, _packet(0, 1, pkt_id))
-            starts.append(sent + medium.difs)
+            starts.append(sent + DIFS_S)
         assert len({int(start / 0.02) for start in starts}) > frames / 2
         sim.run(until=0.5)
         delivered = 0

@@ -136,10 +136,9 @@ class TestSessionProperties:
             assert med == 0.0
 
     @given(st.lists(st.floats(min_value=1.0, max_value=4.5),
-                    max_size=200),
-           st.floats(min_value=1.0, max_value=4.5))
-    def test_voip_sessions_time_bounded(self, mos, threshold):
-        sessions = voip_sessions(mos, window_s=3.0, threshold=threshold)
+                    max_size=200))
+    def test_voip_sessions_time_bounded(self, mos):
+        sessions = voip_sessions(mos)
         assert math.fsum(sessions) <= 3.0 * len(mos) + 1e-9
         assert all(s > 0 for s in sessions)
 

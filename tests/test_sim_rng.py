@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.protocol import ViFiConfig
+from repro.core.node import RELAY_TIMER_INTERVAL_S
 from repro.net.channel import BernoulliLoss
 from repro.sim.rng import BufferedUniforms, RngRegistry, derive_seed
 
@@ -83,7 +83,7 @@ class TestBufferedUniforms:
         """Relay-timer jitter ``x * u`` and decisions ``u < p``, drawn
         interleaved from one buffered stream, equal the scalar
         ``uniform(0.0, x)`` and ``random() < p`` calls they replace."""
-        interval = ViFiConfig().relay_timer_interval
+        interval = RELAY_TIMER_INTERVAL_S
         buffered = BufferedUniforms(RngRegistry(14).fresh("c"))
         mirror = RngRegistry(14).fresh("c")
         for k in range(200):

@@ -57,13 +57,6 @@ class TestProbeTrace:
         assert np.array_equal(loaded.down, trace.down)
         assert loaded.slot_dt == trace.slot_dt
 
-    def test_per_second_rssi_nan_when_silent(self):
-        trace = make_probe_trace()
-        per_sec = trace.per_second_rssi()
-        # Wherever at least one beacon decoded, RSSI is finite.
-        down_rr, _ = trace.per_second_reception()[1], None
-        assert per_sec.shape[0] == trace.n_slots // 10
-
 
 class TestBeaconLog:
     def test_ratio_and_loss(self):

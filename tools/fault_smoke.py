@@ -7,10 +7,12 @@ Usage::
 
 Runs a short ViFi trip once per :data:`repro.experiments.faulted.
 FAULT_MATRIX` cell — no-fault, BS radio outages, backplane partitions,
-beacon-loss bursts — and fails if any cell raises, stalls, or drives
-delivery to zero while the vehicle is reachable.  This is the CI guard
-for the graceful-degradation contract: faults may degrade service but
-must never crash the protocol stack or wedge the event loop.
+backplane latency spikes, beacon-loss bursts, vehicle radio resets —
+and fails if any cell raises, stalls, drives delivery to zero while
+the vehicle is reachable, or (a faulted cell) injects nothing, which
+would leave its kind untested.  This is the CI guard for the
+graceful-degradation contract: faults may degrade service but must
+never crash the protocol stack or wedge the event loop.
 
 The no-fault cell doubles as a sanity anchor: it must inject nothing
 (``injected == {}``) and deliver essentially everything, so a fault
@@ -54,10 +56,12 @@ def main(argv=None):
             f"{kind} x{count}"
             for kind, count in sorted(summary["injected"].items())
         ) or "nothing"
-        print(f"{name:<12s} delivery {summary['delivery']:>6.1%}  "
+        print(f"{name:<13s} delivery {summary['delivery']:>6.1%}  "
               f"mos {summary['mos']:.2f}  injected {injected}")
         if summary["delivery"] <= 0.0:
             failures.append(f"{name}: delivery hit zero")
+        if name != "no-fault" and not summary["injected"]:
+            failures.append(f"{name}: no fault injected")
     if results.get("no-fault", {}).get("injected"):
         failures.append("no-fault cell injected faults — the fault "
                         "plane leaked into the nominal world")
