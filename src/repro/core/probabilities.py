@@ -57,6 +57,8 @@ import time
 
 import numpy as np
 
+from repro.core.node import BEACON_INTERVAL_S
+
 __all__ = ["EstimatorBank", "ReceptionEstimator"]
 
 #: Estimator defaults: the paper states alpha; the staleness horizon
@@ -64,6 +66,9 @@ __all__ = ["EstimatorBank", "ReceptionEstimator"]
 ALPHA = 0.5
 STALE_S = 5.0
 FORGET_BELOW = 0.01
+#: Beacons every node sends per second, the "number that must have
+#: been sent" of a reception ratio: the nodes' beacon rate.
+BEACONS_PER_SECOND = round(1.0 / BEACON_INTERVAL_S)
 
 
 class ReceptionEstimator:
@@ -76,19 +81,16 @@ class ReceptionEstimator:
 
     Args:
         node_id: owning node.
-        beacons_per_second: nominal beacon rate of every node (the
-            "number that must have been sent" per second).  A protocol
-            run derives it from the nodes' beacon interval.
         alpha: exponential averaging factor.
         stale_s: age after which a table entry is distrusted.
         forget_below: incoming averages below this are dropped, so BSes
             left behind stop being considered.
     """
 
-    def __init__(self, node_id, beacons_per_second=10, alpha=ALPHA,
-                 stale_s=STALE_S, forget_below=FORGET_BELOW):
+    def __init__(self, node_id, alpha=ALPHA, stale_s=STALE_S,
+                 forget_below=FORGET_BELOW):
         self.node_id = node_id
-        self.beacons_per_second = int(beacons_per_second)
+        self.beacons_per_second = BEACONS_PER_SECOND
         self.alpha = float(alpha)
         self.stale_s = float(stale_s)
         self.forget_below = float(forget_below)
@@ -262,7 +264,7 @@ class EstimatorBank:
 
     Args:
         node_ids: all participating node ids, in row order.
-        beacons_per_second / alpha / stale_s / forget_below: as for
+        alpha / stale_s / forget_below: as for
             :class:`ReceptionEstimator`.
         sim: optional simulator; when given, the bank arms its single
             per-second event on the first :meth:`register` call.
@@ -270,15 +272,15 @@ class EstimatorBank:
             directly.
     """
 
-    def __init__(self, node_ids, beacons_per_second=10, alpha=ALPHA,
-                 stale_s=STALE_S, forget_below=FORGET_BELOW, sim=None):
+    def __init__(self, node_ids, alpha=ALPHA, stale_s=STALE_S,
+                 forget_below=FORGET_BELOW, sim=None):
         self.ids = tuple(node_ids)
         self.index = {nid: i for i, nid in enumerate(self.ids)}
         if len(self.index) != len(self.ids):
             raise ValueError("duplicate node ids in estimator bank")
         n = len(self.ids)
         self.n = n
-        self.beacons_per_second = int(beacons_per_second)
+        self.beacons_per_second = BEACONS_PER_SECOND
         self.alpha = float(alpha)
         self.stale_s = float(stale_s)
         self.forget_below = float(forget_below)

@@ -30,12 +30,7 @@ protocol parameter is defined once, next to the code that reads it.
 import itertools
 from dataclasses import dataclass, replace
 
-from repro.core.node import (
-    BEACON_INTERVAL_S,
-    BasestationNode,
-    BeaconSlotter,
-    VehicleNode,
-)
+from repro.core.node import BasestationNode, BeaconSlotter, VehicleNode
 from repro.core.probabilities import EstimatorBank
 from repro.core.relaying import make_strategy
 from repro.core.stats import ViFiStats
@@ -164,13 +159,9 @@ class _Context:
         self.gateway = None
         self.beacon_slotter = BeaconSlotter(sim, medium)
         # One bank serves every node; its row universe is the full
-        # participant set, known here up front.  Its per-second
-        # denominator is the rate every node beacons at.
-        self.estimator_bank = EstimatorBank(
-            (vehicle_id,) + self.bs_ids,
-            beacons_per_second=round(1.0 / BEACON_INTERVAL_S),
-            sim=sim,
-        )
+        # participant set, known here up front.
+        self.estimator_bank = EstimatorBank((vehicle_id,) + self.bs_ids,
+                                            sim=sim)
 
     def register(self, node):
         self._nodes[node.node_id] = node

@@ -4,7 +4,8 @@ These experiments are trace-driven: VanLAN probe traces feed the six
 handoff policies; beacon logs feed the diversity CDFs; dedicated probe
 schedules feed the burstiness analyses of Figure 6, which evaluate the
 trip's :class:`~repro.net.propagation.LinkBank` at every probe instant
-in one call and steer each burst chain with those loss probabilities.
+in one call and steer each burst chain with those loss probabilities
+(:func:`~repro.net.channel.steered_losses`).
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.handoff.policies import (
     RssiPolicy,
     StickyPolicy,
 )
-from repro.net.channel import SteeredGilbertElliott
+from repro.net.channel import steered_losses
 from repro.sim.rng import RngRegistry
 
 __all__ = [
@@ -108,7 +109,7 @@ def burst_loss_experiment(testbed, bs_id, trip=0, probe_interval_s=0.01,
     times, prob = _probe_grid(testbed, (bs_id,), trip, probe_interval_s,
                               duration_s)
     rng = testbed.rngs.spawn("fig6a", trip).stream("chain", bs_id)
-    losses = _probe_losses(times, prob[0], rng)
+    losses = steered_losses(times, 1.0 - prob[0], rng)
     covered = prob[0] > coverage_floor
     if covered.sum() >= 1000:
         losses = losses[covered]
@@ -135,7 +136,7 @@ def two_bs_experiment(testbed, bs_a, bs_b, trip=0, probe_interval_s=0.02,
     recv = {}
     for row, bs in enumerate((bs_a, bs_b)):
         rng = testbed.rngs.spawn("fig6b", trip).stream("chain", bs)
-        recv[bs] = ~_probe_losses(times, prob[row], rng)
+        recv[bs] = ~steered_losses(times, 1.0 - prob[row], rng)
     good = (prob > 0.2).all(axis=0)
     n = len(times)
     if window_s is None:
@@ -156,13 +157,3 @@ def _probe_grid(testbed, bs_ids, trip, probe_interval_s, duration_s):
     times = np.arange(int(duration / probe_interval_s)) * probe_interval_s
     bank = testbed.build_link_bank(trip, motion, bs_ids=bs_ids)
     return times, bank.evaluate(times)[1]
-
-
-def _probe_losses(times, prob, rng):
-    """One probe's loss per instant from a burst chain steered to
-    ``1 - prob``."""
-    slots = times.tolist()
-    loss = dict(zip(slots, (1.0 - prob).tolist())).__getitem__
-    process = SteeredGilbertElliott(loss, rng=rng)
-    return np.fromiter((process.is_lost(t) for t in slots), dtype=bool,
-                       count=len(slots))

@@ -7,7 +7,8 @@ the excess decays over hundreds of packets.  The classic model with this
 behaviour is the Gilbert-Elliott two-state Markov channel, which we use
 throughout.
 
-Three processes are provided:
+The medium (:class:`~repro.net.medium.WirelessMedium`) is the only
+caller of a loss process.  Four processes are provided:
 
 * :class:`BernoulliLoss` — i.i.d. losses (a control / baseline).
 * :class:`GilbertElliottLoss` — the two-state burst channel.
@@ -30,9 +31,15 @@ changes says so through ``rate_window(t) -> (rate, valid_until)``: a
 :class:`RateSeries` for beacon traces, a
 :class:`~repro.net.propagation.LinkBank` member for the deployment
 radio model.
+
+The probe traces and Figure 6 draw their losses outside any medium,
+over a fixed grid of probe instants, through :func:`steered_losses`:
+one steered chain per stream, which flips its own coins.
 """
 
 import math
+
+import numpy as np
 
 from repro.sim.rng import BufferedUniforms
 
@@ -43,6 +50,8 @@ __all__ = [
     "RateSeries",
     "SteeredGilbertElliott",
     "TraceDrivenLoss",
+    "steer_split",
+    "steered_losses",
 ]
 
 #: The steered chain's mean good and bad holding times (s) and its
@@ -52,14 +61,65 @@ STEER_GOOD_S = 0.9
 STEER_BAD_S = 0.12
 STEER_RHO = 0.08
 
-_ATTACHED_IS_LOST = (
-    "is_lost on a loss process that serves a medium row: its holding "
-    "times are block-drawn, so a coin from its stream would move them"
-)
+
+def steer_split(m):
+    """Split a steered chain's target mean loss *m* into
+    ``(eps_good, eps_bad)``.
+
+    * ``eps_bad = min(1, m / (pi_bad + rho * (1 - pi_bad)))``
+    * ``eps_good = rho * eps_bad``
+
+    where ``pi_bad`` is the chain's stationary bad-state probability
+    and ``rho`` the good/bad loss ratio, :data:`STEER_RHO`.  When the
+    target is so lossy that ``eps_bad`` clips at 1, the remainder is
+    pushed into the good state, preserving the mean exactly.
+    """
+    m = min(max(float(m), 0.0), 1.0)
+    pi_b = STEER_BAD_S / (STEER_GOOD_S + STEER_BAD_S)
+    eps_bad = m / (pi_b + STEER_RHO * (1.0 - pi_b))
+    if eps_bad <= 1.0:
+        return STEER_RHO * eps_bad, eps_bad
+    eps_good = (m - pi_b) / (1.0 - pi_b)
+    return min(eps_good, 1.0), 1.0
+
+
+def steered_losses(times, loss, rng):
+    """One probe's loss at each instant of a fixed grid.
+
+    Walks one steered Gilbert-Elliott chain (see
+    :class:`SteeredGilbertElliott`) over the increasing instants of the
+    array *times* and flips one coin per instant.  At ``times[k]`` the
+    loss probability is the current state's share of the target loss
+    ``loss[k]`` (:func:`steer_split`).
+
+    The holding times and the coins share the one stream *rng*, in the
+    order the probe-trace pins hold with: the initial state, the first
+    holding time, then per instant one scalar ``rng.exponential`` per
+    due flip and one coin from a
+    :class:`~repro.sim.rng.BufferedUniforms` block.  The blocks
+    interleave with the holding times, so unbuffered coins would give
+    another (statistically equivalent) realization.
+
+    Returns:
+        A bool array, True where the probe is lost.
+    """
+    draw = BufferedUniforms(rng).next
+    in_bad = bool(rng.random() < STEER_BAD_S / (STEER_GOOD_S + STEER_BAD_S))
+    next_flip = rng.exponential(STEER_BAD_S if in_bad else STEER_GOOD_S)
+    lost = np.empty(len(times), dtype=bool)
+    for k, (t, m) in enumerate(zip(times.tolist(), loss.tolist())):
+        while next_flip <= t:
+            in_bad = not in_bad
+            next_flip += rng.exponential(
+                STEER_BAD_S if in_bad else STEER_GOOD_S)
+        eps_good, eps_bad = steer_split(m)
+        lost[k] = draw() < (eps_bad if in_bad else eps_good)
+    return lost
 
 
 class LossProcess:
-    """Interface: decide whether a transmission at time *t* is lost.
+    """Interface: the loss of a transmission at time *t*, for the
+    medium.
 
     ``static_loss_rate`` is the expected loss rate when it never
     changes over time, else ``None``.
@@ -79,20 +139,11 @@ class LossProcess:
     its window holds — bitwise-safe because a skipped no-flip state
     advance consumes no randomness and a pending flip caps the window
     — and draws every frame's uniforms itself, off one batched
-    outcome stream.
-    :meth:`is_lost` flips the coin from the process's own stream, for
-    callers outside the medium (probe traces, the handoff study).  A
-    burst chain serves one kind of caller only: the medium calls its
-    ``attach_medium`` when it first serves a resolve row, after which
-    the chain draws its holding times in blocks and :meth:`is_lost`
-    raises.
+    outcome stream.  A process draws no coin: its stream, if it has
+    one, serves only its state.
     """
 
     static_loss_rate = None
-
-    def is_lost(self, t):
-        """Return True if a packet sent at time *t* is lost."""
-        raise NotImplementedError
 
     def loss_rate(self, t):
         """Return the expected loss probability around time *t*."""
@@ -100,23 +151,13 @@ class LossProcess:
 
 
 class BernoulliLoss(LossProcess):
-    """Independent losses with a fixed probability.
+    """Independent losses with a fixed probability."""
 
-    Uniform draws are served from pre-drawn numpy blocks (see
-    :class:`~repro.sim.rng.BufferedUniforms`), which is bit-for-bit
-    identical to scalar draws as long as *rng* has no other consumers.
-    """
-
-    def __init__(self, p, rng):
+    def __init__(self, p):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"loss probability {p} outside [0, 1]")
         self.p = float(p)
         self.static_loss_rate = self.p
-        self.rng = rng
-        self._draw = BufferedUniforms(rng).next
-
-    def is_lost(self, t):
-        return self._draw() < self.p
 
     def loss_eps_window(self, t):
         return self.p, math.inf
@@ -138,15 +179,12 @@ class GilbertElliottLoss(LossProcess):
     ``pi_bad * eps_bad + (1 - pi_bad) * eps_good`` with
     ``pi_bad = bad_duration / (good_duration + bad_duration)``.
 
-    Holding times are scalar ``rng.exponential(mean)`` draws until
-    :meth:`attach_medium`, and blocks of ``standard_exponential`` scaled
-    by the state's mean after it: the same values bit for bit, as long
-    as the stream has no other consumer.  :meth:`is_lost` draws its
-    coins from the same stream, so it keeps the scalar draws and raises
-    once the process is attached.
+    *rng* draws the initial state and the first holding time as
+    scalars, then every later holding time from blocks of
+    ``standard_exponential`` scaled by the state's mean.
     """
 
-    #: Holding times drawn per refill once the medium is attached.
+    #: Holding times drawn per refill.
     _HOLDING_BLOCK = 16
 
     def __init__(self, eps_good, eps_bad, good_duration, bad_duration, rng):
@@ -170,23 +208,14 @@ class GilbertElliottLoss(LossProcess):
             self.pi_bad * self.eps_bad + (1 - self.pi_bad) * self.eps_good
         )
         # Standard-exponential draws as python floats, served from
-        # _holding_i on; None until attach_medium.
-        self._holding = None
+        # _holding_i on.
+        self._holding = ()
         self._holding_i = 0
 
     @property
     def pi_bad(self):
         """Stationary probability of the bad state."""
         return self.bad_duration / (self.good_duration + self.bad_duration)
-
-    def attach_medium(self):
-        """Serve a medium row: block-draw holding times from now on.
-
-        Idempotent: attaching again keeps the current block, whose
-        unserved draws are the stream's next values.
-        """
-        if self._holding is None:
-            self._holding = []
 
     def _advance(self, t):
         if t < self._time:
@@ -197,28 +226,14 @@ class GilbertElliottLoss(LossProcess):
         while self._next_flip <= t:
             self._in_bad = not self._in_bad
             mean = self.bad_duration if self._in_bad else self.good_duration
-            if block is None:
-                self._next_flip += self.rng.exponential(mean)
-            else:
-                i = self._holding_i
-                if i >= len(block):
-                    block = self._holding = self.rng.standard_exponential(
-                        self._HOLDING_BLOCK).tolist()
-                    i = 0
-                self._holding_i = i + 1
-                self._next_flip += mean * block[i]
+            i = self._holding_i
+            if i >= len(block):
+                block = self._holding = self.rng.standard_exponential(
+                    self._HOLDING_BLOCK).tolist()
+                i = 0
+            self._holding_i = i + 1
+            self._next_flip += mean * block[i]
         self._time = t
-
-    def in_bad_state(self, t):
-        self._advance(t)
-        return self._in_bad
-
-    def is_lost(self, t):
-        if self._holding is not None:
-            raise RuntimeError(_ATTACHED_IS_LOST)
-        self._advance(t)
-        eps = self.eps_bad if self._in_bad else self.eps_good
-        return bool(self.rng.random() < eps)
 
     def loss_eps_window(self, t):
         """``(eps, valid_until)``: eps cannot change before the flip."""
@@ -235,20 +250,13 @@ class SteeredGilbertElliott(LossProcess):
 
     Given a target ``mean_loss`` giving the loss rate at time *t* (from
     path loss, shadowing, gray periods, or a beacon trace), the
-    per-state loss probabilities are re-derived at every query so the
-    instantaneous expectation matches the target while the good/bad
-    alternation supplies burst structure:
+    per-state loss probabilities are re-derived whenever the target
+    moves (:func:`steer_split`), so the instantaneous expectation
+    matches the target while the good/bad alternation supplies burst
+    structure.  The chain holds each state for exponential times of
+    mean :data:`STEER_GOOD_S` and :data:`STEER_BAD_S`.
 
-    * ``eps_bad = min(1, m / (pi_bad + rho * (1 - pi_bad)))``
-    * ``eps_good = rho * eps_bad``
-
-    where ``rho`` is the good/bad loss ratio, :data:`STEER_RHO`.  When
-    the target is so lossy that ``eps_bad`` clips at 1, the remainder is
-    pushed into the good state, preserving the mean exactly.  The chain
-    holds each state for exponential times of mean
-    :data:`STEER_GOOD_S` and :data:`STEER_BAD_S`.
-
-    The target is one of three kinds, recognized at construction; the
+    The target is one of two kinds, recognized at construction; the
     kind decides how far :meth:`loss_eps_window` reaches past the query
     time:
 
@@ -260,19 +268,7 @@ class SteeredGilbertElliott(LossProcess):
       :func:`~repro.testbeds.lossmap.build_link_table_from_log` passes,
       or a :meth:`~repro.net.propagation.LinkBank.members` target,
       whose rate holds for one time bucket.  The window reaches the
-      next change of the target or the flip, whichever comes first;
-    * any other callable ``t -> rate``, such as the lookup of the loss
-      that :meth:`~repro.net.propagation.LinkBank.evaluate` gives each
-      probe instant, in the probe traces and Figure 6: nowhere, the
-      window ends at the query time.
-
-    :meth:`is_lost` serves its uniform draws from a
-    :class:`~repro.sim.rng.BufferedUniforms` block over *rng* to
-    amortize generator dispatch overhead.  Because the chain's
-    holding-time draws interleave on the same stream, batching yields a
-    different — statistically equivalent — realization than unbatched
-    scalar draws.  :meth:`attach_medium` attaches the chain (see
-    :class:`GilbertElliottLoss`), after which :meth:`is_lost` raises.
+      next change of the target or the flip, whichever comes first.
     """
 
     def __init__(self, mean_loss, rng):
@@ -283,36 +279,17 @@ class SteeredGilbertElliott(LossProcess):
             bad_duration=STEER_BAD_S,
             rng=rng,
         )
-        # The split's constant terms (the chain's durations are fixed).
-        self._pi_bad = pi_b = self._chain.pi_bad
-        self._denom = pi_b + STEER_RHO * (1.0 - pi_b)
-        self.rng = rng
-        self._draw = BufferedUniforms(rng).next
-        # The split depends only on the target mean (pi_bad is fixed),
-        # and the target is piecewise-constant in practice (bank
-        # buckets, per-second traces), so memoize the last split.
+        # The split depends only on the target mean, and the target is
+        # piecewise-constant in practice (bank buckets, per-second
+        # traces), so memoize the last split.
         self._last_m = None
         self._last_split = (0.0, 0.0)
-        self.mean_loss = mean_loss
         self._rate_window = getattr(mean_loss, "rate_window", None)
         self._static_eps = None
-        if self._rate_window is None and not callable(mean_loss):
+        if self._rate_window is None:
             rate = min(max(float(mean_loss), 0.0), 1.0)
-            self._static_eps = self._split(rate)
+            self._static_eps = steer_split(rate)
             self.static_loss_rate = rate
-
-    def _split(self, m):
-        """Split target mean *m* into (eps_good, eps_bad)."""
-        m = min(max(float(m), 0.0), 1.0)
-        pi_b = self._pi_bad
-        denom = self._denom
-        eps_bad = m / denom if denom > 0 else m
-        if eps_bad <= 1.0:
-            return STEER_RHO * eps_bad, eps_bad
-        # Bad state saturates; spill the excess into the good state so
-        # the overall mean is preserved.
-        eps_good = (m - pi_b) / (1.0 - pi_b)
-        return min(eps_good, 1.0), 1.0
 
     def loss_eps_window(self, t):
         """``(eps, valid_until)`` for the medium's resolve rows.
@@ -330,66 +307,43 @@ class SteeredGilbertElliott(LossProcess):
         series the bound is the next trace second, and never past the
         trace end, where the out-of-range rate holds and only flips
         bound the window.  The boundary tests in
-        ``tests/test_net_channel.py`` assert these bounds.  Any other
-        callable target can change at any instant, so its window
-        degenerates to the query time (no reuse).  The medium calls
-        this once per stale row, so the chain advance runs inline.
+        ``tests/test_net_channel.py`` assert these bounds.  The medium
+        calls this once per stale row, so the chain advance runs
+        inline.
         """
         chain = self._chain
         if self._static_eps is not None:
             eps_good, eps_bad = self._static_eps
             bound = math.inf
         else:
-            if self._rate_window is not None:
-                m, bound = self._rate_window(t)
-            else:
-                m = self.mean_loss(t)
-                bound = t
+            m, bound = self._rate_window(t)
             if m != self._last_m:
                 self._last_m = m
-                self._last_split = self._split(m)
+                self._last_split = steer_split(m)
             eps_good, eps_bad = self._last_split
         # Inline the no-flip fast path of the chain advance; the full
         # method only runs when a state flip is actually due.
         if chain._time <= t < chain._next_flip:
             chain._time = t
-            in_bad = chain._in_bad
         else:
-            in_bad = chain.in_bad_state(t)
+            chain._advance(t)
         next_flip = chain._next_flip
         if next_flip < bound:
             bound = next_flip
-        return (eps_bad if in_bad else eps_good), bound
-
-    def attach_medium(self):
-        """Serve a medium row: the chain block-draws its holding times
-        from now on (idempotent)."""
-        self._chain.attach_medium()
-
-    def is_lost(self, t):
-        if self._chain._holding is not None:
-            raise RuntimeError(_ATTACHED_IS_LOST)
-        # Advance the chain before the coin: its flips draw from the
-        # same stream.
-        eps = self.loss_eps_window(t)[0]
-        return self._draw() < eps
+        return (eps_bad if chain._in_bad else eps_good), bound
 
     def loss_rate(self, t):
         if self.static_loss_rate is not None:
             return self.static_loss_rate
-        if self._rate_window is not None:
-            m = self._rate_window(t)[0]
-        else:
-            m = self.mean_loss(t)
-        return min(max(float(m), 0.0), 1.0)
+        return min(max(float(self._rate_window(t)[0]), 0.0), 1.0)
 
 
 class RateSeries:
     """A per-second loss-rate series, read at simulated time *t*.
 
     Second ``k`` of the series covers ``[t0 + k, t0 + k + 1)``, and
-    ``out_of_range_rate`` holds outside the series.  Calling it gives
-    the rate at *t*; :meth:`rate_window` also says when that rate next
+    ``out_of_range_rate`` holds outside the series.
+    :meth:`rate_window` gives the rate at *t* and says when it next
     changes.  As the target of a :class:`SteeredGilbertElliott` that
     lets the chain keep one loss threshold until the next trace second
     instead of re-reading it on every frame.
@@ -404,9 +358,6 @@ class RateSeries:
         self.rates = rates
         self.t0 = t0
         self.out_of_range_rate = out_of_range_rate
-
-    def __call__(self, t):
-        return self.rate_window(t)[0]
 
     def rate_window(self, t):
         """``(rate, valid_until)``: the rate cannot change before then."""
@@ -430,27 +381,21 @@ class TraceDrivenLoss(LossProcess):
     Args:
         rates: sequence of loss probabilities, one per second starting
             at ``t0``.
-        rng: random stream for the per-packet draws.
         t0: trace start time.
         out_of_range_rate: loss rate applied outside the trace span.
     """
 
-    def __init__(self, rates, rng, t0=0.0, out_of_range_rate=1.0):
+    def __init__(self, rates, t0=0.0, out_of_range_rate=1.0):
         self.rates = [float(r) for r in rates]
         for r in self.rates:
             if not 0.0 <= r <= 1.0:
                 raise ValueError(f"trace loss rate {r} outside [0, 1]")
-        self.rng = rng
         self._series = RateSeries(self.rates, float(t0),
                                   float(out_of_range_rate))
-        self._draw = BufferedUniforms(rng).next
 
     def loss_rate(self, t):
-        return self._series(t)
+        return self._series.rate_window(t)[0]
 
     def loss_eps_window(self, t):
         """``(eps, valid_until)``: rates hold within a trace second."""
         return self._series.rate_window(t)
-
-    def is_lost(self, t):
-        return self._draw() < self._series(t)

@@ -45,9 +45,7 @@ Fast paths riding on top:
   so per-receiver uniforms come from one medium-owned RNG block
   instead of N private buffered streams; the per-link *state*
   randomness (burst chains, traces) keeps its own streams, so runs
-  stay deterministic for a seed.  A process that supplies
-  ``attach_medium`` is told when it first serves a row, so a burst
-  chain can draw its holding times in blocks from then on.
+  stay deterministic for a seed.
 * **Merged transmissions** — every frame, broadcast or unicast, airs
   through a claim: the attempt/transmit/resolve triple collapses into
   a single heap event at the frame's end time, and the channel is
@@ -156,16 +154,6 @@ class LinkTable:
         """Return the loss process for ``src -> dst`` or ``None``."""
         return self._by_src.get(src, _EMPTY).get(dst)
 
-    def loss_rate(self, src, dst, t):
-        """Expected loss probability on ``src -> dst`` at time *t*.
-
-        Unreachable pairs report 1.0.
-        """
-        process = self.get(src, dst)
-        if process is None:
-            return 1.0
-        return process.loss_rate(t)
-
     def in_range(self, src, t):
         """``[(dst, process), ...]`` for the links of *src* in range at
         *t*, sorted by dst.
@@ -201,12 +189,7 @@ class _ResolveRows:
     back the short loop over hits.  A row's per-frame loss probability
     comes from its process's ``loss_eps_window``, which every process
     on a medium link supplies; the stored threshold is reused until
-    ``valid_until``.  Building a row calls the process's
-    ``attach_medium``, if it has one: from then on the medium is the
-    process's only user, which lets a burst chain block-draw its
-    holding times.  Attaching is idempotent, since rows are rebuilt
-    whenever the transmitter's in-range set changes and a symmetric
-    link's process serves two rows.
+    ``valid_until``.
     """
 
     __slots__ = ("pairs", "version", "expires", "ids", "receive", "counts",
@@ -227,10 +210,6 @@ class _ResolveRows:
             ids.append(receiver_id)
             receive.append(node.on_receive)
             counts.append(count_rows[receiver_id])
-            # getattr: duck-typed processes need not take part.
-            attach = getattr(process, "attach_medium", None)
-            if attach is not None:
-                attach()
             window_fns.append(process.loss_eps_window)
         self.ids = ids
         self.receive = receive

@@ -42,13 +42,8 @@ class BufferedUniforms:
     *provided the wrapped generator has no other consumers*.  When the
     generator is shared, buffering reorders draws relative to the
     unbuffered interleaving: still a valid i.i.d. uniform sequence,
-    but not the identical one.  A
-    :class:`~repro.net.channel.SteeredGilbertElliott` used through
-    ``is_lost`` is the shared case: its coins come from this buffer and
-    its chain's holding times from scalar draws on the same stream, in
-    a fixed interleaving that probe traces are pinned with.  Block
-    holding-time draws are taken only once the medium serves the
-    process, when no coin is drawn from its stream at all.
+    but not the identical one (see
+    :func:`~repro.net.channel.steered_losses`).
 
     Args:
         rng: the :class:`numpy.random.Generator` to draw from.

@@ -38,7 +38,7 @@ def loss_rate_series(log, bs_id):
     return log.loss_ratio()[:, column]
 
 
-def interbs_loss_rates(log, rng, min_heard=1):
+def interbs_loss_rates(log, rng):
     """Inter-BS loss rates per the paper's rule.
 
     Pairs never co-visible from the vehicle get loss 1.0 (unreachable);
@@ -47,7 +47,7 @@ def interbs_loss_rates(log, rng, min_heard=1):
     Returns:
         dict mapping ordered pair ``(a, b)`` to loss rate.
     """
-    covis = log.covisibility(min_heard=min_heard)
+    covis = log.covisibility()
     rates = {}
     ids = log.bs_ids
     for i, a in enumerate(ids):
@@ -60,14 +60,13 @@ def interbs_loss_rates(log, rng, min_heard=1):
     return rates
 
 
-def build_link_table_from_log(log, rngs, vehicle_id=0, bursty=False,
-                              out_of_range_rate=1.0):
+def build_link_table_from_log(log, rngs, vehicle_id=0, bursty=False):
     """Build the packet-level :class:`LinkTable` from a beacon log.
 
     Args:
         log: a :class:`~repro.testbeds.traces.BeaconLog`.
         rngs: an :class:`~repro.sim.rng.RngRegistry` supplying the
-            per-link packet-draw streams and the inter-BS uniform draws.
+            bursty chains' streams and the inter-BS uniform draws.
         vehicle_id: node id of the vehicle.
         bursty: when False (default, the paper's literal methodology)
             vehicle links are i.i.d. within each second; when True the
@@ -75,14 +74,13 @@ def build_link_table_from_log(log, rngs, vehicle_id=0, bursty=False,
             The series is passed as a
             :class:`~repro.net.channel.RateSeries`, which reports when
             its rate next changes, so the chain's ``loss_eps_window``
-            reaches to the next trace second (or state flip) rather
-            than ending at the query time.
-        out_of_range_rate: loss applied outside the trace span.
+            reaches to the next trace second (or state flip).
 
     Returns:
         A :class:`~repro.net.medium.LinkTable` covering vehicle<->BS
-        links (independent streams per direction, identical rate
-        series) and BS<->BS links per the covisibility rule.
+        links (one process per direction, identical rate series; bursty
+        chains draw from one stream per direction) and BS<->BS links
+        per the covisibility rule.
     """
     table = LinkTable()
     for bs in log.bs_ids:
@@ -90,22 +88,16 @@ def build_link_table_from_log(log, rngs, vehicle_id=0, bursty=False,
         if bursty:
             # A contiguous copy: the column view would keep the whole
             # loss-ratio matrix alive.  Both directions share it.
-            series = RateSeries(rates.copy(),
-                                out_of_range_rate=out_of_range_rate)
-        for direction, name in ((vehicle_id, "up"), (bs, "down")):
-            rng = rngs.stream("trace-link", bs, name)
+            series = RateSeries(rates.copy())
+        for src, dst, name in ((vehicle_id, bs, "up"),
+                               (bs, vehicle_id, "down")):
             if bursty:
-                process = SteeredGilbertElliott(series, rng=rng)
+                process = SteeredGilbertElliott(
+                    series, rng=rngs.stream("trace-link", bs, name))
             else:
-                process = TraceDrivenLoss(
-                    rates, rng=rng, out_of_range_rate=out_of_range_rate
-                )
-            if name == "up":
-                table.set_link(vehicle_id, bs, process)
-            else:
-                table.set_link(bs, vehicle_id, process)
+                process = TraceDrivenLoss(rates)
+            table.set_link(src, dst, process)
     pair_rates = interbs_loss_rates(log, rngs.stream("interbs-draws"))
     for (a, b), loss in pair_rates.items():
-        table.set_link(a, b, BernoulliLoss(
-            min(loss, 1.0), rngs.stream("trace-bsbs", a, b)))
+        table.set_link(a, b, BernoulliLoss(min(loss, 1.0)))
     return table

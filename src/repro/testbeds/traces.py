@@ -1,4 +1,4 @@
-"""Trace record formats and (de)serialization.
+"""Trace record formats.
 
 Two artifact types drive every experiment in the paper:
 
@@ -11,10 +11,6 @@ Two artifact types drive every experiment in the paper:
 * :class:`BeaconLog` — the DieselNet methodology (Section 2.2): a
   vehicle logs beacons heard from nearby BSes; the analysis uses
   per-second reception counts per BS.
-
-Both formats serialize to ``.npz`` so generated traces can be reused
-across experiments, mirroring the paper's published trace archive
-(traces.cs.umass.edu).
 """
 
 import numpy as np
@@ -34,17 +30,15 @@ class ProbeTrace:
         rssi: float array, RSSI (dBm) of the beacon the vehicle decoded
             from BS *j* in slot *t*; ``nan`` when nothing was decoded.
         positions: float array ``[n_slots, 2]`` of vehicle coordinates.
-        t0: absolute start time of the trip (seconds).
     """
 
-    def __init__(self, bs_ids, slot_dt, up, down, rssi, positions, t0=0.0):
+    def __init__(self, bs_ids, slot_dt, up, down, rssi, positions):
         self.bs_ids = [int(b) for b in bs_ids]
         self.slot_dt = float(slot_dt)
         self.up = np.asarray(up, dtype=bool)
         self.down = np.asarray(down, dtype=bool)
         self.rssi = np.asarray(rssi, dtype=float)
         self.positions = np.asarray(positions, dtype=float)
-        self.t0 = float(t0)
         n_slots, n_bs = self.up.shape
         if self.down.shape != (n_slots, n_bs):
             raise ValueError("up/down shape mismatch")
@@ -85,7 +79,6 @@ class ProbeTrace:
             down=self.down[:, cols],
             rssi=self.rssi[:, cols],
             positions=self.positions,
-            t0=self.t0,
         )
 
     def per_second_reception(self):
@@ -102,31 +95,6 @@ class ProbeTrace:
         down = self.down[: n_secs * sps].reshape(n_secs, sps, self.n_bs)
         return up.mean(axis=1), down.mean(axis=1)
 
-    def save(self, path):
-        np.savez_compressed(
-            path,
-            bs_ids=np.asarray(self.bs_ids),
-            slot_dt=self.slot_dt,
-            up=self.up,
-            down=self.down,
-            rssi=self.rssi,
-            positions=self.positions,
-            t0=self.t0,
-        )
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path) as data:
-            return cls(
-                bs_ids=data["bs_ids"].tolist(),
-                slot_dt=float(data["slot_dt"]),
-                up=data["up"],
-                down=data["down"],
-                rssi=data["rssi"],
-                positions=data["positions"],
-                t0=float(data["t0"]),
-            )
-
     def __repr__(self):
         return (f"ProbeTrace({self.n_bs} BSes, {self.n_slots} slots, "
                 f"{self.duration:.0f} s)")
@@ -139,14 +107,12 @@ class BeaconLog:
         bs_ids: basestation ids defining column order.
         heard: int array ``[n_secs, n_bs]`` — beacons decoded.
         expected: beacons each BS nominally sent per second.
-        t0: absolute start time of the log (seconds).
     """
 
-    def __init__(self, bs_ids, heard, expected, t0=0.0):
+    def __init__(self, bs_ids, heard, expected):
         self.bs_ids = [int(b) for b in bs_ids]
         self.heard = np.asarray(heard, dtype=int)
         self.expected = int(expected)
-        self.t0 = float(t0)
         if self.heard.ndim != 2 or self.heard.shape[1] != len(self.bs_ids):
             raise ValueError("heard array shape mismatch")
         if self.expected <= 0:
@@ -183,34 +149,15 @@ class BeaconLog:
             return (self.heard >= 1).sum(axis=1)
         return (self.reception_ratio() >= min_ratio).sum(axis=1)
 
-    def covisibility(self, min_heard=1):
+    def covisibility(self):
         """Boolean matrix: were two BSes ever heard in the same second?
 
         The paper uses this to decide inter-BS reachability: "BS pairs
         that are never simultaneously within the range of a bus cannot
         reach one another" (Section 5.1).
         """
-        visible = self.heard >= min_heard
+        visible = self.heard >= 1
         return (visible[:, :, None] & visible[:, None, :]).any(axis=0)
-
-    def save(self, path):
-        np.savez_compressed(
-            path,
-            bs_ids=np.asarray(self.bs_ids),
-            heard=self.heard,
-            expected=self.expected,
-            t0=self.t0,
-        )
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path) as data:
-            return cls(
-                bs_ids=data["bs_ids"].tolist(),
-                heard=data["heard"],
-                expected=int(data["expected"]),
-                t0=float(data["t0"]),
-            )
 
     def __repr__(self):
         return f"BeaconLog({self.n_bs} BSes, {self.n_secs} s)"

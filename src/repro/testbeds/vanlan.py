@@ -23,13 +23,14 @@ Both read one :class:`~repro.net.propagation.LinkBank` per trip, which
 :meth:`~repro.testbeds.layout.Deployment.link_bank` builds from the
 shuttle's :class:`~repro.net.mobility.Route`.  Probe traces evaluate
 it at every probe instant in one call and steer their burst chains
-with those exact loss probabilities; the live table steers them with
-the bank's members, one value per 20 ms bucket.
+with those exact loss probabilities
+(:func:`~repro.net.channel.steered_losses`); the live table steers
+them with the bank's members, one value per 20 ms bucket.
 """
 
 import numpy as np
 
-from repro.net.channel import SteeredGilbertElliott
+from repro.net.channel import SteeredGilbertElliott, steered_losses
 from repro.net.medium import LinkTable
 from repro.net.mobility import Route
 from repro.net.propagation import RadioProfile, SpatialField
@@ -194,26 +195,18 @@ class VanLanTestbed:
         times = np.arange(n_slots) * slot_dt
         positions = np.column_stack(motion.positions_at(times))
         model_rssi, prob = self.build_link_bank(trip, motion).evaluate(times)
-        slots = times.tolist()
         for j, bs in enumerate(bs_ids):
-            # Both directions steer with the evaluated loss at each slot.
-            loss = dict(zip(slots, (1.0 - prob[j]).tolist())).__getitem__
-            up_proc = SteeredGilbertElliott(
-                loss, rng=trip_rngs.stream("fast-up", bs)
-            )
-            down_proc = SteeredGilbertElliott(
-                loss, rng=trip_rngs.stream("fast-down", bs)
-            )
-            noise = trip_rngs.stream("rssi-noise", bs)
-            link_rssi = model_rssi[j].tolist()
-            for t_idx, t in enumerate(slots):
-                up[t_idx, j] = not up_proc.is_lost(t)
-                received = not down_proc.is_lost(t)
-                down[t_idx, j] = received
-                if received:
-                    rssi[t_idx, j] = link_rssi[t_idx] + noise.normal(
-                        0.0, self.RSSI_NOISE_DB
-                    )
+            # Both directions steer with the evaluated loss at each slot;
+            # each draws from its own stream, as does the RSSI noise.
+            loss = 1.0 - prob[j]
+            up[:, j] = ~steered_losses(times, loss,
+                                       trip_rngs.stream("fast-up", bs))
+            received = ~steered_losses(times, loss,
+                                       trip_rngs.stream("fast-down", bs))
+            down[:, j] = received
+            noise = trip_rngs.stream("rssi-noise", bs).normal(
+                0.0, self.RSSI_NOISE_DB, size=int(received.sum()))
+            rssi[received, j] = model_rssi[j][received] + noise
         return ProbeTrace(bs_ids, slot_dt, up, down, rssi, positions)
 
     def generate_day(self, day, n_trips=10):

@@ -8,24 +8,19 @@ from repro.apps.workload import CbrWorkload, FlowRouter
 from repro.core.protocol import ViFiConfig, ViFiSimulation
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
 from repro.net.medium import LinkTable
-from repro.sim.rng import RngRegistry
 
 VEHICLE = 0
 
 
 def clean_sim(bs_ids=(1, 2), vehicle_loss=0.0, seed=3, config=None):
-    rngs = RngRegistry(seed)
     table = LinkTable()
     for bs in bs_ids:
-        table.set_link(VEHICLE, bs, BernoulliLoss(
-            vehicle_loss, rngs.stream("u", bs)))
-        table.set_link(bs, VEHICLE, BernoulliLoss(
-            vehicle_loss, rngs.stream("d", bs)))
+        table.set_link(VEHICLE, bs, BernoulliLoss(vehicle_loss))
+        table.set_link(bs, VEHICLE, BernoulliLoss(vehicle_loss))
     for a in bs_ids:
         for b in bs_ids:
             if a != b:
-                table.set_link(a, b, BernoulliLoss(
-                    0.0, rngs.stream("b", a, b)))
+                table.set_link(a, b, BernoulliLoss(0.0))
     sim = ViFiSimulation(list(bs_ids), table,
                          config=config or ViFiConfig(), seed=seed)
     sim.start()
@@ -85,15 +80,12 @@ class TestTcpLossyLink:
         assert len(workload.completed) >= 5
 
     def test_dead_link_aborts_after_stall_timeout(self):
-        rngs = RngRegistry(9)
         table = LinkTable()
         # Good for 10 s, then dead for good: the active transfer must
         # abort within the 10 s stall timeout.
         profile = [0.0] * 10 + [1.0] * 60
-        table.set_link(VEHICLE, 1, TraceDrivenLoss(profile,
-                                                   rngs.stream("u")))
-        table.set_link(1, VEHICLE, TraceDrivenLoss(profile,
-                                                   rngs.stream("d")))
+        table.set_link(VEHICLE, 1, TraceDrivenLoss(profile))
+        table.set_link(1, VEHICLE, TraceDrivenLoss(profile))
         sim = ViFiSimulation([1], table, config=ViFiConfig(), seed=9)
         sim.start()
         router = FlowRouter(sim)

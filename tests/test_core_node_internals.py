@@ -21,8 +21,12 @@ from repro.core.node import (
     BeaconSlotter,
     _ReceiverState,
 )
-from repro.core.protocol import ViFiConfig, ViFiSimulation
-from repro.net.channel import BernoulliLoss
+from repro.core.protocol import (
+    GATEWAY_UPDATE_DELAY_S,
+    ViFiConfig,
+    ViFiSimulation,
+)
+from repro.net.channel import BernoulliLoss, TraceDrivenLoss
 from repro.net.medium import LinkTable
 from repro.net.packet import Ack, Beacon, Direction, FrameKind
 from repro.sim.engine import Simulator
@@ -43,15 +47,12 @@ def acked_at_src(sim, src):
 
 
 def two_bs_sim(config=None, seed=3, loss=0.0):
-    rngs = RngRegistry(seed)
     table = LinkTable()
     for bs in (1, 2):
-        table.set_link(VEHICLE, bs,
-                       BernoulliLoss(loss, rngs.stream("u", bs)))
-        table.set_link(bs, VEHICLE,
-                       BernoulliLoss(loss, rngs.stream("d", bs)))
-    table.set_link(1, 2, BernoulliLoss(0.0, rngs.stream("b1")))
-    table.set_link(2, 1, BernoulliLoss(0.0, rngs.stream("b2")))
+        table.set_link(VEHICLE, bs, BernoulliLoss(loss))
+        table.set_link(bs, VEHICLE, BernoulliLoss(loss))
+    table.set_link(1, 2, BernoulliLoss(0.0))
+    table.set_link(2, 1, BernoulliLoss(0.0))
     sim = ViFiSimulation([1, 2], table, config=config or ViFiConfig(),
                          seed=seed)
     sim.start()
@@ -188,9 +189,54 @@ class TestGateway:
         assert 9 in got  # the buffered packet flushed on first update
 
     def test_belief_lags_anchor_change(self):
-        sim = two_bs_sim()
-        sim.run(until=8.0)
-        assert sim.gateway.anchor_belief == sim.vehicle.anchor_id
+        """The gateway follows each anchor change exactly
+        GATEWAY_UPDATE_DELAY_S late, and routes to the old anchor
+        until then.
+
+        BS 1 serves the first 10 s and then dies; BS 2 takes over.  A
+        downstream packet injected halfway through the lag after the
+        switch still reaches BS 1.
+        """
+        table = LinkTable()
+        for bs, profile in ((1, [0.0] * 10 + [1.0] * 20),
+                            (2, [0.9] * 10 + [0.0] * 20)):
+            table.set_link(VEHICLE, bs, TraceDrivenLoss(profile))
+            table.set_link(bs, VEHICLE, TraceDrivenLoss(profile))
+        table.set_link(1, 2, BernoulliLoss(0.0))
+        table.set_link(2, 1, BernoulliLoss(0.0))
+        sim = ViFiSimulation([1, 2], table, config=ViFiConfig(), seed=3)
+        gateway = sim.gateway
+        changes, beliefs, routed = [], [], []
+        follow = gateway.on_anchor_change
+        update = gateway._update_belief
+
+        def on_anchor_change(new_anchor):
+            follow(new_anchor)
+            if changes:
+                # Scheduled after the belief update, so without a lag
+                # the probe would follow the update.
+                sim.sim.schedule_fire(GATEWAY_UPDATE_DELAY_S / 2,
+                                      sim.send_downstream, "probe", 200)
+            changes.append((sim.sim.now, new_anchor))
+
+        def update_belief(new_anchor):
+            beliefs.append((sim.sim.now, new_anchor))
+            update(new_anchor)
+
+        gateway.on_anchor_change = on_anchor_change
+        gateway._update_belief = update_belief
+        for bs, node in sim.bs_nodes.items():
+            def on_internet_packet(payload, *args, bs=bs,
+                                   accept=node.on_internet_packet,
+                                   **kwargs):
+                routed.append((payload, bs))
+                return accept(payload, *args, **kwargs)
+            node.on_internet_packet = on_internet_packet
+        sim.run(until=20.0)
+        assert [anchor for _, anchor in changes] == [1, 2]
+        assert beliefs == [(t + GATEWAY_UPDATE_DELAY_S, anchor)
+                           for t, anchor in changes]
+        assert routed[0] == ("probe", 1)
 
 
 class TestBeaconDecoration:

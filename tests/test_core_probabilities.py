@@ -42,7 +42,7 @@ def make_estimator(request):
 
 class TestFirstHandEstimation:
     def test_full_reception_converges_to_one(self, make_estimator):
-        est = make_estimator(1, beacons_per_second=10)
+        est = make_estimator(1)
         for sec in range(8):
             for k in range(10):
                 est.on_beacon(beacon(2), now=sec + k * 0.1)
@@ -50,7 +50,7 @@ class TestFirstHandEstimation:
         assert est.incoming_probability(2) == pytest.approx(1.0, abs=0.01)
 
     def test_exponential_average_half_life(self, make_estimator):
-        est = make_estimator(1, beacons_per_second=10, alpha=0.5)
+        est = make_estimator(1, alpha=0.5)
         for k in range(10):
             est.on_beacon(beacon(2), now=k * 0.1)
         est.tick_second(now=1.0)
@@ -59,8 +59,7 @@ class TestFirstHandEstimation:
         assert est.incoming_probability(2) == pytest.approx(0.25)
 
     def test_silent_peer_eventually_forgotten(self, make_estimator):
-        est = make_estimator(1, beacons_per_second=10,
-                             forget_below=0.05)
+        est = make_estimator(1, forget_below=0.05)
         for k in range(10):
             est.on_beacon(beacon(2), now=k * 0.1)
         for sec in range(1, 8):
@@ -68,7 +67,7 @@ class TestFirstHandEstimation:
         assert est.incoming_probability(2) == 0.0
 
     def test_partial_reception_ratio(self, make_estimator):
-        est = make_estimator(1, beacons_per_second=10, alpha=1.0)
+        est = make_estimator(1, alpha=1.0)
         for k in range(6):
             est.on_beacon(beacon(2), now=k * 0.1)
         est.tick_second(now=1.0)
@@ -99,7 +98,7 @@ class TestDissemination:
         assert est.probability(5, 2, now=10.0) == 0.0
 
     def test_first_hand_wins_for_own_incoming(self, make_estimator):
-        est = make_estimator(1, beacons_per_second=10, alpha=1.0)
+        est = make_estimator(1, alpha=1.0)
         for k in range(10):
             est.on_beacon(beacon(2), now=k * 0.1)
         est.tick_second(now=1.0)
@@ -119,7 +118,7 @@ class TestDissemination:
 
 class TestBeaconReports:
     def test_reports_round_trip(self, make_estimator):
-        est = make_estimator(1, beacons_per_second=10, alpha=1.0)
+        est = make_estimator(1, alpha=1.0)
         for k in range(10):
             est.on_beacon(beacon(2), now=k * 0.1)
         est.tick_second(now=1.0)
@@ -184,11 +183,9 @@ class TestUnitEquivalence:
         estimators tick at every integer second, so the fold windows —
         and therefore every fold input — line up exactly.
         """
-        bank = EstimatorBank(self.IDS, beacons_per_second=10,
-                             stale_s=stale_s)
+        bank = EstimatorBank(self.IDS, stale_s=stale_s)
         banked = bank.view(1)
-        legacy = ReceptionEstimator(1, beacons_per_second=10,
-                                    stale_s=stale_s)
+        legacy = ReceptionEstimator(1, stale_s=stale_s)
         rng = random.Random(seed)
         events = []
         for second in range(seconds):
@@ -287,7 +284,7 @@ class TestFirstTickAlignment:
         (In the protocol the simulator delivers beacons in time order,
         so nothing past the fold instant is pending.)
         """
-        bank = EstimatorBank((1, 2), beacons_per_second=10, alpha=1.0)
+        bank = EstimatorBank((1, 2), alpha=1.0)
         est = bank.view(1)
         t = 0.05
         while t < 1.0:

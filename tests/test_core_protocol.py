@@ -13,21 +13,19 @@ from repro.core.protocol import ViFiConfig, ViFiSimulation
 from repro.net.channel import BernoulliLoss, TraceDrivenLoss
 from repro.net.medium import LinkTable
 from repro.net.packet import Direction
-from repro.sim.rng import RngRegistry
 
 VEHICLE = 0
 
 
-def build_table(links, seed=1):
+def build_table(links):
     """LinkTable from {(src, dst): loss_rate} with reliable defaults."""
-    rngs = RngRegistry(seed)
     table = LinkTable()
     for (a, b), loss in links.items():
-        table.set_link(a, b, BernoulliLoss(loss, rngs.stream("l", a, b)))
+        table.set_link(a, b, BernoulliLoss(loss))
     return table
 
 
-def full_mesh(bs_ids, vehicle_loss=0.0, interbs_loss=0.0, seed=1):
+def full_mesh(bs_ids, vehicle_loss=0.0, interbs_loss=0.0):
     links = {}
     for bs in bs_ids:
         links[(VEHICLE, bs)] = vehicle_loss
@@ -36,7 +34,7 @@ def full_mesh(bs_ids, vehicle_loss=0.0, interbs_loss=0.0, seed=1):
         for b in bs_ids:
             if a != b:
                 links[(a, b)] = interbs_loss
-    return build_table(links, seed)
+    return build_table(links)
 
 
 def make_sim(links_or_table, bs_ids, config=None, seed=3):
@@ -90,18 +88,13 @@ class TestAnchorSelection:
 
     def test_anchor_switches_when_link_dies(self):
         table = LinkTable()
-        rngs = RngRegistry(9)
         # BS 1 good for 10 s then dead; BS 2 the reverse.
-        table.set_link(VEHICLE, 1, TraceDrivenLoss(
-            [0.0] * 10 + [1.0] * 20, rngs.stream("u1")))
-        table.set_link(1, VEHICLE, TraceDrivenLoss(
-            [0.0] * 10 + [1.0] * 20, rngs.stream("d1")))
-        table.set_link(VEHICLE, 2, TraceDrivenLoss(
-            [0.9] * 10 + [0.0] * 20, rngs.stream("u2")))
-        table.set_link(2, VEHICLE, TraceDrivenLoss(
-            [0.9] * 10 + [0.0] * 20, rngs.stream("d2")))
-        table.set_link(1, 2, BernoulliLoss(0.0, rngs.stream("b12")))
-        table.set_link(2, 1, BernoulliLoss(0.0, rngs.stream("b21")))
+        table.set_link(VEHICLE, 1, TraceDrivenLoss([0.0] * 10 + [1.0] * 20))
+        table.set_link(1, VEHICLE, TraceDrivenLoss([0.0] * 10 + [1.0] * 20))
+        table.set_link(VEHICLE, 2, TraceDrivenLoss([0.9] * 10 + [0.0] * 20))
+        table.set_link(2, VEHICLE, TraceDrivenLoss([0.9] * 10 + [0.0] * 20))
+        table.set_link(1, 2, BernoulliLoss(0.0))
+        table.set_link(2, 1, BernoulliLoss(0.0))
         sim = make_sim(table, [1, 2])
         sim.run(until=8.0)
         assert sim.vehicle.anchor_id == 1
@@ -182,7 +175,7 @@ class TestDataPath:
 
 
 class TestRelaying:
-    def _diversity_table(self, direct_loss, seed=17):
+    def _diversity_table(self, direct_loss):
         """Vehicle-anchor link lossy; auxiliary path clean.
 
         BS 1 is the anchor (the vehicle hears its beacons best); BS 2
@@ -194,7 +187,7 @@ class TestRelaying:
             (2, VEHICLE): min(direct_loss + 0.3, 0.9),
             (1, 2): 0.0, (2, 1): 0.0,
         }
-        return build_table(links, seed)
+        return build_table(links)
 
     def test_upstream_relaying_rescues_packets(self):
         config = ViFiConfig(max_retx=0, salvage_enabled=False)
@@ -298,22 +291,17 @@ class TestRelaying:
 
 
 class TestSalvaging:
-    def _switch_table(self, seed=41):
+    def _switch_table(self):
         """Anchor 1 dies at t=10 s; BS 2 takes over."""
-        rngs = RngRegistry(seed)
         table = LinkTable()
         profile_1 = [0.05] * 10 + [1.0] * 30
         profile_2 = [0.6] * 10 + [0.05] * 30
-        table.set_link(VEHICLE, 1, TraceDrivenLoss(profile_1,
-                                                   rngs.stream("u1")))
-        table.set_link(1, VEHICLE, TraceDrivenLoss(profile_1,
-                                                   rngs.stream("d1")))
-        table.set_link(VEHICLE, 2, TraceDrivenLoss(profile_2,
-                                                   rngs.stream("u2")))
-        table.set_link(2, VEHICLE, TraceDrivenLoss(profile_2,
-                                                   rngs.stream("d2")))
-        table.set_link(1, 2, BernoulliLoss(0.0, rngs.stream("b1")))
-        table.set_link(2, 1, BernoulliLoss(0.0, rngs.stream("b2")))
+        table.set_link(VEHICLE, 1, TraceDrivenLoss(profile_1))
+        table.set_link(1, VEHICLE, TraceDrivenLoss(profile_1))
+        table.set_link(VEHICLE, 2, TraceDrivenLoss(profile_2))
+        table.set_link(2, VEHICLE, TraceDrivenLoss(profile_2))
+        table.set_link(1, 2, BernoulliLoss(0.0))
+        table.set_link(2, 1, BernoulliLoss(0.0))
         return table
 
     def _drive_through_switch(self, sim, n=40):

@@ -5,9 +5,10 @@ traces -> policies, and testbed -> link table -> protocol -> apps — and
 check the paper's qualitative relationships hold end to end.  The
 realization anchor at the bottom pins the exact default-path output of
 two anchored runs: 120 s of VanLAN trip 0 and 60 s of DieselNet day 0.
-Further pins cover the probe traces, whose loss processes flip their
-own coins through ``is_lost`` instead of serving the medium, and the
-DieselNet beacon log that Table 2 and Figures 10-11 read.
+Further pins cover the probe traces, whose steered chains flip their
+own coins through :func:`~repro.net.channel.steered_losses` instead of
+serving the medium, and the DieselNet beacon log that Table 2 and
+Figures 10-11 read.
 """
 
 import hashlib
@@ -28,6 +29,7 @@ from repro.handoff.evaluator import evaluate_policy
 from repro.handoff.policies import AllBsesPolicy, BrrPolicy, StickyPolicy
 from repro.sim.rng import RngRegistry
 from repro.testbeds.dieselnet import DieselNetTestbed
+from repro.testbeds.traces import BeaconLog
 from repro.testbeds.vanlan import VanLanTestbed
 
 
@@ -120,17 +122,34 @@ class TestDieselNetPipeline:
             assert stream.window_quality()
 
     def test_unreachable_interbs_pairs_respected(self):
-        """Pairs never co-visible must never exchange frames."""
-        testbed = DieselNetTestbed(channel=1, seed=31)
-        log = testbed.generate_beacon_log(0)
-        covis = log.covisibility()
-        rngs = RngRegistry(3).spawn("covis")
-        from repro.testbeds.lossmap import build_link_table_from_log
-        table = build_link_table_from_log(log, rngs)
-        for i, a in enumerate(log.bs_ids):
-            for j, b in enumerate(log.bs_ids):
-                if i != j and not covis[i, j]:
-                    assert table.loss_rate(a, b, 0.0) == 1.0
+        """Pairs never co-visible must never exchange frames.
+
+        BSes 1 and 3 are never heard in the same second, while 1-2 and
+        2-3 are, so only the 1-3 pair is unreachable.
+        """
+        log = BeaconLog([1, 2, 3],
+                        [[10, 5, 0], [0, 6, 7], [8, 0, 0], [0, 0, 9]],
+                        expected=10)
+        assert log.covisibility().tolist() == [
+            [True, True, False], [True, True, True], [False, True, True]]
+        sim, _ = dieselnet_protocol(log, RngRegistry(3).spawn("covis"),
+                                    seed=5)
+        heard = set()
+        for bs, node in sim.bs_nodes.items():
+            def record(frame, transmitter_id, bs=bs,
+                       receive=node.on_receive):
+                heard.add((transmitter_id, bs))
+                receive(frame, transmitter_id)
+            node.on_receive = record
+        links = sim.medium.links
+        for t in (0.0, 2.5, 8.0):
+            assert 3 not in [dst for dst, _ in links.in_range(1, t)]
+            assert 1 not in [dst for dst, _ in links.in_range(3, t)]
+        sim.run(until=8.0)
+        # BS beacons do cross the co-visible pairs ...
+        assert heard & {(1, 2), (2, 1), (2, 3), (3, 2)}
+        # ... and never the unreachable one.
+        assert not heard & {(1, 3), (3, 1)}
 
 
 #: The realization anchor: event count and sha256 signature of each
@@ -216,8 +235,8 @@ def anchored_trace():
 
 class TestProbeTraceAnchor:
     def test_probe_trace_realization_is_pinned(self, anchored_trace):
-        """The ``is_lost`` path: scalar holding-time draws interleaved
-        with the coins on each process's stream."""
+        """The ``steered_losses`` path: scalar holding-time draws
+        interleaved with the coins on each chain's stream."""
         trace = anchored_trace
         blob = trace.up.tobytes() + trace.down.tobytes() \
             + trace.positions.tobytes()

@@ -28,8 +28,8 @@ def setup(loss_ab, mac_retry_limit=4):
     rngs = RngRegistry(11)
     table = LinkTable()
     table.set_link(0, 1, loss_ab)
-    table.set_link(1, 0, BernoulliLoss(0.0, rngs.stream("r")))
-    table.set_link(0, 2, BernoulliLoss(0.0, rngs.stream("o")))
+    table.set_link(1, 0, BernoulliLoss(0.0))
+    table.set_link(0, 2, BernoulliLoss(0.0))
     medium = WirelessMedium(sim, table, rngs.stream("m"),
                             mac_retry_limit=mac_retry_limit)
     nodes = [Node(0), Node(1), Node(2)]
@@ -74,7 +74,7 @@ def test_unicast_retries_until_delivered():
 
 def test_unicast_gives_up_after_retry_limit():
     sim, medium, nodes = setup(
-        BernoulliLoss(1.0, RngRegistry(2).stream("l")),
+        BernoulliLoss(1.0),
         mac_retry_limit=3,
     )
     medium.send(0, packet(), unicast_to=1)
@@ -87,7 +87,7 @@ def test_unicast_gives_up_after_retry_limit():
 
 def test_unicast_backoff_window_grows_and_resets():
     sim, medium, nodes = setup(
-        BernoulliLoss(1.0, RngRegistry(3).stream("l")),
+        BernoulliLoss(1.0),
         mac_retry_limit=2,
     )
     base_cw = medium.backoff_slots
@@ -99,7 +99,7 @@ def test_unicast_backoff_window_grows_and_resets():
 
 def test_bystanders_overhear_unicast_attempts():
     sim, medium, nodes = setup(
-        BernoulliLoss(1.0, RngRegistry(4).stream("l")),
+        BernoulliLoss(1.0),
         mac_retry_limit=2,
     )
     medium.send(0, packet(), unicast_to=1)
@@ -110,7 +110,7 @@ def test_bystanders_overhear_unicast_attempts():
 
 def test_broadcast_never_retries():
     sim, medium, nodes = setup(
-        BernoulliLoss(1.0, RngRegistry(5).stream("l")))
+        BernoulliLoss(1.0))
     medium.send(0, packet())
     sim.run(until=2.0)
     assert medium.transmissions(kind="data") == 1
@@ -118,7 +118,7 @@ def test_broadcast_never_retries():
 
 def test_unicast_success_does_not_retry():
     sim, medium, nodes = setup(
-        BernoulliLoss(0.0, RngRegistry(6).stream("l")))
+        BernoulliLoss(0.0))
     medium.send(0, packet(), unicast_to=1)
     sim.run(until=2.0)
     assert medium.transmissions(kind="data") == 1

@@ -1,6 +1,7 @@
 """Unit tests for loss processes, including the ``loss_eps_window``
 values the medium's resolve rows read and the bounds that let it reuse
-one threshold across a window."""
+one threshold across a window, and for :func:`steered_losses`, which
+draws the probe grids' losses."""
 
 import math
 
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 from repro.net.channel import (
+    STEER_BAD_S,
+    STEER_GOOD_S,
     BernoulliLoss,
     GilbertElliottLoss,
     RateSeries,
     SteeredGilbertElliott,
     TraceDrivenLoss,
+    steer_split,
+    steered_losses,
 )
 from repro.net.medium import LinkTable, WirelessMedium
 from repro.net.packet import DataPacket, Direction
@@ -25,23 +30,49 @@ def _rng(name="x"):
     return RngRegistry(123).fresh(name)
 
 
+def _medium_loss_fraction(process, n):
+    """The fraction of *n* broadcast frames ``0 -> 1`` that the medium
+    loses on a link served by *process*."""
+    class _Node:
+        def __init__(self, node_id):
+            self.node_id = node_id
+            self.received = 0
+
+        def on_receive(self, frame, transmitter_id):
+            self.received += 1
+
+    table = LinkTable()
+    table.set_link(0, 1, process)
+    sim = Simulator()
+    medium = WirelessMedium(sim, table, RngRegistry(123).fresh("medium"))
+    nodes = [_Node(0), _Node(1)]
+    for node in nodes:
+        medium.attach(node)
+    for k in range(n):
+        medium.send(0, DataPacket(pkt_id=k, src=0, dst=1,
+                                  direction=Direction.UPSTREAM,
+                                  size_bytes=100))
+    sim.run()
+    assert medium.transmissions(kind="data") == n
+    return 1.0 - nodes[1].received / n
+
+
 class TestBernoulliLoss:
     def test_loss_rate_matches_parameter(self):
-        process = BernoulliLoss(0.3, _rng())
+        process = BernoulliLoss(0.3)
         assert process.loss_rate(0.0) == 0.3
 
     def test_empirical_rate_converges(self):
-        process = BernoulliLoss(0.3, _rng())
-        losses = sum(process.is_lost(t * 0.01) for t in range(20000))
-        assert 0.27 < losses / 20000 < 0.33
+        """The medium's coins lose the process's share of frames."""
+        assert 0.27 < _medium_loss_fraction(BernoulliLoss(0.3), 8000) < 0.33
 
     def test_extremes(self):
-        assert not BernoulliLoss(0.0, _rng()).is_lost(0)
-        assert BernoulliLoss(1.0, _rng()).is_lost(0)
+        assert BernoulliLoss(0.0).loss_eps_window(0.0) == (0.0, math.inf)
+        assert BernoulliLoss(1.0).loss_eps_window(0.0) == (1.0, math.inf)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(ValueError):
-            BernoulliLoss(1.5, _rng())
+            BernoulliLoss(1.5)
 
 
 class TestGilbertElliott:
@@ -55,31 +86,37 @@ class TestGilbertElliott:
         assert process.loss_rate(0.0) == pytest.approx(expected)
 
     def test_empirical_rate_near_stationary(self):
+        """The time-averaged loss probability approaches the
+        stationary rate."""
         process = GilbertElliottLoss(
             eps_good=0.05, eps_bad=0.95,
             good_duration=0.5, bad_duration=0.1, rng=_rng("ge"),
         )
         n = 50000
-        losses = sum(process.is_lost(t * 0.01) for t in range(n))
-        assert abs(losses / n - process.loss_rate(0)) < 0.03
+        eps = [process.loss_eps_window(t * 0.01)[0] for t in range(n)]
+        assert abs(sum(eps) / n - process.loss_rate(0)) < 0.03
 
     def test_losses_are_bursty(self):
-        """Consecutive-loss probability must exceed the base rate."""
+        """Coins flipped against the chain's loss probability, as the
+        medium flips them: the consecutive-loss probability must exceed
+        the base rate."""
         process = GilbertElliottLoss(
             eps_good=0.02, eps_bad=1.0,
             good_duration=1.0, bad_duration=0.15, rng=_rng("burst"),
         )
-        outcomes = [process.is_lost(t * 0.01) for t in range(60000)]
-        arr = np.asarray(outcomes)
+        n = 60000
+        eps = np.array([process.loss_eps_window(t * 0.01)[0]
+                        for t in range(n)])
+        arr = _rng("coins").random(n) < eps
         base = arr.mean()
         after_loss = arr[1:][arr[:-1]].mean()
         assert after_loss > 2.0 * base
 
     def test_backwards_query_rejected(self):
         process = GilbertElliottLoss(0.1, 0.9, 1.0, 0.1, _rng())
-        process.is_lost(5.0)
+        process.loss_eps_window(5.0)
         with pytest.raises(ValueError):
-            process.is_lost(1.0)
+            process.loss_eps_window(1.0)
 
     def test_invalid_durations_rejected(self):
         with pytest.raises(ValueError):
@@ -87,72 +124,75 @@ class TestGilbertElliott:
 
 
 class TestSteeredGilbertElliott:
+    """The steered chain as the probe grids walk it
+    (:func:`steered_losses`), and the split every steered chain uses."""
+
     def test_mean_tracks_target(self):
         target = 0.35
-        process = SteeredGilbertElliott(lambda t: target, rng=_rng("st"))
-        n = 40000
-        losses = sum(process.is_lost(t * 0.01) for t in range(n))
-        assert abs(losses / n - target) < 0.03
+        times = np.arange(40000) * 0.01
+        lost = steered_losses(times, np.full(len(times), target),
+                              _rng("st"))
+        assert abs(lost.mean() - target) < 0.03
 
     def test_zero_target_never_loses(self):
-        process = SteeredGilbertElliott(lambda t: 0.0, rng=_rng())
-        assert not any(process.is_lost(t * 0.05) for t in range(1000))
+        times = np.arange(1000) * 0.05
+        assert not steered_losses(times, np.zeros(1000), _rng()).any()
 
     def test_full_target_always_loses(self):
-        process = SteeredGilbertElliott(lambda t: 1.0, rng=_rng())
-        assert all(process.is_lost(t * 0.05) for t in range(1000))
+        times = np.arange(1000) * 0.05
+        assert steered_losses(times, np.ones(1000), _rng()).all()
 
     def test_split_preserves_mean_when_bad_saturates(self):
-        process = SteeredGilbertElliott(lambda t: 0.9, rng=_rng())
-        eps_good, eps_bad = process._split(0.9)
-        pi_b = process._chain.pi_bad
+        eps_good, eps_bad = steer_split(0.9)
+        assert eps_bad == 1.0
+        pi_b = STEER_BAD_S / (STEER_GOOD_S + STEER_BAD_S)
         mean = pi_b * eps_bad + (1 - pi_b) * eps_good
         assert mean == pytest.approx(0.9, abs=1e-9)
 
     def test_burstiness_preserved_under_steering(self):
-        process = SteeredGilbertElliott(lambda t: 0.25, rng=_rng("sb"))
-        outcomes = np.asarray(
-            [process.is_lost(t * 0.01) for t in range(60000)]
-        )
+        times = np.arange(60000) * 0.01
+        outcomes = steered_losses(times, np.full(len(times), 0.25),
+                                  _rng("sb"))
         base = outcomes.mean()
         after_loss = outcomes[1:][outcomes[:-1]].mean()
         assert after_loss > 1.5 * base
 
     def test_time_varying_target(self):
-        process = SteeredGilbertElliott(
-            lambda t: 0.0 if t < 10 else 1.0, rng=_rng()
-        )
-        early = [process.is_lost(t * 0.01) for t in range(500)]
-        late = [process.is_lost(15 + t * 0.01) for t in range(500)]
-        assert not any(early)
-        assert all(late)
+        times = np.concatenate([np.arange(500) * 0.01,
+                                15 + np.arange(500) * 0.01])
+        lost = steered_losses(times, np.where(times < 10, 0.0, 1.0),
+                              _rng())
+        assert not lost[:500].any()
+        assert lost[500:].all()
 
 
 class TestTraceDrivenLoss:
     def test_rates_indexed_by_second(self):
-        process = TraceDrivenLoss([0.0, 0.5, 1.0], rng=_rng())
+        process = TraceDrivenLoss([0.0, 0.5, 1.0])
         assert process.loss_rate(0.5) == 0.0
         assert process.loss_rate(1.2) == 0.5
         assert process.loss_rate(2.9) == 1.0
 
     def test_out_of_range_uses_default(self):
-        process = TraceDrivenLoss([0.2], rng=_rng(), out_of_range_rate=1.0)
+        process = TraceDrivenLoss([0.2], out_of_range_rate=1.0)
         assert process.loss_rate(5.0) == 1.0
         assert process.loss_rate(-1.0) == 1.0
 
     def test_t0_offset(self):
-        process = TraceDrivenLoss([0.0, 1.0], rng=_rng(), t0=100.0)
+        process = TraceDrivenLoss([0.0, 1.0], t0=100.0)
         assert process.loss_rate(100.5) == 0.0
         assert process.loss_rate(101.5) == 1.0
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):
-            TraceDrivenLoss([0.5, 1.2], rng=_rng())
+            TraceDrivenLoss([0.5, 1.2])
 
     def test_sampling_respects_rates(self):
-        process = TraceDrivenLoss([0.0, 1.0], rng=_rng())
-        assert not any(process.is_lost(0.0 + k * 0.001) for k in range(500))
-        assert all(process.is_lost(1.0 + k * 0.001) for k in range(500))
+        process = TraceDrivenLoss([0.0, 1.0])
+        assert all(process.loss_eps_window(k * 0.001)[0] == 0.0
+                   for k in range(500))
+        assert all(process.loss_eps_window(1.0 + k * 0.001)[0] == 1.0
+                   for k in range(500))
 
 
 class TestLossEps:
@@ -209,7 +249,7 @@ class TestLossEpsWindows:
             t = t + step
 
     def test_bernoulli(self):
-        process = BernoulliLoss(0.3, RngRegistry(1).stream("b"))
+        process = BernoulliLoss(0.3)
         self._check_windows(process, 0.1, 50)
 
     def test_gilbert_elliott(self):
@@ -218,7 +258,7 @@ class TestLossEpsWindows:
         self._check_windows(process, 0.05, 200)
 
     def test_trace_driven(self):
-        process = TraceDrivenLoss([0.1, 0.9, 0.4], RngRegistry(3).stream("t"))
+        process = TraceDrivenLoss([0.1, 0.9, 0.4])
         self._check_windows(process, 0.13, 40)
 
     def test_steered_static(self):
@@ -234,7 +274,7 @@ class TestLossEpsWindows:
     def test_trace_second_boundary_instants(self):
         """Exactly on a trace-second boundary the new second governs."""
         rates = [0.1, 0.9, 0.4]
-        process = TraceDrivenLoss(rates, RngRegistry(5).stream("t"))
+        process = TraceDrivenLoss(rates)
         for second, rate in enumerate(rates):
             eps, until = process.loss_eps_window(float(second))
             assert eps == rate
@@ -261,7 +301,7 @@ class TestLossEpsWindows:
         for second, rate in enumerate(rates):
             t = float(second)
             eps, until = process.loss_eps_window(t)
-            eps_good, eps_bad = process._split(rate)
+            eps_good, eps_bad = steer_split(rate)
             assert eps == (eps_bad if chain._in_bad else eps_good)
             assert until == min(t + 1.0, chain._next_flip)
             ended_at_second.add(until == t + 1.0)
@@ -270,7 +310,7 @@ class TestLossEpsWindows:
                 == eps
         # Both bounds occur: some seconds end first, some flips do.
         assert ended_at_second == {True, False}
-        eps_good, eps_bad = process._split(1.0)
+        eps_good, eps_bad = steer_split(1.0)
         t = float(len(rates))
         for _ in range(20):
             eps, until = process.loss_eps_window(t)
@@ -326,81 +366,44 @@ class TestLossEpsWindows:
 
 
 class TestMediumAttachedChains:
-    """Attached chains block-draw their holding times, unmoved."""
+    """Chains serving the medium block-draw their holding times: the
+    flip instants equal those of one scalar ``rng.exponential(mean)``
+    draw per holding time, as :func:`steered_losses` takes them."""
 
     FLIPS = 200
 
     @staticmethod
-    def _flips(process, n, reattach_at=None):
+    def _flips(process, n):
         """The first *n* flip instants, read through loss_eps_window."""
         flips = []
         t = 0.0
-        for k in range(n):
-            if k == reattach_at:
-                process.attach_medium()
+        for _ in range(n):
             _, t = process.loss_eps_window(t)
             flips.append(t)
         return flips
 
-    def _twins(self, make):
-        scalar = make(RngRegistry(44).fresh("chain"))
-        blocked = make(RngRegistry(44).fresh("chain"))
-        blocked.attach_medium()
-        return scalar, blocked
+    @staticmethod
+    def _scalar_flips(rng, good_s, bad_s, n):
+        """The reference: the chain walked with scalar draws."""
+        in_bad = rng.random() < bad_s / (good_s + bad_s)
+        t = rng.exponential(bad_s if in_bad else good_s)
+        flips = []
+        for _ in range(n):
+            flips.append(t)
+            in_bad = not in_bad
+            t += rng.exponential(bad_s if in_bad else good_s)
+        return flips
 
     def test_block_draws_equal_scalar_draws(self):
-        """The flips span several block refills and match bit for bit;
-        a second attach in mid-block keeps the block it is serving."""
+        """The flips span several block refills and match bit for bit."""
         assert self.FLIPS > 3 * GilbertElliottLoss._HOLDING_BLOCK
-        scalar, blocked = self._twins(
-            lambda rng: GilbertElliottLoss(0.05, 0.8, 0.9, 0.12, rng))
-        expected = self._flips(scalar, self.FLIPS)
-        assert self._flips(blocked, self.FLIPS, reattach_at=37) == expected
-        assert scalar._holding is None
+        process = GilbertElliottLoss(0.05, 0.8, 0.9, 0.12,
+                                     RngRegistry(44).fresh("chain"))
+        assert self._flips(process, self.FLIPS) == self._scalar_flips(
+            RngRegistry(44).fresh("chain"), 0.9, 0.12, self.FLIPS)
 
     def test_steered_chain_block_draws_equal_scalar_draws(self):
-        scalar, blocked = self._twins(
-            lambda rng: SteeredGilbertElliott(0.3, rng))
-        assert self._flips(blocked, self.FLIPS, reattach_at=5) == \
-            self._flips(scalar, self.FLIPS)
-
-    def test_is_lost_raises_once_attached(self):
-        for process in (
-                GilbertElliottLoss(0.05, 0.8, 0.9, 0.12, _rng()),
-                SteeredGilbertElliott(0.3, _rng())):
-            assert process.is_lost(0.0) in (True, False)
-            process.attach_medium()
-            with pytest.raises(RuntimeError):
-                process.is_lost(0.1)
-
-    def test_medium_rows_attach_their_processes(self):
-        """Resolving a frame attaches the chains it reads, and a
-        symmetric link's process serves both rows with one block."""
-        class _Node:
-            def __init__(self, node_id):
-                self.node_id = node_id
-
-            def on_receive(self, frame, transmitter_id):
-                pass
-
-        rngs = RngRegistry(8)
-        shared = SteeredGilbertElliott(0.2, rngs.stream("ab"))
-        idle = SteeredGilbertElliott(0.2, rngs.stream("ca"))
-        table = LinkTable()
-        table.set_link(0, 1, shared, symmetric=True)
-        table.set_link(2, 0, idle)
-        sim = Simulator()
-        medium = WirelessMedium(sim, table, rngs.stream("m"))
-        for node_id in range(3):
-            medium.attach(_Node(node_id))
-        for src, dst in ((0, 1), (1, 0)):
-            medium.send(src, DataPacket(pkt_id=0, src=src, dst=dst,
-                                        direction=Direction.UPSTREAM,
-                                        size_bytes=300))
-        sim.run(until=1.0)
-        assert shared._chain._holding is not None
-        with pytest.raises(RuntimeError):
-            shared.is_lost(1.0)
-        # Node 2 never transmitted: its link serves no row.
-        assert idle._chain._holding is None
-        assert idle.is_lost(1.0) in (True, False)
+        process = SteeredGilbertElliott(0.3, RngRegistry(44).fresh("chain"))
+        assert self._flips(process, self.FLIPS) == self._scalar_flips(
+            RngRegistry(44).fresh("chain"), STEER_GOOD_S, STEER_BAD_S,
+            self.FLIPS)

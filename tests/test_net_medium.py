@@ -50,8 +50,7 @@ def _setup(loss=0.0, n_nodes=3):
     for a in range(n_nodes):
         for b in range(n_nodes):
             if a != b:
-                table.set_link(a, b, BernoulliLoss(
-                    loss, rngs.stream("l", a, b)))
+                table.set_link(a, b, BernoulliLoss(loss))
     medium = WirelessMedium(sim, table, rngs.stream("m"))
     for node in nodes:
         medium.attach(node)
@@ -155,20 +154,16 @@ class TestWirelessMedium:
 class TestLinkTable:
     def test_symmetric_registration(self):
         table = LinkTable()
-        process = BernoulliLoss(0.5, RngRegistry(1).stream("x"))
+        process = BernoulliLoss(0.5)
         table.set_link(1, 2, process, symmetric=True)
         assert table.get(1, 2) is process
         assert table.get(2, 1) is process
-
-    def test_loss_rate_for_missing_link_is_one(self):
-        table = LinkTable()
-        assert table.loss_rate(1, 2, 0.0) == 1.0
 
     def test_none_process_rejected(self):
         """Out of range means unregistered: a ``None`` link is refused
         and the registered process keeps serving the pair."""
         table = LinkTable()
-        process = BernoulliLoss(0.0, RngRegistry(1).stream("x"))
+        process = BernoulliLoss(0.0)
         table.set_link(0, 1, process)
         with pytest.raises(ValueError):
             table.set_link(0, 1, None)
@@ -229,7 +224,7 @@ class TestMergedTransmissions:
         sim = Simulator()
         rngs = RngRegistry(17)
         table = LinkTable()
-        table.set_link(0, 1, BernoulliLoss(0.0, rngs.stream("l")))
+        table.set_link(0, 1, BernoulliLoss(0.0))
         medium = WirelessMedium(sim, table, rngs.stream("m"))
 
         class _Node:
@@ -274,8 +269,7 @@ def _batch_medium(seed):
         for b in range(3):
             if a != b:
                 # Mixed probabilities so outcomes are non-trivial.
-                table.set_link(a, b, BernoulliLoss(
-                    0.25 * ((a + b) % 3), rngs.stream("l", a, b)))
+                table.set_link(a, b, BernoulliLoss(0.25 * ((a + b) % 3)))
     medium = WirelessMedium(sim, table, rngs.stream("m"),
                             outcome_rng=rngs.stream("o"),
                             backoff_slots=0)
@@ -374,9 +368,6 @@ class _BucketLoss:
     def loss_rate(self, t):
         return self._eps(int(t / self.quantum))
 
-    def is_lost(self, t):
-        return False  # scalar path unused by these tests
-
     def loss_eps_window(self, t):
         key = int(t / self.quantum)
         bound = (key + 1.0) * self.quantum
@@ -406,7 +397,7 @@ class TestScalarResolveOracle:
         rows = []
         for rx in range(1, 13):
             if rx % 2:
-                process = BernoulliLoss(0.07 * rx, rngs.stream("l", rx))
+                process = BernoulliLoss(0.07 * rx)
             else:
                 process = _BucketLoss(
                     flip_every=0.05 if rx % 4 else math.inf, salt=rx)
@@ -453,8 +444,8 @@ class TestArrayKernelBitwise:
         sim = Simulator()
         rngs = RngRegistry(11)
         table = LinkTable()
-        table.set_link(0, 1, BernoulliLoss(0.0, rngs.stream("ok")))
-        table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("bad")))
+        table.set_link(0, 1, BernoulliLoss(0.0))
+        table.set_link(0, 2, BernoulliLoss(1.0))
         medium = WirelessMedium(sim, table, rngs.stream("m"))
 
         class _Node:
@@ -495,8 +486,7 @@ class TestBackoffFreeze:
         for a in range(3):
             for b in range(3):
                 if a != b:
-                    table.set_link(a, b, BernoulliLoss(
-                        0.0, rngs.stream("l", a, b)))
+                    table.set_link(a, b, BernoulliLoss(0.0))
         medium = WirelessMedium(sim, table, rngs.stream("m"),
                                 backoff_slots=0)
         order = []
@@ -550,11 +540,10 @@ class TestReachabilityIndex:
     ``WirelessMedium.REACH_REFRESH_S``."""
 
     def _table(self):
-        rngs = RngRegistry(2)
         table = LinkTable()
-        table.set_link(0, 1, BernoulliLoss(0.3, rngs.stream("a")))
-        table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("b")))
-        return table, rngs
+        table.set_link(0, 1, BernoulliLoss(0.3))
+        table.set_link(0, 2, BernoulliLoss(1.0))
+        return table
 
     @staticmethod
     def _medium(table, n_nodes):
@@ -565,22 +554,21 @@ class TestReachabilityIndex:
         return medium
 
     def test_culls_total_loss_links(self):
-        table, _ = self._table()
+        table = self._table()
         assert _dsts(table.in_range(0, 0.0)) == [1]
 
     def test_registration_invalidates_cache(self):
-        table, rngs = self._table()
+        table = self._table()
         medium = self._medium(table, 4)
         assert medium._resolve_rows(0, 0.0).ids == [1]
-        table.set_link(0, 3, BernoulliLoss(0.0, rngs.stream("c")))
+        table.set_link(0, 3, BernoulliLoss(0.0))
         assert medium._resolve_rows(0, 0.0).ids == [1, 3]
 
     def test_dynamic_link_reacquired_after_refresh(self):
-        rngs = RngRegistry(4)
         table = LinkTable()
         # Loss 1.0 until t = 0.1, perfect afterwards.
-        process = TraceDrivenLoss([1.0, 0.0, 0.0], rngs.stream("t"),
-                                  t0=-0.9, out_of_range_rate=0.0)
+        process = TraceDrivenLoss([1.0, 0.0, 0.0], t0=-0.9,
+                                  out_of_range_rate=0.0)
         table.set_link(0, 1, process)
         medium = self._medium(table, 2)
         assert medium._resolve_rows(0, 0.0).ids == []
@@ -593,9 +581,9 @@ class TestReachabilityIndex:
         assert medium._resolve_rows(0, refresh).ids == [1]
 
     def test_reachable_links_sorted_pairs(self):
-        table, rngs = self._table()
-        table.set_link(0, 5, BernoulliLoss(0.1, rngs.stream("e")))
-        table.set_link(0, 4, BernoulliLoss(0.1, rngs.stream("f")))
+        table = self._table()
+        table.set_link(0, 5, BernoulliLoss(0.1))
+        table.set_link(0, 4, BernoulliLoss(0.1))
         assert _dsts(table.in_range(0, 0.0)) == [1, 4, 5]
 
 
@@ -604,8 +592,8 @@ def _culling_medium():
     sim = Simulator()
     rngs = RngRegistry(6)
     table = LinkTable()
-    table.set_link(0, 1, BernoulliLoss(0.0, rngs.stream("ok")))
-    table.set_link(0, 2, BernoulliLoss(1.0, rngs.stream("cull")))
+    table.set_link(0, 1, BernoulliLoss(0.0))
+    table.set_link(0, 2, BernoulliLoss(1.0))
     medium = WirelessMedium(sim, table, rngs.stream("m"))
     nodes = [Node(i) for i in range(3)]
     for node in nodes:

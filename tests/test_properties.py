@@ -197,8 +197,7 @@ class TestMediumProperties:
         for a in range(4):
             for b in range(4):
                 if a != b:
-                    table.set_link(a, b, BernoulliLoss(
-                        0.0, rngs.stream("l", a, b)))
+                    table.set_link(a, b, BernoulliLoss(0.0))
         medium = WirelessMedium(sim, table, rngs.stream("m"))
         completed = []
         airtimes = []

@@ -1,9 +1,10 @@
 """Unit tests for named RNG streams and buffered uniform draws."""
 
+import numpy as np
 import pytest
 
 from repro.core.node import RELAY_TIMER_INTERVAL_S
-from repro.net.channel import BernoulliLoss
+from repro.net.channel import steered_losses
 from repro.sim.rng import BufferedUniforms, RngRegistry, derive_seed
 
 
@@ -60,11 +61,13 @@ class TestBufferedUniforms:
         assert got == pytest.approx(expected, abs=0.0)
 
     def test_bernoulli_extremes_unchanged(self):
+        """Coins served from buffered blocks keep the extremes exact:
+        a steered chain at target 1 loses every probe, at 0 none."""
         rngs = RngRegistry(12)
-        always = BernoulliLoss(1.0, rngs.stream("x"))
-        never = BernoulliLoss(0.0, rngs.stream("y"))
-        assert all(always.is_lost(t * 0.1) for t in range(50))
-        assert not any(never.is_lost(t * 0.1) for t in range(50))
+        times = np.arange(50) * 0.1
+        assert steered_losses(times, np.ones(50), rngs.stream("x")).all()
+        assert not steered_losses(times, np.zeros(50),
+                                  rngs.stream("y")).any()
 
     @pytest.mark.parametrize("low, high", [(0.0, 0.01), (-0.05, 0.05)])
     def test_affine_draw_matches_uniform(self, low, high):

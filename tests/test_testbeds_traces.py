@@ -47,16 +47,6 @@ class TestProbeTrace:
         assert np.array_equal(sub.up[:, 0], trace.up[:, 2])
         assert np.array_equal(sub.down[:, 1], trace.down[:, 0])
 
-    def test_save_load_roundtrip(self, tmp_path):
-        trace = make_probe_trace()
-        path = tmp_path / "trace.npz"
-        trace.save(path)
-        loaded = ProbeTrace.load(path)
-        assert loaded.bs_ids == trace.bs_ids
-        assert np.array_equal(loaded.up, trace.up)
-        assert np.array_equal(loaded.down, trace.down)
-        assert loaded.slot_dt == trace.slot_dt
-
 
 class TestBeaconLog:
     def test_ratio_and_loss(self):
@@ -83,15 +73,6 @@ class TestBeaconLog:
             BeaconLog([1], [[11]], expected=10)
         with pytest.raises(ValueError):
             BeaconLog([1], [[-1]], expected=10)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        log = BeaconLog([1, 2], [[10, 0], [5, 5]], expected=10)
-        path = tmp_path / "log.npz"
-        log.save(path)
-        loaded = BeaconLog.load(path)
-        assert loaded.bs_ids == log.bs_ids
-        assert np.array_equal(loaded.heard, log.heard)
-        assert loaded.expected == 10
 
 
 class TestLossMap:

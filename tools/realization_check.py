@@ -18,17 +18,20 @@ registry's ``ablation_unicast`` entry runs seed 13).  The benchmark
 sends only broadcast frames, so these lines are what covers the
 medium's unicast contention path.  Then come two lines on
 ``VanLanTestbed(seed=42).generate_probe_trace(0, max_seconds=60)``:
-probe traces flip each loss process's coins through ``is_lost``, a
-path no protocol run takes, and they feed the trace-driven figures
-and the handoff study.  ``probe-trace-outcomes`` is the sha256 of its
-``up``, ``down`` and ``positions`` arrays, and ``probe-trace-rssi`` of
-its ``rssi`` array, which records the radio model's float values and
-so can move in its last bits while every outcome holds.  The last
-line, ``beacon-log``, is the sha256 of the ``heard`` counts of
+probe traces draw their losses through
+:func:`~repro.net.channel.steered_losses`, a path no protocol run
+takes, and they feed the trace-driven figures and the handoff study.
+``probe-trace-outcomes`` is the sha256 of its ``up``, ``down`` and
+``positions`` arrays, and ``probe-trace-rssi`` of its ``rssi`` array,
+which records the radio model's float values and so can move in its
+last bits while every outcome holds.  ``beacon-log`` is the sha256 of
+the ``heard`` counts of
 ``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the
-log Table 2, Figure 10 and Figure 11's channel 1 read.
+log Table 2, Figure 10 and Figure 11's channel 1 read.  ``fig06`` is
+the sha256 of the JSON text of Figure 6's registry payload, the other
+caller of ``steered_losses``.
 
-After these ten lines comes one ``bench <workload> <unit> <digest>``
+After these eleven lines comes one ``bench <workload> <unit> <digest>``
 line per unit of the benchmark's workloads (``bench/workloads.py``) at
 protocol seed 0, computed in this process with the Figure 9 sweep run
 serially (its digests do not depend on the pool size).  So one ``diff``
@@ -53,6 +56,7 @@ from repro.apps.workload import FlowRouter  # noqa: E402
 from repro.core.protocol import ViFiConfig  # noqa: E402
 from repro.experiments.common import WARMUP_S, vanlan_protocol  # noqa: E402
 from repro.experiments.coordination import formulation_comparison  # noqa: E402
+from repro.figures import FIGURES, payload_text  # noqa: E402
 from repro.testbeds.dieselnet import DieselNetTestbed  # noqa: E402
 from repro.testbeds.vanlan import VanLanTestbed  # noqa: E402
 from workloads import WORKLOADS, run_workload  # noqa: E402
@@ -109,6 +113,13 @@ def beacon_log_line():
     return "beacon-log " + hashlib.sha256(log.heard.tobytes()).hexdigest()
 
 
+def fig06_line():
+    """The sha256 of Figure 6's payload as ``results/`` holds it."""
+    figure = FIGURES["fig06_losses"]
+    text = payload_text(figure.payload(figure.run()))
+    return "fig06 " + hashlib.sha256(text.encode()).hexdigest()
+
+
 def bench_lines():
     """One ``bench <workload> <unit> <digest>`` line per benchmark unit
     at protocol seed 0."""
@@ -126,6 +137,7 @@ def main(argv=None):
     for line in probe_trace_lines():
         print(line, flush=True)
     print(beacon_log_line(), flush=True)
+    print(fig06_line(), flush=True)
     for line in bench_lines():
         print(line, flush=True)
     return 0
