@@ -15,12 +15,12 @@ every example with a tiny cap.
 
 import argparse
 
-from repro.experiments.study import policy_factories
-from repro.handoff.evaluator import evaluate_policy
-from repro.handoff.sessions import (
+from repro.apps.sessions import (
     session_lengths,
     time_weighted_median_session,
 )
+from repro.experiments.study import policy_factories
+from repro.handoff.evaluator import evaluate_policy
 from repro.testbeds.vanlan import VanLanTestbed
 
 TRIPS = (0, 1)
@@ -47,7 +47,7 @@ def main(seconds=None):
             outcome = evaluate_policy(trace, policy)
             packets += outcome.packets_delivered
             handoffs += outcome.handoff_count
-            adequate = outcome.adequate_windows(1.0, 0.5)
+            adequate = outcome.adequate_windows()
             lengths.extend(session_lengths(adequate))
         median = time_weighted_median_session(lengths)
         print(f"{name:<10s} {packets:>9d} {median:>13.0f} s "

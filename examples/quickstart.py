@@ -14,12 +14,13 @@ Run:
 
 import argparse
 
-from repro.core.protocol import ViFiConfig
-from repro.experiments.common import run_protocol_cbr, vanlan_protocol
-from repro.handoff.sessions import (
+from repro.apps.sessions import (
+    ADEQUATE_RATIO,
     session_lengths,
     time_weighted_median_session,
 )
+from repro.core.protocol import ViFiConfig
+from repro.experiments.common import run_protocol_cbr, vanlan_protocol
 from repro.testbeds.vanlan import VanLanTestbed
 
 
@@ -37,8 +38,8 @@ def main(seconds=None):
         if seconds is not None:
             duration = min(duration, float(seconds))
         cbr = run_protocol_cbr(sim, duration, deadline_s=0.1)
-        ratios = cbr.window_reception_ratio(1.0, deadline_s=0.1)
-        lengths = session_lengths(ratios >= 0.5)
+        ratios = cbr.window_reception_ratio(deadline_s=0.1)
+        lengths = session_lengths(ratios >= ADEQUATE_RATIO)
         median = time_weighted_median_session(lengths)
         print(f"{name:<10s} {cbr.delivery_rate():>8.1%} "
               f"{median:>13.0f} s {sim.stats.anchor_changes:>15d}")

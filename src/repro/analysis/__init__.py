@@ -13,18 +13,3 @@ Pure computations over traces and delivery logs:
 * :mod:`repro.analysis.aggregate` — packets-per-day aggregates across
   BS subsets (Figure 2).
 """
-
-from repro.analysis.aggregate import packets_per_day_by_density
-from repro.analysis.burstiness import conditional_loss_curve
-from repro.analysis.cdf import empirical_cdf, mean_confidence_interval
-from repro.analysis.conditional import two_bs_conditionals
-from repro.analysis.diversity import visible_bs_stats
-
-__all__ = [
-    "conditional_loss_curve",
-    "empirical_cdf",
-    "mean_confidence_interval",
-    "packets_per_day_by_density",
-    "two_bs_conditionals",
-    "visible_bs_stats",
-]

@@ -11,7 +11,7 @@ import numpy as np
 
 __all__ = ["empirical_cdf", "mean_confidence_interval"]
 
-#: Two-sided 97.5% normal quantile, for 95% intervals.
+#: Two-sided 97.5% normal quantile, for the paper's 95% intervals.
 _Z95 = 1.959963984540054
 
 
@@ -29,8 +29,8 @@ def empirical_cdf(values):
     return xs, ys
 
 
-def mean_confidence_interval(values, confidence=0.95):
-    """Mean and half-width of its normal-approximation CI.
+def mean_confidence_interval(values):
+    """Mean and half-width of its 95% normal-approximation CI.
 
     Returns:
         ``(mean, half_width)``; half_width is 0 for samples of size
@@ -43,6 +43,4 @@ def mean_confidence_interval(values, confidence=0.95):
     if arr.size < 2:
         return mean, 0.0
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    if confidence != 0.95:
-        raise ValueError("only 95% intervals are supported")
     return mean, _Z95 * sem

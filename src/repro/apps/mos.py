@@ -30,7 +30,6 @@ __all__ = [
     "mos_from_r",
     "mos_score",
     "r_factor",
-    "voip_sessions",
 ]
 
 # The paper's G.729 delay budget and interruption rule, all stated by
@@ -79,25 +78,3 @@ def mos_score(delay_ms, loss_fraction):
     """Convenience: MoS directly from delay and loss."""
     return mos_from_r(r_factor(delay_ms, loss_fraction))
 
-
-def voip_sessions(window_mos):
-    """Uninterrupted-session lengths from per-window MoS values.
-
-    A session is a maximal run of consecutive :data:`WINDOW_S` windows
-    at or above :data:`INTERRUPTION_MOS`; its length is the run
-    duration in seconds.
-
-    Returns:
-        List of session lengths (seconds).
-    """
-    sessions = []
-    run = 0
-    for m in window_mos:
-        if m >= INTERRUPTION_MOS:
-            run += 1
-        elif run:
-            sessions.append(run * WINDOW_S)
-            run = 0
-    if run:
-        sessions.append(run * WINDOW_S)
-    return sessions

@@ -1,21 +1,54 @@
-"""Uninterrupted-connectivity sessions (Sections 3.3 and 5.2).
+"""Uninterrupted-connectivity sessions (Sections 3.3, 5.2 and 5.3.2).
 
 The paper's interactive-application metric: a *session* is a maximal
-run of consecutive windows with adequate connectivity, where adequacy
-means the combined reception ratio within each window of
-``interval_s`` seconds is at least ``min_ratio``.  Figure 3(d) plots
-the CDF of *time spent* in sessions of a given length; Figures 4 and 7
-report its median as the definitions vary.
+run of consecutive windows with adequate connectivity.  For probe and
+CBR traffic, adequacy means the combined (up plus down) reception
+ratio within each window is at least a threshold, by default Section
+3.3's :data:`ADEQUATE_RATIO` over :data:`ADEQUATE_WINDOW_S`; a VoIP
+window is adequate while its MoS stays at or above the interruption
+threshold of :mod:`repro.apps.mos`.  Figure 3(d) plots the CDF of
+*time spent* in sessions of a given length; Figures 4 and 7 report
+its median as the definitions vary.
 """
 
 import numpy as np
 
 __all__ = [
+    "ADEQUATE_RATIO",
+    "ADEQUATE_WINDOW_S",
     "adequacy_runs",
     "session_lengths",
     "time_in_sessions_cdf",
     "time_weighted_median_session",
+    "window_ratios",
 ]
+
+#: Adequate connectivity as Section 3.3 states it: a one-second window
+#: that delivers at least half of its probes.
+ADEQUATE_WINDOW_S = 1.0
+ADEQUATE_RATIO = 0.5
+
+
+def window_ratios(up, down, per_window):
+    """Combined (up plus down) delivery ratio per window.
+
+    Args:
+        up / down: per-probe bool arrays of equal length, True where
+            the probe was delivered.
+        per_window: probes per window in each direction; a trailing
+            partial window is dropped.
+
+    Raises:
+        ValueError: if a window holds no probe.
+    """
+    if per_window < 1:
+        raise ValueError("window shorter than one probe")
+    n_windows = len(up) // per_window
+    size = n_windows * per_window
+    up = np.asarray(up[:size], dtype=bool).reshape(n_windows, per_window)
+    down = np.asarray(down[:size], dtype=bool).reshape(n_windows,
+                                                       per_window)
+    return (up.sum(axis=1) + down.sum(axis=1)) / (2.0 * per_window)
 
 
 def adequacy_runs(adequate):
@@ -37,7 +70,7 @@ def adequacy_runs(adequate):
     return runs
 
 
-def session_lengths(adequate, window_s=1.0):
+def session_lengths(adequate, window_s=ADEQUATE_WINDOW_S):
     """Session lengths in seconds from a per-window adequacy sequence."""
     return [length * window_s for _, length in adequacy_runs(adequate)]
 

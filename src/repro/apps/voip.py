@@ -11,11 +11,12 @@ import math
 
 from repro.apps.mos import (
     FIXED_DELAY_MS,
+    INTERRUPTION_MOS,
     WINDOW_S,
     WIRELESS_BUDGET_MS,
     mos_score,
-    voip_sessions,
 )
+from repro.apps.sessions import session_lengths
 from repro.apps.workload import CbrWorkload
 
 __all__ = ["VoipStream"]
@@ -86,8 +87,12 @@ class VoipStream(CbrWorkload):
         return windows
 
     def session_lengths(self):
-        """Uninterrupted-session lengths (seconds), per the paper's rule."""
-        return voip_sessions([m for m, _, _ in self.window_quality()])
+        """Uninterrupted-session lengths (seconds), per the paper's rule:
+        runs of :data:`~repro.apps.mos.WINDOW_S` windows whose MoS is at
+        least :data:`~repro.apps.mos.INTERRUPTION_MOS`."""
+        return session_lengths(
+            [m >= INTERRUPTION_MOS for m, _, _ in self.window_quality()],
+            window_s=WINDOW_S)
 
     def mean_mos(self):
         """Average of the per-window MoS scores."""

@@ -14,6 +14,8 @@ packets more often and judges them per window.
 
 import numpy as np
 
+from repro.apps.sessions import ADEQUATE_WINDOW_S, window_ratios
+
 __all__ = ["CbrWorkload", "FlowRouter"]
 
 
@@ -130,7 +132,8 @@ class CbrWorkload:
     def packets_sent(self):
         return self._seq
 
-    def window_reception_ratio(self, window_s=1.0, deadline_s=None):
+    def window_reception_ratio(self, window_s=ADEQUATE_WINDOW_S,
+                               deadline_s=None):
         """Combined per-window reception ratio, as in the trace study.
 
         A packet counts toward the window in which it was *sent*; with
@@ -139,25 +142,21 @@ class CbrWorkload:
 
         Returns:
             Float array of per-window combined reception ratios.
+
+        Raises:
+            ValueError: if *window_s* rounds to no probe.
         """
-        if self._started_at is None or self._seq == 0:
-            return np.zeros(0)
-        per_window = int(round(window_s / self.interval))
-        n_windows = self._seq // per_window
-        ratios = np.zeros(n_windows)
-        for w in range(n_windows):
-            delivered = 0
-            for seq in range(w * per_window, (w + 1) * per_window):
-                sent = self.sent_times[seq]
-                for table in (self.up_deliveries, self.down_deliveries):
-                    arrival = table.get(seq)
-                    if arrival is None:
-                        continue
-                    if deadline_s is not None and arrival - sent > deadline_s:
-                        continue
-                    delivered += 1
-            ratios[w] = delivered / (2.0 * per_window)
-        return ratios
+        return window_ratios(self._on_time(self.up_deliveries, deadline_s),
+                             self._on_time(self.down_deliveries, deadline_s),
+                             int(round(window_s / self.interval)))
+
+    def _on_time(self, deliveries, deadline_s):
+        """Per-probe flags: delivered, within *deadline_s* if set."""
+        flags = np.zeros(self._seq, dtype=bool)
+        for seq, arrival in deliveries.items():
+            flags[seq] = deadline_s is None \
+                or arrival - self.sent_times[seq] <= deadline_s
+        return flags
 
     def delivery_rate(self):
         """Fraction of probes delivered, pooled over both directions."""

@@ -27,33 +27,3 @@ Package layout:
 * :mod:`repro.core.perfect` — the PerfectRelay oracle estimated from
   ViFi logs (Section 5.4).
 """
-
-from repro.core.perfect import perfect_relay_efficiency
-from repro.core.probabilities import EstimatorBank, ReceptionEstimator
-from repro.core.protocol import ViFiConfig, ViFiSimulation
-from repro.core.relaying import (
-    ExpectedDeliveryStrategy,
-    IgnoreDestConnectivityStrategy,
-    IgnoreOthersStrategy,
-    RelayContext,
-    ViFiRelayStrategy,
-    make_strategy,
-)
-from repro.core.retransmit import AdaptiveRetxTimer
-from repro.core.stats import ViFiStats
-
-__all__ = [
-    "AdaptiveRetxTimer",
-    "EstimatorBank",
-    "ExpectedDeliveryStrategy",
-    "IgnoreDestConnectivityStrategy",
-    "IgnoreOthersStrategy",
-    "ReceptionEstimator",
-    "RelayContext",
-    "ViFiConfig",
-    "ViFiRelayStrategy",
-    "ViFiSimulation",
-    "ViFiStats",
-    "make_strategy",
-    "perfect_relay_efficiency",
-]

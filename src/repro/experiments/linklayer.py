@@ -7,7 +7,8 @@ link-layer retransmissions are disabled", Section 5.2); the oracle
 curves (BestBS, AllBSes) come from the trace-driven study over matched
 trips, as in the paper where Figure 7's oracle curves are carried over
 from Figure 4.  Connectivity is adequate in a one-second window that
-delivers at least half its probes.
+delivers at least half its probes (Section 3.3; see
+:mod:`repro.apps.sessions`).
 
 The ``(protocol, trip)`` runs fan out over
 :func:`~repro.experiments.common.run_trips`; results are identical for
@@ -16,6 +17,12 @@ any worker count.
 
 import numpy as np
 
+from repro.apps.sessions import (
+    ADEQUATE_RATIO,
+    adequacy_runs,
+    session_lengths,
+    time_weighted_median_session,
+)
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
     init_worker_state,
@@ -26,18 +33,10 @@ from repro.experiments.common import (
 )
 from repro.experiments.study import policy_factories
 from repro.handoff.evaluator import evaluate_policy
-from repro.handoff.sessions import (
-    adequacy_runs,
-    session_lengths,
-    time_weighted_median_session,
-)
 
 __all__ = ["link_layer_sessions", "path_behaviour",
            "policy_session_medians"]
 
-#: Adequacy window (s) and the reception ratio it must reach.
-_WINDOW_S = 1.0
-_MIN_RATIO = 0.5
 #: A probe counts as delivered only within one probe interval,
 #: mirroring the slot semantics of the trace-driven policies.
 _DEADLINE_S = 0.1
@@ -52,8 +51,7 @@ def _cbr_windows_task(task):
     sim, duration = vanlan_protocol(testbed, trip, config=config,
                                     seed=seed + trip)
     cbr = run_protocol_cbr(sim, duration, deadline_s=_DEADLINE_S)
-    return cbr.window_reception_ratio(window_s=_WINDOW_S,
-                                      deadline_s=_DEADLINE_S)
+    return cbr.window_reception_ratio(deadline_s=_DEADLINE_S)
 
 
 def _adequacy(testbed, names, trips, seed):
@@ -63,7 +61,7 @@ def _adequacy(testbed, names, trips, seed):
         _cbr_windows_task, [(name, trip) for name in names for trip in trips],
         initializer=init_worker_state, initargs=(testbed, seed),
     ))
-    return {name: [next(per_task) >= _MIN_RATIO for _ in trips]
+    return {name: [next(per_task) >= ADEQUATE_RATIO for _ in trips]
             for name in names}
 
 
@@ -72,7 +70,7 @@ def _median_sessions(masks):
     return {
         name: time_weighted_median_session([
             length for adequate in per_trip
-            for length in session_lengths(adequate, window_s=_WINDOW_S)
+            for length in session_lengths(adequate)
         ])
         for name, per_trip in masks.items()
     }
@@ -121,6 +119,6 @@ def policy_session_medians(testbed, trips):
     traces = [testbed.generate_probe_trace(trip) for trip in trips]
     return _median_sessions({
         name: [evaluate_policy(trace, factories[name](None))
-               .adequate_windows(_WINDOW_S, _MIN_RATIO) for trace in traces]
+               .adequate_windows() for trace in traces]
         for name in ("BestBS", "AllBSes")
     })

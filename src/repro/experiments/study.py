@@ -35,6 +35,14 @@ __all__ = [
     "two_bs_experiment",
 ]
 
+#: Probe spacing (s) of Figure 6(a)'s single-BS probes and Figure
+#: 6(b)'s alternating two-BS probes, as the paper states them.
+BURST_PROBE_S = 0.01
+TWO_BS_PROBE_S = 0.02
+#: Mean reception above which Figure 6's analyses count a link as in
+#: coverage: an engineering choice.
+COVERAGE_FLOOR = 0.2
+
 
 def policy_factories():
     """Policy factories keyed by paper name (History needs training)."""
@@ -91,26 +99,26 @@ def diversity_cdfs(beacon_logs, min_ratio=None):
     return xs, ys, hist
 
 
-def burst_loss_experiment(testbed, bs_id, trip=0, probe_interval_s=0.01,
+def burst_loss_experiment(testbed, bs_id, trip=0,
                           lags=(1, 2, 5, 10, 50, 100, 500, 1000, 2000),
-                          duration_s=None, coverage_floor=0.2):
+                          duration_s=None):
     """Figure 6(a): single-BS 10 ms probes, conditional loss curve.
 
     The analysis is restricted to the portion of the trip where the
-    link has coverage (mean reception above *coverage_floor*), as in
-    the paper's experiment where the sending BS is in range: with the
-    out-of-range tail included, the unconditional loss probability is
-    dominated by dead air and the burst excess degenerates.
+    link has coverage (mean reception above :data:`COVERAGE_FLOOR`),
+    as in the paper's experiment where the sending BS is in range: with
+    the out-of-range tail included, the unconditional loss probability
+    is dominated by dead air and the burst excess degenerates.
 
     Returns:
         ``(curve, overall)`` — dict lag -> P(loss i+k | loss i) and the
         unconditional loss probability within the coverage window.
     """
-    times, prob = _probe_grid(testbed, (bs_id,), trip, probe_interval_s,
+    times, prob = _probe_grid(testbed, (bs_id,), trip, BURST_PROBE_S,
                               duration_s)
     rng = testbed.rngs.spawn("fig6a", trip).stream("chain", bs_id)
     losses = steered_losses(times, 1.0 - prob[0], rng)
-    covered = prob[0] > coverage_floor
+    covered = prob[0] > COVERAGE_FLOOR
     if covered.sum() >= 1000:
         losses = losses[covered]
     return (
@@ -119,33 +127,27 @@ def burst_loss_experiment(testbed, bs_id, trip=0, probe_interval_s=0.01,
     )
 
 
-def two_bs_experiment(testbed, bs_a, bs_b, trip=0, probe_interval_s=0.02,
-                      duration_s=None, window_s=None):
+def two_bs_experiment(testbed, bs_a, bs_b, trip=0, duration_s=None):
     """Figure 6(b): two BSes alternate 20 ms packets; conditionals.
 
     To reproduce the paper's setting (a chosen pair with reasonable
     links), only the portion of the trip where both BSes have mean
-    reception above 0.2 is analysed unless ``window_s`` overrides.
+    reception above :data:`COVERAGE_FLOOR` is analysed, or the whole
+    trip if that portion holds fewer than 100 probes.
 
     Returns:
         The six-probability dict of
         :func:`repro.analysis.conditional.two_bs_conditionals`.
     """
     times, prob = _probe_grid(testbed, (bs_a, bs_b), trip,
-                              probe_interval_s, duration_s)
+                              TWO_BS_PROBE_S, duration_s)
     recv = {}
     for row, bs in enumerate((bs_a, bs_b)):
         rng = testbed.rngs.spawn("fig6b", trip).stream("chain", bs)
         recv[bs] = ~steered_losses(times, 1.0 - prob[row], rng)
-    good = (prob > 0.2).all(axis=0)
-    n = len(times)
-    if window_s is None:
-        mask = good
-    else:
-        mask = np.zeros(n, dtype=bool)
-        mask[: int(window_s / probe_interval_s)] = True
+    mask = (prob > COVERAGE_FLOOR).all(axis=0)
     if mask.sum() < 100:
-        mask = np.ones(n, dtype=bool)
+        mask = np.ones(len(times), dtype=bool)
     return two_bs_conditionals(recv[bs_a][mask], recv[bs_b][mask])
 
 

@@ -69,14 +69,14 @@ def fig02_aggregate():
 @_figure()
 def fig03_sessions():
     """Figure 3: session-length distribution of the handoff policies."""
-    from repro.experiments.study import policy_factories
-    from repro.handoff.evaluator import evaluate_policy
-    from repro.handoff.sessions import (
+    from repro.apps.sessions import (
         adequacy_runs,
         session_lengths,
         time_in_sessions_cdf,
         time_weighted_median_session,
     )
+    from repro.experiments.study import policy_factories
+    from repro.handoff.evaluator import evaluate_policy
     from repro.testbeds.vanlan import VanLanTestbed
 
     testbed = VanLanTestbed(seed=3)
@@ -87,8 +87,7 @@ def fig03_sessions():
         trace = testbed.generate_probe_trace(trip)
         for name, factory in policy_factories().items():
             policy = factory(training if name == "History" else None)
-            adequate = evaluate_policy(trace, policy).adequate_windows(
-                1.0, 0.5)
+            adequate = evaluate_policy(trace, policy).adequate_windows()
             pooled.setdefault(name, []).extend(session_lengths(adequate))
             gaps = max(len(adequacy_runs(adequate)) - 1, 0)
             interruptions[name] = interruptions.get(name, 0) + gaps
@@ -107,12 +106,12 @@ def fig03_sessions():
 @_figure()
 def fig04_definitions():
     """Figure 4: median session vs the definition of adequacy."""
-    from repro.experiments.study import policy_factories
-    from repro.handoff.evaluator import evaluate_policy
-    from repro.handoff.sessions import (
+    from repro.apps.sessions import (
         session_lengths,
         time_weighted_median_session,
     )
+    from repro.experiments.study import policy_factories
+    from repro.handoff.evaluator import evaluate_policy
     from repro.testbeds.vanlan import VanLanTestbed
 
     intervals = [1.0, 2.0, 4.0, 8.0]

@@ -8,7 +8,3 @@ retrying client built to survive the failures the server hands out
 the server; ``tools/gateway_smoke.py`` is the chaos gate that keeps
 both honest.
 """
-
-from repro.gateway.server import Gateway, GatewayLimits, serve_http
-
-__all__ = ["Gateway", "GatewayLimits", "serve_http"]

@@ -56,6 +56,9 @@ class HandoffPolicy:
     #: evaluator special-cases packet accounting for them.
     uses_all_bs = False
 
+    def __init__(self):
+        self.reset()
+
     def reset(self):
         """Clear state before a fresh trace replay."""
 

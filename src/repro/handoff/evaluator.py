@@ -15,6 +15,11 @@ special-cased: a slot succeeds if any BS's probe got through.
 
 import numpy as np
 
+from repro.apps.sessions import (
+    ADEQUATE_RATIO,
+    ADEQUATE_WINDOW_S,
+    window_ratios,
+)
 from repro.handoff.base import PerSecondObservation
 
 __all__ = ["PolicyOutcome", "evaluate_policy"]
@@ -59,21 +64,13 @@ class PolicyOutcome:
             return 0
         return int((np.diff(assoc) != 0).sum())
 
-    def window_reception_ratio(self, interval_s=1.0):
+    def window_reception_ratio(self, interval_s=ADEQUATE_WINDOW_S):
         """Combined (up+down) reception ratio per window of *interval_s*."""
-        window = int(round(interval_s * self.slots_per_second))
-        if window <= 0:
-            raise ValueError("interval shorter than a slot")
-        n_windows = self.n_slots // window
-        if n_windows == 0:
-            return np.zeros(0)
-        up = self.up_delivered[: n_windows * window].reshape(n_windows,
-                                                             window)
-        down = self.down_delivered[: n_windows * window].reshape(n_windows,
-                                                                 window)
-        return (up.sum(axis=1) + down.sum(axis=1)) / (2.0 * window)
+        return window_ratios(self.up_delivered, self.down_delivered,
+                             int(round(interval_s * self.slots_per_second)))
 
-    def adequate_windows(self, interval_s=1.0, min_ratio=0.5):
+    def adequate_windows(self, interval_s=ADEQUATE_WINDOW_S,
+                         min_ratio=ADEQUATE_RATIO):
         """Boolean adequacy per window (the paper's Section 3.3 notion)."""
         return self.window_reception_ratio(interval_s) >= min_ratio
 

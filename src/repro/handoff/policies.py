@@ -19,6 +19,18 @@ __all__ = [
     "StickyPolicy",
 ]
 
+#: RSSI's and BRR's exponential averaging factor, as the paper states
+#: it (one half, Section 3.1).
+ALPHA = 0.5
+#: Sticky's silence timeout (s), as the paper states it.
+STICKY_TIMEOUT_S = 3
+#: Engineering choices: the seconds after which RSSI forgets an unheard
+#: BS, the average below which BRR forgets a BS, and the side (m) of
+#: History's square location cells.
+RSSI_STALE_S = 3
+BRR_FORGET_BELOW = 0.01
+HISTORY_CELL_M = 25.0
+
 
 class RssiPolicy(HandoffPolicy):
     """Associate to the BS with the highest exponentially averaged RSSI.
@@ -26,39 +38,30 @@ class RssiPolicy(HandoffPolicy):
     "This policy is similar to what many clients, including the NICs in
     our testbed, use currently in infrastructure WiFi networks."  The
     averaging factor is one half (Section 3.1).  A BS unheard for
-    ``stale_after`` consecutive seconds is forgotten, since a stale
-    RSSI average says nothing about current reachability.
+    :data:`RSSI_STALE_S` consecutive seconds is forgotten, since a
+    stale RSSI average says nothing about current reachability.
     """
 
     name = "RSSI"
 
-    def __init__(self, alpha=0.5, stale_after=3):
-        self.alpha = float(alpha)
-        self.stale_after = int(stale_after)
-        self.reset()
-
     def reset(self):
         self._avg = {}
         self._last_heard = {}
-        self._second = 0
 
     def observe(self, observation):
         for bs, rssi in observation.mean_rssi.items():
             if bs in self._avg:
-                self._avg[bs] = (
-                    self.alpha * rssi + (1 - self.alpha) * self._avg[bs]
-                )
+                self._avg[bs] = ALPHA * rssi + (1 - ALPHA) * self._avg[bs]
             else:
                 self._avg[bs] = rssi
             self._last_heard[bs] = observation.second
         stale = [
             bs for bs, last in self._last_heard.items()
-            if observation.second - last >= self.stale_after
+            if observation.second - last >= RSSI_STALE_S
         ]
         for bs in stale:
             del self._avg[bs]
             del self._last_heard[bs]
-        self._second = observation.second + 1
 
     def choose(self):
         if not self._avg:
@@ -77,11 +80,6 @@ class BrrPolicy(HandoffPolicy):
 
     name = "BRR"
 
-    def __init__(self, alpha=0.5, forget_below=0.01):
-        self.alpha = float(alpha)
-        self.forget_below = float(forget_below)
-        self.reset()
-
     def reset(self):
         self._avg = {}
 
@@ -93,13 +91,11 @@ class BrrPolicy(HandoffPolicy):
         for bs in set(self._avg) | set(ratios):
             sample = ratios.get(bs, 0.0)
             if bs in self._avg:
-                self._avg[bs] = (
-                    self.alpha * sample + (1 - self.alpha) * self._avg[bs]
-                )
+                self._avg[bs] = ALPHA * sample + (1 - ALPHA) * self._avg[bs]
             else:
-                self._avg[bs] = self.alpha * sample
+                self._avg[bs] = ALPHA * sample
         # Forget BSes whose average has decayed to noise.
-        for bs in [b for b, v in self._avg.items() if v < self.forget_below]:
+        for bs in [b for b, v in self._avg.items() if v < BRR_FORGET_BELOW]:
             del self._avg[bs]
 
     def choose(self):
@@ -120,10 +116,6 @@ class StickyPolicy(HandoffPolicy):
 
     name = "Sticky"
 
-    def __init__(self, timeout_s=3):
-        self.timeout = int(timeout_s)
-        self.reset()
-
     def reset(self):
         self._current = None
         self._silent_for = 0
@@ -136,7 +128,7 @@ class StickyPolicy(HandoffPolicy):
                 self._silent_for = 0
             else:
                 self._silent_for += 1
-                if self._silent_for >= self.timeout:
+                if self._silent_for >= STICKY_TIMEOUT_S:
                     self._current = None
                     self._silent_for = 0
         if self._current is None and self._last_rssi:
@@ -158,23 +150,23 @@ class HistoryPolicy(HandoffPolicy):
     previous day."  (After MobiSteer.)
 
     Call :meth:`train` with the previous day's probe traces before
-    evaluating.  Locations are square grid cells of ``bin_m`` metres.
+    evaluating.  Locations are square grid cells of
+    :data:`HISTORY_CELL_M` metres.
     """
 
     name = "History"
 
-    def __init__(self, bin_m=25.0):
-        self.bin_m = float(bin_m)
+    def __init__(self):
         self._scores = {}
-        self.reset()
+        super().__init__()
 
     def reset(self):
         self._position = None
         self._fallback_rssi = {}
 
     def _bin(self, x, y):
-        return (int(math.floor(x / self.bin_m)),
-                int(math.floor(y / self.bin_m)))
+        return (int(math.floor(x / HISTORY_CELL_M)),
+                int(math.floor(y / HISTORY_CELL_M)))
 
     def train(self, traces):
         """Learn per-location BS scores from previous-day traces."""
@@ -230,9 +222,6 @@ class BestBsPolicy(HandoffPolicy):
 
     name = "BestBS"
     needs_future = True
-
-    def __init__(self):
-        self.reset()
 
     def reset(self):
         self._scores = None

@@ -45,27 +45,3 @@ or grandfathered in a committed baseline file (``LINT_BASELINE.json``,
 maintained with ``--write-baseline``).  ``INVARIANTS.md`` at the repo
 root maps each rule to the runtime guard that backs it.
 """
-
-from repro.lint.engine import (
-    Finding,
-    LintReport,
-    Rule,
-    lint_paths,
-    lint_sources,
-)
-from repro.lint.rules import ALL_RULES
-
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintReport",
-    "Rule",
-    "lint_paths",
-    "lint_sources",
-    "main_lint",
-]
-
-
-def main_lint(argv=None):
-    from repro.lint.cli import main_lint as _main
-    return _main(argv)

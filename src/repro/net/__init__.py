@@ -17,33 +17,3 @@ airwaves:
 * :mod:`repro.net.backplane` — the bandwidth-limited inter-BS wired
   plane that upstream relays and salvaging traverse.
 """
-
-from repro.net.backplane import Backplane
-from repro.net.channel import (
-    BernoulliLoss,
-    GilbertElliottLoss,
-    SteeredGilbertElliott,
-    TraceDrivenLoss,
-)
-from repro.net.medium import LinkTable, WirelessMedium
-from repro.net.mobility import Route
-from repro.net.packet import Ack, Beacon, DataPacket, Direction, FrameKind
-from repro.net.propagation import LinkBank, RadioProfile
-
-__all__ = [
-    "Ack",
-    "Backplane",
-    "Beacon",
-    "BernoulliLoss",
-    "DataPacket",
-    "Direction",
-    "FrameKind",
-    "GilbertElliottLoss",
-    "LinkBank",
-    "LinkTable",
-    "RadioProfile",
-    "Route",
-    "SteeredGilbertElliott",
-    "TraceDrivenLoss",
-    "WirelessMedium",
-]

@@ -679,7 +679,7 @@ def main_serve(argv=None):
                                 default_deadline_s=args.deadline)
 
     if args.http is not None:
-        from repro.gateway import GatewayLimits, serve_http
+        from repro.gateway.server import GatewayLimits, serve_http
         host, _, port = args.http.rpartition(":")
         limits = GatewayLimits(
             max_connections=args.max_connections,

@@ -9,8 +9,3 @@ The paper's packet-level results were produced with QualNet; this engine
 is our stand-in.  It is deliberately small: a binary-heap scheduler with
 cancellable events and a monotonically advancing clock.
 """
-
-from repro.sim.engine import EventHandle, Simulator
-from repro.sim.rng import RngRegistry
-
-__all__ = ["EventHandle", "RngRegistry", "Simulator"]

@@ -20,24 +20,3 @@ on — losses bursty within a link, roughly independent across
 basestations, several basestations in range — which
 ``tests/test_testbeds_environments.py`` checks.
 """
-
-from repro.testbeds.dieselnet import DieselNetTestbed
-from repro.testbeds.layout import Deployment
-from repro.testbeds.lossmap import (
-    build_link_table_from_log,
-    interbs_loss_rates,
-    loss_rate_series,
-)
-from repro.testbeds.traces import BeaconLog, ProbeTrace
-from repro.testbeds.vanlan import VanLanTestbed
-
-__all__ = [
-    "BeaconLog",
-    "Deployment",
-    "DieselNetTestbed",
-    "ProbeTrace",
-    "VanLanTestbed",
-    "build_link_table_from_log",
-    "interbs_loss_rates",
-    "loss_rate_series",
-]

@@ -8,8 +8,18 @@ from repro.apps.mos import (
     mos_from_r,
     mos_score,
     r_factor,
-    voip_sessions,
 )
+from repro.apps.voip import VoipStream
+
+
+class FixedWindows(VoipStream):
+    """A voice stream whose three-second windows have the given MoS."""
+
+    def __init__(self, window_mos):
+        self.window_mos = list(window_mos)
+
+    def window_quality(self):
+        return [(m, 0.0, 0.0) for m in self.window_mos]
 
 
 class TestRFactor:
@@ -66,14 +76,15 @@ class TestMosConfig:
 
 class TestSessions:
     def test_session_lengths(self):
-        mos = [3, 3, 3, 1, 3, 3, 1, 1, 3]
-        assert voip_sessions(mos) == [9.0, 6.0, 3.0]
+        # A window at exactly MoS 2 is not an interruption.
+        mos = [3, 3, 2, 1, 3, 3, 1, 1.99, 3]
+        assert FixedWindows(mos).session_lengths() == [9.0, 6.0, 3.0]
 
     def test_all_good_single_session(self):
-        assert voip_sessions([3, 3, 3, 3]) == [12.0]
+        assert FixedWindows([3, 3, 3, 3]).session_lengths() == [12.0]
 
     def test_all_bad_no_sessions(self):
-        assert voip_sessions([1, 1, 1]) == []
+        assert FixedWindows([1, 1, 1]).session_lengths() == []
 
     def test_empty(self):
-        assert voip_sessions([]) == []
+        assert FixedWindows([]).session_lengths() == []

@@ -1,14 +1,27 @@
-"""Unit tests for session extraction and time-weighted medians."""
+"""Unit tests for window ratios, session extraction and time-weighted
+medians."""
 
 import numpy as np
 import pytest
 
-from repro.handoff.sessions import (
+from repro.apps.sessions import (
     adequacy_runs,
     session_lengths,
     time_in_sessions_cdf,
     time_weighted_median_session,
+    window_ratios,
 )
+
+
+class TestWindowRatios:
+    def test_pools_both_directions(self):
+        up = [True, True, False, False]
+        down = [True, False, False, False]
+        assert list(window_ratios(up, down, 2)) == [0.75, 0.0]
+
+    def test_window_without_probes_rejected(self):
+        with pytest.raises(ValueError):
+            window_ratios([True], [True], 0)
 
 
 class TestRuns:

@@ -188,6 +188,39 @@ class TestCbrWorkload:
         lax = cbr.window_reception_ratio(1.0, deadline_s=None)
         assert strict.sum() <= lax.sum()
 
+    def test_window_ratio_matches_per_probe_count(self):
+        """The per-window ratios equal a direct count of the probes sent
+        in each window and delivered (within the deadline, if set)."""
+        sim = clean_sim(vehicle_loss=0.5, seed=11)
+        cbr = CbrWorkload(sim, FlowRouter(sim))
+        cbr.start(5.0)
+        cbr.stop(15.0)
+        sim.run(until=17.0)
+        for deadline_s in (None, 0.1):
+            expected = []
+            for w in range(cbr.packets_sent // 10):
+                delivered = 0
+                for seq in range(10 * w, 10 * w + 10):
+                    for table in (cbr.up_deliveries, cbr.down_deliveries):
+                        arrival = table.get(seq)
+                        if arrival is None or deadline_s is not None and \
+                                arrival - cbr.sent_times[seq] > deadline_s:
+                            continue
+                        delivered += 1
+                expected.append(delivered / 20.0)
+            assert list(cbr.window_reception_ratio(
+                1.0, deadline_s=deadline_s)) == expected
+
+    def test_sub_probe_window_rejected(self):
+        """A window shorter than the probe spacing holds no probe."""
+        sim = clean_sim()
+        cbr = CbrWorkload(sim, FlowRouter(sim))
+        cbr.start(5.0)
+        cbr.stop(7.0)
+        sim.run(until=8.0)
+        with pytest.raises(ValueError):
+            cbr.window_reception_ratio(0.04)
+
 
 class TestFlowRouter:
     def test_dispatch_by_flow(self):

@@ -5,6 +5,7 @@ wiring (the benchmarks exercise the real scales and the shape
 assertions).
 """
 
+import json
 import math
 import os
 import pathlib
@@ -30,26 +31,49 @@ from repro.testbeds.dieselnet import DieselNetTestbed
 from repro.testbeds.vanlan import VanLanTestbed
 
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
 class TestColdImport:
-    def test_sweep_runner_import_stays_lean(self):
-        """``repro.experiments`` re-exports nothing, so importing the
-        sweep runner in a fresh interpreter loads neither the other
-        experiment modules nor the handoff and analysis layers."""
-        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    """A package's ``__init__`` is only its docstring and re-exports
+    nothing, so importing a module in a fresh interpreter loads only
+    its packages and what the module itself imports."""
+
+    @staticmethod
+    def _loaded(*modules):
+        """The ``repro`` modules loaded by importing *modules* in a
+        fresh interpreter, sorted."""
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = str(src) if not existing \
-            else str(src) + os.pathsep + existing
-        avoided = ("repro.experiments.study",
-                   "repro.experiments.coordination",
-                   "repro.handoff", "repro.analysis")
-        code = ("import sys, repro.experiments.common; "
-                f"print([m for m in {avoided!r} if m in sys.modules])")
+        env["PYTHONPATH"] = str(SRC) if not existing \
+            else str(SRC) + os.pathsep + existing
+        code = (f"import json, sys, {', '.join(modules)}; "
+                "print(json.dumps(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'repro')))")
         result = subprocess.run([sys.executable, "-c", code],
                                 capture_output=True, text=True,
                                 timeout=120, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        return json.loads(result.stdout)
+
+    def test_sweep_runner_import_stays_lean(self):
+        """The sweep runner loads neither the other experiment modules
+        nor the handoff and analysis layers."""
+        loaded = self._loaded("repro.experiments.common")
+        avoided = ("repro.experiments.study",
+                   "repro.experiments.coordination",
+                   "repro.handoff", "repro.analysis")
+        assert [m for m in avoided if m in loaded] == []
+
+    def test_packages_load_none_of_their_modules(self):
+        """Importing every package loads no module of any package, and
+        the relay formulation, which imports nothing of the repo, loads
+        only itself and its packages."""
+        packages = sorted(f"repro.{init.parent.name}"
+                          for init in SRC.glob("repro/*/__init__.py"))
+        assert self._loaded(*packages) == ["repro", *packages]
+        assert self._loaded("repro.core.relaying") \
+            == ["repro", "repro.core", "repro.core.relaying"]
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from repro.gateway import Gateway, GatewayLimits
+from repro.gateway.server import Gateway, GatewayLimits
 from repro.gateway.client import (
     GatewayError,
     GatewayUnavailable,

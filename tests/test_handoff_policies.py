@@ -54,7 +54,7 @@ class TestRssiPolicy:
         assert policy.choose() == 1
 
     def test_exponential_average_resists_blips(self):
-        policy = RssiPolicy(alpha=0.5)
+        policy = RssiPolicy()
         policy.reset()
         for sec in range(5):
             policy.observe(obs(sec, heard={1: 5, 2: 5},
@@ -65,7 +65,7 @@ class TestRssiPolicy:
         assert policy.choose() == 1
 
     def test_stale_bs_forgotten(self):
-        policy = RssiPolicy(stale_after=3)
+        policy = RssiPolicy()
         policy.reset()
         policy.observe(obs(0, heard={1: 5}, rssi={1: -60.0}))
         for sec in range(1, 5):
@@ -86,7 +86,7 @@ class TestBrrPolicy:
         assert policy.choose() == 1
 
     def test_silence_decays_average(self):
-        policy = BrrPolicy(alpha=0.5)
+        policy = BrrPolicy()
         policy.reset()
         policy.observe(obs(0, heard={1: 10}))
         for sec in range(1, 3):
@@ -96,7 +96,7 @@ class TestBrrPolicy:
 
 class TestStickyPolicy:
     def test_sticks_despite_stronger_alternative(self):
-        policy = StickyPolicy(timeout_s=3)
+        policy = StickyPolicy()
         policy.reset()
         policy.observe(obs(0, heard={1: 5}, rssi={1: -80.0}))
         assert policy.choose() == 1
@@ -105,7 +105,7 @@ class TestStickyPolicy:
         assert policy.choose() == 1  # still hears BS 1
 
     def test_switches_after_silence_timeout(self):
-        policy = StickyPolicy(timeout_s=3)
+        policy = StickyPolicy()
         policy.reset()
         policy.observe(obs(0, heard={1: 5}, rssi={1: -80.0}))
         for sec in range(1, 4):
@@ -123,7 +123,7 @@ class TestHistoryPolicy:
         up[:200, 0] = down[:200, 0] = True
         up[200:, 1] = down[200:, 1] = True
         trace = make_trace(up, down)
-        policy = HistoryPolicy(bin_m=10.0)
+        policy = HistoryPolicy()
         policy.train([trace])
         policy.reset()
         policy.observe(obs(0, position=(5.0, 0.0)))
@@ -193,6 +193,8 @@ class TestEvaluator:
         ratios = outcome.window_reception_ratio(1.0)
         assert ratios[0] == pytest.approx(0.5)
         assert ratios[1] == pytest.approx(0.0)
+        with pytest.raises(ValueError):
+            outcome.window_reception_ratio(0.04)
 
     def test_handoff_count(self):
         up = np.zeros((40, 2), dtype=bool)

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cdf import empirical_cdf
-from repro.apps.mos import mos_from_r, mos_score, r_factor, voip_sessions
-from repro.core.relaying import RelayContext, make_strategy
-from repro.core.retransmit import AdaptiveRetxTimer
-from repro.handoff.sessions import (
+from repro.apps.mos import mos_from_r, mos_score, r_factor
+from repro.apps.sessions import (
     adequacy_runs,
     session_lengths,
     time_weighted_median_session,
+    window_ratios,
 )
+from repro.apps.voip import VoipStream
+from repro.core.relaying import RelayContext, make_strategy
+from repro.core.retransmit import AdaptiveRetxTimer
 from repro.net.channel import BernoulliLoss
 from repro.net.medium import LinkTable, WirelessMedium
 from repro.net.packet import DataPacket, Direction
@@ -135,10 +137,22 @@ class TestSessionProperties:
         else:
             assert med == 0.0
 
+    @given(st.lists(st.tuples(st.booleans(), st.booleans()), max_size=300),
+           st.integers(min_value=1, max_value=20))
+    def test_window_ratios_count_delivered_probes(self, probes, per_window):
+        ratios = window_ratios([u for u, _ in probes],
+                               [d for _, d in probes], per_window)
+        assert len(ratios) == len(probes) // per_window
+        for w, ratio in enumerate(ratios):
+            window = probes[w * per_window:(w + 1) * per_window]
+            assert ratio == sum(u + d for u, d in window) / (2.0 * per_window)
+
     @given(st.lists(st.floats(min_value=1.0, max_value=4.5),
                     max_size=200))
-    def test_voip_sessions_time_bounded(self, mos):
-        sessions = voip_sessions(mos)
+    def test_voip_session_time_bounded(self, mos):
+        stream = VoipStream.__new__(VoipStream)
+        stream.window_quality = lambda: [(m, 0.0, 0.0) for m in mos]
+        sessions = stream.session_lengths()
         assert math.fsum(sessions) <= 3.0 * len(mos) + 1e-9
         assert all(s > 0 for s in sessions)
 

@@ -27,17 +27,20 @@ which records the radio model's float values and so can move in its
 last bits while every outcome holds.  ``beacon-log`` is the sha256 of
 the ``heard`` counts of
 ``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the
-log Table 2, Figure 10 and Figure 11's channel 1 read.  ``fig06`` is
-the sha256 of the JSON text of Figure 6's registry payload, the other
-caller of ``steered_losses``.
+log Table 2, Figure 10 and Figure 11's channel 1 read.  Then come six
+``figNN`` lines, the sha256 of the JSON text of the registry payloads
+of Figures 2, 3, 4, 6, 7 and 8: Figure 6 is the other caller of
+``steered_losses``, and the others compute the session metric
+(:mod:`repro.apps.sessions`), which no benchmark unit reads, over the
+handoff policies' replays and the link-layer runs.
 
-After these eleven lines comes one ``bench <workload> <unit> <digest>``
+After these sixteen lines comes one ``bench <workload> <unit> <digest>``
 line per unit of the benchmark's workloads (``bench/workloads.py``) at
 protocol seed 0, computed in this process with the Figure 9 sweep run
 serially (its digests do not depend on the pool size).  So one ``diff``
 of this script's output covers every bit-identity check.
 
-The run takes 80-110 s on a 2-vCPU host and uses no result store.
+The run takes 60-120 s on a 2-vCPU host and uses no result store.
 """
 
 import argparse
@@ -63,6 +66,9 @@ from workloads import WORKLOADS, run_workload  # noqa: E402
 
 #: Protocol seeds of the unicast ablation lines.
 UNICAST_SEEDS = range(13, 19)
+#: Registry entries whose payload hashes make the ``figNN`` lines.
+FIGURE_LINES = ("fig02_aggregate", "fig03_sessions", "fig04_definitions",
+                "fig06_losses", "fig07_vifi_link", "fig08_path")
 
 
 def table2_line():
@@ -113,11 +119,13 @@ def beacon_log_line():
     return "beacon-log " + hashlib.sha256(log.heard.tobytes()).hexdigest()
 
 
-def fig06_line():
-    """The sha256 of Figure 6's payload as ``results/`` holds it."""
-    figure = FIGURES["fig06_losses"]
-    text = payload_text(figure.payload(figure.run()))
-    return "fig06 " + hashlib.sha256(text.encode()).hexdigest()
+def figure_lines():
+    """One ``figNN <sha256>`` line per :data:`FIGURE_LINES` entry, over
+    its payload as ``results/`` holds it."""
+    for name in FIGURE_LINES:
+        figure = FIGURES[name]
+        text = payload_text(figure.payload(figure.run()))
+        yield name[:5] + " " + hashlib.sha256(text.encode()).hexdigest()
 
 
 def bench_lines():
@@ -137,7 +145,8 @@ def main(argv=None):
     for line in probe_trace_lines():
         print(line, flush=True)
     print(beacon_log_line(), flush=True)
-    print(fig06_line(), flush=True)
+    for line in figure_lines():
+        print(line, flush=True)
     for line in bench_lines():
         print(line, flush=True)
     return 0
