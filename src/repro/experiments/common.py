@@ -12,12 +12,10 @@ builds its own propagation bank; read-only state such as testbeds
 ships once per worker through :func:`init_worker_state`.
 """
 
-import collections
 import functools
 import logging
 import multiprocessing
 import os
-import time
 
 from repro import store as repro_store
 from repro.apps.workload import CbrWorkload, FlowRouter
@@ -173,12 +171,12 @@ class SweepResult(list):
 
     Attributes:
         partial: ``True`` when the sweep did not produce every result
-            — interrupted (``KeyboardInterrupt``) or tasks exhausted
-            their retry budget.  Missing slots hold ``None``.
+            — interrupted (``KeyboardInterrupt``) or some task raised.
+            Missing slots hold ``None``.
         failures: tuple of ``(task_index, reason)`` for tasks that
-            failed permanently.
-        retries: total resubmissions performed (crashes, hangs, raised
-            exceptions that later succeeded all count).
+            raised.
+        retries: always 0, as no task is ever resubmitted; the
+            benchmark reads it.
         store: result-store accounting for the sweep — a dict with
             ``hits`` / ``misses`` / ``verify_failures`` (plus
             quarantine/write bookkeeping and the degradation reason,
@@ -256,9 +254,7 @@ def _merge_worker_store_stats(sweep_store, delta):
         sweep_store.degraded = delta["degraded"]
 
 
-def run_trips(worker, tasks, workers=None,
-              initializer=None, initargs=(), start_method=None,
-              task_timeout_s=None, retries=0, retry_backoff_s=0.5,
+def run_trips(worker, tasks, workers=None, initializer=None, initargs=(),
               store=None):
     """Run independent per-trip tasks, optionally on a process pool.
 
@@ -268,9 +264,7 @@ def run_trips(worker, tasks, workers=None,
     worker runs it or in what order.  That is the determinism
     contract: ``run_trips(w, tasks, workers=k)`` returns exactly
     ``[w(t) for t in tasks]`` for every *k*, with results merged back
-    in task order — and it extends to the resilience machinery: a
-    retried, resumed, or re-pooled task reruns the same pure function
-    on the same argument, so recovery never changes a result.
+    in task order.
 
     Args:
         worker: a picklable module-level callable taking one task
@@ -282,34 +276,17 @@ def run_trips(worker, tasks, workers=None,
             worker instead of once per task.
         workers: process count; ``None`` uses the host's available
             cores, ``0``/``1`` runs serially in-process (no pool, no
-            pickling).
+            pickling).  A pool starts its workers by fork where the
+            platform has it, else by spawn; under spawn the
+            initializer and *initargs* must pickle, and the pool
+            raises in the parent before any task runs when they do
+            not.  Every task is submitted at once.  A pool worker
+            that dies mid-task (killed, or crashed in native code)
+            never reports back, and the sweep waits for it.
         initializer: optional per-worker setup callable (also invoked
             once in-process for the serial path, so serial and pooled
             runs see identical state).
         initargs: arguments for *initializer*.
-        start_method: multiprocessing start method (``"fork"`` /
-            ``"spawn"`` / ``"forkserver"``); ``None`` prefers fork
-            (children share the already-imported modules).  Under a
-            spawning method the initializer and *initargs* must
-            pickle; if they do not, the pool raises in the parent
-            before any task runs.
-        task_timeout_s: per-task wall-clock budget for the task's run,
-            not its wait in the pool's queue (a task is only handed
-            out when a worker is free for it).  A task that neither
-            returns nor raises within it is presumed lost — the
-            covering failure mode is a crashed or wedged worker
-            process, which ``multiprocessing.Pool`` never reports —
-            and is resubmitted (until *retries* is exhausted).  When
-            every pool slot is presumed lost the pool itself is torn
-            down and rebuilt.  ``None`` (default) disables the watch;
-            pool runs then hang on a crashed worker exactly as
-            ``pool.map`` always has, so sweeps that want crash
-            resilience must set a budget.  Ignored on the serial path
-            (an in-process task cannot be preempted).
-        retries: resubmissions allowed per task (for raised
-            exceptions, timeouts, and crashed workers alike).
-        retry_backoff_s: initial backoff before a resubmission;
-            doubles per attempt (0.5 s, 1 s, 2 s, ...).
         store: result-store participation.  ``None`` (default) uses
             the ambient store — the one installed via
             :func:`repro.store.set_default_store` or named by the
@@ -335,17 +312,17 @@ def run_trips(worker, tasks, workers=None,
 
     Returns:
         :class:`SweepResult` — a list of results, one per task, in
-        task order.  On ``KeyboardInterrupt`` the pool is terminated
-        and joined (no orphaned workers) and the completed prefix is
-        returned with ``partial=True`` instead of the exception
-        propagating; permanently failed tasks leave ``None`` in their
-        slot and are listed in ``failures``.
+        task order.  A task that raises leaves ``None`` in its slot,
+        is listed in ``failures`` and logs one warning with its
+        traceback.  On ``KeyboardInterrupt`` the pool is terminated
+        and joined (no orphaned workers) and the results collected so
+        far are returned with ``partial=True`` instead of the
+        exception propagating.
     """
     tasks = list(tasks)
     if workers is None:
         workers = available_workers()
     workers = min(int(workers), len(tasks)) if tasks else 0
-    retries = max(int(retries), 0)
 
     store_obj = repro_store.resolve_store(store)
     if store_obj is not None:
@@ -380,183 +357,59 @@ def run_trips(worker, tasks, workers=None,
 
     pending = [i for i in range(len(tasks)) if i not in results]
     if store_obj is None:
-        calls = {i: (_storeless_task, ((worker, tasks[i]),))
-                 for i in pending}
+        calls = [(i, _storeless_task, (worker, tasks[i])) for i in pending]
     else:
-        calls = {
-            i: (_store_task, ((store_obj.root, store_obj.read_only,
-                               store_keys[i], worker, tasks[i]),))
-            for i in pending
-        }
+        calls = [(i, _store_task, (store_obj.root, store_obj.read_only,
+                                   store_keys[i], worker, tasks[i]))
+                 for i in pending]
 
-    if workers <= 1:
-        slots = 1
-        new_pool = functools.partial(_InlinePool, initializer, initargs)
-    else:
-        # fork shares the already-imported modules with the children;
-        # spawn (the only option on some platforms) re-imports them.
-        methods = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in methods else "spawn"
-        elif start_method not in methods:
-            raise ValueError(
-                f"start method {start_method!r} not available "
-                f"(have {methods})"
-            )
-        slots = min(workers, len(pending))
-        new_pool = functools.partial(
-            multiprocessing.get_context(start_method).Pool, slots,
-            initializer, tuple(initargs),
-        )
+    failures = []
+    interrupted = False
+    pool = None
+    try:
+        if not calls:
+            outcomes = ()
+        elif workers <= 1:
+            if initializer is not None:
+                initializer(*initargs)
+            outcomes = ((i, functools.partial(func, spec))
+                        for i, func, spec in calls)
+        else:
+            # fork shares the already-imported modules with the
+            # children; spawn (the only option on some platforms)
+            # re-imports them.
+            method = ("fork" if "fork" in multiprocessing
+                      .get_all_start_methods() else "spawn")
+            pool = multiprocessing.get_context(method).Pool(
+                min(workers, len(calls)), initializer, tuple(initargs))
+            outcomes = [(i, pool.apply_async(func, (spec,)).get)
+                        for i, func, spec in calls]
+        for i, outcome in outcomes:
+            try:
+                value = outcome()
+            except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] task isolation: a raising task is logged with its traceback and listed in failures, not a dead sweep
+                log.warning("sweep task %d failed: %r", i, exc,
+                            exc_info=exc)
+                failures.append((i, f"raised {exc!r}"))
+                continue
+            if store_obj is not None:
+                delta, value = value
+                _merge_worker_store_stats(sweep_store, delta)
+            results[i] = value
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        if pool is not None:
+            # terminate (not close): after an interrupt, tasks may
+            # still be running; every result wanted is already in hand.
+            pool.terminate()
+            pool.join()
 
-    failures, retry_count, interrupted = _dispatch(
-        new_pool, slots, calls, task_timeout_s, retries, retry_backoff_s,
-        results, sweep_store if store_obj is not None else None,
-    )
     out = SweepResult(results.get(i) for i in range(len(tasks)))
     out.partial = interrupted or len(results) < len(tasks)
     out.failures = tuple(failures)
-    out.retries = retry_count
     out.store = sweep_store.snapshot()
     return out
-
-
-class _InlinePool:
-    """The serial sweep's one-slot stand-in for ``multiprocessing.Pool``.
-
-    Runs the initializer once in-process, and ``apply_async`` runs the
-    task immediately, so :func:`_dispatch` drives serial and pooled
-    sweeps through the same loop.  ``KeyboardInterrupt`` escapes
-    ``apply_async`` to the dispatcher; any other exception is kept for
-    :meth:`_InlineResult.get`.
-    """
-
-    def __init__(self, initializer, initargs):
-        if initializer is not None:
-            initializer(*initargs)
-
-    def apply_async(self, func, args):
-        return _InlineResult(func, args)
-
-    def terminate(self):
-        """Nothing to tear down: tasks run inside ``apply_async``."""
-
-    join = terminate
-
-
-class _InlineResult:
-    """A finished in-process task, read like an ``AsyncResult``."""
-
-    def __init__(self, func, args):
-        self._error = None
-        try:
-            self._value = func(*args)
-        except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] kept for get(), which re-raises it into the dispatcher's failure/retry bookkeeping
-            self._error = exc
-
-    def ready(self):
-        return True
-
-    def get(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-def _dispatch(new_pool, slots, calls, task_timeout_s, retries,
-              retry_backoff_s, results, store_stats=None):
-    """The one deadline/retry/rebuild loop behind :func:`run_trips`.
-
-    Runs ``calls`` (task index -> ``(func, args)``) on ``new_pool()``,
-    a ``multiprocessing`` pool or an :class:`_InlinePool`, writing each
-    result to ``results[index]``.  At most one task is in flight per
-    slot not presumed lost, so every in-flight task has a worker to
-    itself and its deadline times its run, never a wait in the pool's
-    queue.  ``multiprocessing.Pool`` respawns a crashed worker but
-    silently abandons its task, so the deadline is the *only* signal
-    for both crashes and hangs; a hung worker also wedges its slot,
-    and once every slot is presumed lost the pool is torn down and
-    rebuilt.  With *store_stats*, each value is a :func:`_store_task`
-    pair whose worker-side counter delta is folded into it.
-
-    Returns:
-        ``(failures, retry_count, interrupted)``.
-    """
-    if not calls:
-        return [], 0, False
-    queue = collections.deque(calls)
-    attempts = dict.fromkeys(calls, 0)
-    inflight = {}   # index -> (AsyncResult, deadline | None)
-    waiting = {}    # index -> earliest resubmission time (backoff)
-    failures = []
-    retry_count = lost_slots = 0
-
-    def fail_or_retry(i, reason):
-        nonlocal retry_count
-        if attempts[i] > retries:
-            failures.append((i, reason))
-            return
-        retry_count += 1
-        backoff = retry_backoff_s * 2.0 ** (attempts[i] - 1)
-        waiting[i] = time.monotonic() + backoff
-
-    pool = new_pool()
-    try:
-        while queue or inflight or waiting:
-            now = time.monotonic()
-            due = [i for i, t in waiting.items() if t <= now]
-            for i in due:
-                del waiting[i]
-            queue.extendleft(due)
-            while queue and len(inflight) + lost_slots < slots:
-                i = queue.popleft()
-                attempts[i] += 1
-                deadline = (None if task_timeout_s is None
-                            else time.monotonic() + float(task_timeout_s))
-                inflight[i] = (pool.apply_async(*calls[i]), deadline)
-            progressed = False
-            for i, (handle, deadline) in list(inflight.items()):
-                if handle.ready():
-                    del inflight[i]
-                    progressed = True
-                    try:
-                        value = handle.get()
-                    except Exception as exc:  # repro-lint: allow[SILENT-EXCEPT] task isolation: a worker exception becomes a recorded failure/retry, not a dead sweep
-                        fail_or_retry(i, f"raised {exc!r}")
-                        continue
-                    if store_stats is not None:
-                        delta, value = value
-                        _merge_worker_store_stats(store_stats, delta)
-                    results[i] = value
-                elif deadline is not None and now >= deadline:
-                    # Crashed worker (task abandoned) or hung worker
-                    # (slot wedged until the pool dies) — either way
-                    # the result will never arrive.
-                    del inflight[i]
-                    lost_slots += 1
-                    progressed = True
-                    fail_or_retry(
-                        i, f"timed out after {task_timeout_s} s"
-                    )
-            if lost_slots == slots and (queue or waiting):
-                # Every slot presumed wedged, so nothing is in flight:
-                # only a fresh pool can make progress.
-                pool.terminate()
-                pool.join()
-                pool = new_pool()
-                lost_slots = 0
-                progressed = True
-            if not progressed:
-                time.sleep(0.005)
-    except KeyboardInterrupt:
-        return failures, retry_count, True
-    finally:
-        # terminate (not close): a wedged worker from a timed-out task
-        # would make close+join wait forever; every result is already
-        # in hand.
-        pool.terminate()
-        pool.join()
-    return failures, retry_count, False
 
 
 #: Heavyweight per-worker state (testbeds, variant maps) shipped once
@@ -578,16 +431,17 @@ def worker_state():
     return _worker_state
 
 
-def memoized_beacon_log(testbed, day, store=None):
-    """A DieselNet beacon log, memoized through the result store.
+def memoized_beacon_log(testbed, day):
+    """A DieselNet beacon log, memoized through the ambient result store.
 
     Trace generation is a pure function of (testbed identity, day), so
     with a store every worker and every re-run after the first loads
     the log instead of regenerating it — verified on read, quarantined
-    and regenerated when corrupt.  Without a store (the default) this
-    is exactly ``testbed.generate_beacon_log``.
+    and regenerated when corrupt.  Inside a :func:`run_trips` task the
+    ambient store is the sweep's.  Without a store this is exactly
+    ``testbed.generate_beacon_log``.
     """
-    store_obj = repro_store.resolve_store(store)
+    store_obj = repro_store.default_store()
     if store_obj is None:
         return testbed.generate_beacon_log(day)
     try:

@@ -132,23 +132,16 @@ class LinkTable:
         #: state (the medium's resolve rows) notice new links.
         self.version = 0
 
-    def _register(self, src, dst, process):
-        self._by_src.setdefault(src, {})[dst] = process
-        self.version += 1
-
-    def set_link(self, src, dst, process, symmetric=False):
+    def set_link(self, src, dst, process):
         """Register the loss process for ``src -> dst``.
 
-        With ``symmetric=True`` the same process object also serves
-        ``dst -> src``, mirroring the paper's symmetric trace
-        methodology (Section 5.1).  *process* must not be ``None``: a
-        pair out of range is one that is never registered.
+        *process* must not be ``None``: a pair out of range is one
+        that is never registered.
         """
         if process is None:
             raise ValueError(f"link {src} -> {dst}: process is None")
-        self._register(src, dst, process)
-        if symmetric:
-            self._register(dst, src, process)
+        self._by_src.setdefault(src, {})[dst] = process
+        self.version += 1
 
     def get(self, src, dst):
         """Return the loss process for ``src -> dst`` or ``None``."""

@@ -1,15 +1,18 @@
-"""The sweep runner: determinism and resilience.
+"""The experiments layer's sweep runner, ``common.run_trips``.
 
-Pool and serial sweeps merge identically in task order; crashes,
-hangs, retries, interrupts, resume and spawn are survived.  Workers
-live at module level (pool pickling), and first-attempt-only failures
-are coordinated across processes through marker files in a directory
-handed to each worker inside its task tuple.
+Pool and serial sweeps merge identically in task order; a raising task
+leaves ``None`` in its slot and is logged; an interrupt returns a
+partial sweep with no live worker; a rerun against the result store
+resumes; spawned workers match forked ones.  Workers live at module
+level (pool pickling), and first-attempt-only failures are coordinated
+across processes through marker files in a directory handed to each
+worker inside its task tuple.
 """
 
 import multiprocessing
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -45,30 +48,11 @@ def _flaky_raise(task):
     return value * value
 
 
-def _crash_once(task):
-    """Kills its worker process on the first attempt at value 3."""
-    value, markdir = task
-    if value == 3:
-        marker = _marker(markdir, "crashed")
-        if not os.path.exists(marker):
-            open(marker, "w").close()
-            os._exit(23)
+def _raise_at(task):
+    value, bad = task
+    if value == bad:
+        raise RuntimeError("boom")
     return value * value
-
-
-def _hang_once(task):
-    """Hangs (far beyond any test timeout) on the first attempt."""
-    value, markdir = task
-    if value == 1:
-        marker = _marker(markdir, "hung")
-        if not os.path.exists(marker):
-            open(marker, "w").close()
-            time.sleep(600.0)
-    return value * value
-
-
-def _always_fail(task):
-    raise ValueError("permanent")
 
 
 def _interrupt_on(task):
@@ -76,6 +60,15 @@ def _interrupt_on(task):
     if value == trigger:
         raise KeyboardInterrupt
     return value * value
+
+
+def _interrupt_sweep(task):
+    """Sends ctrl-C to the sweep's process at value 2, then outlasts
+    any test."""
+    if task == 2:
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60.0)
+    return task * task
 
 
 def _interrupt_once(task):
@@ -87,11 +80,6 @@ def _interrupt_once(task):
             open(marker, "w").close()
             raise KeyboardInterrupt
     return value * value
-
-
-def _slow_echo(task):
-    time.sleep(0.7)
-    return task
 
 
 def _add_shipped_offset(task):
@@ -116,61 +104,30 @@ class TestBaseline:
         assert list(result) == [] and not result.partial
 
 
-class TestRetry:
-    def test_exception_retried_to_success(self, tmp_path):
-        tasks = [(v, str(tmp_path)) for v in (1, 2, 3)]
-        result = run_trips(_flaky_raise, tasks, workers=2, retries=1,
-                           retry_backoff_s=0.05)
-        assert list(result) == [1, 4, 9]
-        assert result.retries == 1 and not result.partial
-
-    def test_exception_retried_serial_path(self, tmp_path):
-        tasks = [(v, str(tmp_path)) for v in (1, 2, 3)]
-        result = run_trips(_flaky_raise, tasks, workers=1, retries=1,
-                           retry_backoff_s=0.01)
-        assert list(result) == [1, 4, 9]
-        assert result.retries == 1 and not result.partial
-
-    def test_retry_budget_exhausted_marks_partial(self):
-        result = run_trips(_always_fail, [1, 2], workers=2, retries=1,
-                           retry_backoff_s=0.01)
-        assert list(result) == [None, None]
+class TestFailures:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raising_task_leaves_none(self, workers):
+        tasks = [(v, 2) for v in (1, 2, 3)]
+        result = run_trips(_raise_at, tasks, workers=workers)
+        assert list(result) == [1, None, 9]
         assert result.partial
-        assert {i for i, _ in result.failures} == {0, 1}
+        assert result.failures == ((1, "raised RuntimeError('boom')"),)
+        assert result.retries == 0
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method only")
-    def test_worker_crash_recovered_by_retry(self, tmp_path):
-        """A worker that dies mid-task is detected via the task
-        deadline; the resubmitted task completes and the merged result
-        equals the serial no-fault run."""
-        tasks = [(v, str(tmp_path)) for v in (1, 2, 3, 4)]
-        result = run_trips(_crash_once, tasks, workers=2, retries=2,
-                           task_timeout_s=3.0, retry_backoff_s=0.05)
-        assert list(result) == [1, 4, 9, 16]
-        assert not result.partial and result.retries >= 1
-
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method only")
-    def test_hung_task_recovered_by_timeout(self, tmp_path):
-        """A hung worker wedges its slot; the sweep must still finish
-        via resubmission, well before the hang would release."""
-        tasks = [(v, str(tmp_path)) for v in (1, 2, 3)]
-        t0 = time.monotonic()
-        result = run_trips(_hang_once, tasks, workers=3, retries=1,
-                           task_timeout_s=1.0, retry_backoff_s=0.05)
-        wall = time.monotonic() - t0
-        assert list(result) == [1, 4, 9]
-        assert not result.partial and result.retries >= 1
-        assert wall < 60.0  # nowhere near the 600 s hang
-
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method only")
-    def test_deadline_excludes_queue_wait(self):
-        """Four 0.7 s tasks on two workers finish in about 1.4 s; the
-        1 s deadline times each task's run, so the two that start
-        after the first pair are not timed out for waiting."""
-        result = run_trips(_slow_echo, range(4), workers=2,
-                           task_timeout_s=1.0, retries=0)
-        assert list(result) == [0, 1, 2, 3]
-        assert result.failures == () and result.retries == 0
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failure_is_logged(self, caplog, workers):
+        """A raising task logs one warning naming its index and its
+        exception, with the task's own traceback (a pooled task's
+        arrives as the cause of the re-raised exception)."""
+        tasks = [(v, 2) for v in (1, 2, 3)]
+        with caplog.at_level("WARNING", logger="repro.experiments"):
+            run_trips(_raise_at, tasks, workers=workers)
+        (record,) = caplog.records
+        assert record.levelname == "WARNING"
+        assert "task 1" in record.getMessage()
+        assert "boom" in record.getMessage()
+        assert record.exc_info[0] is RuntimeError
+        assert "in _raise_at" in caplog.text
 
 
 class TestKeyboardInterrupt:
@@ -181,20 +138,17 @@ class TestKeyboardInterrupt:
         assert result.partial
         assert list(result) == [1, 4, None, None]
 
-    @pytest.mark.skipif(not HAS_FORK, reason="fork start method only")
-    def test_pool_interrupt_terminates_and_returns_partial(self,
-                                                           tmp_path):
-        """KeyboardInterrupt in a pool worker escapes the pool's
-        exception handling and kills the worker; the dispatcher treats
-        the lost task like a crash and, with no retries, reports a
-        partial sweep — crucially without hanging or leaking the
-        pool."""
-        tasks = [(v, 2) for v in (1, 2, 3)]
-        result = run_trips(_interrupt_on, tasks, workers=2, retries=0,
-                           task_timeout_s=1.5, retry_backoff_s=0.05)
+    @pytest.mark.skipif(not HAS_FORK, reason="POSIX signals only")
+    def test_pool_interrupt_terminates_and_returns_partial(self):
+        """Ctrl-C at the sweep's process while a pooled task runs: the
+        pool is terminated and joined at once, not after the task's
+        60 s, and the sweep returns partial."""
+        t0 = time.monotonic()
+        result = run_trips(_interrupt_sweep, [1, 2, 3], workers=2)
+        assert time.monotonic() - t0 < 30.0
         assert result.partial
-        assert result[0] == 1 and result[2] == 9
         assert result[1] is None
+        assert multiprocessing.active_children() == []
 
 
 class TestStoreResume:
@@ -207,10 +161,10 @@ class TestStoreResume:
         store = ResultStore(tmp_path / "store")
         tasks = [(v, str(tmp_path)) for v in (1, 2, 3)]
         first = run_trips(_flaky_raise, tasks, workers=workers,
-                          retries=0, store=store)
+                          store=store)
         assert list(first) == [1, None, 9] and first.partial
         second = run_trips(_flaky_raise, tasks, workers=workers,
-                           retries=0, store=store)
+                           store=store)
         assert list(second) == [1, 4, 9] and not second.partial
         assert second.store["hits"] == 2 and second.store["misses"] == 1
 
@@ -226,6 +180,13 @@ class TestStoreResume:
 
 
 class TestSpawnCompatibility:
+    """Fork is hidden, so the pool starts its workers by spawn."""
+
+    @pytest.fixture(autouse=True)
+    def _spawn_only(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+
     def test_spawn_with_rebuild_spec_matches_serial(self):
         """Spawned workers rebuild their state from the pickled
         initargs of init_worker_state, the initializer of the TCP,
@@ -235,8 +196,7 @@ class TestSpawnCompatibility:
         serial = run_trips(_add_shipped_offset, tasks, workers=1,
                            initializer=init_worker_state, initargs=(10,))
         spawned = run_trips(_add_shipped_offset, tasks, workers=2,
-                            initializer=init_worker_state, initargs=(10,),
-                            start_method="spawn")
+                            initializer=init_worker_state, initargs=(10,))
         assert list(serial) == list(spawned) == [11, 12, 13]
 
     def test_unpicklable_initargs_fall_back_gracefully(self):
@@ -246,12 +206,7 @@ class TestSpawnCompatibility:
                             TypeError)):
             run_trips(_square, [1, 2], workers=2,
                       initializer=init_worker_state,
-                      initargs=(lambda: None,), start_method="spawn")
-
-    def test_unknown_start_method_rejected(self):
-        with pytest.raises(ValueError):
-            run_trips(_square, [1, 2], workers=2,
-                      start_method="teleport")
+                      initargs=(lambda: None,))
 
 
 # ----------------------------------------------------------------------

@@ -152,13 +152,6 @@ class TestWirelessMedium:
 
 
 class TestLinkTable:
-    def test_symmetric_registration(self):
-        table = LinkTable()
-        process = BernoulliLoss(0.5)
-        table.set_link(1, 2, process, symmetric=True)
-        assert table.get(1, 2) is process
-        assert table.get(2, 1) is process
-
     def test_none_process_rejected(self):
         """Out of range means unregistered: a ``None`` link is refused
         and the registered process keeps serving the pair."""

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     vanlan_cbr_trip,
 )
 from repro.figures import FIGURES
-from repro.store import ResultStore, result_key
+from repro.store import ResultStore, installed_store, result_key
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -175,24 +175,26 @@ class TestMemoizedBuilders:
         testbed = DieselNetTestbed(channel=1, seed=4)
         fresh = DieselNetTestbed(channel=1, seed=4) \
             .generate_beacon_log(0)
-        cold = memoized_beacon_log(testbed, 0, store=store)
-        warm = memoized_beacon_log(DieselNetTestbed(channel=1, seed=4),
-                                   0, store=store)
+        with installed_store(store):
+            cold = memoized_beacon_log(testbed, 0)
+            warm = memoized_beacon_log(DieselNetTestbed(channel=1, seed=4),
+                                       0)
         assert np.array_equal(cold.heard, fresh.heard)
         assert np.array_equal(warm.heard, fresh.heard)
         assert warm.bs_ids == fresh.bs_ids
         assert store.stats.hits == 1 and store.stats.misses == 1
         # Identity hygiene: another day / channel / seed misses.
-        memoized_beacon_log(testbed, 1, store=store)
-        memoized_beacon_log(DieselNetTestbed(channel=6, seed=4), 0,
-                            store=store)
+        with installed_store(store):
+            memoized_beacon_log(testbed, 1)
+            memoized_beacon_log(DieselNetTestbed(channel=6, seed=4), 0)
         assert store.stats.misses == 3
 
     def test_memoized_beacon_log_without_store_is_fresh(self):
         from repro.testbeds.dieselnet import DieselNetTestbed
 
         testbed = DieselNetTestbed(channel=1, seed=4)
-        log = memoized_beacon_log(testbed, 0, store=False)
+        with installed_store(None):
+            log = memoized_beacon_log(testbed, 0)
         fresh = DieselNetTestbed(channel=1, seed=4) \
             .generate_beacon_log(0)
         assert np.array_equal(log.heard, fresh.heard)
@@ -242,14 +244,16 @@ class TestMemoizedBuilders:
 
         store = ResultStore(tmp_path)
         testbed = DieselNetTestbed(channel=1, seed=4)
-        fresh = memoized_beacon_log(testbed, 0, store=store)
+        with installed_store(store):
+            fresh = memoized_beacon_log(testbed, 0)
         assert store.entry_count() == 1
         for _key, path in list(store.iter_entries()):
             data = bytearray(open(path, "rb").read())
             data[len(data) // 2] ^= 0xAA
             open(path, "wb").write(bytes(data))
-        healed_log = memoized_beacon_log(
-            DieselNetTestbed(channel=1, seed=4), 0, store=store)
+        with installed_store(store):
+            healed_log = memoized_beacon_log(
+                DieselNetTestbed(channel=1, seed=4), 0)
         assert np.array_equal(healed_log.heard, fresh.heard)
         assert store.stats.quarantined == 1
         assert store.quarantine_count() == 1

@@ -19,7 +19,7 @@ Runs, in order:
    the ring/bitmap relay bookkeeping's long-schedule oracle equality
    against the dict reference (``tests/test_packet_bank.py``), and
    pool == serial for a multi-trip ``run_trips`` sweep
-   (``tests/test_run_trips_resilience.py``).  The stage fails if the
+   (``tests/test_experiments_sweep.py``).  The stage fails if the
    slow marker collects nothing, so a marker typo cannot silently skip
    the suite,
 4. the benchmark's own tests (``pytest -q bench/test_bench.py``).
