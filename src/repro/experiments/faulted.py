@@ -150,7 +150,7 @@ def fault_intensity_sweep(intensities=(0.0, 1.0, 2.0), trip=0,
     merged = {}
     for point, result in zip(points, results):
         if result is None:
-            continue  # permanently failed task of a partial sweep
+            continue  # the task raised, or an interrupt cut it off
         cell = merged.setdefault(point["intensity"], {}).setdefault(
             point["protocol"],
             {"delivery": 0.0, "mos": 0.0, "mean_delay_ms": 0.0, "n": 0},
