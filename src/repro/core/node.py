@@ -217,9 +217,18 @@ class _ReceiverState:
 #: Ring depth of a :class:`_PacketBank` source — power of two so the
 #: slot map is a mask.  Twice the ``_RECEIVE_MEMORY`` window; the relay
 #: horizons it must span (ack windows, retransmission lifetimes) are
-#: fractions of a second against thousands of fresh ids.
+#: fractions of a second against thousands of fresh ids.  A ring holds
+#: at most this many slots per source, grown with its ids (see
+#: :class:`_SourceRing`).
 _BANK_CAPACITY = 1024
 _BANK_MASK = _BANK_CAPACITY - 1
+#: Fewest slots a grown ring holds.
+_RING_MIN_SLOTS = 64
+#: ``_SourceRing.end`` once a ring holds all ``_BANK_CAPACITY`` slots:
+#: past every id a run reaches, so the growth test stops firing (an id
+#: beyond it only enters a ``_grow`` that has nothing to add).  Below
+#: 2**30, so the test stays a single-digit int compare.
+_RING_FULL_END = (1 << 30) - 1
 
 # Per-row flag bits of a _PacketBank source ring.
 _HEARD = 1       # an overheard data copy's time is in `heard`
@@ -235,17 +244,49 @@ _RECEIVED_OFFSETS = tuple(
 
 
 class _SourceRing:
-    """One source's packet rows inside a :class:`_PacketBank`."""
+    """One source's packet rows inside a :class:`_PacketBank`.
 
-    __slots__ = ("ids", "flags", "heard", "stored_at", "pkt", "considered")
+    Six parallel columns, indexed by ``pkt_id & _BANK_MASK``.  They
+    start empty and grow with the source's ids: a :meth:`claim` or
+    :meth:`retire_received` of an id at or past :attr:`end` extends
+    every column to the smallest power of two that holds the id, and
+    to at least ``_RING_MIN_SLOTS`` slots; an id of ``_BANK_CAPACITY``
+    or more extends them to all ``_BANK_CAPACITY`` slots at once, after
+    which the ring only recycles slots.  A source's ids start at 0 and
+    only rise, so a slot not yet allocated stands for one that holds
+    the initial values (id -1, no flags, times 0.0, no copy, nothing
+    considered): a grown ring answers every query as a preallocated
+    one would, while a basestation that hears a source for a few
+    hundred ids keeps a few hundred rows.
+    """
+
+    __slots__ = ("end", "ids", "flags", "heard", "stored_at", "pkt",
+                 "considered")
 
     def __init__(self):
-        self.ids = [-1] * _BANK_CAPACITY
-        self.flags = [0] * _BANK_CAPACITY
-        self.heard = [0.0] * _BANK_CAPACITY
-        self.stored_at = [0.0] * _BANK_CAPACITY
-        self.pkt = [None] * _BANK_CAPACITY
-        self.considered = [None] * _BANK_CAPACITY
+        #: Ids below this have their slot allocated; ``_RING_FULL_END``
+        #: once every slot is.
+        self.end = 0
+        self.ids = []
+        self.flags = []
+        self.heard = []
+        self.stored_at = []
+        self.pkt = []
+        self.considered = []
+
+    def _grow(self, pkt_id):
+        """Extend every column so that *pkt_id*'s slot exists."""
+        size = min(max(_RING_MIN_SLOTS, 1 << pkt_id.bit_length()),
+                   _BANK_CAPACITY)
+        add = size - len(self.ids)
+        if add > 0:
+            self.ids += [-1] * add
+            self.flags += [0] * add
+            self.heard += [0.0] * add
+            self.stored_at += [0.0] * add
+            self.pkt += [None] * add
+            self.considered += [None] * add
+        self.end = _RING_FULL_END if size == _BANK_CAPACITY else size
 
     def claim(self, pkt_id):
         """Row index for *pkt_id*, recycling an older occupant.
@@ -255,6 +296,8 @@ class _SourceRing:
         outside every relay/ack horizon, and is dropped rather than
         allowed to clobber live state.
         """
+        if pkt_id >= self.end:
+            self._grow(pkt_id)
         i = pkt_id & _BANK_MASK
         cur = self.ids[i]
         if cur != pkt_id:
@@ -267,7 +310,10 @@ class _SourceRing:
         return i
 
     def probe(self, pkt_id):
-        """Row index for *pkt_id* if it currently owns its slot."""
+        """Row index for *pkt_id* if it currently owns its slot; -1
+        also for a slot past the columns' end."""
+        if pkt_id >= self.end:
+            return -1
         i = pkt_id & _BANK_MASK
         return i if self.ids[i] == pkt_id else -1
 
@@ -281,6 +327,8 @@ class _SourceRing:
         candidate copy go, its overhear time stays, since a direct ack
         for the older packet may still want a gap sample.
         """
+        if pkt_id > self.end:
+            self._grow(pkt_id - 1)
         ids = self.ids
         flags = self.flags
         pkt = self.pkt
@@ -308,12 +356,13 @@ class _PacketBank:
     ack-suppression / relay-decision state a basestation keeps per
     overheard packet.  Instead of four dicts keyed by ``(src, pkt_id)``
     tuples (plus a periodic pruning scan to bound them), each source
-    gets a fixed ring of integer-indexed rows — slot = ``pkt_id &
-    mask`` — carrying the overhear time, suppression and
-    pending-decision flag bits, the stored relay candidate, and the
-    tx_ids already considered.  Every query is a mask, a list index and
-    an int compare; memory is bounded by construction, so the pruning
-    scans disappear.
+    gets a ring of integer-indexed rows — slot = ``pkt_id & mask`` —
+    carrying the overhear time, suppression and pending-decision flag
+    bits, the stored relay candidate, and the tx_ids already
+    considered.  Every query is a bound compare, a mask, a list index
+    and an int compare; memory is at most ``_BANK_CAPACITY`` slots per
+    source, grown with its ids (see :class:`_SourceRing`), so the
+    pruning scans disappear.
 
     Eviction is by slot reuse: a row lives for ``_BANK_CAPACITY``
     packet ids of its source.  As with ``_ReceiverState``, the relay
@@ -927,8 +976,9 @@ class BasestationNode(_NodeBase):
             self, Direction.DOWNSTREAM, dst_provider=lambda: self.vehicle_id
         )
         # All overhear / suppression / pending-relay-decision state
-        # lives in one ring-structured bank (see _PacketBank); bounded
-        # by construction, so no pruning timer is needed.
+        # lives in one ring-structured bank (see _PacketBank); at most
+        # _BANK_CAPACITY slots per source, so no pruning timer is
+        # needed.
         self._packets = _PacketBank()
         # BRR switches the auxiliary functionality off: overhears and
         # overheard acks are still recorded, but no relay candidate is
@@ -1042,6 +1092,11 @@ class BasestationNode(_NodeBase):
     # -- auxiliary relaying (Section 4.3 step 3) ------------------------------
 
     def _overhear_as_auxiliary(self, packet):
+        if packet.src == self.node_id:
+            # A relayed copy of our own downstream packet.  Acks of our
+            # packets go to the downstream sender, never to a ring, so
+            # nothing would read what this copy could note.
+            return
         now = self.ctx.sim.now
         ring = self._packets.ring(packet.src)
         row = ring.claim(packet.pkt_id)

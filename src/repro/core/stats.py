@@ -19,23 +19,26 @@ transmissions".
 """
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.net.packet import Direction
 
 __all__ = ["CoordinationReport", "PacketRecord", "TxRecord", "ViFiStats"]
 
 
-@dataclass
+@dataclass(slots=True)
 class TxRecord:
     """One *source* transmission (original or source retransmission).
 
     ``heard_by_aux`` holds the auxiliaries that overheard it while
     designated both in the source's snapshot at transmission time and
     in their own view (Table 1's rows and the downstream PerfectRelay
-    rule read it); ``overheard`` is set when any BS other than the
+    rule read it); ``relays`` holds every auxiliary that relayed it, one
+    entry per relay; ``overheard`` is set when any BS other than the
     destination overheard it, designated or not (the upstream
-    PerfectRelay rule reads it).
+    PerfectRelay rule reads it).  Both member collections are tuples,
+    grown only by :class:`ViFiStats`' hooks; ``heard_by_aux`` keeps each
+    id once, in arrival order.
     """
 
     tx_id: int
@@ -46,14 +49,19 @@ class TxRecord:
     dst: int
     aux_designated: tuple
     heard_by_dst: bool = False
-    heard_by_aux: set = field(default_factory=set)
-    relays: list = field(default_factory=list)  # aux ids that relayed
+    heard_by_aux: tuple = ()
+    relays: tuple = ()
     overheard: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketRecord:
-    """Per-packet (per pkt_key) fate across all transmissions."""
+    """Per-packet (per pkt_key) fate across all transmissions.
+
+    ``aux_heard_ack`` is a tuple of the auxiliaries that overheard an
+    ack of the packet, each id once, in arrival order; only
+    :meth:`ViFiStats.on_aux_heard_ack` grows it.
+    """
 
     pkt_key: tuple
     direction: Direction
@@ -64,7 +72,7 @@ class PacketRecord:
     acked_at_src: bool = False
     relay_count: int = 0
     relay_delivered: int = 0
-    aux_heard_ack: set = field(default_factory=set)
+    aux_heard_ack: tuple = ()
     salvaged: bool = False
     given_up: bool = False
 
@@ -129,13 +137,14 @@ class ViFiStats:
         tx = self.tx_records.get(tx_id)
         if tx is not None:
             tx.overheard = True
-            if designated and aux_id in tx.aux_designated:
-                tx.heard_by_aux.add(aux_id)
+            if (designated and aux_id in tx.aux_designated
+                    and aux_id not in tx.heard_by_aux):
+                tx.heard_by_aux += (aux_id,)
 
     def on_aux_heard_ack(self, pkt_key, aux_id):
         record = self.packet_records.get(pkt_key)
-        if record is not None:
-            record.aux_heard_ack.add(aux_id)
+        if record is not None and aux_id not in record.aux_heard_ack:
+            record.aux_heard_ack += (aux_id,)
 
     def on_relay_decision(self, pkt_key, aux_id, probability, relayed,
                           trigger_tx_id=None):
@@ -147,7 +156,7 @@ class ViFiStats:
             if trigger_tx_id is not None:
                 tx = self.tx_records.get(trigger_tx_id)
                 if tx is not None:
-                    tx.relays.append(aux_id)
+                    tx.relays += (aux_id,)
 
     def on_src_ack(self, pkt_key):
         record = self.packet_records.get(pkt_key)
@@ -173,6 +182,15 @@ class ViFiStats:
     def _txs(self, direction):
         return [t for t in self.tx_records.values()
                 if t.direction == direction]
+
+    def _heard_no_ack(self, tx):
+        """Row A3's count for *tx*: its ``heard_by_aux`` members that
+        heard no ack of its packet."""
+        record = self.packet_records.get(tx.pkt_key)
+        if record is None:
+            return len(tx.heard_by_aux)
+        acked = record.aux_heard_ack
+        return sum(1 for aux in tx.heard_by_aux if aux not in acked)
 
     def coordination_report(self, direction):
         """The Table 1 rows for one direction."""
@@ -216,10 +234,7 @@ class ViFiStats:
                 len(t.heard_by_aux) for t in txs
             ),
             mean_aux_heard_no_ack=statistics.mean(
-                len(t.heard_by_aux
-                    - self.packet_records[t.pkt_key].aux_heard_ack)
-                if t.pkt_key in self.packet_records else len(t.heard_by_aux)
-                for t in txs
+                self._heard_no_ack(t) for t in txs
             ),
             src_tx_success_rate=len(successful) / len(txs),
             false_positive_rate=fp_rate,

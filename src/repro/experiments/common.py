@@ -31,6 +31,7 @@ __all__ = [
     "dieselnet_protocol",
     "init_worker_state",
     "memoized_beacon_log",
+    "require_complete",
     "run_protocol_app",
     "run_protocol_cbr",
     "run_trips",
@@ -410,6 +411,28 @@ def run_trips(worker, tasks, workers=None, initializer=None, initargs=(),
     out.failures = tuple(failures)
     out.store = sweep_store.snapshot()
     return out
+
+
+def require_complete(sweep, tasks):
+    """*sweep*, once it holds a result for every one of *tasks*.
+
+    An experiment that reads every cell of a :func:`run_trips` sweep
+    calls this first, so a lost task stops it with the task's cause
+    rather than with a ``None`` cell deep in its tallies.
+
+    Raises:
+        RuntimeError: naming the first failed task (its index, its task
+            argument and its ``failures`` reason), or for an
+            interrupted sweep the first slot without a result.
+    """
+    if sweep.failures:
+        i, reason = sweep.failures[0]
+        raise RuntimeError(f"sweep task {i} {tasks[i]!r} {reason}")
+    if sweep.partial and None in sweep:
+        i = sweep.index(None)
+        raise RuntimeError(f"sweep interrupted before task {i} "
+                           f"{tasks[i]!r} returned")
+    return sweep
 
 
 #: Heavyweight per-worker state (testbeds, variant maps) shipped once

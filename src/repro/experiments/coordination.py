@@ -18,6 +18,7 @@ from repro.experiments.common import (
     dieselnet_protocol,
     init_worker_state,
     memoized_beacon_log,
+    require_complete,
     run_protocol_app,
     run_trips,
     worker_state,
@@ -41,11 +42,12 @@ def coordination_table(testbed, trips, seed=0):
         averaged over the trips' reports, weighted by their source
         transmissions.
     """
-    cells = run_trips(
-        _tcp_vanlan_task, [("ViFi", trip) for trip in trips],
+    tasks = [("ViFi", trip) for trip in trips]
+    cells = require_complete(run_trips(
+        _tcp_vanlan_task, tasks,
         initializer=init_worker_state,
         initargs=(testbed, standard_tcp_variants(), seed),
-    )
+    ), tasks)
     return {
         direction: _average_reports(
             [cell["coordination"][direction] for cell in cells])
@@ -104,10 +106,10 @@ def formulation_comparison(testbed, days=(0,), seed=0, store=None):
     strategies = ("vifi", "not-g1", "not-g2", "not-g3")
     days = list(days)
     tasks = [(strategy, day) for strategy in strategies for day in days]
-    per_task = iter(run_trips(
+    per_task = iter(require_complete(run_trips(
         _formulation_task, tasks, store=store,
         initializer=init_worker_state, initargs=(testbed, seed),
-    ))
+    ), tasks))
     results = {}
     for strategy in strategies:
         fps, fns, weights = [], [], []

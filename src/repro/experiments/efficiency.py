@@ -11,7 +11,11 @@ The runs are Figure 9's BRR and ViFi runs, read from the cells of
 
 from collections import Counter
 
-from repro.experiments.common import init_worker_state, run_trips
+from repro.experiments.common import (
+    init_worker_state,
+    require_complete,
+    run_trips,
+)
 from repro.experiments.tcpbench import _tcp_vanlan_task, standard_tcp_variants
 
 __all__ = ["efficiency_comparison"]
@@ -30,9 +34,10 @@ def efficiency_comparison(testbed, trips, seed=0):
     trips = list(trips)
     tasks = [(name, trip) for name in ("BRR", "ViFi") for trip in trips]
     delivered, tx = Counter(), Counter()
-    for cell in run_trips(_tcp_vanlan_task, tasks,
-                          initializer=init_worker_state,
-                          initargs=(testbed, standard_tcp_variants(), seed)):
+    for cell in require_complete(run_trips(
+        _tcp_vanlan_task, tasks, initializer=init_worker_state,
+        initargs=(testbed, standard_tcp_variants(), seed),
+    ), tasks):
         for direction, tallies in cell["efficiency"].items():
             for name, (cell_delivered, cell_tx) in tallies.items():
                 delivered[direction, name] += cell_delivered

@@ -14,7 +14,11 @@ results are identical for any count).
 """
 
 from repro.core.protocol import ViFiConfig
-from repro.experiments.common import run_protocol_cbr, run_trips
+from repro.experiments.common import (
+    require_complete,
+    run_protocol_cbr,
+    run_trips,
+)
 from repro.testbeds.vanlan import VEHICLE_ID, VanLanTestbed
 
 __all__ = ["density_sweep", "speed_sweep"]
@@ -63,10 +67,10 @@ def density_sweep(seed=0, trip=0, subset_sizes=(3, 6, 11), workers=None,
         dict size -> {"ViFi": rate, "BRR": rate}.
     """
     sizes = list(subset_sizes)
-    results = run_trips(
-        _density_task, [(seed, trip, size) for size in sizes],
-        workers=workers, store=store,
-    )
+    tasks = [(seed, trip, size) for size in sizes]
+    results = require_complete(
+        run_trips(_density_task, tasks, workers=workers, store=store),
+        tasks)
     return dict(zip(sizes, results))
 
 
@@ -78,8 +82,8 @@ def speed_sweep(seed=0, trip=0, speeds_kmh=(20.0, 40.0, 60.0),
         dict speed_kmh -> {"ViFi": rate, "BRR": rate}.
     """
     speeds = list(speeds_kmh)
-    results = run_trips(
-        _speed_task, [(seed, trip, speed) for speed in speeds],
-        workers=workers, store=store,
-    )
+    tasks = [(seed, trip, speed) for speed in speeds]
+    results = require_complete(
+        run_trips(_speed_task, tasks, workers=workers, store=store),
+        tasks)
     return dict(zip(speeds, results))

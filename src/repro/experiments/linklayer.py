@@ -26,6 +26,7 @@ from repro.apps.sessions import (
 from repro.core.protocol import ViFiConfig
 from repro.experiments.common import (
     init_worker_state,
+    require_complete,
     run_protocol_cbr,
     run_trips,
     vanlan_protocol,
@@ -57,10 +58,11 @@ def _cbr_windows_task(task):
 def _adequacy(testbed, names, trips, seed):
     """Protocol -> per-trip adequate-window masks, trip k at seed + k."""
     trips = list(trips)
-    per_task = iter(run_trips(
-        _cbr_windows_task, [(name, trip) for name in names for trip in trips],
+    tasks = [(name, trip) for name in names for trip in trips]
+    per_task = iter(require_complete(run_trips(
+        _cbr_windows_task, tasks,
         initializer=init_worker_state, initargs=(testbed, seed),
-    ))
+    ), tasks))
     return {name: [next(per_task) >= ADEQUATE_RATIO for _ in trips]
             for name in names}
 

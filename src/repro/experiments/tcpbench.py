@@ -21,6 +21,7 @@ from repro.experiments.common import (
     dieselnet_protocol,
     init_worker_state,
     memoized_beacon_log,
+    require_complete,
     run_protocol_app,
     run_trips,
     vanlan_protocol,
@@ -118,10 +119,10 @@ def tcp_vanlan(testbed, trips, variants=None, seed=0, workers=None,
     variants = variants or standard_tcp_variants()
     trips = list(trips)
     tasks = [(name, trip) for name in variants for trip in trips]
-    per_task = iter(run_trips(
+    per_task = iter(require_complete(run_trips(
         _tcp_vanlan_task, tasks, workers=workers, store=store,
         initializer=init_worker_state, initargs=(testbed, variants, seed),
-    ))
+    ), tasks))
     results = {}
     for name in variants:
         durations = []
@@ -161,10 +162,10 @@ def tcp_dieselnet(testbed, days=(0,), seed=0):
     variants = brr_vifi_variants()
     days = list(days)
     tasks = [(name, day) for name in variants for day in days]
-    per_task = iter(run_trips(
+    per_task = iter(require_complete(run_trips(
         _tcp_dieselnet_task, tasks,
         initializer=init_worker_state, initargs=(testbed, variants, seed),
-    ))
+    ), tasks))
     results = {}
     for name in variants:
         completed = aborted = 0

@@ -21,6 +21,7 @@ from repro.experiments.common import (
     brr_vifi_variants,
     dieselnet_protocol,
     init_worker_state,
+    require_complete,
     run_protocol_app,
     run_trips,
     worker_state,
@@ -54,13 +55,16 @@ def validate_trace_methodology(testbed, trips, seed=0):
         ``gap_s`` entries.
     """
     trips = list(trips)
-    deployment = run_trips(
-        _voip_vanlan_task, [("ViFi", trip) for trip in trips],
+    deployment_tasks = [("ViFi", trip) for trip in trips]
+    deployment = require_complete(run_trips(
+        _voip_vanlan_task, deployment_tasks,
         initializer=init_worker_state,
         initargs=(testbed, brr_vifi_variants(), seed),
-    )
-    trace = run_trips(_validation_task, trips,
-                      initializer=init_worker_state, initargs=(testbed, seed))
+    ), deployment_tasks)
+    trace = require_complete(run_trips(
+        _validation_task, trips,
+        initializer=init_worker_state, initargs=(testbed, seed),
+    ), trips)
     rows = []
     for trip, cell, trace_median in zip(trips, deployment, trace):
         deployment_median = _median(cell["sessions"])

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     dieselnet_protocol,
     init_worker_state,
     memoized_beacon_log,
+    require_complete,
     run_protocol_app,
     run_trips,
     vanlan_protocol,
@@ -57,11 +58,11 @@ def _voip_dieselnet_task(task):
 def _sweep(task, variants, units, initargs, workers=None, store=None):
     """Run the ``(variant, unit)`` grid; variant -> its cells in order."""
     units = list(units)
-    per_task = iter(run_trips(
-        task, [(name, unit) for name in variants for unit in units],
-        workers=workers, store=store,
+    tasks = [(name, unit) for name in variants for unit in units]
+    per_task = iter(require_complete(run_trips(
+        task, tasks, workers=workers, store=store,
         initializer=init_worker_state, initargs=initargs,
-    ))
+    ), tasks))
     return {name: [next(per_task) for _ in units] for name in variants}
 
 

@@ -20,7 +20,6 @@ from repro.apps.sessions import (
     ADEQUATE_WINDOW_S,
     window_ratios,
 )
-from repro.handoff.base import PerSecondObservation
 
 __all__ = ["PolicyOutcome", "evaluate_policy"]
 
@@ -80,7 +79,9 @@ def evaluate_policy(trace, policy):
 
     The contract with the policy: for each second, :meth:`choose` is
     called first (deciding the association for that second), then
-    :meth:`observe` delivers the second's beacon measurements.
+    :meth:`observe` delivers the second's beacon measurements (the
+    trace's :attr:`~repro.testbeds.traces.ProbeTrace.observations`,
+    which every replay shares).
     Practical policies therefore act on the past only; BestBS's
     :meth:`choose` indexes the future second by design.
     """
@@ -93,7 +94,7 @@ def evaluate_policy(trace, policy):
     n_eval_slots = n_secs * sps
     up = trace.up[:n_eval_slots]
     down = trace.down[:n_eval_slots]
-    rssi = trace.rssi[:n_eval_slots]
+    observations = trace.observations
 
     up_delivered = np.zeros(n_eval_slots, dtype=bool)
     down_delivered = np.zeros(n_eval_slots, dtype=bool)
@@ -112,23 +113,7 @@ def evaluate_policy(trace, policy):
                 association[sec] = chosen
                 up_delivered[lo:hi] = up[lo:hi, j]
                 down_delivered[lo:hi] = down[lo:hi, j]
-
-        # Build the second's observation from beacon (downstream probe)
-        # receptions, then let the policy digest it.
-        heard = {}
-        mean_rssi = {}
-        for bs, j in col_of.items():
-            count = int(down[lo:hi, j].sum())
-            if count > 0:
-                heard[bs] = count
-                mean_rssi[bs] = float(np.nanmean(rssi[lo:hi, j]))
-        policy.observe(PerSecondObservation(
-            second=sec,
-            beacons_heard=heard,
-            beacons_expected=sps,
-            mean_rssi=mean_rssi,
-            position=tuple(trace.positions[hi - 1]),
-        ))
+        policy.observe(observations[sec])
 
     return PolicyOutcome(
         policy_name=policy.name,

@@ -253,7 +253,11 @@ def _vanlan_cbr_sweep(trips=3, duration_s=10.0, testbed_seed=0, seed0=0,
     """
     import hashlib
 
-    from repro.experiments.common import run_trips, vanlan_cbr_trip
+    from repro.experiments.common import (
+        require_complete,
+        run_trips,
+        vanlan_cbr_trip,
+    )
 
     n = max(1, int(trips))
     tasks = [
@@ -268,7 +272,8 @@ def _vanlan_cbr_sweep(trips=3, duration_s=10.0, testbed_seed=0, seed0=0,
         if context is not None and context.should_stop():
             return {"partial": True, "completed": i, "total": n,
                     "trips": summaries}
-        sweep = run_trips(vanlan_cbr_trip, [task], workers=1)
+        sweep = require_complete(
+            run_trips(vanlan_cbr_trip, [task], workers=1), [task])
         record = sweep[0]
         blob = json.dumps(
             {"up": record["up_deliveries"],

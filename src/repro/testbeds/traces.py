@@ -13,6 +13,8 @@ Two artifact types drive every experiment in the paper:
   per-second reception counts per BS.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = ["BeaconLog", "ProbeTrace"]
@@ -94,6 +96,41 @@ class ProbeTrace:
         up = self.up[: n_secs * sps].reshape(n_secs, sps, self.n_bs)
         down = self.down[: n_secs * sps].reshape(n_secs, sps, self.n_bs)
         return up.mean(axis=1), down.mean(axis=1)
+
+    @functools.cached_property
+    def observations(self):
+        """What a client observed in each whole second of the trace.
+
+        One :class:`~repro.handoff.base.PerSecondObservation` per
+        second, from the beacons (downstream probes) decoded in it:
+        the count per heard BS, their mean RSSI and the vehicle's
+        position at the second's last slot.  They depend on the trace
+        alone, so they are built once and every policy replay reads the
+        same list; policies never write to an observation.
+        """
+        # Imported here: a testbed, and the sweep runner built on one,
+        # loads no handoff module.
+        from repro.handoff.base import PerSecondObservation
+
+        sps = self.slots_per_second
+        out = []
+        for sec in range(self.n_slots // sps):
+            lo, hi = sec * sps, (sec + 1) * sps
+            heard = {}
+            mean_rssi = {}
+            for j, bs in enumerate(self.bs_ids):
+                count = int(self.down[lo:hi, j].sum())
+                if count > 0:
+                    heard[bs] = count
+                    mean_rssi[bs] = float(np.nanmean(self.rssi[lo:hi, j]))
+            out.append(PerSecondObservation(
+                second=sec,
+                beacons_heard=heard,
+                beacons_expected=sps,
+                mean_rssi=mean_rssi,
+                position=tuple(self.positions[hi - 1]),
+            ))
+        return out
 
     def __repr__(self):
         return (f"ProbeTrace({self.n_bs} BSes, {self.n_slots} slots, "

@@ -81,6 +81,34 @@ class TestTable1Rows:
         assert report.n_source_tx == 0
         assert report.rows()
 
+    def test_repeated_overhears_and_acks_count_once(self):
+        """An auxiliary that overhears one transmission twice and hears
+        two acks of its packet counts once in A2 and not in A3; one
+        that overhears twice and hears no ack counts once in both."""
+        stats = ViFiStats()
+        record_tx(stats, tx_id=1, pkt=0)
+        for aux in (3, 2, 3, 2):
+            stats.on_aux_overhear(1, aux)
+        stats.on_aux_heard_ack((0, 0), 2)
+        stats.on_aux_heard_ack((0, 0), 2)
+        tx = stats.tx_records[1]
+        record = stats.packet_records[(0, 0)]
+        assert tx.heard_by_aux == (3, 2)
+        assert record.aux_heard_ack == (2,)
+        report = stats.coordination_report(UP)
+        assert report.mean_aux_heard == 2.0
+        assert report.mean_aux_heard_no_ack == 1.0
+
+    def test_records_are_slotted(self):
+        stats = ViFiStats()
+        record_tx(stats, tx_id=1, pkt=0)
+        stats.on_relay_decision((0, 0), 2, 1.0, True, trigger_tx_id=1)
+        stats.on_relay_decision((0, 0), 2, 1.0, True, trigger_tx_id=1)
+        tx = stats.tx_records[1]
+        assert tx.relays == (2, 2)
+        for record in (tx, stats.packet_records[(0, 0)]):
+            assert not hasattr(record, "__dict__")
+
 
 class TestEfficiency:
     def test_efficiency_counts_unique_deliveries(self):

@@ -17,14 +17,18 @@ import time
 
 import pytest
 
+from repro.experiments import tcpbench
 from repro.experiments.common import (
     SweepResult,
+    brr_vifi_variants,
     init_worker_state,
+    require_complete,
     run_trips,
     vanlan_cbr_trip,
     worker_state,
 )
 from repro.store import ResultStore
+from repro.testbeds.vanlan import VanLanTestbed
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -82,6 +86,15 @@ def _interrupt_once(task):
     return value * value
 
 
+def _tcp_cell_or_boom(task):
+    """Stands in for Figure 9's task: BRR raises, ViFi gives a cell."""
+    name, _ = task
+    if name == "BRR":
+        raise RuntimeError("boom")
+    return {"durations": [1.0], "per_session": 1.0, "completed": 1,
+            "aborted": 0, "elapsed": 10.0}
+
+
 def _add_shipped_offset(task):
     """Adds the offset the sweep's initializer shipped to this worker."""
     (offset,) = worker_state()
@@ -128,6 +141,37 @@ class TestFailures:
         assert "boom" in record.getMessage()
         assert record.exc_info[0] is RuntimeError
         assert "in _raise_at" in caplog.text
+
+
+class TestRequireComplete:
+    def test_complete_sweep_passes_through(self):
+        sweep = run_trips(_square, [1, 2], workers=1)
+        assert require_complete(sweep, [1, 2]) is sweep
+
+    def test_names_the_first_failed_task(self):
+        tasks = [(v, 2) for v in (1, 2, 3)]
+        with pytest.raises(RuntimeError) as info:
+            require_complete(run_trips(_raise_at, tasks, workers=1), tasks)
+        message = str(info.value)
+        assert "task 1 (2, 2)" in message and "boom" in message
+
+    def test_names_the_first_missing_slot_of_an_interrupted_sweep(self):
+        tasks = [(v, 2) for v in (1, 2, 3)]
+        sweep = run_trips(_interrupt_on, tasks, workers=1)
+        with pytest.raises(RuntimeError, match=r"task 1 \(2, 2\)"):
+            require_complete(sweep, tasks)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_figure_stops_with_the_lost_task_cause(self, monkeypatch,
+                                                   workers):
+        """A figure experiment whose sweep lost a task raises with that
+        task's cause, serially and on a pool."""
+        monkeypatch.setattr(tcpbench, "_tcp_vanlan_task", _tcp_cell_or_boom)
+        with pytest.raises(RuntimeError, match="boom") as info:
+            tcpbench.tcp_vanlan(VanLanTestbed(seed=5), (0,),
+                                variants=brr_vifi_variants(),
+                                workers=workers, store=False)
+        assert "('BRR', 0)" in str(info.value)
 
 
 class TestKeyboardInterrupt:

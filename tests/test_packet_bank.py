@@ -7,7 +7,10 @@ must be observationally identical on protocol-shaped schedules: this
 module drives the ring bank and a plain-dict reference implementation
 through the exact state machine ``BasestationNode`` runs (overhear,
 overheard-ack with bitmap, relay-decision firing) and asserts
-query-for-query equality of everything the protocol observes.
+query-for-query equality of everything the protocol observes.  A
+ring's columns grow with its source's ids, so a second oracle holds a
+grown ring to one with every slot allocated up front, and a protocol
+run checks that each ring's size follows the ids it holds.
 """
 
 import random
@@ -16,12 +19,16 @@ import pytest
 
 from repro.core.node import (
     _BANK_CAPACITY,
+    _BANK_MASK,
     _HEARD,
+    _RECEIVED_OFFSETS,
     _STORED,
     _SUPPRESSED,
     _PacketBank,
     _SourceRing,
 )
+from repro.experiments.common import run_protocol_cbr, vanlan_protocol
+from repro.testbeds.vanlan import VanLanTestbed
 
 
 # ----------------------------------------------------------------------
@@ -182,8 +189,8 @@ class TestSourceRing:
         assert ring.flags[1] == ring.flags[0] == _SUPPRESSED
         assert ring.ids[1] == 1 and ring.ids[0] == 0
         for slot in range(_BANK_CAPACITY - 6, _BANK_CAPACITY):
-            assert ring.ids[slot] == -1
-            assert ring.flags[slot] == 0
+            assert slot >= len(ring.ids) or (
+                ring.ids[slot] == -1 and ring.flags[slot] == 0)
 
     def test_retire_received_leaves_newer_owner_alone(self):
         """A slot owned by a newer id keeps that row untouched."""
@@ -222,6 +229,141 @@ class TestSourceRing:
         assert a is not b
         assert bank.ring(1) is a
         assert bank.ring(2) is b
+
+
+# ----------------------------------------------------------------------
+# Grown ring == preallocating ring, query for query
+# ----------------------------------------------------------------------
+
+class _PreallocatedRing:
+    """Reference: the ring with all ``_BANK_CAPACITY`` slots allocated
+    up front, which :class:`_SourceRing` must answer exactly like."""
+
+    def __init__(self):
+        self.ids = [-1] * _BANK_CAPACITY
+        self.flags = [0] * _BANK_CAPACITY
+        self.heard = [0.0] * _BANK_CAPACITY
+        self.stored_at = [0.0] * _BANK_CAPACITY
+        self.pkt = [None] * _BANK_CAPACITY
+        self.considered = [None] * _BANK_CAPACITY
+
+    def claim(self, pkt_id):
+        i = pkt_id & _BANK_MASK
+        cur = self.ids[i]
+        if cur != pkt_id:
+            if cur > pkt_id:
+                return -1
+            self.ids[i] = pkt_id
+            self.flags[i] = 0
+            self.pkt[i] = None
+            self.considered[i] = None
+        return i
+
+    def probe(self, pkt_id):
+        i = pkt_id & _BANK_MASK
+        return i if self.ids[i] == pkt_id else -1
+
+    def retire_received(self, pkt_id, bitmap):
+        for offset in _RECEIVED_OFFSETS[bitmap]:
+            candidate = pkt_id - offset
+            if candidate < 0:
+                break
+            i = candidate & _BANK_MASK
+            cur = self.ids[i]
+            if cur == candidate:
+                self.flags[i] = (self.flags[i] | _SUPPRESSED) & ~_STORED
+            elif cur < candidate:
+                self.ids[i] = candidate
+                self.flags[i] = _SUPPRESSED
+                self.considered[i] = None
+            else:
+                continue
+            self.pkt[i] = None
+
+
+def _row(ring, i):
+    return (ring.ids[i], ring.flags[i], ring.heard[i], ring.stored_at[i],
+            ring.pkt[i], ring.considered[i])
+
+
+def _drive_rings(n_ops, seed, first_id):
+    """A seeded schedule of claims, probes and retirements through a
+    grown and a preallocated ring.
+
+    Ids rise from *first_id* with gaps; claims also revisit recent ids
+    (duplicates), acks mostly trail the newest id but are sometimes
+    over a ring's depth late, and probes range from long-recycled ids
+    to ids not yet seen.  Every claimed row gets the same random
+    contents in both rings.  Returns the number of ids passed and the
+    mismatches, each as ``(op, call, pkt_id, grown, preallocated)``.
+    """
+    rng = random.Random(seed)
+    grown, full = _SourceRing(), _PreallocatedRing()
+    top = first_id
+    mismatches = []
+    for op in range(n_ops):
+        roll = rng.random()
+        if roll < 0.45:
+            if rng.random() < 0.75:
+                pkt_id = top
+                top += rng.randrange(1, 4)
+            else:
+                pkt_id = max(0, top - rng.randrange(1, 40))
+            got, want = grown.claim(pkt_id), full.claim(pkt_id)
+            if got != want:
+                mismatches.append((op, "claim", pkt_id, got, want))
+            elif got >= 0:
+                contents = (rng.randrange(8), rng.random(), rng.random(),
+                            ("copy", op), rng.choice((None, [op])))
+                for ring in (grown, full):
+                    (ring.flags[got], ring.heard[got], ring.stored_at[got],
+                     ring.pkt[got], ring.considered[got]) = contents
+        elif roll < 0.75:
+            late = rng.randrange(900, 1300) if rng.random() < 0.1 \
+                else rng.randrange(1, 20)
+            pkt_id = max(0, top - late)
+            bitmap = rng.randrange(256)
+            got = grown.retire_received(pkt_id, bitmap)
+            want = full.retire_received(pkt_id, bitmap)
+            if got != want:
+                mismatches.append((op, "retire", pkt_id, got, want))
+        else:
+            pkt_id = max(0, top + rng.randrange(-1300, 600))
+            got, want = grown.probe(pkt_id), full.probe(pkt_id)
+            if got != want or (got >= 0 and _row(grown, got)
+                               != _row(full, want)):
+                mismatches.append((op, "probe", pkt_id, got, want))
+    return top - first_id, mismatches
+
+
+class TestGrownRing:
+    def test_new_ring_allocates_no_slot(self):
+        ring = _SourceRing()
+        assert ring.ids == ring.flags == ring.heard == []
+        assert ring.stored_at == ring.pkt == ring.considered == []
+        assert ring.probe(0) == -1
+
+    def test_columns_grow_to_a_power_of_two(self):
+        ring = _SourceRing()
+        ring.claim(0)
+        assert len(ring.ids) == 64
+        ring.claim(64)
+        assert len(ring.ids) == 128
+        ring.retire_received(301, 0)
+        assert len(ring.ids) == 512
+        ring.claim(_BANK_CAPACITY + 3)
+        for column in (ring.ids, ring.flags, ring.heard, ring.stored_at,
+                       ring.pkt, ring.considered):
+            assert len(column) == _BANK_CAPACITY
+
+    @pytest.mark.parametrize("first_id", [0, 1500])
+    def test_schedule_matches_preallocated_ring(self, first_id):
+        """Rising ids with duplicates and late acks, wrapping the ring
+        past ``_BANK_CAPACITY`` ids (from a first id of 0, and of more
+        than the capacity)."""
+        passed, mismatches = _drive_rings(6000, seed=11, first_id=first_id)
+        assert passed > 2 * _BANK_CAPACITY
+        assert mismatches == [], mismatches[:5]
 
 
 # ----------------------------------------------------------------------
@@ -296,3 +438,28 @@ class TestPacketBankOracle:
             ops, mismatches = _drive(40000, seed=seed)
             assert ops > 35000
             assert mismatches == [], mismatches[:5]
+
+
+# ----------------------------------------------------------------------
+# Rings of a protocol run
+# ----------------------------------------------------------------------
+
+def test_run_rings_are_sized_by_the_ids_they_hold():
+    """After 30 s of VanLAN CBR no basestation keeps a ring for its own
+    packets, and every ring holds at most twice the slots its highest
+    id needs (at least 64, at most the capacity)."""
+    sim, _ = vanlan_protocol(VanLanTestbed(seed=0), trip=0, seed=0,
+                             prefill=31.0)
+    run_protocol_cbr(sim, 30.0)
+    n_rings = 0
+    for bs_id, bs in sim.bs_nodes.items():
+        rings = bs._packets._rings
+        assert bs_id not in rings
+        for ring in rings.values():
+            n_rings += 1
+            size = len(ring.ids)
+            assert {len(ring.flags), len(ring.heard), len(ring.stored_at),
+                    len(ring.pkt), len(ring.considered)} == {size}
+            assert size <= min(max(64, 2 * (max(ring.ids) + 1)),
+                               _BANK_CAPACITY)
+    assert n_rings > 0

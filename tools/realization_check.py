@@ -27,20 +27,26 @@ which records the radio model's float values and so can move in its
 last bits while every outcome holds.  ``beacon-log`` is the sha256 of
 the ``heard`` counts of
 ``DieselNetTestbed(channel=1, seed=2).generate_beacon_log(0)``, the
-log Table 2, Figure 10 and Figure 11's channel 1 read.  Then come six
-``figNN`` lines, the sha256 of the JSON text of the registry payloads
-of Figures 2, 3, 4, 6, 7 and 8: Figure 6 is the other caller of
-``steered_losses``, and the others compute the session metric
-(:mod:`repro.apps.sessions`), which no benchmark unit reads, over the
-handoff policies' replays and the link-layer runs.
+log Table 2, Figure 10 and Figure 11's channel 1 read.  Then come
+eight lines, each a label (``fig02`` ... ``fig08``, ``table1``,
+``fig12``) and the sha256 of the JSON text of a registry payload: of
+Figures 2, 3, 4, 6, 7 and 8, Table 1 and Figure 12.  Figure 6 is the
+other caller of ``steered_losses``; Figures 2-4, 7 and 8 compute the
+session metric (:mod:`repro.apps.sessions`), which no benchmark unit
+reads, over the handoff policies' replays and the link-layer runs; and
+Table 1 and Figure 12 read the per-transmission ledger
+(:class:`~repro.core.stats.ViFiStats`) through rows A1-C4 in both
+directions and the PerfectRelay tallies, where the benchmark digests
+hash only events, transmissions and deliveries.
 
-After these sixteen lines comes one ``bench <workload> <unit> <digest>``
-line per unit of the benchmark's workloads (``bench/workloads.py``) at
-protocol seed 0, computed in this process with the Figure 9 sweep run
-serially (its digests do not depend on the pool size).  So one ``diff``
-of this script's output covers every bit-identity check.
+After these eighteen lines comes one ``bench <workload> <unit>
+<digest>`` line per unit of the benchmark's workloads
+(``bench/workloads.py``) at protocol seed 0, computed in this process
+with the Figure 9 sweep run serially (its digests do not depend on the
+pool size): 25 lines in all.  So one ``diff`` of this script's output
+covers every bit-identity check.
 
-The run takes 60-120 s on a 2-vCPU host and uses no result store.
+The run takes 70-130 s on a 2-vCPU host and uses no result store.
 """
 
 import argparse
@@ -66,9 +72,11 @@ from workloads import WORKLOADS, run_workload  # noqa: E402
 
 #: Protocol seeds of the unicast ablation lines.
 UNICAST_SEEDS = range(13, 19)
-#: Registry entries whose payload hashes make the ``figNN`` lines.
+#: Registry entries whose payload hashes make the figure lines, each
+#: labelled with its name up to the first underscore.
 FIGURE_LINES = ("fig02_aggregate", "fig03_sessions", "fig04_definitions",
-                "fig06_losses", "fig07_vifi_link", "fig08_path")
+                "fig06_losses", "fig07_vifi_link", "fig08_path",
+                "table1_coordination", "fig12_efficiency")
 
 
 def table2_line():
@@ -120,12 +128,13 @@ def beacon_log_line():
 
 
 def figure_lines():
-    """One ``figNN <sha256>`` line per :data:`FIGURE_LINES` entry, over
-    its payload as ``results/`` holds it."""
+    """One ``<label> <sha256>`` line per :data:`FIGURE_LINES` entry,
+    over its payload as ``results/`` holds it."""
     for name in FIGURE_LINES:
         figure = FIGURES[name]
         text = payload_text(figure.payload(figure.run()))
-        yield name[:5] + " " + hashlib.sha256(text.encode()).hexdigest()
+        yield (name.partition("_")[0] + " "
+               + hashlib.sha256(text.encode()).hexdigest())
 
 
 def bench_lines():
